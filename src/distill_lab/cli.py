@@ -14,12 +14,20 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import data as data_mod
-from .errors import ConfigError, ParseError, PipelineError
+from .errors import (
+    ConfigError,
+    DivergenceInfiniteError,
+    InvalidInputError,
+    InvalidParameterError,
+    LogOfZeroError,
+    NumericOverflowError,
+    ParseError,
+    PipelineError,
+)
 from .evaluation import divergence_audit, gradcheck, make_completion_tasks
 from .model import TabularLM, Vocab, checkpoint_load, checkpoint_save
 from .numerics import entropy
@@ -29,6 +37,7 @@ from .training import (
     TrainConfig,
     distill_offpolicy,
     distill_onpolicy_opd,
+    draw_eval_states,
     make_teacher,
     metrics_write,
     run_experiment,
@@ -49,15 +58,20 @@ _SCHEMA = {
     "init_checkpoint": None,
     "train": {
         "objective", "beta", "sign_fidelity", "lr", "steps", "batch_size",
-        "eval_every", "opd_reward_mode", "temperature", "hpd_samples",
+        "eval_every", "opd_reward_mode", "hpd_samples",
         "opd_baseline", "horizon", "n_eval_seqs", "eval_len", "eval_from",
     },
     "tasks": {"num_tasks", "cont_len", "min_conf"},
     "stages": None,
     "sweep": {"objectives", "seeds"},
     "gradcheck": {"n_tokens", "eps", "vocab_size", "order", "model_seed"},
-    "timing": None,
 }
+
+# errors a command reports as `error: ...` with exit code 2
+_USER_ERRORS = (
+    ConfigError, ParseError, PipelineError, InvalidInputError, InvalidParameterError,
+    DivergenceInfiniteError, LogOfZeroError, NumericOverflowError, OSError,
+)
 
 
 def validate_config(cfg: dict) -> None:
@@ -108,6 +122,18 @@ def apply_overrides(cfg: dict, sets: list[str]) -> dict:
 def config_hash(cfg: dict) -> str:
     canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
+
+
+def _field(node: dict, path: str, cast, default):
+    """The value under path's last key in node (default when absent), as cast.
+
+    A value cast rejects is a ConfigError naming the dotted path.
+    """
+    value = node.get(path.rpartition(".")[2], default)
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{path}: expected {cast.__name__}, got {value!r}") from None
 
 
 def load_config(path: str | None, sets: list[str]) -> dict:
@@ -161,8 +187,8 @@ def _get_corpus(cfg: dict, source=None) -> data_mod.Corpus:
     c = cfg.get("corpus", {})
     rng = np.random.default_rng(cfg["seed"])
     regime = c.get("regime", "ground_truth")
-    num_seqs = int(c.get("num_seqs", 2000))
-    length = int(c.get("length", 64))
+    num_seqs = _field(c, "corpus.num_seqs", int, 2000)
+    length = _field(c, "corpus.length", int, 64)
     if regime == "ground_truth":
         return data_mod.sample_corpus(source, num_seqs, length, rng, seed=cfg["seed"])
     if regime == "teacher_generated":
@@ -170,15 +196,15 @@ def _get_corpus(cfg: dict, source=None) -> data_mod.Corpus:
         prompts = [[] for _ in range(num_seqs)]
         return data_mod.generate_seqkd_corpus(
             teacher_model, prompts, length, rng,
-            temperature=float(c.get("temperature", 1.0)), seed=cfg["seed"],
+            temperature=_field(c, "corpus.temperature", float, 1.0), seed=cfg["seed"],
         )
     raise ConfigError(f"unknown corpus regime {regime!r}")
 
 
 def _fit_teacher_model(cfg: dict, source) -> TabularLM:
     t = cfg.get("teacher", {})
-    order = int(t.get("order", source.order))
-    lam = float(t.get("smoothing", 0.1))
+    order = _field(t, "teacher.order", int, source.order)
+    lam = _field(t, "teacher.smoothing", float, 0.1)
     rng = np.random.default_rng(cfg["seed"] + 1)
     fit_corpus = data_mod.sample_corpus(source, 2000, 64, rng, seed=cfg["seed"] + 1)
     return train_teacher_mle(fit_corpus, order, lam)
@@ -195,7 +221,7 @@ def _get_teacher(cfg: dict, source):
 def _get_student(cfg: dict, source) -> TabularLM:
     if "init_checkpoint" in cfg:
         return checkpoint_load(cfg["init_checkpoint"])
-    order = int(cfg.get("student_order", 1))
+    order = _field(cfg, "student_order", int, 1)
     return TabularLM(order=order, vocab=Vocab.default(source.vocab.size))
 
 
@@ -206,10 +232,10 @@ def _get_tasks(cfg: dict, source):
     rng = np.random.default_rng(cfg["seed"] + 2)
     return make_completion_tasks(
         source,
-        num_tasks=int(t.get("num_tasks", 200)),
-        cont_len=int(t.get("cont_len", 2)),
+        num_tasks=_field(t, "tasks.num_tasks", int, 200),
+        cont_len=_field(t, "tasks.cont_len", int, 2),
         rng=rng,
-        min_conf=float(t.get("min_conf", 0.9)),
+        min_conf=_field(t, "tasks.min_conf", float, 0.9),
     )
 
 
@@ -221,25 +247,22 @@ def _train_config(cfg: dict, overrides: dict | None = None) -> TrainConfig:
         raise ConfigError("train config needs an 'objective' tag")
     kind = ObjectiveKind(
         tag=t["objective"],
-        beta=float(t.get("beta", 0.5)),
+        beta=_field(t, "train.beta", float, 0.5),
         sign_fidelity=bool(t.get("sign_fidelity", False)),
     )
     return TrainConfig(
         objective=kind,
-        steps=int(t.get("steps", 1000)),
-        seed=int(t.get("seed", cfg["seed"])),
-        lr=float(t.get("lr", 0.1)),
-        batch_size=int(t.get("batch_size", 32)),
-        eval_every=int(t.get("eval_every", 100)),
-        teacher_mode=cfg.get("teacher", {}).get("mode", "oracle_source"),
-        smoothing=float(cfg.get("teacher", {}).get("smoothing", 0.0)),
+        steps=_field(t, "train.steps", int, 1000),
+        seed=_field(t, "train.seed", int, cfg["seed"]),
+        lr=_field(t, "train.lr", float, 0.1),
+        batch_size=_field(t, "train.batch_size", int, 32),
+        eval_every=_field(t, "train.eval_every", int, 100),
         opd_reward_mode=t.get("opd_reward_mode", "per_token"),
-        temperature=float(t.get("temperature", 1.0)),
-        hpd_samples=int(t.get("hpd_samples", 1)),
+        hpd_samples=_field(t, "train.hpd_samples", int, 1),
         opd_baseline=bool(t.get("opd_baseline", False)),
-        horizon=int(t.get("horizon", 16)),
-        n_eval_seqs=int(t.get("n_eval_seqs", 20)),
-        eval_len=int(t.get("eval_len", 16)),
+        horizon=_field(t, "train.horizon", int, 16),
+        n_eval_seqs=_field(t, "train.n_eval_seqs", int, 20),
+        eval_len=_field(t, "train.eval_len", int, 16),
         eval_from=t.get("eval_from", "teacher"),
     )
 
@@ -271,8 +294,8 @@ def cmd_train_teacher(cfg: dict) -> int:
     source = _get_source(cfg)
     corpus = _get_corpus(cfg, source)
     t = cfg.get("teacher", {})
-    model = train_teacher_mle(corpus, int(t.get("order", source.order)),
-                              float(t.get("smoothing", 0.0)))
+    model = train_teacher_mle(corpus, _field(t, "teacher.order", int, source.order),
+                              _field(t, "teacher.smoothing", float, 0.0))
     path = os.path.join(out, "teacher.json")
     checkpoint_save(model, path, header_extra=_meta(cfg))
     print(f"wrote {path} ({len(model.rows)} contexts)")
@@ -280,13 +303,13 @@ def cmd_train_teacher(cfg: dict) -> int:
 
 
 def _run_single(cfg: dict, on_policy: bool, csv_name="metrics.csv",
-                ckpt_name="student.json", train_overrides=None) -> int:
+                ckpt_name="student.json") -> int:
     out = _outdir(cfg)
     source = _get_source(cfg)
     teacher = _get_teacher(cfg, source)
     student = _get_student(cfg, source)
     tasks = _get_tasks(cfg, source)
-    tc = _train_config(cfg, train_overrides)
+    tc = _train_config(cfg)
 
     if "stages" in cfg:
         stages = [
@@ -335,16 +358,11 @@ def cmd_eval(cfg: dict) -> int:
     student = _get_student(cfg, source)
     tasks = _get_tasks(cfg, source)
     tc = _train_config(cfg) if "train" in cfg else None
-    n_eval = tc.n_eval_seqs if tc else 20
-    eval_len = tc.eval_len if tc else 16
-    rng = np.random.default_rng(cfg["seed"])
-    states = []
-    ent = []
-    for _ in range(n_eval):
-        seq = teacher.sample_sequence(eval_len, rng)
-        for t in range(len(seq)):
-            states.append(seq[:t])
-            ent.append(entropy(student.predict(student.context_for(seq[:t]))))
+    n_seqs, length, eval_from = (
+        (tc.n_eval_seqs, tc.eval_len, tc.eval_from) if tc else (20, 16, "teacher"))
+    states = draw_eval_states(student, teacher, n_seqs, length, eval_from,
+                              np.random.default_rng(cfg["seed"]))
+    ent = [entropy(student.predict(student.context_for(s))) for s in states]
     kl_fwd, kl_rev = divergence_audit(student, teacher, states)
     acc = None
     if tasks:
@@ -365,11 +383,11 @@ def cmd_eval(cfg: dict) -> int:
 
 def cmd_gradcheck(cfg: dict) -> int:
     g = cfg.get("gradcheck", {})
-    v = int(g.get("vocab_size", 8))
-    order = int(g.get("order", 1))
-    n_tokens = int(g.get("n_tokens", 64))
-    eps = float(g.get("eps", 1e-5))
-    rng = np.random.default_rng(int(g.get("model_seed", cfg["seed"])))
+    v = _field(g, "gradcheck.vocab_size", int, 8)
+    order = _field(g, "gradcheck.order", int, 1)
+    n_tokens = _field(g, "gradcheck.n_tokens", int, 64)
+    eps = _field(g, "gradcheck.eps", float, 1e-5)
+    rng = np.random.default_rng(_field(g, "gradcheck.model_seed", int, cfg["seed"]))
     model = TabularLM(order=order, vocab=Vocab.default(v))
     items = []
     for _ in range(n_tokens):
@@ -388,39 +406,21 @@ def cmd_sweep(cfg: dict) -> int:
     if not sw or "objectives" not in sw or "seeds" not in sw:
         raise ConfigError("sweep needs 'sweep.objectives' and 'sweep.seeds'")
     objectives = list(sw["objectives"])
-    seeds = [int(s) for s in sw["seeds"]]
+    try:
+        seeds = [int(s) for s in sw["seeds"]]
+    except (TypeError, ValueError):
+        raise ConfigError(f"sweep.seeds: expected integers, got {sw['seeds']!r}") from None
     for tag in objectives:
         if tag not in ALL_TAGS:
             raise ConfigError(f"unknown objective tag {tag!r} in sweep")
-    threads = max(1, int(os.environ.get("DISTILL_LAB_THREADS", "1")))
-
-    def run_cell(tag: str, seed: int) -> str:
-        cell = json.loads(json.dumps(cfg))
-        cell["seed"] = seed
-        cell.pop("sweep", None)
-        cell.setdefault("train", {})["objective"] = tag
-        cell["train"]["seed"] = seed
-        source = _get_source(cell)
-        teacher = _get_teacher(cell, source)
-        student = _get_student(cell, source)
-        tasks = _get_tasks(cell, source)
-        tc = _train_config(cell)
-        if tc.objective.on_policy:
-            _, rows = distill_onpolicy_opd(tc, teacher, student, eval_tasks=tasks)
-        else:
-            corpus = _get_corpus(cell, source)
-            _, rows = distill_offpolicy(tc, teacher, corpus, student, eval_tasks=tasks)
-        path = os.path.join(out, f"metrics_{tag}_seed{seed}.csv")
-        metrics_write(rows, path, meta=_meta(cell))
-        return path
-
-    cells = [(tag, seed) for tag in objectives for seed in seeds]
-    if threads == 1:
-        paths = [run_cell(tag, seed) for tag, seed in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            paths = list(pool.map(lambda c: run_cell(*c), cells))
-    print(f"wrote {len(paths)} metrics files under {out}")
+    for tag in objectives:
+        for seed in seeds:
+            cell = {k: v for k, v in cfg.items() if k not in ("sweep", "stages")}
+            cell["seed"] = seed
+            cell["train"] = dict(cfg.get("train", {}), objective=tag, seed=seed)
+            _run_single(cell, on_policy=False, csv_name=f"metrics_{tag}_seed{seed}.csv",
+                        ckpt_name=f"student_{tag}_seed{seed}.json")
+    print(f"wrote {len(objectives) * len(seeds)} metrics files under {out}")
     return 0
 
 
@@ -455,7 +455,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, args.sets)
         return _COMMANDS[args.command](cfg)
-    except (ConfigError, ParseError, PipelineError, OSError) as e:
+    except _USER_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,25 +62,33 @@ def gradcheck(model: TabularLM, weighted_tokens, eps: float = 1e-5) -> float:
     return max_err
 
 
-def divergence_audit(
-    student: TabularLM, teacher, states, n_states: int | None = None
-) -> tuple[float, float]:
-    """Mean exact KL(p||q) and KL(q||p) over the given prefix states."""
+def divergence_audit(student: TabularLM, teacher, states) -> tuple[float, float]:
+    """Mean exact KL(p||q) and KL(q||p) over the given prefix states.
+
+    A state where one distribution puts mass outside the other's support
+    contributes +inf, so that direction's mean reads math.inf.
+    """
     states = list(states)
-    if n_states is not None:
-        states = states[:n_states]
     if not states:
         raise InvalidInputError("audit needs at least one state")
     fwd, rev = 0.0, 0.0
+    q_cache: dict = {}
     for prefix in states:
         p = teacher.dist(prefix)
-        q = student.predict(student.context_for(prefix))
-        try:
-            fwd += kl_exact(p, q)
-            rev += kl_exact(q, p)
-        except DivergenceInfiniteError as e:
-            raise DivergenceInfiniteError(f"state {tuple(prefix)}: {e}") from e
+        ctx = student.context_for(prefix)
+        q = q_cache.get(ctx)
+        if q is None:
+            q = q_cache[ctx] = student.predict(ctx)
+        fwd += _kl_or_inf(p, q)
+        rev += _kl_or_inf(q, p)
     return fwd / len(states), rev / len(states)
+
+
+def _kl_or_inf(p: CategoricalDist, q: CategoricalDist) -> float:
+    try:
+        return kl_exact(p, q)
+    except DivergenceInfiniteError:
+        return math.inf
 
 
 @dataclass(frozen=True)

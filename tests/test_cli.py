@@ -1,11 +1,14 @@
 """End-to-end tests of the config-driven command-line surface."""
 
 import json
+import math
 
+import numpy as np
 import pytest
 
 from distill_lab.cli import apply_overrides, config_hash, main, validate_config
 from distill_lab.errors import ConfigError
+from distill_lab.model import checkpoint_load
 from distill_lab.training import METRICS_HEADER
 
 
@@ -164,6 +167,54 @@ class TestCommands:
         assert len(csvs) == 25
         for f in csvs:
             assert f.read_text().splitlines()[1] == METRICS_HEADER
+
+    def test_sweep_cells_match_single_runs(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = dict(BASE, out_dir="sweep")
+        cfg["train"] = dict(BASE["train"], steps=20, horizon=4)
+        cfg["sweep"] = {"objectives": ["rkld_off", "opd_k1"], "seeds": [3]}
+        assert main(["sweep", "--config", write_config(tmp_path / "s.json", cfg)]) == 0
+        for command, tag in (("distill", "rkld_off"), ("opd", "opd_k1")):
+            single = dict(cfg, seed=3, out_dir=tag)
+            del single["sweep"]
+            single["train"] = dict(cfg["train"], objective=tag)
+            path = write_config(tmp_path / f"{tag}.json", single)
+            assert main([command, "--config", path]) == 0
+            swept = (tmp_path / "sweep" / f"metrics_{tag}_seed3.csv").read_text()
+            alone = (tmp_path / tag / "metrics.csv").read_text()
+            assert swept.splitlines()[1:] == alone.splitlines()[1:]
+            a = checkpoint_load(tmp_path / "sweep" / f"student_{tag}_seed3.json")
+            b = checkpoint_load(tmp_path / tag / "student.json")
+            assert a.rows.keys() == b.rows.keys()
+            assert all(np.array_equal(a.rows[c], b.rows[c]) for c in a.rows)
+
+    def test_eval_support_violation_writes_inf(self, tmp_path, monkeypatch):
+        # a uniform student covers the cycle's one-hot rows, not the reverse
+        monkeypatch.chdir(tmp_path)
+        cfg = {"seed": 1, "out_dir": "out", "source": {"name": "deterministic_cycle"}}
+        assert main(["eval", "--config", write_config(tmp_path / "c.json", cfg)]) == 0
+        vals = (tmp_path / "out" / "audit.csv").read_text().splitlines()[2].split(",")
+        assert math.isfinite(float(vals[0])) and float(vals[1]) == math.inf
+
+    @pytest.mark.parametrize("command, sets, needle", [
+        ("distill", ["train.steps=abc"], "train.steps"),
+        ("distill", ["student_order=0"], "order"),
+        ("opd", ["source.name=deterministic_cycle", "teacher.mode=mle_fit",
+                 "teacher.smoothing=0", "train.objective=opd_k1", "train.horizon=4"],
+         "outside teacher support"),
+        ("distill", ["timing=42"], "timing"),
+        ("distill", ["train.temperature=9"], "temperature"),
+    ])
+    def test_user_errors_exit_two(self, tmp_path, monkeypatch, capsys, command, sets,
+                                  needle):
+        monkeypatch.chdir(tmp_path)
+        path = write_config(tmp_path / "c.json", dict(BASE, out_dir="out"))
+        argv = [command, "--config", path]
+        for item in sets:
+            argv += ["--set", item]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and needle in err
 
     def test_missing_config_file_exits_two(self, capsys):
         assert main(["distill", "--config", "/nonexistent/cfg.json"]) == 2

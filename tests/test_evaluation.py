@@ -1,5 +1,7 @@
 """Oracle tests for gradient checking, audits, profiles, accuracy, and K1 studies."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from distill_lab.data import (
     bimodal_ambiguous_mixture,
     build_source,
 )
-from distill_lab.errors import DivergenceInfiniteError, InvalidInputError
+from distill_lab.errors import InvalidInputError
 from distill_lab.evaluation import (
     completion_accuracy,
     divergence_audit,
@@ -85,13 +87,15 @@ class TestDivergenceAudit:
         _, rev_b = divergence_audit(student, teacher, [[3, COIN_B, GAP_TOKEN]])
         assert rev_b == pytest.approx(rev, abs=1e-12)
 
-    def test_infinite_divergence_names_state(self):
+    def test_support_violation_reads_inf(self):
         src = build_source({"name": "uniform", "vocab_size": 2})
         student = TabularLM(order=1, vocab=Vocab.default(2))
         # a 2000-nat logit gap underflows to an exact zero probability
         student.set_row((0,), [0.0, -2000.0])
-        with pytest.raises(DivergenceInfiniteError, match=r"\(0,\)"):
-            divergence_audit(student, OracleTeacher(src), [[0]])
+        fwd, rev = divergence_audit(student, OracleTeacher(src), [[0], [1]])
+        assert fwd == math.inf
+        # the reverse direction stays finite: KL([1, 0] || uniform) = ln 2
+        assert rev == pytest.approx(np.log(2.0) / 2, abs=1e-12)
 
     def test_empty_states(self):
         src = build_source({"name": "uniform", "vocab_size": 2})

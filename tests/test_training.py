@@ -6,8 +6,8 @@ import pytest
 from distill_lab.data import Corpus, build_source, sample_corpus, generate_seqkd_corpus
 from distill_lab.errors import ConfigError
 from distill_lab.model import TabularLM, Vocab
-from distill_lab.numerics import entropy, kl_exact
-from distill_lab.objectives import ObjectiveKind
+from distill_lab.numerics import CategoricalDist, entropy, kl_exact
+from distill_lab.objectives import ObjectiveKind, hpd_weights
 from distill_lab.training import (
     METRICS_HEADER,
     MetricsRow,
@@ -205,6 +205,34 @@ class TestDistillOffpolicy:
         out_h, rows_h = distill_offpolicy(cfg_h, teacher, corpus, student)
         # the update only used forward-KL weights p*; divergences stay ~0
         assert rows_h[-1].kl_fwd < 1e-3 and rows_h[-1].kl_rev < 1e-3
+
+    @pytest.mark.parametrize("variant", ["hpd", "hpd_no_reinforce", "hpd_no_sample"])
+    def test_hpd_samples_average_to_expected_update(self, variant):
+        # a one-token corpus makes every position the same state with expert 0;
+        # the step is then lr * the mean over all draws of dir(s), whose
+        # expectation sum_s q_s dir(s) does not depend on hpd_samples
+        p = CategoricalDist.from_probs(np.array([0.5, 0.3, 0.15, 0.05]))
+        q = CategoricalDist.from_probs(np.array([0.1, 0.4, 0.3, 0.2]))
+        teacher_model = TabularLM(order=1, vocab=Vocab.default(4))
+        student = TabularLM(order=1, vocab=Vocab.default(4))
+        ctx = student.context_for([])
+        teacher_model.set_row(ctx, p.logprobs)
+        student.set_row(ctx, q.logprobs)
+        corpus = Corpus(sequences=[[0]], provenance="ground_truth", seed=0, vocab_size=4)
+
+        expected = np.zeros(4)
+        for s in range(4):
+            hw = hpd_weights(p, q, 0, s, variant=variant)
+            expected += q.probs[s] * (hw.w_star * (np.eye(4)[0] - q.probs)
+                                      + hw.w_sampled * (np.eye(4)[s] - q.probs))
+        lr = 0.5
+        cfg = small_cfg(variant, steps=1, lr=lr, batch_size=8, hpd_samples=2000,
+                        n_eval_seqs=1, eval_len=1)
+        out, _ = distill_offpolicy(cfg, ModelTeacher(teacher_model), corpus, student)
+        step = out.logits(ctx) - student.logits(ctx)
+        # 16000 draws keep the Monte Carlo error near 1e-3; adding instead of
+        # averaging over the 2000 samples would scale the step 2000-fold
+        assert np.max(np.abs(step - lr * expected)) < 5e-3
 
 
 class TestDistillOnpolicyOPD:
