@@ -49,7 +49,6 @@ from .training import (
     TrainConfig,
     distill_offpolicy,
     distill_onpolicy_opd,
-    make_teacher,
     run_experiment,
     train_teacher_mle,
 )

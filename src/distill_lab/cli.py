@@ -14,6 +14,7 @@ import hashlib
 import json
 import os
 import sys
+from functools import cached_property
 
 import numpy as np
 
@@ -27,18 +28,20 @@ from .errors import (
     NumericOverflowError,
     ParseError,
     PipelineError,
+    config_field,
 )
 from .evaluation import divergence_audit, gradcheck, make_completion_tasks
 from .model import TabularLM, Vocab, checkpoint_load, checkpoint_save
 from .numerics import entropy
 from .objectives import ALL_TAGS, ObjectiveKind
 from .training import (
+    ModelTeacher,
+    OracleTeacher,
     Stage,
     TrainConfig,
     distill_offpolicy,
     distill_onpolicy_opd,
     draw_eval_states,
-    make_teacher,
     metrics_write,
     run_experiment,
     train_teacher_mle,
@@ -81,7 +84,9 @@ def validate_config(cfg: dict) -> None:
         if key not in _SCHEMA:
             raise ConfigError(f"unknown config key {key!r}")
         allowed = _SCHEMA[key]
-        if allowed is not None and isinstance(val, dict):
+        if allowed is not None:
+            if not isinstance(val, dict):
+                raise ConfigError(f"{key!r} must be an object, got {val!r}")
             extra = set(val) - allowed
             if extra:
                 raise ConfigError(f"unknown keys in {key!r}: {sorted(extra)}")
@@ -124,18 +129,6 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
-def _field(node: dict, path: str, cast, default):
-    """The value under path's last key in node (default when absent), as cast.
-
-    A value cast rejects is a ConfigError naming the dotted path.
-    """
-    value = node.get(path.rpartition(".")[2], default)
-    try:
-        return cast(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{path}: expected {cast.__name__}, got {value!r}") from None
-
-
 def load_config(path: str | None, sets: list[str]) -> dict:
     if path is not None:
         with open(path, encoding="utf-8") as f:
@@ -171,57 +164,73 @@ def _echo_effective(cfg: dict, out: str, command: str) -> None:
         f.write("\n")
 
 
-def _get_source(cfg: dict) -> data_mod.MarkovSource:
-    if "source_path" in cfg:
-        return data_mod.source_load(cfg["source_path"])
-    if "source" in cfg:
-        return data_mod.build_source(cfg["source"])
-    raise ConfigError("config needs 'source' or 'source_path'")
+class _Inputs:
+    """A command's source, corpora and teacher; each is built at most once, on first use.
 
+    The ground truth is the corpus_path file, or else the corpus that gen-corpus
+    samples in the ground_truth regime. The MLE teacher is fitted on it, and the
+    teacher_generated regime samples from that teacher.
+    """
 
-def _get_corpus(cfg: dict, source=None) -> data_mod.Corpus:
-    if "corpus_path" in cfg:
-        return data_mod.corpus_read(cfg["corpus_path"])
-    if source is None:
-        source = _get_source(cfg)
-    c = cfg.get("corpus", {})
-    rng = np.random.default_rng(cfg["seed"])
-    regime = c.get("regime", "ground_truth")
-    num_seqs = _field(c, "corpus.num_seqs", int, 2000)
-    length = _field(c, "corpus.length", int, 64)
-    if regime == "ground_truth":
-        return data_mod.sample_corpus(source, num_seqs, length, rng, seed=cfg["seed"])
-    if regime == "teacher_generated":
-        teacher_model = _fit_teacher_model(cfg, source)
-        prompts = [[] for _ in range(num_seqs)]
-        return data_mod.generate_seqkd_corpus(
-            teacher_model, prompts, length, rng,
-            temperature=_field(c, "corpus.temperature", float, 1.0), seed=cfg["seed"],
+    def __init__(self, cfg: dict):
+        if "source_path" in cfg:
+            self.source = data_mod.source_load(cfg["source_path"])
+        elif "source" in cfg:
+            self.source = data_mod.build_source(cfg["source"])
+        else:
+            raise ConfigError("config needs 'source' or 'source_path'")
+        self.cfg = cfg
+        c = cfg.get("corpus", {})
+        self.num_seqs = config_field(c, "corpus.num_seqs", int, 2000)
+        self.length = config_field(c, "corpus.length", int, 64)
+        # draws the ground truth, then the teacher_generated corpus after it
+        self._rng = np.random.default_rng(cfg["seed"])
+
+    @cached_property
+    def ground_truth(self) -> data_mod.Corpus:
+        if "corpus_path" in self.cfg:
+            return data_mod.corpus_read(self.cfg["corpus_path"])
+        return data_mod.sample_corpus(self.source, self.num_seqs, self.length, self._rng,
+                                      seed=self.cfg["seed"])
+
+    @cached_property
+    def teacher_model(self) -> TabularLM:
+        t = self.cfg.get("teacher", {})
+        return train_teacher_mle(
+            self.ground_truth,
+            config_field(t, "teacher.order", int, self.source.order),
+            config_field(t, "teacher.smoothing", float, 0.1),
         )
-    raise ConfigError(f"unknown corpus regime {regime!r}")
 
+    @cached_property
+    def corpus(self) -> data_mod.Corpus:
+        c = self.cfg.get("corpus", {})
+        regime = c.get("regime", "ground_truth")
+        if "corpus_path" in self.cfg or regime == "ground_truth":
+            return self.ground_truth
+        if regime == "teacher_generated":
+            prompts = [[] for _ in range(self.num_seqs)]
+            return data_mod.generate_seqkd_corpus(
+                self.teacher_model, prompts, self.length, self._rng,
+                temperature=config_field(c, "corpus.temperature", float, 1.0),
+                seed=self.cfg["seed"],
+            )
+        raise ConfigError(f"unknown corpus regime {regime!r}")
 
-def _fit_teacher_model(cfg: dict, source) -> TabularLM:
-    t = cfg.get("teacher", {})
-    order = _field(t, "teacher.order", int, source.order)
-    lam = _field(t, "teacher.smoothing", float, 0.1)
-    rng = np.random.default_rng(cfg["seed"] + 1)
-    fit_corpus = data_mod.sample_corpus(source, 2000, 64, rng, seed=cfg["seed"] + 1)
-    return train_teacher_mle(fit_corpus, order, lam)
-
-
-def _get_teacher(cfg: dict, source):
-    t = cfg.get("teacher", {})
-    mode = t.get("mode", "oracle_source")
-    if mode == "oracle_source":
-        return make_teacher("oracle_source", source=source)
-    return make_teacher("mle_fit", model=_fit_teacher_model(cfg, source))
+    @cached_property
+    def teacher(self):
+        mode = self.cfg.get("teacher", {}).get("mode", "oracle_source")
+        if mode == "oracle_source":
+            return OracleTeacher(self.source)
+        if mode == "mle_fit":
+            return ModelTeacher(self.teacher_model)
+        raise ConfigError(f"unknown teacher.mode {mode!r}")
 
 
 def _get_student(cfg: dict, source) -> TabularLM:
     if "init_checkpoint" in cfg:
         return checkpoint_load(cfg["init_checkpoint"])
-    order = _field(cfg, "student_order", int, 1)
+    order = config_field(cfg, "student_order", int, 1)
     return TabularLM(order=order, vocab=Vocab.default(source.vocab.size))
 
 
@@ -232,10 +241,10 @@ def _get_tasks(cfg: dict, source):
     rng = np.random.default_rng(cfg["seed"] + 2)
     return make_completion_tasks(
         source,
-        num_tasks=_field(t, "tasks.num_tasks", int, 200),
-        cont_len=_field(t, "tasks.cont_len", int, 2),
+        num_tasks=config_field(t, "tasks.num_tasks", int, 200),
+        cont_len=config_field(t, "tasks.cont_len", int, 2),
         rng=rng,
-        min_conf=_field(t, "tasks.min_conf", float, 0.9),
+        min_conf=config_field(t, "tasks.min_conf", float, 0.9),
     )
 
 
@@ -247,22 +256,22 @@ def _train_config(cfg: dict, overrides: dict | None = None) -> TrainConfig:
         raise ConfigError("train config needs an 'objective' tag")
     kind = ObjectiveKind(
         tag=t["objective"],
-        beta=_field(t, "train.beta", float, 0.5),
+        beta=config_field(t, "train.beta", float, 0.5),
         sign_fidelity=bool(t.get("sign_fidelity", False)),
     )
     return TrainConfig(
         objective=kind,
-        steps=_field(t, "train.steps", int, 1000),
-        seed=_field(t, "train.seed", int, cfg["seed"]),
-        lr=_field(t, "train.lr", float, 0.1),
-        batch_size=_field(t, "train.batch_size", int, 32),
-        eval_every=_field(t, "train.eval_every", int, 100),
+        steps=config_field(t, "train.steps", int, 1000),
+        seed=config_field(t, "train.seed", int, cfg["seed"]),
+        lr=config_field(t, "train.lr", float, 0.1),
+        batch_size=config_field(t, "train.batch_size", int, 32),
+        eval_every=config_field(t, "train.eval_every", int, 100),
         opd_reward_mode=t.get("opd_reward_mode", "per_token"),
-        hpd_samples=_field(t, "train.hpd_samples", int, 1),
+        hpd_samples=config_field(t, "train.hpd_samples", int, 1),
         opd_baseline=bool(t.get("opd_baseline", False)),
-        horizon=_field(t, "train.horizon", int, 16),
-        n_eval_seqs=_field(t, "train.n_eval_seqs", int, 20),
-        eval_len=_field(t, "train.eval_len", int, 16),
+        horizon=config_field(t, "train.horizon", int, 16),
+        n_eval_seqs=config_field(t, "train.n_eval_seqs", int, 20),
+        eval_len=config_field(t, "train.eval_len", int, 16),
         eval_from=t.get("eval_from", "teacher"),
     )
 
@@ -270,8 +279,7 @@ def _train_config(cfg: dict, overrides: dict | None = None) -> TrainConfig:
 def cmd_gen_source(cfg: dict) -> int:
     out = _outdir(cfg)
     _echo_effective(cfg, out, "gen-source")
-    source = _get_source(cfg)
-    data_mod.source_save(source, os.path.join(out, "source.json"),
+    data_mod.source_save(_Inputs(cfg).source, os.path.join(out, "source.json"),
                          header_extra=_meta(cfg))
     print(f"wrote {os.path.join(out, 'source.json')}")
     return 0
@@ -280,7 +288,7 @@ def cmd_gen_source(cfg: dict) -> int:
 def cmd_gen_corpus(cfg: dict) -> int:
     out = _outdir(cfg)
     _echo_effective(cfg, out, "gen-corpus")
-    corpus = _get_corpus(cfg)
+    corpus = _Inputs(cfg).corpus
     data_mod.corpus_write(corpus, os.path.join(out, "corpus.txt"),
                           header_extra=_meta(cfg))
     print(f"wrote {os.path.join(out, 'corpus.txt')} "
@@ -291,11 +299,7 @@ def cmd_gen_corpus(cfg: dict) -> int:
 def cmd_train_teacher(cfg: dict) -> int:
     out = _outdir(cfg)
     _echo_effective(cfg, out, "train-teacher")
-    source = _get_source(cfg)
-    corpus = _get_corpus(cfg, source)
-    t = cfg.get("teacher", {})
-    model = train_teacher_mle(corpus, _field(t, "teacher.order", int, source.order),
-                              _field(t, "teacher.smoothing", float, 0.0))
+    model = _Inputs(cfg).teacher_model
     path = os.path.join(out, "teacher.json")
     checkpoint_save(model, path, header_extra=_meta(cfg))
     print(f"wrote {path} ({len(model.rows)} contexts)")
@@ -305,11 +309,11 @@ def cmd_train_teacher(cfg: dict) -> int:
 def _run_single(cfg: dict, on_policy: bool, csv_name="metrics.csv",
                 ckpt_name="student.json") -> int:
     out = _outdir(cfg)
-    source = _get_source(cfg)
-    teacher = _get_teacher(cfg, source)
-    student = _get_student(cfg, source)
-    tasks = _get_tasks(cfg, source)
     tc = _train_config(cfg)
+    inputs = _Inputs(cfg)
+    teacher = inputs.teacher
+    student = _get_student(cfg, inputs.source)
+    tasks = _get_tasks(cfg, inputs.source)
 
     if "stages" in cfg:
         stages = [
@@ -317,7 +321,7 @@ def _run_single(cfg: dict, on_policy: bool, csv_name="metrics.csv",
                   cfg=_train_config(cfg, {k: v for k, v in st.items() if k != "name"}))
             for i, st in enumerate(cfg["stages"])
         ]
-        corpus = _get_corpus(cfg, source) if any(
+        corpus = inputs.corpus if any(
             not s.cfg.objective.on_policy for s in stages) else None
         student, _rows = run_experiment(stages, teacher, student, corpus=corpus,
                                         eval_tasks=tasks, out_dir=out, meta=_meta(cfg))
@@ -331,8 +335,8 @@ def _run_single(cfg: dict, on_policy: bool, csv_name="metrics.csv",
                 f"'opd' needs an on-policy objective, got {tc.objective.tag!r}")
         student, rows = distill_onpolicy_opd(tc, teacher, student, eval_tasks=tasks)
     else:
-        corpus = _get_corpus(cfg, source)
-        student, rows = distill_offpolicy(tc, teacher, corpus, student, eval_tasks=tasks)
+        student, rows = distill_offpolicy(tc, teacher, inputs.corpus, student,
+                                          eval_tasks=tasks)
     meta = _meta(cfg)
     metrics_write(rows, os.path.join(out, csv_name), meta=meta)
     checkpoint_save(student, os.path.join(out, ckpt_name), header_extra=meta)
@@ -353,11 +357,11 @@ def cmd_opd(cfg: dict) -> int:
 def cmd_eval(cfg: dict) -> int:
     out = _outdir(cfg)
     _echo_effective(cfg, out, "eval")
-    source = _get_source(cfg)
-    teacher = _get_teacher(cfg, source)
-    student = _get_student(cfg, source)
-    tasks = _get_tasks(cfg, source)
     tc = _train_config(cfg) if "train" in cfg else None
+    inputs = _Inputs(cfg)
+    teacher = inputs.teacher
+    student = _get_student(cfg, inputs.source)
+    tasks = _get_tasks(cfg, inputs.source)
     n_seqs, length, eval_from = (
         (tc.n_eval_seqs, tc.eval_len, tc.eval_from) if tc else (20, 16, "teacher"))
     states = draw_eval_states(student, teacher, n_seqs, length, eval_from,
@@ -383,11 +387,11 @@ def cmd_eval(cfg: dict) -> int:
 
 def cmd_gradcheck(cfg: dict) -> int:
     g = cfg.get("gradcheck", {})
-    v = _field(g, "gradcheck.vocab_size", int, 8)
-    order = _field(g, "gradcheck.order", int, 1)
-    n_tokens = _field(g, "gradcheck.n_tokens", int, 64)
-    eps = _field(g, "gradcheck.eps", float, 1e-5)
-    rng = np.random.default_rng(_field(g, "gradcheck.model_seed", int, cfg["seed"]))
+    v = config_field(g, "gradcheck.vocab_size", int, 8)
+    order = config_field(g, "gradcheck.order", int, 1)
+    n_tokens = config_field(g, "gradcheck.n_tokens", int, 64)
+    eps = config_field(g, "gradcheck.eps", float, 1e-5)
+    rng = np.random.default_rng(config_field(g, "gradcheck.model_seed", int, cfg["seed"]))
     model = TabularLM(order=order, vocab=Vocab.default(v))
     items = []
     for _ in range(n_tokens):
@@ -405,7 +409,9 @@ def cmd_sweep(cfg: dict) -> int:
     sw = cfg.get("sweep")
     if not sw or "objectives" not in sw or "seeds" not in sw:
         raise ConfigError("sweep needs 'sweep.objectives' and 'sweep.seeds'")
-    objectives = list(sw["objectives"])
+    objectives = sw["objectives"]
+    if not isinstance(objectives, list):
+        raise ConfigError(f"sweep.objectives: expected a list, got {objectives!r}")
     try:
         seeds = [int(s) for s in sw["seeds"]]
     except (TypeError, ValueError):

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, InvalidInputError, ParseError
+from .errors import ConfigError, InvalidInputError, ParseError, config_field
 from .model import ContextKey, TabularLM, Vocab, pad_context
 from .numerics import CategoricalDist
 
@@ -128,15 +128,15 @@ def build_source(spec: dict) -> MarkovSource:
         raise ConfigError(f"unknown source keys: {sorted(extra)}")
 
     if name == "uniform":
-        v = int(spec.get("vocab_size", 4))
-        m = int(spec.get("order", 1))
+        v = config_field(spec, "source.vocab_size", int, 4)
+        m = config_field(spec, "source.order", int, 1)
         vocab = Vocab.default(v)
         row = CategoricalDist.from_probs(np.full(v, 1.0 / v))
         table = {ctx: row for ctx in _all_contexts(v, m)}
         return MarkovSource(name=name, order=m, vocab=vocab, table=table)
 
     if name == "deterministic_cycle":
-        v = int(spec.get("vocab_size", 3))
+        v = config_field(spec, "source.vocab_size", int, 3)
         vocab = Vocab.default(v)
         table = {}
         for ctx in _all_contexts(v, 1):
@@ -146,11 +146,11 @@ def build_source(spec: dict) -> MarkovSource:
         return MarkovSource(name=name, order=1, vocab=vocab, table=table)
 
     if name == "bimodal_gap":
-        if (int(spec.get("vocab_size", BIMODAL_VOCAB)) != BIMODAL_VOCAB
-                or int(spec.get("order", 2)) != 2):
+        if (config_field(spec, "source.vocab_size", int, BIMODAL_VOCAB) != BIMODAL_VOCAB
+                or config_field(spec, "source.order", int, 2) != 2):
             raise ConfigError(
                 f"bimodal_gap is fixed at vocab_size={BIMODAL_VOCAB}, order=2")
-        eps = float(spec.get("eps", BIMODAL_EPS))
+        eps = config_field(spec, "source.eps", float, BIMODAL_EPS)
         if not (0.0 < eps < 1.0):
             raise ConfigError("bimodal_gap eps must lie in (0, 1)")
         vocab = Vocab.default(BIMODAL_VOCAB)
@@ -161,14 +161,14 @@ def build_source(spec: dict) -> MarkovSource:
         return MarkovSource(name=name, order=2, vocab=vocab, table=table)
 
     if name == "random_dirichlet":
-        v = int(spec.get("vocab_size", 8))
-        m = int(spec.get("order", 1))
+        v = config_field(spec, "source.vocab_size", int, 8)
+        m = config_field(spec, "source.order", int, 1)
         if "seed" not in spec:
             raise ConfigError("random_dirichlet needs a 'seed'")
-        conc = float(spec.get("concentration", 1.0))
+        conc = config_field(spec, "source.concentration", float, 1.0)
         if conc <= 0.0:
             raise ConfigError("concentration must be > 0")
-        rng = np.random.default_rng(int(spec["seed"]))
+        rng = np.random.default_rng(config_field(spec, "source.seed", int, None))
         vocab = Vocab.default(v)
         table = {
             ctx: CategoricalDist.from_probs(rng.dirichlet(np.full(v, conc)))

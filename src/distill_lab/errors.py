@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and config-value coercion."""
 
 
 class InvalidInputError(ValueError):
@@ -31,3 +31,15 @@ class ConfigError(ValueError):
 
 class PipelineError(RuntimeError):
     """Multi-stage run could not be threaded together."""
+
+
+def config_field(node: dict, path: str, cast, default):
+    """The value under path's last key in node (default when absent), as cast.
+
+    A value cast rejects is a ConfigError naming the dotted path.
+    """
+    value = node.get(path.rpartition(".")[2], default)
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{path}: expected {cast.__name__}, got {value!r}") from None

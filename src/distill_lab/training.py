@@ -63,20 +63,7 @@ class ModelTeacher:
         return self.model.rollout([], length, rng=rng)
 
 
-def make_teacher(mode: str, source: MarkovSource | None = None,
-                 model: TabularLM | None = None):
-    if mode == "oracle_source":
-        if source is None:
-            raise ConfigError("oracle_source teacher needs a source")
-        return OracleTeacher(source)
-    if mode == "mle_fit":
-        if model is None:
-            raise ConfigError("mle_fit teacher needs a fitted model")
-        return ModelTeacher(model)
-    raise ConfigError(f"unknown teacher_mode {mode!r}")
-
-
-def train_teacher_mle(corpus: Corpus, order: int, lam: float = 0.0) -> TabularLM:
+def train_teacher_mle(corpus: Corpus, order: int, lam: float) -> TabularLM:
     """Tabular MLE: logits are ln of add-lam-smoothed conditional frequencies."""
     if order < 1:
         raise InvalidInputError("order must be >= 1")
@@ -192,16 +179,45 @@ def evaluate_divergences(student: TabularLM, teacher, cfg: TrainConfig,
     return divergence_audit(student, teacher, states)
 
 
-def _eval_accuracy(student: TabularLM, eval_tasks) -> float | None:
-    if not eval_tasks:
-        return None
-    from .evaluation import completion_accuracy
+def _train_loop(cfg: TrainConfig, teacher, student: TabularLM, eval_tasks,
+                minibatch) -> tuple[TabularLM, list[MetricsRow]]:
+    """SGD on a copy of student; minibatch(student, acc, rng) accumulates one batch.
 
-    return completion_accuracy(student, eval_tasks)
+    minibatch returns the batch's student entropies and rewards (None
+    off-policy). Every eval uses states drawn from the same eval seed.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    eval_seed = np.random.SeedSequence(cfg.seed).spawn(1)[0]
+    student = student.copy()
+    acc = GradAccumulator()
+    rows: list[MetricsRow] = []
 
+    for step in range(1, cfg.steps + 1):
+        batch_entropies, batch_rewards = minibatch(student, acc, rng)
+        sgd_step(student, acc, cfg.lr)
 
-def _hpd_sample(q: CategoricalDist, rng: np.random.Generator) -> int:
-    return int(rng.choice(q.size, p=q.probs))
+        if step % cfg.eval_every == 0 or step == cfg.steps:
+            eval_rng = np.random.default_rng(eval_seed)
+            kl_fwd, kl_rev = evaluate_divergences(student, teacher, cfg, eval_rng)
+            accuracy = None
+            if eval_tasks:
+                from .evaluation import completion_accuracy
+
+                accuracy = completion_accuracy(student, eval_tasks)
+            rows.append(
+                MetricsRow(
+                    step=step,
+                    objective=cfg.objective.tag,
+                    seed=cfg.seed,
+                    train_entropy=float(np.mean(batch_entropies)),
+                    kl_fwd=kl_fwd,
+                    kl_rev=kl_rev,
+                    accuracy=accuracy,
+                    mean_reward=(None if batch_rewards is None
+                                 else float(np.mean(batch_rewards))),
+                )
+            )
+    return student, rows
 
 
 def distill_offpolicy(
@@ -219,15 +235,9 @@ def distill_offpolicy(
         raise ConfigError("seqkd expects a teacher_generated corpus")
     if not corpus.sequences:
         raise InvalidInputError("corpus is empty")
-
-    rng = np.random.default_rng(cfg.seed)
-    eval_seed = np.random.SeedSequence(cfg.seed).spawn(1)[0]
-    student = student.copy()
-    acc = GradAccumulator()
-    rows: list[MetricsRow] = []
     n_seqs = len(corpus.sequences)
 
-    for step in range(1, cfg.steps + 1):
+    def minibatch(student, acc, rng):
         batch_entropies = []
         q_cache: dict = {}  # student rows only change at sgd_step
         for _ in range(cfg.batch_size):
@@ -273,23 +283,9 @@ def distill_offpolicy(
                     if hw.w_sampled != 0.0:
                         accumulate_token_grad(acc, student, ctx, hw.sampled_token,
                                               hw.w_sampled / k, count=0, q=q)
-        sgd_step(student, acc, cfg.lr)
+        return batch_entropies, None
 
-        if step % cfg.eval_every == 0 or step == cfg.steps:
-            eval_rng = np.random.default_rng(eval_seed)
-            kl_fwd, kl_rev = evaluate_divergences(student, teacher, cfg, eval_rng)
-            rows.append(
-                MetricsRow(
-                    step=step,
-                    objective=kind.tag,
-                    seed=cfg.seed,
-                    train_entropy=float(np.mean(batch_entropies)),
-                    kl_fwd=kl_fwd,
-                    kl_rev=kl_rev,
-                    accuracy=_eval_accuracy(student, eval_tasks),
-                )
-            )
-    return student, rows
+    return _train_loop(cfg, teacher, student, eval_tasks, minibatch)
 
 
 def distill_onpolicy_opd(
@@ -308,13 +304,7 @@ def distill_onpolicy_opd(
         raise ConfigError("horizon must be >= 1")
     prompts = [list(p) for p in prompts] if prompts else [[]]
 
-    rng = np.random.default_rng(cfg.seed)
-    eval_seed = np.random.SeedSequence(cfg.seed).spawn(1)[0]
-    student = student.copy()
-    acc = GradAccumulator()
-    rows: list[MetricsRow] = []
-
-    for step in range(1, cfg.steps + 1):
+    def minibatch(student, acc, rng):
         batch_entropies = []
         batch_rewards = []
         batch_items = []  # (ctx, token, reward) per rollout
@@ -349,24 +339,9 @@ def distill_onpolicy_opd(
         for steps_items, coeffs in batch_items:
             for (ctx, a), c in zip(steps_items, coeffs):
                 accumulate_token_grad(acc, student, ctx, a, c - baseline)
-        sgd_step(student, acc, cfg.lr)
+        return batch_entropies, batch_rewards
 
-        if step % cfg.eval_every == 0 or step == cfg.steps:
-            eval_rng = np.random.default_rng(eval_seed)
-            kl_fwd, kl_rev = evaluate_divergences(student, teacher, cfg, eval_rng)
-            rows.append(
-                MetricsRow(
-                    step=step,
-                    objective=kind.tag,
-                    seed=cfg.seed,
-                    train_entropy=float(np.mean(batch_entropies)),
-                    kl_fwd=kl_fwd,
-                    kl_rev=kl_rev,
-                    accuracy=_eval_accuracy(student, eval_tasks),
-                    mean_reward=float(np.mean(batch_rewards)),
-                )
-            )
-    return student, rows
+    return _train_loop(cfg, teacher, student, eval_tasks, minibatch)
 
 
 def metrics_write(rows, path, meta: dict | None = None) -> None:

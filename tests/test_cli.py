@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import distill_lab
 from distill_lab.cli import apply_overrides, config_hash, main, validate_config
 from distill_lab.errors import ConfigError
 from distill_lab.model import checkpoint_load
@@ -122,6 +127,17 @@ class TestCommands:
         assert doc["order"] == 2  # defaults to the source order
         assert doc["rows"]
 
+    def test_eval_mle_teacher_against_its_checkpoint_reads_zero(self, tmp_path,
+                                                                monkeypatch):
+        # teacher.json is the very model that teacher.mode=mle_fit fits
+        monkeypatch.chdir(tmp_path)
+        path = write_config(tmp_path / "c.json", dict(BASE, out_dir="out"))
+        assert main(["train-teacher", "--config", path]) == 0
+        assert main(["eval", "--config", path, "--set", "teacher.mode=mle_fit",
+                     "--set", 'init_checkpoint="out/teacher.json"']) == 0
+        vals = (tmp_path / "out" / "audit.csv").read_text().splitlines()[2].split(",")
+        assert float(vals[0]) == 0.0 and float(vals[1]) == 0.0
+
     def test_eval_command(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         cfg = dict(BASE, out_dir="out", tasks={"num_tasks": 10, "cont_len": 1})
@@ -204,6 +220,14 @@ class TestCommands:
          "outside teacher support"),
         ("distill", ["timing=42"], "timing"),
         ("distill", ["train.temperature=9"], "temperature"),
+        ("distill", ["source=5"], "'source' must be an object"),
+        ("distill", ["teacher=3"], "'teacher' must be an object"),
+        ("distill", ["tasks=7"], "'tasks' must be an object"),
+        ("distill", ["train=3"], "'train' must be an object"),
+        ("sweep", ["sweep.objectives=5", "sweep.seeds=[0]"], "sweep.objectives"),
+        ("distill", ["source.vocab_size=abc"], "source.vocab_size"),
+        ("distill", ["source.eps=x"], "source.eps"),
+        ("distill", ["teacher.mode=psychic"], "psychic"),
     ])
     def test_user_errors_exit_two(self, tmp_path, monkeypatch, capsys, command, sets,
                                   needle):
@@ -215,6 +239,18 @@ class TestCommands:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and needle in err
+
+    def test_user_error_exits_two_as_a_process(self, tmp_path):
+        src = Path(distill_lab.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-m", "distill_lab.cli", "distill", "--set", "seed=1",
+             "--set", "source.name=bimodal_gap", "--set", "train.objective=sft",
+             "--set", "train.steps=abc"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and "train.steps" in proc.stderr
 
     def test_missing_config_file_exits_two(self, capsys):
         assert main(["distill", "--config", "/nonexistent/cfg.json"]) == 2

@@ -17,7 +17,6 @@ from distill_lab.training import (
     TrainConfig,
     distill_offpolicy,
     distill_onpolicy_opd,
-    make_teacher,
     metrics_write,
     run_experiment,
     train_teacher_mle,
@@ -66,7 +65,7 @@ class TestTrainTeacherMLE:
 class TestTeacherProviders:
     def test_oracle_matches_source(self):
         src = build_source({"name": "bimodal_gap"})
-        teacher = make_teacher("oracle_source", source=src)
+        teacher = OracleTeacher(src)
         prefix = [3, 1]
         assert np.array_equal(
             teacher.dist(prefix).probs, src.conditional_for_prefix(prefix).probs
@@ -75,16 +74,8 @@ class TestTeacherProviders:
     def test_model_teacher_uses_fitted_rows(self):
         m = TabularLM(order=1, vocab=Vocab.default(2))
         m.set_row((0,), [np.log(3.0), 0.0])
-        teacher = make_teacher("mle_fit", model=m)
+        teacher = ModelTeacher(m)
         assert np.allclose(teacher.dist([]).probs, [0.75, 0.25])
-
-    def test_bad_modes(self):
-        with pytest.raises(ConfigError):
-            make_teacher("oracle_source")
-        with pytest.raises(ConfigError):
-            make_teacher("mle_fit")
-        with pytest.raises(ConfigError):
-            make_teacher("psychic")
 
 
 class TestTrainConfig:
