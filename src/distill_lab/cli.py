@@ -28,6 +28,7 @@ from .errors import (
     NumericOverflowError,
     ParseError,
     PipelineError,
+    boolean,
     config_field,
 )
 from .evaluation import divergence_audit, gradcheck, make_completion_tasks
@@ -257,7 +258,7 @@ def _train_config(cfg: dict, overrides: dict | None = None) -> TrainConfig:
     kind = ObjectiveKind(
         tag=t["objective"],
         beta=config_field(t, "train.beta", float, 0.5),
-        sign_fidelity=bool(t.get("sign_fidelity", False)),
+        sign_fidelity=config_field(t, "train.sign_fidelity", boolean, False),
     )
     return TrainConfig(
         objective=kind,
@@ -268,7 +269,7 @@ def _train_config(cfg: dict, overrides: dict | None = None) -> TrainConfig:
         eval_every=config_field(t, "train.eval_every", int, 100),
         opd_reward_mode=t.get("opd_reward_mode", "per_token"),
         hpd_samples=config_field(t, "train.hpd_samples", int, 1),
-        opd_baseline=bool(t.get("opd_baseline", False)),
+        opd_baseline=config_field(t, "train.opd_baseline", boolean, False),
         horizon=config_field(t, "train.horizon", int, 16),
         n_eval_seqs=config_field(t, "train.n_eval_seqs", int, 20),
         eval_len=config_field(t, "train.eval_len", int, 16),
@@ -309,18 +310,19 @@ def cmd_train_teacher(cfg: dict) -> int:
 def _run_single(cfg: dict, on_policy: bool, csv_name="metrics.csv",
                 ckpt_name="student.json") -> int:
     out = _outdir(cfg)
-    tc = _train_config(cfg)
+    # a stage names or inherits its objective, so a staged run needs no train.objective
+    stages = [
+        Stage(name=st.get("name", f"stage{i}"),
+              cfg=_train_config(cfg, {k: v for k, v in st.items() if k != "name"}))
+        for i, st in enumerate(cfg["stages"])
+    ] if "stages" in cfg else None
+    tc = None if stages else _train_config(cfg)
     inputs = _Inputs(cfg)
     teacher = inputs.teacher
     student = _get_student(cfg, inputs.source)
     tasks = _get_tasks(cfg, inputs.source)
 
-    if "stages" in cfg:
-        stages = [
-            Stage(name=st.get("name", f"stage{i}"),
-                  cfg=_train_config(cfg, {k: v for k, v in st.items() if k != "name"}))
-            for i, st in enumerate(cfg["stages"])
-        ]
+    if stages:
         corpus = inputs.corpus if any(
             not s.cfg.objective.on_policy for s in stages) else None
         student, _rows = run_experiment(stages, teacher, student, corpus=corpus,
@@ -412,10 +414,10 @@ def cmd_sweep(cfg: dict) -> int:
     objectives = sw["objectives"]
     if not isinstance(objectives, list):
         raise ConfigError(f"sweep.objectives: expected a list, got {objectives!r}")
-    try:
-        seeds = [int(s) for s in sw["seeds"]]
-    except (TypeError, ValueError):
-        raise ConfigError(f"sweep.seeds: expected integers, got {sw['seeds']!r}") from None
+    seeds = sw["seeds"]
+    if not (isinstance(seeds, list)
+            and all(isinstance(s, int) and not isinstance(s, bool) for s in seeds)):
+        raise ConfigError(f"sweep.seeds: expected a list of integers, got {seeds!r}")
     for tag in objectives:
         if tag not in ALL_TAGS:
             raise ConfigError(f"unknown objective tag {tag!r} in sweep")

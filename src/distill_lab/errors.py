@@ -33,6 +33,13 @@ class PipelineError(RuntimeError):
     """Multi-stage run could not be threaded together."""
 
 
+def boolean(value) -> bool:
+    """value if it is a JSON boolean (true or false); any other value is a ValueError."""
+    if not isinstance(value, bool):
+        raise ValueError(value)
+    return value
+
+
 def config_field(node: dict, path: str, cast, default):
     """The value under path's last key in node (default when absent), as cast.
 

@@ -55,6 +55,29 @@ def pad_context(prefix, order: int, bos_id: int) -> ContextKey:
     return tail
 
 
+def context_ids(tokens: np.ndarray, offsets: np.ndarray, order: int, bos_id: int,
+                vocab_size: int) -> tuple[list[ContextKey], np.ndarray]:
+    """pad_context at every position of a flattened corpus, as distinct keys and indices.
+
+    tokens holds the corpus's sequences end to end, every id in range;
+    offsets[j] is position j's index within its sequence. Returns (keys,
+    ids) with keys[ids[j]] == pad_context(seq[:offsets[j]], order, bos_id).
+    Each pass appends one older token to the keys seen so far and renumbers
+    the distinct results, so no index exceeds len(keys) * vocab_size.
+    """
+    keys: list[ContextKey] = [()]
+    ids = np.zeros(tokens.size, dtype=np.intp)
+    back = np.arange(tokens.size)
+    for lag in range(order, 0, -1):  # a key lists its oldest token first
+        code = ids * vocab_size + np.where(offsets >= lag, tokens[back - lag], bos_id)
+        present = np.flatnonzero(np.bincount(code, minlength=len(keys) * vocab_size))
+        renumber = np.zeros(len(keys) * vocab_size, dtype=np.intp)
+        renumber[present] = np.arange(present.size)
+        ids = renumber[code]
+        keys = [keys[c // vocab_size] + (c % vocab_size,) for c in present.tolist()]
+    return keys, ids
+
+
 @dataclass
 class TabularLM:
     order: int
@@ -96,6 +119,11 @@ class TabularLM:
                 raise InvalidInputError("temperature must be > 0 (use greedy=True for argmax)")
             z = z / temperature
         return softmax(z)
+
+    def predict_batch(self, ctxs) -> CategoricalDist:
+        """predict at each of ctxs, keys already in range: row i is for ctxs[i]."""
+        zero = np.zeros(self.vocab.size)
+        return softmax(np.array([self.rows.get(ctx, zero) for ctx in ctxs]))
 
     def sample_next(
         self, ctx: ContextKey, rng: np.random.Generator, temperature: float = 1.0
@@ -143,8 +171,8 @@ class TabularLM:
 class GradAccumulator:
     """Per-row accumulated descent directions plus a sample count.
 
-    `n_samples` counts token positions (one per accumulate call with
-    count=1); sgd_step averages by it so the learning-rate scale is
+    `n_samples` counts token positions (one per accumulated token with
+    count 1); sgd_step averages by it so the learning-rate scale is
     independent of batch size.
     """
 
@@ -156,11 +184,22 @@ class GradAccumulator:
         self.n_samples = 0
 
     def add_row(self, ctx: ContextKey, direction: np.ndarray, count: int = 1) -> None:
-        acc = self.directions.get(ctx)
-        if acc is None:
-            self.directions[ctx] = np.array(direction, dtype=np.float64)
-        else:
-            acc += direction
+        self.add_rows([ctx], np.asarray(direction, dtype=np.float64)[None], count)
+
+    def add_rows(self, ctxs, directions: np.ndarray, count: int) -> None:
+        """Add directions[j] to ctxs[j]'s row for j = 0, 1, ... in turn; count to n_samples.
+
+        Rows new to the accumulator join it in the order they are first touched.
+        """
+        slot = {ctx: i for i, ctx in enumerate(dict.fromkeys(ctxs))}
+        # -0.0 + x == x for every x, so a new row starts as exactly its first direction
+        sums = np.full((len(slot), directions.shape[-1]), -0.0)
+        for ctx, i in slot.items():
+            if ctx in self.directions:
+                sums[i] = self.directions[ctx]
+        np.add.at(sums, np.array([slot[ctx] for ctx in ctxs], dtype=np.intp), directions)
+        for ctx, i in slot.items():
+            self.directions[ctx] = sums[i]
         self.n_samples += count
 
 
@@ -175,24 +214,42 @@ def accumulate_token_grad(
 ) -> GradAccumulator:
     """Add the exact descent direction of -weight * ln q[token] on ctx's row.
 
-    The direction is weight * (onehot(token) - q); the weight is a constant
-    (no derivative flows through it). Pass q to reuse an already computed
-    predictive distribution for ctx.
+    The one-token case of accumulate_token_grads. Pass q to reuse an already
+    computed predictive distribution for ctx.
     """
-    if not np.isfinite(weight):
-        raise InvalidInputError("weight must be finite")
     ctx = model._check_ctx(ctx)
-    if not (0 <= token < model.vocab.size):
-        raise InvalidInputError(f"token id {token} out of range")
     if q is None:
         q = model.predict(ctx)
-    if q.probs[token] <= 0.0:
-        raise LogOfZeroError(f"q[{token}] = 0 at context {ctx}")
-    if weight == 0.0:
-        return acc
-    direction = -weight * q.probs
-    direction[token] += weight
-    acc.add_row(ctx, direction, count=count)
+    return accumulate_token_grads(acc, [ctx], [token], [weight], [count],
+                                  CategoricalDist.stack([q]))
+
+
+def accumulate_token_grads(acc: GradAccumulator, ctxs, tokens, weights, counts,
+                           q: CategoricalDist) -> GradAccumulator:
+    """For j in order, add weights[j] * (onehot(tokens[j]) - q[j]) to ctxs[j]'s row.
+
+    That is the exact descent direction of -weights[j] * ln q[j][tokens[j]];
+    the weight is a constant (no derivative flows through it). q is a batch
+    with row j the predictive distribution at ctxs[j]; counts[j] adds to
+    acc.n_samples. A zero weight touches no row and counts nothing.
+    """
+    weights = np.asarray(weights, dtype=np.float64)
+    tokens = np.asarray(tokens)
+    if not np.isfinite(weights).all():
+        raise InvalidInputError("weight must be finite")
+    outside = (tokens < 0) | (tokens >= q.probs.shape[-1])
+    if outside.any():
+        raise InvalidInputError(f"token id {tokens[np.argmax(outside)]} out of range")
+    zero = q.probs[np.arange(tokens.size), tokens] <= 0.0
+    if zero.any():
+        j = int(np.argmax(zero))
+        raise LogOfZeroError(f"q[{tokens[j]}] = 0 at context {ctxs[j]}")
+    keep = weights != 0.0
+    w = weights[keep]
+    direction = -w[:, None] * q.probs[keep]
+    direction[np.arange(w.size), tokens[keep]] += w
+    acc.add_rows([ctx for ctx, k in zip(ctxs, keep.tolist()) if k], direction,
+                 int(np.sum(np.asarray(counts)[keep])))
     return acc
 
 

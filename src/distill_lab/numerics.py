@@ -18,7 +18,12 @@ PROB_SUM_TOL = 1e-9
 
 @dataclass(frozen=True)
 class CategoricalDist:
-    """Probability vector over a vocabulary with cached log-probabilities."""
+    """Probability vector over a vocabulary with cached log-probabilities.
+
+    probs may also be an (n, V) array: a batch of n distributions, one per
+    row, as `softmax` of an (n, V) logit array or `stack` builds it. The
+    weight rules in objectives.py and `entropy` take one or a batch.
+    """
 
     probs: np.ndarray
     logprobs: np.ndarray
@@ -28,18 +33,17 @@ class CategoricalDist:
         p = np.asarray(probs, dtype=np.float64)
         if p.ndim != 1 or p.size == 0:
             raise InvalidInputError("probability vector must be a non-empty 1-d array")
-        if not np.all(np.isfinite(p)):
-            raise InvalidInputError("probabilities must be finite")
-        if np.any(p < -ZERO_TOL):
-            raise InvalidInputError("probabilities must be non-negative")
-        if abs(p.sum() - 1.0) > PROB_SUM_TOL:
-            raise InvalidInputError(f"probabilities sum to {p.sum()!r}, not 1")
-        p = np.where(p < ZERO_TOL, 0.0, p)
-        with np.errstate(divide="ignore"):
-            lp = np.where(p > 0.0, np.log(np.where(p > 0.0, p, 1.0)), -np.inf)
-        p.setflags(write=False)
-        lp.setflags(write=False)
-        return cls(probs=p, logprobs=lp)
+        return _checked(p)
+
+    @classmethod
+    def stack(cls, dists) -> "CategoricalDist":
+        """The batch whose row i is dists[i]."""
+        return cls(probs=np.stack([d.probs for d in dists]),
+                   logprobs=np.stack([d.logprobs for d in dists]))
+
+    def rows(self, index) -> "CategoricalDist":
+        """The batch of this batch's rows at index (repeats allowed)."""
+        return CategoricalDist(probs=self.probs[index], logprobs=self.logprobs[index])
 
     @property
     def size(self) -> int:
@@ -50,24 +54,55 @@ class CategoricalDist:
         return self.probs > 0.0
 
 
+def _checked(p: np.ndarray) -> CategoricalDist:
+    """The rows of p (along its last axis) as distributions, tiny entries zeroed."""
+    if not np.isfinite(p).all():
+        raise InvalidInputError("probabilities must be finite")
+    if (p < -ZERO_TOL).any():
+        raise InvalidInputError("probabilities must be non-negative")
+    sums = p.sum(axis=-1)
+    off = abs(sums - 1.0) > PROB_SUM_TOL
+    if off.any():
+        bad = np.ravel(sums)[np.ravel(off).argmax()]
+        raise InvalidInputError(f"probabilities sum to {bad!r}, not 1")
+    p = np.where(p < ZERO_TOL, 0.0, p)
+    with np.errstate(divide="ignore"):
+        lp = np.where(p > 0.0, np.log(np.where(p > 0.0, p, 1.0)), -np.inf)
+    p.setflags(write=False)
+    lp.setflags(write=False)
+    return CategoricalDist(probs=p, logprobs=lp)
+
+
 def softmax(logits) -> CategoricalDist:
-    """Numerically stabilized softmax over a logit vector."""
+    """Numerically stabilized softmax of a logit vector, or of each row of an (n, V) array.
+
+    Row i of the batch is bit for bit softmax(logits[i]).
+    """
     z = np.asarray(logits, dtype=np.float64)
-    if z.ndim != 1 or z.size == 0:
-        raise InvalidInputError("logits must be a non-empty 1-d array")
-    if not np.all(np.isfinite(z)):
+    if z.ndim not in (1, 2) or z.size == 0:
+        raise InvalidInputError("logits must be a non-empty 1-d or 2-d array")
+    if not np.isfinite(z).all():
         raise InvalidInputError("logits must be finite")
-    shifted = z - z.max()
-    e = np.exp(shifted)
-    p = e / e.sum()
-    return CategoricalDist.from_probs(p)
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return _checked(e / e.sum(axis=-1, keepdims=True))
 
 
-def entropy(d: CategoricalDist) -> float:
-    """Shannon entropy -sum p ln p, with 0 ln 0 := 0."""
-    p = d.probs
+def _support_entropy(p: np.ndarray, lp: np.ndarray) -> float:
     mask = p > 0.0
-    return float(-np.sum(p[mask] * d.logprobs[mask]))
+    return float(-np.sum(p[mask] * lp[mask]))
+
+
+def entropy(d: CategoricalDist) -> float | np.ndarray:
+    """Shannon entropy -sum p ln p, with 0 ln 0 := 0; an array, one per row, of a batch."""
+    if d.probs.ndim == 1:
+        return _support_entropy(d.probs, d.logprobs)
+    full = np.all(d.probs > 0.0, axis=1)
+    h = -np.sum(d.probs * np.where(full[:, None], d.logprobs, 0.0), axis=1)
+    # dropping a row's zeros shifts numpy's pairwise-summation blocks, so such
+    # a row sums its support alone, as the entropy of one distribution does
+    for i in np.flatnonzero(~full):
+        h[i] = _support_entropy(d.probs[i], d.logprobs[i])
+    return h
 
 
 def _check_same_size(p: CategoricalDist, q: CategoricalDist) -> None:

@@ -5,6 +5,10 @@ Sign convention: weights are oriented so that ascent on sum(w * ln q)
 descends the corresponding divergence. The textual estimator signs of the
 baseline write-up (q*(ln q - ln p) and the JSD analog) carry the opposite
 orientation; sign_fidelity=True reproduces them verbatim for comparison.
+
+Every rule is elementwise in the token-level quantities: it takes one
+distribution pair and token ids, giving floats, or a batch (CategoricalDist
+rows) and one token id per row, giving arrays.
 """
 
 from __future__ import annotations
@@ -50,20 +54,33 @@ class ObjectiveKind:
         return self.tag in ON_POLICY_TAGS
 
 
-def _logprob(d: CategoricalDist, token: int, name: str) -> float:
-    if d.probs[token] <= 0.0:
-        raise LogOfZeroError(f"{name}[{token}] = 0")
-    return float(d.logprobs[token])
+def _at(values: np.ndarray, token):
+    """values at token: a scalar for one distribution, row j at token[j] for a batch."""
+    if values.ndim == 1:
+        return values[token]
+    return values[np.arange(values.shape[0]), token]
 
 
-def weight_sft(token: int, expert: int) -> float:
+def _scalar(x):
+    """A Python float for one distribution's weight; a batch's array as is."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def _logprob(d: CategoricalDist, token, name: str):
+    zero = np.ravel(_at(d.probs, token) <= 0.0)
+    if zero.any():
+        raise LogOfZeroError(f"{name}[{np.ravel(token)[np.argmax(zero)]}] = 0")
+    return _at(d.logprobs, token)
+
+
+def weight_sft(token, expert):
     """One-hot indicator weight: 1 on the expert token, 0 elsewhere."""
-    return 1.0 if token == expert else 0.0
+    return _scalar(np.where(np.asarray(token) == expert, 1.0, 0.0))
 
 
-def weight_fkld_token(p: CategoricalDist, expert: int) -> float:
+def weight_fkld_token(p: CategoricalDist, expert):
     """Teacher probability of the expert token."""
-    return float(p.probs[expert])
+    return _scalar(_at(p.probs, expert))
 
 
 def weights_fkld_dense(p: CategoricalDist) -> np.ndarray:
@@ -71,16 +88,16 @@ def weights_fkld_dense(p: CategoricalDist) -> np.ndarray:
     return p.probs.copy()
 
 
-def hpd_k1(p: CategoricalDist, q: CategoricalDist, token: int) -> float:
+def hpd_k1(p: CategoricalDist, q: CategoricalDist, token):
     """Negative reverse k1 gap q * (ln p - ln q); positive iff q underestimates."""
     lp = _logprob(p, token, "p")
     lq = _logprob(q, token, "q")
-    return float(q.probs[token]) * (lp - lq)
+    return _scalar(_at(q.probs, token) * (lp - lq))
 
 
 def weight_rkld_off(
-    p: CategoricalDist, q: CategoricalDist, expert: int, sign_fidelity: bool = False
-) -> float:
+    p: CategoricalDist, q: CategoricalDist, expert, sign_fidelity: bool = False
+):
     """Off-policy reverse-KL weight at the expert token."""
     w = hpd_k1(p, q, expert)
     return -w if sign_fidelity else w
@@ -89,29 +106,32 @@ def weight_rkld_off(
 def weight_jsd_off(
     p: CategoricalDist,
     q: CategoricalDist,
-    expert: int,
+    expert,
     beta: float = 0.5,
     sign_fidelity: bool = False,
-) -> float:
+):
     """Off-policy generalized-JSD weight at the expert token."""
     if not (0.0 < beta < 1.0):
         raise InvalidParameterError(f"beta must lie in (0, 1), got {beta!r}")
-    m = beta * p.probs[expert] + (1.0 - beta) * q.probs[expert]
-    if m <= 0.0:
-        raise LogOfZeroError(f"midpoint mixture is 0 at token {expert}")
+    q_star = _at(q.probs, expert)
+    m = beta * _at(p.probs, expert) + (1.0 - beta) * q_star
+    zero = np.ravel(m <= 0.0)
+    if zero.any():
+        raise LogOfZeroError(
+            f"midpoint mixture is 0 at token {np.ravel(expert)[np.argmax(zero)]}")
     lq = _logprob(q, expert, "q")
-    w = (1.0 - beta) * float(q.probs[expert]) * (float(np.log(m)) - lq)
+    w = _scalar((1.0 - beta) * q_star * (np.log(m) - lq))
     return -w if sign_fidelity else w
 
 
-def weight_rkld_on(p: CategoricalDist, q: CategoricalDist, token: int) -> float:
+def weight_rkld_on(p: CategoricalDist, q: CategoricalDist, token):
     """On-policy reverse-KL weight: log-ratio reward at a student-sampled token."""
-    return _logprob(p, token, "p") - _logprob(q, token, "q")
+    return _scalar(_logprob(p, token, "p") - _logprob(q, token, "q"))
 
 
 @dataclass(frozen=True)
 class HPDWeights:
-    """Per-step record of the hybrid-policy weight rules."""
+    """Per-step record of the hybrid-policy weight rules; arrays for a batch."""
 
     k1: float
     k1_prime: float
@@ -123,8 +143,8 @@ class HPDWeights:
 def hpd_weights(
     p: CategoricalDist,
     q: CategoricalDist,
-    expert: int,
-    sampled: int,
+    expert,
+    sampled,
     variant: str = "hpd",
 ) -> HPDWeights:
     """Expert and sampled-token weights per the masking/reinforcement rules.
@@ -137,32 +157,25 @@ def hpd_weights(
         raise ConfigError(f"unknown hpd variant {variant!r}")
     k1 = hpd_k1(p, q, expert)
     k1p = hpd_k1(p, q, sampled)
-    p_star = float(p.probs[expert])
+    p_star = _at(p.probs, expert)
 
     if variant == "hpd_no_sample":
-        w_sampled = 0.0
-        w_star = p_star + k1 if k1 > 0.0 else k1
-        return HPDWeights(k1=k1, k1_prime=k1p, w_star=w_star,
-                          sampled_token=int(sampled), w_sampled=w_sampled)
-
-    w_sampled = k1p if (sampled != expert and k1p < 0.0) else 0.0
-    if k1 > 0.0 and k1p < 0.0 and variant == "hpd":
-        w_star = 2.0 * p_star + k1
-    elif k1 < 0.0:
-        w_star = k1
+        w_sampled = np.zeros(np.shape(k1))
+        w_star = np.where(k1 > 0.0, p_star + k1, k1)
     else:
-        w_star = p_star + k1
-    return HPDWeights(k1=k1, k1_prime=k1p, w_star=w_star,
-                      sampled_token=int(sampled), w_sampled=w_sampled)
+        w_sampled = np.where((sampled != expert) & (k1p < 0.0), k1p, 0.0)
+        reinforce = (k1 > 0.0) & (k1p < 0.0) & (variant == "hpd")
+        w_star = np.where(reinforce, 2.0 * p_star + k1, np.where(k1 < 0.0, k1, p_star + k1))
+    return HPDWeights(k1=k1, k1_prime=k1p, w_star=_scalar(w_star),
+                      sampled_token=int(sampled) if np.ndim(sampled) == 0 else sampled,
+                      w_sampled=_scalar(w_sampled))
 
 
 def opd_rewards(teacher_dists, student_dists, tokens) -> np.ndarray:
     """Per-step rewards r_t = ln p(a_t|s_t) - ln q(a_t|s_t) on a sampled path."""
     if not (len(teacher_dists) == len(student_dists) == len(tokens)):
         raise InvalidParameterError("per-step distributions must align with tokens")
-    return np.array(
-        [
-            _logprob(pt, a, "p") - _logprob(qt, a, "q")
-            for pt, qt, a in zip(teacher_dists, student_dists, tokens)
-        ]
-    )
+    if len(tokens) == 0:
+        return np.array([])
+    return weight_rkld_on(CategoricalDist.stack(teacher_dists),
+                          CategoricalDist.stack(student_dists), np.asarray(tokens))

@@ -7,6 +7,7 @@ All loops are deterministic given the config seed.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,10 +15,20 @@ import numpy as np
 from .data import Corpus, MarkovSource
 from .errors import ConfigError, DivergenceInfiniteError, InvalidInputError, PipelineError
 from .evaluation import divergence_audit
-from .model import GradAccumulator, TabularLM, accumulate_token_grad, pad_context, sgd_step
-# kl_exact is unused here, but the benchmark's tracer looks it up as training.kl_exact
+# accumulate_token_grad and kl_exact are unused here, but the benchmark's
+# tracer looks them up as training.accumulate_token_grad and training.kl_exact
+from .model import (  # noqa: F401
+    GradAccumulator,
+    TabularLM,
+    accumulate_token_grad,
+    accumulate_token_grads,
+    context_ids,
+    pad_context,
+    sgd_step,
+)
 from .numerics import CategoricalDist, entropy, kl_exact  # noqa: F401
 from .objectives import (
+    HPD_VARIANTS,
     ObjectiveKind,
     hpd_weights,
     weight_fkld_token,
@@ -227,7 +238,11 @@ def distill_offpolicy(
     student: TabularLM,
     eval_tasks=None,
 ) -> tuple[TabularLM, list[MetricsRow]]:
-    """Minibatch reweighted-likelihood distillation on a fixed corpus."""
+    """Minibatch reweighted-likelihood distillation on a fixed corpus.
+
+    The corpus's contexts and teacher rows are looked up once per call; each
+    minibatch is one gather, softmax, weight-rule call and ordered accumulate.
+    """
     kind = cfg.objective
     if kind.on_policy:
         raise ConfigError(f"objective {kind.tag!r} is on-policy; use distill_onpolicy_opd")
@@ -235,55 +250,73 @@ def distill_offpolicy(
         raise ConfigError("seqkd expects a teacher_generated corpus")
     if not corpus.sequences:
         raise InvalidInputError("corpus is empty")
-    n_seqs = len(corpus.sequences)
+    v = student.vocab.size
+    lengths = [len(seq) for seq in corpus.sequences]
+    starts = [0, *itertools.accumulate(lengths[:-1])]
+    tokens = np.fromiter(itertools.chain.from_iterable(corpus.sequences), dtype=np.int64,
+                         count=sum(lengths))
+    outside = (tokens < 0) | (tokens >= v)
+    if outside.any():
+        raise InvalidInputError(f"corpus token id {tokens[np.argmax(outside)]} is out of "
+                                f"range for the student's vocabulary of {v}")
+    offsets = np.arange(tokens.size) - np.repeat(starts, lengths)
+    s_keys, s_ids = context_ids(tokens, offsets, student.order, student.vocab.bos_id, v)
+    # a key is a prefix whose padded context is itself: one teacher call per context
+    t_keys, t_ids = context_ids(tokens, offsets, teacher.order, teacher.vocab.bos_id, v)
+    p_rows = CategoricalDist.stack([teacher.dist(key) for key in t_keys])
+    if p_rows.probs.shape[1] != v:
+        raise InvalidInputError(f"teacher vocabulary size {p_rows.probs.shape[1]} != "
+                                f"student vocabulary size {v}")
+    n_seqs, n = len(lengths), cfg.batch_size
+    tag = kind.tag
+    k = cfg.hpd_samples if tag in HPD_VARIANTS else 0
 
     def minibatch(student, acc, rng):
-        batch_entropies = []
-        q_cache: dict = {}  # student rows only change at sgd_step
-        for _ in range(cfg.batch_size):
+        # one scalar draw at a time, position by position (sequence, offset, then
+        # the HPD uniforms): array draws would consume the generator differently
+        pos = np.empty(n, dtype=np.intp)
+        uniforms = np.empty(n * k)
+        for b in range(n):
             si = int(rng.integers(n_seqs))
-            seq = corpus.sequences[si]
-            t = int(rng.integers(len(seq)))
-            prefix = seq[:t]
-            expert = seq[t]
-            ctx = student.context_for(prefix)
-            p = teacher.dist(prefix)
-            cached = q_cache.get(ctx)
-            if cached is None:
-                q = student.predict(ctx)
-                cached = q_cache[ctx] = (q, entropy(q), np.cumsum(q.probs))
-            q, q_entropy, q_cum = cached
-            batch_entropies.append(q_entropy)
+            pos[b] = starts[si] + int(rng.integers(lengths[si]))
+            for i in range(k):
+                uniforms[b * k + i] = rng.random()
+        ctxs = [s_keys[i] for i in s_ids[pos].tolist()]
+        q = student.predict_batch(ctxs)
+        p = p_rows.rows(t_ids[pos])
+        expert = tokens[pos]
 
-            tag = kind.tag
+        if tag == "fkld_dense":
+            # sum over v of p_v * (onehot(v) - q) collapses to p - q
+            acc.add_rows(ctxs, p.probs - q.probs, count=n)
+        elif tag in HPD_VARIANTS:
+            # draw i of position b is entry b * k + i; sampled ~ q by inverse CDF
+            draw = np.repeat(np.arange(n), k)
+            qd = q.rows(draw)
+            cum = np.cumsum(qd.probs, axis=1)
+            sampled = np.minimum(np.sum(cum <= uniforms[:, None], axis=1), v - 1)
+            hw = hpd_weights(p.rows(draw), qd, expert[draw], sampled, variant=tag)
+            # each draw updates the expert token, then the sampled one; the
+            # position's update is the mean over its draws and counts once
+            counts = np.zeros((n, k, 2), dtype=np.int64)
+            counts[:, 0, 0] = 1
+            accumulate_token_grads(
+                acc, [ctx for ctx in ctxs for _ in range(2 * k)],
+                np.stack([expert[draw], hw.sampled_token], axis=1).ravel(),
+                np.stack([hw.w_star / k, hw.w_sampled / k], axis=1).ravel(),
+                counts.ravel(), qd.rows(np.repeat(np.arange(n * k), 2)))
+        else:
             if tag in ("sft", "seqkd"):
-                accumulate_token_grad(acc, student, ctx, expert, 1.0, q=q)
+                w = np.ones(n)
             elif tag == "fkld_token":
-                accumulate_token_grad(acc, student, ctx, expert,
-                                      weight_fkld_token(p, expert), q=q)
-            elif tag == "fkld_dense":
-                # sum over v of p_v * (onehot(v) - q) collapses to p - q
-                acc.add_row(ctx, p.probs - q.probs, count=1)
+                w = weight_fkld_token(p, expert)
             elif tag == "rkld_off":
                 w = weight_rkld_off(p, q, expert, sign_fidelity=kind.sign_fidelity)
-                accumulate_token_grad(acc, student, ctx, expert, w, q=q)
-            elif tag == "jsd_off":
+            else:
                 w = weight_jsd_off(p, q, expert, beta=kind.beta,
                                    sign_fidelity=kind.sign_fidelity)
-                accumulate_token_grad(acc, student, ctx, expert, w, q=q)
-            else:  # hpd variants
-                # the position's update is the mean over its hpd_samples draws
-                k = cfg.hpd_samples
-                for i in range(k):
-                    sampled = min(int(np.searchsorted(q_cum, rng.random(), side="right")),
-                                  q.size - 1)
-                    hw = hpd_weights(p, q, expert, sampled, variant=tag)
-                    accumulate_token_grad(acc, student, ctx, expert, hw.w_star / k,
-                                          count=1 if i == 0 else 0, q=q)
-                    if hw.w_sampled != 0.0:
-                        accumulate_token_grad(acc, student, ctx, hw.sampled_token,
-                                              hw.w_sampled / k, count=0, q=q)
-        return batch_entropies, None
+            accumulate_token_grads(acc, ctxs, expert, w, np.ones(n, dtype=np.int64), q)
+        return entropy(q), None
 
     return _train_loop(cfg, teacher, student, eval_tasks, minibatch)
 
@@ -307,11 +340,10 @@ def distill_onpolicy_opd(
     def minibatch(student, acc, rng):
         batch_entropies = []
         batch_rewards = []
-        batch_items = []  # (ctx, token, reward) per rollout
+        ctxs, tokens, qs, coeffs = [], [], [], []  # one entry per sampled token
         for _ in range(cfg.batch_size):
             prompt = prompts[int(rng.integers(len(prompts)))]
             seq = list(prompt)
-            steps_items = []
             rewards = []
             for _t in range(cfg.horizon):
                 ctx = student.context_for(seq)
@@ -324,21 +356,20 @@ def distill_onpolicy_opd(
                         f"student sampled token {a} outside teacher support at {ctx}"
                     )
                 r = float(p.logprobs[a] - q.logprobs[a])
-                steps_items.append((ctx, a))
+                ctxs.append(ctx)
+                tokens.append(a)
+                qs.append(q)
                 rewards.append(r)
                 seq.append(a)
             if reward_mode == "trajectory":
-                total = sum(rewards)
-                coeffs = [total] * len(rewards)
+                coeffs.extend([sum(rewards)] * len(rewards))
             else:
-                coeffs = rewards
+                coeffs.extend(rewards)
             batch_rewards.extend(rewards)
-            batch_items.append((steps_items, coeffs))
 
         baseline = float(np.mean(batch_rewards)) if cfg.opd_baseline else 0.0
-        for steps_items, coeffs in batch_items:
-            for (ctx, a), c in zip(steps_items, coeffs):
-                accumulate_token_grad(acc, student, ctx, a, c - baseline)
+        accumulate_token_grads(acc, ctxs, tokens, np.array(coeffs) - baseline,
+                               np.ones(len(tokens), dtype=np.int64), CategoricalDist.stack(qs))
         return batch_entropies, batch_rewards
 
     return _train_loop(cfg, teacher, student, eval_tasks, minibatch)

@@ -228,6 +228,11 @@ class TestCommands:
         ("distill", ["source.vocab_size=abc"], "source.vocab_size"),
         ("distill", ["source.eps=x"], "source.eps"),
         ("distill", ["teacher.mode=psychic"], "psychic"),
+        # not JSON, so the value stays the string "False"
+        ("distill", ["train.opd_baseline=False"], "train.opd_baseline"),
+        ("distill", ['stages=[{"name": "a", "objective": "rkld_off", "sign_fidelity": "yes"}]'],
+         "sign_fidelity"),
+        ("sweep", ['sweep.objectives=["sft"]', 'sweep.seeds="12"'], "sweep.seeds"),
     ])
     def test_user_errors_exit_two(self, tmp_path, monkeypatch, capsys, command, sets,
                                   needle):
@@ -239,6 +244,17 @@ class TestCommands:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and needle in err
+
+    def test_stage_only_distill_runs(self, tmp_path, monkeypatch):
+        # every stage names its objective, so train.objective may be absent
+        monkeypatch.chdir(tmp_path)
+        cfg = dict(BASE, out_dir="out")
+        cfg["train"] = {k: v for k, v in BASE["train"].items() if k != "objective"}
+        cfg["stages"] = [{"name": "warm", "objective": "sft", "steps": 10},
+                         {"name": "polish", "objective": "opd_k1", "steps": 5, "horizon": 4}]
+        assert main(["distill", "--config", write_config(tmp_path / "c.json", cfg)]) == 0
+        for name in ("metrics_warm.csv", "metrics_polish.csv", "student.json"):
+            assert (tmp_path / "out" / name).exists()
 
     def test_user_error_exits_two_as_a_process(self, tmp_path):
         src = Path(distill_lab.__file__).resolve().parents[1]

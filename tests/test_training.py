@@ -3,11 +3,19 @@
 import numpy as np
 import pytest
 
+from distill_lab import training
 from distill_lab.data import Corpus, build_source, sample_corpus, generate_seqkd_corpus
-from distill_lab.errors import ConfigError
-from distill_lab.model import TabularLM, Vocab
+from distill_lab.errors import ConfigError, InvalidInputError, LogOfZeroError
+from distill_lab.model import TabularLM, Vocab, accumulate_token_grad, checkpoint_save
 from distill_lab.numerics import CategoricalDist, entropy, kl_exact
-from distill_lab.objectives import ObjectiveKind, hpd_weights
+from distill_lab.objectives import (
+    OFF_POLICY_TAGS,
+    ObjectiveKind,
+    hpd_weights,
+    weight_fkld_token,
+    weight_jsd_off,
+    weight_rkld_off,
+)
 from distill_lab.training import (
     METRICS_HEADER,
     MetricsRow,
@@ -224,6 +232,135 @@ class TestDistillOffpolicy:
         # 16000 draws keep the Monte Carlo error near 1e-3; adding instead of
         # averaging over the 2000 samples would scale the step 2000-fold
         assert np.max(np.abs(step - lr * expected)) < 5e-3
+
+
+def reference_offpolicy(cfg, teacher, corpus, student):
+    """distill_offpolicy one position at a time through the scalar API.
+
+    Positions, HPD draws and accumulation follow the batched kernel's stated
+    order, so its checkpoints and metrics must match these byte for byte.
+    """
+    kind = cfg.objective
+
+    def minibatch(student, acc, rng):
+        batch_entropies = []
+        for _ in range(cfg.batch_size):
+            seq = corpus.sequences[int(rng.integers(len(corpus.sequences)))]
+            t = int(rng.integers(len(seq)))
+            prefix, expert = seq[:t], seq[t]
+            ctx = student.context_for(prefix)
+            p = teacher.dist(prefix)
+            q = student.predict(ctx)
+            batch_entropies.append(entropy(q))
+            tag = kind.tag
+            if tag in ("sft", "seqkd"):
+                accumulate_token_grad(acc, student, ctx, expert, 1.0, q=q)
+            elif tag == "fkld_token":
+                accumulate_token_grad(acc, student, ctx, expert,
+                                      weight_fkld_token(p, expert), q=q)
+            elif tag == "fkld_dense":
+                acc.add_row(ctx, p.probs - q.probs, count=1)
+            elif tag == "rkld_off":
+                w = weight_rkld_off(p, q, expert, sign_fidelity=kind.sign_fidelity)
+                accumulate_token_grad(acc, student, ctx, expert, w, q=q)
+            elif tag == "jsd_off":
+                w = weight_jsd_off(p, q, expert, beta=kind.beta,
+                                   sign_fidelity=kind.sign_fidelity)
+                accumulate_token_grad(acc, student, ctx, expert, w, q=q)
+            else:
+                k = cfg.hpd_samples
+                for i in range(k):
+                    sampled = min(int(np.searchsorted(np.cumsum(q.probs), rng.random(),
+                                                      side="right")), q.size - 1)
+                    hw = hpd_weights(p, q, expert, sampled, variant=tag)
+                    accumulate_token_grad(acc, student, ctx, expert, hw.w_star / k,
+                                          count=1 if i == 0 else 0, q=q)
+                    if hw.w_sampled != 0.0:
+                        accumulate_token_grad(acc, student, ctx, hw.sampled_token,
+                                              hw.w_sampled / k, count=0, q=q)
+        return batch_entropies, None
+
+    return training._train_loop(cfg, teacher, student, None, minibatch)
+
+
+TEACHERS = {
+    # name: (teacher source, corpus source)
+    "bimodal_gap": ({"name": "bimodal_gap"}, {"name": "bimodal_gap"}),
+    "cycle": ({"name": "deterministic_cycle", "vocab_size": 6},
+              {"name": "uniform", "vocab_size": 6}),
+    "dirichlet": ({"name": "random_dirichlet", "seed": 2, "vocab_size": 9, "order": 1,
+                   "concentration": 0.2},) * 2,
+}
+
+
+def _variable_length_corpus(teacher="bimodal_gap"):
+    """An oracle teacher and 15 sequences of 1 to 19 tokens."""
+    teacher_spec, corpus_spec = TEACHERS[teacher]
+    src = build_source(corpus_spec)
+    rng = np.random.default_rng(5)
+    seqs = [src.sample_sequence(int(rng.integers(1, 20)), rng) for _ in range(15)]
+    return OracleTeacher(build_source(teacher_spec)), Corpus(
+        sequences=seqs, provenance="teacher_generated", seed=5, vocab_size=src.vocab.size)
+
+
+KERNEL_CASES = (
+    [(tag, order, {}) for tag in OFF_POLICY_TAGS for order in (1, 2)]
+    + [("rkld_off", 1, {"sign_fidelity": True}),
+       ("jsd_off", 1, {"beta": 0.3}),
+       ("jsd_off", 2, {"beta": 0.7, "sign_fidelity": True}),
+       ("hpd", 1, {"hpd_samples": 3}),
+       ("hpd_no_sample", 2, {"hpd_samples": 3}),
+       ("hpd_no_reinforce", 1, {"hpd_samples": 3}),
+       # rows this peaked hold exact zeros, and their entropy sums the support only
+       ("fkld_dense", 1, {"lr": 300.0}),
+       ("fkld_dense", 1, {"lr": 300.0, "teacher": "dirichlet"}),
+       # off-cycle positions weigh p[expert] = 0: they touch no row and do not count
+       ("fkld_token", 1, {"teacher": "cycle"}),
+       ("fkld_token", 2, {"teacher": "cycle"}),
+       ("fkld_dense", 2, {"teacher": "cycle"})]
+)
+
+
+class TestOffpolicyKernel:
+    @pytest.mark.parametrize("tag, order, extra", KERNEL_CASES)
+    def test_matches_per_position_reference(self, tmp_path, tag, order, extra):
+        teacher, corpus = _variable_length_corpus(extra.get("teacher", "bimodal_gap"))
+        kind = ObjectiveKind(tag, beta=extra.get("beta", 0.5),
+                             sign_fidelity=extra.get("sign_fidelity", False))
+        cfg = TrainConfig(objective=kind, steps=12, seed=order, lr=extra.get("lr", 0.5),
+                          batch_size=8, eval_every=1, hpd_samples=extra.get("hpd_samples", 1),
+                          n_eval_seqs=2, eval_len=6)
+        student = TabularLM(order=order, vocab=Vocab.default(corpus.vocab_size))
+        outputs = []
+        for run in (distill_offpolicy, reference_offpolicy):
+            model, rows = run(cfg, teacher, corpus, student)
+            path = tmp_path / f"{run.__name__}.json"
+            checkpoint_save(model, path)
+            outputs.append((path.read_bytes(), [r.to_csv_line() for r in rows]))
+        assert outputs[0] == outputs[1]
+
+    def test_out_of_range_corpus_token(self):
+        teacher, _ = _variable_length_corpus()
+        corpus = Corpus(sequences=[[3, 1, 7]], provenance="ground_truth", seed=0,
+                        vocab_size=8)
+        student = TabularLM(order=1, vocab=Vocab.default(6))
+        with pytest.raises(InvalidInputError, match="corpus token id 7"):
+            distill_offpolicy(small_cfg("sft"), teacher, corpus, student)
+
+    @pytest.mark.parametrize("tag, seqs", [
+        ("rkld_off", [[0, 2]]),  # the cycle never follows 0 with 2: p[2] = 0
+        ("hpd", [[0, 1, 2]]),  # a uniform student samples off the cycle's support
+    ])
+    def test_zero_support_teacher_raises_log_of_zero(self, tag, seqs):
+        teacher = OracleTeacher(build_source({"name": "deterministic_cycle"}))
+        corpus = Corpus(sequences=seqs, provenance="ground_truth", seed=0, vocab_size=3)
+        student = TabularLM(order=1, vocab=Vocab.default(3))
+        errors = []
+        for run in (distill_offpolicy, reference_offpolicy):
+            with pytest.raises(LogOfZeroError) as info:
+                run(small_cfg(tag), teacher, corpus, student)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
 
 
 class TestDistillOnpolicyOPD:
