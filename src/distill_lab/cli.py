@@ -271,6 +271,13 @@ def _train_config(cfg: dict, overrides: dict | None = None) -> TrainConfig:
         hpd_samples=config_field(t, "train.hpd_samples", int, 1),
         opd_baseline=config_field(t, "train.opd_baseline", boolean, False),
         horizon=config_field(t, "train.horizon", int, 16),
+        **_eval_keys(t),
+    )
+
+
+def _eval_keys(t: dict) -> dict:
+    """The train keys that say how divergences are evaluated; eval reads only these."""
+    return dict(
         n_eval_seqs=config_field(t, "train.n_eval_seqs", int, 20),
         eval_len=config_field(t, "train.eval_len", int, 16),
         eval_from=t.get("eval_from", "teacher"),
@@ -359,15 +366,13 @@ def cmd_opd(cfg: dict) -> int:
 def cmd_eval(cfg: dict) -> int:
     out = _outdir(cfg)
     _echo_effective(cfg, out, "eval")
-    tc = _train_config(cfg) if "train" in cfg else None
+    ev = _eval_keys(cfg.get("train", {}))
     inputs = _Inputs(cfg)
     teacher = inputs.teacher
     student = _get_student(cfg, inputs.source)
     tasks = _get_tasks(cfg, inputs.source)
-    n_seqs, length, eval_from = (
-        (tc.n_eval_seqs, tc.eval_len, tc.eval_from) if tc else (20, 16, "teacher"))
-    states = draw_eval_states(student, teacher, n_seqs, length, eval_from,
-                              np.random.default_rng(cfg["seed"]))
+    states = draw_eval_states(student, teacher, ev["n_eval_seqs"], ev["eval_len"],
+                              ev["eval_from"], np.random.default_rng(cfg["seed"]))
     ent = [entropy(student.predict(student.context_for(s))) for s in states]
     kl_fwd, kl_rev = divergence_audit(student, teacher, states)
     acc = None

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ConfigError, InvalidInputError, ParseError, config_field
 from .model import ContextKey, TabularLM, Vocab, pad_context
-from .numerics import CategoricalDist
+from .numerics import CategoricalDist, inverse_cdf
 
 CORPUS_FORMAT_VERSION = 1
 
@@ -71,11 +71,23 @@ class MarkovSource:
         return self.conditional(pad_context(prefix, self.order, self.vocab.bos_id))
 
     def sample_sequence(self, length: int, rng: np.random.Generator) -> list[int]:
-        seq: list[int] = []
-        for _ in range(length):
-            d = self.conditional_for_prefix(seq)
-            seq.append(int(rng.choice(self.vocab.size, p=d.probs)))
-        return seq
+        return self.sample_sequences(1, length, rng)[0]
+
+    def sample_sequences(self, n: int, length: int,
+                         rng: np.random.Generator) -> list[list[int]]:
+        """n sequences of `length` tokens, sampled in lockstep one position at a time.
+
+        Sequence i is drawn with row i of rng.random((n, length)), so the result
+        equals n sequences sampled in turn with one Generator.choice per token.
+        """
+        u = rng.random((n, length))
+        m = self.order
+        seqs = np.full((n, m + length), self.vocab.bos_id, dtype=np.intp)
+        for t in range(length):
+            ctxs = map(tuple, seqs[:, t:t + m].tolist())
+            probs = [self.conditional(ctx).probs for ctx in ctxs]
+            seqs[:, m + t] = inverse_cdf(np.reshape(probs, (n, self.vocab.size)), u[:, t])
+        return seqs[:, m:].tolist()
 
 
 def _all_contexts(size: int, order: int):
@@ -248,10 +260,8 @@ def sample_corpus(
 ) -> Corpus:
     if num_seqs < 1 or length < 1:
         raise InvalidInputError("num_seqs and length must be >= 1")
-    seqs = [source.sample_sequence(length, rng) for _ in range(num_seqs)]
-    return Corpus(
-        sequences=seqs, provenance="ground_truth", seed=seed, vocab_size=source.vocab.size
-    )
+    return Corpus(sequences=source.sample_sequences(num_seqs, length, rng),
+                  provenance="ground_truth", seed=seed, vocab_size=source.vocab.size)
 
 
 def generate_seqkd_corpus(
@@ -267,14 +277,13 @@ def generate_seqkd_corpus(
         raise InvalidInputError("temperature must be >= 0")
     if length < 1:
         raise InvalidInputError("length must be >= 1")
-    greedy = temperature == 0.0
-    seqs = []
-    for prompt in prompts:
-        cont = teacher.rollout(
-            prompt, length, rng=rng, greedy=greedy,
-            temperature=temperature if not greedy else 1.0,
-        )
-        seqs.append([int(t) for t in prompt] + cont)
+    prompts = list(prompts)
+    if temperature == 0.0:
+        conts = [teacher.rollout(prompt, length, greedy=True) for prompt in prompts]
+    else:
+        # prompt i takes row i of the draws: each prompt draws its `length` uniforms in turn
+        conts = teacher.rollouts(prompts, length, rng, temperature=temperature)
+    seqs = [[int(t) for t in prompt] + cont for prompt, cont in zip(prompts, conts)]
     return Corpus(
         sequences=seqs,
         provenance="teacher_generated",

@@ -115,19 +115,14 @@ def positional_entropy(
     prompts = [list(p) for p in prompts]
     if not prompts:
         raise InvalidInputError("needs at least one prompt")
+    if teacher_forced_source is None:
+        seqs = [p + c for p, c in zip(prompts, model.rollouts(prompts, horizon, rng))]
+    else:
+        seqs = [teacher_forced_source.sample_sequence(len(p) + horizon, rng) for p in prompts]
     sums = np.zeros(horizon)
-    for prompt in prompts:
-        seq = list(prompt)
-        if teacher_forced_source is not None:
-            forced = teacher_forced_source.sample_sequence(len(prompt) + horizon, rng)
-            seq = forced[: len(prompt)]
+    for prompt, seq in zip(prompts, seqs):
         for t in range(horizon):
-            ctx = model.context_for(seq)
-            sums[t] += entropy(model.predict(ctx))
-            if teacher_forced_source is not None:
-                seq.append(forced[len(prompt) + t])
-            else:
-                seq.append(model.sample_next(ctx, rng))
+            sums[t] += entropy(model.predict(model.context_for(seq[:len(prompt) + t])))
     return EntropyProfile(per_position=sums / len(prompts), n_prompts=len(prompts))
 
 

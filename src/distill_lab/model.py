@@ -18,7 +18,7 @@ from .errors import (
     NumericOverflowError,
     ParseError,
 )
-from .numerics import CategoricalDist, softmax
+from .numerics import CategoricalDist, inverse_cdf, softmax
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -120,16 +120,18 @@ class TabularLM:
             z = z / temperature
         return softmax(z)
 
+    def _logit_rows(self, ctxs) -> np.ndarray:
+        zero = np.zeros(self.vocab.size)
+        return np.reshape([self.rows.get(ctx, zero) for ctx in ctxs], (-1, self.vocab.size))
+
     def predict_batch(self, ctxs) -> CategoricalDist:
         """predict at each of ctxs, keys already in range: row i is for ctxs[i]."""
-        zero = np.zeros(self.vocab.size)
-        return softmax(np.array([self.rows.get(ctx, zero) for ctx in ctxs]))
+        return softmax(self._logit_rows(ctxs))
 
     def sample_next(
         self, ctx: ContextKey, rng: np.random.Generator, temperature: float = 1.0
     ) -> int:
-        d = self.predict(ctx, temperature=temperature)
-        return int(rng.choice(self.vocab.size, p=d.probs))
+        return self.rollouts([self._check_ctx(ctx)], 1, rng, temperature=temperature)[0][0]
 
     def greedy_next(self, ctx: ContextKey) -> int:
         return int(np.argmax(self.logits(ctx)))
@@ -145,19 +147,44 @@ class TabularLM:
         temperature: float = 1.0,
         greedy: bool = False,
     ) -> list[int]:
-        """Extend prompt by `steps` autoregressively sampled tokens."""
+        """Extend prompt by `steps` autoregressively sampled (or greedy) tokens."""
         if steps < 1:
             raise InvalidInputError("steps must be >= 1")
-        if not greedy and rng is None:
-            raise InvalidInputError("sampled rollout needs an rng")
+        if not greedy:
+            if rng is None:
+                raise InvalidInputError("sampled rollout needs an rng")
+            return self.rollouts([prompt], steps, rng, temperature=temperature)[0]
         seq = [int(t) for t in prompt]
         for _ in range(steps):
-            ctx = self.context_for(seq)
-            if greedy:
-                seq.append(self.greedy_next(ctx))
-            else:
-                seq.append(self.sample_next(ctx, rng, temperature=temperature))
+            seq.append(self.greedy_next(self.context_for(seq)))
         return seq[len(prompt):]
+
+    def rollouts(self, prompts, steps: int, rng: np.random.Generator,
+                 temperature: float = 1.0) -> list[list[int]]:
+        """`steps` sampled tokens after each prompt, every rollout one position per step.
+
+        Rollout i is drawn with row i of rng.random((len(prompts), steps)), so the
+        result equals sampling the prompts in turn with one Generator.choice per
+        token from softmax(logits / temperature).
+        """
+        if steps < 1:
+            raise InvalidInputError("steps must be >= 1")
+        k = self.order
+        # the last k prompt tokens are every prompt token a context will ever hold
+        start_ctxs = [self._check_ctx(self.context_for(p)) for p in prompts]
+        if temperature <= 0.0:
+            raise InvalidInputError("temperature must be > 0 (use greedy=True for argmax)")
+        if not start_ctxs:
+            return []
+        window = np.empty((len(start_ctxs), k + steps), dtype=np.intp)
+        window[:, :k] = start_ctxs
+        u = rng.random((len(start_ctxs), steps))
+        for t in range(steps):
+            z = self._logit_rows(map(tuple, window[:, t:t + k].tolist()))
+            if temperature != 1.0:
+                z = z / temperature
+            window[:, k + t] = inverse_cdf(softmax(z).probs, u[:, t])
+        return window[:, k:].tolist()
 
     def copy(self) -> "TabularLM":
         return TabularLM(

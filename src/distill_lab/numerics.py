@@ -87,6 +87,18 @@ def softmax(logits) -> CategoricalDist:
     return _checked(e / e.sum(axis=-1, keepdims=True))
 
 
+def inverse_cdf(probs, u) -> np.ndarray:
+    """Row i of probs sampled with the uniform u[i], exactly as Generator.choice samples it.
+
+    Generator.choice(V, p=row) takes one rng.random() and returns the count of
+    entries of cumsum(row) / cumsum(row)[-1] that are <= it; a 1-d probs and a
+    scalar u give one draw.
+    """
+    cdf = np.cumsum(probs, axis=-1)
+    cdf = cdf / cdf[..., -1:]
+    return np.count_nonzero(cdf <= np.asarray(u)[..., None], axis=-1)
+
+
 def _support_entropy(p: np.ndarray, lp: np.ndarray) -> float:
     mask = p > 0.0
     return float(-np.sum(p[mask] * lp[mask]))

@@ -26,7 +26,7 @@ from .model import (  # noqa: F401
     pad_context,
     sgd_step,
 )
-from .numerics import CategoricalDist, entropy, kl_exact  # noqa: F401
+from .numerics import CategoricalDist, entropy, inverse_cdf, kl_exact  # noqa: F401
 from .objectives import (
     HPD_VARIANTS,
     ObjectiveKind,
@@ -55,8 +55,9 @@ class OracleTeacher:
     def dist(self, prefix) -> CategoricalDist:
         return self.source.conditional_for_prefix(prefix)
 
-    def sample_sequence(self, length: int, rng: np.random.Generator) -> list[int]:
-        return self.source.sample_sequence(length, rng)
+    def sample_sequences(self, n: int, length: int,
+                         rng: np.random.Generator) -> list[list[int]]:
+        return self.source.sample_sequences(n, length, rng)
 
 
 class ModelTeacher:
@@ -70,8 +71,9 @@ class ModelTeacher:
     def dist(self, prefix) -> CategoricalDist:
         return self.model.predict(self.model.context_for(prefix))
 
-    def sample_sequence(self, length: int, rng: np.random.Generator) -> list[int]:
-        return self.model.rollout([], length, rng=rng)
+    def sample_sequences(self, n: int, length: int,
+                         rng: np.random.Generator) -> list[list[int]]:
+        return self.model.rollouts([[]] * n, length, rng)
 
 
 def train_teacher_mle(corpus: Corpus, order: int, lam: float) -> TabularLM:
@@ -171,15 +173,17 @@ class MetricsRow:
 
 def draw_eval_states(student: TabularLM, teacher, n_seqs: int, length: int,
                      eval_from: str, rng: np.random.Generator) -> list[list[int]]:
-    """Every prefix of n_seqs fresh rollouts of the teacher or the student."""
-    states = []
-    for _ in range(n_seqs):
-        if eval_from == "teacher":
-            seq = teacher.sample_sequence(length, rng)
-        else:
-            seq = student.rollout([], length, rng=rng)
-        states.extend(seq[:t] for t in range(len(seq)))
-    return states
+    """Every prefix of n_seqs fresh rollouts of the teacher or the student.
+
+    The n_seqs rollouts are drawn in one lockstep call.
+    """
+    if eval_from == "teacher":
+        seqs = teacher.sample_sequences(n_seqs, length, rng)
+    elif eval_from == "student":
+        seqs = student.rollouts([[]] * n_seqs, length, rng)
+    else:
+        raise InvalidInputError(f"unknown eval_from {eval_from!r}")
+    return [seq[:t] for seq in seqs for t in range(len(seq))]
 
 
 def evaluate_divergences(student: TabularLM, teacher, cfg: TrainConfig,
@@ -328,7 +332,11 @@ def distill_onpolicy_opd(
     prompts=None,
     eval_tasks=None,
 ) -> tuple[TabularLM, list[MetricsRow]]:
-    """Score-function on-policy distillation with per-token K1 rewards."""
+    """Score-function on-policy distillation with per-token K1 rewards.
+
+    A minibatch's rollouts advance in lockstep, one position per step: one
+    student softmax over every rollout's context, then one inverse-CDF draw.
+    """
     kind = cfg.objective
     if not kind.on_policy:
         raise ConfigError(f"objective {kind.tag!r} is off-policy; use distill_offpolicy")
@@ -336,41 +344,59 @@ def distill_onpolicy_opd(
     if cfg.horizon < 1:
         raise ConfigError("horizon must be >= 1")
     prompts = [list(p) for p in prompts] if prompts else [[]]
+    v, k = student.vocab.size, student.order
+    for prompt in prompts:
+        for tok in prompt:
+            if not 0 <= tok < v:
+                raise InvalidInputError(f"prompt token id {tok} is out of range for the "
+                                        f"student's vocabulary of {v}")
+    start_ctxs = [pad_context(prompt, k, student.vocab.bos_id) for prompt in prompts]
+    n, h = cfg.batch_size, cfg.horizon
 
     def minibatch(student, acc, rng):
-        batch_entropies = []
-        batch_rewards = []
-        ctxs, tokens, qs, coeffs = [], [], [], []  # one entry per sampled token
-        for _ in range(cfg.batch_size):
-            prompt = prompts[int(rng.integers(len(prompts)))]
-            seq = list(prompt)
-            rewards = []
-            for _t in range(cfg.horizon):
-                ctx = student.context_for(seq)
-                q = student.predict(ctx)
-                batch_entropies.append(entropy(q))
-                a = int(rng.choice(student.vocab.size, p=q.probs))
-                p = teacher.dist(seq)
+        # rollout by rollout: its prompt, then one uniform per position
+        pick = np.empty(n, dtype=np.intp)
+        u = np.empty((n, h))
+        for b in range(n):
+            pick[b] = rng.integers(len(prompts))
+            u[b] = rng.random(h)
+        window = np.empty((n, k + h), dtype=np.intp)
+        window[:, :k] = [start_ctxs[i] for i in pick.tolist()]
+        step_ctxs, step_q = [], []
+        for t in range(h):  # every rollout advances one position
+            ctxs = list(map(tuple, window[:, t:t + k].tolist()))
+            q = student.predict_batch(ctxs)
+            window[:, k + t] = inverse_cdf(q.probs, u[:, t])
+            step_ctxs.append(ctxs)
+            step_q.append(q)
+        # rollout-major from here on: position t of rollout b is entry b * h + t
+        ctxs = [step_ctxs[t][b] for b in range(n) for t in range(h)]
+        q = CategoricalDist(
+            probs=np.stack([d.probs for d in step_q], axis=1).reshape(n * h, v),
+            logprobs=np.stack([d.logprobs for d in step_q], axis=1).reshape(n * h, v))
+        tokens = window[:, k:].ravel()
+        # the teacher cannot steer the rollouts, so it is asked after them, rollout
+        # by rollout: the violation raised is the first a one-rollout sampler meets
+        p_logprob = np.empty((n, h))
+        for b, i in enumerate(pick.tolist()):
+            seq = prompts[i] + window[b, k:].tolist()
+            for t, a in enumerate(seq[len(prompts[i]):]):
+                p = teacher.dist(seq[:len(prompts[i]) + t])
                 if p.probs[a] <= 0.0:
                     raise DivergenceInfiniteError(
-                        f"student sampled token {a} outside teacher support at {ctx}"
+                        f"student sampled token {a} outside teacher support at {ctxs[b * h + t]}"
                     )
-                r = float(p.logprobs[a] - q.logprobs[a])
-                ctxs.append(ctx)
-                tokens.append(a)
-                qs.append(q)
-                rewards.append(r)
-                seq.append(a)
-            if reward_mode == "trajectory":
-                coeffs.extend([sum(rewards)] * len(rewards))
-            else:
-                coeffs.extend(rewards)
-            batch_rewards.extend(rewards)
-
-        baseline = float(np.mean(batch_rewards)) if cfg.opd_baseline else 0.0
-        accumulate_token_grads(acc, ctxs, tokens, np.array(coeffs) - baseline,
-                               np.ones(len(tokens), dtype=np.int64), CategoricalDist.stack(qs))
-        return batch_entropies, batch_rewards
+                p_logprob[b, t] = p.logprobs[a]
+        rewards = p_logprob.ravel() - q.logprobs[np.arange(n * h), tokens]
+        if reward_mode == "trajectory":
+            # the builtin sum adds a rollout's rewards in order, as np.sum need not
+            coeffs = np.repeat([sum(r) for r in rewards.reshape(n, h).tolist()], h)
+        else:
+            coeffs = rewards
+        baseline = float(np.mean(rewards)) if cfg.opd_baseline else 0.0
+        accumulate_token_grads(acc, ctxs, tokens, coeffs - baseline,
+                               np.ones(n * h, dtype=np.int64), q)
+        return entropy(q), rewards
 
     return _train_loop(cfg, teacher, student, eval_tasks, minibatch)
 

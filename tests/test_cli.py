@@ -148,6 +148,24 @@ class TestCommands:
         vals = lines[2].split(",")
         assert float(vals[0]) >= 0.0 and float(vals[1]) >= 0.0
 
+    def test_eval_reads_evaluation_keys_without_objective(self, tmp_path, monkeypatch):
+        from distill_lab.data import build_source
+        from distill_lab.evaluation import divergence_audit
+        from distill_lab.model import TabularLM, Vocab
+        from distill_lab.training import OracleTeacher, draw_eval_states
+
+        monkeypatch.chdir(tmp_path)
+        cfg = {"seed": 1, "out_dir": "out", "source": {"name": "bimodal_gap"},
+               "train": {"n_eval_seqs": 4}}
+        assert main(["eval", "--config", write_config(tmp_path / "c.json", cfg)]) == 0
+        vals = (tmp_path / "out" / "audit.csv").read_text().splitlines()[2].split(",")
+        teacher = OracleTeacher(build_source({"name": "bimodal_gap"}))
+        student = TabularLM(order=1, vocab=Vocab.default(6))
+        audits = {n: divergence_audit(student, teacher, draw_eval_states(
+            student, teacher, n, 16, "teacher", np.random.default_rng(1))) for n in (4, 20)}
+        assert audits[4] != audits[20]
+        assert (float(vals[0]), float(vals[1])) == audits[4]
+
     def test_gradcheck_command_exits_zero(self, capsys):
         assert main(["gradcheck", "--set", "seed=0"]) == 0
         out = capsys.readouterr().out
@@ -233,6 +251,7 @@ class TestCommands:
         ("distill", ['stages=[{"name": "a", "objective": "rkld_off", "sign_fidelity": "yes"}]'],
          "sign_fidelity"),
         ("sweep", ['sweep.objectives=["sft"]', 'sweep.seeds="12"'], "sweep.seeds"),
+        ("eval", ["train.eval_from=elsewhere"], "eval_from"),
     ])
     def test_user_errors_exit_two(self, tmp_path, monkeypatch, capsys, command, sets,
                                   needle):

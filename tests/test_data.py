@@ -141,6 +141,50 @@ class TestSampleSequences:
             sample_corpus(src, 0, 5, np.random.default_rng(0))
 
 
+def per_token_sequence(source, length, rng):
+    """One sequence, one Generator.choice per token: the sampler before lockstep."""
+    seq = []
+    for _ in range(length):
+        d = source.conditional_for_prefix(seq)
+        seq.append(int(rng.choice(source.vocab.size, p=d.probs)))
+    return seq
+
+
+LOCKSTEP_SOURCES = [
+    # near-zero rows: most of each row's mass sits on one or two tokens
+    {"name": "random_dirichlet", "seed": 3, "vocab_size": 9, "concentration": 0.1},
+    {"name": "random_dirichlet", "seed": 5, "vocab_size": 4, "order": 2,
+     "concentration": 0.1},
+    # one-hot rows
+    {"name": "deterministic_cycle", "vocab_size": 5},
+    {"name": "bimodal_gap"},
+]
+
+
+class TestLockstepSampling:
+    @pytest.mark.parametrize("spec", LOCKSTEP_SOURCES)
+    def test_corpus_matches_per_token_reference(self, spec):
+        src = build_source(spec)
+        a, b = np.random.default_rng(11), np.random.default_rng(11)
+        corpus = sample_corpus(src, 13, 21, a)
+        assert corpus.sequences == [per_token_sequence(src, 21, b) for _ in range(13)]
+        assert a.random() == b.random()
+
+    @pytest.mark.parametrize("spec", LOCKSTEP_SOURCES)
+    def test_one_sequence_is_the_one_rollout_case(self, spec):
+        src = build_source(spec)
+        a, b = np.random.default_rng(2), np.random.default_rng(2)
+        for length in (0, 1, 7, 30):
+            assert src.sample_sequence(length, a) == per_token_sequence(src, length, b)
+            assert src.sample_sequences(3, length, a) == [
+                per_token_sequence(src, length, b) for _ in range(3)]
+        assert a.random() == b.random()
+
+    def test_no_sequences(self):
+        src = build_source({"name": "bimodal_gap"})
+        assert src.sample_sequences(0, 5, np.random.default_rng(0)) == []
+
+
 class TestSeqKDCorpus:
     def _fit_teacher(self, src, seed=0):
         corpus = sample_corpus(src, 500, 64, np.random.default_rng(seed), seed=seed)
@@ -170,6 +214,26 @@ class TestSeqKDCorpus:
             f2 = gt.sequences[0].count(v) / n
             # both are unigram frequencies of the same chain; 3 sigma each way
             assert abs(f1 - f2) <= 6 * np.sqrt(0.25 / n)
+
+    @pytest.mark.parametrize("temperature", [1.0, 0.5])
+    def test_prompts_match_per_token_reference(self, temperature):
+        # each prompt draws its `length` uniforms in turn, one per token
+        teacher = TabularLM(order=2, vocab=Vocab.default(4))
+        rng = np.random.default_rng(3)
+        for ctx in np.ndindex(4, 4):
+            teacher.set_row(ctx, 3.0 * rng.normal(size=4))
+        prompts = [[], [2], [1, 3, 0], [], [3, 3]]
+        a, b = np.random.default_rng(6), np.random.default_rng(6)
+        kd = generate_seqkd_corpus(teacher, prompts, 10, a, temperature=temperature)
+        want = []
+        for prompt in prompts:
+            seq = list(prompt)
+            for _ in range(10):
+                d = teacher.predict(teacher.context_for(seq), temperature=temperature)
+                seq.append(int(b.choice(4, p=d.probs)))
+            want.append(seq)
+        assert kd.sequences == want
+        assert a.random() == b.random()
 
     def test_negative_temperature_rejected(self):
         teacher = TabularLM(order=1, vocab=Vocab.default(2))

@@ -145,6 +145,62 @@ class TestRollout:
             uniform_model().rollout([], 3)
 
 
+def per_token_rollout(model, prompt, steps, rng, temperature=1.0):
+    """One Generator.choice per token: the sampled rollout before lockstep."""
+    seq = [int(t) for t in prompt]
+    for _ in range(steps):
+        d = model.predict(model.context_for(seq), temperature=temperature)
+        seq.append(int(rng.choice(model.vocab.size, p=d.probs)))
+    return seq[len(prompt):]
+
+
+def peaked_model(v=5, order=2, seed=0):
+    """Random rows, a third of them so peaked that softmax leaves exact zeros."""
+    m = uniform_model(v=v, order=order)
+    rng = np.random.default_rng(seed)
+    for i, ctx in enumerate(np.ndindex(*(v,) * order)):
+        scale = 40.0 if i % 3 == 0 else 1.5
+        m.set_row(ctx, scale * rng.normal(size=v))
+    return m
+
+
+# prompts of different lengths, shorter and longer than the model order
+PROMPTS = [[], [3], [1, 4, 2], [0, 0, 0, 2, 1], [4, 4]]
+
+
+class TestLockstepRollouts:
+    @pytest.mark.parametrize("temperature", [1.0, 0.5])
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_matches_per_token_sampling(self, temperature, order):
+        m = peaked_model(order=order)
+        a, b = np.random.default_rng(5), np.random.default_rng(5)
+        got = m.rollouts(PROMPTS * 3, 12, a, temperature=temperature)
+        want = [per_token_rollout(m, p, 12, b, temperature) for p in PROMPTS * 3]
+        assert got == want
+        assert a.random() == b.random()
+
+    @pytest.mark.parametrize("temperature", [1.0, 0.5])
+    def test_single_rollout_is_the_one_rollout_case(self, temperature):
+        m = peaked_model()
+        a, b = np.random.default_rng(8), np.random.default_rng(8)
+        for prompt in PROMPTS:
+            assert (m.rollout(prompt, 5, rng=a, temperature=temperature)
+                    == per_token_rollout(m, prompt, 5, b, temperature))
+        assert a.random() == b.random()
+
+    def test_out_of_range_prompt_raises(self):
+        m = peaked_model()
+        with pytest.raises(InvalidInputError, match="out-of-range"):
+            m.rollouts([[1], [2, 7]], 3, np.random.default_rng(0))
+
+    def test_temperature_must_be_positive(self):
+        with pytest.raises(InvalidInputError):
+            peaked_model().rollouts([[1]], 3, np.random.default_rng(0), temperature=0.0)
+
+    def test_no_prompts(self):
+        assert peaked_model().rollouts([], 3, np.random.default_rng(0)) == []
+
+
 class TestAccumulateTokenGrad:
     def test_descent_direction_uniform_row(self):
         m = uniform_model(v=2)

@@ -13,6 +13,7 @@ from distill_lab.errors import (
 from distill_lab.numerics import (
     CategoricalDist,
     entropy,
+    inverse_cdf,
     jsd_beta,
     k1_mc,
     k1_samples,
@@ -91,6 +92,49 @@ class TestSoftmax:
         assert d.probs.sum() == pytest.approx(1.0)
         shifted = softmax(np.array(z) + 7.5)
         assert np.allclose(d.probs, shifted.probs)
+
+
+class TestInverseCdf:
+    """The lockstep samplers' byte-identity rests on matching Generator.choice."""
+
+    ROWS = [
+        [1.0],
+        [0.0, 1.0, 0.0],  # one-hot with zeros on both sides
+        [0.0, 0.0, 0.3, 0.7],  # leading zeros
+        [0.5, 0.5, 0.0, 0.0],  # trailing zeros
+        [1e-13, 0.25, 0.25, 0.5 - 1e-13],
+    ]
+
+    def _rows(self):
+        rng = np.random.default_rng(4)
+        rows = [np.array(r) for r in self.ROWS]
+        for v in (2, 5, 9, 16):
+            for conc in (0.05, 1.0):
+                p = rng.dirichlet(np.full(v, conc))
+                p[p < 1e-3] = 0.0  # exact zeros inside the row
+                rows.append(p / p.sum())
+        return rows
+
+    def test_one_draw_matches_generator_choice(self):
+        for i, p in enumerate(self._rows()):
+            a, b = np.random.default_rng(i), np.random.default_rng(i)
+            want = [int(a.choice(p.size, p=p)) for _ in range(200)]
+            got = [int(inverse_cdf(p, b.random())) for _ in range(200)]
+            assert got == want, p
+            # each choice consumed exactly one rng.random()
+            assert a.random() == b.random()
+
+    def test_rows_draw_with_their_own_uniform(self):
+        for p in self._rows():
+            probs = np.stack([p, p[::-1], np.full(p.size, 1.0 / p.size)])
+            u = np.random.default_rng(p.size).random(3)
+            got = inverse_cdf(probs, u)
+            assert got.tolist() == [int(inverse_cdf(probs[i], u[i])) for i in range(3)]
+
+    def test_never_draws_a_zero_probability_entry(self):
+        p = np.array([0.0, 0.4, 0.0, 0.6, 0.0])
+        u = np.array([0.0, 0.4 - 1e-17, 0.4, 0.999999999, np.nextafter(1.0, 0.0)])
+        assert set(inverse_cdf(np.tile(p, (5, 1)), u).tolist()) <= {1, 3}
 
 
 class TestEntropy:

@@ -5,8 +5,19 @@ import pytest
 
 from distill_lab import training
 from distill_lab.data import Corpus, build_source, sample_corpus, generate_seqkd_corpus
-from distill_lab.errors import ConfigError, InvalidInputError, LogOfZeroError
-from distill_lab.model import TabularLM, Vocab, accumulate_token_grad, checkpoint_save
+from distill_lab.errors import (
+    ConfigError,
+    DivergenceInfiniteError,
+    InvalidInputError,
+    LogOfZeroError,
+)
+from distill_lab.model import (
+    TabularLM,
+    Vocab,
+    accumulate_token_grad,
+    accumulate_token_grads,
+    checkpoint_save,
+)
 from distill_lab.numerics import CategoricalDist, entropy, kl_exact
 from distill_lab.objectives import (
     OFF_POLICY_TAGS,
@@ -415,6 +426,136 @@ class TestDistillOnpolicyOPD:
         _, rows = distill_onpolicy_opd(cfg, teacher, student)
         assert rows[-1].kl_rev < 0.05
         assert rows[-1].mean_reward > -0.1
+
+
+def reference_opd(cfg, teacher, student, prompts=None):
+    """distill_onpolicy_opd one rollout and one token at a time, one Generator.choice each.
+
+    Draws, rewards and accumulation follow the lockstep kernel's stated
+    order, so its checkpoints and metrics must match these byte for byte.
+    """
+    reward_mode = "per_token" if cfg.objective.tag == "rkld_on" else cfg.opd_reward_mode
+    prompts = [list(p) for p in prompts] if prompts else [[]]
+
+    def minibatch(student, acc, rng):
+        batch_entropies = []
+        batch_rewards = []
+        ctxs, tokens, qs, coeffs = [], [], [], []  # one entry per sampled token
+        for _ in range(cfg.batch_size):
+            prompt = prompts[int(rng.integers(len(prompts)))]
+            seq = list(prompt)
+            rewards = []
+            for _t in range(cfg.horizon):
+                ctx = student.context_for(seq)
+                q = student.predict(ctx)
+                batch_entropies.append(entropy(q))
+                a = int(rng.choice(student.vocab.size, p=q.probs))
+                p = teacher.dist(seq)
+                if p.probs[a] <= 0.0:
+                    raise DivergenceInfiniteError(
+                        f"student sampled token {a} outside teacher support at {ctx}"
+                    )
+                r = float(p.logprobs[a] - q.logprobs[a])
+                ctxs.append(ctx)
+                tokens.append(a)
+                qs.append(q)
+                rewards.append(r)
+                seq.append(a)
+            if reward_mode == "trajectory":
+                coeffs.extend([sum(rewards)] * len(rewards))
+            else:
+                coeffs.extend(rewards)
+            batch_rewards.extend(rewards)
+
+        baseline = float(np.mean(batch_rewards)) if cfg.opd_baseline else 0.0
+        accumulate_token_grads(acc, ctxs, tokens, np.array(coeffs) - baseline,
+                               np.ones(len(tokens), dtype=np.int64), CategoricalDist.stack(qs))
+        return batch_entropies, batch_rewards
+
+    return training._train_loop(cfg, teacher, student, None, minibatch)
+
+
+def _opd_teacher(name):
+    if name == "mle":
+        src = build_source({"name": "bimodal_gap"})
+        corpus = sample_corpus(src, 20, 12, np.random.default_rng(2))
+        return ModelTeacher(train_teacher_mle(corpus, 2, 0.1))
+    return OracleTeacher(build_source({"name": "random_dirichlet", "seed": 3, "vocab_size": 5,
+                                       "order": 2, "concentration": 0.3}))
+
+
+OPD_CASES = (
+    [("opd_k1", order, {"opd_reward_mode": mode, "opd_baseline": baseline})
+     for order in (1, 2, 3) for mode in ("per_token", "trajectory")
+     for baseline in (False, True)]
+    + [("rkld_on", order, {"opd_baseline": baseline})
+       for order in (1, 2, 3) for baseline in (False, True)]
+    + [("opd_k1", 2, {"prompts": [[1], [2, 3, 1, 0], [], [4]]}),
+       ("opd_k1", 1, {"prompts": [[0, 2]], "opd_reward_mode": "trajectory",
+                      "opd_baseline": True}),
+       ("opd_k1", 1, {"batch_size": 1, "horizon": 1}),
+       ("rkld_on", 3, {"batch_size": 1, "horizon": 1, "opd_baseline": True}),
+       # np.sum of nine rewards would add them pairwise, not in order
+       ("opd_k1", 2, {"teacher": "mle", "opd_reward_mode": "trajectory", "horizon": 9}),
+       ("rkld_on", 1, {"teacher": "mle", "prompts": [[3], [0, 5]], "eval_from": "student"})]
+)
+
+
+class TestOpdLockstep:
+    @pytest.mark.parametrize("tag, order, extra", OPD_CASES)
+    def test_matches_per_rollout_reference(self, tmp_path, tag, order, extra):
+        extra = dict(extra)
+        teacher = _opd_teacher(extra.pop("teacher", "oracle"))
+        prompts = extra.pop("prompts", None)
+        cfg = TrainConfig(**dict(dict(
+            objective=ObjectiveKind(tag), steps=8, seed=order, lr=0.7, batch_size=6,
+            eval_every=3, horizon=5, n_eval_seqs=3, eval_len=5), **extra))
+        student = TabularLM(order=order, vocab=Vocab.default(teacher.vocab.size))
+        outputs = []
+        for run in (distill_onpolicy_opd, reference_opd):
+            model, rows = run(cfg, teacher, student, prompts=prompts)
+            path = tmp_path / f"{run.__name__}.json"
+            checkpoint_save(model, path)
+            outputs.append((path.read_bytes(), [r.to_csv_line() for r in rows]))
+        assert outputs[0] == outputs[1]
+
+    def test_out_of_range_prompt_token(self):
+        teacher = _opd_teacher("oracle")
+        student = TabularLM(order=2, vocab=Vocab.default(5))
+        with pytest.raises(InvalidInputError, match="prompt token id 9"):
+            distill_onpolicy_opd(small_cfg("opd_k1", horizon=3), teacher, student,
+                                 prompts=[[1, 2], [3, 9]])
+
+    @pytest.mark.parametrize("prompts", [None, [[0], [2, 1]]])
+    def test_support_violation_names_the_reference_token(self, prompts):
+        # a uniform student samples off the cycle's one-hot rows at once
+        teacher = OracleTeacher(build_source({"name": "deterministic_cycle",
+                                              "vocab_size": 4}))
+        student = TabularLM(order=3, vocab=Vocab.default(4))
+        cfg = small_cfg("opd_k1", horizon=6, batch_size=4)
+        errors = []
+        for run in (distill_onpolicy_opd, reference_opd):
+            with pytest.raises(DivergenceInfiniteError) as info:
+                run(cfg, teacher, student, prompts=prompts)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
+
+    # at seeds 3, 13, 20 and 26, scanning the positions step by step instead of
+    # rollout by rollout would name a different violation
+    @pytest.mark.parametrize("seed", [0, 3, 13, 20, 26])
+    def test_first_violation_in_rollout_order(self, seed):
+        # only "2 then 0" leaves the teacher's support, so rollouts violate at
+        # scattered positions
+        model = TabularLM(order=1, vocab=Vocab.default(4))
+        model.rows[(2,)] = np.array([training.LOGIT_FLOOR, 0.0, 0.0, 0.0])
+        student = TabularLM(order=2, vocab=Vocab.default(4))
+        cfg = small_cfg("opd_k1", seed=seed, horizon=8, batch_size=6)
+        errors = []
+        for run in (distill_onpolicy_opd, reference_opd):
+            with pytest.raises(DivergenceInfiniteError) as info:
+                run(cfg, ModelTeacher(model), student)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
 
 
 class TestRunExperiment:
