@@ -31,7 +31,7 @@ from .errors import (
     boolean,
     config_field,
 )
-from .evaluation import divergence_audit, gradcheck, make_completion_tasks
+from .evaluation import completion_accuracy, divergence_audit, gradcheck, make_completion_tasks
 from .model import TabularLM, Vocab, checkpoint_load, checkpoint_save
 from .numerics import entropy
 from .objectives import ALL_TAGS, ObjectiveKind
@@ -310,7 +310,7 @@ def cmd_train_teacher(cfg: dict) -> int:
     model = _Inputs(cfg).teacher_model
     path = os.path.join(out, "teacher.json")
     checkpoint_save(model, path, header_extra=_meta(cfg))
-    print(f"wrote {path} ({len(model.rows)} contexts)")
+    print(f"wrote {path} ({int(model.touched.sum())} contexts)")
     return 0
 
 
@@ -375,11 +375,7 @@ def cmd_eval(cfg: dict) -> int:
                               ev["eval_from"], np.random.default_rng(cfg["seed"]))
     ent = [entropy(student.predict(student.context_for(s))) for s in states]
     kl_fwd, kl_rev = divergence_audit(student, teacher, states)
-    acc = None
-    if tasks:
-        from .evaluation import completion_accuracy
-
-        acc = completion_accuracy(student, tasks)
+    acc = completion_accuracy(student, tasks) if tasks else None
     path = os.path.join(out, "audit.csv")
     with open(path, "w", encoding="utf-8") as f:
         f.write("# " + json.dumps(_meta(cfg), sort_keys=True) + "\n")

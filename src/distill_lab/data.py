@@ -24,12 +24,12 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, InvalidInputError, ParseError, config_field
-from .model import ContextKey, TabularLM, Vocab, pad_context
+from .model import ContextKey, TabularLM, Vocab, pad_context, prefix_id, table_rows
 from .numerics import CategoricalDist, inverse_cdf
 
 CORPUS_FORMAT_VERSION = 1
@@ -46,15 +46,16 @@ BIMODAL_EPS = 0.1
 
 @dataclass
 class MarkovSource:
-    """Stochastic source with exactly known conditional distributions."""
+    """Stochastic source with exactly known conditional distributions.
+
+    table is one batch with a row for every context: row i is the conditional
+    at context id i (see model.py).
+    """
 
     name: str
     order: int
     vocab: Vocab
-    table: dict[ContextKey, CategoricalDist] = field(default_factory=dict)
-
-    def initial_context(self) -> ContextKey:
-        return (self.vocab.bos_id,) * self.order
+    table: CategoricalDist
 
     def conditional(self, ctx: ContextKey) -> CategoricalDist:
         ctx = tuple(int(t) for t in ctx)
@@ -62,10 +63,7 @@ class MarkovSource:
             raise InvalidInputError(
                 f"context length {len(ctx)} != source order {self.order}"
             )
-        try:
-            return self.table[ctx]
-        except KeyError:
-            raise InvalidInputError(f"no conditional for context {ctx}") from None
+        return self.table.rows(prefix_id(ctx, self.order, self.vocab))
 
     def conditional_for_prefix(self, prefix) -> CategoricalDist:
         return self.conditional(pad_context(prefix, self.order, self.vocab.bos_id))
@@ -81,22 +79,23 @@ class MarkovSource:
         equals n sequences sampled in turn with one Generator.choice per token.
         """
         u = rng.random((n, length))
-        m = self.order
-        seqs = np.full((n, m + length), self.vocab.bos_id, dtype=np.intp)
+        v = self.vocab.size
+        ids = np.full(n, prefix_id([], self.order, self.vocab), dtype=np.intp)
+        seqs = np.empty((n, length), dtype=np.intp)
         for t in range(length):
-            ctxs = map(tuple, seqs[:, t:t + m].tolist())
-            probs = [self.conditional(ctx).probs for ctx in ctxs]
-            seqs[:, m + t] = inverse_cdf(np.reshape(probs, (n, self.vocab.size)), u[:, t])
-        return seqs[:, m:].tolist()
+            seqs[:, t] = inverse_cdf(self.table.probs[ids], u[:, t])
+            ids = (ids * v + seqs[:, t]) % len(self.table.probs)
+        return seqs.tolist()
 
 
 def _all_contexts(size: int, order: int):
+    """Every order-`order` context, in id order."""
     return itertools.product(range(size), repeat=order)
 
 
-def _smoothed(base: np.ndarray, eps: float) -> CategoricalDist:
-    v = base.size
-    return CategoricalDist.from_probs((1.0 - eps) * base + eps / v)
+def _smoothed(base: np.ndarray, eps: float) -> np.ndarray:
+    """base's rows mixed with the uniform distribution at weight eps."""
+    return (1.0 - eps) * base + eps / base.shape[-1]
 
 
 def _bimodal_base_row(ctx: ContextKey) -> np.ndarray:
@@ -120,8 +119,9 @@ def _bimodal_base_row(ctx: ContextKey) -> np.ndarray:
 
 def bimodal_ambiguous_mixture(eps: float = BIMODAL_EPS) -> CategoricalDist:
     """Exact best order-1 conditional at the "last token = gap" state."""
-    a = _smoothed(_bimodal_base_row((COIN_A, GAP_TOKEN)), eps).probs
-    b = _smoothed(_bimodal_base_row((COIN_B, GAP_TOKEN)), eps).probs
+    a, b = CategoricalDist.from_rows(
+        _smoothed(np.array([_bimodal_base_row((c, GAP_TOKEN)) for c in (COIN_A, COIN_B)]), eps)
+    ).probs
     return CategoricalDist.from_probs(0.5 * (a + b))
 
 
@@ -142,20 +142,19 @@ def build_source(spec: dict) -> MarkovSource:
     if name == "uniform":
         v = config_field(spec, "source.vocab_size", int, 4)
         m = config_field(spec, "source.order", int, 1)
+        n = table_rows(v, m)
         vocab = Vocab.default(v)
-        row = CategoricalDist.from_probs(np.full(v, 1.0 / v))
-        table = {ctx: row for ctx in _all_contexts(v, m)}
-        return MarkovSource(name=name, order=m, vocab=vocab, table=table)
+        probs = np.full((n, v), 1.0 / v)
+        return MarkovSource(name=name, order=m, vocab=vocab,
+                            table=CategoricalDist.from_rows(probs))
 
     if name == "deterministic_cycle":
         v = config_field(spec, "source.vocab_size", int, 3)
+        table_rows(v, 1)
         vocab = Vocab.default(v)
-        table = {}
-        for ctx in _all_contexts(v, 1):
-            row = np.zeros(v)
-            row[(ctx[0] + 1) % v] = 1.0
-            table[ctx] = CategoricalDist.from_probs(row)
-        return MarkovSource(name=name, order=1, vocab=vocab, table=table)
+        probs = np.eye(v)[(np.arange(v) + 1) % v]  # row i is one-hot at i + 1
+        return MarkovSource(name=name, order=1, vocab=vocab,
+                            table=CategoricalDist.from_rows(probs))
 
     if name == "bimodal_gap":
         if (config_field(spec, "source.vocab_size", int, BIMODAL_VOCAB) != BIMODAL_VOCAB
@@ -166,11 +165,9 @@ def build_source(spec: dict) -> MarkovSource:
         if not (0.0 < eps < 1.0):
             raise ConfigError("bimodal_gap eps must lie in (0, 1)")
         vocab = Vocab.default(BIMODAL_VOCAB)
-        table = {
-            ctx: _smoothed(_bimodal_base_row(ctx), eps)
-            for ctx in _all_contexts(BIMODAL_VOCAB, 2)
-        }
-        return MarkovSource(name=name, order=2, vocab=vocab, table=table)
+        base = np.array([_bimodal_base_row(ctx) for ctx in _all_contexts(BIMODAL_VOCAB, 2)])
+        return MarkovSource(name=name, order=2, vocab=vocab,
+                            table=CategoricalDist.from_rows(_smoothed(base, eps)))
 
     if name == "random_dirichlet":
         v = config_field(spec, "source.vocab_size", int, 8)
@@ -180,13 +177,12 @@ def build_source(spec: dict) -> MarkovSource:
         conc = config_field(spec, "source.concentration", float, 1.0)
         if conc <= 0.0:
             raise ConfigError("concentration must be > 0")
+        n = table_rows(v, m)
         rng = np.random.default_rng(config_field(spec, "source.seed", int, None))
         vocab = Vocab.default(v)
-        table = {
-            ctx: CategoricalDist.from_probs(rng.dirichlet(np.full(v, conc)))
-            for ctx in _all_contexts(v, m)
-        }
-        return MarkovSource(name=name, order=m, vocab=vocab, table=table)
+        probs = np.array([rng.dirichlet(np.full(v, conc)) for _ in range(n)])
+        return MarkovSource(name=name, order=m, vocab=vocab,
+                            table=CategoricalDist.from_rows(probs))
 
     raise ConfigError(f"unknown source name {name!r}")
 
@@ -201,8 +197,9 @@ def source_save(source: MarkovSource, path, header_extra: dict | None = None) ->
         "order": source.order,
         "vocab": {"names": list(source.vocab.names), "bos_id": source.vocab.bos_id},
         "rows": [
-            {"context": list(ctx), "probs": [float(x) for x in d.probs]}
-            for ctx, d in sorted(source.table.items())
+            {"context": list(ctx), "probs": [float(x) for x in row]}
+            for ctx, row in zip(_all_contexts(source.vocab.size, source.order),
+                                source.table.probs)
         ],
     }
     if header_extra:
@@ -223,15 +220,23 @@ def source_load(path) -> MarkovSource:
         if doc["format_version"] != SOURCE_FORMAT_VERSION:
             raise ParseError(f"{path}: unsupported format_version")
         vocab = Vocab(names=tuple(doc["vocab"]["names"]), bos_id=int(doc["vocab"]["bos_id"]))
-        table = {}
+        order, v = int(doc["order"]), vocab.size
+        probs = np.zeros((table_rows(v, order), v))
+        present = np.zeros(len(probs), dtype=bool)
         for i, entry in enumerate(doc["rows"]):
             ctx = tuple(int(t) for t in entry["context"])
-            if len(ctx) != int(doc["order"]):
+            if len(ctx) != order:
                 raise ParseError(f"{path}: rows[{i}]: context length != order")
-            table[ctx] = CategoricalDist.from_probs(np.asarray(entry["probs"]))
-        return MarkovSource(
-            name=str(doc["name"]), order=int(doc["order"]), vocab=vocab, table=table
-        )
+            row = np.asarray(entry["probs"], dtype=np.float64)
+            if row.shape != (v,):
+                raise ParseError(f"{path}: rows[{i}]: probs must list {v} numbers")
+            cid = prefix_id(ctx, order, vocab)
+            probs[cid], present[cid] = row, True
+        if not present.all():
+            ctx = next(itertools.islice(_all_contexts(v, order), int(np.argmin(present)), None))
+            raise ParseError(f"{path}: no row for context {ctx}")
+        return MarkovSource(name=str(doc["name"]), order=order, vocab=vocab,
+                            table=CategoricalDist.from_rows(probs))
     except (KeyError, TypeError, ValueError) as e:
         if isinstance(e, ParseError):
             raise

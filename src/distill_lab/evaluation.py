@@ -9,7 +9,7 @@ import numpy as np
 
 from .data import MarkovSource
 from .errors import DivergenceInfiniteError, InvalidInputError, InvalidParameterError
-from .model import GradAccumulator, TabularLM, accumulate_token_grad
+from .model import GradAccumulator, TabularLM, accumulate_token_grad, prefix_id
 from .numerics import CategoricalDist, entropy, k1_samples, kl_exact
 
 
@@ -25,11 +25,9 @@ def gradcheck(model: TabularLM, weighted_tokens, eps: float = 1e-5) -> float:
         raise InvalidParameterError(f"eps must lie in [1e-8, 1e-3], got {eps!r}")
     weighted_tokens = [(tuple(c), int(t), float(w)) for c, t, w in weighted_tokens]
 
-    acc = GradAccumulator()
+    acc = GradAccumulator(model.order, model.vocab.size)
     for ctx, token, w in weighted_tokens:
         accumulate_token_grad(acc, model, ctx, token, w)
-    # analytic gradient of L (not the descent direction, hence the minus)
-    analytic = {ctx: -d for ctx, d in acc.directions.items()}
 
     touched = {ctx for ctx, _, _ in weighted_tokens}
 
@@ -54,7 +52,8 @@ def gradcheck(model: TabularLM, weighted_tokens, eps: float = 1e-5) -> float:
             down = loss(work)
             numeric[v] = (up - down) / (2.0 * eps)
         work.set_row(ctx, base)
-        a = analytic.get(ctx, np.zeros_like(base))
+        # analytic gradient of L (not the descent direction, hence the minus)
+        a = -acc.directions[model._check_ctx(ctx)]
         scale = max(float(np.max(np.abs(a))), float(np.max(np.abs(numeric))))
         if scale <= 1e-12:
             continue
@@ -66,21 +65,26 @@ def divergence_audit(student: TabularLM, teacher, states) -> tuple[float, float]
     """Mean exact KL(p||q) and KL(q||p) over the given prefix states.
 
     A state where one distribution puts mass outside the other's support
-    contributes +inf, so that direction's mean reads math.inf.
+    contributes +inf, so that direction's mean reads math.inf. Each distinct
+    (teacher context, student context) pair is computed once; the per-state
+    values are summed in state order.
     """
     states = list(states)
     if not states:
         raise InvalidInputError("audit needs at least one state")
+    keys = [(prefix_id(prefix, teacher.order, teacher.vocab),
+             prefix_id(prefix, student.order, student.vocab)) for prefix in states]
+    pairs = list(dict.fromkeys(keys))
+    t_ids, s_ids = np.array(pairs, dtype=np.intp).T
+    p, q = teacher.dists().rows(t_ids), student.predict_batch(s_ids)
+    kls = {}
+    for i, pair in enumerate(pairs):
+        p_i, q_i = p.rows(i), q.rows(i)
+        kls[pair] = (_kl_or_inf(p_i, q_i), _kl_or_inf(q_i, p_i))
     fwd, rev = 0.0, 0.0
-    q_cache: dict = {}
-    for prefix in states:
-        p = teacher.dist(prefix)
-        ctx = student.context_for(prefix)
-        q = q_cache.get(ctx)
-        if q is None:
-            q = q_cache[ctx] = student.predict(ctx)
-        fwd += _kl_or_inf(p, q)
-        rev += _kl_or_inf(q, p)
+    for key in keys:
+        fwd += kls[key][0]
+        rev += kls[key][1]
     return fwd / len(states), rev / len(states)
 
 

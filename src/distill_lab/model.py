@@ -1,8 +1,13 @@
 """Order-k tabular autoregressive logit model with exact analytic gradients.
 
 Contexts are tuples of the last k token ids, left-padded with the vocab's
-begin-of-sequence id. Unseen contexts predict the uniform distribution
-(all-zero logit row).
+begin-of-sequence id. Every order-k table (a model's logits, a source's
+conditionals, an accumulator's directions) is one dense (V**k, V) array whose
+row i holds the context with id i: its tokens read as base-V digits, oldest
+token most significant (prefix_id, context_key). So id order is sorted tuple
+order, BOS padding is part of the id, and a window that emits token t moves to
+id (i * V + t) % V**k.
+Unseen contexts predict the uniform distribution (all-zero logit row).
 """
 
 from __future__ import annotations
@@ -21,6 +26,9 @@ from .errors import (
 from .numerics import CategoricalDist, inverse_cdf, softmax
 
 CHECKPOINT_FORMAT_VERSION = 1
+
+# the most floats (V**(k + 1)) one dense order-k table may hold: 32 MiB
+MAX_TABLE_ENTRIES = 2**22
 
 ContextKey = tuple[int, ...]
 
@@ -47,6 +55,19 @@ class Vocab:
         return len(self.names)
 
 
+def table_rows(vocab_size: int, order: int) -> int:
+    """V**k, the row count of a dense order-k table, once its size is checked."""
+    if order < 0:
+        raise InvalidInputError("order must be >= 0")
+    # V >= 2 makes V**(k+1) too large for every k this first test catches
+    if (order >= MAX_TABLE_ENTRIES.bit_length()
+            or vocab_size ** (order + 1) > MAX_TABLE_ENTRIES):
+        raise InvalidInputError(
+            f"a dense table for vocabulary size V={vocab_size} and order k={order} holds "
+            f"V**(k+1) floats, more than {MAX_TABLE_ENTRIES}")
+    return vocab_size ** order
+
+
 def pad_context(prefix, order: int, bos_id: int) -> ContextKey:
     """Last `order` ids of prefix, left-padded with the BOS id."""
     tail = tuple(int(t) for t in prefix[-order:]) if order > 0 else ()
@@ -55,62 +76,74 @@ def pad_context(prefix, order: int, bos_id: int) -> ContextKey:
     return tail
 
 
+def prefix_id(prefix, order: int, vocab: Vocab) -> int:
+    """The id of prefix's padded context; a token id outside vocab is an InvalidInputError."""
+    ctx = pad_context(prefix, order, vocab.bos_id)
+    cid = 0
+    for tok in ctx:
+        if not 0 <= tok < vocab.size:
+            raise InvalidInputError(f"context {ctx} has out-of-range token ids")
+        cid = cid * vocab.size + tok
+    return cid
+
+
+def context_key(cid: int, order: int, vocab_size: int) -> ContextKey:
+    """The context whose id is cid."""
+    return tuple(int(t) for t in np.unravel_index(cid, (vocab_size,) * order))
+
+
 def context_ids(tokens: np.ndarray, offsets: np.ndarray, order: int, bos_id: int,
-                vocab_size: int) -> tuple[list[ContextKey], np.ndarray]:
-    """pad_context at every position of a flattened corpus, as distinct keys and indices.
+                vocab_size: int) -> np.ndarray:
+    """The id of pad_context at every position of a flattened corpus.
 
     tokens holds the corpus's sequences end to end, every id in range;
-    offsets[j] is position j's index within its sequence. Returns (keys,
-    ids) with keys[ids[j]] == pad_context(seq[:offsets[j]], order, bos_id).
-    Each pass appends one older token to the keys seen so far and renumbers
-    the distinct results, so no index exceeds len(keys) * vocab_size.
+    offsets[j] is position j's index within its sequence.
     """
-    keys: list[ContextKey] = [()]
     ids = np.zeros(tokens.size, dtype=np.intp)
     back = np.arange(tokens.size)
-    for lag in range(order, 0, -1):  # a key lists its oldest token first
-        code = ids * vocab_size + np.where(offsets >= lag, tokens[back - lag], bos_id)
-        present = np.flatnonzero(np.bincount(code, minlength=len(keys) * vocab_size))
-        renumber = np.zeros(len(keys) * vocab_size, dtype=np.intp)
-        renumber[present] = np.arange(present.size)
-        ids = renumber[code]
-        keys = [keys[c // vocab_size] + (c % vocab_size,) for c in present.tolist()]
-    return keys, ids
+    for lag in range(order, 0, -1):  # the oldest token is the most significant digit
+        ids = ids * vocab_size + np.where(offsets >= lag, tokens[back - lag], bos_id)
+    return ids
 
 
-@dataclass
+@dataclass(eq=False)
 class TabularLM:
+    """table[i] is the logit row of context id i; touched marks the rows ever set.
+
+    Only touched rows are written to a checkpoint.
+    """
+
     order: int
     vocab: Vocab
-    rows: dict[ContextKey, np.ndarray] = field(default_factory=dict)
+    table: np.ndarray = field(init=False, repr=False)
+    touched: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.order < 1:
             raise InvalidInputError("model order must be >= 1")
+        n = table_rows(self.vocab.size, self.order)
+        self.table = np.zeros((n, self.vocab.size))
+        self.touched = np.zeros(n, dtype=bool)
 
-    def _check_ctx(self, ctx: ContextKey) -> ContextKey:
-        ctx = tuple(int(t) for t in ctx)
+    def _check_ctx(self, ctx: ContextKey) -> int:
+        """ctx's id, once its length and token ids are checked."""
+        ctx = tuple(ctx)
         if len(ctx) != self.order:
             raise InvalidInputError(
                 f"context length {len(ctx)} != model order {self.order}"
             )
-        if any(not (0 <= t < self.vocab.size) for t in ctx):
-            raise InvalidInputError(f"context {ctx} has out-of-range token ids")
-        return ctx
+        return prefix_id(ctx, self.order, self.vocab)
 
     def logits(self, ctx: ContextKey) -> np.ndarray:
-        ctx = self._check_ctx(ctx)
-        row = self.rows.get(ctx)
-        if row is None:
-            return np.zeros(self.vocab.size)
-        return row.copy()
+        return self.table[self._check_ctx(ctx)].copy()
 
     def set_row(self, ctx: ContextKey, logits) -> None:
-        ctx = self._check_ctx(ctx)
+        cid = self._check_ctx(ctx)
         row = np.asarray(logits, dtype=np.float64)
         if row.shape != (self.vocab.size,) or not np.all(np.isfinite(row)):
             raise InvalidInputError("logit row must be finite and of vocab size")
-        self.rows[ctx] = row.copy()
+        self.table[cid] = row
+        self.touched[cid] = True
 
     def predict(self, ctx: ContextKey, temperature: float = 1.0) -> CategoricalDist:
         z = self.logits(ctx)
@@ -120,18 +153,15 @@ class TabularLM:
             z = z / temperature
         return softmax(z)
 
-    def _logit_rows(self, ctxs) -> np.ndarray:
-        zero = np.zeros(self.vocab.size)
-        return np.reshape([self.rows.get(ctx, zero) for ctx in ctxs], (-1, self.vocab.size))
-
-    def predict_batch(self, ctxs) -> CategoricalDist:
-        """predict at each of ctxs, keys already in range: row i is for ctxs[i]."""
-        return softmax(self._logit_rows(ctxs))
+    def predict_batch(self, ids) -> CategoricalDist:
+        """predict at each context id: row i is for ids[i]."""
+        return softmax(self.table[ids])
 
     def sample_next(
         self, ctx: ContextKey, rng: np.random.Generator, temperature: float = 1.0
     ) -> int:
-        return self.rollouts([self._check_ctx(ctx)], 1, rng, temperature=temperature)[0][0]
+        self._check_ctx(ctx)
+        return self.rollouts([ctx], 1, rng, temperature=temperature)[0][0]
 
     def greedy_next(self, ctx: ContextKey) -> int:
         return int(np.argmax(self.logits(ctx)))
@@ -154,10 +184,12 @@ class TabularLM:
             if rng is None:
                 raise InvalidInputError("sampled rollout needs an rng")
             return self.rollouts([prompt], steps, rng, temperature=temperature)[0]
-        seq = [int(t) for t in prompt]
+        cid = prefix_id(prompt, self.order, self.vocab)
+        out = []
         for _ in range(steps):
-            seq.append(self.greedy_next(self.context_for(seq)))
-        return seq[len(prompt):]
+            out.append(int(np.argmax(self.table[cid])))
+            cid = (cid * self.vocab.size + out[-1]) % len(self.table)
+        return out
 
     def rollouts(self, prompts, steps: int, rng: np.random.Generator,
                  temperature: float = 1.0) -> list[list[int]]:
@@ -169,65 +201,71 @@ class TabularLM:
         """
         if steps < 1:
             raise InvalidInputError("steps must be >= 1")
-        k = self.order
         # the last k prompt tokens are every prompt token a context will ever hold
-        start_ctxs = [self._check_ctx(self.context_for(p)) for p in prompts]
+        ids = np.array([prefix_id(p, self.order, self.vocab) for p in prompts], dtype=np.intp)
         if temperature <= 0.0:
             raise InvalidInputError("temperature must be > 0 (use greedy=True for argmax)")
-        if not start_ctxs:
+        if not ids.size:
             return []
-        window = np.empty((len(start_ctxs), k + steps), dtype=np.intp)
-        window[:, :k] = start_ctxs
-        u = rng.random((len(start_ctxs), steps))
+        out = np.empty((ids.size, steps), dtype=np.intp)
+        u = rng.random(out.shape)
         for t in range(steps):
-            z = self._logit_rows(map(tuple, window[:, t:t + k].tolist()))
+            z = self.table[ids]
             if temperature != 1.0:
                 z = z / temperature
-            window[:, k + t] = inverse_cdf(softmax(z).probs, u[:, t])
-        return window[:, k:].tolist()
+            out[:, t] = inverse_cdf(softmax(z).probs, u[:, t])
+            ids = (ids * self.vocab.size + out[:, t]) % len(self.table)
+        return out.tolist()
 
     def copy(self) -> "TabularLM":
-        return TabularLM(
-            order=self.order,
-            vocab=self.vocab,
-            rows={k: v.copy() for k, v in self.rows.items()},
-        )
+        model = TabularLM(order=self.order, vocab=self.vocab)
+        model.table[:] = self.table
+        model.touched[:] = self.touched
+        return model
 
 
-@dataclass
+@dataclass(eq=False)
 class GradAccumulator:
-    """Per-row accumulated descent directions plus a sample count.
+    """Accumulated descent directions of an order-k model, one row per context id.
 
+    touched marks the rows added to since the last clear. Rows start at -0.0,
+    and -0.0 + x == x for every x, so a row's first direction is kept exactly.
     `n_samples` counts token positions (one per accumulated token with
     count 1); sgd_step averages by it so the learning-rate scale is
     independent of batch size.
     """
 
-    directions: dict[ContextKey, np.ndarray] = field(default_factory=dict)
-    n_samples: int = 0
+    order: int
+    vocab_size: int
+    directions: np.ndarray = field(init=False, repr=False)
+    touched: np.ndarray = field(init=False, repr=False)
+    n_samples: int = field(default=0, init=False)
+
+    def __post_init__(self):
+        n = table_rows(self.vocab_size, self.order)
+        self.directions = np.full((n, self.vocab_size), -0.0)
+        self.touched = np.zeros(n, dtype=bool)
 
     def clear(self) -> None:
-        self.directions = {}
+        self.directions[self.touched] = -0.0
+        self.touched[:] = False
         self.n_samples = 0
 
     def add_row(self, ctx: ContextKey, direction: np.ndarray, count: int = 1) -> None:
-        self.add_rows([ctx], np.asarray(direction, dtype=np.float64)[None], count)
+        self.add_rows(self._ids([ctx]), np.asarray(direction, dtype=np.float64)[None], count)
 
-    def add_rows(self, ctxs, directions: np.ndarray, count: int) -> None:
-        """Add directions[j] to ctxs[j]'s row for j = 0, 1, ... in turn; count to n_samples.
-
-        Rows new to the accumulator join it in the order they are first touched.
-        """
-        slot = {ctx: i for i, ctx in enumerate(dict.fromkeys(ctxs))}
-        # -0.0 + x == x for every x, so a new row starts as exactly its first direction
-        sums = np.full((len(slot), directions.shape[-1]), -0.0)
-        for ctx, i in slot.items():
-            if ctx in self.directions:
-                sums[i] = self.directions[ctx]
-        np.add.at(sums, np.array([slot[ctx] for ctx in ctxs], dtype=np.intp), directions)
-        for ctx, i in slot.items():
-            self.directions[ctx] = sums[i]
+    def add_rows(self, ids, directions: np.ndarray, count: int) -> None:
+        """Add directions[j] to row ids[j] for j = 0, 1, ... in turn; count to n_samples."""
+        np.add.at(self.directions, ids, directions)
+        self.touched[ids] = True
         self.n_samples += count
+
+    def _ids(self, ctxs) -> np.ndarray:
+        """ctxs as row ids: ids pass through, context tuples become theirs."""
+        ids = np.asarray(ctxs, dtype=np.intp)
+        if ids.ndim == 2:
+            ids = np.ravel_multi_index(tuple(ids.T), (self.vocab_size,) * self.order)
+        return ids
 
 
 def accumulate_token_grad(
@@ -244,10 +282,10 @@ def accumulate_token_grad(
     The one-token case of accumulate_token_grads. Pass q to reuse an already
     computed predictive distribution for ctx.
     """
-    ctx = model._check_ctx(ctx)
+    cid = model._check_ctx(ctx)
     if q is None:
         q = model.predict(ctx)
-    return accumulate_token_grads(acc, [ctx], [token], [weight], [count],
+    return accumulate_token_grads(acc, [cid], [token], [weight], [count],
                                   CategoricalDist.stack([q]))
 
 
@@ -256,10 +294,12 @@ def accumulate_token_grads(acc: GradAccumulator, ctxs, tokens, weights, counts,
     """For j in order, add weights[j] * (onehot(tokens[j]) - q[j]) to ctxs[j]'s row.
 
     That is the exact descent direction of -weights[j] * ln q[j][tokens[j]];
-    the weight is a constant (no derivative flows through it). q is a batch
-    with row j the predictive distribution at ctxs[j]; counts[j] adds to
-    acc.n_samples. A zero weight touches no row and counts nothing.
+    the weight is a constant (no derivative flows through it). ctxs holds
+    context ids or context tuples; q is a batch with row j the predictive
+    distribution at ctxs[j]; counts[j] adds to acc.n_samples. A zero weight
+    touches no row and counts nothing.
     """
+    ids = acc._ids(ctxs)
     weights = np.asarray(weights, dtype=np.float64)
     tokens = np.asarray(tokens)
     if not np.isfinite(weights).all():
@@ -270,27 +310,35 @@ def accumulate_token_grads(acc: GradAccumulator, ctxs, tokens, weights, counts,
     zero = q.probs[np.arange(tokens.size), tokens] <= 0.0
     if zero.any():
         j = int(np.argmax(zero))
-        raise LogOfZeroError(f"q[{tokens[j]}] = 0 at context {ctxs[j]}")
+        ctx = context_key(ids[j], acc.order, acc.vocab_size)
+        raise LogOfZeroError(f"q[{tokens[j]}] = 0 at context {ctx}")
     keep = weights != 0.0
     w = weights[keep]
     direction = -w[:, None] * q.probs[keep]
     direction[np.arange(w.size), tokens[keep]] += w
-    acc.add_rows([ctx for ctx, k in zip(ctxs, keep.tolist()) if k], direction,
-                 int(np.sum(np.asarray(counts)[keep])))
+    acc.add_rows(ids[keep], direction, int(np.sum(np.asarray(counts)[keep])))
     return acc
 
 
 def sgd_step(model: TabularLM, acc: GradAccumulator, lr: float) -> TabularLM:
-    """Move every touched logit row by lr * mean descent direction; clears acc."""
+    """Move every touched logit row by lr * mean descent direction; clears acc.
+
+    A non-finite result raises NumericOverflowError, naming the first such
+    context in id order, and leaves the model as it was.
+    """
     if lr <= 0.0:
         raise InvalidInputError("learning rate must be > 0")
+    if acc.directions.shape != model.table.shape:
+        raise InvalidInputError("accumulator and model tables differ in shape")
     if acc.n_samples > 0:
-        scale = lr / acc.n_samples
-        for ctx, direction in acc.directions.items():
-            row = model.logits(ctx) + scale * direction
-            if not np.all(np.isfinite(row)):
-                raise NumericOverflowError(f"non-finite logits at context {ctx}")
-            model.rows[ctx] = row
+        ids = np.flatnonzero(acc.touched)
+        rows = model.table[ids] + lr / acc.n_samples * acc.directions[ids]
+        finite = np.isfinite(rows).all(axis=1)
+        if not finite.all():
+            ctx = context_key(ids[np.argmin(finite)], model.order, model.vocab.size)
+            raise NumericOverflowError(f"non-finite logits at context {ctx}")
+        model.table[ids] = rows
+        model.touched[ids] = True
     acc.clear()
     return model
 
@@ -302,8 +350,9 @@ def checkpoint_save(model: TabularLM, path, header_extra: dict | None = None) ->
         "order": model.order,
         "vocab": {"names": list(model.vocab.names), "bos_id": model.vocab.bos_id},
         "rows": [
-            {"context": list(ctx), "logits": [float(x) for x in row]}
-            for ctx, row in sorted(model.rows.items())
+            {"context": list(context_key(cid, model.order, model.vocab.size)),
+             "logits": [float(x) for x in model.table[cid]]}
+            for cid in np.flatnonzero(model.touched).tolist()
         ],
     }
     if header_extra:
@@ -333,7 +382,9 @@ def checkpoint_load(path) -> TabularLM:
                 raise ParseError(f"{path}: rows[{i}]: context length != order")
             if row.shape != (vocab.size,) or not np.all(np.isfinite(row)):
                 raise ParseError(f"{path}: rows[{i}]: bad logit row")
-            model.rows[ctx] = row
+            cid = prefix_id(ctx, model.order, vocab)
+            model.table[cid] = row
+            model.touched[cid] = True
     except (KeyError, TypeError, ValueError) as e:
         if isinstance(e, ParseError):
             raise

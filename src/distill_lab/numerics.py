@@ -36,6 +36,14 @@ class CategoricalDist:
         return _checked(p)
 
     @classmethod
+    def from_rows(cls, probs) -> "CategoricalDist":
+        """The batch whose row i is from_probs(probs[i]), for an (n, V) array."""
+        p = np.asarray(probs, dtype=np.float64)
+        if p.ndim != 2 or p.size == 0:
+            raise InvalidInputError("probability rows must be a non-empty 2-d array")
+        return _checked(p)
+
+    @classmethod
     def stack(cls, dists) -> "CategoricalDist":
         """The batch whose row i is dists[i]."""
         return cls(probs=np.stack([d.probs for d in dists]),

@@ -7,26 +7,31 @@ All loops are deterministic given the config seed.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Corpus, MarkovSource
 from .errors import ConfigError, DivergenceInfiniteError, InvalidInputError, PipelineError
-from .evaluation import divergence_audit
+from .evaluation import completion_accuracy, divergence_audit
 # accumulate_token_grad and kl_exact are unused here, but the benchmark's
 # tracer looks them up as training.accumulate_token_grad and training.kl_exact
 from .model import (  # noqa: F401
     GradAccumulator,
     TabularLM,
+    Vocab,
     accumulate_token_grad,
     accumulate_token_grads,
     context_ids,
-    pad_context,
+    context_key,
+    prefix_id,
     sgd_step,
 )
-from .numerics import CategoricalDist, entropy, inverse_cdf, kl_exact  # noqa: F401
+from .numerics import CategoricalDist, entropy, inverse_cdf, kl_exact, softmax  # noqa: F401
 from .objectives import (
     HPD_VARIANTS,
     ObjectiveKind,
@@ -55,6 +60,10 @@ class OracleTeacher:
     def dist(self, prefix) -> CategoricalDist:
         return self.source.conditional_for_prefix(prefix)
 
+    def dists(self) -> CategoricalDist:
+        """Every context's conditional: row i is context id i's."""
+        return self.source.table
+
     def sample_sequences(self, n: int, length: int,
                          rng: np.random.Generator) -> list[list[int]]:
         return self.source.sample_sequences(n, length, rng)
@@ -71,39 +80,54 @@ class ModelTeacher:
     def dist(self, prefix) -> CategoricalDist:
         return self.model.predict(self.model.context_for(prefix))
 
+    def dists(self) -> CategoricalDist:
+        """Every context's conditional: row i is context id i's."""
+        return softmax(self.model.table)
+
     def sample_sequences(self, n: int, length: int,
                          rng: np.random.Generator) -> list[list[int]]:
         return self.model.rollouts([[]] * n, length, rng)
 
 
+def _flatten(corpus: Corpus, v: int):
+    """(tokens, offsets, lengths, starts) of the corpus's sequences laid end to end.
+
+    offsets[j] is token j's index within its sequence; lengths and starts are
+    lists. A token id outside a vocabulary of v is an InvalidInputError.
+    """
+    lengths = [len(seq) for seq in corpus.sequences]
+    starts = [0, *itertools.accumulate(lengths)][:-1]
+    tokens = np.fromiter(itertools.chain.from_iterable(corpus.sequences), dtype=np.int64,
+                         count=sum(lengths))
+    outside = (tokens < 0) | (tokens >= v)
+    if outside.any():
+        raise InvalidInputError(f"corpus token id {tokens[np.argmax(outside)]} is out of "
+                                f"range for the vocabulary of {v}")
+    offsets = np.arange(tokens.size) - np.repeat(np.asarray(starts, dtype=np.intp), lengths)
+    return tokens, offsets, lengths, starts
+
+
 def train_teacher_mle(corpus: Corpus, order: int, lam: float) -> TabularLM:
-    """Tabular MLE: logits are ln of add-lam-smoothed conditional frequencies."""
+    """Tabular MLE: logits are ln of add-lam-smoothed conditional frequencies.
+
+    Only contexts that occur in the corpus get a row.
+    """
     if order < 1:
         raise InvalidInputError("order must be >= 1")
     if lam < 0.0:
         raise InvalidInputError("smoothing must be >= 0")
-    from .model import Vocab
-
     v = corpus.vocab_size
-    vocab = Vocab.default(v)
-    counts: dict[tuple, np.ndarray] = {}
-    for seq in corpus.sequences:
-        for t, tok in enumerate(seq):
-            ctx = pad_context(seq[:t], order, vocab.bos_id)
-            row = counts.get(ctx)
-            if row is None:
-                row = counts[ctx] = np.zeros(v)
-            row[tok] += 1.0
-    model = TabularLM(order=order, vocab=vocab)
-    for ctx, row in counts.items():
-        total = row.sum()
-        if total == 0.0 and lam == 0.0:
-            continue
-        probs = (row + lam) / (total + lam * v)
-        with np.errstate(divide="ignore"):
-            logits = np.where(probs > 0.0, np.log(np.where(probs > 0.0, probs, 1.0)),
-                              LOGIT_FLOOR)
-        model.rows[ctx] = logits
+    model = TabularLM(order=order, vocab=Vocab.default(v))
+    tokens, offsets, _, _ = _flatten(corpus, v)
+    counts = np.zeros(model.table.shape, dtype=np.int64)
+    np.add.at(counts, (context_ids(tokens, offsets, order, model.vocab.bos_id, v), tokens), 1)
+    seen = counts.any(axis=1)
+    row = counts[seen].astype(np.float64)
+    probs = (row + lam) / (row.sum(axis=1, keepdims=True) + lam * v)
+    with np.errstate(divide="ignore"):
+        logits = np.where(probs > 0.0, np.log(np.where(probs > 0.0, probs, 1.0)), LOGIT_FLOOR)
+    model.table[seen] = logits
+    model.touched[seen] = True
     return model
 
 
@@ -204,7 +228,7 @@ def _train_loop(cfg: TrainConfig, teacher, student: TabularLM, eval_tasks,
     rng = np.random.default_rng(cfg.seed)
     eval_seed = np.random.SeedSequence(cfg.seed).spawn(1)[0]
     student = student.copy()
-    acc = GradAccumulator()
+    acc = GradAccumulator(student.order, student.vocab.size)
     rows: list[MetricsRow] = []
 
     for step in range(1, cfg.steps + 1):
@@ -214,11 +238,7 @@ def _train_loop(cfg: TrainConfig, teacher, student: TabularLM, eval_tasks,
         if step % cfg.eval_every == 0 or step == cfg.steps:
             eval_rng = np.random.default_rng(eval_seed)
             kl_fwd, kl_rev = evaluate_divergences(student, teacher, cfg, eval_rng)
-            accuracy = None
-            if eval_tasks:
-                from .evaluation import completion_accuracy
-
-                accuracy = completion_accuracy(student, eval_tasks)
+            accuracy = completion_accuracy(student, eval_tasks) if eval_tasks else None
             rows.append(
                 MetricsRow(
                     step=step,
@@ -244,8 +264,9 @@ def distill_offpolicy(
 ) -> tuple[TabularLM, list[MetricsRow]]:
     """Minibatch reweighted-likelihood distillation on a fixed corpus.
 
-    The corpus's contexts and teacher rows are looked up once per call; each
-    minibatch is one gather, softmax, weight-rule call and ordered accumulate.
+    The corpus's context ids are computed once per call; each minibatch is one
+    gather of student and teacher rows, softmax, weight-rule call and ordered
+    accumulate.
     """
     kind = cfg.objective
     if kind.on_policy:
@@ -255,22 +276,10 @@ def distill_offpolicy(
     if not corpus.sequences:
         raise InvalidInputError("corpus is empty")
     v = student.vocab.size
-    lengths = [len(seq) for seq in corpus.sequences]
-    starts = [0, *itertools.accumulate(lengths[:-1])]
-    tokens = np.fromiter(itertools.chain.from_iterable(corpus.sequences), dtype=np.int64,
-                         count=sum(lengths))
-    outside = (tokens < 0) | (tokens >= v)
-    if outside.any():
-        raise InvalidInputError(f"corpus token id {tokens[np.argmax(outside)]} is out of "
-                                f"range for the student's vocabulary of {v}")
-    offsets = np.arange(tokens.size) - np.repeat(starts, lengths)
-    s_keys, s_ids = context_ids(tokens, offsets, student.order, student.vocab.bos_id, v)
-    # a key is a prefix whose padded context is itself: one teacher call per context
-    t_keys, t_ids = context_ids(tokens, offsets, teacher.order, teacher.vocab.bos_id, v)
-    p_rows = CategoricalDist.stack([teacher.dist(key) for key in t_keys])
-    if p_rows.probs.shape[1] != v:
-        raise InvalidInputError(f"teacher vocabulary size {p_rows.probs.shape[1]} != "
-                                f"student vocabulary size {v}")
+    tokens, offsets, lengths, starts = _flatten(corpus, v)
+    p_table = _teacher_table(teacher, v)
+    s_ids = context_ids(tokens, offsets, student.order, student.vocab.bos_id, v)
+    t_ids = context_ids(tokens, offsets, teacher.order, teacher.vocab.bos_id, v)
     n_seqs, n = len(lengths), cfg.batch_size
     tag = kind.tag
     k = cfg.hpd_samples if tag in HPD_VARIANTS else 0
@@ -285,14 +294,14 @@ def distill_offpolicy(
             pos[b] = starts[si] + int(rng.integers(lengths[si]))
             for i in range(k):
                 uniforms[b * k + i] = rng.random()
-        ctxs = [s_keys[i] for i in s_ids[pos].tolist()]
-        q = student.predict_batch(ctxs)
-        p = p_rows.rows(t_ids[pos])
+        ids = s_ids[pos]
+        q = student.predict_batch(ids)
+        p = p_table.rows(t_ids[pos])
         expert = tokens[pos]
 
         if tag == "fkld_dense":
             # sum over v of p_v * (onehot(v) - q) collapses to p - q
-            acc.add_rows(ctxs, p.probs - q.probs, count=n)
+            acc.add_rows(ids, p.probs - q.probs, count=n)
         elif tag in HPD_VARIANTS:
             # draw i of position b is entry b * k + i; sampled ~ q by inverse CDF
             draw = np.repeat(np.arange(n), k)
@@ -305,7 +314,7 @@ def distill_offpolicy(
             counts = np.zeros((n, k, 2), dtype=np.int64)
             counts[:, 0, 0] = 1
             accumulate_token_grads(
-                acc, [ctx for ctx in ctxs for _ in range(2 * k)],
+                acc, np.repeat(ids, 2 * k),
                 np.stack([expert[draw], hw.sampled_token], axis=1).ravel(),
                 np.stack([hw.w_star / k, hw.w_sampled / k], axis=1).ravel(),
                 counts.ravel(), qd.rows(np.repeat(np.arange(n * k), 2)))
@@ -319,7 +328,7 @@ def distill_offpolicy(
             else:
                 w = weight_jsd_off(p, q, expert, beta=kind.beta,
                                    sign_fidelity=kind.sign_fidelity)
-            accumulate_token_grads(acc, ctxs, expert, w, np.ones(n, dtype=np.int64), q)
+            accumulate_token_grads(acc, ids, expert, w, np.ones(n, dtype=np.int64), q)
         return entropy(q), None
 
     return _train_loop(cfg, teacher, student, eval_tasks, minibatch)
@@ -336,6 +345,7 @@ def distill_onpolicy_opd(
 
     A minibatch's rollouts advance in lockstep, one position per step: one
     student softmax over every rollout's context, then one inverse-CDF draw.
+    Each rollout carries its student and teacher context ids along.
     """
     kind = cfg.objective
     if not kind.on_policy:
@@ -350,7 +360,11 @@ def distill_onpolicy_opd(
             if not 0 <= tok < v:
                 raise InvalidInputError(f"prompt token id {tok} is out of range for the "
                                         f"student's vocabulary of {v}")
-    start_ctxs = [pad_context(prompt, k, student.vocab.bos_id) for prompt in prompts]
+    p_table = _teacher_table(teacher, v)
+    s_start = np.array([prefix_id(p, k, student.vocab) for p in prompts], dtype=np.intp)
+    t_start = np.array([prefix_id(p, teacher.order, teacher.vocab) for p in prompts],
+                       dtype=np.intp)
+    n_s, n_t = v ** k, len(p_table.probs)
     n, h = cfg.batch_size, cfg.horizon
 
     def minibatch(student, acc, rng):
@@ -360,51 +374,54 @@ def distill_onpolicy_opd(
         for b in range(n):
             pick[b] = rng.integers(len(prompts))
             u[b] = rng.random(h)
-        window = np.empty((n, k + h), dtype=np.intp)
-        window[:, :k] = [start_ctxs[i] for i in pick.tolist()]
-        step_ctxs, step_q = [], []
+        s_ids, t_ids, tokens = (np.empty((n, h), dtype=np.intp) for _ in range(3))
+        s_id, t_id = s_start[pick], t_start[pick]
+        step_q = []
         for t in range(h):  # every rollout advances one position
-            ctxs = list(map(tuple, window[:, t:t + k].tolist()))
-            q = student.predict_batch(ctxs)
-            window[:, k + t] = inverse_cdf(q.probs, u[:, t])
-            step_ctxs.append(ctxs)
+            s_ids[:, t], t_ids[:, t] = s_id, t_id
+            q = student.predict_batch(s_id)
+            tokens[:, t] = tok = inverse_cdf(q.probs, u[:, t])
+            s_id, t_id = (s_id * v + tok) % n_s, (t_id * v + tok) % n_t
             step_q.append(q)
         # rollout-major from here on: position t of rollout b is entry b * h + t
-        ctxs = [step_ctxs[t][b] for b in range(n) for t in range(h)]
         q = CategoricalDist(
             probs=np.stack([d.probs for d in step_q], axis=1).reshape(n * h, v),
             logprobs=np.stack([d.logprobs for d in step_q], axis=1).reshape(n * h, v))
-        tokens = window[:, k:].ravel()
-        # the teacher cannot steer the rollouts, so it is asked after them, rollout
-        # by rollout: the violation raised is the first a one-rollout sampler meets
-        p_logprob = np.empty((n, h))
-        for b, i in enumerate(pick.tolist()):
-            seq = prompts[i] + window[b, k:].tolist()
-            for t, a in enumerate(seq[len(prompts[i]):]):
-                p = teacher.dist(seq[:len(prompts[i]) + t])
-                if p.probs[a] <= 0.0:
-                    raise DivergenceInfiniteError(
-                        f"student sampled token {a} outside teacher support at {ctxs[b * h + t]}"
-                    )
-                p_logprob[b, t] = p.logprobs[a]
-        rewards = p_logprob.ravel() - q.logprobs[np.arange(n * h), tokens]
+        s_ids, tokens = s_ids.ravel(), tokens.ravel()
+        at = (np.arange(n * h), tokens)
+        # the teacher cannot steer the rollouts, so its rows are read after them; the
+        # violation raised is the first in rollout order, as a one-rollout sampler meets it
+        p = p_table.rows(t_ids.ravel())
+        outside = p.probs[at] <= 0.0
+        if outside.any():
+            j = int(np.argmax(outside))
+            raise DivergenceInfiniteError(f"student sampled token {tokens[j]} outside teacher "
+                                          f"support at {context_key(s_ids[j], k, v)}")
+        rewards = p.logprobs[at] - q.logprobs[at]
         if reward_mode == "trajectory":
             # the builtin sum adds a rollout's rewards in order, as np.sum need not
             coeffs = np.repeat([sum(r) for r in rewards.reshape(n, h).tolist()], h)
         else:
             coeffs = rewards
         baseline = float(np.mean(rewards)) if cfg.opd_baseline else 0.0
-        accumulate_token_grads(acc, ctxs, tokens, coeffs - baseline,
+        accumulate_token_grads(acc, s_ids, tokens, coeffs - baseline,
                                np.ones(n * h, dtype=np.int64), q)
         return entropy(q), rewards
 
     return _train_loop(cfg, teacher, student, eval_tasks, minibatch)
 
 
+def _teacher_table(teacher, v: int) -> CategoricalDist:
+    """The teacher's rows for every context, checked against a student vocabulary of v."""
+    p_table = teacher.dists()
+    if p_table.probs.shape[1] != v:
+        raise InvalidInputError(f"teacher vocabulary size {p_table.probs.shape[1]} != "
+                                f"student vocabulary size {v}")
+    return p_table
+
+
 def metrics_write(rows, path, meta: dict | None = None) -> None:
     """Write rows under the fixed CSV header, with a '#' JSON meta line."""
-    import json
-
     with open(path, "w", encoding="utf-8") as f:
         if meta is not None:
             f.write("# " + json.dumps(meta, sort_keys=True) + "\n")
@@ -433,8 +450,6 @@ def run_experiment(
 
     Step numbering is continuous across stages.
     """
-    import os
-
     if not stages:
         raise PipelineError("experiment needs at least one stage")
     all_rows: dict[str, list[MetricsRow]] = {}
@@ -449,7 +464,7 @@ def run_experiment(
                 raise PipelineError(f"stage {stage.name!r} needs a corpus")
             student, rows = distill_offpolicy(cfg, teacher, corpus, student,
                                               eval_tasks=eval_tasks)
-        rows = [replace_step(r, r.step + offset) for r in rows]
+        rows = [dataclasses.replace(r, step=r.step + offset) for r in rows]
         offset += cfg.steps
         all_rows[stage.name] = rows
         if out_dir is not None:
@@ -459,9 +474,3 @@ def run_experiment(
             metrics_write(rows, os.path.join(out_dir, f"metrics_{stage.name}.csv"),
                           meta=stage_meta)
     return student, all_rows
-
-
-def replace_step(row: MetricsRow, step: int) -> MetricsRow:
-    import dataclasses
-
-    return dataclasses.replace(row, step=step)

@@ -13,7 +13,8 @@ import pytest
 import distill_lab
 from distill_lab.cli import apply_overrides, config_hash, main, validate_config
 from distill_lab.errors import ConfigError
-from distill_lab.model import checkpoint_load
+from distill_lab.data import build_source, source_save
+from distill_lab.model import TabularLM, Vocab, checkpoint_load, checkpoint_save
 from distill_lab.training import METRICS_HEADER
 
 
@@ -30,6 +31,20 @@ BASE = {
     "train": {"objective": "hpd", "steps": 30, "eval_every": 10, "lr": 0.5,
               "batch_size": 8, "n_eval_seqs": 4, "eval_len": 8},
 }
+
+
+def _write_bad_inputs(tmp_path):
+    """Students of 4 and 8 tokens, a V = 3 checkpoint row at context (7,) and a
+    V = 3 source with a 2-entry row."""
+    for v in (4, 8):
+        checkpoint_save(TabularLM(order=1, vocab=Vocab.default(v)), tmp_path / f"s{v}.json")
+    (tmp_path / "ctx7.json").write_text(json.dumps({
+        "format_version": 1, "order": 1, "vocab": {"names": ["a", "b", "c"], "bos_id": 0},
+        "rows": [{"context": [7], "logits": [0.0, 0.0, 0.0]}]}))
+    source_save(build_source({"name": "uniform", "vocab_size": 3}), tmp_path / "short_row.json")
+    doc = json.loads((tmp_path / "short_row.json").read_text())
+    doc["rows"][1]["probs"] = [0.5, 0.5]
+    (tmp_path / "short_row.json").write_text(json.dumps(doc))
 
 
 class TestConfigHandling:
@@ -219,8 +234,8 @@ class TestCommands:
             assert swept.splitlines()[1:] == alone.splitlines()[1:]
             a = checkpoint_load(tmp_path / "sweep" / f"student_{tag}_seed3.json")
             b = checkpoint_load(tmp_path / tag / "student.json")
-            assert a.rows.keys() == b.rows.keys()
-            assert all(np.array_equal(a.rows[c], b.rows[c]) for c in a.rows)
+            assert np.array_equal(a.touched, b.touched)
+            assert np.array_equal(a.table, b.table)
 
     def test_eval_support_violation_writes_inf(self, tmp_path, monkeypatch):
         # a uniform student covers the cycle's one-hot rows, not the reverse
@@ -252,10 +267,19 @@ class TestCommands:
          "sign_fidelity"),
         ("sweep", ['sweep.objectives=["sft"]', 'sweep.seeds="12"'], "sweep.seeds"),
         ("eval", ["train.eval_from=elsewhere"], "eval_from"),
+        # bimodal_gap has 6 tokens
+        ("opd", ['init_checkpoint="s8.json"', "train.objective=opd_k1"],
+         "teacher vocabulary size 6 != student vocabulary size 8"),
+        ("opd", ['init_checkpoint="s4.json"', "train.objective=opd_k1"],
+         "teacher vocabulary size 6 != student vocabulary size 4"),
+        ("distill", ["student_order=12"], "V=6 and order k=12"),
+        ("eval", ['init_checkpoint="ctx7.json"'], "context (7,) has out-of-range token ids"),
+        ("gen-corpus", ['source_path="short_row.json"'], "probs must list 3 numbers"),
     ])
     def test_user_errors_exit_two(self, tmp_path, monkeypatch, capsys, command, sets,
                                   needle):
         monkeypatch.chdir(tmp_path)
+        _write_bad_inputs(tmp_path)
         path = write_config(tmp_path / "c.json", dict(BASE, out_dir="out"))
         argv = [command, "--config", path]
         for item in sets:

@@ -1,5 +1,8 @@
 """Oracle and property tests for sources, corpora, and their file formats."""
 
+import itertools
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -50,8 +53,7 @@ class TestBuildSource:
     def test_random_dirichlet_deterministic(self):
         a = build_source({"name": "random_dirichlet", "seed": 3, "vocab_size": 4})
         b = build_source({"name": "random_dirichlet", "seed": 3, "vocab_size": 4})
-        for ctx in a.table:
-            assert np.array_equal(a.table[ctx].probs, b.table[ctx].probs)
+        assert np.array_equal(a.table.probs, b.table.probs)
 
     def test_unknown_name_and_keys(self):
         with pytest.raises(ConfigError):
@@ -66,7 +68,7 @@ class TestBimodalGap:
     def test_fixed_shape(self):
         src = build_source({"name": "bimodal_gap"})
         assert src.order == 2 and src.vocab.size == BIMODAL_VOCAB
-        assert len(src.table) == BIMODAL_VOCAB**2
+        assert src.table.probs.shape == (BIMODAL_VOCAB**2, BIMODAL_VOCAB)
         with pytest.raises(ConfigError):
             build_source({"name": "bimodal_gap", "vocab_size": 4})
         with pytest.raises(ConfigError):
@@ -85,8 +87,7 @@ class TestBimodalGap:
 
     def test_rows_are_smoothed_full_support(self):
         src = build_source({"name": "bimodal_gap", "eps": 0.1})
-        for d in src.table.values():
-            assert np.all(d.probs >= 0.1 / BIMODAL_VOCAB - 1e-12)
+        assert np.all(src.table.probs >= 0.1 / BIMODAL_VOCAB - 1e-12)
 
     def test_ambiguous_mixture_is_exact_average(self):
         src = build_source({"name": "bimodal_gap"})
@@ -109,9 +110,10 @@ class TestBimodalGap:
         src = build_source({"name": "bimodal_gap"})
         swap = {COIN_A: COIN_B, COIN_B: COIN_A, MODE_X: MODE_Y, MODE_Y: MODE_X}
         perm = np.array([swap.get(v, v) for v in range(BIMODAL_VOCAB)])
-        for ctx, d in src.table.items():
+        for ctx in itertools.product(range(BIMODAL_VOCAB), repeat=2):
             mapped = (swap.get(ctx[0], ctx[0]), swap.get(ctx[1], ctx[1]))
-            assert np.allclose(src.table[mapped].probs[perm], d.probs)
+            assert np.allclose(src.conditional(mapped).probs[perm],
+                               src.conditional(ctx).probs)
 
 
 class TestSampleSequences:
@@ -203,8 +205,8 @@ class TestSeqKDCorpus:
         src = build_source({"name": "random_dirichlet", "seed": 9, "vocab_size": 4,
                             "order": 1})
         teacher = TabularLM(order=1, vocab=Vocab.default(4))
-        for ctx, d in src.table.items():
-            teacher.set_row(ctx, np.log(d.probs))
+        for i in range(4):
+            teacher.set_row((i,), np.log(src.conditional((i,)).probs))
         n = 100_000
         rng = np.random.default_rng(1)
         kd = generate_seqkd_corpus(teacher, [[]], n, rng, temperature=1.0)
@@ -298,9 +300,8 @@ class TestSourceIO:
         source_save(src, path)
         loaded = source_load(path)
         assert loaded.name == src.name and loaded.order == src.order
-        assert set(loaded.table) == set(src.table)
-        for ctx in src.table:
-            assert np.allclose(loaded.table[ctx].probs, src.table[ctx].probs)
+        for ctx in itertools.product(range(3), repeat=2):
+            assert np.array_equal(loaded.conditional(ctx).probs, src.conditional(ctx).probs)
 
     def test_corrupt_file(self, tmp_path):
         path = tmp_path / "s.json"
@@ -308,11 +309,25 @@ class TestSourceIO:
         with pytest.raises(ParseError):
             source_load(path)
 
+    @pytest.mark.parametrize("edit, needle", [
+        (lambda rows: rows[4].update(probs=[0.5, 0.5]), r"rows\[4\]: probs must list 3"),
+        (lambda rows: rows[2].update(context=[0, 3]), r"context \(0, 3\) has out-of-range"),
+        (lambda rows: rows.pop(5), r"no row for context \(1, 2\)"),
+        (lambda rows: rows[5].update(context=[0, 0]), r"no row for context \(1, 2\)"),
+    ])
+    def test_bad_rows_are_parse_errors(self, tmp_path, edit, needle):
+        path = tmp_path / "s.json"
+        source_save(build_source({"name": "uniform", "vocab_size": 3, "order": 2}), path)
+        doc = json.loads(path.read_text())
+        edit(doc["rows"])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=needle):
+            source_load(path)
+
 
 @settings(max_examples=20)
 @given(st.floats(0.01, 0.99))
 def test_property_smoothed_rows_are_distributions(eps):
     src = build_source({"name": "bimodal_gap", "eps": eps})
-    for d in src.table.values():
-        assert d.probs.sum() == pytest.approx(1.0)
-        assert np.all(d.probs > 0.0)
+    assert np.allclose(src.table.probs.sum(axis=1), 1.0)
+    assert np.all(src.table.probs > 0.0)

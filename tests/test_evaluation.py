@@ -1,5 +1,6 @@
 """Oracle tests for gradient checking, audits, profiles, accuracy, and K1 studies."""
 
+import itertools
 import math
 
 import numpy as np
@@ -12,8 +13,9 @@ from distill_lab.data import (
     GAP_TOKEN,
     bimodal_ambiguous_mixture,
     build_source,
+    sample_corpus,
 )
-from distill_lab.errors import InvalidInputError
+from distill_lab.errors import DivergenceInfiniteError, InvalidInputError
 from distill_lab.evaluation import (
     completion_accuracy,
     divergence_audit,
@@ -24,7 +26,12 @@ from distill_lab.evaluation import (
 )
 from distill_lab.model import TabularLM, Vocab
 from distill_lab.numerics import CategoricalDist, kl_exact
-from distill_lab.training import OracleTeacher
+from distill_lab.training import (
+    ModelTeacher,
+    OracleTeacher,
+    draw_eval_states,
+    train_teacher_mle,
+)
 
 
 def dist(*probs):
@@ -63,8 +70,8 @@ class TestDivergenceAudit:
         src = build_source({"name": "random_dirichlet", "seed": 0, "vocab_size": 4,
                             "order": 1})
         student = TabularLM(order=1, vocab=Vocab.default(4))
-        for ctx, d in src.table.items():
-            student.set_row(ctx, np.log(d.probs))
+        for i in range(4):
+            student.set_row((i,), np.log(src.conditional((i,)).probs))
         teacher = OracleTeacher(src)
         fwd, rev = divergence_audit(student, teacher, [[0], [1], [2], [3]])
         assert fwd == pytest.approx(0.0, abs=1e-12)
@@ -104,6 +111,56 @@ class TestDivergenceAudit:
             divergence_audit(student, OracleTeacher(src), [])
 
 
+def reference_divergence_audit(student, teacher, states):
+    """divergence_audit one state at a time: one teacher row and two KLs per state."""
+    fwd, rev = 0.0, 0.0
+    for prefix in states:
+        p = teacher.dist(prefix)
+        q = student.predict(student.context_for(prefix))
+        try:
+            fwd += kl_exact(p, q)
+        except DivergenceInfiniteError:
+            fwd += math.inf
+        try:
+            rev += kl_exact(q, p)
+        except DivergenceInfiniteError:
+            rev += math.inf
+    return fwd / len(states), rev / len(states)
+
+
+class TestPairCachedAudit:
+    @pytest.mark.parametrize("teacher_kind", ["oracle", "mle"])
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_matches_per_state_loop(self, order, teacher_kind):
+        src = build_source({"name": "bimodal_gap"})
+        rng = np.random.default_rng(order)
+        teacher = OracleTeacher(src)
+        if teacher_kind == "mle":
+            teacher = ModelTeacher(train_teacher_mle(
+                sample_corpus(src, 10, 12, rng), 3, 0.1))
+        student = TabularLM(order=order, vocab=Vocab.default(6))
+        for ctx in list(itertools.product(range(6), repeat=order))[::3]:
+            student.set_row(ctx, 3.0 * rng.normal(size=6))
+        states = draw_eval_states(student, teacher, 12, 10, "student", rng)
+        assert (divergence_audit(student, teacher, states)
+                == reference_divergence_audit(student, teacher, states))
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_support_violations_on_cycle(self, order):
+        # the cycle's one-hot rows make KL(q||p) infinite at every state a uniform
+        # row reaches, and KL(p||q) infinite where a peaked student row misses
+        teacher = OracleTeacher(build_source({"name": "deterministic_cycle", "vocab_size": 4}))
+        student = TabularLM(order=order, vocab=Vocab.default(4))
+        student.set_row((1,) * order, [0.0, 0.0, -2000.0, 0.0])  # the cycle's 1 -> 2
+        student.set_row((0,) * order, [-2000.0, 0.0, -2000.0, -2000.0])
+        finite_fwd = [[], [0], [3, 0], [0, 0, 0], [2], [0, 2]] * 2
+        for states, want in ((finite_fwd, (False, True)),
+                             (finite_fwd + [[0, 1, 1, 1]], (True, True))):
+            got = divergence_audit(student, teacher, states)
+            assert got == reference_divergence_audit(student, teacher, states)
+            assert (got[0] == math.inf, got[1] == math.inf) == want
+
+
 class TestPositionalEntropy:
     def test_deterministic_model_all_zero(self):
         m = TabularLM(order=1, vocab=Vocab.default(3))
@@ -123,8 +180,8 @@ class TestPositionalEntropy:
         src = build_source({"name": "random_dirichlet", "seed": 7, "vocab_size": 4,
                             "order": 1})
         m = TabularLM(order=1, vocab=Vocab.default(4))
-        for ctx, d in src.table.items():
-            m.set_row(ctx, np.log(d.probs))
+        for i in range(4):
+            m.set_row((i,), np.log(src.conditional((i,)).probs))
         rng = np.random.default_rng(0)
         prompts = [[] for _ in range(1000)]
         free = positional_entropy(m, prompts, 6, rng)

@@ -1,19 +1,25 @@
 """Oracle and property tests for the tabular LM, exact gradients, and checkpoints."""
 
+import itertools
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distill_lab.errors import InvalidInputError, ParseError
+from distill_lab.errors import InvalidInputError, NumericOverflowError, ParseError
 from distill_lab.model import (
+    MAX_TABLE_ENTRIES,
     GradAccumulator,
     TabularLM,
     Vocab,
     accumulate_token_grad,
     checkpoint_load,
     checkpoint_save,
+    context_key,
     pad_context,
+    prefix_id,
     sgd_step,
 )
 
@@ -46,6 +52,39 @@ class TestPadContext:
 
     def test_long_prefix_keeps_tail(self):
         assert pad_context([1, 2, 3, 4], 2, 0) == (3, 4)
+
+
+class TestContextIds:
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_id_order_is_sorted_tuple_order(self, order):
+        keys = list(itertools.product(range(3), repeat=order))
+        ids = [prefix_id(k, order, Vocab.default(3)) for k in sorted(keys)]
+        assert ids == list(range(3**order))
+        assert [context_key(i, order, 3) for i in range(3**order)] == sorted(keys)
+
+    @pytest.mark.parametrize("bos_id", [0, 2])
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_advanced_id_is_the_padded_context_id(self, order, bos_id):
+        # a rollout window moves by (id * V + token) % V**k from its prompt's id
+        vocab = Vocab(names=("a", "b", "c", "d"), bos_id=bos_id)
+        rng = np.random.default_rng(order)
+        for prompt_len in range(order + 3):  # shorter than, equal to and longer than k
+            seq = [int(t) for t in rng.integers(4, size=prompt_len)]
+            cid = prefix_id(seq, order, vocab)
+            for tok in rng.integers(4, size=8).tolist():
+                cid = (cid * 4 + tok) % 4**order
+                seq.append(tok)
+                assert cid == np.ravel_multi_index(pad_context(seq, order, bos_id), (4,) * order)
+                assert context_key(cid, order, 4) == pad_context(seq, order, bos_id)
+
+    def test_table_size_cap_names_v_and_k(self):
+        v, k = 6, 1
+        while v ** (k + 1) <= MAX_TABLE_ENTRIES:
+            k += 1
+        for make in (lambda: TabularLM(order=k, vocab=Vocab.default(v)),
+                     lambda: GradAccumulator(k, v)):
+            with pytest.raises(InvalidInputError, match=f"V={v} and order k={k}"):
+                make()
 
 
 class TestPredict:
@@ -188,6 +227,15 @@ class TestLockstepRollouts:
                     == per_token_rollout(m, prompt, 5, b, temperature))
         assert a.random() == b.random()
 
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_greedy_matches_per_token_argmax(self, order):
+        m = peaked_model(order=order)
+        for prompt in PROMPTS:
+            seq = list(prompt)
+            for _ in range(9):
+                seq.append(m.greedy_next(m.context_for(seq)))
+            assert m.rollout(prompt, 9, greedy=True) == seq[len(prompt):]
+
     def test_out_of_range_prompt_raises(self):
         m = peaked_model()
         with pytest.raises(InvalidInputError, match="out-of-range"):
@@ -204,16 +252,16 @@ class TestLockstepRollouts:
 class TestAccumulateTokenGrad:
     def test_descent_direction_uniform_row(self):
         m = uniform_model(v=2)
-        acc = GradAccumulator()
+        acc = GradAccumulator(1, 2)
         accumulate_token_grad(acc, m, (0,), 0, 1.0)
-        assert np.allclose(acc.directions[(0,)], [0.5, -0.5])
+        assert np.allclose(acc.directions[0], [0.5, -0.5])
         assert acc.n_samples == 1
 
     def test_negative_weight_redistributes(self):
         m = uniform_model(v=2)
-        acc = GradAccumulator()
+        acc = GradAccumulator(1, 2)
         accumulate_token_grad(acc, m, (0,), 0, -1.0)
-        assert np.allclose(acc.directions[(0,)], [-0.5, 0.5])
+        assert np.allclose(acc.directions[0], [-0.5, 0.5])
 
     def test_direction_matches_finite_differences(self):
         # central differences of -w * ln softmax(z)[token] per logit
@@ -222,7 +270,7 @@ class TestAccumulateTokenGrad:
         z = rng.normal(size=5)
         m.set_row((0,), z)
         token, w, eps = 2, 1.7, 1e-6
-        acc = GradAccumulator()
+        acc = GradAccumulator(1, 5)
         accumulate_token_grad(acc, m, (0,), token, w)
         numeric = np.zeros(5)
         for v in range(5):
@@ -232,17 +280,17 @@ class TestAccumulateTokenGrad:
             up = -w * np.log(np.exp(zp - zp.max())[token] / np.exp(zp - zp.max()).sum())
             dn = -w * np.log(np.exp(zm - zm.max())[token] / np.exp(zm - zm.max()).sum())
             numeric[v] = (up - dn) / (2 * eps)
-        assert np.allclose(acc.directions[(0,)], -numeric, atol=1e-7)
+        assert np.allclose(acc.directions[0], -numeric, atol=1e-7)
 
     def test_zero_weight_is_noop(self):
         m = uniform_model()
-        acc = GradAccumulator()
+        acc = GradAccumulator(1, 2)
         accumulate_token_grad(acc, m, (0,), 0, 0.0)
-        assert acc.directions == {} and acc.n_samples == 0
+        assert not acc.touched.any() and acc.n_samples == 0
 
     def test_rejects_bad_token_and_weight(self):
         m = uniform_model(v=2)
-        acc = GradAccumulator()
+        acc = GradAccumulator(1, 2)
         with pytest.raises(InvalidInputError):
             accumulate_token_grad(acc, m, (0,), 5, 1.0)
         with pytest.raises(InvalidInputError):
@@ -253,12 +301,12 @@ class TestSGDStep:
     def test_empty_accumulator_noop(self):
         m = uniform_model(v=2)
         m.set_row((1,), [0.3, -0.3])
-        sgd_step(m, GradAccumulator(), 0.5)
+        sgd_step(m, GradAccumulator(1, 2), 0.5)
         assert np.allclose(m.logits((1,)), [0.3, -0.3])
 
     def test_worked_example_logistic(self):
         m = uniform_model(v=2)
-        acc = GradAccumulator()
+        acc = GradAccumulator(1, 2)
         accumulate_token_grad(acc, m, (0,), 0, 1.0)
         sgd_step(m, acc, 1.0)
         assert np.allclose(m.logits((0,)), [0.5, -0.5])
@@ -269,7 +317,7 @@ class TestSGDStep:
         m = uniform_model(v=2)
         prev = m.predict((0,)).probs[0]
         for _ in range(100):
-            acc = GradAccumulator()
+            acc = GradAccumulator(1, 2)
             accumulate_token_grad(acc, m, (0,), 0, 1.0)
             sgd_step(m, acc, 0.5)
             cur = m.predict((0,)).probs[0]
@@ -280,18 +328,117 @@ class TestSGDStep:
     def test_batch_mean_scaling(self):
         # two identical samples with lr x must equal one sample with lr x
         m1, m2 = uniform_model(v=2), uniform_model(v=2)
-        acc = GradAccumulator()
+        acc = GradAccumulator(1, 2)
         accumulate_token_grad(acc, m1, (0,), 0, 1.0)
         accumulate_token_grad(acc, m1, (0,), 0, 1.0)
         sgd_step(m1, acc, 0.4)
-        acc2 = GradAccumulator()
+        acc2 = GradAccumulator(1, 2)
         accumulate_token_grad(acc2, m2, (0,), 0, 1.0)
         sgd_step(m2, acc2, 0.4)
         assert np.allclose(m1.logits((0,)), m2.logits((0,)))
 
     def test_bad_lr(self):
         with pytest.raises(InvalidInputError):
-            sgd_step(uniform_model(), GradAccumulator(), 0.0)
+            sgd_step(uniform_model(), GradAccumulator(1, 2), 0.0)
+
+
+class DictAccumulator:
+    """The accumulator before dense tables: rows keyed by context tuple, first touch first."""
+
+    def __init__(self):
+        self.directions = {}
+        self.n_samples = 0
+
+    def add_rows(self, ctxs, directions, count):
+        slot = {ctx: i for i, ctx in enumerate(dict.fromkeys(ctxs))}
+        sums = np.full((len(slot), directions.shape[-1]), -0.0)
+        for ctx, i in slot.items():
+            if ctx in self.directions:
+                sums[i] = self.directions[ctx]
+        np.add.at(sums, np.array([slot[ctx] for ctx in ctxs], dtype=np.intp), directions)
+        for ctx, i in slot.items():
+            self.directions[ctx] = sums[i]
+        self.n_samples += count
+
+
+def reference_sgd_step(rows, acc, lr):
+    """sgd_step on a dict of logit rows keyed by context tuple, row by row."""
+    if acc.n_samples > 0:
+        scale = lr / acc.n_samples
+        for ctx, direction in acc.directions.items():
+            row = rows.get(ctx, np.zeros(direction.size)) + scale * direction
+            if not np.all(np.isfinite(row)):
+                raise NumericOverflowError(f"non-finite logits at context {ctx}")
+            rows[ctx] = row
+    acc.directions, acc.n_samples = {}, 0
+
+
+def model_from_rows(order, v, rows):
+    m = TabularLM(order=order, vocab=Vocab.default(v))
+    for ctx, row in rows.items():
+        m.set_row(ctx, row)
+    return m
+
+
+class TestDenseStepMatchesDictReference:
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_checkpoint_bytes(self, tmp_path, order):
+        # contexts of a variable-length corpus, repeated and out of id order; -0.0,
+        # zero and mixed-sign directions
+        v = 4
+        rng = np.random.default_rng(order)
+        seqs = [rng.integers(v, size=int(rng.integers(1, 12))).tolist() for _ in range(10)]
+        ctxs = [pad_context(s[:t], order, 0) for s in seqs for t in range(len(s))]
+        # rows holding -0.0 keep it only if an all -0.0 direction adds to a -0.0 start
+        ref_rows = {ctx: np.where(rng.random(v) < 0.5, -0.0, rng.normal(size=v))
+                    for ctx in ctxs[::4]}
+        model = model_from_rows(order, v, ref_rows)
+        acc, ref_acc = GradAccumulator(order, v), DictAccumulator()
+        for step in range(15):
+            pick = [ctxs[i] for i in rng.integers(len(ctxs), size=9)]
+            d = rng.normal(size=(9, v)) * (rng.random((9, v)) < 0.8)
+            d[0] = -0.0
+            acc.add_rows([prefix_id(c, order, model.vocab) for c in pick], d, count=9)
+            ref_acc.add_rows(pick, d, count=9)
+            if step % 3 == 2:
+                lr = float(rng.uniform(0.1, 5.0))
+                sgd_step(model, acc, lr)
+                reference_sgd_step(ref_rows, ref_acc, lr)
+        checkpoint_save(model, tmp_path / "dense.json")
+        checkpoint_save(model_from_rows(order, v, ref_rows), tmp_path / "dict.json")
+        assert (tmp_path / "dense.json").read_bytes() == (tmp_path / "dict.json").read_bytes()
+
+    def test_negative_zero_rows_survive_two_steps(self, tmp_path):
+        # a row of -0.0 keeps its sign only if each step's -0.0 direction adds to a
+        # -0.0 start: the first step tests the start, the second the clear
+        model = TabularLM(order=1, vocab=Vocab.default(2))
+        model.set_row((1,), [-0.0, -0.0])
+        ref_rows = {(1,): np.array([-0.0, -0.0])}
+        acc, ref_acc = GradAccumulator(1, 2), DictAccumulator()
+        for _ in range(2):
+            acc.add_row((1,), [-0.0, -0.0])
+            ref_acc.add_rows([(1,)], np.array([[-0.0, -0.0]]), 1)
+            sgd_step(model, acc, 0.5)
+            reference_sgd_step(ref_rows, ref_acc, 0.5)
+        checkpoint_save(model, tmp_path / "dense.json")
+        checkpoint_save(model_from_rows(1, 2, ref_rows), tmp_path / "dict.json")
+        assert (tmp_path / "dense.json").read_bytes() == (tmp_path / "dict.json").read_bytes()
+        assert np.signbit(model.logits((1,))).all()
+
+    def test_overflow_names_first_context_in_id_order(self):
+        m = TabularLM(order=1, vocab=Vocab.default(3))
+        acc = GradAccumulator(1, 3)
+        acc.add_row((2,), [1e308, 0.0, 0.0])
+        acc.add_row((1,), [1e308, 0.0, 0.0])
+        before = m.table.copy()
+        with pytest.raises(NumericOverflowError, match=r"context \(1,\)"), \
+                np.errstate(over="ignore"):
+            sgd_step(m, acc, 1e10)
+        assert np.array_equal(m.table, before) and not m.touched.any()
+
+    def test_mismatched_accumulator_rejected(self):
+        with pytest.raises(InvalidInputError):
+            sgd_step(uniform_model(v=2), GradAccumulator(2, 2), 0.5)
 
 
 class TestCheckpoint:
@@ -305,10 +452,9 @@ class TestCheckpoint:
         checkpoint_save(m, path)
         loaded = checkpoint_load(path)
         assert loaded.order == m.order and loaded.vocab == m.vocab
-        assert set(loaded.rows) == set(m.rows)
-        for ctx in m.rows:
-            # 0 ulp: float64 survives the JSON repr round trip exactly
-            assert np.array_equal(loaded.rows[ctx], m.rows[ctx])
+        assert np.array_equal(loaded.touched, m.touched)
+        # 0 ulp: float64 survives the JSON repr round trip exactly
+        assert np.array_equal(loaded.table, m.table)
         for _ in range(100):
             ctx = tuple(int(x) for x in rng.integers(5, size=2))
             assert np.array_equal(loaded.predict(ctx).probs, m.predict(ctx).probs)
@@ -327,7 +473,7 @@ class TestCheckpoint:
         m = uniform_model(v=2)
         path = tmp_path / "m.json"
         checkpoint_save(m, path)
-        assert checkpoint_load(path).rows == {}
+        assert not checkpoint_load(path).touched.any()
 
     def test_save_is_byte_identical(self, tmp_path):
         m = TabularLM(order=1, vocab=Vocab.default(3))
@@ -337,6 +483,14 @@ class TestCheckpoint:
         checkpoint_save(m, a)
         checkpoint_save(m, b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_out_of_vocabulary_context_is_parse_error(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({
+            "format_version": 1, "order": 1, "vocab": {"names": ["a", "b", "c"], "bos_id": 0},
+            "rows": [{"context": [7], "logits": [0.0, 1.0, 2.0]}]}))
+        with pytest.raises(ParseError, match=r"context \(7,\) has out-of-range"):
+            checkpoint_load(path)
 
     def test_bad_version_rejected(self, tmp_path):
         path = tmp_path / "m.json"
@@ -353,6 +507,6 @@ def test_property_grad_rows_sum_to_zero(v, seed):
     rng = np.random.default_rng(seed)
     m = TabularLM(order=1, vocab=Vocab.default(v))
     m.set_row((0,), rng.normal(size=v))
-    acc = GradAccumulator()
+    acc = GradAccumulator(1, v)
     accumulate_token_grad(acc, m, (0,), int(rng.integers(v)), float(rng.normal()) or 1.0)
-    assert abs(acc.directions[(0,)].sum()) < 1e-12
+    assert abs(acc.directions[0].sum()) < 1e-12

@@ -87,7 +87,7 @@ class TestFKLDDenseWeights:
         m = TabularLM(order=1, vocab=Vocab.default(2))
         for _ in range(500):
             q = m.predict((0,))
-            acc = GradAccumulator()
+            acc = GradAccumulator(1, 2)
             acc.add_row((0,), p.probs - q.probs, count=1)
             sgd_step(m, acc, 0.5)
         q = m.predict((0,))

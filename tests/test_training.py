@@ -1,5 +1,7 @@
 """Oracle tests for teacher fitting and the off-/on-policy training loops."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from distill_lab.model import (
     accumulate_token_grad,
     accumulate_token_grads,
     checkpoint_save,
+    pad_context,
 )
 from distill_lab.numerics import CategoricalDist, entropy, kl_exact
 from distill_lab.objectives import (
@@ -71,14 +74,49 @@ class TestTrainTeacherMLE:
                             "order": 1})
         corpus = sample_corpus(src, 100, 10_000, np.random.default_rng(1))
         model = train_teacher_mle(corpus, order=1, lam=0.1)
-        for ctx, d in src.table.items():
-            assert kl_exact(d, model.predict(ctx)) < 1e-3
+        for i in range(4):
+            assert kl_exact(src.conditional((i,)), model.predict((i,))) < 1e-3
 
     def test_smoothing_gives_full_support(self):
         corpus = Corpus(sequences=[[1, 1]], provenance="ground_truth",
                         seed=0, vocab_size=3)
         model = train_teacher_mle(corpus, order=1, lam=1.0)
         assert np.all(model.predict((1,)).probs > 0.0)
+
+
+def reference_train_teacher_mle(corpus, order, lam):
+    """train_teacher_mle counting into a dict of rows keyed by context tuple."""
+    v = corpus.vocab_size
+    counts = {}
+    for seq in corpus.sequences:
+        for t, tok in enumerate(seq):
+            row = counts.setdefault(pad_context(seq[:t], order, 0), np.zeros(v))
+            row[tok] += 1.0
+    model = TabularLM(order=order, vocab=Vocab.default(v))
+    for ctx, row in counts.items():
+        probs = (row + lam) / (row.sum() + lam * v)
+        with np.errstate(divide="ignore"):
+            logits = np.where(probs > 0.0, np.log(np.where(probs > 0.0, probs, 1.0)),
+                              training.LOGIT_FLOOR)
+        model.set_row(ctx, logits)
+    return model
+
+
+class TestMLEMatchesDictReference:
+    @pytest.mark.parametrize("lam", [0.0, 0.1])
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("teacher", ["bimodal_gap", "dirichlet"])
+    def test_checkpoint_bytes(self, tmp_path, teacher, order, lam):
+        _, corpus = _variable_length_corpus(teacher)
+        for name, fit in (("dense", train_teacher_mle), ("dict", reference_train_teacher_mle)):
+            checkpoint_save(fit(corpus, order, lam), tmp_path / f"{name}.json")
+        assert (tmp_path / "dense.json").read_bytes() == (tmp_path / "dict.json").read_bytes()
+
+    def test_out_of_range_token(self):
+        corpus = Corpus(sequences=[[0, 1], [2, 5]], provenance="ground_truth", seed=0,
+                        vocab_size=3)
+        with pytest.raises(InvalidInputError, match="corpus token id 5"):
+            train_teacher_mle(corpus, 1, 0.1)
 
 
 class TestTeacherProviders:
@@ -89,6 +127,17 @@ class TestTeacherProviders:
         assert np.array_equal(
             teacher.dist(prefix).probs, src.conditional_for_prefix(prefix).probs
         )
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_dists_rows_are_dist_at_each_context(self, order):
+        src = build_source({"name": "random_dirichlet", "seed": 1, "vocab_size": 3,
+                            "order": order})
+        fit = train_teacher_mle(sample_corpus(src, 5, 7, np.random.default_rng(0)), order, 0.0)
+        for teacher in (OracleTeacher(src), ModelTeacher(fit)):
+            table = teacher.dists()
+            for i, ctx in enumerate(itertools.product(range(3), repeat=order)):
+                assert np.array_equal(table.probs[i], teacher.dist(list(ctx)).probs)
+                assert np.array_equal(table.logprobs[i], teacher.dist(list(ctx)).logprobs)
 
     def test_model_teacher_uses_fitted_rows(self):
         m = TabularLM(order=1, vocab=Vocab.default(2))
@@ -161,15 +210,14 @@ class TestDistillOffpolicy:
     def test_input_student_not_mutated(self):
         teacher, corpus, student = self._setup()
         distill_offpolicy(small_cfg("sft"), teacher, corpus, student)
-        assert student.rows == {}
+        assert not student.touched.any() and not student.table.any()
 
     def test_deterministic_given_seed(self):
         teacher, corpus, student = self._setup()
         out1, rows1 = distill_offpolicy(small_cfg("hpd"), teacher, corpus, student)
         out2, rows2 = distill_offpolicy(small_cfg("hpd"), teacher, corpus, student)
-        assert set(out1.rows) == set(out2.rows)
-        for ctx in out1.rows:
-            assert np.array_equal(out1.rows[ctx], out2.rows[ctx])
+        assert np.array_equal(out1.touched, out2.touched)
+        assert np.array_equal(out1.table, out2.table)
         assert [r.to_csv_line() for r in rows1] == [r.to_csv_line() for r in rows2]
 
     def test_eval_rows_at_schedule(self):
@@ -208,8 +256,8 @@ class TestDistillOffpolicy:
                             "order": 1})
         teacher = OracleTeacher(src)
         student = TabularLM(order=1, vocab=Vocab.default(4))
-        for ctx, d in src.table.items():
-            student.set_row(ctx, np.log(d.probs))
+        for i in range(4):
+            student.set_row((i,), np.log(src.conditional((i,)).probs))
         corpus = sample_corpus(src, 20, 16, np.random.default_rng(0))
         cfg_h = small_cfg("hpd", steps=1, eval_every=1)
         out_h, rows_h = distill_offpolicy(cfg_h, teacher, corpus, student)
@@ -391,8 +439,7 @@ class TestDistillOnpolicyOPD:
         cfg = small_cfg("opd_k1", steps=3, eval_every=3, horizon=4)
         out, rows = distill_onpolicy_opd(cfg, teacher, student)
         assert rows[-1].mean_reward == 0.0
-        for ctx in student.rows:
-            assert np.array_equal(out.rows[ctx], student.rows[ctx])
+        assert np.array_equal(out.table, student.table)
 
     def test_per_token_and_trajectory_coincide_at_horizon_one(self):
         src = build_source({"name": "random_dirichlet", "seed": 3, "vocab_size": 4,
@@ -403,9 +450,7 @@ class TestDistillOnpolicyOPD:
         for mode in ("per_token", "trajectory"):
             cfg = small_cfg("opd_k1", steps=10, horizon=1, opd_reward_mode=mode)
             outs[mode], _ = distill_onpolicy_opd(cfg, teacher, student)
-        for ctx in outs["per_token"].rows:
-            assert np.array_equal(outs["per_token"].rows[ctx],
-                                  outs["trajectory"].rows[ctx])
+        assert np.array_equal(outs["per_token"].table, outs["trajectory"].table)
 
     def test_baseline_changes_updates_not_direction_mean(self):
         src = build_source({"name": "random_dirichlet", "seed": 3, "vocab_size": 4,
@@ -519,6 +564,14 @@ class TestOpdLockstep:
             outputs.append((path.read_bytes(), [r.to_csv_line() for r in rows]))
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("student_v", [4, 8])
+    def test_vocabulary_mismatch_rejected(self, student_v):
+        teacher = _opd_teacher("oracle")  # 5 tokens
+        student = TabularLM(order=2, vocab=Vocab.default(student_v))
+        with pytest.raises(InvalidInputError, match=f"teacher vocabulary size 5 != "
+                                                    f"student vocabulary size {student_v}"):
+            distill_onpolicy_opd(small_cfg("opd_k1", horizon=3), teacher, student)
+
     def test_out_of_range_prompt_token(self):
         teacher = _opd_teacher("oracle")
         student = TabularLM(order=2, vocab=Vocab.default(5))
@@ -547,7 +600,7 @@ class TestOpdLockstep:
         # only "2 then 0" leaves the teacher's support, so rollouts violate at
         # scattered positions
         model = TabularLM(order=1, vocab=Vocab.default(4))
-        model.rows[(2,)] = np.array([training.LOGIT_FLOOR, 0.0, 0.0, 0.0])
+        model.set_row((2,), [training.LOGIT_FLOOR, 0.0, 0.0, 0.0])
         student = TabularLM(order=2, vocab=Vocab.default(4))
         cfg = small_cfg("opd_k1", seed=seed, horizon=8, batch_size=6)
         errors = []
@@ -572,8 +625,7 @@ class TestRunExperiment:
         direct, direct_rows = distill_offpolicy(cfg, teacher, corpus, student)
         staged, all_rows = run_experiment([Stage("only", cfg)], teacher, student,
                                           corpus=corpus)
-        for ctx in direct.rows:
-            assert np.array_equal(direct.rows[ctx], staged.rows[ctx])
+        assert np.array_equal(direct.table, staged.table)
         assert ([r.to_csv_line() for r in all_rows["only"]]
                 == [r.to_csv_line() for r in direct_rows])
 
@@ -595,8 +647,7 @@ class TestRunExperiment:
         stages = [Stage("a", small_cfg("fkld_dense", steps=15))]
         m1, r1 = run_experiment(stages, teacher, student, corpus=corpus)
         m2, r2 = run_experiment(stages, teacher, student, corpus=corpus)
-        for ctx in m1.rows:
-            assert np.array_equal(m1.rows[ctx], m2.rows[ctx])
+        assert np.array_equal(m1.table, m2.table)
         assert ([r.to_csv_line() for r in r1["a"]]
                 == [r.to_csv_line() for r in r2["a"]])
 
