@@ -55,10 +55,11 @@ from .training import (
 from .evaluation import (
     EntropyProfile,
     completion_accuracy,
-    divergence_audit,
+    context_occupancy,
     gradcheck,
     k1_study,
     make_completion_tasks,
+    occupancy_divergences,
     positional_entropy,
 )
 

@@ -31,7 +31,13 @@ from .errors import (
     boolean,
     config_field,
 )
-from .evaluation import completion_accuracy, divergence_audit, gradcheck, make_completion_tasks
+from .evaluation import (
+    completion_accuracy,
+    context_occupancy,
+    gradcheck,
+    make_completion_tasks,
+    occupancy_divergences,
+)
 from .model import TabularLM, Vocab, checkpoint_load, checkpoint_save
 from .numerics import entropy
 from .objectives import ALL_TAGS, ObjectiveKind
@@ -42,7 +48,6 @@ from .training import (
     TrainConfig,
     distill_offpolicy,
     distill_onpolicy_opd,
-    draw_eval_states,
     metrics_write,
     run_experiment,
     train_teacher_mle,
@@ -276,12 +281,14 @@ def _train_config(cfg: dict, overrides: dict | None = None) -> TrainConfig:
 
 
 def _eval_keys(t: dict) -> dict:
-    """The train keys that say how divergences are evaluated; eval reads only these."""
-    return dict(
-        n_eval_seqs=config_field(t, "train.n_eval_seqs", int, 20),
-        eval_len=config_field(t, "train.eval_len", int, 16),
-        eval_from=t.get("eval_from", "teacher"),
-    )
+    """The train keys that say how divergences are evaluated; eval reads only these.
+
+    train.n_eval_seqs is still accepted, and has no effect: evaluation is exact.
+    """
+    eval_len = config_field(t, "train.eval_len", int, 16)
+    if eval_len < 1:
+        raise ConfigError(f"train.eval_len must be >= 1, got {eval_len}")
+    return dict(eval_len=eval_len, eval_from=t.get("eval_from", "teacher"))
 
 
 def cmd_gen_source(cfg: dict) -> int:
@@ -371,17 +378,17 @@ def cmd_eval(cfg: dict) -> int:
     teacher = inputs.teacher
     student = _get_student(cfg, inputs.source)
     tasks = _get_tasks(cfg, inputs.source)
-    states = draw_eval_states(student, teacher, ev["n_eval_seqs"], ev["eval_len"],
-                              ev["eval_from"], np.random.default_rng(cfg["seed"]))
-    ent = [entropy(student.predict(student.context_for(s))) for s in states]
-    kl_fwd, kl_rev = divergence_audit(student, teacher, states)
+    occ = context_occupancy(student, teacher, ev["eval_len"], ev["eval_from"])
+    kl_fwd, kl_rev = occupancy_divergences(student, teacher, occ)
+    # the student's entropy at every context, weighted by the context's occupancy
+    ent = occ @ entropy(student.predict_batch(np.arange(occ.size) % len(student.table)))
     acc = completion_accuracy(student, tasks) if tasks else None
     path = os.path.join(out, "audit.csv")
     with open(path, "w", encoding="utf-8") as f:
         f.write("# " + json.dumps(_meta(cfg), sort_keys=True) + "\n")
         f.write("kl_fwd,kl_rev,mean_entropy,accuracy\n")
         f.write(",".join([
-            repr(kl_fwd), repr(kl_rev), repr(float(np.mean(ent))),
+            repr(kl_fwd), repr(kl_rev), repr(float(ent)),
             "" if acc is None else repr(acc),
         ]) + "\n")
     print(f"wrote {path}: kl_fwd={kl_fwd:.6f} kl_rev={kl_rev:.6f}")

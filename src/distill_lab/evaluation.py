@@ -2,15 +2,14 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import MarkovSource
-from .errors import DivergenceInfiniteError, InvalidInputError, InvalidParameterError
+from .errors import InvalidInputError, InvalidParameterError
 from .model import GradAccumulator, TabularLM, accumulate_token_grad, prefix_id
-from .numerics import CategoricalDist, entropy, k1_samples, kl_exact
+from .numerics import CategoricalDist, entropy, k1_samples, kl_exact, kl_rows, softmax
 
 
 def gradcheck(model: TabularLM, weighted_tokens, eps: float = 1e-5) -> float:
@@ -61,38 +60,61 @@ def gradcheck(model: TabularLM, weighted_tokens, eps: float = 1e-5) -> float:
     return max_err
 
 
-def divergence_audit(student: TabularLM, teacher, states) -> tuple[float, float]:
-    """Mean exact KL(p||q) and KL(q||p) over the given prefix states.
+def context_occupancy(student: TabularLM, teacher, eval_len: int,
+                      eval_from: str) -> np.ndarray:
+    """The mean over positions t = 0 .. eval_len - 1 of the distribution of position
+    t's context, exactly.
 
-    A state where one distribution puts mass outside the other's support
-    contributes +inf, so that direction's mean reads math.inf. Each distinct
-    (teacher context, student context) pair is computed once; the per-state
-    values are summed in state order.
+    Contexts have order m = max(teacher.order, student.order): entry c is the
+    probability, averaged over t, that the m tokens before position t (BOS-padded)
+    have id c. Sequences start empty and are drawn from the teacher, or from the
+    student with eval_from="student"; each position is one product of the
+    context distribution with the driving model's rows, lifted to order m.
     """
-    states = list(states)
-    if not states:
-        raise InvalidInputError("audit needs at least one state")
-    keys = [(prefix_id(prefix, teacher.order, teacher.vocab),
-             prefix_id(prefix, student.order, student.vocab)) for prefix in states]
-    pairs = list(dict.fromkeys(keys))
-    t_ids, s_ids = np.array(pairs, dtype=np.intp).T
-    p, q = teacher.dists().rows(t_ids), student.predict_batch(s_ids)
-    kls = {}
-    for i, pair in enumerate(pairs):
-        p_i, q_i = p.rows(i), q.rows(i)
-        kls[pair] = (_kl_or_inf(p_i, q_i), _kl_or_inf(q_i, p_i))
-    fwd, rev = 0.0, 0.0
-    for key in keys:
-        fwd += kls[key][0]
-        rev += kls[key][1]
-    return fwd / len(states), rev / len(states)
+    if eval_len < 1:
+        raise InvalidInputError(f"eval_len must be >= 1, got {eval_len}")
+    v = student.vocab.size
+    if teacher.vocab.size != v:
+        raise InvalidInputError(f"teacher vocabulary size {teacher.vocab.size} != "
+                                f"student vocabulary size {v}")
+    if teacher.vocab.bos_id != student.vocab.bos_id:
+        raise InvalidInputError("teacher and student pad contexts with different BOS ids")
+    m = max(teacher.order, student.order)
+    n = v ** m
+    if eval_from == "teacher":
+        drive = teacher.dists().probs
+    elif eval_from == "student":
+        drive = softmax(student.table).probs
+    else:
+        raise InvalidInputError(f"unknown eval_from {eval_from!r}")
+    # an order-m context's last k tokens are its id modulo V**k
+    drive = drive[np.arange(n) % len(drive)]
+    pi = np.zeros(n)
+    pi[prefix_id([], m, student.vocab)] = 1.0
+    occ = pi.copy()
+    for _ in range(eval_len - 1):
+        # context c = (oldest token, rest) emits tok and moves to (rest, tok)
+        pi = (pi[:, None] * drive).reshape(v, n // v, v).sum(axis=0).ravel()
+        occ += pi
+    return occ / eval_len
 
 
-def _kl_or_inf(p: CategoricalDist, q: CategoricalDist) -> float:
-    try:
-        return kl_exact(p, q)
-    except DivergenceInfiniteError:
-        return math.inf
+def occupancy_divergences(student: TabularLM, teacher, occ: np.ndarray) -> tuple[float, float]:
+    """Occupancy-weighted exact KL(p||q) and KL(q||p) over order-m contexts.
+
+    occ is context_occupancy's vector. Teacher and student rows are read at each
+    context's last teacher.order and student.order tokens. A context with
+    occupancy 0 contributes nothing; a support violation at any other context
+    makes that direction math.inf.
+    """
+    if occ.shape != (student.vocab.size ** max(teacher.order, student.order),):
+        raise InvalidInputError(f"occupancy of shape {occ.shape} does not fit these models")
+    live = np.flatnonzero(occ > 0.0)
+    p = teacher.dists()
+    p = p.rows(live % len(p.probs))
+    q = student.predict_batch(live % len(student.table))
+    w = occ[live]
+    return float(w @ kl_rows(p, q)), float(w @ kl_rows(q, p))
 
 
 @dataclass(frozen=True)
@@ -136,18 +158,29 @@ def completion_accuracy(
     sampled: bool = False,
     rng: np.random.Generator | None = None,
 ) -> float:
-    """Fraction of (prompt, continuation) tasks reproduced by greedy rollout."""
-    tasks = list(tasks)
+    """Fraction of (prompt, continuation) tasks reproduced by greedy rollout.
+
+    Greedy rollouts of every task advance in lockstep, one row-wise argmax of the
+    gathered logit rows per position; sampled=True rolls out each task in turn.
+    """
+    tasks = [(prompt, list(continuation)) for prompt, continuation in tasks]
     if not tasks:
         raise InvalidInputError("task list is empty")
     if sampled and rng is None:
         raise InvalidInputError("sampled evaluation needs an rng")
-    hits = 0
-    for prompt, continuation in tasks:
-        continuation = list(continuation)
-        out = model.rollout(prompt, len(continuation), rng=rng, greedy=not sampled)
-        if out == continuation:
-            hits += 1
+    if sampled:
+        hits = sum(model.rollout(prompt, len(cont), rng=rng) == cont for prompt, cont in tasks)
+        return hits / len(tasks)
+    ids = np.empty(len(tasks), dtype=np.intp)
+    for i, (prompt, cont) in enumerate(tasks):
+        if not cont:
+            raise InvalidInputError("steps must be >= 1")
+        ids[i] = prefix_id(prompt, model.order, model.vocab)
+    out = np.empty((len(tasks), max(len(cont) for _, cont in tasks)), dtype=np.intp)
+    for t in range(out.shape[1]):
+        out[:, t] = np.argmax(model.table[ids], axis=1)
+        ids = (ids * model.vocab.size + out[:, t]) % len(model.table)
+    hits = sum(row[:len(cont)] == cont for row, (_, cont) in zip(out.tolist(), tasks))
     return hits / len(tasks)
 
 
@@ -162,37 +195,35 @@ def make_completion_tasks(
 ) -> list[tuple[list[int], list[int]]]:
     """Tasks from near-deterministic source regions.
 
-    A candidate prompt is sampled from the source; it is kept when the
-    source's greedy continuation of length cont_len has confidence at
-    least min_conf at every step, making the correct continuation unique.
+    num_tasks * max_attempts_factor candidate prompts are sampled from the
+    source in one call, which always draws all of them from rng. A candidate is
+    kept when the source's greedy continuation of length cont_len has confidence
+    at least min_conf at every step, making the correct continuation unique; the
+    first num_tasks kept candidates are the tasks, in the order they were drawn.
     """
     if num_tasks < 1 or cont_len < 1:
         raise InvalidInputError("num_tasks and cont_len must be >= 1")
     prompt_len = prompt_len if prompt_len is not None else source.order + 2
-    tasks = []
-    for _ in range(num_tasks * max_attempts_factor):
-        if len(tasks) >= num_tasks:
-            break
-        prompt = source.sample_sequence(prompt_len, rng)
-        seq = list(prompt)
-        cont = []
-        ok = True
-        for _t in range(cont_len):
-            d = source.conditional_for_prefix(seq)
-            tok = int(np.argmax(d.probs))
-            if d.probs[tok] < min_conf:
-                ok = False
-                break
-            cont.append(tok)
-            seq.append(tok)
-        if ok:
-            tasks.append((prompt, cont))
-    if len(tasks) < num_tasks:
+    prompts = source.sample_sequences(num_tasks * max_attempts_factor, prompt_len, rng)
+    probs, v = source.table.probs, source.vocab.size
+    tokens = np.array(prompts, dtype=np.intp).reshape(len(prompts), prompt_len)
+    ids = np.zeros(len(prompts), dtype=np.intp)
+    for j in range(prompt_len - source.order, prompt_len):  # oldest token first
+        ids = ids * v + (tokens[:, j] if j >= 0 else source.vocab.bos_id)
+    conts = np.empty((len(prompts), cont_len), dtype=np.intp)
+    ok = np.ones(len(prompts), dtype=bool)
+    for t in range(cont_len):  # every candidate advances one greedy step
+        rows = probs[ids]
+        conts[:, t] = tok = np.argmax(rows, axis=1)
+        ok &= rows[np.arange(len(ids)), tok] >= min_conf
+        ids = (ids * v + tok) % len(probs)
+    keep = np.flatnonzero(ok)[:num_tasks]
+    if len(keep) < num_tasks:
         raise InvalidInputError(
-            f"only found {len(tasks)}/{num_tasks} near-deterministic tasks "
+            f"only found {len(keep)}/{num_tasks} near-deterministic tasks "
             f"(min_conf={min_conf}, cont_len={cont_len})"
         )
-    return tasks
+    return [(prompts[i], conts[i].tolist()) for i in keep.tolist()]
 
 
 @dataclass(frozen=True)

@@ -145,6 +145,26 @@ def kl_exact(p: CategoricalDist, q: CategoricalDist) -> float:
     return val
 
 
+def kl_rows(p: CategoricalDist, q: CategoricalDist) -> np.ndarray:
+    """KL(p_i || q_i) for each row i of two (n, V) batches: kl_exact(p_i, q_i), or inf
+    where that raises because p_i puts mass outside q_i's support."""
+    if p.probs.ndim != 2 or p.probs.shape != q.probs.shape:
+        raise InvalidInputError(f"need two (n, V) batches of one shape, got {p.probs.shape} "
+                                f"and {q.probs.shape}")
+    inside = ~np.any(p.support & ~q.support, axis=1)
+    full = np.all(p.support, axis=1)
+    kl = np.full(len(p.probs), np.inf)
+    rows = full & inside
+    kl[rows] = np.sum(p.probs[rows] * (p.logprobs[rows] - q.logprobs[rows]), axis=1)
+    # a row with zeros sums its support alone, as kl_exact does, so that numpy's
+    # pairwise-summation blocks fall where they fall for the single distribution
+    for i in np.flatnonzero(~full & inside):
+        mask = p.support[i]
+        kl[i] = np.sum(p.probs[i][mask] * (p.logprobs[i][mask] - q.logprobs[i][mask]))
+    kl[(-1e-12 < kl) & (kl < 0.0)] = 0.0
+    return kl
+
+
 def jsd_beta(p: CategoricalDist, q: CategoricalDist, beta: float) -> float:
     """Generalized Jensen-Shannon divergence against M = beta*p + (1-beta)*q."""
     _check_same_size(p, q)

@@ -17,21 +17,18 @@ import numpy as np
 
 from .data import Corpus, MarkovSource
 from .errors import ConfigError, DivergenceInfiniteError, InvalidInputError, PipelineError
-from .evaluation import completion_accuracy, divergence_audit
-# accumulate_token_grad and kl_exact are unused here, but the benchmark's
-# tracer looks them up as training.accumulate_token_grad and training.kl_exact
-from .model import (  # noqa: F401
+from .evaluation import completion_accuracy, context_occupancy, occupancy_divergences
+from .model import (
     GradAccumulator,
     TabularLM,
     Vocab,
-    accumulate_token_grad,
     accumulate_token_grads,
     context_ids,
     context_key,
     prefix_id,
     sgd_step,
 )
-from .numerics import CategoricalDist, entropy, inverse_cdf, kl_exact, softmax  # noqa: F401
+from .numerics import CategoricalDist, entropy, inverse_cdf, softmax
 from .objectives import (
     HPD_VARIANTS,
     ObjectiveKind,
@@ -64,10 +61,6 @@ class OracleTeacher:
         """Every context's conditional: row i is context id i's."""
         return self.source.table
 
-    def sample_sequences(self, n: int, length: int,
-                         rng: np.random.Generator) -> list[list[int]]:
-        return self.source.sample_sequences(n, length, rng)
-
 
 class ModelTeacher:
     """Conditionals from a fitted TabularLM."""
@@ -83,10 +76,6 @@ class ModelTeacher:
     def dists(self) -> CategoricalDist:
         """Every context's conditional: row i is context id i's."""
         return softmax(self.model.table)
-
-    def sample_sequences(self, n: int, length: int,
-                         rng: np.random.Generator) -> list[list[int]]:
-        return self.model.rollouts([[]] * n, length, rng)
 
 
 def _flatten(corpus: Corpus, v: int):
@@ -143,7 +132,6 @@ class TrainConfig:
     hpd_samples: int = 1
     opd_baseline: bool = False
     horizon: int = 16
-    n_eval_seqs: int = 20
     eval_len: int = 16
     eval_from: str = "teacher"
 
@@ -158,6 +146,8 @@ class TrainConfig:
             raise ConfigError("eval_every must be >= 1")
         if self.opd_reward_mode not in ("per_token", "trajectory"):
             raise ConfigError(f"unknown opd_reward_mode {self.opd_reward_mode!r}")
+        if self.eval_len < 1:
+            raise ConfigError("eval_len must be >= 1")
         if self.eval_from not in ("teacher", "student"):
             raise ConfigError(f"unknown eval_from {self.eval_from!r}")
         if self.hpd_samples < 1:
@@ -195,27 +185,11 @@ class MetricsRow:
         )
 
 
-def draw_eval_states(student: TabularLM, teacher, n_seqs: int, length: int,
-                     eval_from: str, rng: np.random.Generator) -> list[list[int]]:
-    """Every prefix of n_seqs fresh rollouts of the teacher or the student.
-
-    The n_seqs rollouts are drawn in one lockstep call.
-    """
-    if eval_from == "teacher":
-        seqs = teacher.sample_sequences(n_seqs, length, rng)
-    elif eval_from == "student":
-        seqs = student.rollouts([[]] * n_seqs, length, rng)
-    else:
-        raise InvalidInputError(f"unknown eval_from {eval_from!r}")
-    return [seq[:t] for seq in seqs for t in range(len(seq))]
-
-
-def evaluate_divergences(student: TabularLM, teacher, cfg: TrainConfig,
-                         eval_rng: np.random.Generator) -> tuple[float, float]:
-    """Mean exact KL(p||q) and KL(q||p) over states from fresh rollouts."""
-    states = draw_eval_states(student, teacher, cfg.n_eval_seqs, cfg.eval_len,
-                              cfg.eval_from, eval_rng)
-    return divergence_audit(student, teacher, states)
+def evaluate_divergences(student: TabularLM, teacher, cfg: TrainConfig) -> tuple[float, float]:
+    """Exact KL(p||q) and KL(q||p), weighted by the contexts' occupancy over
+    positions 0 .. cfg.eval_len - 1 of sequences drawn as cfg.eval_from says."""
+    occ = context_occupancy(student, teacher, cfg.eval_len, cfg.eval_from)
+    return occupancy_divergences(student, teacher, occ)
 
 
 def _train_loop(cfg: TrainConfig, teacher, student: TabularLM, eval_tasks,
@@ -223,10 +197,9 @@ def _train_loop(cfg: TrainConfig, teacher, student: TabularLM, eval_tasks,
     """SGD on a copy of student; minibatch(student, acc, rng) accumulates one batch.
 
     minibatch returns the batch's student entropies and rewards (None
-    off-policy). Every eval uses states drawn from the same eval seed.
+    off-policy).
     """
     rng = np.random.default_rng(cfg.seed)
-    eval_seed = np.random.SeedSequence(cfg.seed).spawn(1)[0]
     student = student.copy()
     acc = GradAccumulator(student.order, student.vocab.size)
     rows: list[MetricsRow] = []
@@ -236,8 +209,7 @@ def _train_loop(cfg: TrainConfig, teacher, student: TabularLM, eval_tasks,
         sgd_step(student, acc, cfg.lr)
 
         if step % cfg.eval_every == 0 or step == cfg.steps:
-            eval_rng = np.random.default_rng(eval_seed)
-            kl_fwd, kl_rev = evaluate_divergences(student, teacher, cfg, eval_rng)
+            kl_fwd, kl_rev = evaluate_divergences(student, teacher, cfg)
             accuracy = completion_accuracy(student, eval_tasks) if eval_tasks else None
             rows.append(
                 MetricsRow(

@@ -38,7 +38,7 @@ def report(capsys, number, passed, detail):
 
 def train(tag, source, seed, *, steps, lr, batch_size, eval_every=None,
           corpus_seed=None, corpus_size=(200, 64), student=None, tasks=None,
-          n_eval_seqs=10, eval_len=16):
+          eval_len=16):
     teacher = OracleTeacher(source)
     corpus_seed = seed if corpus_seed is None else corpus_seed
     corpus = sample_corpus(source, corpus_size[0], corpus_size[1],
@@ -48,7 +48,7 @@ def train(tag, source, seed, *, steps, lr, batch_size, eval_every=None,
     cfg = TrainConfig(
         objective=ObjectiveKind(tag), steps=steps, seed=seed, lr=lr,
         batch_size=batch_size, eval_every=eval_every or steps,
-        n_eval_seqs=n_eval_seqs, eval_len=eval_len,
+        eval_len=eval_len,
     )
     return distill_offpolicy(cfg, teacher, corpus, student, eval_tasks=tasks)
 
@@ -182,7 +182,7 @@ def test_criterion_04_opd_gradient_validity(capsys):
     student.set_row((0,), z0)
     cfg = TrainConfig(objective=ObjectiveKind("opd_k1"), steps=1, seed=0, lr=1.0,
                       batch_size=n, horizon=1, eval_every=1,
-                      opd_reward_mode="trajectory", n_eval_seqs=1, eval_len=1)
+                      opd_reward_mode="trajectory", eval_len=1)
     out, _ = distill_onpolicy_opd(cfg, teacher, student)
     # one step at lr 1 with batch-mean averaging applies the mean direction
     empirical = out.logits((0,)) - z0
@@ -200,7 +200,7 @@ def test_criterion_05_fkld_fixed_point(capsys):
     source = build_source({"name": "random_dirichlet", "seed": 0, "vocab_size": 8,
                            "order": 1, "concentration": 3.0})
     _, rows = train("fkld_dense", source, 0, steps=2000, lr=0.5, batch_size=64,
-                    corpus_size=(400, 64), n_eval_seqs=20)
+                    corpus_size=(400, 64))
     kl_fwd = rows[-1].kl_fwd
     elapsed = time.perf_counter() - t0
     ok = kl_fwd < 1e-3 and elapsed < 30.0
@@ -292,7 +292,7 @@ def test_criterion_09_initialization_effect(capsys):
                                 student=noisy)
             cfg = TrainConfig(objective=ObjectiveKind("opd_k1"), steps=500,
                               seed=seed, lr=0.02, batch_size=4, horizon=8,
-                              eval_every=100, n_eval_seqs=10)
+                              eval_every=100)
             _, rows = distill_onpolicy_opd(cfg, teacher, annealed)
             per_init[tag] = rows[-1].kl_rev
         finals.append((round(per_init["hpd"], 3), round(per_init["sft"], 3)))

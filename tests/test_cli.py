@@ -164,22 +164,28 @@ class TestCommands:
         assert float(vals[0]) >= 0.0 and float(vals[1]) >= 0.0
 
     def test_eval_reads_evaluation_keys_without_objective(self, tmp_path, monkeypatch):
-        from distill_lab.data import build_source
-        from distill_lab.evaluation import divergence_audit
-        from distill_lab.model import TabularLM, Vocab
-        from distill_lab.training import OracleTeacher, draw_eval_states
+        from distill_lab.evaluation import context_occupancy, occupancy_divergences
+        from distill_lab.training import OracleTeacher
 
         monkeypatch.chdir(tmp_path)
-        cfg = {"seed": 1, "out_dir": "out", "source": {"name": "bimodal_gap"},
-               "train": {"n_eval_seqs": 4}}
-        assert main(["eval", "--config", write_config(tmp_path / "c.json", cfg)]) == 0
-        vals = (tmp_path / "out" / "audit.csv").read_text().splitlines()[2].split(",")
         teacher = OracleTeacher(build_source({"name": "bimodal_gap"}))
         student = TabularLM(order=1, vocab=Vocab.default(6))
-        audits = {n: divergence_audit(student, teacher, draw_eval_states(
-            student, teacher, n, 16, "teacher", np.random.default_rng(1))) for n in (4, 20)}
-        assert audits[4] != audits[20]
-        assert (float(vals[0]), float(vals[1])) == audits[4]
+        audits = {}
+        # train.n_eval_seqs is accepted and changes nothing; train.eval_len is read
+        for name, train in (("none", {}), ("seqs4", {"n_eval_seqs": 4}),
+                            ("len8", {"n_eval_seqs": 4, "eval_len": 8})):
+            cfg = {"seed": 1, "out_dir": name, "source": {"name": "bimodal_gap"},
+                   "train": train}
+            assert main(["eval", "--config", write_config(tmp_path / f"{name}.json", cfg)]) == 0
+            audits[name] = (tmp_path / name / "audit.csv").read_text().splitlines()[1:]
+        assert audits["none"] == audits["seqs4"] != audits["len8"]
+        for name, eval_len in (("none", 16), ("len8", 8)):
+            vals = audits[name][1].split(",")
+            want = occupancy_divergences(student, teacher, context_occupancy(
+                student, teacher, eval_len, "teacher"))
+            assert (float(vals[0]), float(vals[1])) == want
+            # an untrained student is uniform at every context
+            assert float(vals[2]) == pytest.approx(np.log(6.0), rel=1e-12)
 
     def test_gradcheck_command_exits_zero(self, capsys):
         assert main(["gradcheck", "--set", "seed=0"]) == 0
@@ -275,6 +281,10 @@ class TestCommands:
         ("distill", ["student_order=12"], "V=6 and order k=12"),
         ("eval", ['init_checkpoint="ctx7.json"'], "context (7,) has out-of-range token ids"),
         ("gen-corpus", ['source_path="short_row.json"'], "probs must list 3 numbers"),
+        ("distill", ["train.eval_len=-1"], "train.eval_len must be >= 1"),
+        ("distill", ["train.eval_len=0"], "train.eval_len must be >= 1"),
+        ("eval", ["train.eval_len=-1"], "train.eval_len must be >= 1"),
+        ("eval", ["train.eval_len=0"], "train.eval_len must be >= 1"),
     ])
     def test_user_errors_exit_two(self, tmp_path, monkeypatch, capsys, command, sets,
                                   needle):

@@ -8,6 +8,7 @@ import pytest
 
 from distill_lab.data import (
     BIMODAL_EPS,
+    CHOOSER_TOKEN,
     COIN_A,
     COIN_B,
     GAP_TOKEN,
@@ -18,20 +19,16 @@ from distill_lab.data import (
 from distill_lab.errors import DivergenceInfiniteError, InvalidInputError
 from distill_lab.evaluation import (
     completion_accuracy,
-    divergence_audit,
+    context_occupancy,
     gradcheck,
     k1_study,
     make_completion_tasks,
+    occupancy_divergences,
     positional_entropy,
 )
 from distill_lab.model import TabularLM, Vocab
 from distill_lab.numerics import CategoricalDist, kl_exact
-from distill_lab.training import (
-    ModelTeacher,
-    OracleTeacher,
-    draw_eval_states,
-    train_teacher_mle,
-)
+from distill_lab.training import ModelTeacher, OracleTeacher, train_teacher_mle
 
 
 def dist(*probs):
@@ -65,6 +62,58 @@ class TestGradcheck:
             gradcheck(m, [((0,), 0, 1.0)], eps=1.0)
 
 
+def exact(student, teacher, eval_len=16, eval_from="teacher"):
+    """The exact occupancy-weighted (KL(p||q), KL(q||p))."""
+    return occupancy_divergences(
+        student, teacher, context_occupancy(student, teacher, eval_len, eval_from))
+
+
+def _kl_or_inf(p, q):
+    try:
+        return kl_exact(p, q)
+    except DivergenceInfiniteError:
+        return math.inf
+
+
+def reference_divergence_audit(student, teacher, states):
+    """Mean KL(p||q) and KL(q||p) over explicit prefix states, one state at a time."""
+    fwd, rev = 0.0, 0.0
+    for prefix in states:
+        p = teacher.dist(prefix)
+        q = student.predict(student.context_for(prefix))
+        fwd += _kl_or_inf(p, q)
+        rev += _kl_or_inf(q, p)
+    return fwd / len(states), rev / len(states)
+
+
+def reference_enumeration(student, teacher, eval_len, eval_from):
+    """The exact metric by enumerating every prefix shorter than eval_len with its
+    probability under the driving model; prefixes of probability 0 are skipped."""
+    def drive(prefix):
+        if eval_from == "teacher":
+            return teacher.dist(prefix)
+        return student.predict(student.context_for(prefix))
+
+    fwd = rev = 0.0
+    level = [([], 1.0)]
+    for _ in range(eval_len):
+        for prefix, w in level:
+            p = teacher.dist(prefix)
+            q = student.predict(student.context_for(prefix))
+            fwd += w * _kl_or_inf(p, q)
+            rev += w * _kl_or_inf(q, p)
+        level = [(prefix + [v], w * float(d.probs[v])) for prefix, w in level
+                 for d in [drive(prefix)] for v in np.flatnonzero(d.probs).tolist()]
+    return fwd / eval_len, rev / eval_len
+
+
+def _random_student(order, v, rng):
+    student = TabularLM(order=order, vocab=Vocab.default(v))
+    for ctx in list(itertools.product(range(v), repeat=order))[::3]:
+        student.set_row(ctx, 3.0 * rng.normal(size=v))
+    return student
+
+
 class TestDivergenceAudit:
     def test_student_equals_teacher(self):
         src = build_source({"name": "random_dirichlet", "seed": 0, "vocab_size": 4,
@@ -72,93 +121,130 @@ class TestDivergenceAudit:
         student = TabularLM(order=1, vocab=Vocab.default(4))
         for i in range(4):
             student.set_row((i,), np.log(src.conditional((i,)).probs))
-        teacher = OracleTeacher(src)
-        fwd, rev = divergence_audit(student, teacher, [[0], [1], [2], [3]])
-        assert fwd == pytest.approx(0.0, abs=1e-12)
-        assert rev == pytest.approx(0.0, abs=1e-12)
+        for eval_from in ("teacher", "student"):
+            fwd, rev = exact(student, OracleTeacher(src), eval_from=eval_from)
+            assert fwd == pytest.approx(0.0, abs=1e-12)
+            assert rev == pytest.approx(0.0, abs=1e-12)
 
     def test_best_response_at_ambiguous_state(self):
-        # the order-1 optimum at the gap state is the 50/50 mode mixture;
-        # its reverse KL to the true mode row is computed by direct summation
+        # an order-1 student that is exact wherever the last token decides the next
+        # and the 50/50 mode mixture at the gap: only (coin, gap) contexts cost KL,
+        # each KL(mix || mode row) by direct summation, weighted by their occupancy
         src = build_source({"name": "bimodal_gap"})
         teacher = OracleTeacher(src)
         mix = bimodal_ambiguous_mixture(BIMODAL_EPS)
         student = TabularLM(order=1, vocab=Vocab.default(6))
-        student.set_row((GAP_TOKEN,), np.log(mix.probs))
+        for tok in range(6):
+            row = mix.probs if tok == GAP_TOKEN else src.conditional((CHOOSER_TOKEN, tok)).probs
+            student.set_row((tok,), np.log(row))
         mode_row = src.conditional((COIN_A, GAP_TOKEN))
         expected = float(np.sum(mix.probs * (np.log(mix.probs) - mode_row.logprobs)))
-        _, rev = divergence_audit(student, teacher, [[3, COIN_A, GAP_TOKEN]])
-        assert rev == pytest.approx(expected, abs=1e-12)
-        # symmetry: the same divergence against the other mode row
-        other = src.conditional((COIN_B, GAP_TOKEN))
-        _, rev_b = divergence_audit(student, teacher, [[3, COIN_B, GAP_TOKEN]])
-        assert rev_b == pytest.approx(rev, abs=1e-12)
+        occ = context_occupancy(student, teacher, 12, "teacher")
+        coin_gap = occ[COIN_A * 6 + GAP_TOKEN] + occ[COIN_B * 6 + GAP_TOKEN]
+        _, rev = occupancy_divergences(student, teacher, occ)
+        assert coin_gap > 0.1
+        assert rev == pytest.approx(coin_gap * expected, rel=1e-12)
 
     def test_support_violation_reads_inf(self):
         src = build_source({"name": "uniform", "vocab_size": 2})
         student = TabularLM(order=1, vocab=Vocab.default(2))
         # a 2000-nat logit gap underflows to an exact zero probability
         student.set_row((0,), [0.0, -2000.0])
-        fwd, rev = divergence_audit(student, OracleTeacher(src), [[0], [1]])
+        fwd, rev = exact(student, OracleTeacher(src), eval_len=2)
         assert fwd == math.inf
-        # the reverse direction stays finite: KL([1, 0] || uniform) = ln 2
-        assert rev == pytest.approx(np.log(2.0) / 2, abs=1e-12)
+        # context (0,) has occupancy (1 + 1/2) / 2, and KL([1, 0] || uniform) = ln 2
+        assert rev == pytest.approx(0.75 * np.log(2.0), abs=1e-12)
 
     def test_empty_states(self):
         src = build_source({"name": "uniform", "vocab_size": 2})
         student = TabularLM(order=1, vocab=Vocab.default(2))
-        with pytest.raises(InvalidInputError):
-            divergence_audit(student, OracleTeacher(src), [])
+        for eval_len in (0, -1):
+            with pytest.raises(InvalidInputError):
+                context_occupancy(student, OracleTeacher(src), eval_len, "teacher")
+
+    def test_mismatched_inputs_rejected(self):
+        teacher = OracleTeacher(build_source({"name": "uniform", "vocab_size": 3}))
+        student = TabularLM(order=1, vocab=Vocab.default(3))
+        for other, needle in ((TabularLM(order=1, vocab=Vocab.default(4)), "vocabulary size"),
+                              (TabularLM(order=1, vocab=Vocab(("a", "b", "c"), bos_id=1)),
+                               "BOS")):
+            with pytest.raises(InvalidInputError, match=needle):
+                context_occupancy(other, teacher, 4, "teacher")
+        with pytest.raises(InvalidInputError, match="eval_from"):
+            context_occupancy(student, teacher, 4, "elsewhere")
+        with pytest.raises(InvalidInputError, match="shape"):
+            occupancy_divergences(student, teacher, np.ones(9))
 
 
-def reference_divergence_audit(student, teacher, states):
-    """divergence_audit one state at a time: one teacher row and two KLs per state."""
-    fwd, rev = 0.0, 0.0
-    for prefix in states:
-        p = teacher.dist(prefix)
-        q = student.predict(student.context_for(prefix))
-        try:
-            fwd += kl_exact(p, q)
-        except DivergenceInfiniteError:
-            fwd += math.inf
-        try:
-            rev += kl_exact(q, p)
-        except DivergenceInfiniteError:
-            rev += math.inf
-    return fwd / len(states), rev / len(states)
+def _teacher(kind, src, rng):
+    if kind == "oracle":
+        return OracleTeacher(src)
+    return ModelTeacher(train_teacher_mle(sample_corpus(src, 10, 12, rng), 3, 0.1))
 
 
 class TestPairCachedAudit:
+    """The exact evaluator computes each order-m context's (teacher row, student row)
+    pair once and weights it by occupancy; the per-state loop over sampled prefixes
+    must converge to it, and prefix enumeration must equal it."""
+
     @pytest.mark.parametrize("teacher_kind", ["oracle", "mle"])
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_matches_per_state_loop(self, order, teacher_kind):
-        src = build_source({"name": "bimodal_gap"})
         rng = np.random.default_rng(order)
-        teacher = OracleTeacher(src)
-        if teacher_kind == "mle":
-            teacher = ModelTeacher(train_teacher_mle(
-                sample_corpus(src, 10, 12, rng), 3, 0.1))
-        student = TabularLM(order=order, vocab=Vocab.default(6))
-        for ctx in list(itertools.product(range(6), repeat=order))[::3]:
-            student.set_row(ctx, 3.0 * rng.normal(size=6))
-        states = draw_eval_states(student, teacher, 12, 10, "student", rng)
-        assert (divergence_audit(student, teacher, states)
-                == reference_divergence_audit(student, teacher, states))
+        eval_len, n_seqs = 6, 400
+        for src in (build_source({"name": "bimodal_gap"}),
+                    build_source({"name": "random_dirichlet", "seed": order,
+                                  "vocab_size": 4, "order": order})):
+            v = src.vocab.size
+            teacher = _teacher(teacher_kind, src, rng)
+            student = _random_student(order, v, rng)
+            for eval_from in ("teacher", "student"):
+                assert exact(student, teacher, 4, eval_from) == pytest.approx(
+                    reference_enumeration(student, teacher, 4, eval_from), rel=1e-12)
+                want = exact(student, teacher, eval_len, eval_from)
+                if eval_from == "student":
+                    seqs = student.rollouts([[]] * n_seqs, eval_len, rng)
+                elif teacher_kind == "oracle":
+                    seqs = src.sample_sequences(n_seqs, eval_len, rng)
+                else:
+                    seqs = teacher.model.rollouts([[]] * n_seqs, eval_len, rng)
+                # each sequence's mean over its prefixes is one i.i.d. draw
+                per_seq = np.array([reference_divergence_audit(
+                    student, teacher, [seq[:t] for t in range(eval_len)]) for seq in seqs])
+                mean = per_seq.mean(axis=0)
+                stderr = per_seq.std(axis=0, ddof=1) / np.sqrt(n_seqs)
+                assert np.all(np.abs(mean - want) <= 4.0 * stderr + 1e-12), (
+                    src.name, eval_from, mean, want, stderr)
 
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_support_violations_on_cycle(self, order):
-        # the cycle's one-hot rows make KL(q||p) infinite at every state a uniform
-        # row reaches, and KL(p||q) infinite where a peaked student row misses
+        # from BOS (token 0) the cycle emits 1, 2, 3, ...: with eval_len 3 the
+        # contexts after [], [1] and [1, 2] are reached, the all-3 context is not
         teacher = OracleTeacher(build_source({"name": "deterministic_cycle", "vocab_size": 4}))
-        student = TabularLM(order=order, vocab=Vocab.default(4))
-        student.set_row((1,) * order, [0.0, 0.0, -2000.0, 0.0])  # the cycle's 1 -> 2
-        student.set_row((0,) * order, [-2000.0, 0.0, -2000.0, -2000.0])
-        finite_fwd = [[], [0], [3, 0], [0, 0, 0], [2], [0, 2]] * 2
-        for states, want in ((finite_fwd, (False, True)),
-                             (finite_fwd + [[0, 1, 1, 1]], (True, True))):
-            got = divergence_audit(student, teacher, states)
-            assert got == reference_divergence_audit(student, teacher, states)
-            assert (got[0] == math.inf, got[1] == math.inf) == want
+        reached = [((0,) * order + tuple(h))[-order:] for h in ([], [1], [1, 2])]
+
+        def student_with(rows):
+            student = TabularLM(order=order, vocab=Vocab.default(4))
+            for ctx, nxt in zip(reached, (1, 2, 3)):
+                student.set_row(ctx, np.where(np.arange(4) == nxt, 0.0, -2000.0))
+            for ctx, row in rows.items():
+                student.set_row(ctx, row)
+            return student
+
+        one_hot_miss = [0.0, 0.0, 0.0, -2000.0]  # no mass on 3, the cycle's 2 -> 3
+        cases = (({}, (False, False)),
+                 ({(3,) * order: one_hot_miss}, (False, False)),
+                 ({reached[2]: [0.0, 0.0, 0.0, 0.0]}, (False, True)),
+                 ({reached[2]: one_hot_miss}, (True, True)))
+        for rows, want in cases:
+            student = student_with(rows)
+            for eval_from in ("teacher", "student"):
+                got = exact(student, teacher, 3, eval_from)
+                assert got == pytest.approx(reference_enumeration(student, teacher, 3, eval_from),
+                                            rel=1e-12)
+                assert (got[0] == math.inf, got[1] == math.inf) == want, (rows, eval_from)
+            if not any(want):
+                assert got == (0.0, 0.0)
 
 
 class TestPositionalEntropy:
@@ -224,6 +310,56 @@ class TestCompletionAccuracy:
         with pytest.raises(InvalidInputError):
             completion_accuracy(m, [([0], [1])], sampled=True)
 
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_greedy_matches_per_task_rollouts(self, order):
+        # prompts of several lengths, continuations of 1-4 tokens, rows with ties
+        rng = np.random.default_rng(order)
+        m = _random_student(order, 4, rng)
+        m.set_row((1,) * order, [0.5, 0.5, 0.5, 0.0])
+        truth = reference_tasks(build_source({"name": "random_dirichlet", "seed": order,
+                                              "vocab_size": 4, "order": order}),
+                                40, 4, rng, min_conf=0.0)
+        tasks = [(p[:i % 5], c[:1 + i % 4]) for i, (p, c) in enumerate(truth)]
+        tasks += [(p, [m.greedy_next(m.context_for(p))]) for p, _ in tasks]
+        acc = completion_accuracy(m, tasks)
+        assert acc == reference_completion_accuracy(m, tasks)
+        assert 0.5 <= acc < 1.0
+
+    def test_empty_continuation_rejected(self):
+        m = TabularLM(order=1, vocab=Vocab.default(2))
+        with pytest.raises(InvalidInputError, match="steps"):
+            completion_accuracy(m, [([0], [1]), ([1], [])])
+
+
+def reference_completion_accuracy(model, tasks):
+    """Greedy accuracy one task at a time."""
+    hits = sum(model.rollout(p, len(c), greedy=True) == list(c) for p, c in tasks)
+    return hits / len(tasks)
+
+
+def reference_tasks(source, num_tasks, cont_len, rng, min_conf=0.9, prompt_len=None,
+                    max_attempts_factor=50):
+    """make_completion_tasks one candidate at a time, stopping at num_tasks."""
+    prompt_len = prompt_len if prompt_len is not None else source.order + 2
+    tasks = []
+    for _ in range(num_tasks * max_attempts_factor):
+        if len(tasks) >= num_tasks:
+            break
+        prompt = source.sample_sequence(prompt_len, rng)
+        seq, cont = list(prompt), []
+        for _t in range(cont_len):
+            d = source.conditional_for_prefix(seq)
+            tok = int(np.argmax(d.probs))
+            if d.probs[tok] < min_conf:
+                break
+            cont.append(tok)
+            seq.append(tok)
+        else:
+            tasks.append((prompt, cont))
+    if len(tasks) < num_tasks:
+        raise InvalidInputError(f"only found {len(tasks)}/{num_tasks}")
+    return tasks
+
 
 class TestMakeCompletionTasks:
     def test_tasks_are_near_deterministic(self):
@@ -245,6 +381,33 @@ class TestMakeCompletionTasks:
         src = build_source({"name": "uniform", "vocab_size": 4})
         with pytest.raises(InvalidInputError):
             make_completion_tasks(src, 5, 1, np.random.default_rng(0), min_conf=0.99)
+
+    @pytest.mark.parametrize("spec, num_tasks, cont_len, kw", [
+        ({"name": "bimodal_gap"}, 50, 2, {}),
+        ({"name": "bimodal_gap"}, 7, 3, {"min_conf": 0.85, "prompt_len": 1}),
+        # one-hot rows meet min_conf = 1 exactly
+        ({"name": "deterministic_cycle", "vocab_size": 5}, 12, 4, {"prompt_len": 0,
+                                                                   "min_conf": 1.0}),
+        ({"name": "random_dirichlet", "seed": 2, "vocab_size": 4, "order": 2,
+          "concentration": 0.2}, 20, 2, {"min_conf": 0.6, "prompt_len": 6}),
+        ({"name": "random_dirichlet", "seed": 3, "vocab_size": 3, "order": 3,
+          "concentration": 0.3}, 9, 1, {"min_conf": 0.7, "max_attempts_factor": 3}),
+    ])
+    def test_matches_per_candidate_reference(self, spec, num_tasks, cont_len, kw):
+        src = build_source(spec)
+        got = make_completion_tasks(src, num_tasks, cont_len, np.random.default_rng(5), **kw)
+        assert got == reference_tasks(src, num_tasks, cont_len, np.random.default_rng(5), **kw)
+
+    def test_shortfall_counts_every_candidate(self):
+        # 10 candidates, of which the reference keeps the same count
+        src = build_source({"name": "random_dirichlet", "seed": 1, "vocab_size": 3,
+                            "order": 1, "concentration": 0.3})
+        kw = dict(min_conf=0.8, max_attempts_factor=1)
+        with pytest.raises(InvalidInputError) as want:
+            reference_tasks(src, 10, 1, np.random.default_rng(0), **kw)
+        with pytest.raises(InvalidInputError) as got:
+            make_completion_tasks(src, 10, 1, np.random.default_rng(0), **kw)
+        assert str(want.value) in str(got.value)
 
 
 class TestK1Study:

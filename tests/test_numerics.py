@@ -18,6 +18,7 @@ from distill_lab.numerics import (
     k1_mc,
     k1_samples,
     kl_exact,
+    kl_rows,
     softmax,
 )
 
@@ -183,6 +184,36 @@ class TestKLExact:
             return
         p, q = CategoricalDist.from_probs(a), CategoricalDist.from_probs(b)
         assert kl_exact(p, q) >= 0.0
+
+
+class TestKLRows:
+    @pytest.mark.parametrize("v", [2, 3, 8, 9, 17, 130])
+    def test_row_i_is_kl_exact_or_inf(self, v):
+        # rows with exact zeros, tiny entries below ZERO_TOL, and near-equal pairs
+        # whose sum lands in (-1e-12, 0) before kl_exact's clamp
+        rng = np.random.default_rng(v)
+        z = rng.normal(scale=3.0, size=(120, v))
+        z[rng.random(z.shape) < 0.15] = -2000.0
+        z[::7, 0] = -30.0
+        p = softmax(z)
+        # rows equal to p's, perturbed by 1e-9, and drawn from other rows, in turn
+        row = np.arange(120)[:, None] % 3
+        q = softmax(np.where(row == 0, z, np.where(
+            row == 1, z + rng.normal(scale=1e-9, size=z.shape), z[rng.permutation(120)])))
+        got = kl_rows(p, q)
+        for i in range(120):
+            try:
+                want = kl_exact(p.rows(i), q.rows(i))
+            except DivergenceInfiniteError:
+                want = np.inf
+            assert got[i] == want, i
+        assert np.isinf(got).any() and (got == 0.0).any() and np.isfinite(got).any()
+
+    def test_shape_mismatch(self):
+        with pytest.raises(InvalidInputError):
+            kl_rows(softmax(np.zeros((2, 3))), softmax(np.zeros((2, 4))))
+        with pytest.raises(InvalidInputError):
+            kl_rows(dist(0.5, 0.5), dist(0.5, 0.5))
 
 
 class TestJSDBeta:

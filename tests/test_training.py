@@ -46,8 +46,7 @@ from distill_lab.training import (
 
 
 def small_cfg(tag, **kw):
-    defaults = dict(steps=20, seed=0, lr=0.5, batch_size=8, eval_every=10,
-                    n_eval_seqs=4, eval_len=8)
+    defaults = dict(steps=20, seed=0, lr=0.5, batch_size=8, eval_every=10, eval_len=8)
     defaults.update(kw)
     return TrainConfig(objective=ObjectiveKind(tag), **defaults)
 
@@ -157,6 +156,9 @@ class TestTrainConfig:
             TrainConfig(objective=kind, steps=1, seed=0, opd_reward_mode="nope")
         with pytest.raises(ConfigError):
             TrainConfig(objective=kind, steps=1, seed=0, eval_from="elsewhere")
+        for eval_len in (0, -1):
+            with pytest.raises(ConfigError):
+                TrainConfig(objective=kind, steps=1, seed=0, eval_len=eval_len)
 
 
 class TestMetricsRow:
@@ -285,7 +287,7 @@ class TestDistillOffpolicy:
                                       + hw.w_sampled * (np.eye(4)[s] - q.probs))
         lr = 0.5
         cfg = small_cfg(variant, steps=1, lr=lr, batch_size=8, hpd_samples=2000,
-                        n_eval_seqs=1, eval_len=1)
+                        eval_len=1)
         out, _ = distill_offpolicy(cfg, ModelTeacher(teacher_model), corpus, student)
         step = out.logits(ctx) - student.logits(ctx)
         # 16000 draws keep the Monte Carlo error near 1e-3; adding instead of
@@ -388,7 +390,7 @@ class TestOffpolicyKernel:
                              sign_fidelity=extra.get("sign_fidelity", False))
         cfg = TrainConfig(objective=kind, steps=12, seed=order, lr=extra.get("lr", 0.5),
                           batch_size=8, eval_every=1, hpd_samples=extra.get("hpd_samples", 1),
-                          n_eval_seqs=2, eval_len=6)
+                          eval_len=6)
         student = TabularLM(order=order, vocab=Vocab.default(corpus.vocab_size))
         outputs = []
         for run in (distill_offpolicy, reference_offpolicy):
@@ -554,7 +556,7 @@ class TestOpdLockstep:
         prompts = extra.pop("prompts", None)
         cfg = TrainConfig(**dict(dict(
             objective=ObjectiveKind(tag), steps=8, seed=order, lr=0.7, batch_size=6,
-            eval_every=3, horizon=5, n_eval_seqs=3, eval_len=5), **extra))
+            eval_every=3, horizon=5, eval_len=5), **extra))
         student = TabularLM(order=order, vocab=Vocab.default(teacher.vocab.size))
         outputs = []
         for run in (distill_onpolicy_opd, reference_opd):
