@@ -66,11 +66,27 @@ def _scalar(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
-def _logprob(d: CategoricalDist, token, name: str):
-    zero = np.ravel(_at(d.probs, token) <= 0.0)
-    if zero.any():
-        raise LogOfZeroError(f"{name}[{np.ravel(token)[np.argmax(zero)]}] = 0")
-    return _at(d.logprobs, token)
+def _check_positive(*checks) -> None:
+    """LogOfZeroError at the first row, in row order, where a check's value is <= 0.
+
+    Each check is (values, token, message template); within a row they are
+    tried in the given order, as a rule applied to that row alone tries them.
+    """
+    zero = np.array([np.ravel(values <= 0.0) for values, _, _ in checks])
+    hit = zero.any(axis=0)
+    if hit.any():
+        row = int(np.argmax(hit))
+        _, token, message = checks[int(np.argmax(zero[:, row]))]
+        raise LogOfZeroError(message.format(np.ravel(token)[row]))
+
+
+def _support(d: CategoricalDist, token, name: str):
+    """The check that d puts mass on token, for _check_positive."""
+    return _at(d.probs, token), token, name + "[{}] = 0"
+
+
+def _k1(p: CategoricalDist, q: CategoricalDist, token):
+    return _at(q.probs, token) * (_at(p.logprobs, token) - _at(q.logprobs, token))
 
 
 def weight_sft(token, expert):
@@ -90,9 +106,8 @@ def weights_fkld_dense(p: CategoricalDist) -> np.ndarray:
 
 def hpd_k1(p: CategoricalDist, q: CategoricalDist, token):
     """Negative reverse k1 gap q * (ln p - ln q); positive iff q underestimates."""
-    lp = _logprob(p, token, "p")
-    lq = _logprob(q, token, "q")
-    return _scalar(_at(q.probs, token) * (lp - lq))
+    _check_positive(_support(p, token, "p"), _support(q, token, "q"))
+    return _scalar(_k1(p, q, token))
 
 
 def weight_rkld_off(
@@ -115,18 +130,16 @@ def weight_jsd_off(
         raise InvalidParameterError(f"beta must lie in (0, 1), got {beta!r}")
     q_star = _at(q.probs, expert)
     m = beta * _at(p.probs, expert) + (1.0 - beta) * q_star
-    zero = np.ravel(m <= 0.0)
-    if zero.any():
-        raise LogOfZeroError(
-            f"midpoint mixture is 0 at token {np.ravel(expert)[np.argmax(zero)]}")
-    lq = _logprob(q, expert, "q")
-    w = _scalar((1.0 - beta) * q_star * (np.log(m) - lq))
+    _check_positive((m, expert, "midpoint mixture is 0 at token {}"),
+                    _support(q, expert, "q"))
+    w = _scalar((1.0 - beta) * q_star * (np.log(m) - _at(q.logprobs, expert)))
     return -w if sign_fidelity else w
 
 
 def weight_rkld_on(p: CategoricalDist, q: CategoricalDist, token):
     """On-policy reverse-KL weight: log-ratio reward at a student-sampled token."""
-    return _scalar(_logprob(p, token, "p") - _logprob(q, token, "q"))
+    _check_positive(_support(p, token, "p"), _support(q, token, "q"))
+    return _scalar(_at(p.logprobs, token) - _at(q.logprobs, token))
 
 
 @dataclass(frozen=True)
@@ -155,8 +168,9 @@ def hpd_weights(
     """
     if variant not in HPD_VARIANTS:
         raise ConfigError(f"unknown hpd variant {variant!r}")
-    k1 = hpd_k1(p, q, expert)
-    k1p = hpd_k1(p, q, sampled)
+    _check_positive(_support(p, expert, "p"), _support(q, expert, "q"),
+                    _support(p, sampled, "p"), _support(q, sampled, "q"))
+    k1, k1p = _scalar(_k1(p, q, expert)), _scalar(_k1(p, q, sampled))
     p_star = _at(p.probs, expert)
 
     if variant == "hpd_no_sample":

@@ -82,17 +82,18 @@ def _flatten(corpus: Corpus, v: int):
     """(tokens, offsets, lengths, starts) of the corpus's sequences laid end to end.
 
     offsets[j] is token j's index within its sequence; lengths and starts are
-    lists. A token id outside a vocabulary of v is an InvalidInputError.
+    intp arrays. A token id outside a vocabulary of v is an InvalidInputError.
     """
-    lengths = [len(seq) for seq in corpus.sequences]
-    starts = [0, *itertools.accumulate(lengths)][:-1]
+    lengths = np.fromiter(map(len, corpus.sequences), dtype=np.intp,
+                          count=len(corpus.sequences))
+    starts = np.cumsum(lengths) - lengths
     tokens = np.fromiter(itertools.chain.from_iterable(corpus.sequences), dtype=np.int64,
-                         count=sum(lengths))
+                         count=int(lengths.sum()))
     outside = (tokens < 0) | (tokens >= v)
     if outside.any():
         raise InvalidInputError(f"corpus token id {tokens[np.argmax(outside)]} is out of "
                                 f"range for the vocabulary of {v}")
-    offsets = np.arange(tokens.size) - np.repeat(np.asarray(starts, dtype=np.intp), lengths)
+    offsets = np.arange(tokens.size) - np.repeat(starts, lengths)
     return tokens, offsets, lengths, starts
 
 
@@ -196,8 +197,8 @@ def _train_loop(cfg: TrainConfig, teacher, student: TabularLM, eval_tasks,
                 minibatch) -> tuple[TabularLM, list[MetricsRow]]:
     """SGD on a copy of student; minibatch(student, acc, rng) accumulates one batch.
 
-    minibatch returns the batch's student entropies and rewards (None
-    off-policy).
+    minibatch returns the batch's student rows q and its rewards (None
+    off-policy); q's mean entropy is computed only for a metrics row.
     """
     rng = np.random.default_rng(cfg.seed)
     student = student.copy()
@@ -205,7 +206,7 @@ def _train_loop(cfg: TrainConfig, teacher, student: TabularLM, eval_tasks,
     rows: list[MetricsRow] = []
 
     for step in range(1, cfg.steps + 1):
-        batch_entropies, batch_rewards = minibatch(student, acc, rng)
+        q, batch_rewards = minibatch(student, acc, rng)
         sgd_step(student, acc, cfg.lr)
 
         if step % cfg.eval_every == 0 or step == cfg.steps:
@@ -216,7 +217,7 @@ def _train_loop(cfg: TrainConfig, teacher, student: TabularLM, eval_tasks,
                     step=step,
                     objective=cfg.objective.tag,
                     seed=cfg.seed,
-                    train_entropy=float(np.mean(batch_entropies)),
+                    train_entropy=float(np.mean(entropy(q))),
                     kl_fwd=kl_fwd,
                     kl_rev=kl_rev,
                     accuracy=accuracy,
@@ -249,6 +250,8 @@ def distill_offpolicy(
         raise InvalidInputError("corpus is empty")
     v = student.vocab.size
     tokens, offsets, lengths, starts = _flatten(corpus, v)
+    if not lengths.all():
+        raise InvalidInputError(f"corpus sequence {int(np.argmin(lengths))} is empty")
     p_table = _teacher_table(teacher, v)
     s_ids = context_ids(tokens, offsets, student.order, student.vocab.bos_id, v)
     t_ids = context_ids(tokens, offsets, teacher.order, teacher.vocab.bos_id, v)
@@ -257,15 +260,10 @@ def distill_offpolicy(
     k = cfg.hpd_samples if tag in HPD_VARIANTS else 0
 
     def minibatch(student, acc, rng):
-        # one scalar draw at a time, position by position (sequence, offset, then
-        # the HPD uniforms): array draws would consume the generator differently
-        pos = np.empty(n, dtype=np.intp)
-        uniforms = np.empty(n * k)
-        for b in range(n):
-            si = int(rng.integers(n_seqs))
-            pos[b] = starts[si] + int(rng.integers(lengths[si]))
-            for i in range(k):
-                uniforms[b * k + i] = rng.random()
+        # one array draw per quantity: the sequences, their offsets, the HPD uniforms
+        si = rng.integers(n_seqs, size=n)
+        pos = starts[si] + rng.integers(0, lengths[si])
+        uniforms = rng.random(n * k)
         ids = s_ids[pos]
         q = student.predict_batch(ids)
         p = p_table.rows(t_ids[pos])
@@ -278,9 +276,8 @@ def distill_offpolicy(
             # draw i of position b is entry b * k + i; sampled ~ q by inverse CDF
             draw = np.repeat(np.arange(n), k)
             qd = q.rows(draw)
-            cum = np.cumsum(qd.probs, axis=1)
-            sampled = np.minimum(np.sum(cum <= uniforms[:, None], axis=1), v - 1)
-            hw = hpd_weights(p.rows(draw), qd, expert[draw], sampled, variant=tag)
+            hw = hpd_weights(p.rows(draw), qd, expert[draw], inverse_cdf(qd.probs, uniforms),
+                             variant=tag)
             # each draw updates the expert token, then the sampled one; the
             # position's update is the mean over its draws and counts once
             counts = np.zeros((n, k, 2), dtype=np.int64)
@@ -301,7 +298,7 @@ def distill_offpolicy(
                 w = weight_jsd_off(p, q, expert, beta=kind.beta,
                                    sign_fidelity=kind.sign_fidelity)
             accumulate_token_grads(acc, ids, expert, w, np.ones(n, dtype=np.int64), q)
-        return entropy(q), None
+        return q, None
 
     return _train_loop(cfg, teacher, student, eval_tasks, minibatch)
 
@@ -340,12 +337,10 @@ def distill_onpolicy_opd(
     n, h = cfg.batch_size, cfg.horizon
 
     def minibatch(student, acc, rng):
-        # rollout by rollout: its prompt, then one uniform per position
-        pick = np.empty(n, dtype=np.intp)
-        u = np.empty((n, h))
-        for b in range(n):
-            pick[b] = rng.integers(len(prompts))
-            u[b] = rng.random(h)
+        # every rollout's prompt, then its uniforms, row b for rollout b; one
+        # prompt consumes no state, so u is what rollout-by-rollout draws give
+        pick = rng.integers(len(prompts), size=n)
+        u = rng.random((n, h))
         s_ids, t_ids, tokens = (np.empty((n, h), dtype=np.intp) for _ in range(3))
         s_id, t_id = s_start[pick], t_start[pick]
         step_q = []
@@ -378,7 +373,7 @@ def distill_onpolicy_opd(
         baseline = float(np.mean(rewards)) if cfg.opd_baseline else 0.0
         accumulate_token_grads(acc, s_ids, tokens, coeffs - baseline,
                                np.ones(n * h, dtype=np.int64), q)
-        return entropy(q), rewards
+        return q, rewards
 
     return _train_loop(cfg, teacher, student, eval_tasks, minibatch)
 

@@ -250,3 +250,30 @@ class TestOPDRewards:
         vals = np.asarray(p.logprobs)[draws] - np.asarray(q.logprobs)[draws]
         stderr = vals.std(ddof=1) / np.sqrt(vals.size)
         assert abs(vals.mean() - (-0.223144)) <= 3.0 * stderr
+
+
+class TestBatchedSupportChecks:
+    # row 0 fails a later check than row 1 does; the batch must raise row 0's
+    # error, as applying the rule one row at a time does
+    P = CategoricalDist.from_rows([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]])
+    Q = CategoricalDist.from_rows([[0.0, 0.5, 0.5], [0.0, 0.5, 0.5]])
+
+    @pytest.mark.parametrize("rule, tokens, message", [
+        (weight_rkld_off, ([0, 0],), "q[0] = 0"),
+        (weight_rkld_on, ([0, 0],), "q[0] = 0"),
+        (hpd_k1, ([0, 0],), "q[0] = 0"),
+        (weight_jsd_off, ([0, 0],), "q[0] = 0"),
+        (hpd_weights, ([1, 0], [2, 1]), "p[2] = 0"),  # row 0's sampled, row 1's expert
+    ])
+    def test_first_row_in_order_is_named(self, rule, tokens, message):
+        tokens = [np.array(t) for t in tokens]
+        for rows in ([0, 1], [0]):
+            with pytest.raises(LogOfZeroError) as info:
+                rule(self.P.rows(rows), self.Q.rows(rows), *(t[rows] for t in tokens))
+            assert str(info.value) == message
+
+    def test_jsd_midpoint_checked_before_q(self):
+        p = CategoricalDist.from_rows([[0.0, 1.0], [1.0, 0.0]])
+        q = CategoricalDist.from_rows([[0.0, 1.0], [0.0, 1.0]])
+        with pytest.raises(LogOfZeroError, match="midpoint mixture is 0 at token 0"):
+            weight_jsd_off(p, q, np.array([0, 0]))

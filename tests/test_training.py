@@ -21,8 +21,9 @@ from distill_lab.model import (
     checkpoint_save,
     pad_context,
 )
-from distill_lab.numerics import CategoricalDist, entropy, kl_exact
+from distill_lab.numerics import CategoricalDist, entropy, inverse_cdf, kl_exact
 from distill_lab.objectives import (
+    HPD_VARIANTS,
     OFF_POLICY_TAGS,
     ObjectiveKind,
     hpd_weights,
@@ -304,15 +305,20 @@ def reference_offpolicy(cfg, teacher, corpus, student):
     kind = cfg.objective
 
     def minibatch(student, acc, rng):
-        batch_entropies = []
-        for _ in range(cfg.batch_size):
-            seq = corpus.sequences[int(rng.integers(len(corpus.sequences)))]
-            t = int(rng.integers(len(seq)))
+        qs = []
+        k = cfg.hpd_samples if kind.tag in HPD_VARIANTS else 0
+        lengths = np.array([len(seq) for seq in corpus.sequences])
+        si = rng.integers(len(corpus.sequences), size=cfg.batch_size)
+        offsets = rng.integers(0, lengths[si])
+        uniforms = rng.random(cfg.batch_size * k)
+        for b in range(cfg.batch_size):
+            seq = corpus.sequences[int(si[b])]
+            t = int(offsets[b])
             prefix, expert = seq[:t], seq[t]
             ctx = student.context_for(prefix)
             p = teacher.dist(prefix)
             q = student.predict(ctx)
-            batch_entropies.append(entropy(q))
+            qs.append(q)
             tag = kind.tag
             if tag in ("sft", "seqkd"):
                 accumulate_token_grad(acc, student, ctx, expert, 1.0, q=q)
@@ -329,17 +335,15 @@ def reference_offpolicy(cfg, teacher, corpus, student):
                                    sign_fidelity=kind.sign_fidelity)
                 accumulate_token_grad(acc, student, ctx, expert, w, q=q)
             else:
-                k = cfg.hpd_samples
                 for i in range(k):
-                    sampled = min(int(np.searchsorted(np.cumsum(q.probs), rng.random(),
-                                                      side="right")), q.size - 1)
+                    sampled = int(inverse_cdf(q.probs, uniforms[b * k + i]))
                     hw = hpd_weights(p, q, expert, sampled, variant=tag)
                     accumulate_token_grad(acc, student, ctx, expert, hw.w_star / k,
                                           count=1 if i == 0 else 0, q=q)
                     if hw.w_sampled != 0.0:
                         accumulate_token_grad(acc, student, ctx, hw.sampled_token,
                                               hw.w_sampled / k, count=0, q=q)
-        return batch_entropies, None
+        return CategoricalDist.stack(qs), None
 
     return training._train_loop(cfg, teacher, student, None, minibatch)
 
@@ -399,6 +403,19 @@ class TestOffpolicyKernel:
             checkpoint_save(model, path)
             outputs.append((path.read_bytes(), [r.to_csv_line() for r in rows]))
         assert outputs[0] == outputs[1]
+
+    def test_empty_sequence_rejected_at_every_seed(self):
+        # a draw landing on the empty sequence would fail in the generator
+        teacher, _ = _variable_length_corpus()
+        corpus = Corpus(sequences=[[1, 2, 3], []], provenance="ground_truth", seed=0,
+                        vocab_size=6)
+        student = TabularLM(order=1, vocab=Vocab.default(6))
+        errors = set()
+        for seed in range(8):
+            with pytest.raises(InvalidInputError) as info:
+                distill_offpolicy(small_cfg("sft", seed=seed), teacher, corpus, student)
+            errors.add(str(info.value))
+        assert errors == {"corpus sequence 1 is empty"}
 
     def test_out_of_range_corpus_token(self):
         teacher, _ = _variable_length_corpus()
@@ -475,8 +492,22 @@ class TestDistillOnpolicyOPD:
         assert rows[-1].mean_reward > -0.1
 
 
-def reference_opd(cfg, teacher, student, prompts=None):
-    """distill_onpolicy_opd one rollout and one token at a time, one Generator.choice each.
+def draws_batched(rng, n_prompts, n, h):
+    """The kernel's layout: every rollout's prompt, then an (n, h) block of uniforms."""
+    return rng.integers(n_prompts, size=n), rng.random((n, h))
+
+
+def draws_per_rollout(rng, n_prompts, n, h):
+    """The former layout: rollout by rollout, its prompt and then h uniforms."""
+    pick, u = np.empty(n, dtype=np.intp), np.empty((n, h))
+    for b in range(n):
+        pick[b] = rng.integers(n_prompts)
+        u[b] = rng.random(h)
+    return pick, u
+
+
+def reference_opd(cfg, teacher, student, prompts=None, draws=draws_batched):
+    """distill_onpolicy_opd one rollout and one token at a time, one inverse-CDF draw each.
 
     Draws, rewards and accumulation follow the lockstep kernel's stated
     order, so its checkpoints and metrics must match these byte for byte.
@@ -485,18 +516,17 @@ def reference_opd(cfg, teacher, student, prompts=None):
     prompts = [list(p) for p in prompts] if prompts else [[]]
 
     def minibatch(student, acc, rng):
-        batch_entropies = []
         batch_rewards = []
         ctxs, tokens, qs, coeffs = [], [], [], []  # one entry per sampled token
-        for _ in range(cfg.batch_size):
-            prompt = prompts[int(rng.integers(len(prompts)))]
+        pick, u = draws(rng, len(prompts), cfg.batch_size, cfg.horizon)
+        for b in range(cfg.batch_size):
+            prompt = prompts[int(pick[b])]
             seq = list(prompt)
             rewards = []
-            for _t in range(cfg.horizon):
+            for t in range(cfg.horizon):
                 ctx = student.context_for(seq)
                 q = student.predict(ctx)
-                batch_entropies.append(entropy(q))
-                a = int(rng.choice(student.vocab.size, p=q.probs))
+                a = int(inverse_cdf(q.probs, u[b, t]))
                 p = teacher.dist(seq)
                 if p.probs[a] <= 0.0:
                     raise DivergenceInfiniteError(
@@ -515,9 +545,10 @@ def reference_opd(cfg, teacher, student, prompts=None):
             batch_rewards.extend(rewards)
 
         baseline = float(np.mean(batch_rewards)) if cfg.opd_baseline else 0.0
+        q = CategoricalDist.stack(qs)
         accumulate_token_grads(acc, ctxs, tokens, np.array(coeffs) - baseline,
-                               np.ones(len(tokens), dtype=np.int64), CategoricalDist.stack(qs))
-        return batch_entropies, batch_rewards
+                               np.ones(len(tokens), dtype=np.int64), q)
+        return q, batch_rewards
 
     return training._train_loop(cfg, teacher, student, None, minibatch)
 
@@ -548,23 +579,43 @@ OPD_CASES = (
 )
 
 
+def _opd_outputs(tmp_path, tag, order, extra, draws=draws_batched):
+    """Checkpoint bytes and CSV lines of the kernel and of reference_opd with draws."""
+    extra = dict(extra)
+    teacher = _opd_teacher(extra.pop("teacher", "oracle"))
+    prompts = extra.pop("prompts", None)
+    cfg = TrainConfig(**dict(dict(
+        objective=ObjectiveKind(tag), steps=8, seed=order, lr=0.7, batch_size=6,
+        eval_every=3, horizon=5, eval_len=5), **extra))
+    student = TabularLM(order=order, vocab=Vocab.default(teacher.vocab.size))
+    outputs = []
+    for name, run in (("kernel", distill_onpolicy_opd),
+                      ("reference", lambda *a, **kw: reference_opd(*a, **kw, draws=draws))):
+        model, rows = run(cfg, teacher, student, prompts=prompts)
+        path = tmp_path / f"{name}.json"
+        checkpoint_save(model, path)
+        outputs.append((path.read_bytes(), [r.to_csv_line() for r in rows]))
+    return outputs
+
+
 class TestOpdLockstep:
     @pytest.mark.parametrize("tag, order, extra", OPD_CASES)
     def test_matches_per_rollout_reference(self, tmp_path, tag, order, extra):
-        extra = dict(extra)
-        teacher = _opd_teacher(extra.pop("teacher", "oracle"))
-        prompts = extra.pop("prompts", None)
-        cfg = TrainConfig(**dict(dict(
-            objective=ObjectiveKind(tag), steps=8, seed=order, lr=0.7, batch_size=6,
-            eval_every=3, horizon=5, eval_len=5), **extra))
-        student = TabularLM(order=order, vocab=Vocab.default(teacher.vocab.size))
-        outputs = []
-        for run in (distill_onpolicy_opd, reference_opd):
-            model, rows = run(cfg, teacher, student, prompts=prompts)
-            path = tmp_path / f"{run.__name__}.json"
-            checkpoint_save(model, path)
-            outputs.append((path.read_bytes(), [r.to_csv_line() for r in rows]))
+        outputs = _opd_outputs(tmp_path, tag, order, extra)
         assert outputs[0] == outputs[1]
+
+    # one prompt consumes no generator state, so these runs match the former
+    # rollout-by-rollout draws; with two or more prompts they do not
+    @pytest.mark.parametrize("tag, order, extra", [
+        case for case in OPD_CASES if len(case[2].get("prompts") or [[]]) == 1])
+    def test_single_prompt_matches_per_rollout_draws(self, tmp_path, tag, order, extra):
+        outputs = _opd_outputs(tmp_path, tag, order, extra, draws=draws_per_rollout)
+        assert outputs[0] == outputs[1]
+
+    def test_several_prompts_change_with_the_draw_layout(self, tmp_path):
+        extra = {"prompts": [[1], [2, 3, 1, 0], [], [4]]}
+        outputs = _opd_outputs(tmp_path, "opd_k1", 2, extra, draws=draws_per_rollout)
+        assert outputs[0] != outputs[1]
 
     @pytest.mark.parametrize("student_v", [4, 8])
     def test_vocabulary_mismatch_rejected(self, student_v):
@@ -611,6 +662,19 @@ class TestOpdLockstep:
                 run(cfg, ModelTeacher(model), student)
             errors.append(str(info.value))
         assert errors[0] == errors[1]
+
+
+class TestTrainLoop:
+    def test_train_entropy_is_the_mean_over_the_batch_rows(self):
+        q = CategoricalDist.from_rows([[0.5, 0.5], [1.0, 0.0], [0.25, 0.75]])
+        teacher = OracleTeacher(build_source({"name": "uniform", "vocab_size": 2}))
+        student = TabularLM(order=1, vocab=Vocab.default(2))
+        cfg = small_cfg("sft", steps=4, eval_every=2)
+        _, rows = training._train_loop(cfg, teacher, student, None,
+                                       lambda student, acc, rng: (q, None))
+        expected = float(np.mean([entropy(q.rows(i)) for i in range(3)]))
+        assert [(r.step, r.train_entropy, r.mean_reward) for r in rows] == [
+            (2, expected, None), (4, expected, None)]
 
 
 class TestRunExperiment:
