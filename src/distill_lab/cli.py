@@ -131,7 +131,13 @@ def apply_overrides(cfg: dict, sets: list[str]) -> dict:
 
 
 def config_hash(cfg: dict) -> str:
-    canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
+    """The first 12 hex digits of the sha256 of the config without out_dir.
+
+    Where a run writes does not change what it writes, so two runs that differ
+    only in out_dir write byte-identical files.
+    """
+    kept = {k: v for k, v in cfg.items() if k != "out_dir"}
+    canon = json.dumps(kept, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 

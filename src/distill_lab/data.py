@@ -25,12 +25,13 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigError, InvalidInputError, ParseError, config_field
 from .model import ContextKey, TabularLM, Vocab, pad_context, prefix_id, table_rows
-from .numerics import CategoricalDist, inverse_cdf
+from .numerics import CategoricalDist, cdf_draw, cdf_rows
 
 CORPUS_FORMAT_VERSION = 1
 
@@ -83,9 +84,14 @@ class MarkovSource:
         ids = np.full(n, prefix_id([], self.order, self.vocab), dtype=np.intp)
         seqs = np.empty((n, length), dtype=np.intp)
         for t in range(length):
-            seqs[:, t] = inverse_cdf(self.table.probs[ids], u[:, t])
-            ids = (ids * v + seqs[:, t]) % len(self.table.probs)
+            seqs[:, t] = cdf_draw(self.cdf[ids], u[:, t])
+            ids = (ids * v + seqs[:, t]) % len(self.cdf)
         return seqs.tolist()
+
+    @cached_property
+    def cdf(self) -> np.ndarray:
+        """cdf_rows of the conditionals, row i for context id i; table is read-only."""
+        return cdf_rows(self.table.probs)
 
 
 def _all_contexts(size: int, order: int):

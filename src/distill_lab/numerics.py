@@ -95,16 +95,29 @@ def softmax(logits) -> CategoricalDist:
     return _checked(e / e.sum(axis=-1, keepdims=True))
 
 
+def cdf_rows(probs) -> np.ndarray:
+    """The normalised CDF cumsum(row) / cumsum(row)[-1] of probs, or of each of its rows.
+
+    Row i of a batch is bit for bit cdf_rows(probs[i]).
+    """
+    cdf = np.cumsum(probs, axis=-1)
+    return cdf / cdf[..., -1:]
+
+
+def cdf_draw(cdf, u) -> np.ndarray:
+    """Row i of a cdf_rows table sampled with the uniform u[i]: its count of entries <= u[i]."""
+    return np.count_nonzero(cdf <= np.asarray(u)[..., None], axis=-1)
+
+
 def inverse_cdf(probs, u) -> np.ndarray:
     """Row i of probs sampled with the uniform u[i], exactly as Generator.choice samples it.
 
     Generator.choice(V, p=row) takes one rng.random() and returns the count of
     entries of cumsum(row) / cumsum(row)[-1] that are <= it; a 1-d probs and a
-    scalar u give one draw.
+    scalar u give one draw. A caller that samples the same rows again keeps
+    their cdf_rows and calls cdf_draw.
     """
-    cdf = np.cumsum(probs, axis=-1)
-    cdf = cdf / cdf[..., -1:]
-    return np.count_nonzero(cdf <= np.asarray(u)[..., None], axis=-1)
+    return cdf_draw(cdf_rows(probs), u)
 
 
 def _support_entropy(p: np.ndarray, lp: np.ndarray) -> float:

@@ -28,7 +28,7 @@ from .model import (
     prefix_id,
     sgd_step,
 )
-from .numerics import CategoricalDist, entropy, inverse_cdf, softmax
+from .numerics import CategoricalDist, cdf_draw, cdf_rows, entropy, softmax
 from .objectives import (
     HPD_VARIANTS,
     ObjectiveKind,
@@ -63,19 +63,24 @@ class OracleTeacher:
 
 
 class ModelTeacher:
-    """Conditionals from a fitted TabularLM."""
+    """Conditionals from a fitted TabularLM.
+
+    The teacher reads its model as it was at construction: one softmax of the
+    whole table, whose rows both dist and dists return.
+    """
 
     def __init__(self, model: TabularLM):
         self.model = model
         self.order = model.order
         self.vocab = model.vocab
+        self._table = softmax(model.table)
 
     def dist(self, prefix) -> CategoricalDist:
-        return self.model.predict(self.model.context_for(prefix))
+        return self._table.rows(prefix_id(prefix, self.order, self.vocab))
 
     def dists(self) -> CategoricalDist:
         """Every context's conditional: row i is context id i's."""
-        return softmax(self.model.table)
+        return self._table
 
 
 def _flatten(corpus: Corpus, v: int):
@@ -193,21 +198,57 @@ def evaluate_divergences(student: TabularLM, teacher, cfg: TrainConfig) -> tuple
     return occupancy_divergences(student, teacher, occ)
 
 
+class PredictiveTable:
+    """The student's softmax at every context, row i for context id i.
+
+    probs and logprobs are one checked softmax(student.table); cdf holds each
+    row's numerics.cdf_rows when the objective samples from the student, else
+    None. refresh(ids) recomputes rows an SGD step moved, so every row stays
+    bit for bit what predict_batch would give.
+    """
+
+    def __init__(self, student: TabularLM, with_cdf: bool):
+        self.student = student
+        d = softmax(student.table)
+        # writable copies: refresh overwrites rows in place
+        self.probs, self.logprobs = np.array(d.probs), np.array(d.logprobs)
+        self.cdf = cdf_rows(d.probs) if with_cdf else None
+
+    def rows(self, ids) -> CategoricalDist:
+        """The student's predictive batch at the context ids: row j for ids[j]."""
+        return CategoricalDist(probs=self.probs[ids], logprobs=self.logprobs[ids])
+
+    def refresh(self, ids) -> None:
+        d = softmax(self.student.table[ids])
+        self.probs[ids], self.logprobs[ids] = d.probs, d.logprobs
+        if self.cdf is not None:
+            self.cdf[ids] = cdf_rows(d.probs)
+
+
 def _train_loop(cfg: TrainConfig, teacher, student: TabularLM, eval_tasks,
                 minibatch) -> tuple[TabularLM, list[MetricsRow]]:
-    """SGD on a copy of student; minibatch(student, acc, rng) accumulates one batch.
+    """SGD on a copy of student; minibatch(student, pred, acc, rng) accumulates one batch.
 
-    minibatch returns the batch's student rows q and its rewards (None
-    off-policy); q's mean entropy is computed only for a metrics row.
+    pred is the copy's PredictiveTable, with CDF rows for the objectives that
+    sample from the student (OPD and HPD). It is built once per run; after
+    each step only the rows the accumulator touched are refreshed, and a step
+    that touched none refreshes nothing. minibatch returns the batch's student
+    rows q and its rewards (None off-policy); q's mean entropy is computed
+    only for a metrics row.
     """
     rng = np.random.default_rng(cfg.seed)
     student = student.copy()
     acc = GradAccumulator(student.order, student.vocab.size)
+    kind = cfg.objective
+    pred = PredictiveTable(student, with_cdf=kind.on_policy or kind.tag in HPD_VARIANTS)
     rows: list[MetricsRow] = []
 
     for step in range(1, cfg.steps + 1):
-        q, batch_rewards = minibatch(student, acc, rng)
+        q, batch_rewards = minibatch(student, pred, acc, rng)
+        moved = np.flatnonzero(acc.touched)  # sgd_step clears the accumulator
         sgd_step(student, acc, cfg.lr)
+        if moved.size:
+            pred.refresh(moved)
 
         if step % cfg.eval_every == 0 or step == cfg.steps:
             kl_fwd, kl_rev = evaluate_divergences(student, teacher, cfg)
@@ -238,8 +279,9 @@ def distill_offpolicy(
     """Minibatch reweighted-likelihood distillation on a fixed corpus.
 
     The corpus's context ids are computed once per call; each minibatch is one
-    gather of student and teacher rows, softmax, weight-rule call and ordered
-    accumulate.
+    gather of teacher rows and of the student's cached predictive rows, one
+    weight-rule call and one ordered accumulate. HPD samples its tokens from
+    the cached CDF rows.
     """
     kind = cfg.objective
     if kind.on_policy:
@@ -259,13 +301,13 @@ def distill_offpolicy(
     tag = kind.tag
     k = cfg.hpd_samples if tag in HPD_VARIANTS else 0
 
-    def minibatch(student, acc, rng):
+    def minibatch(student, pred, acc, rng):
         # one array draw per quantity: the sequences, their offsets, the HPD uniforms
         si = rng.integers(n_seqs, size=n)
         pos = starts[si] + rng.integers(0, lengths[si])
         uniforms = rng.random(n * k)
         ids = s_ids[pos]
-        q = student.predict_batch(ids)
+        q = pred.rows(ids)
         p = p_table.rows(t_ids[pos])
         expert = tokens[pos]
 
@@ -276,8 +318,8 @@ def distill_offpolicy(
             # draw i of position b is entry b * k + i; sampled ~ q by inverse CDF
             draw = np.repeat(np.arange(n), k)
             qd = q.rows(draw)
-            hw = hpd_weights(p.rows(draw), qd, expert[draw], inverse_cdf(qd.probs, uniforms),
-                             variant=tag)
+            hw = hpd_weights(p.rows(draw), qd, expert[draw],
+                             cdf_draw(pred.cdf[ids[draw]], uniforms), variant=tag)
             # each draw updates the expert token, then the sampled one; the
             # position's update is the mean over its draws and counts once
             counts = np.zeros((n, k, 2), dtype=np.int64)
@@ -313,8 +355,9 @@ def distill_onpolicy_opd(
     """Score-function on-policy distillation with per-token K1 rewards.
 
     A minibatch's rollouts advance in lockstep, one position per step: one
-    student softmax over every rollout's context, then one inverse-CDF draw.
-    Each rollout carries its student and teacher context ids along.
+    gather of the student's cached CDF rows at every rollout's context, then
+    one inverse-CDF draw. Each rollout carries its student and teacher context
+    ids along; its student rows are one gather afterwards.
     """
     kind = cfg.objective
     if not kind.on_policy:
@@ -336,25 +379,20 @@ def distill_onpolicy_opd(
     n_s, n_t = v ** k, len(p_table.probs)
     n, h = cfg.batch_size, cfg.horizon
 
-    def minibatch(student, acc, rng):
+    def minibatch(student, pred, acc, rng):
         # every rollout's prompt, then its uniforms, row b for rollout b; one
         # prompt consumes no state, so u is what rollout-by-rollout draws give
         pick = rng.integers(len(prompts), size=n)
         u = rng.random((n, h))
         s_ids, t_ids, tokens = (np.empty((n, h), dtype=np.intp) for _ in range(3))
         s_id, t_id = s_start[pick], t_start[pick]
-        step_q = []
         for t in range(h):  # every rollout advances one position
             s_ids[:, t], t_ids[:, t] = s_id, t_id
-            q = student.predict_batch(s_id)
-            tokens[:, t] = tok = inverse_cdf(q.probs, u[:, t])
+            tokens[:, t] = tok = cdf_draw(pred.cdf[s_id], u[:, t])
             s_id, t_id = (s_id * v + tok) % n_s, (t_id * v + tok) % n_t
-            step_q.append(q)
         # rollout-major from here on: position t of rollout b is entry b * h + t
-        q = CategoricalDist(
-            probs=np.stack([d.probs for d in step_q], axis=1).reshape(n * h, v),
-            logprobs=np.stack([d.logprobs for d in step_q], axis=1).reshape(n * h, v))
         s_ids, tokens = s_ids.ravel(), tokens.ravel()
+        q = pred.rows(s_ids)
         at = (np.arange(n * h), tokens)
         # the teacher cannot steer the rollouts, so its rows are read after them; the
         # violation raised is the first in rollout order, as a one-rollout sampler meets it

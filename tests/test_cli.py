@@ -75,6 +75,7 @@ class TestConfigHandling:
         a = config_hash({"seed": 1, "train": {"lr": 0.1}})
         b = config_hash({"train": {"lr": 0.1}, "seed": 1})
         assert a == b and len(a) == 12
+        assert config_hash({"seed": 1, "out_dir": "elsewhere", "train": {"lr": 0.1}}) == a
 
 
 class TestCommands:
@@ -110,6 +111,22 @@ class TestCommands:
         assert main(["distill", "--config", path]) == 0
         assert (tmp_path / "out" / "metrics.csv").read_bytes() == first_csv
         assert (tmp_path / "out" / "student.json").read_bytes() == first_ckpt
+
+    @pytest.mark.parametrize("stages", [None, [
+        {"name": "warm", "objective": "sft", "steps": 10},
+        {"name": "polish", "objective": "opd_k1", "steps": 10, "horizon": 4}]])
+    def test_distill_output_directory_changes_no_output_byte(self, tmp_path, monkeypatch,
+                                                            stages):
+        monkeypatch.chdir(tmp_path)
+        written = []
+        for out in ("run_a", "run_b"):
+            cfg = dict(BASE, out_dir=out, **({"stages": stages} if stages else {}))
+            assert main(["distill", "--config", write_config(tmp_path / "c.json", cfg)]) == 0
+            files = sorted(p.name for p in (tmp_path / out).glob("metrics*.csv"))
+            written.append({f: (tmp_path / out / f).read_bytes()
+                            for f in files + ["student.json"]})
+        assert len(written[0]) == (3 if stages else 2)
+        assert written[0] == written[1]
 
     def test_override_changes_run(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

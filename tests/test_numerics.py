@@ -12,6 +12,8 @@ from distill_lab.errors import (
 )
 from distill_lab.numerics import (
     CategoricalDist,
+    cdf_draw,
+    cdf_rows,
     entropy,
     inverse_cdf,
     jsd_beta,
@@ -131,6 +133,23 @@ class TestInverseCdf:
             u = np.random.default_rng(p.size).random(3)
             got = inverse_cdf(probs, u)
             assert got.tolist() == [int(inverse_cdf(probs[i], u[i])) for i in range(3)]
+
+    def test_table_rows_are_bit_for_bit_the_rows_alone(self):
+        # a cached table of softmax and CDF rows, gathered, must equal computing
+        # each row on its own; floor logits give exact zeros inside rows
+        rng = np.random.default_rng(11)
+        for v in (2, 5, 16, 33):
+            z = rng.normal(scale=4.0, size=(40, v))
+            z[rng.random(z.shape) < 0.2] = -1000.0
+            table = softmax(z)
+            cdf = cdf_rows(table.probs)
+            u = rng.random(40)
+            for i in range(40):
+                alone = softmax(z[i])
+                assert np.array_equal(table.probs[i], alone.probs)
+                assert np.array_equal(table.logprobs[i], alone.logprobs)
+                assert np.array_equal(cdf[i], cdf_rows(alone.probs))
+                assert cdf_draw(cdf[i], u[i]) == inverse_cdf(alone.probs, u[i])
 
     def test_never_draws_a_zero_probability_entry(self):
         p = np.array([0.0, 0.4, 0.0, 0.6, 0.0])

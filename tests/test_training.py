@@ -21,7 +21,7 @@ from distill_lab.model import (
     checkpoint_save,
     pad_context,
 )
-from distill_lab.numerics import CategoricalDist, entropy, inverse_cdf, kl_exact
+from distill_lab.numerics import CategoricalDist, entropy, inverse_cdf, kl_exact, softmax
 from distill_lab.objectives import (
     HPD_VARIANTS,
     OFF_POLICY_TAGS,
@@ -304,7 +304,7 @@ def reference_offpolicy(cfg, teacher, corpus, student):
     """
     kind = cfg.objective
 
-    def minibatch(student, acc, rng):
+    def minibatch(student, pred, acc, rng):
         qs = []
         k = cfg.hpd_samples if kind.tag in HPD_VARIANTS else 0
         lengths = np.array([len(seq) for seq in corpus.sequences])
@@ -382,8 +382,17 @@ KERNEL_CASES = (
        # off-cycle positions weigh p[expert] = 0: they touch no row and do not count
        ("fkld_token", 1, {"teacher": "cycle"}),
        ("fkld_token", 2, {"teacher": "cycle"}),
-       ("fkld_dense", 2, {"teacher": "cycle"})]
+       ("fkld_dense", 2, {"teacher": "cycle"}),
+       # an unsmoothed fit's LOGIT_FLOOR entries are exact zeros in q and in its CDF
+       ("hpd", 2, {"hpd_samples": 3, "student": "mle"})]
 )
+
+
+def _mle_student(corpus, order):
+    """An unsmoothed MLE fit to corpus, whose unseen continuations have q exactly 0."""
+    student = train_teacher_mle(corpus, order, 0.0)
+    assert (softmax(student.table).probs == 0.0).any()
+    return student
 
 
 class TestOffpolicyKernel:
@@ -395,7 +404,10 @@ class TestOffpolicyKernel:
         cfg = TrainConfig(objective=kind, steps=12, seed=order, lr=extra.get("lr", 0.5),
                           batch_size=8, eval_every=1, hpd_samples=extra.get("hpd_samples", 1),
                           eval_len=6)
-        student = TabularLM(order=order, vocab=Vocab.default(corpus.vocab_size))
+        if extra.get("student") == "mle":
+            student = _mle_student(corpus, order)
+        else:
+            student = TabularLM(order=order, vocab=Vocab.default(corpus.vocab_size))
         outputs = []
         for run in (distill_offpolicy, reference_offpolicy):
             model, rows = run(cfg, teacher, corpus, student)
@@ -515,7 +527,7 @@ def reference_opd(cfg, teacher, student, prompts=None, draws=draws_batched):
     reward_mode = "per_token" if cfg.objective.tag == "rkld_on" else cfg.opd_reward_mode
     prompts = [list(p) for p in prompts] if prompts else [[]]
 
-    def minibatch(student, acc, rng):
+    def minibatch(student, pred, acc, rng):
         batch_rewards = []
         ctxs, tokens, qs, coeffs = [], [], [], []  # one entry per sampled token
         pick, u = draws(rng, len(prompts), cfg.batch_size, cfg.horizon)
@@ -553,13 +565,16 @@ def reference_opd(cfg, teacher, student, prompts=None, draws=draws_batched):
     return training._train_loop(cfg, teacher, student, None, minibatch)
 
 
+OPD_SOURCE = {"name": "random_dirichlet", "seed": 3, "vocab_size": 5, "order": 2,
+              "concentration": 0.3}
+
+
 def _opd_teacher(name):
     if name == "mle":
         src = build_source({"name": "bimodal_gap"})
         corpus = sample_corpus(src, 20, 12, np.random.default_rng(2))
         return ModelTeacher(train_teacher_mle(corpus, 2, 0.1))
-    return OracleTeacher(build_source({"name": "random_dirichlet", "seed": 3, "vocab_size": 5,
-                                       "order": 2, "concentration": 0.3}))
+    return OracleTeacher(build_source(OPD_SOURCE))
 
 
 OPD_CASES = (
@@ -575,7 +590,9 @@ OPD_CASES = (
        ("rkld_on", 3, {"batch_size": 1, "horizon": 1, "opd_baseline": True}),
        # np.sum of nine rewards would add them pairwise, not in order
        ("opd_k1", 2, {"teacher": "mle", "opd_reward_mode": "trajectory", "horizon": 9}),
-       ("rkld_on", 1, {"teacher": "mle", "prompts": [[3], [0, 5]], "eval_from": "student"})]
+       ("rkld_on", 1, {"teacher": "mle", "prompts": [[3], [0, 5]], "eval_from": "student"}),
+       # rollouts never sample the unsmoothed fit's zero-probability tokens
+       ("opd_k1", 2, {"student": "mle"})]
 )
 
 
@@ -584,10 +601,14 @@ def _opd_outputs(tmp_path, tag, order, extra, draws=draws_batched):
     extra = dict(extra)
     teacher = _opd_teacher(extra.pop("teacher", "oracle"))
     prompts = extra.pop("prompts", None)
+    if extra.pop("student", None) == "mle":
+        corpus = sample_corpus(build_source(OPD_SOURCE), 4, 8, np.random.default_rng(7))
+        student = _mle_student(corpus, order)
+    else:
+        student = TabularLM(order=order, vocab=Vocab.default(teacher.vocab.size))
     cfg = TrainConfig(**dict(dict(
         objective=ObjectiveKind(tag), steps=8, seed=order, lr=0.7, batch_size=6,
         eval_every=3, horizon=5, eval_len=5), **extra))
-    student = TabularLM(order=order, vocab=Vocab.default(teacher.vocab.size))
     outputs = []
     for name, run in (("kernel", distill_onpolicy_opd),
                       ("reference", lambda *a, **kw: reference_opd(*a, **kw, draws=draws))):
@@ -671,7 +692,7 @@ class TestTrainLoop:
         student = TabularLM(order=1, vocab=Vocab.default(2))
         cfg = small_cfg("sft", steps=4, eval_every=2)
         _, rows = training._train_loop(cfg, teacher, student, None,
-                                       lambda student, acc, rng: (q, None))
+                                       lambda student, pred, acc, rng: (q, None))
         expected = float(np.mean([entropy(q.rows(i)) for i in range(3)]))
         assert [(r.step, r.train_entropy, r.mean_reward) for r in rows] == [
             (2, expected, None), (4, expected, None)]
