@@ -245,6 +245,7 @@ class GradAccumulator:
         n = table_rows(self.vocab_size, self.order)
         self.directions = np.full((n, self.vocab_size), -0.0)
         self.touched = np.zeros(n, dtype=bool)
+        self._columns = np.arange(self.vocab_size)
 
     def clear(self) -> None:
         self.directions[self.touched] = -0.0
@@ -255,8 +256,17 @@ class GradAccumulator:
         self.add_rows(self._ids([ctx]), np.asarray(direction, dtype=np.float64)[None], count)
 
     def add_rows(self, ids, directions: np.ndarray, count: int) -> None:
-        """Add directions[j] to row ids[j] for j = 0, 1, ... in turn; count to n_samples."""
-        np.add.at(self.directions, ids, directions)
+        """Add directions[j] to row ids[j] for j = 0, 1, ... in turn; count to n_samples.
+
+        One flat scatter: entry (j, v) goes to element ids[j] * V + v of the
+        flattened table. np.add.at applies 1-d indices unbuffered and in order,
+        so every element sums its contributions in batch order, bit for bit as
+        a row-by-row loop would.
+        """
+        ids = np.asarray(ids, dtype=np.intp)
+        flat = (ids[:, None] * self.vocab_size + self._columns).ravel()
+        np.add.at(self.directions.reshape(-1), flat,
+                  np.asarray(directions, dtype=np.float64).reshape(-1))
         self.touched[ids] = True
         self.n_samples += count
 
@@ -307,22 +317,26 @@ def accumulate_token_grads(acc: GradAccumulator, ctxs, tokens, weights, counts,
     outside = (tokens < 0) | (tokens >= q.probs.shape[-1])
     if outside.any():
         raise InvalidInputError(f"token id {tokens[np.argmax(outside)]} out of range")
-    zero = q.probs[np.arange(tokens.size), tokens] <= 0.0
+    rows = np.arange(tokens.size)
+    zero = q.probs[rows, tokens] <= 0.0
     if zero.any():
         j = int(np.argmax(zero))
         ctx = context_key(ids[j], acc.order, acc.vocab_size)
         raise LogOfZeroError(f"q[{tokens[j]}] = 0 at context {ctx}")
+    direction = -weights[:, None] * q.probs
+    direction[rows, tokens] += weights
     keep = weights != 0.0
-    w = weights[keep]
-    direction = -w[:, None] * q.probs[keep]
-    direction[np.arange(w.size), tokens[keep]] += w
-    acc.add_rows(ids[keep], direction, int(np.sum(np.asarray(counts)[keep])))
+    if not keep.all():
+        ids, direction, counts = ids[keep], direction[keep], np.asarray(counts)[keep]
+    acc.add_rows(ids, direction, int(np.sum(counts)))
     return acc
 
 
-def sgd_step(model: TabularLM, acc: GradAccumulator, lr: float) -> TabularLM:
+def sgd_step(model: TabularLM, acc: GradAccumulator, lr: float) -> np.ndarray:
     """Move every touched logit row by lr * mean descent direction; clears acc.
 
+    Returns the ids of the rows it moved, in ascending order: acc's touched
+    rows, or none when acc.n_samples is 0, which leaves the model as it was.
     A non-finite result raises NumericOverflowError, naming the first such
     context in id order, and leaves the model as it was.
     """
@@ -333,14 +347,16 @@ def sgd_step(model: TabularLM, acc: GradAccumulator, lr: float) -> TabularLM:
     if acc.n_samples > 0:
         ids = np.flatnonzero(acc.touched)
         rows = model.table[ids] + lr / acc.n_samples * acc.directions[ids]
-        finite = np.isfinite(rows).all(axis=1)
-        if not finite.all():
-            ctx = context_key(ids[np.argmin(finite)], model.order, model.vocab.size)
+        if not np.isfinite(rows).all():
+            first = np.argmin(np.isfinite(rows).all(axis=1))
+            ctx = context_key(ids[first], model.order, model.vocab.size)
             raise NumericOverflowError(f"non-finite logits at context {ctx}")
         model.table[ids] = rows
         model.touched[ids] = True
+    else:
+        ids = np.empty(0, dtype=np.intp)
     acc.clear()
-    return model
+    return ids
 
 
 def checkpoint_save(model: TabularLM, path, header_extra: dict | None = None) -> None:

@@ -63,19 +63,24 @@ class CategoricalDist:
 
 
 def _checked(p: np.ndarray) -> CategoricalDist:
-    """The rows of p (along its last axis) as distributions, tiny entries zeroed."""
-    if not np.isfinite(p).all():
+    """The rows of p (along its last axis) as distributions, tiny entries zeroed.
+
+    A non-finite entry is reported first, then a negative one, then the first
+    row whose sum is off; p's min and max and the largest sum error decide
+    each check in one pass.
+    """
+    lo, hi = p.min(), p.max()
+    if not (np.isfinite(lo) and np.isfinite(hi)):  # a NaN makes both NaN
         raise InvalidInputError("probabilities must be finite")
-    if (p < -ZERO_TOL).any():
+    if lo < -ZERO_TOL:
         raise InvalidInputError("probabilities must be non-negative")
     sums = p.sum(axis=-1)
-    off = abs(sums - 1.0) > PROB_SUM_TOL
-    if off.any():
-        bad = np.ravel(sums)[np.ravel(off).argmax()]
+    off = abs(sums - 1.0)
+    if off.max() > PROB_SUM_TOL:
+        bad = np.ravel(sums)[np.ravel(off > PROB_SUM_TOL).argmax()]
         raise InvalidInputError(f"probabilities sum to {bad!r}, not 1")
     p = np.where(p < ZERO_TOL, 0.0, p)
-    with np.errstate(divide="ignore"):
-        lp = np.where(p > 0.0, np.log(np.where(p > 0.0, p, 1.0)), -np.inf)
+    lp = np.log(p, out=np.full(p.shape, -np.inf), where=p > 0.0)
     p.setflags(write=False)
     lp.setflags(write=False)
     return CategoricalDist(probs=p, logprobs=lp)
@@ -105,8 +110,11 @@ def cdf_rows(probs) -> np.ndarray:
 
 
 def cdf_draw(cdf, u) -> np.ndarray:
-    """Row i of a cdf_rows table sampled with the uniform u[i]: its count of entries <= u[i]."""
-    return np.count_nonzero(cdf <= np.asarray(u)[..., None], axis=-1)
+    """Row i of a cdf_rows table sampled with the uniform u[i]: its count of entries <= u[i].
+
+    The count is a sum of the row's booleans, one reduction over the batch.
+    """
+    return (cdf <= np.asarray(u)[..., None]).sum(axis=-1)
 
 
 def inverse_cdf(probs, u) -> np.ndarray:

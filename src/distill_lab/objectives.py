@@ -61,6 +61,12 @@ def _at(values: np.ndarray, token):
     return values[np.arange(values.shape[0]), token]
 
 
+def _gather(d: CategoricalDist, token):
+    """d's probs and logprobs at token, through one index (see _at)."""
+    index = token if d.probs.ndim == 1 else (np.arange(d.probs.shape[0]), token)
+    return d.probs[index], d.logprobs[index]
+
+
 def _scalar(x):
     """A Python float for one distribution's weight; a batch's array as is."""
     return float(x) if np.ndim(x) == 0 else x
@@ -71,7 +77,10 @@ def _check_positive(*checks) -> None:
 
     Each check is (values, token, message template); within a row they are
     tried in the given order, as a rule applied to that row alone tries them.
+    When every value is positive, one min over them all decides.
     """
+    if np.concatenate([np.ravel(values) for values, _, _ in checks]).min() > 0.0:
+        return
     zero = np.array([np.ravel(values <= 0.0) for values, _, _ in checks])
     hit = zero.any(axis=0)
     if hit.any():
@@ -168,10 +177,12 @@ def hpd_weights(
     """
     if variant not in HPD_VARIANTS:
         raise ConfigError(f"unknown hpd variant {variant!r}")
-    _check_positive(_support(p, expert, "p"), _support(q, expert, "q"),
-                    _support(p, sampled, "p"), _support(q, sampled, "q"))
-    k1, k1p = _scalar(_k1(p, q, expert)), _scalar(_k1(p, q, sampled))
-    p_star = _at(p.probs, expert)
+    (p_star, lp_star), (q_star, lq_star) = _gather(p, expert), _gather(q, expert)
+    (p_samp, lp_samp), (q_samp, lq_samp) = _gather(p, sampled), _gather(q, sampled)
+    _check_positive((p_star, expert, "p[{}] = 0"), (q_star, expert, "q[{}] = 0"),
+                    (p_samp, sampled, "p[{}] = 0"), (q_samp, sampled, "q[{}] = 0"))
+    k1 = _scalar(q_star * (lp_star - lq_star))
+    k1p = _scalar(q_samp * (lp_samp - lq_samp))
 
     if variant == "hpd_no_sample":
         w_sampled = np.zeros(np.shape(k1))

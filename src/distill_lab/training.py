@@ -25,6 +25,7 @@ from .model import (
     accumulate_token_grads,
     context_ids,
     context_key,
+    pad_context,
     prefix_id,
     sgd_step,
 )
@@ -231,10 +232,10 @@ def _train_loop(cfg: TrainConfig, teacher, student: TabularLM, eval_tasks,
 
     pred is the copy's PredictiveTable, with CDF rows for the objectives that
     sample from the student (OPD and HPD). It is built once per run; after
-    each step only the rows the accumulator touched are refreshed, and a step
-    that touched none refreshes nothing. minibatch returns the batch's student
-    rows q and its rewards (None off-policy); q's mean entropy is computed
-    only for a metrics row.
+    each step exactly the rows sgd_step reports moved are refreshed, and a
+    step that moved none refreshes nothing. minibatch returns the batch's
+    student rows q and its rewards (None off-policy); q's mean entropy is
+    computed only for a metrics row.
     """
     rng = np.random.default_rng(cfg.seed)
     student = student.copy()
@@ -245,8 +246,7 @@ def _train_loop(cfg: TrainConfig, teacher, student: TabularLM, eval_tasks,
 
     for step in range(1, cfg.steps + 1):
         q, batch_rewards = minibatch(student, pred, acc, rng)
-        moved = np.flatnonzero(acc.touched)  # sgd_step clears the accumulator
-        sgd_step(student, acc, cfg.lr)
+        moved = sgd_step(student, acc, cfg.lr)
         if moved.size:
             pred.refresh(moved)
 
@@ -300,6 +300,13 @@ def distill_offpolicy(
     n_seqs, n = len(lengths), cfg.batch_size
     tag = kind.tag
     k = cfg.hpd_samples if tag in HPD_VARIANTS else 0
+    unit_weights, unit_counts = np.ones(n), np.ones(n, dtype=np.int64)
+    # draw i of position b is entry b * k + i; each draw updates the expert
+    # token, then the sampled one, and the position counts once
+    draw, pair = np.repeat(np.arange(n), k), np.repeat(np.arange(n * k), 2)
+    counts = np.zeros((n, k, 2), dtype=np.int64)
+    counts[:, :1, 0] = 1
+    counts = counts.ravel()
 
     def minibatch(student, pred, acc, rng):
         # one array draw per quantity: the sequences, their offsets, the HPD uniforms
@@ -315,23 +322,18 @@ def distill_offpolicy(
             # sum over v of p_v * (onehot(v) - q) collapses to p - q
             acc.add_rows(ids, p.probs - q.probs, count=n)
         elif tag in HPD_VARIANTS:
-            # draw i of position b is entry b * k + i; sampled ~ q by inverse CDF
-            draw = np.repeat(np.arange(n), k)
-            qd = q.rows(draw)
-            hw = hpd_weights(p.rows(draw), qd, expert[draw],
+            # sampled ~ q by inverse CDF; the position's update is the mean over its draws
+            qd, expert_d = q.rows(draw), expert[draw]
+            hw = hpd_weights(p.rows(draw), qd, expert_d,
                              cdf_draw(pred.cdf[ids[draw]], uniforms), variant=tag)
-            # each draw updates the expert token, then the sampled one; the
-            # position's update is the mean over its draws and counts once
-            counts = np.zeros((n, k, 2), dtype=np.int64)
-            counts[:, 0, 0] = 1
             accumulate_token_grads(
                 acc, np.repeat(ids, 2 * k),
-                np.stack([expert[draw], hw.sampled_token], axis=1).ravel(),
+                np.stack([expert_d, hw.sampled_token], axis=1).ravel(),
                 np.stack([hw.w_star / k, hw.w_sampled / k], axis=1).ravel(),
-                counts.ravel(), qd.rows(np.repeat(np.arange(n * k), 2)))
+                counts, qd.rows(pair))
         else:
             if tag in ("sft", "seqkd"):
-                w = np.ones(n)
+                w = unit_weights
             elif tag == "fkld_token":
                 w = weight_fkld_token(p, expert)
             elif tag == "rkld_off":
@@ -339,7 +341,7 @@ def distill_offpolicy(
             else:
                 w = weight_jsd_off(p, q, expert, beta=kind.beta,
                                    sign_fidelity=kind.sign_fidelity)
-            accumulate_token_grads(acc, ids, expert, w, np.ones(n, dtype=np.int64), q)
+            accumulate_token_grads(acc, ids, expert, w, unit_counts, q)
         return q, None
 
     return _train_loop(cfg, teacher, student, eval_tasks, minibatch)
@@ -356,8 +358,10 @@ def distill_onpolicy_opd(
 
     A minibatch's rollouts advance in lockstep, one position per step: one
     gather of the student's cached CDF rows at every rollout's context, then
-    one inverse-CDF draw. Each rollout carries its student and teacher context
-    ids along; its student rows are one gather afterwards.
+    one inverse-CDF draw. Only the student's context ids are carried along.
+    The teacher cannot steer the rollouts, so its context ids are computed
+    after them, and only the sampled entries of the teacher and student
+    tables are read for the support check and the rewards.
     """
     kind = cfg.objective
     if not kind.on_policy:
@@ -374,43 +378,47 @@ def distill_onpolicy_opd(
                                         f"student's vocabulary of {v}")
     p_table = _teacher_table(teacher, v)
     s_start = np.array([prefix_id(p, k, student.vocab) for p in prompts], dtype=np.intp)
-    t_start = np.array([prefix_id(p, teacher.order, teacher.vocab) for p in prompts],
-                       dtype=np.intp)
-    n_s, n_t = v ** k, len(p_table.probs)
+    # each prompt's teacher context as its base-V digits, oldest first
+    t_start = np.array([pad_context(p, teacher.order, teacher.vocab.bos_id) for p in prompts],
+                       dtype=np.intp).reshape(len(prompts), teacher.order)
     n, h = cfg.batch_size, cfg.horizon
+    # context id i followed by token t is shifted[i] + t, as (i * v + t) % v**k
+    shifted = np.arange(v ** k) * v % v ** k
+    unit_counts = np.ones(n * h, dtype=np.int64)
 
     def minibatch(student, pred, acc, rng):
         # every rollout's prompt, then its uniforms, row b for rollout b; one
         # prompt consumes no state, so u is what rollout-by-rollout draws give
         pick = rng.integers(len(prompts), size=n)
         u = rng.random((n, h))
-        s_ids, t_ids, tokens = (np.empty((n, h), dtype=np.intp) for _ in range(3))
-        s_id, t_id = s_start[pick], t_start[pick]
+        s_ids, tokens = np.empty((n, h), dtype=np.intp), np.empty((n, h), dtype=np.intp)
+        s_id = s_start[pick]
         for t in range(h):  # every rollout advances one position
-            s_ids[:, t], t_ids[:, t] = s_id, t_id
+            s_ids[:, t] = s_id
             tokens[:, t] = tok = cdf_draw(pred.cdf[s_id], u[:, t])
-            s_id, t_id = (s_id * v + tok) % n_s, (t_id * v + tok) % n_t
+            s_id = shifted[s_id] + tok
+        # position t's teacher context is digits t .. t + order - 1 of prompt + tokens
+        digits = np.concatenate([t_start[pick], tokens], axis=1)
+        t_ids = np.zeros((n, h), dtype=np.intp)
+        for j in range(teacher.order):
+            t_ids = t_ids * v + digits[:, j:j + h]
         # rollout-major from here on: position t of rollout b is entry b * h + t
-        s_ids, tokens = s_ids.ravel(), tokens.ravel()
-        q = pred.rows(s_ids)
-        at = (np.arange(n * h), tokens)
-        # the teacher cannot steer the rollouts, so its rows are read after them; the
-        # violation raised is the first in rollout order, as a one-rollout sampler meets it
-        p = p_table.rows(t_ids.ravel())
-        outside = p.probs[at] <= 0.0
+        s_ids, t_ids, tokens = s_ids.ravel(), t_ids.ravel(), tokens.ravel()
+        # the violation raised is the first in rollout order, as a one-rollout sampler meets it
+        outside = p_table.probs[t_ids, tokens] <= 0.0
         if outside.any():
             j = int(np.argmax(outside))
             raise DivergenceInfiniteError(f"student sampled token {tokens[j]} outside teacher "
                                           f"support at {context_key(s_ids[j], k, v)}")
-        rewards = p.logprobs[at] - q.logprobs[at]
+        rewards = p_table.logprobs[t_ids, tokens] - pred.logprobs[s_ids, tokens]
         if reward_mode == "trajectory":
             # the builtin sum adds a rollout's rewards in order, as np.sum need not
             coeffs = np.repeat([sum(r) for r in rewards.reshape(n, h).tolist()], h)
         else:
             coeffs = rewards
         baseline = float(np.mean(rewards)) if cfg.opd_baseline else 0.0
-        accumulate_token_grads(acc, s_ids, tokens, coeffs - baseline,
-                               np.ones(n * h, dtype=np.int64), q)
+        q = pred.rows(s_ids)
+        accumulate_token_grads(acc, s_ids, tokens, coeffs - baseline, unit_counts, q)
         return q, rewards
 
     return _train_loop(cfg, teacher, student, eval_tasks, minibatch)

@@ -15,6 +15,7 @@ from distill_lab.model import (
     TabularLM,
     Vocab,
     accumulate_token_grad,
+    accumulate_token_grads,
     checkpoint_load,
     checkpoint_save,
     context_key,
@@ -22,6 +23,7 @@ from distill_lab.model import (
     prefix_id,
     sgd_step,
 )
+from distill_lab.numerics import softmax
 
 
 def uniform_model(v=2, order=1):
@@ -288,6 +290,21 @@ class TestAccumulateTokenGrad:
         accumulate_token_grad(acc, m, (0,), 0, 0.0)
         assert not acc.touched.any() and acc.n_samples == 0
 
+    def test_zero_weights_in_a_batch_are_dropped(self):
+        # a batch with zero weights adds exactly what its nonzero entries add alone
+        rng = np.random.default_rng(6)
+        m = uniform_model(v=3)
+        ids, tokens = np.array([0, 2, 1, 2]), np.array([1, 0, 2, 2])
+        weights, counts = np.array([0.7, 0.0, -1.3, 0.0]), np.array([1, 5, 2, 7])
+        q = softmax(rng.normal(size=(4, 3)))
+        acc, alone = GradAccumulator(1, 3), GradAccumulator(1, 3)
+        accumulate_token_grads(acc, ids, tokens, weights, counts, q)
+        keep = weights != 0.0
+        accumulate_token_grads(alone, ids[keep], tokens[keep], weights[keep], counts[keep],
+                               q.rows(keep))
+        assert acc.directions.tobytes() == alone.directions.tobytes()
+        assert acc.touched.tolist() == [True, True, False] and acc.n_samples == 3
+
     def test_rejects_bad_token_and_weight(self):
         m = uniform_model(v=2)
         acc = GradAccumulator(1, 2)
@@ -340,6 +357,56 @@ class TestSGDStep:
     def test_bad_lr(self):
         with pytest.raises(InvalidInputError):
             sgd_step(uniform_model(), GradAccumulator(1, 2), 0.0)
+
+    def test_returns_moved_ids_ascending(self):
+        m = uniform_model(v=3, order=2)
+        acc = GradAccumulator(2, 3)
+        acc.add_rows([5, 1, 3, 1], np.ones((4, 3)), count=4)
+        moved = sgd_step(m, acc, 0.5)
+        assert moved.tolist() == [1, 3, 5] and moved.dtype == np.intp
+        assert np.flatnonzero(m.touched).tolist() == [1, 3, 5]
+
+    def test_zero_samples_move_nothing_and_clear(self):
+        m = uniform_model(v=3, order=2)
+        m.set_row((1, 2), [0.3, -0.3, 0.1])
+        before = m.table.tobytes(), m.touched.tobytes()
+        acc = GradAccumulator(2, 3)
+        acc.add_rows([2, 0], np.full((2, 3), 0.7), count=0)
+        moved = sgd_step(m, acc, 0.5)
+        assert moved.size == 0 and moved.dtype == np.intp
+        assert (m.table.tobytes(), m.touched.tobytes()) == before
+        assert not acc.touched.any() and acc.n_samples == 0
+        assert np.signbit(acc.directions).all() and not acc.directions.any()
+
+
+# finite directions from +-0.0 up to magnitudes 1e8 and down to 1e-8
+direction_entries = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(1e-8, 1e8).flatmap(lambda x: st.sampled_from([x, -x])),
+)
+
+
+class TestAddRowsScatter:
+    @settings(max_examples=60, deadline=None)
+    @given(v=st.integers(2, 4), data=st.data())
+    def test_matches_row_by_row_loop(self, v, data):
+        # two batches before a clear, then one after; ids repeat within and across them
+        acc = GradAccumulator(1, v)
+        ref = np.full((v, v), -0.0)
+        for batch in range(3):
+            if batch == 2:
+                acc.clear()
+                ref[:] = -0.0
+            ids = data.draw(st.lists(st.integers(0, v - 1), min_size=0, max_size=8))
+            d = np.array(data.draw(st.lists(
+                st.lists(direction_entries, min_size=v, max_size=v),
+                min_size=len(ids), max_size=len(ids))), dtype=np.float64).reshape(len(ids), v)
+            acc.add_rows(ids, d, count=len(ids))
+            for j, i in enumerate(ids):
+                ref[i] = ref[i] + d[j]
+            assert acc.directions.tobytes() == ref.tobytes()
+        assert acc.touched.tolist() == [i in ids for i in range(v)]
+        assert acc.n_samples == len(ids)
 
 
 class DictAccumulator:

@@ -68,6 +68,49 @@ class TestCategoricalDist:
         assert np.allclose(np.exp(d.logprobs), d.probs)
 
 
+# (probabilities, the error's message or None when accepted); the first failing
+# check names the error, in the order finite, non-negative, sum
+CHECK_CASES = [
+    ([np.nan, -0.5, 1.5], "finite"),
+    ([-np.inf, 0.5, 0.5], "finite"),
+    ([-1e-11, 0.5, 0.5 + 1e-11], "non-negative"),
+    ([-1e-13, 0.5, 0.5 + 1e-13], None),
+    ([0.25, 0.25, 0.5 + 1e-8], "sum to"),
+]
+
+
+class TestValidationPrecedence:
+    @pytest.mark.parametrize("probs,message", CHECK_CASES)
+    @pytest.mark.parametrize("build", [
+        CategoricalDist.from_probs,
+        lambda p: CategoricalDist.from_rows([[0.5, 0.25, 0.25], p]),
+    ], ids=["from_probs", "from_rows"])
+    def test_first_failing_check_names_the_error(self, build, probs, message):
+        if message is not None:
+            with pytest.raises(InvalidInputError, match=message):
+                build(probs)
+            return
+        d = build(probs)
+        last = (d.probs if d.probs.ndim == 1 else d.probs[-1])
+        lp = (d.logprobs if d.logprobs.ndim == 1 else d.logprobs[-1])
+        assert last[0] == 0.0 and not np.signbit(last[0]) and lp[0] == -np.inf
+        assert np.array_equal(lp[1:], np.log(last[1:]))
+
+    def test_row_sum_error_names_the_first_bad_row(self):
+        with pytest.raises(InvalidInputError, match=r"sum to \S*1\.1\b"):
+            CategoricalDist.from_rows([[0.5, 0.5], [0.6, 0.5], [0.2, 0.2]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_softmax_rejects_non_finite_logits(self, bad):
+        with pytest.raises(InvalidInputError, match="finite"):
+            softmax([[0.0, 1.0], [bad, 0.0]])
+
+    def test_softmax_zeroes_tiny_entries(self):
+        # exp(-40) < ZERO_TOL: the entry becomes an exact zero with log -inf
+        d = softmax([0.0, -40.0])
+        assert d.probs.tolist() == [1.0, 0.0] and d.logprobs[1] == -np.inf
+
+
 class TestSoftmax:
     def test_symmetry(self):
         assert np.allclose(softmax([0.0, 0.0]).probs, [0.5, 0.5])
