@@ -13,7 +13,6 @@ from .model import (
     GradAccumulator,
     TabularLM,
     Vocab,
-    accumulate_token_grad,
     checkpoint_load,
     checkpoint_save,
     pad_context,
@@ -24,13 +23,10 @@ from .objectives import (
     ObjectiveKind,
     hpd_k1,
     hpd_weights,
-    opd_rewards,
     weight_fkld_token,
     weight_jsd_off,
     weight_rkld_off,
     weight_rkld_on,
-    weight_sft,
-    weights_fkld_dense,
 )
 from .data import (
     Corpus,
@@ -53,14 +49,11 @@ from .training import (
     train_teacher_mle,
 )
 from .evaluation import (
-    EntropyProfile,
     completion_accuracy,
     context_occupancy,
     gradcheck,
-    k1_study,
     make_completion_tasks,
     occupancy_divergences,
-    positional_entropy,
 )
 
 __version__ = "0.1.0"

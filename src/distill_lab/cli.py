@@ -290,6 +290,7 @@ def _eval_keys(t: dict) -> dict:
     """The train keys that say how divergences are evaluated; eval reads only these.
 
     train.n_eval_seqs is still accepted, and has no effect: evaluation is exact.
+    Configs written for sampled evaluation, the benchmark's among them, set it.
     """
     eval_len = config_field(t, "train.eval_len", int, 16)
     if eval_len < 1:

@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, InvalidInputError, ParseError, config_field
-from .model import ContextKey, TabularLM, Vocab, pad_context, prefix_id, table_rows
+from .model import ContextKey, TabularLM, Vocab, prefix_id, table_rows
 from .numerics import CategoricalDist, cdf_draw, cdf_rows
 
 CORPUS_FORMAT_VERSION = 1
@@ -57,20 +57,6 @@ class MarkovSource:
     order: int
     vocab: Vocab
     table: CategoricalDist
-
-    def conditional(self, ctx: ContextKey) -> CategoricalDist:
-        ctx = tuple(int(t) for t in ctx)
-        if len(ctx) != self.order:
-            raise InvalidInputError(
-                f"context length {len(ctx)} != source order {self.order}"
-            )
-        return self.table.rows(prefix_id(ctx, self.order, self.vocab))
-
-    def conditional_for_prefix(self, prefix) -> CategoricalDist:
-        return self.conditional(pad_context(prefix, self.order, self.vocab.bos_id))
-
-    def sample_sequence(self, length: int, rng: np.random.Generator) -> list[int]:
-        return self.sample_sequences(1, length, rng)[0]
 
     def sample_sequences(self, n: int, length: int,
                          rng: np.random.Generator) -> list[list[int]]:
@@ -283,14 +269,14 @@ def generate_seqkd_corpus(
     temperature: float = 1.0,
     seed: int = -1,
 ) -> Corpus:
-    """Teacher rollouts at the given temperature; temperature=0 means greedy."""
+    """Teacher rollouts at the given temperature; temperature=0 means greedy_rollouts."""
     if temperature < 0.0:
         raise InvalidInputError("temperature must be >= 0")
     if length < 1:
         raise InvalidInputError("length must be >= 1")
     prompts = list(prompts)
     if temperature == 0.0:
-        conts = [teacher.rollout(prompt, length, greedy=True) for prompt in prompts]
+        conts = teacher.greedy_rollouts(prompts, length)
     else:
         # prompt i takes row i of the draws: each prompt draws its `length` uniforms in turn
         conts = teacher.rollouts(prompts, length, rng, temperature=temperature)

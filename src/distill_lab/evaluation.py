@@ -1,63 +1,52 @@
-"""Exact divergence audits, entropy profiles, accuracy, and estimator studies."""
+"""Gradient checking, exact divergence audits, and completion accuracy."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .data import MarkovSource
 from .errors import InvalidInputError, InvalidParameterError
-from .model import GradAccumulator, TabularLM, accumulate_token_grad, prefix_id
-from .numerics import CategoricalDist, entropy, k1_samples, kl_exact, kl_rows, softmax
+from .model import GradAccumulator, TabularLM, accumulate_token_grads, prefix_id
+from .numerics import kl_rows, softmax
 
 
 def gradcheck(model: TabularLM, weighted_tokens, eps: float = 1e-5) -> float:
     """Max relative error between analytic and central-difference gradients.
 
     The loss is L = sum_i -w_i * ln q(token_i | ctx_i) with weights frozen.
-    Per-coordinate errors are measured relative to the largest gradient
-    magnitude of the touched row, so near-zero coordinates of an otherwise
-    healthy row do not dominate.
+    Every (touched row, coordinate, +-eps) perturbation is one row of a single
+    stacked logit array with one softmax. A row's perturbations change only
+    the terms of the items at that row, so its loss sums just those: the other
+    terms cancel in the central difference. Per-coordinate errors are
+    measured relative to the largest gradient magnitude of the touched row,
+    so near-zero coordinates of an otherwise healthy row do not dominate.
     """
     if not (1e-8 <= eps <= 1e-3):
         raise InvalidParameterError(f"eps must lie in [1e-8, 1e-3], got {eps!r}")
-    weighted_tokens = [(tuple(c), int(t), float(w)) for c, t, w in weighted_tokens]
-
+    items = [(model._check_ctx(c), int(t), float(w)) for c, t, w in weighted_tokens]
+    if not items:
+        return 0.0
+    ids, tokens, weights = (np.array(col) for col in zip(*items))
     acc = GradAccumulator(model.order, model.vocab.size)
-    for ctx, token, w in weighted_tokens:
-        accumulate_token_grad(acc, model, ctx, token, w)
-
-    touched = {ctx for ctx, _, _ in weighted_tokens}
-
-    def loss(m: TabularLM) -> float:
-        total = 0.0
-        for ctx, token, w in weighted_tokens:
-            total -= w * float(m.predict(ctx).logprobs[token])
-        return total
-
-    max_err = 0.0
-    work = model.copy()
-    for ctx in sorted(touched):
-        base = work.logits(ctx)
-        numeric = np.zeros_like(base)
-        for v in range(work.vocab.size):
-            pert = base.copy()
-            pert[v] = base[v] + eps
-            work.set_row(ctx, pert)
-            up = loss(work)
-            pert[v] = base[v] - eps
-            work.set_row(ctx, pert)
-            down = loss(work)
-            numeric[v] = (up - down) / (2.0 * eps)
-        work.set_row(ctx, base)
-        # analytic gradient of L (not the descent direction, hence the minus)
-        a = -acc.directions[model._check_ctx(ctx)]
-        scale = max(float(np.max(np.abs(a))), float(np.max(np.abs(numeric))))
-        if scale <= 1e-12:
-            continue
-        max_err = max(max_err, float(np.max(np.abs(a - numeric))) / scale)
-    return max_err
+    accumulate_token_grads(acc, ids, tokens, weights, np.ones(len(items), dtype=np.int64),
+                           softmax(model.table[ids]).probs)
+    # rows[slot[i]] is item i's row; pert[r, v, s] is row r with coordinate v moved by +-eps
+    rows, slot = np.unique(ids, return_inverse=True)
+    base, v = model.table[rows], model.vocab.size
+    pert = np.broadcast_to(base[:, None, None, :], (len(rows), v, 2, v)).copy()
+    coord = np.arange(v)
+    pert[:, coord, 0, coord] = base + eps
+    pert[:, coord, 1, coord] = base - eps
+    logprobs = softmax(pert.reshape(-1, v)).logprobs.reshape(pert.shape)
+    loss = np.zeros(pert.shape[:3])
+    np.add.at(loss, slot, -weights[:, None, None] * logprobs[slot, :, :, tokens])
+    numeric = (loss[:, :, 0] - loss[:, :, 1]) / (2.0 * eps)
+    # analytic gradient of L (not the descent direction, hence the minus)
+    analytic = -acc.directions[rows]
+    scale = np.maximum(np.abs(analytic).max(axis=1), np.abs(numeric).max(axis=1))
+    live = scale > 1e-12
+    err = np.abs(analytic - numeric).max(axis=1)[live] / scale[live]
+    return float(err.max(initial=0.0))
 
 
 def context_occupancy(student: TabularLM, teacher, eval_len: int,
@@ -117,41 +106,6 @@ def occupancy_divergences(student: TabularLM, teacher, occ: np.ndarray) -> tuple
     return float(w @ kl_rows(p, q)), float(w @ kl_rows(q, p))
 
 
-@dataclass(frozen=True)
-class EntropyProfile:
-    per_position: np.ndarray
-    n_prompts: int
-
-
-def positional_entropy(
-    model: TabularLM,
-    prompts,
-    horizon: int,
-    rng: np.random.Generator,
-    teacher_forced_source: MarkovSource | None = None,
-) -> EntropyProfile:
-    """Mean predictive entropy at each position along rollouts.
-
-    Default follows the model's own sampled rollouts (inference-time
-    profile); passing a source switches to teacher-forced prefixes drawn
-    from it.
-    """
-    if horizon < 1:
-        raise InvalidInputError("horizon must be >= 1")
-    prompts = [list(p) for p in prompts]
-    if not prompts:
-        raise InvalidInputError("needs at least one prompt")
-    if teacher_forced_source is None:
-        seqs = [p + c for p, c in zip(prompts, model.rollouts(prompts, horizon, rng))]
-    else:
-        seqs = [teacher_forced_source.sample_sequence(len(p) + horizon, rng) for p in prompts]
-    sums = np.zeros(horizon)
-    for prompt, seq in zip(prompts, seqs):
-        for t in range(horizon):
-            sums[t] += entropy(model.predict(model.context_for(seq[:len(prompt) + t])))
-    return EntropyProfile(per_position=sums / len(prompts), n_prompts=len(prompts))
-
-
 def completion_accuracy(
     model: TabularLM,
     tasks,
@@ -160,27 +114,23 @@ def completion_accuracy(
 ) -> float:
     """Fraction of (prompt, continuation) tasks reproduced by greedy rollout.
 
-    Greedy rollouts of every task advance in lockstep, one row-wise argmax of the
-    gathered logit rows per position; sampled=True rolls out each task in turn.
+    Every task's rollout advances in lockstep (TabularLM.greedy_rollouts), as
+    long as the longest continuation; a task compares its first len(continuation)
+    tokens. sampled=True samples them with TabularLM.rollouts instead, task i
+    from row i of rng.random((len(tasks), longest)).
     """
     tasks = [(prompt, list(continuation)) for prompt, continuation in tasks]
     if not tasks:
         raise InvalidInputError("task list is empty")
     if sampled and rng is None:
         raise InvalidInputError("sampled evaluation needs an rng")
-    if sampled:
-        hits = sum(model.rollout(prompt, len(cont), rng=rng) == cont for prompt, cont in tasks)
-        return hits / len(tasks)
-    ids = np.empty(len(tasks), dtype=np.intp)
-    for i, (prompt, cont) in enumerate(tasks):
-        if not cont:
-            raise InvalidInputError("steps must be >= 1")
-        ids[i] = prefix_id(prompt, model.order, model.vocab)
-    out = np.empty((len(tasks), max(len(cont) for _, cont in tasks)), dtype=np.intp)
-    for t in range(out.shape[1]):
-        out[:, t] = np.argmax(model.table[ids], axis=1)
-        ids = (ids * model.vocab.size + out[:, t]) % len(model.table)
-    hits = sum(row[:len(cont)] == cont for row, (_, cont) in zip(out.tolist(), tasks))
+    if not all(cont for _, cont in tasks):
+        raise InvalidInputError("steps must be >= 1")
+    prompts = [prompt for prompt, _ in tasks]
+    steps = max(len(cont) for _, cont in tasks)
+    outs = (model.rollouts(prompts, steps, rng) if sampled
+            else model.greedy_rollouts(prompts, steps))
+    hits = sum(out[:len(cont)] == cont for out, (_, cont) in zip(outs, tasks))
     return hits / len(tasks)
 
 
@@ -224,43 +174,3 @@ def make_completion_tasks(
             f"(min_conf={min_conf}, cont_len={cont_len})"
         )
     return [(prompts[i], conts[i].tolist()) for i in keep.tolist()]
-
-
-@dataclass(frozen=True)
-class K1Study:
-    trial_means: np.ndarray
-    grand_mean: float
-    variance: float
-    negative_fraction: float
-    exact_kl: float
-    n_trials: int
-    n_samples: int
-
-
-def k1_study(
-    p: CategoricalDist,
-    q: CategoricalDist,
-    n_trials: int,
-    n_samples: int,
-    rng: np.random.Generator,
-) -> K1Study:
-    """Bias/variance study of the single-sample reverse-KL estimator."""
-    if n_trials < 1 or n_samples < 1:
-        raise InvalidParameterError("n_trials and n_samples must be >= 1")
-    means = np.empty(n_trials)
-    neg = 0
-    total = 0
-    for i in range(n_trials):
-        vals = k1_samples(p, q, n_samples, rng)
-        means[i] = vals.mean()
-        neg += int(np.sum(vals < 0.0))
-        total += vals.size
-    return K1Study(
-        trial_means=means,
-        grand_mean=float(means.mean()),
-        variance=float(means.var(ddof=1)) if n_trials > 1 else 0.0,
-        negative_fraction=neg / total,
-        exact_kl=kl_exact(q, p),
-        n_trials=n_trials,
-        n_samples=n_samples,
-    )

@@ -23,7 +23,7 @@ from .errors import (
     NumericOverflowError,
     ParseError,
 )
-from .numerics import CategoricalDist, inverse_cdf, softmax
+from .numerics import CategoricalDist, cdf_draw, cdf_rows, softmax
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -145,51 +145,9 @@ class TabularLM:
         self.table[cid] = row
         self.touched[cid] = True
 
-    def predict(self, ctx: ContextKey, temperature: float = 1.0) -> CategoricalDist:
-        z = self.logits(ctx)
-        if temperature != 1.0:
-            if temperature <= 0.0:
-                raise InvalidInputError("temperature must be > 0 (use greedy=True for argmax)")
-            z = z / temperature
-        return softmax(z)
-
     def predict_batch(self, ids) -> CategoricalDist:
-        """predict at each context id: row i is for ids[i]."""
+        """The softmax of each context id's logit row: row i is for ids[i]."""
         return softmax(self.table[ids])
-
-    def sample_next(
-        self, ctx: ContextKey, rng: np.random.Generator, temperature: float = 1.0
-    ) -> int:
-        self._check_ctx(ctx)
-        return self.rollouts([ctx], 1, rng, temperature=temperature)[0][0]
-
-    def greedy_next(self, ctx: ContextKey) -> int:
-        return int(np.argmax(self.logits(ctx)))
-
-    def context_for(self, prefix) -> ContextKey:
-        return pad_context(prefix, self.order, self.vocab.bos_id)
-
-    def rollout(
-        self,
-        prompt,
-        steps: int,
-        rng: np.random.Generator | None = None,
-        temperature: float = 1.0,
-        greedy: bool = False,
-    ) -> list[int]:
-        """Extend prompt by `steps` autoregressively sampled (or greedy) tokens."""
-        if steps < 1:
-            raise InvalidInputError("steps must be >= 1")
-        if not greedy:
-            if rng is None:
-                raise InvalidInputError("sampled rollout needs an rng")
-            return self.rollouts([prompt], steps, rng, temperature=temperature)[0]
-        cid = prefix_id(prompt, self.order, self.vocab)
-        out = []
-        for _ in range(steps):
-            out.append(int(np.argmax(self.table[cid])))
-            cid = (cid * self.vocab.size + out[-1]) % len(self.table)
-        return out
 
     def rollouts(self, prompts, steps: int, rng: np.random.Generator,
                  temperature: float = 1.0) -> list[list[int]]:
@@ -204,7 +162,7 @@ class TabularLM:
         # the last k prompt tokens are every prompt token a context will ever hold
         ids = np.array([prefix_id(p, self.order, self.vocab) for p in prompts], dtype=np.intp)
         if temperature <= 0.0:
-            raise InvalidInputError("temperature must be > 0 (use greedy=True for argmax)")
+            raise InvalidInputError("temperature must be > 0 (greedy_rollouts takes the argmax)")
         if not ids.size:
             return []
         out = np.empty((ids.size, steps), dtype=np.intp)
@@ -213,7 +171,22 @@ class TabularLM:
             z = self.table[ids]
             if temperature != 1.0:
                 z = z / temperature
-            out[:, t] = inverse_cdf(softmax(z).probs, u[:, t])
+            out[:, t] = cdf_draw(cdf_rows(softmax(z).probs), u[:, t])
+            ids = (ids * self.vocab.size + out[:, t]) % len(self.table)
+        return out.tolist()
+
+    def greedy_rollouts(self, prompts, steps: int) -> list[list[int]]:
+        """`steps` greedy tokens after each prompt, every rollout one position per step.
+
+        Each step is one row-wise argmax of the rollouts' logit rows, so a tie
+        goes to the lowest token id; no randomness is drawn.
+        """
+        if steps < 1:
+            raise InvalidInputError("steps must be >= 1")
+        ids = np.array([prefix_id(p, self.order, self.vocab) for p in prompts], dtype=np.intp)
+        out = np.empty((ids.size, steps), dtype=np.intp)
+        for t in range(steps):
+            out[:, t] = np.argmax(self.table[ids], axis=1)
             ids = (ids * self.vocab.size + out[:, t]) % len(self.table)
         return out.tolist()
 
@@ -252,9 +225,6 @@ class GradAccumulator:
         self.touched[:] = False
         self.n_samples = 0
 
-    def add_row(self, ctx: ContextKey, direction: np.ndarray, count: int = 1) -> None:
-        self.add_rows(self._ids([ctx]), np.asarray(direction, dtype=np.float64)[None], count)
-
     def add_rows(self, ids, directions: np.ndarray, count: int) -> None:
         """Add directions[j] to row ids[j] for j = 0, 1, ... in turn; count to n_samples.
 
@@ -270,60 +240,32 @@ class GradAccumulator:
         self.touched[ids] = True
         self.n_samples += count
 
-    def _ids(self, ctxs) -> np.ndarray:
-        """ctxs as row ids: ids pass through, context tuples become theirs."""
-        ids = np.asarray(ctxs, dtype=np.intp)
-        if ids.ndim == 2:
-            ids = np.ravel_multi_index(tuple(ids.T), (self.vocab_size,) * self.order)
-        return ids
 
-
-def accumulate_token_grad(
-    acc: GradAccumulator,
-    model: TabularLM,
-    ctx: ContextKey,
-    token: int,
-    weight: float,
-    count: int = 1,
-    q: "CategoricalDist | None" = None,
-) -> GradAccumulator:
-    """Add the exact descent direction of -weight * ln q[token] on ctx's row.
-
-    The one-token case of accumulate_token_grads. Pass q to reuse an already
-    computed predictive distribution for ctx.
-    """
-    cid = model._check_ctx(ctx)
-    if q is None:
-        q = model.predict(ctx)
-    return accumulate_token_grads(acc, [cid], [token], [weight], [count],
-                                  CategoricalDist.stack([q]))
-
-
-def accumulate_token_grads(acc: GradAccumulator, ctxs, tokens, weights, counts,
-                           q: CategoricalDist) -> GradAccumulator:
-    """For j in order, add weights[j] * (onehot(tokens[j]) - q[j]) to ctxs[j]'s row.
+def accumulate_token_grads(acc: GradAccumulator, ids, tokens, weights, counts,
+                           q: np.ndarray) -> GradAccumulator:
+    """For j in order, add weights[j] * (onehot(tokens[j]) - q[j]) to row ids[j].
 
     That is the exact descent direction of -weights[j] * ln q[j][tokens[j]];
-    the weight is a constant (no derivative flows through it). ctxs holds
-    context ids or context tuples; q is a batch with row j the predictive
-    distribution at ctxs[j]; counts[j] adds to acc.n_samples. A zero weight
+    the weight is a constant (no derivative flows through it). ids holds
+    context ids; q is an (n, V) array of probabilities, row j the predictive
+    distribution at ids[j]; counts[j] adds to acc.n_samples. A zero weight
     touches no row and counts nothing.
     """
-    ids = acc._ids(ctxs)
+    ids = np.asarray(ids, dtype=np.intp)
     weights = np.asarray(weights, dtype=np.float64)
     tokens = np.asarray(tokens)
     if not np.isfinite(weights).all():
         raise InvalidInputError("weight must be finite")
-    outside = (tokens < 0) | (tokens >= q.probs.shape[-1])
+    outside = (tokens < 0) | (tokens >= q.shape[-1])
     if outside.any():
         raise InvalidInputError(f"token id {tokens[np.argmax(outside)]} out of range")
     rows = np.arange(tokens.size)
-    zero = q.probs[rows, tokens] <= 0.0
+    zero = q[rows, tokens] <= 0.0
     if zero.any():
         j = int(np.argmax(zero))
         ctx = context_key(ids[j], acc.order, acc.vocab_size)
         raise LogOfZeroError(f"q[{tokens[j]}] = 0 at context {ctx}")
-    direction = -weights[:, None] * q.probs
+    direction = -weights[:, None] * q
     direction[rows, tokens] += weights
     keep = weights != 0.0
     if not keep.all():

@@ -21,7 +21,7 @@ class CategoricalDist:
     """Probability vector over a vocabulary with cached log-probabilities.
 
     probs may also be an (n, V) array: a batch of n distributions, one per
-    row, as `softmax` of an (n, V) logit array or `stack` builds it. The
+    row, as `softmax` of an (n, V) logit array or `from_rows` builds it. The
     weight rules in objectives.py and `entropy` take one or a batch.
     """
 
@@ -42,12 +42,6 @@ class CategoricalDist:
         if p.ndim != 2 or p.size == 0:
             raise InvalidInputError("probability rows must be a non-empty 2-d array")
         return _checked(p)
-
-    @classmethod
-    def stack(cls, dists) -> "CategoricalDist":
-        """The batch whose row i is dists[i]."""
-        return cls(probs=np.stack([d.probs for d in dists]),
-                   logprobs=np.stack([d.logprobs for d in dists]))
 
     def rows(self, index) -> "CategoricalDist":
         """The batch of this batch's rows at index (repeats allowed)."""
@@ -78,7 +72,7 @@ def _checked(p: np.ndarray) -> CategoricalDist:
     off = abs(sums - 1.0)
     if off.max() > PROB_SUM_TOL:
         bad = np.ravel(sums)[np.ravel(off > PROB_SUM_TOL).argmax()]
-        raise InvalidInputError(f"probabilities sum to {bad!r}, not 1")
+        raise InvalidInputError(f"probabilities sum to {float(bad)}, not 1")
     p = np.where(p < ZERO_TOL, 0.0, p)
     lp = np.log(p, out=np.full(p.shape, -np.inf), where=p > 0.0)
     p.setflags(write=False)
@@ -112,20 +106,13 @@ def cdf_rows(probs) -> np.ndarray:
 def cdf_draw(cdf, u) -> np.ndarray:
     """Row i of a cdf_rows table sampled with the uniform u[i]: its count of entries <= u[i].
 
-    The count is a sum of the row's booleans, one reduction over the batch.
+    This is Generator.choice's own draw: choice(V, p=row) takes one rng.random()
+    and returns the count of entries of cumsum(row) / cumsum(row)[-1] that are
+    <= it. So cdf_draw(cdf_rows(row), rng.random()) equals it, and a 1-d cdf with
+    a scalar u gives one draw. The count is a sum of the row's booleans, one
+    reduction over the batch.
     """
     return (cdf <= np.asarray(u)[..., None]).sum(axis=-1)
-
-
-def inverse_cdf(probs, u) -> np.ndarray:
-    """Row i of probs sampled with the uniform u[i], exactly as Generator.choice samples it.
-
-    Generator.choice(V, p=row) takes one rng.random() and returns the count of
-    entries of cumsum(row) / cumsum(row)[-1] that are <= it; a 1-d probs and a
-    scalar u give one draw. A caller that samples the same rows again keeps
-    their cdf_rows and calls cdf_draw.
-    """
-    return cdf_draw(cdf_rows(probs), u)
 
 
 def _support_entropy(p: np.ndarray, lp: np.ndarray) -> float:

@@ -8,7 +8,9 @@ orientation; sign_fidelity=True reproduces them verbatim for comparison.
 
 Every rule is elementwise in the token-level quantities: it takes one
 distribution pair and token ids, giving floats, or a batch (CategoricalDist
-rows) and one token id per row, giving arrays.
+rows) and one token id per row, giving arrays. sft's unit weight and
+fkld_dense's full-vocabulary weights p_v need no rule: the off-policy
+training loop applies them directly (the latter's direction is p - q).
 """
 
 from __future__ import annotations
@@ -98,19 +100,9 @@ def _k1(p: CategoricalDist, q: CategoricalDist, token):
     return _at(q.probs, token) * (_at(p.logprobs, token) - _at(q.logprobs, token))
 
 
-def weight_sft(token, expert):
-    """One-hot indicator weight: 1 on the expert token, 0 elsewhere."""
-    return _scalar(np.where(np.asarray(token) == expert, 1.0, 0.0))
-
-
 def weight_fkld_token(p: CategoricalDist, expert):
     """Teacher probability of the expert token."""
     return _scalar(_at(p.probs, expert))
-
-
-def weights_fkld_dense(p: CategoricalDist) -> np.ndarray:
-    """Full-vocabulary forward-KL weights: w_v = p_v at the state."""
-    return p.probs.copy()
 
 
 def hpd_k1(p: CategoricalDist, q: CategoricalDist, token):
@@ -194,13 +186,3 @@ def hpd_weights(
     return HPDWeights(k1=k1, k1_prime=k1p, w_star=_scalar(w_star),
                       sampled_token=int(sampled) if np.ndim(sampled) == 0 else sampled,
                       w_sampled=_scalar(w_sampled))
-
-
-def opd_rewards(teacher_dists, student_dists, tokens) -> np.ndarray:
-    """Per-step rewards r_t = ln p(a_t|s_t) - ln q(a_t|s_t) on a sampled path."""
-    if not (len(teacher_dists) == len(student_dists) == len(tokens)):
-        raise InvalidParameterError("per-step distributions must align with tokens")
-    if len(tokens) == 0:
-        return np.array([])
-    return weight_rkld_on(CategoricalDist.stack(teacher_dists),
-                          CategoricalDist.stack(student_dists), np.asarray(tokens))

@@ -1,7 +1,8 @@
 """Teacher fitting, off-policy distillation, and on-policy distillation.
 
-A teacher provider exposes exact conditionals given a raw token prefix:
-either the ground-truth MarkovSource (oracle mode) or a fitted TabularLM.
+A teacher provider exposes its exact conditionals at every context at once
+(dists()): either the ground-truth MarkovSource (oracle mode) or a fitted
+TabularLM.
 All loops are deterministic given the config seed.
 """
 
@@ -55,9 +56,6 @@ class OracleTeacher:
         self.order = source.order
         self.vocab = source.vocab
 
-    def dist(self, prefix) -> CategoricalDist:
-        return self.source.conditional_for_prefix(prefix)
-
     def dists(self) -> CategoricalDist:
         """Every context's conditional: row i is context id i's."""
         return self.source.table
@@ -67,7 +65,7 @@ class ModelTeacher:
     """Conditionals from a fitted TabularLM.
 
     The teacher reads its model as it was at construction: one softmax of the
-    whole table, whose rows both dist and dists return.
+    whole table, which dists returns.
     """
 
     def __init__(self, model: TabularLM):
@@ -75,9 +73,6 @@ class ModelTeacher:
         self.order = model.order
         self.vocab = model.vocab
         self._table = softmax(model.table)
-
-    def dist(self, prefix) -> CategoricalDist:
-        return self._table.rows(prefix_id(prefix, self.order, self.vocab))
 
     def dists(self) -> CategoricalDist:
         """Every context's conditional: row i is context id i's."""
@@ -234,8 +229,9 @@ def _train_loop(cfg: TrainConfig, teacher, student: TabularLM, eval_tasks,
     sample from the student (OPD and HPD). It is built once per run; after
     each step exactly the rows sgd_step reports moved are refreshed, and a
     step that moved none refreshes nothing. minibatch returns the batch's
-    student rows q and its rewards (None off-policy); q's mean entropy is
-    computed only for a metrics row.
+    student context ids and its rewards (None off-policy). The mean entropy
+    of the student's rows at those ids is computed only for a metrics row,
+    from pred before the step moves them.
     """
     rng = np.random.default_rng(cfg.seed)
     student = student.copy()
@@ -245,12 +241,15 @@ def _train_loop(cfg: TrainConfig, teacher, student: TabularLM, eval_tasks,
     rows: list[MetricsRow] = []
 
     for step in range(1, cfg.steps + 1):
-        q, batch_rewards = minibatch(student, pred, acc, rng)
+        ids, batch_rewards = minibatch(student, pred, acc, rng)
+        log = step % cfg.eval_every == 0 or step == cfg.steps
+        if log:
+            train_entropy = float(np.mean(entropy(pred.rows(ids))))
         moved = sgd_step(student, acc, cfg.lr)
         if moved.size:
             pred.refresh(moved)
 
-        if step % cfg.eval_every == 0 or step == cfg.steps:
+        if log:
             kl_fwd, kl_rev = evaluate_divergences(student, teacher, cfg)
             accuracy = completion_accuracy(student, eval_tasks) if eval_tasks else None
             rows.append(
@@ -258,7 +257,7 @@ def _train_loop(cfg: TrainConfig, teacher, student: TabularLM, eval_tasks,
                     step=step,
                     objective=cfg.objective.tag,
                     seed=cfg.seed,
-                    train_entropy=float(np.mean(entropy(q))),
+                    train_entropy=train_entropy,
                     kl_fwd=kl_fwd,
                     kl_rev=kl_rev,
                     accuracy=accuracy,
@@ -330,7 +329,7 @@ def distill_offpolicy(
                 acc, np.repeat(ids, 2 * k),
                 np.stack([expert_d, hw.sampled_token], axis=1).ravel(),
                 np.stack([hw.w_star / k, hw.w_sampled / k], axis=1).ravel(),
-                counts, qd.rows(pair))
+                counts, qd.probs[pair])
         else:
             if tag in ("sft", "seqkd"):
                 w = unit_weights
@@ -341,8 +340,8 @@ def distill_offpolicy(
             else:
                 w = weight_jsd_off(p, q, expert, beta=kind.beta,
                                    sign_fidelity=kind.sign_fidelity)
-            accumulate_token_grads(acc, ids, expert, w, unit_counts, q)
-        return q, None
+            accumulate_token_grads(acc, ids, expert, w, unit_counts, q.probs)
+        return ids, None
 
     return _train_loop(cfg, teacher, student, eval_tasks, minibatch)
 
@@ -417,9 +416,9 @@ def distill_onpolicy_opd(
         else:
             coeffs = rewards
         baseline = float(np.mean(rewards)) if cfg.opd_baseline else 0.0
-        q = pred.rows(s_ids)
-        accumulate_token_grads(acc, s_ids, tokens, coeffs - baseline, unit_counts, q)
-        return q, rewards
+        accumulate_token_grads(acc, s_ids, tokens, coeffs - baseline, unit_counts,
+                               pred.probs[s_ids])
+        return s_ids, rewards
 
     return _train_loop(cfg, teacher, student, eval_tasks, minibatch)
 

@@ -18,7 +18,7 @@ from distill_lab.data import (
     sample_corpus,
 )
 from distill_lab.evaluation import gradcheck, make_completion_tasks
-from distill_lab.model import TabularLM, Vocab
+from distill_lab.model import TabularLM, Vocab, prefix_id
 from distill_lab.numerics import CategoricalDist, entropy, k1_samples, kl_exact, softmax
 from distill_lab.objectives import ObjectiveKind, hpd_weights
 from distill_lab.training import (
@@ -159,7 +159,7 @@ def test_criterion_04_opd_gradient_validity(capsys):
                            "order": 1})
     teacher = OracleTeacher(source)
     z0 = np.array([0.5, -0.5, 0.25, -0.25])
-    p = teacher.dist([])
+    p = teacher.dists().rows(prefix_id([], teacher.order, teacher.vocab))
     q = softmax(z0)
     kl = float(np.sum(q.probs * (q.logprobs - p.logprobs)))
     exact_descent = -(q.probs * ((q.logprobs - p.logprobs) - kl))
@@ -219,7 +219,7 @@ def test_criterion_06_mode_covering_vs_mode_seeking(capsys):
         for tag in ("fkld_dense", "rkld_off"):
             out, _ = train(tag, source, seed, steps=2000, lr=0.5, batch_size=32,
                            corpus_seed=100 + seed)
-            ent[tag] = entropy(out.predict((GAP_TOKEN,)))
+            ent[tag] = entropy(softmax(out.logits((GAP_TOKEN,))))
         margins.append(ent["fkld_dense"] - ent["rkld_off"])
         wins += margins[-1] > 0.05
     elapsed = time.perf_counter() - t0

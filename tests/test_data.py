@@ -31,18 +31,19 @@ from distill_lab.errors import ConfigError, InvalidInputError, ParseError
 from distill_lab.model import TabularLM, Vocab
 from distill_lab.numerics import entropy
 from distill_lab.training import train_teacher_mle
+from oracles import greedy_rollout, model_row, source_row
 
 
 class TestBuildSource:
     def test_uniform_rows(self):
         src = build_source({"name": "uniform", "vocab_size": 4, "order": 1})
         for ctx in [(0,), (1,), (2,), (3,)]:
-            assert np.allclose(src.conditional(ctx).probs, [0.25] * 4)
+            assert np.allclose(source_row(src, ctx).probs, [0.25] * 4)
 
     def test_deterministic_cycle(self):
         src = build_source({"name": "deterministic_cycle", "vocab_size": 3})
         for i in range(3):
-            d = src.conditional((i,))
+            d = source_row(src, (i,))
             assert d.probs[(i + 1) % 3] == 1.0
             assert entropy(d) == 0.0
 
@@ -77,13 +78,13 @@ class TestBimodalGap:
     def test_cycle_structure(self):
         src = build_source({"name": "bimodal_gap"})
         # chooser -> coin, coin -> gap, gap -> mode resolved by the coin
-        d = src.conditional((GAP_TOKEN, CHOOSER_TOKEN))
+        d = source_row(src, (GAP_TOKEN, CHOOSER_TOKEN))
         assert d.probs[COIN_A] == pytest.approx(d.probs[COIN_B])
         assert d.probs[COIN_A] > 0.4
-        assert np.argmax(src.conditional((CHOOSER_TOKEN, COIN_A)).probs) == GAP_TOKEN
-        assert np.argmax(src.conditional((COIN_A, GAP_TOKEN)).probs) == MODE_X
-        assert np.argmax(src.conditional((COIN_B, GAP_TOKEN)).probs) == MODE_Y
-        assert np.argmax(src.conditional((GAP_TOKEN, MODE_X)).probs) == CHOOSER_TOKEN
+        assert np.argmax(source_row(src, (CHOOSER_TOKEN, COIN_A)).probs) == GAP_TOKEN
+        assert np.argmax(source_row(src, (COIN_A, GAP_TOKEN)).probs) == MODE_X
+        assert np.argmax(source_row(src, (COIN_B, GAP_TOKEN)).probs) == MODE_Y
+        assert np.argmax(source_row(src, (GAP_TOKEN, MODE_X)).probs) == CHOOSER_TOKEN
 
     def test_rows_are_smoothed_full_support(self):
         src = build_source({"name": "bimodal_gap", "eps": 0.1})
@@ -92,8 +93,8 @@ class TestBimodalGap:
     def test_ambiguous_mixture_is_exact_average(self):
         src = build_source({"name": "bimodal_gap"})
         mix = bimodal_ambiguous_mixture(BIMODAL_EPS)
-        a = src.conditional((COIN_A, GAP_TOKEN)).probs
-        b = src.conditional((COIN_B, GAP_TOKEN)).probs
+        a = source_row(src, (COIN_A, GAP_TOKEN)).probs
+        b = source_row(src, (COIN_B, GAP_TOKEN)).probs
         assert np.allclose(mix.probs, 0.5 * (a + b))
         assert mix.probs[MODE_X] == pytest.approx(mix.probs[MODE_Y])
 
@@ -103,7 +104,7 @@ class TestBimodalGap:
         src = build_source({"name": "bimodal_gap"})
         mix = bimodal_ambiguous_mixture(BIMODAL_EPS).probs
         for x in (GAP_TOKEN, CHOOSER_TOKEN, MODE_X, MODE_Y):
-            assert np.allclose(src.conditional((x, GAP_TOKEN)).probs, mix)
+            assert np.allclose(source_row(src, (x, GAP_TOKEN)).probs, mix)
 
     def test_swap_symmetry(self):
         # joint relabeling 1<->2, 4<->5 maps the table onto itself
@@ -112,20 +113,20 @@ class TestBimodalGap:
         perm = np.array([swap.get(v, v) for v in range(BIMODAL_VOCAB)])
         for ctx in itertools.product(range(BIMODAL_VOCAB), repeat=2):
             mapped = (swap.get(ctx[0], ctx[0]), swap.get(ctx[1], ctx[1]))
-            assert np.allclose(src.conditional(mapped).probs[perm],
-                               src.conditional(ctx).probs)
+            assert np.allclose(source_row(src, mapped).probs[perm],
+                               source_row(src, ctx).probs)
 
 
 class TestSampleSequences:
     def test_cycle_sequences_follow_cycle(self):
         src = build_source({"name": "deterministic_cycle", "vocab_size": 3})
-        seq = src.sample_sequence(9, np.random.default_rng(0))
-        assert seq == [1, 2, 0, 1, 2, 0, 1, 2, 0]
+        seqs = src.sample_sequences(2, 9, np.random.default_rng(0))
+        assert seqs == [[1, 2, 0, 1, 2, 0, 1, 2, 0]] * 2
 
     def test_uniform_frequencies_three_sigma(self):
         src = build_source({"name": "uniform", "vocab_size": 2, "order": 1})
         rng = np.random.default_rng(5)
-        toks = src.sample_sequence(100_000, rng)
+        [toks] = src.sample_sequences(1, 100_000, rng)
         freq = toks.count(0) / len(toks)
         sigma = np.sqrt(0.25 / 100_000)
         assert abs(freq - 0.5) <= 3 * sigma
@@ -147,7 +148,7 @@ def per_token_sequence(source, length, rng):
     """One sequence, one Generator.choice per token: the sampler before lockstep."""
     seq = []
     for _ in range(length):
-        d = source.conditional_for_prefix(seq)
+        d = source_row(source, seq)
         seq.append(int(rng.choice(source.vocab.size, p=d.probs)))
     return seq
 
@@ -177,7 +178,7 @@ class TestLockstepSampling:
         src = build_source(spec)
         a, b = np.random.default_rng(2), np.random.default_rng(2)
         for length in (0, 1, 7, 30):
-            assert src.sample_sequence(length, a) == per_token_sequence(src, length, b)
+            assert src.sample_sequences(1, length, a) == [per_token_sequence(src, length, b)]
             assert src.sample_sequences(3, length, a) == [
                 per_token_sequence(src, length, b) for _ in range(3)]
         assert a.random() == b.random()
@@ -206,7 +207,7 @@ class TestSeqKDCorpus:
                             "order": 1})
         teacher = TabularLM(order=1, vocab=Vocab.default(4))
         for i in range(4):
-            teacher.set_row((i,), np.log(src.conditional((i,)).probs))
+            teacher.set_row((i,), np.log(source_row(src, (i,)).probs))
         n = 100_000
         rng = np.random.default_rng(1)
         kd = generate_seqkd_corpus(teacher, [[]], n, rng, temperature=1.0)
@@ -231,11 +232,23 @@ class TestSeqKDCorpus:
         for prompt in prompts:
             seq = list(prompt)
             for _ in range(10):
-                d = teacher.predict(teacher.context_for(seq), temperature=temperature)
+                d = model_row(teacher, seq, temperature)
                 seq.append(int(b.choice(4, p=d.probs)))
             want.append(seq)
         assert kd.sequences == want
         assert a.random() == b.random()
+
+    def test_greedy_prompts_match_per_prompt_argmax(self):
+        # temperature 0 draws nothing: every prompt's greedy path, rng untouched
+        teacher = TabularLM(order=2, vocab=Vocab.default(4))
+        rng = np.random.default_rng(4)
+        for ctx in np.ndindex(4, 4):
+            teacher.set_row(ctx, rng.integers(-1, 2, size=4).astype(float))  # many ties
+        prompts = [[], [2], [1, 3, 0], [], [3, 3]]
+        a = np.random.default_rng(6)
+        kd = generate_seqkd_corpus(teacher, prompts, 10, a, temperature=0.0)
+        assert kd.sequences == [p + greedy_rollout(teacher, p, 10) for p in prompts]
+        assert a.random() == np.random.default_rng(6).random()
 
     def test_negative_temperature_rejected(self):
         teacher = TabularLM(order=1, vocab=Vocab.default(2))
@@ -301,7 +314,7 @@ class TestSourceIO:
         loaded = source_load(path)
         assert loaded.name == src.name and loaded.order == src.order
         for ctx in itertools.product(range(3), repeat=2):
-            assert np.array_equal(loaded.conditional(ctx).probs, src.conditional(ctx).probs)
+            assert np.array_equal(source_row(loaded, ctx).probs, source_row(src, ctx).probs)
 
     def test_corrupt_file(self, tmp_path):
         path = tmp_path / "s.json"

@@ -1,4 +1,4 @@
-"""Oracle tests for gradient checking, audits, profiles, accuracy, and K1 studies."""
+"""Oracle tests for gradient checking, audits, entropies, accuracy, and K1 studies."""
 
 import itertools
 import math
@@ -16,19 +16,19 @@ from distill_lab.data import (
     build_source,
     sample_corpus,
 )
-from distill_lab.errors import DivergenceInfiniteError, InvalidInputError
+from distill_lab import evaluation
+from distill_lab.errors import DivergenceInfiniteError, InvalidInputError, InvalidParameterError
 from distill_lab.evaluation import (
     completion_accuracy,
     context_occupancy,
     gradcheck,
-    k1_study,
     make_completion_tasks,
     occupancy_divergences,
-    positional_entropy,
 )
 from distill_lab.model import TabularLM, Vocab
-from distill_lab.numerics import CategoricalDist, kl_exact
+from distill_lab.numerics import CategoricalDist, entropy, k1_samples, kl_exact
 from distill_lab.training import ModelTeacher, OracleTeacher, train_teacher_mle
+from oracles import greedy_rollout, model_row, source_row, teacher_row
 
 
 def dist(*probs):
@@ -45,21 +45,48 @@ class TestGradcheck:
         assert gradcheck(m, [((0,), 0, 0.0)]) == 0.0
 
     def test_random_batch_of_64(self):
-        rng = np.random.default_rng(1)
-        m = TabularLM(order=1, vocab=Vocab.default(8))
-        items = []
-        for _ in range(64):
-            ctx = (int(rng.integers(8)),)
-            m.set_row(ctx, rng.normal(size=8))
-            items.append((ctx, int(rng.integers(8)), float(rng.uniform(-2, 2))))
+        m, items = random_gradcheck_batch(order=1, v=8, n=64, seed=1)
         assert gradcheck(m, items) < 1e-5
 
-    def test_bad_eps(self):
-        from distill_lab.errors import InvalidParameterError
+    def test_order_two_contexts(self):
+        m, items = random_gradcheck_batch(order=2, v=4, n=40, seed=2)
+        assert len({ctx for ctx, _, _ in items}) > 10
+        assert gradcheck(m, items) < 1e-5
 
+    def test_batch_repeating_a_context(self):
+        # one row carries several items, some on the same token, beside a row of its own
+        m, items = random_gradcheck_batch(order=2, v=5, n=6, seed=3)
+        items = [((1, 4), t, w) for _, t, w in items] + [((0, 2), 3, -0.7), ((1, 4), 2, 1.1)]
+        m.set_row((1, 4), np.random.default_rng(3).normal(size=5))
+        assert gradcheck(m, items) < 1e-5
+
+    def test_a_wrong_analytic_gradient_fails(self, monkeypatch):
+        # weights scaled by 1 + 1e-3 in the accumulation gradcheck calls, not in its loss
+        m, items = random_gradcheck_batch(order=1, v=8, n=64, seed=1)
+        accumulate = evaluation.accumulate_token_grads
+
+        def scaled(acc, ids, tokens, weights, counts, q):
+            return accumulate(acc, ids, tokens, np.asarray(weights) * (1.0 + 1e-3), counts, q)
+
+        monkeypatch.setattr(evaluation, "accumulate_token_grads", scaled)
+        assert gradcheck(m, items) > 1e-4
+
+    def test_bad_eps(self):
         m = TabularLM(order=1, vocab=Vocab.default(2))
         with pytest.raises(InvalidParameterError):
             gradcheck(m, [((0,), 0, 1.0)], eps=1.0)
+
+
+def random_gradcheck_batch(order, v, n, seed):
+    """A model with random rows at n random contexts, and one weighted token at each."""
+    rng = np.random.default_rng(seed)
+    m = TabularLM(order=order, vocab=Vocab.default(v))
+    items = []
+    for _ in range(n):
+        ctx = tuple(int(x) for x in rng.integers(v, size=order))
+        m.set_row(ctx, rng.normal(size=v))
+        items.append((ctx, int(rng.integers(v)), float(rng.uniform(-2, 2))))
+    return m, items
 
 
 def exact(student, teacher, eval_len=16, eval_from="teacher"):
@@ -79,8 +106,8 @@ def reference_divergence_audit(student, teacher, states):
     """Mean KL(p||q) and KL(q||p) over explicit prefix states, one state at a time."""
     fwd, rev = 0.0, 0.0
     for prefix in states:
-        p = teacher.dist(prefix)
-        q = student.predict(student.context_for(prefix))
+        p = teacher_row(teacher, prefix)
+        q = model_row(student, prefix)
         fwd += _kl_or_inf(p, q)
         rev += _kl_or_inf(q, p)
     return fwd / len(states), rev / len(states)
@@ -91,15 +118,15 @@ def reference_enumeration(student, teacher, eval_len, eval_from):
     probability under the driving model; prefixes of probability 0 are skipped."""
     def drive(prefix):
         if eval_from == "teacher":
-            return teacher.dist(prefix)
-        return student.predict(student.context_for(prefix))
+            return teacher_row(teacher, prefix)
+        return model_row(student, prefix)
 
     fwd = rev = 0.0
     level = [([], 1.0)]
     for _ in range(eval_len):
         for prefix, w in level:
-            p = teacher.dist(prefix)
-            q = student.predict(student.context_for(prefix))
+            p = teacher_row(teacher, prefix)
+            q = model_row(student, prefix)
             fwd += w * _kl_or_inf(p, q)
             rev += w * _kl_or_inf(q, p)
         level = [(prefix + [v], w * float(d.probs[v])) for prefix, w in level
@@ -120,7 +147,7 @@ class TestDivergenceAudit:
                             "order": 1})
         student = TabularLM(order=1, vocab=Vocab.default(4))
         for i in range(4):
-            student.set_row((i,), np.log(src.conditional((i,)).probs))
+            student.set_row((i,), np.log(source_row(src, [i]).probs))
         for eval_from in ("teacher", "student"):
             fwd, rev = exact(student, OracleTeacher(src), eval_from=eval_from)
             assert fwd == pytest.approx(0.0, abs=1e-12)
@@ -135,9 +162,9 @@ class TestDivergenceAudit:
         mix = bimodal_ambiguous_mixture(BIMODAL_EPS)
         student = TabularLM(order=1, vocab=Vocab.default(6))
         for tok in range(6):
-            row = mix.probs if tok == GAP_TOKEN else src.conditional((CHOOSER_TOKEN, tok)).probs
+            row = mix.probs if tok == GAP_TOKEN else source_row(src, (CHOOSER_TOKEN, tok)).probs
             student.set_row((tok,), np.log(row))
-        mode_row = src.conditional((COIN_A, GAP_TOKEN))
+        mode_row = source_row(src, (COIN_A, GAP_TOKEN))
         expected = float(np.sum(mix.probs * (np.log(mix.probs) - mode_row.logprobs)))
         occ = context_occupancy(student, teacher, 12, "teacher")
         coin_gap = occ[COIN_A * 6 + GAP_TOKEN] + occ[COIN_B * 6 + GAP_TOKEN]
@@ -247,39 +274,46 @@ class TestPairCachedAudit:
                 assert got == (0.0, 0.0)
 
 
+def occupancy_entropy(model, teacher, eval_len, eval_from):
+    """The model's entropy at each context weighted by its occupancy: eval's mean_entropy."""
+    occ = context_occupancy(model, teacher, eval_len, eval_from)
+    return occ @ entropy(model.predict_batch(np.arange(occ.size) % len(model.table)))
+
+
 class TestPositionalEntropy:
+    """The exact occupancy-weighted entropy that replaced the sampled per-position profile:
+    the mean over positions of each position's expected predictive entropy."""
+
     def test_deterministic_model_all_zero(self):
         m = TabularLM(order=1, vocab=Vocab.default(3))
         for i in range(3):
             row = np.full(3, -60.0)
             row[(i + 1) % 3] = 60.0
             m.set_row((i,), row)
-        prof = positional_entropy(m, [[0]], 8, np.random.default_rng(0))
-        assert np.allclose(prof.per_position, 0.0, atol=1e-12)
+        teacher = OracleTeacher(build_source({"name": "uniform", "vocab_size": 3}))
+        for eval_len in (1, 8):
+            assert occupancy_entropy(m, teacher, eval_len, "student") == pytest.approx(
+                0.0, abs=1e-12)
 
     def test_untrained_model_constant_ln_v(self):
         m = TabularLM(order=1, vocab=Vocab.default(4))
-        prof = positional_entropy(m, [[0], [1]], 5, np.random.default_rng(0))
-        assert np.allclose(prof.per_position, np.log(4.0))
+        teacher = OracleTeacher(build_source({"name": "random_dirichlet", "seed": 1,
+                                              "vocab_size": 4, "order": 2}))
+        for eval_from in ("teacher", "student"):
+            assert occupancy_entropy(m, teacher, 5, eval_from) == pytest.approx(np.log(4.0))
 
     def test_exactly_fit_model_matches_source_profile(self):
+        # free-running and teacher-forced occupancies coincide when student == source
         src = build_source({"name": "random_dirichlet", "seed": 7, "vocab_size": 4,
                             "order": 1})
         m = TabularLM(order=1, vocab=Vocab.default(4))
         for i in range(4):
-            m.set_row((i,), np.log(src.conditional((i,)).probs))
-        rng = np.random.default_rng(0)
-        prompts = [[] for _ in range(1000)]
-        free = positional_entropy(m, prompts, 6, rng)
-        forced = positional_entropy(m, prompts, 6, rng, teacher_forced_source=src)
-        assert np.allclose(free.per_position, forced.per_position, atol=0.05)
-
-    def test_validation(self):
-        m = TabularLM(order=1, vocab=Vocab.default(2))
-        with pytest.raises(InvalidInputError):
-            positional_entropy(m, [[0]], 0, np.random.default_rng(0))
-        with pytest.raises(InvalidInputError):
-            positional_entropy(m, [], 3, np.random.default_rng(0))
+            m.set_row((i,), np.log(source_row(src, [i]).probs))
+        teacher = OracleTeacher(src)
+        free = occupancy_entropy(m, teacher, 6, "student")
+        forced = occupancy_entropy(m, teacher, 6, "teacher")
+        assert free == pytest.approx(forced, rel=1e-12)
+        assert 0.1 < free < np.log(4.0)
 
 
 class TestCompletionAccuracy:
@@ -320,7 +354,7 @@ class TestCompletionAccuracy:
                                               "vocab_size": 4, "order": order}),
                                 40, 4, rng, min_conf=0.0)
         tasks = [(p[:i % 5], c[:1 + i % 4]) for i, (p, c) in enumerate(truth)]
-        tasks += [(p, [m.greedy_next(m.context_for(p))]) for p, _ in tasks]
+        tasks += [(p, greedy_rollout(m, p, 1)) for p, _ in tasks]
         acc = completion_accuracy(m, tasks)
         assert acc == reference_completion_accuracy(m, tasks)
         assert 0.5 <= acc < 1.0
@@ -333,7 +367,7 @@ class TestCompletionAccuracy:
 
 def reference_completion_accuracy(model, tasks):
     """Greedy accuracy one task at a time."""
-    hits = sum(model.rollout(p, len(c), greedy=True) == list(c) for p, c in tasks)
+    hits = sum(greedy_rollout(model, p, len(c)) == list(c) for p, c in tasks)
     return hits / len(tasks)
 
 
@@ -345,10 +379,10 @@ def reference_tasks(source, num_tasks, cont_len, rng, min_conf=0.9, prompt_len=N
     for _ in range(num_tasks * max_attempts_factor):
         if len(tasks) >= num_tasks:
             break
-        prompt = source.sample_sequence(prompt_len, rng)
+        [prompt] = source.sample_sequences(1, prompt_len, rng)
         seq, cont = list(prompt), []
         for _t in range(cont_len):
-            d = source.conditional_for_prefix(seq)
+            d = source_row(source, seq)
             tok = int(np.argmax(d.probs))
             if d.probs[tok] < min_conf:
                 break
@@ -368,7 +402,7 @@ class TestMakeCompletionTasks:
                                       min_conf=0.9)
         assert len(tasks) == 20
         for prompt, cont in tasks:
-            d = src.conditional_for_prefix(prompt)
+            d = source_row(src, prompt)
             assert d.probs[cont[0]] >= 0.9
 
     def test_deterministic_given_seed(self):
@@ -411,30 +445,30 @@ class TestMakeCompletionTasks:
 
 
 class TestK1Study:
+    """Bias, variance and sign of the one-sample reverse-KL estimator from k1_samples."""
+
     def test_identity_zero_everything(self):
         d = dist(0.5, 0.5)
-        study = k1_study(d, d, 10, 100, np.random.default_rng(0))
-        assert study.grand_mean == 0.0
-        assert study.variance == 0.0
-        assert study.negative_fraction == 0.0
+        vals = k1_samples(d, d, 1000, np.random.default_rng(0))
+        assert not vals.any()
 
     def test_negative_fraction_matches_event_probability(self):
         # value < 0 iff q < p at the sampled token; here only token 0 (q-mass 0.5)
         p, q = dist(0.8, 0.2), dist(0.5, 0.5)
-        study = k1_study(p, q, 10, 1000, np.random.default_rng(5))
+        vals = k1_samples(p, q, 10_000, np.random.default_rng(5))
         sigma = np.sqrt(0.25 / 10_000)
-        assert abs(study.negative_fraction - 0.5) <= 3 * sigma
+        assert abs(np.mean(vals < 0.0) - 0.5) <= 3 * sigma
 
     def test_grand_mean_within_pooled_stderr(self):
         p, q = dist(0.8, 0.2), dist(0.5, 0.5)
-        study = k1_study(p, q, 100, 1000, np.random.default_rng(6))
-        assert study.exact_kl == pytest.approx(0.223144, abs=1e-6)
-        pooled = np.sqrt(study.variance / study.n_trials)
-        assert abs(study.grand_mean - study.exact_kl) <= 3 * pooled
+        trial_means = k1_samples(p, q, 100_000, np.random.default_rng(6)).reshape(
+            100, 1000).mean(axis=1)
+        exact_kl = kl_exact(q, p)
+        assert exact_kl == pytest.approx(0.223144, abs=1e-6)
+        pooled = np.sqrt(trial_means.var(ddof=1) / trial_means.size)
+        assert abs(trial_means.mean() - exact_kl) <= 3 * pooled
 
     def test_validation(self):
-        from distill_lab.errors import InvalidParameterError
-
         d = dist(0.5, 0.5)
         with pytest.raises(InvalidParameterError):
-            k1_study(d, d, 0, 10, np.random.default_rng(0))
+            k1_samples(d, d, 0, np.random.default_rng(0))

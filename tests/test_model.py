@@ -14,7 +14,6 @@ from distill_lab.model import (
     GradAccumulator,
     TabularLM,
     Vocab,
-    accumulate_token_grad,
     accumulate_token_grads,
     checkpoint_load,
     checkpoint_save,
@@ -24,6 +23,7 @@ from distill_lab.model import (
     sgd_step,
 )
 from distill_lab.numerics import softmax
+from oracles import add_token_grad, greedy_rollout, per_token_rollout
 
 
 def uniform_model(v=2, order=1):
@@ -92,36 +92,38 @@ class TestContextIds:
 class TestPredict:
     def test_unseen_context_uniform(self):
         m = uniform_model(v=4)
-        assert np.allclose(m.predict((0,)).probs, [0.25] * 4)
+        assert np.allclose(m.predict_batch([0]).probs, [[0.25] * 4])
 
     def test_row_ln3_zero(self):
         m = uniform_model(v=2)
         m.set_row((1,), [np.log(3.0), 0.0])
-        assert np.allclose(m.predict((1,)).probs, [0.75, 0.25])
+        assert np.allclose(m.predict_batch([1]).probs, [[0.75, 0.25]])
 
     def test_saturated_row(self):
         m = uniform_model(v=2)
         m.set_row((0,), [10.0, -10.0])
-        assert m.predict((0,)).probs[0] > 0.999
+        assert m.predict_batch([0]).probs[0, 0] > 0.999
 
     def test_temperature_sharpens(self):
+        # the frequency of the larger logit's token: softmax([1, 0] / T)[0] is
+        # 0.62, 0.73 and 0.88 at T = 2, 1 and 0.5
         m = uniform_model(v=2)
         m.set_row((0,), [1.0, 0.0])
-        hot = m.predict((0,), temperature=2.0).probs[0]
-        cold = m.predict((0,), temperature=0.5).probs[0]
-        assert cold > m.predict((0,)).probs[0] > hot
+        freq = {t: m.rollouts([[0]] * 20_000, 1, np.random.default_rng(3),
+                              temperature=t).count([0]) / 20_000 for t in (2.0, 1.0, 0.5)}
+        assert freq[0.5] > freq[1.0] + 0.1 and freq[1.0] > freq[2.0] + 0.07
 
     def test_bad_temperature(self):
         m = uniform_model()
-        with pytest.raises(InvalidInputError):
-            m.predict((0,), temperature=0.0)
+        with pytest.raises(InvalidInputError, match="temperature must be > 0"):
+            m.rollouts([[0]], 1, np.random.default_rng(0), temperature=-1.0)
 
     def test_context_validation(self):
         m = uniform_model(v=2, order=2)
         with pytest.raises(InvalidInputError):
-            m.predict((0,))
+            m.logits((0,))
         with pytest.raises(InvalidInputError):
-            m.predict((0, 9))
+            m.logits((0, 9))
 
     def test_set_row_validation(self):
         m = uniform_model(v=2)
@@ -136,34 +138,34 @@ class TestSampling:
         m = uniform_model(v=3)
         m.set_row((0,), [50.0, 0.0, 0.0])
         rng = np.random.default_rng(0)
-        assert all(m.sample_next((0,), rng) == 0 for _ in range(1000))
+        assert m.rollouts([[0]] * 1000, 1, rng) == [[0]] * 1000
 
     def test_uniform_frequency_three_sigma(self):
         m = uniform_model(v=2)
         rng = np.random.default_rng(7)
-        draws = [m.sample_next((0,), rng) for _ in range(100_000)]
-        freq = draws.count(0) / len(draws)
+        draws = m.rollouts([[0]] * 100_000, 1, rng)
+        freq = draws.count([0]) / len(draws)
         assert 0.494 <= freq <= 0.506
 
     def test_fixed_seed_identical_draws(self):
         m = uniform_model(v=4)
         r1, r2 = np.random.default_rng(9), np.random.default_rng(9)
-        s1 = [m.sample_next((0,), r1) for _ in range(100)]
-        s2 = [m.sample_next((0,), r2) for _ in range(100)]
-        assert s1 == s2
+        assert m.rollouts([[0]] * 100, 1, r1) == m.rollouts([[0]] * 100, 1, r2)
 
 
 class TestRollout:
     def test_steps_must_be_positive(self):
         m = uniform_model()
-        with pytest.raises(InvalidInputError):
-            m.rollout([], 0, rng=np.random.default_rng(0))
+        with pytest.raises(InvalidInputError, match="steps must be >= 1"):
+            m.rollouts([[]], 0, np.random.default_rng(0))
+        with pytest.raises(InvalidInputError, match="steps must be >= 1"):
+            m.greedy_rollouts([[]], 0)
 
     def test_single_step_equals_sample_next(self):
+        # one prompt and one step: a single Generator.choice from the prompt's row
         m = uniform_model(v=4)
-        out = m.rollout([1], 1, rng=np.random.default_rng(3))
-        tok = m.sample_next((1,), np.random.default_rng(3))
-        assert out == [tok]
+        out = m.rollouts([[1]], 1, np.random.default_rng(3))
+        assert out == [per_token_rollout(m, [1], 1, np.random.default_rng(3))]
 
     def test_deterministic_model_matches_greedy_path(self):
         m = uniform_model(v=3)
@@ -171,28 +173,15 @@ class TestRollout:
             row = np.full(3, -50.0)
             row[(i + 1) % 3] = 50.0
             m.set_row((i,), row)
-        sampled = m.rollout([0], 6, rng=np.random.default_rng(0))
-        greedy = m.rollout([0], 6, greedy=True)
-        assert sampled == greedy == [1, 2, 0, 1, 2, 0]
+        sampled = m.rollouts([[0]], 6, np.random.default_rng(0))
+        greedy = m.greedy_rollouts([[0]], 6)
+        assert sampled == greedy == [[1, 2, 0, 1, 2, 0]]
 
     def test_same_seed_same_rollout(self):
         m = uniform_model(v=4)
-        a = m.rollout([2], 16, rng=np.random.default_rng(11))
-        b = m.rollout([2], 16, rng=np.random.default_rng(11))
+        a = m.rollouts([[2]], 16, np.random.default_rng(11))
+        b = m.rollouts([[2]], 16, np.random.default_rng(11))
         assert a == b
-
-    def test_sampled_rollout_needs_rng(self):
-        with pytest.raises(InvalidInputError):
-            uniform_model().rollout([], 3)
-
-
-def per_token_rollout(model, prompt, steps, rng, temperature=1.0):
-    """One Generator.choice per token: the sampled rollout before lockstep."""
-    seq = [int(t) for t in prompt]
-    for _ in range(steps):
-        d = model.predict(model.context_for(seq), temperature=temperature)
-        seq.append(int(rng.choice(model.vocab.size, p=d.probs)))
-    return seq[len(prompt):]
 
 
 def peaked_model(v=5, order=2, seed=0):
@@ -225,18 +214,34 @@ class TestLockstepRollouts:
         m = peaked_model()
         a, b = np.random.default_rng(8), np.random.default_rng(8)
         for prompt in PROMPTS:
-            assert (m.rollout(prompt, 5, rng=a, temperature=temperature)
-                    == per_token_rollout(m, prompt, 5, b, temperature))
+            assert (m.rollouts([prompt], 5, a, temperature=temperature)
+                    == [per_token_rollout(m, prompt, 5, b, temperature)])
         assert a.random() == b.random()
 
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_greedy_matches_per_token_argmax(self, order):
+        # every row ties its first two tokens for the max in a third of the contexts
         m = peaked_model(order=order)
-        for prompt in PROMPTS:
-            seq = list(prompt)
-            for _ in range(9):
-                seq.append(m.greedy_next(m.context_for(seq)))
-            assert m.rollout(prompt, 9, greedy=True) == seq[len(prompt):]
+        for cid in range(0, len(m.table), 3):
+            m.table[cid, 1:3] = m.table[cid].max() + 1.0
+        got = m.greedy_rollouts(PROMPTS * 2, 9)
+        assert got == [greedy_rollout(m, prompt, 9) for prompt in PROMPTS * 2]
+        assert any(row[0] == 1 for row in got)  # some rollout met a tie
+
+    def test_greedy_ties_go_to_the_first_index(self):
+        m = uniform_model(v=4, order=2)
+        m.set_row((0, 0), [0.0, 2.0, 2.0, 2.0])
+        m.set_row((0, 1), [1.0, -1.0, 1.0, 1.0])
+        assert m.greedy_rollouts([[], [0]], 3) == [[1, 0, 0], [1, 0, 0]]
+        assert m.greedy_rollouts([[2, 3]], 2) == [[0, 0]]  # an unseen row is all ties
+
+    def test_greedy_rollouts_reject_bad_input(self):
+        m = peaked_model()
+        with pytest.raises(InvalidInputError, match="out-of-range"):
+            m.greedy_rollouts([[1], [2, 7]], 3)
+        with pytest.raises(InvalidInputError, match="steps must be >= 1"):
+            m.greedy_rollouts([[1]], 0)
+        assert m.greedy_rollouts([], 3) == []
 
     def test_out_of_range_prompt_raises(self):
         m = peaked_model()
@@ -255,14 +260,14 @@ class TestAccumulateTokenGrad:
     def test_descent_direction_uniform_row(self):
         m = uniform_model(v=2)
         acc = GradAccumulator(1, 2)
-        accumulate_token_grad(acc, m, (0,), 0, 1.0)
+        add_token_grad(acc, 0, 0, 1.0, softmax(m.logits((0,))))
         assert np.allclose(acc.directions[0], [0.5, -0.5])
         assert acc.n_samples == 1
 
     def test_negative_weight_redistributes(self):
         m = uniform_model(v=2)
         acc = GradAccumulator(1, 2)
-        accumulate_token_grad(acc, m, (0,), 0, -1.0)
+        add_token_grad(acc, 0, 0, -1.0, softmax(m.logits((0,))))
         assert np.allclose(acc.directions[0], [-0.5, 0.5])
 
     def test_direction_matches_finite_differences(self):
@@ -273,7 +278,7 @@ class TestAccumulateTokenGrad:
         m.set_row((0,), z)
         token, w, eps = 2, 1.7, 1e-6
         acc = GradAccumulator(1, 5)
-        accumulate_token_grad(acc, m, (0,), token, w)
+        add_token_grad(acc, 0, token, w, softmax(z))
         numeric = np.zeros(5)
         for v in range(5):
             zp, zm = z.copy(), z.copy()
@@ -287,7 +292,7 @@ class TestAccumulateTokenGrad:
     def test_zero_weight_is_noop(self):
         m = uniform_model()
         acc = GradAccumulator(1, 2)
-        accumulate_token_grad(acc, m, (0,), 0, 0.0)
+        add_token_grad(acc, 0, 0, 0.0, softmax(m.logits((0,))))
         assert not acc.touched.any() and acc.n_samples == 0
 
     def test_zero_weights_in_a_batch_are_dropped(self):
@@ -296,12 +301,12 @@ class TestAccumulateTokenGrad:
         m = uniform_model(v=3)
         ids, tokens = np.array([0, 2, 1, 2]), np.array([1, 0, 2, 2])
         weights, counts = np.array([0.7, 0.0, -1.3, 0.0]), np.array([1, 5, 2, 7])
-        q = softmax(rng.normal(size=(4, 3)))
+        q = softmax(rng.normal(size=(4, 3))).probs
         acc, alone = GradAccumulator(1, 3), GradAccumulator(1, 3)
         accumulate_token_grads(acc, ids, tokens, weights, counts, q)
         keep = weights != 0.0
         accumulate_token_grads(alone, ids[keep], tokens[keep], weights[keep], counts[keep],
-                               q.rows(keep))
+                               q[keep])
         assert acc.directions.tobytes() == alone.directions.tobytes()
         assert acc.touched.tolist() == [True, True, False] and acc.n_samples == 3
 
@@ -309,9 +314,9 @@ class TestAccumulateTokenGrad:
         m = uniform_model(v=2)
         acc = GradAccumulator(1, 2)
         with pytest.raises(InvalidInputError):
-            accumulate_token_grad(acc, m, (0,), 5, 1.0)
+            add_token_grad(acc, 0, 5, 1.0, softmax(m.logits((0,))))
         with pytest.raises(InvalidInputError):
-            accumulate_token_grad(acc, m, (0,), 0, np.nan)
+            add_token_grad(acc, 0, 0, np.nan, softmax(m.logits((0,))))
 
 
 class TestSGDStep:
@@ -324,20 +329,20 @@ class TestSGDStep:
     def test_worked_example_logistic(self):
         m = uniform_model(v=2)
         acc = GradAccumulator(1, 2)
-        accumulate_token_grad(acc, m, (0,), 0, 1.0)
+        add_token_grad(acc, 0, 0, 1.0, softmax(m.logits((0,))))
         sgd_step(m, acc, 1.0)
         assert np.allclose(m.logits((0,)), [0.5, -0.5])
-        assert m.predict((0,)).probs[0] == pytest.approx(0.731059, abs=1e-6)
+        assert softmax(m.logits((0,))).probs[0] == pytest.approx(0.731059, abs=1e-6)
         assert acc.n_samples == 0  # cleared
 
     def test_repeated_steps_monotone(self):
         m = uniform_model(v=2)
-        prev = m.predict((0,)).probs[0]
+        prev = softmax(m.logits((0,))).probs[0]
         for _ in range(100):
             acc = GradAccumulator(1, 2)
-            accumulate_token_grad(acc, m, (0,), 0, 1.0)
+            add_token_grad(acc, 0, 0, 1.0, softmax(m.logits((0,))))
             sgd_step(m, acc, 0.5)
-            cur = m.predict((0,)).probs[0]
+            cur = softmax(m.logits((0,))).probs[0]
             assert cur > prev
             prev = cur
         assert prev > 0.98
@@ -346,11 +351,11 @@ class TestSGDStep:
         # two identical samples with lr x must equal one sample with lr x
         m1, m2 = uniform_model(v=2), uniform_model(v=2)
         acc = GradAccumulator(1, 2)
-        accumulate_token_grad(acc, m1, (0,), 0, 1.0)
-        accumulate_token_grad(acc, m1, (0,), 0, 1.0)
+        add_token_grad(acc, 0, 0, 1.0, softmax(m1.logits((0,))))
+        add_token_grad(acc, 0, 0, 1.0, softmax(m1.logits((0,))))
         sgd_step(m1, acc, 0.4)
         acc2 = GradAccumulator(1, 2)
-        accumulate_token_grad(acc2, m2, (0,), 0, 1.0)
+        add_token_grad(acc2, 0, 0, 1.0, softmax(m2.logits((0,))))
         sgd_step(m2, acc2, 0.4)
         assert np.allclose(m1.logits((0,)), m2.logits((0,)))
 
@@ -483,7 +488,7 @@ class TestDenseStepMatchesDictReference:
         ref_rows = {(1,): np.array([-0.0, -0.0])}
         acc, ref_acc = GradAccumulator(1, 2), DictAccumulator()
         for _ in range(2):
-            acc.add_row((1,), [-0.0, -0.0])
+            acc.add_rows([1], [[-0.0, -0.0]], count=1)
             ref_acc.add_rows([(1,)], np.array([[-0.0, -0.0]]), 1)
             sgd_step(model, acc, 0.5)
             reference_sgd_step(ref_rows, ref_acc, 0.5)
@@ -495,8 +500,8 @@ class TestDenseStepMatchesDictReference:
     def test_overflow_names_first_context_in_id_order(self):
         m = TabularLM(order=1, vocab=Vocab.default(3))
         acc = GradAccumulator(1, 3)
-        acc.add_row((2,), [1e308, 0.0, 0.0])
-        acc.add_row((1,), [1e308, 0.0, 0.0])
+        acc.add_rows([2], [[1e308, 0.0, 0.0]], count=1)
+        acc.add_rows([1], [[1e308, 0.0, 0.0]], count=1)
         before = m.table.copy()
         with pytest.raises(NumericOverflowError, match=r"context \(1,\)"), \
                 np.errstate(over="ignore"):
@@ -524,7 +529,7 @@ class TestCheckpoint:
         assert np.array_equal(loaded.table, m.table)
         for _ in range(100):
             ctx = tuple(int(x) for x in rng.integers(5, size=2))
-            assert np.array_equal(loaded.predict(ctx).probs, m.predict(ctx).probs)
+            assert np.array_equal(softmax(loaded.logits(ctx)).probs, softmax(m.logits(ctx)).probs)
 
     def test_truncated_file_is_parse_error(self, tmp_path):
         m = uniform_model(v=3)
@@ -575,5 +580,6 @@ def test_property_grad_rows_sum_to_zero(v, seed):
     m = TabularLM(order=1, vocab=Vocab.default(v))
     m.set_row((0,), rng.normal(size=v))
     acc = GradAccumulator(1, v)
-    accumulate_token_grad(acc, m, (0,), int(rng.integers(v)), float(rng.normal()) or 1.0)
+    add_token_grad(acc, 0, int(rng.integers(v)), float(rng.normal()) or 1.0,
+                   softmax(m.logits((0,))))
     assert abs(acc.directions[0].sum()) < 1e-12

@@ -15,7 +15,6 @@ from distill_lab.numerics import (
     cdf_draw,
     cdf_rows,
     entropy,
-    inverse_cdf,
     jsd_beta,
     k1_mc,
     k1_samples,
@@ -100,6 +99,12 @@ class TestValidationPrecedence:
         with pytest.raises(InvalidInputError, match=r"sum to \S*1\.1\b"):
             CategoricalDist.from_rows([[0.5, 0.5], [0.6, 0.5], [0.2, 0.2]])
 
+    def test_row_sum_error_reads_as_a_plain_number(self):
+        # the sum is printed as a Python float, not as numpy's scalar repr
+        with pytest.raises(InvalidInputError) as info:
+            CategoricalDist.from_rows([[0.5, 0.5], [0.6, 0.5]])
+        assert str(info.value) == "probabilities sum to 1.1, not 1"
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_softmax_rejects_non_finite_logits(self, bad):
         with pytest.raises(InvalidInputError, match="finite"):
@@ -165,7 +170,7 @@ class TestInverseCdf:
         for i, p in enumerate(self._rows()):
             a, b = np.random.default_rng(i), np.random.default_rng(i)
             want = [int(a.choice(p.size, p=p)) for _ in range(200)]
-            got = [int(inverse_cdf(p, b.random())) for _ in range(200)]
+            got = [int(cdf_draw(cdf_rows(p), b.random())) for _ in range(200)]
             assert got == want, p
             # each choice consumed exactly one rng.random()
             assert a.random() == b.random()
@@ -174,8 +179,8 @@ class TestInverseCdf:
         for p in self._rows():
             probs = np.stack([p, p[::-1], np.full(p.size, 1.0 / p.size)])
             u = np.random.default_rng(p.size).random(3)
-            got = inverse_cdf(probs, u)
-            assert got.tolist() == [int(inverse_cdf(probs[i], u[i])) for i in range(3)]
+            got = cdf_draw(cdf_rows(probs), u)
+            assert got.tolist() == [int(cdf_draw(cdf_rows(probs[i]), u[i])) for i in range(3)]
 
     def test_table_rows_are_bit_for_bit_the_rows_alone(self):
         # a cached table of softmax and CDF rows, gathered, must equal computing
@@ -192,12 +197,12 @@ class TestInverseCdf:
                 assert np.array_equal(table.probs[i], alone.probs)
                 assert np.array_equal(table.logprobs[i], alone.logprobs)
                 assert np.array_equal(cdf[i], cdf_rows(alone.probs))
-                assert cdf_draw(cdf[i], u[i]) == inverse_cdf(alone.probs, u[i])
+                assert cdf_draw(cdf[i], u[i]) == cdf_draw(cdf_rows(alone.probs), u[i])
 
     def test_never_draws_a_zero_probability_entry(self):
         p = np.array([0.0, 0.4, 0.0, 0.6, 0.0])
         u = np.array([0.0, 0.4 - 1e-17, 0.4, 0.999999999, np.nextafter(1.0, 0.0)])
-        assert set(inverse_cdf(np.tile(p, (5, 1)), u).tolist()) <= {1, 3}
+        assert set(cdf_draw(cdf_rows(np.tile(p, (5, 1))), u).tolist()) <= {1, 3}
 
 
 class TestEntropy:

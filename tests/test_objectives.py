@@ -5,20 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from distill_lab.data import Corpus
 from distill_lab.errors import ConfigError, InvalidParameterError, LogOfZeroError
-from distill_lab.numerics import CategoricalDist, kl_exact
+from distill_lab.model import GradAccumulator, TabularLM, Vocab, sgd_step
+from distill_lab.numerics import CategoricalDist, kl_exact, softmax
 from distill_lab.objectives import (
     ObjectiveKind,
     hpd_k1,
     hpd_weights,
-    opd_rewards,
     weight_fkld_token,
     weight_jsd_off,
     weight_rkld_off,
     weight_rkld_on,
-    weight_sft,
-    weights_fkld_dense,
 )
+from distill_lab.training import ModelTeacher, TrainConfig, distill_offpolicy
 
 
 def dist(*probs):
@@ -49,15 +49,35 @@ class TestObjectiveKind:
         assert not ObjectiveKind("hpd").on_policy
 
 
+def read_off_weights(tag, p, q, expert):
+    """The per-token weights w of one off-policy step, read off its logit change.
+
+    The corpus is the single token `expert` after BOS, so one step at lr 1 moves
+    the row by w - sum(w) * q; sft's and fkld_dense's weights sum to 1.
+    """
+    teacher, student = (TabularLM(order=1, vocab=Vocab.default(p.size)) for _ in range(2))
+    teacher.set_row((0,), p.logprobs)
+    student.set_row((0,), q.logprobs)
+    corpus = Corpus(sequences=[[expert]], provenance="ground_truth", seed=0, vocab_size=p.size)
+    cfg = TrainConfig(objective=ObjectiveKind(tag), steps=1, seed=0, lr=1.0, batch_size=1,
+                      eval_len=1)
+    out, _ = distill_offpolicy(cfg, ModelTeacher(teacher), corpus, student)
+    return out.logits((0,)) - student.logits((0,)) + softmax(student.logits((0,))).probs
+
+
 class TestSFTWeight:
     def test_expert_token(self):
-        assert weight_sft(3, 3) == 1.0
+        w = read_off_weights("sft", dist(0.1, 0.2, 0.3, 0.4), dist(0.4, 0.3, 0.2, 0.1), 3)
+        assert w[3] == pytest.approx(1.0, abs=1e-12)
 
     def test_other_token(self):
-        assert weight_sft(2, 3) == 0.0
+        w = read_off_weights("sft", dist(0.1, 0.2, 0.3, 0.4), dist(0.4, 0.3, 0.2, 0.1), 2)
+        assert np.allclose(np.delete(w, 2), 0.0, atol=1e-12)
 
     def test_sums_to_one(self):
-        assert sum(weight_sft(v, 1) for v in range(6)) == 1.0
+        for expert in range(4):
+            w = read_off_weights("sft", dist(*[0.25] * 4), dist(0.4, 0.3, 0.2, 0.1), expert)
+            assert w.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestFKLDTokenWeight:
@@ -74,23 +94,25 @@ class TestFKLDTokenWeight:
 
 class TestFKLDDenseWeights:
     def test_identity_read_off(self):
-        assert np.allclose(weights_fkld_dense(dist(0.8, 0.2)), [0.8, 0.2])
+        # whichever token the corpus holds, the weights are the teacher's row
+        for expert in (0, 1):
+            w = read_off_weights("fkld_dense", dist(0.8, 0.2), dist(0.3, 0.7), expert)
+            assert np.allclose(w, [0.8, 0.2], atol=1e-12)
 
     def test_uniform(self):
-        assert np.allclose(weights_fkld_dense(dist(*[0.25] * 4)), [0.25] * 4)
+        w = read_off_weights("fkld_dense", dist(*[0.25] * 4), dist(0.4, 0.3, 0.2, 0.1), 1)
+        assert np.allclose(w, [0.25] * 4, atol=1e-12)
 
     def test_minimizing_reaches_fixed_point(self):
         # 500 SGD steps with lr 0.5 drive q -> p within 1e-3 per token
-        from distill_lab.model import GradAccumulator, TabularLM, Vocab, sgd_step
-
         p = dist(0.8, 0.2)
         m = TabularLM(order=1, vocab=Vocab.default(2))
         for _ in range(500):
-            q = m.predict((0,))
+            q = softmax(m.logits((0,)))
             acc = GradAccumulator(1, 2)
-            acc.add_row((0,), p.probs - q.probs, count=1)
+            acc.add_rows([0], (p.probs - q.probs)[None], count=1)
             sgd_step(m, acc, 0.5)
-        q = m.predict((0,))
+        q = softmax(m.logits((0,)))
         assert np.allclose(q.probs, p.probs, atol=1e-3)
         assert kl_exact(p, q) < 1e-6
 
@@ -228,19 +250,17 @@ class TestHPDWeights:
 
 
 class TestOPDRewards:
+    """Rewards along a sampled path: weight_rkld_on with one distribution pair per step."""
+
     def test_identity_all_zero(self):
-        d = dist(0.5, 0.5)
-        r = opd_rewards([d, d], [d, d], [0, 1])
-        assert np.allclose(r, 0.0)
+        d = CategoricalDist.from_rows([[0.5, 0.5], [0.5, 0.5]])
+        r = weight_rkld_on(d, d, np.array([0, 1]))
+        assert np.array_equal(r, [0.0, 0.0])
 
     def test_single_step_worked_value(self):
-        r = opd_rewards([dist(0.8, 0.2)], [dist(0.5, 0.5)], [0])
-        assert r[0] == pytest.approx(0.470003, abs=1e-6)
-
-    def test_misaligned_lengths(self):
-        d = dist(0.5, 0.5)
-        with pytest.raises(InvalidParameterError):
-            opd_rewards([d], [d, d], [0])
+        p, q = CategoricalDist.from_rows([[0.8, 0.2]]), CategoricalDist.from_rows([[0.5, 0.5]])
+        r = weight_rkld_on(p, q, np.array([0]))
+        assert r.shape == (1,) and r[0] == pytest.approx(0.470003, abs=1e-6)
 
     def test_expected_reward_is_minus_reverse_kl(self):
         # mean reward under a ~ q estimates -KL(q||p)

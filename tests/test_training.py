@@ -13,24 +13,9 @@ from distill_lab.errors import (
     InvalidInputError,
     LogOfZeroError,
 )
-from distill_lab.model import (
-    TabularLM,
-    Vocab,
-    accumulate_token_grad,
-    accumulate_token_grads,
-    checkpoint_save,
-    pad_context,
-)
-from distill_lab.numerics import CategoricalDist, entropy, inverse_cdf, kl_exact, softmax
-from distill_lab.objectives import (
-    HPD_VARIANTS,
-    OFF_POLICY_TAGS,
-    ObjectiveKind,
-    hpd_weights,
-    weight_fkld_token,
-    weight_jsd_off,
-    weight_rkld_off,
-)
+from distill_lab.model import TabularLM, Vocab, checkpoint_save, pad_context
+from distill_lab.numerics import CategoricalDist, entropy, kl_exact, softmax
+from distill_lab.objectives import OFF_POLICY_TAGS, ObjectiveKind, hpd_weights
 from distill_lab.training import (
     METRICS_HEADER,
     MetricsRow,
@@ -43,6 +28,14 @@ from distill_lab.training import (
     metrics_write,
     run_experiment,
     train_teacher_mle,
+)
+from oracles import (
+    draws_batched,
+    draws_per_rollout,
+    reference_offpolicy,
+    reference_opd,
+    source_row,
+    teacher_row,
 )
 
 
@@ -58,7 +51,7 @@ class TestTrainTeacherMLE:
         corpus = Corpus(sequences=[[1, 1, 2]], provenance="ground_truth",
                         seed=0, vocab_size=3)
         model = train_teacher_mle(corpus, order=1, lam=0.0)
-        probs = model.predict((1,)).probs
+        probs = softmax(model.logits((1,))).probs
         assert probs[1] == pytest.approx(0.5) and probs[2] == pytest.approx(0.5)
         assert probs[0] == pytest.approx(0.0, abs=1e-12)
 
@@ -67,7 +60,7 @@ class TestTrainTeacherMLE:
         corpus = sample_corpus(src, 20, 30, np.random.default_rng(0))
         model = train_teacher_mle(corpus, order=1, lam=0.0)
         for i in range(3):
-            assert model.predict((i,)).probs[(i + 1) % 3] == pytest.approx(1.0)
+            assert softmax(model.logits((i,))).probs[(i + 1) % 3] == pytest.approx(1.0)
 
     def test_large_corpus_recovers_source(self):
         src = build_source({"name": "random_dirichlet", "seed": 4, "vocab_size": 4,
@@ -75,13 +68,13 @@ class TestTrainTeacherMLE:
         corpus = sample_corpus(src, 100, 10_000, np.random.default_rng(1))
         model = train_teacher_mle(corpus, order=1, lam=0.1)
         for i in range(4):
-            assert kl_exact(src.conditional((i,)), model.predict((i,))) < 1e-3
+            assert kl_exact(source_row(src, [i]), softmax(model.logits((i,)))) < 1e-3
 
     def test_smoothing_gives_full_support(self):
         corpus = Corpus(sequences=[[1, 1]], provenance="ground_truth",
                         seed=0, vocab_size=3)
         model = train_teacher_mle(corpus, order=1, lam=1.0)
-        assert np.all(model.predict((1,)).probs > 0.0)
+        assert np.all(softmax(model.logits((1,))).probs > 0.0)
 
 
 def reference_train_teacher_mle(corpus, order, lam):
@@ -123,27 +116,28 @@ class TestTeacherProviders:
     def test_oracle_matches_source(self):
         src = build_source({"name": "bimodal_gap"})
         teacher = OracleTeacher(src)
-        prefix = [3, 1]
-        assert np.array_equal(
-            teacher.dist(prefix).probs, src.conditional_for_prefix(prefix).probs
-        )
+        assert teacher.dists() is src.table
+        assert teacher.order == src.order and teacher.vocab == src.vocab
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_dists_rows_are_dist_at_each_context(self, order):
         src = build_source({"name": "random_dirichlet", "seed": 1, "vocab_size": 3,
                             "order": order})
         fit = train_teacher_mle(sample_corpus(src, 5, 7, np.random.default_rng(0)), order, 0.0)
+        # row i is the context with id i: the source's row, or one softmax of the fit's row
         for teacher in (OracleTeacher(src), ModelTeacher(fit)):
             table = teacher.dists()
             for i, ctx in enumerate(itertools.product(range(3), repeat=order)):
-                assert np.array_equal(table.probs[i], teacher.dist(list(ctx)).probs)
-                assert np.array_equal(table.logprobs[i], teacher.dist(list(ctx)).logprobs)
+                want = (source_row(src, ctx) if isinstance(teacher, OracleTeacher)
+                        else softmax(fit.logits(ctx)))
+                assert np.array_equal(table.probs[i], want.probs)
+                assert np.array_equal(table.logprobs[i], want.logprobs)
 
     def test_model_teacher_uses_fitted_rows(self):
         m = TabularLM(order=1, vocab=Vocab.default(2))
         m.set_row((0,), [np.log(3.0), 0.0])
         teacher = ModelTeacher(m)
-        assert np.allclose(teacher.dist([]).probs, [0.75, 0.25])
+        assert np.allclose(teacher_row(teacher, []).probs, [0.75, 0.25])
 
 
 class TestTrainConfig:
@@ -242,7 +236,7 @@ class TestDistillOffpolicy:
         assert completion_accuracy(out, tasks) == 1.0
         assert rows[-1].train_entropy < 0.05
         for i in range(3):
-            assert entropy(out.predict((i,))) < 0.05
+            assert entropy(softmax(out.logits((i,)))) < 0.05
 
     def test_all_offpolicy_objectives_descend_forward_kl(self):
         for tag in ("sft", "fkld_token", "fkld_dense", "rkld_off", "jsd_off",
@@ -260,7 +254,7 @@ class TestDistillOffpolicy:
         teacher = OracleTeacher(src)
         student = TabularLM(order=1, vocab=Vocab.default(4))
         for i in range(4):
-            student.set_row((i,), np.log(src.conditional((i,)).probs))
+            student.set_row((i,), np.log(source_row(src, [i]).probs))
         corpus = sample_corpus(src, 20, 16, np.random.default_rng(0))
         cfg_h = small_cfg("hpd", steps=1, eval_every=1)
         out_h, rows_h = distill_offpolicy(cfg_h, teacher, corpus, student)
@@ -276,7 +270,7 @@ class TestDistillOffpolicy:
         q = CategoricalDist.from_probs(np.array([0.1, 0.4, 0.3, 0.2]))
         teacher_model = TabularLM(order=1, vocab=Vocab.default(4))
         student = TabularLM(order=1, vocab=Vocab.default(4))
-        ctx = student.context_for([])
+        ctx = pad_context([], student.order, student.vocab.bos_id)
         teacher_model.set_row(ctx, p.logprobs)
         student.set_row(ctx, q.logprobs)
         corpus = Corpus(sequences=[[0]], provenance="ground_truth", seed=0, vocab_size=4)
@@ -296,58 +290,6 @@ class TestDistillOffpolicy:
         assert np.max(np.abs(step - lr * expected)) < 5e-3
 
 
-def reference_offpolicy(cfg, teacher, corpus, student):
-    """distill_offpolicy one position at a time through the scalar API.
-
-    Positions, HPD draws and accumulation follow the batched kernel's stated
-    order, so its checkpoints and metrics must match these byte for byte.
-    """
-    kind = cfg.objective
-
-    def minibatch(student, pred, acc, rng):
-        qs = []
-        k = cfg.hpd_samples if kind.tag in HPD_VARIANTS else 0
-        lengths = np.array([len(seq) for seq in corpus.sequences])
-        si = rng.integers(len(corpus.sequences), size=cfg.batch_size)
-        offsets = rng.integers(0, lengths[si])
-        uniforms = rng.random(cfg.batch_size * k)
-        for b in range(cfg.batch_size):
-            seq = corpus.sequences[int(si[b])]
-            t = int(offsets[b])
-            prefix, expert = seq[:t], seq[t]
-            ctx = student.context_for(prefix)
-            p = teacher.dist(prefix)
-            q = student.predict(ctx)
-            qs.append(q)
-            tag = kind.tag
-            if tag in ("sft", "seqkd"):
-                accumulate_token_grad(acc, student, ctx, expert, 1.0, q=q)
-            elif tag == "fkld_token":
-                accumulate_token_grad(acc, student, ctx, expert,
-                                      weight_fkld_token(p, expert), q=q)
-            elif tag == "fkld_dense":
-                acc.add_row(ctx, p.probs - q.probs, count=1)
-            elif tag == "rkld_off":
-                w = weight_rkld_off(p, q, expert, sign_fidelity=kind.sign_fidelity)
-                accumulate_token_grad(acc, student, ctx, expert, w, q=q)
-            elif tag == "jsd_off":
-                w = weight_jsd_off(p, q, expert, beta=kind.beta,
-                                   sign_fidelity=kind.sign_fidelity)
-                accumulate_token_grad(acc, student, ctx, expert, w, q=q)
-            else:
-                for i in range(k):
-                    sampled = int(inverse_cdf(q.probs, uniforms[b * k + i]))
-                    hw = hpd_weights(p, q, expert, sampled, variant=tag)
-                    accumulate_token_grad(acc, student, ctx, expert, hw.w_star / k,
-                                          count=1 if i == 0 else 0, q=q)
-                    if hw.w_sampled != 0.0:
-                        accumulate_token_grad(acc, student, ctx, hw.sampled_token,
-                                              hw.w_sampled / k, count=0, q=q)
-        return CategoricalDist.stack(qs), None
-
-    return training._train_loop(cfg, teacher, student, None, minibatch)
-
-
 TEACHERS = {
     # name: (teacher source, corpus source)
     "bimodal_gap": ({"name": "bimodal_gap"}, {"name": "bimodal_gap"}),
@@ -363,7 +305,7 @@ def _variable_length_corpus(teacher="bimodal_gap"):
     teacher_spec, corpus_spec = TEACHERS[teacher]
     src = build_source(corpus_spec)
     rng = np.random.default_rng(5)
-    seqs = [src.sample_sequence(int(rng.integers(1, 20)), rng) for _ in range(15)]
+    seqs = [src.sample_sequences(1, int(rng.integers(1, 20)), rng)[0] for _ in range(15)]
     return OracleTeacher(build_source(teacher_spec)), Corpus(
         sequences=seqs, provenance="teacher_generated", seed=5, vocab_size=src.vocab.size)
 
@@ -504,67 +446,6 @@ class TestDistillOnpolicyOPD:
         assert rows[-1].mean_reward > -0.1
 
 
-def draws_batched(rng, n_prompts, n, h):
-    """The kernel's layout: every rollout's prompt, then an (n, h) block of uniforms."""
-    return rng.integers(n_prompts, size=n), rng.random((n, h))
-
-
-def draws_per_rollout(rng, n_prompts, n, h):
-    """The former layout: rollout by rollout, its prompt and then h uniforms."""
-    pick, u = np.empty(n, dtype=np.intp), np.empty((n, h))
-    for b in range(n):
-        pick[b] = rng.integers(n_prompts)
-        u[b] = rng.random(h)
-    return pick, u
-
-
-def reference_opd(cfg, teacher, student, prompts=None, draws=draws_batched):
-    """distill_onpolicy_opd one rollout and one token at a time, one inverse-CDF draw each.
-
-    Draws, rewards and accumulation follow the lockstep kernel's stated
-    order, so its checkpoints and metrics must match these byte for byte.
-    """
-    reward_mode = "per_token" if cfg.objective.tag == "rkld_on" else cfg.opd_reward_mode
-    prompts = [list(p) for p in prompts] if prompts else [[]]
-
-    def minibatch(student, pred, acc, rng):
-        batch_rewards = []
-        ctxs, tokens, qs, coeffs = [], [], [], []  # one entry per sampled token
-        pick, u = draws(rng, len(prompts), cfg.batch_size, cfg.horizon)
-        for b in range(cfg.batch_size):
-            prompt = prompts[int(pick[b])]
-            seq = list(prompt)
-            rewards = []
-            for t in range(cfg.horizon):
-                ctx = student.context_for(seq)
-                q = student.predict(ctx)
-                a = int(inverse_cdf(q.probs, u[b, t]))
-                p = teacher.dist(seq)
-                if p.probs[a] <= 0.0:
-                    raise DivergenceInfiniteError(
-                        f"student sampled token {a} outside teacher support at {ctx}"
-                    )
-                r = float(p.logprobs[a] - q.logprobs[a])
-                ctxs.append(ctx)
-                tokens.append(a)
-                qs.append(q)
-                rewards.append(r)
-                seq.append(a)
-            if reward_mode == "trajectory":
-                coeffs.extend([sum(rewards)] * len(rewards))
-            else:
-                coeffs.extend(rewards)
-            batch_rewards.extend(rewards)
-
-        baseline = float(np.mean(batch_rewards)) if cfg.opd_baseline else 0.0
-        q = CategoricalDist.stack(qs)
-        accumulate_token_grads(acc, ctxs, tokens, np.array(coeffs) - baseline,
-                               np.ones(len(tokens), dtype=np.int64), q)
-        return q, batch_rewards
-
-    return training._train_loop(cfg, teacher, student, None, minibatch)
-
-
 OPD_SOURCE = {"name": "random_dirichlet", "seed": 3, "vocab_size": 5, "order": 2,
               "concentration": 0.3}
 
@@ -687,15 +568,25 @@ class TestOpdLockstep:
 
 class TestTrainLoop:
     def test_train_entropy_is_the_mean_over_the_batch_rows(self):
-        q = CategoricalDist.from_rows([[0.5, 0.5], [1.0, 0.0], [0.25, 0.75]])
+        # the student's rows at the batch's context ids as the minibatch saw them,
+        # before the step moves them; a floor logit makes an exact zero
         teacher = OracleTeacher(build_source({"name": "uniform", "vocab_size": 2}))
-        student = TabularLM(order=1, vocab=Vocab.default(2))
+        student = TabularLM(order=2, vocab=Vocab.default(2))
+        student.set_row((0, 1), [0.0, training.LOGIT_FLOOR])
+        student.set_row((1, 0), np.log([0.25, 0.75]))
+        ids, seen = np.array([2, 0, 1, 2]), []
+
+        def minibatch(student, pred, acc, rng):
+            q = pred.rows(ids)
+            seen.append(float(np.mean([entropy(q.rows(j)) for j in range(ids.size)])))
+            acc.add_rows(ids, np.tile([1.0, -1.0], (ids.size, 1)), count=ids.size)
+            return ids, None
+
         cfg = small_cfg("sft", steps=4, eval_every=2)
-        _, rows = training._train_loop(cfg, teacher, student, None,
-                                       lambda student, pred, acc, rng: (q, None))
-        expected = float(np.mean([entropy(q.rows(i)) for i in range(3)]))
+        _, rows = training._train_loop(cfg, teacher, student, None, minibatch)
         assert [(r.step, r.train_entropy, r.mean_reward) for r in rows] == [
-            (2, expected, None), (4, expected, None)]
+            (2, seen[1], None), (4, seen[3], None)]
+        assert len(set(seen)) == 4  # every step moved the rows
 
 
 class TestRunExperiment:
