@@ -2,10 +2,8 @@
 
 from .numerics import (
     CategoricalDist,
-    DivergenceReport,
     entropy,
     jsd_beta,
-    k1_mc,
     kl_exact,
     softmax,
 )
@@ -26,7 +24,6 @@ from .objectives import (
     weight_fkld_token,
     weight_jsd_off,
     weight_rkld_off,
-    weight_rkld_on,
 )
 from .data import (
     Corpus,

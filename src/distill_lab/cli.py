@@ -274,7 +274,7 @@ def _train_config(cfg: dict, overrides: dict | None = None) -> TrainConfig:
     return TrainConfig(
         objective=kind,
         steps=config_field(t, "train.steps", int, 1000),
-        seed=config_field(t, "train.seed", int, cfg["seed"]),
+        seed=cfg["seed"],
         lr=config_field(t, "train.lr", float, 0.1),
         batch_size=config_field(t, "train.batch_size", int, 32),
         eval_every=config_field(t, "train.eval_every", int, 100),
@@ -440,7 +440,7 @@ def cmd_sweep(cfg: dict) -> int:
         for seed in seeds:
             cell = {k: v for k, v in cfg.items() if k not in ("sweep", "stages")}
             cell["seed"] = seed
-            cell["train"] = dict(cfg.get("train", {}), objective=tag, seed=seed)
+            cell["train"] = dict(cfg.get("train", {}), objective=tag)
             _run_single(cell, on_policy=False, csv_name=f"metrics_{tag}_seed{seed}.csv",
                         ckpt_name=f"student_{tag}_seed{seed}.json")
     print(f"wrote {len(objectives) * len(seeds)} metrics files under {out}")

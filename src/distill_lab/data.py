@@ -22,7 +22,6 @@ exact order-1 marginal at "last token = gap" is the 50/50 mixture of rows
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from functools import cached_property
@@ -30,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, InvalidInputError, ParseError, config_field
-from .model import ContextKey, TabularLM, Vocab, prefix_id, table_rows
+from .model import ContextKey, TabularLM, Vocab, context_key, prefix_id, table_rows, walk
 from .numerics import CategoricalDist, cdf_draw, cdf_rows
 
 CORPUS_FORMAT_VERSION = 1
@@ -66,23 +65,15 @@ class MarkovSource:
         equals n sequences sampled in turn with one Generator.choice per token.
         """
         u = rng.random((n, length))
-        v = self.vocab.size
-        ids = np.full(n, prefix_id([], self.order, self.vocab), dtype=np.intp)
-        seqs = np.empty((n, length), dtype=np.intp)
-        for t in range(length):
-            seqs[:, t] = cdf_draw(self.cdf[ids], u[:, t])
-            ids = (ids * v + seqs[:, t]) % len(self.cdf)
+        start = np.full(n, prefix_id([], self.order, self.vocab), dtype=np.intp)
+        _, seqs = walk(start, length, self.order, self.vocab.size,
+                       lambda ids, t: cdf_draw(self.cdf[ids], u[:, t]))
         return seqs.tolist()
 
     @cached_property
     def cdf(self) -> np.ndarray:
         """cdf_rows of the conditionals, row i for context id i; table is read-only."""
         return cdf_rows(self.table.probs)
-
-
-def _all_contexts(size: int, order: int):
-    """Every order-`order` context, in id order."""
-    return itertools.product(range(size), repeat=order)
 
 
 def _smoothed(base: np.ndarray, eps: float) -> np.ndarray:
@@ -157,7 +148,8 @@ def build_source(spec: dict) -> MarkovSource:
         if not (0.0 < eps < 1.0):
             raise ConfigError("bimodal_gap eps must lie in (0, 1)")
         vocab = Vocab.default(BIMODAL_VOCAB)
-        base = np.array([_bimodal_base_row(ctx) for ctx in _all_contexts(BIMODAL_VOCAB, 2)])
+        base = np.array([_bimodal_base_row(context_key(cid, 2, BIMODAL_VOCAB))
+                         for cid in range(BIMODAL_VOCAB ** 2)])
         return MarkovSource(name=name, order=2, vocab=vocab,
                             table=CategoricalDist.from_rows(_smoothed(base, eps)))
 
@@ -189,9 +181,9 @@ def source_save(source: MarkovSource, path, header_extra: dict | None = None) ->
         "order": source.order,
         "vocab": {"names": list(source.vocab.names), "bos_id": source.vocab.bos_id},
         "rows": [
-            {"context": list(ctx), "probs": [float(x) for x in row]}
-            for ctx, row in zip(_all_contexts(source.vocab.size, source.order),
-                                source.table.probs)
+            {"context": list(context_key(cid, source.order, source.vocab.size)),
+             "probs": [float(x) for x in row]}
+            for cid, row in enumerate(source.table.probs)
         ],
     }
     if header_extra:
@@ -225,7 +217,7 @@ def source_load(path) -> MarkovSource:
             cid = prefix_id(ctx, order, vocab)
             probs[cid], present[cid] = row, True
         if not present.all():
-            ctx = next(itertools.islice(_all_contexts(v, order), int(np.argmin(present)), None))
+            ctx = context_key(int(np.argmin(present)), order, v)
             raise ParseError(f"{path}: no row for context {ctx}")
         return MarkovSource(name=str(doc["name"]), order=order, vocab=vocab,
                             table=CategoricalDist.from_rows(probs))

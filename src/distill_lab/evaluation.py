@@ -6,7 +6,8 @@ import numpy as np
 
 from .data import MarkovSource
 from .errors import InvalidInputError, InvalidParameterError
-from .model import GradAccumulator, TabularLM, accumulate_token_grads, prefix_id
+from .model import (MAX_TABLE_ENTRIES, GradAccumulator, TabularLM, accumulate_token_grads,
+                    prefix_id, walk)
 from .numerics import kl_rows, softmax
 
 
@@ -14,10 +15,11 @@ def gradcheck(model: TabularLM, weighted_tokens, eps: float = 1e-5) -> float:
     """Max relative error between analytic and central-difference gradients.
 
     The loss is L = sum_i -w_i * ln q(token_i | ctx_i) with weights frozen.
-    Every (touched row, coordinate, +-eps) perturbation is one row of a single
-    stacked logit array with one softmax. A row's perturbations change only
-    the terms of the items at that row, so its loss sums just those: the other
-    terms cancel in the central difference. Per-coordinate errors are
+    Every (touched row, coordinate, +-eps) perturbation is one row of a
+    stacked logit array with one softmax per chunk of touched rows. A row's
+    perturbations change only the terms of the items at that row, so its loss
+    sums just those: the other terms cancel in the central difference, and
+    the chunking changes no error. Per-coordinate errors are
     measured relative to the largest gradient magnitude of the touched row,
     so near-zero coordinates of an otherwise healthy row do not dominate.
     """
@@ -32,15 +34,22 @@ def gradcheck(model: TabularLM, weighted_tokens, eps: float = 1e-5) -> float:
                            softmax(model.table[ids]).probs)
     # rows[slot[i]] is item i's row; pert[r, v, s] is row r with coordinate v moved by +-eps
     rows, slot = np.unique(ids, return_inverse=True)
-    base, v = model.table[rows], model.vocab.size
-    pert = np.broadcast_to(base[:, None, None, :], (len(rows), v, 2, v)).copy()
-    coord = np.arange(v)
-    pert[:, coord, 0, coord] = base + eps
-    pert[:, coord, 1, coord] = base - eps
-    logprobs = softmax(pert.reshape(-1, v)).logprobs.reshape(pert.shape)
-    loss = np.zeros(pert.shape[:3])
-    np.add.at(loss, slot, -weights[:, None, None] * logprobs[slot, :, :, tokens])
-    numeric = (loss[:, :, 0] - loss[:, :, 1]) / (2.0 * eps)
+    v, coord = model.vocab.size, np.arange(model.vocab.size)
+    numeric = np.empty((len(rows), v))
+    # a row's 2 * V perturbed copies hold 2 * V * V logits; a chunk of rows holds at
+    # most MAX_TABLE_ENTRIES of them, or one row's when that is more
+    chunk = max(1, MAX_TABLE_ENTRIES // (2 * v * v))
+    for lo in range(0, len(rows), chunk):
+        base = model.table[rows[lo:lo + chunk]]
+        pert = np.broadcast_to(base[:, None, None, :], (len(base), v, 2, v)).copy()
+        pert[:, coord, 0, coord] = base + eps
+        pert[:, coord, 1, coord] = base - eps
+        logprobs = softmax(pert.reshape(-1, v)).logprobs.reshape(pert.shape)
+        mine = np.flatnonzero((lo <= slot) & (slot < lo + len(base)))
+        loss = np.zeros(pert.shape[:3])
+        np.add.at(loss, slot[mine] - lo,
+                  -weights[mine, None, None] * logprobs[slot[mine] - lo, :, :, tokens[mine]])
+        numeric[lo:lo + len(base)] = (loss[:, :, 0] - loss[:, :, 1]) / (2.0 * eps)
     # analytic gradient of L (not the descent direction, hence the minus)
     analytic = -acc.directions[rows]
     scale = np.maximum(np.abs(analytic).max(axis=1), np.abs(numeric).max(axis=1))
@@ -106,30 +115,21 @@ def occupancy_divergences(student: TabularLM, teacher, occ: np.ndarray) -> tuple
     return float(w @ kl_rows(p, q)), float(w @ kl_rows(q, p))
 
 
-def completion_accuracy(
-    model: TabularLM,
-    tasks,
-    sampled: bool = False,
-    rng: np.random.Generator | None = None,
-) -> float:
+def completion_accuracy(model: TabularLM, tasks) -> float:
     """Fraction of (prompt, continuation) tasks reproduced by greedy rollout.
 
     Every task's rollout advances in lockstep (TabularLM.greedy_rollouts), as
     long as the longest continuation; a task compares its first len(continuation)
-    tokens. sampled=True samples them with TabularLM.rollouts instead, task i
-    from row i of rng.random((len(tasks), longest)).
+    tokens.
     """
     tasks = [(prompt, list(continuation)) for prompt, continuation in tasks]
     if not tasks:
         raise InvalidInputError("task list is empty")
-    if sampled and rng is None:
-        raise InvalidInputError("sampled evaluation needs an rng")
     if not all(cont for _, cont in tasks):
         raise InvalidInputError("steps must be >= 1")
     prompts = [prompt for prompt, _ in tasks]
     steps = max(len(cont) for _, cont in tasks)
-    outs = (model.rollouts(prompts, steps, rng) if sampled
-            else model.greedy_rollouts(prompts, steps))
+    outs = model.greedy_rollouts(prompts, steps)
     hits = sum(out[:len(cont)] == cont for out, (_, cont) in zip(outs, tasks))
     return hits / len(tasks)
 
@@ -155,18 +155,17 @@ def make_completion_tasks(
         raise InvalidInputError("num_tasks and cont_len must be >= 1")
     prompt_len = prompt_len if prompt_len is not None else source.order + 2
     prompts = source.sample_sequences(num_tasks * max_attempts_factor, prompt_len, rng)
-    probs, v = source.table.probs, source.vocab.size
-    tokens = np.array(prompts, dtype=np.intp).reshape(len(prompts), prompt_len)
-    ids = np.zeros(len(prompts), dtype=np.intp)
-    for j in range(prompt_len - source.order, prompt_len):  # oldest token first
-        ids = ids * v + (tokens[:, j] if j >= 0 else source.vocab.bos_id)
-    conts = np.empty((len(prompts), cont_len), dtype=np.intp)
-    ok = np.ones(len(prompts), dtype=bool)
-    for t in range(cont_len):  # every candidate advances one greedy step
-        rows = probs[ids]
-        conts[:, t] = tok = np.argmax(rows, axis=1)
-        ok &= rows[np.arange(len(ids)), tok] >= min_conf
-        ids = (ids * v + tok) % len(probs)
+    probs = source.table.probs
+    replayed = np.array(prompts, dtype=np.intp).reshape(len(prompts), prompt_len)
+
+    def replay_then_argmax(ids, t):  # every candidate advances one step
+        return replayed[:, t] if t < prompt_len else np.argmax(probs[ids], axis=1)
+
+    start = np.full(len(prompts), prefix_id([], source.order, source.vocab), dtype=np.intp)
+    ids, tokens = walk(start, prompt_len + cont_len, source.order, source.vocab.size,
+                       replay_then_argmax)
+    conts = tokens[:, prompt_len:]
+    ok = (probs[ids[:, prompt_len:], conts] >= min_conf).all(axis=1)
     keep = np.flatnonzero(ok)[:num_tasks]
     if len(keep) < num_tasks:
         raise InvalidInputError(

@@ -6,7 +6,7 @@ conditionals, an accumulator's directions) is one dense (V**k, V) array whose
 row i holds the context with id i: its tokens read as base-V digits, oldest
 token most significant (prefix_id, context_key). So id order is sorted tuple
 order, BOS padding is part of the id, and a window that emits token t moves to
-id (i * V + t) % V**k.
+id (i * V + t) % V**k. walk is the one loop that moves ids that way.
 Unseen contexts predict the uniform distribution (all-zero logit row).
 """
 
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -106,6 +107,33 @@ def context_ids(tokens: np.ndarray, offsets: np.ndarray, order: int, bos_id: int
     return ids
 
 
+@cache
+def _successors(order: int, vocab_size: int) -> np.ndarray:
+    """(i * V) % V**k for every order-k context id i, read-only: i's id once it emits 0."""
+    n = table_rows(vocab_size, order)
+    succ = np.arange(n) * vocab_size % n
+    succ.setflags(write=False)
+    return succ
+
+
+def walk(start_ids, steps: int, order: int, vocab_size: int, pick):
+    """(ids, tokens) of shape (n, steps): ids[:, t] is the context of tokens[:, t].
+
+    Every order-k context id in start_ids advances in lockstep, by one gather of
+    the successor table per step; pick(ids, t) gives the tokens emitted at step t.
+    """
+    ids = np.asarray(start_ids, dtype=np.intp)
+    succ = _successors(order, vocab_size)
+    out_ids = np.empty((ids.size, steps), dtype=np.intp)
+    tokens = np.empty_like(out_ids)
+    for t in range(steps):
+        out_ids[:, t] = ids
+        tokens[:, t] = tok = pick(ids, t)
+        if order:  # an order-0 context never changes
+            ids = succ[ids] + tok
+    return out_ids, tokens
+
+
 @dataclass(eq=False)
 class TabularLM:
     """table[i] is the logit row of context id i; touched marks the rows ever set.
@@ -165,15 +193,12 @@ class TabularLM:
             raise InvalidInputError("temperature must be > 0 (greedy_rollouts takes the argmax)")
         if not ids.size:
             return []
-        out = np.empty((ids.size, steps), dtype=np.intp)
-        u = rng.random(out.shape)
-        for t in range(steps):
-            z = self.table[ids]
-            if temperature != 1.0:
-                z = z / temperature
-            out[:, t] = cdf_draw(cdf_rows(softmax(z).probs), u[:, t])
-            ids = (ids * self.vocab.size + out[:, t]) % len(self.table)
-        return out.tolist()
+        u = rng.random((ids.size, steps))
+
+        def draw(ids, t):  # z / 1.0 is z exactly, so temperature 1 samples the model as is
+            return cdf_draw(cdf_rows(softmax(self.table[ids] / temperature).probs), u[:, t])
+
+        return walk(ids, steps, self.order, self.vocab.size, draw)[1].tolist()
 
     def greedy_rollouts(self, prompts, steps: int) -> list[list[int]]:
         """`steps` greedy tokens after each prompt, every rollout one position per step.
@@ -184,10 +209,8 @@ class TabularLM:
         if steps < 1:
             raise InvalidInputError("steps must be >= 1")
         ids = np.array([prefix_id(p, self.order, self.vocab) for p in prompts], dtype=np.intp)
-        out = np.empty((ids.size, steps), dtype=np.intp)
-        for t in range(steps):
-            out[:, t] = np.argmax(self.table[ids], axis=1)
-            ids = (ids * self.vocab.size + out[:, t]) % len(self.table)
+        _, out = walk(ids, steps, self.order, self.vocab.size,
+                      lambda ids, t: np.argmax(self.table[ids], axis=1))
         return out.tolist()
 
     def copy(self) -> "TabularLM":

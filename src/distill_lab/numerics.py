@@ -182,16 +182,6 @@ def jsd_beta(p: CategoricalDist, q: CategoricalDist, beta: float) -> float:
     return beta * kl_exact(p, m) + (1.0 - beta) * kl_exact(q, m)
 
 
-@dataclass(frozen=True)
-class DivergenceReport:
-    """Monte Carlo estimate of KL(q || p) alongside its exact value."""
-
-    exact_value: float
-    mc_mean: float
-    mc_stderr: float
-    n_samples: int
-
-
 def k1_samples(
     p: CategoricalDist, q: CategoricalDist, n: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -206,15 +196,3 @@ def k1_samples(
             f"sampled token {bad} has zero probability under p"
         )
     return q.logprobs[draws] - p.logprobs[draws]
-
-
-def k1_mc(
-    p: CategoricalDist, q: CategoricalDist, n: int, rng: np.random.Generator
-) -> DivergenceReport:
-    """Single-sample-style Monte Carlo estimator of KL(q || p), aggregated over n draws."""
-    vals = k1_samples(p, q, n, rng)
-    mean = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    return DivergenceReport(
-        exact_value=kl_exact(q, p), mc_mean=mean, mc_stderr=stderr, n_samples=n
-    )

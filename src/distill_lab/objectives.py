@@ -11,6 +11,9 @@ distribution pair and token ids, giving floats, or a batch (CategoricalDist
 rows) and one token id per row, giving arrays. sft's unit weight and
 fkld_dense's full-vocabulary weights p_v need no rule: the off-policy
 training loop applies them directly (the latter's direction is p - q).
+Neither does the on-policy reward ln p[a] - ln q[a]: the OPD kernel reads it
+from the sampled entries of its tables, and tests/oracles.py's reference_opd is
+its oracle.
 """
 
 from __future__ import annotations
@@ -135,12 +138,6 @@ def weight_jsd_off(
                     _support(q, expert, "q"))
     w = _scalar((1.0 - beta) * q_star * (np.log(m) - _at(q.logprobs, expert)))
     return -w if sign_fidelity else w
-
-
-def weight_rkld_on(p: CategoricalDist, q: CategoricalDist, token):
-    """On-policy reverse-KL weight: log-ratio reward at a student-sampled token."""
-    _check_positive(_support(p, token, "p"), _support(q, token, "q"))
-    return _scalar(_at(p.logprobs, token) - _at(q.logprobs, token))
 
 
 @dataclass(frozen=True)

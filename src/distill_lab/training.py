@@ -29,6 +29,7 @@ from .model import (
     pad_context,
     prefix_id,
     sgd_step,
+    walk,
 )
 from .numerics import CategoricalDist, cdf_draw, cdf_rows, entropy, softmax
 from .objectives import (
@@ -355,9 +356,9 @@ def distill_onpolicy_opd(
 ) -> tuple[TabularLM, list[MetricsRow]]:
     """Score-function on-policy distillation with per-token K1 rewards.
 
-    A minibatch's rollouts advance in lockstep, one position per step: one
-    gather of the student's cached CDF rows at every rollout's context, then
-    one inverse-CDF draw. Only the student's context ids are carried along.
+    A minibatch's rollouts are one model.walk: each step is one gather of the
+    student's cached CDF rows at every rollout's context, then one inverse-CDF
+    draw. Only the student's context ids are carried along.
     The teacher cannot steer the rollouts, so its context ids are computed
     after them, and only the sampled entries of the teacher and student
     tables are read for the support check and the rewards.
@@ -370,19 +371,18 @@ def distill_onpolicy_opd(
         raise ConfigError("horizon must be >= 1")
     prompts = [list(p) for p in prompts] if prompts else [[]]
     v, k = student.vocab.size, student.order
-    for prompt in prompts:
-        for tok in prompt:
-            if not 0 <= tok < v:
-                raise InvalidInputError(f"prompt token id {tok} is out of range for the "
-                                        f"student's vocabulary of {v}")
+    for tok in itertools.chain.from_iterable(prompts):
+        if not 0 <= tok < v:
+            raise InvalidInputError(f"prompt token id {tok} is out of range for the "
+                                    f"student's vocabulary of {v}")
     p_table = _teacher_table(teacher, v)
     s_start = np.array([prefix_id(p, k, student.vocab) for p in prompts], dtype=np.intp)
-    # each prompt's teacher context as its base-V digits, oldest first
-    t_start = np.array([pad_context(p, teacher.order, teacher.vocab.bos_id) for p in prompts],
-                       dtype=np.intp).reshape(len(prompts), teacher.order)
+    # each prompt's padded teacher context; a rollout's teacher ids are the
+    # context ids of that context followed by its sampled tokens
+    m = teacher.order
+    t_start = np.array([pad_context(p, m, teacher.vocab.bos_id) for p in prompts], dtype=np.intp)
     n, h = cfg.batch_size, cfg.horizon
-    # context id i followed by token t is shifted[i] + t, as (i * v + t) % v**k
-    shifted = np.arange(v ** k) * v % v ** k
+    t_offsets = np.tile(np.arange(m + h), n)
     unit_counts = np.ones(n * h, dtype=np.int64)
 
     def minibatch(student, pred, acc, rng):
@@ -390,17 +390,10 @@ def distill_onpolicy_opd(
         # prompt consumes no state, so u is what rollout-by-rollout draws give
         pick = rng.integers(len(prompts), size=n)
         u = rng.random((n, h))
-        s_ids, tokens = np.empty((n, h), dtype=np.intp), np.empty((n, h), dtype=np.intp)
-        s_id = s_start[pick]
-        for t in range(h):  # every rollout advances one position
-            s_ids[:, t] = s_id
-            tokens[:, t] = tok = cdf_draw(pred.cdf[s_id], u[:, t])
-            s_id = shifted[s_id] + tok
-        # position t's teacher context is digits t .. t + order - 1 of prompt + tokens
-        digits = np.concatenate([t_start[pick], tokens], axis=1)
-        t_ids = np.zeros((n, h), dtype=np.intp)
-        for j in range(teacher.order):
-            t_ids = t_ids * v + digits[:, j:j + h]
+        s_ids, tokens = walk(s_start[pick], h, k, v,
+                             lambda ids, t: cdf_draw(pred.cdf[ids], u[:, t]))
+        seqs = np.concatenate([t_start[pick], tokens], axis=1).ravel()
+        t_ids = context_ids(seqs, t_offsets, m, teacher.vocab.bos_id, v).reshape(n, m + h)[:, m:]
         # rollout-major from here on: position t of rollout b is entry b * h + t
         s_ids, t_ids, tokens = s_ids.ravel(), t_ids.ravel(), tokens.ravel()
         # the violation raised is the first in rollout order, as a one-rollout sampler meets it

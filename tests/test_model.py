@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from distill_lab import model
 from distill_lab.errors import InvalidInputError, NumericOverflowError, ParseError
 from distill_lab.model import (
     MAX_TABLE_ENTRIES,
@@ -21,6 +22,7 @@ from distill_lab.model import (
     pad_context,
     prefix_id,
     sgd_step,
+    walk,
 )
 from distill_lab.numerics import softmax
 from oracles import add_token_grad, greedy_rollout, per_token_rollout
@@ -78,6 +80,33 @@ class TestContextIds:
                 seq.append(tok)
                 assert cid == np.ravel_multi_index(pad_context(seq, order, bos_id), (4,) * order)
                 assert context_key(cid, order, 4) == pad_context(seq, order, bos_id)
+
+    @pytest.mark.parametrize("bos_id", [0, 2])
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_walk_id_after_emitting_is_the_prefix_id(self, order, bos_id):
+        # every prefix shorter than, as long as and longer than k, then 4 random tokens
+        vocab = Vocab(names=("a", "b", "c"), bos_id=bos_id)
+        prefixes = [list(p) for n in range(order + 3)
+                    for p in itertools.product(range(3), repeat=n)]
+        emitted = np.random.default_rng(order).integers(3, size=(len(prefixes), 4))
+        start = [prefix_id(p, order, vocab) for p in prefixes]
+        ids, tokens = walk(start, 4, order, 3, lambda ids, t: emitted[:, t])
+        assert np.array_equal(tokens, emitted)
+        for t in range(4):
+            assert ids[:, t].tolist() == [prefix_id(p + emitted[i, :t].tolist(), order, vocab)
+                                          for i, p in enumerate(prefixes)]
+
+    def test_walk_edge_cases(self):
+        def threes(ids, t):
+            return np.full(ids.size, 3)
+
+        ids, tokens = walk(np.empty(0, dtype=np.intp), 3, 2, 4, threes)
+        assert ids.shape == tokens.shape == (0, 3)
+        ids, tokens = walk([0, 0], 3, 0, 4, threes)  # an order-0 context never moves
+        assert ids.tolist() == [[0, 0, 0]] * 2 and tokens.tolist() == [[3, 3, 3]] * 2
+        succ = model._successors(2, 4)
+        assert succ is model._successors(2, 4) and not succ.flags.writeable
+        assert succ.tolist() == [i * 4 % 16 for i in range(16)]
 
     def test_table_size_cap_names_v_and_k(self):
         v, k = 6, 1

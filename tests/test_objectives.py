@@ -16,7 +16,6 @@ from distill_lab.objectives import (
     weight_fkld_token,
     weight_jsd_off,
     weight_rkld_off,
-    weight_rkld_on,
 )
 from distill_lab.training import ModelTeacher, TrainConfig, distill_offpolicy
 
@@ -160,17 +159,6 @@ class TestJSDOffWeight:
             weight_jsd_off(dist(0.5, 0.5), dist(0.5, 0.5), 0, beta=0.0)
 
 
-class TestRKLDOnWeight:
-    def test_worked_values(self):
-        p, q = dist(0.8, 0.2), dist(0.5, 0.5)
-        assert weight_rkld_on(p, q, 0) == pytest.approx(0.470003, abs=1e-6)
-        assert weight_rkld_on(p, q, 1) == pytest.approx(-0.916291, abs=1e-6)
-
-    def test_identity_zero_everywhere(self):
-        d = dist(0.3, 0.3, 0.4)
-        assert all(weight_rkld_on(d, d, v) == 0.0 for v in range(3))
-
-
 class TestHPDK1:
     def test_worked_values(self):
         assert hpd_k1(dist(0.8, 0.2), dist(0.5, 0.5), 0) == pytest.approx(
@@ -250,18 +238,6 @@ class TestHPDWeights:
 
 
 class TestOPDRewards:
-    """Rewards along a sampled path: weight_rkld_on with one distribution pair per step."""
-
-    def test_identity_all_zero(self):
-        d = CategoricalDist.from_rows([[0.5, 0.5], [0.5, 0.5]])
-        r = weight_rkld_on(d, d, np.array([0, 1]))
-        assert np.array_equal(r, [0.0, 0.0])
-
-    def test_single_step_worked_value(self):
-        p, q = CategoricalDist.from_rows([[0.8, 0.2]]), CategoricalDist.from_rows([[0.5, 0.5]])
-        r = weight_rkld_on(p, q, np.array([0]))
-        assert r.shape == (1,) and r[0] == pytest.approx(0.470003, abs=1e-6)
-
     def test_expected_reward_is_minus_reverse_kl(self):
         # mean reward under a ~ q estimates -KL(q||p)
         p, q = dist(0.8, 0.2), dist(0.5, 0.5)
@@ -280,7 +256,6 @@ class TestBatchedSupportChecks:
 
     @pytest.mark.parametrize("rule, tokens, message", [
         (weight_rkld_off, ([0, 0],), "q[0] = 0"),
-        (weight_rkld_on, ([0, 0],), "q[0] = 0"),
         (hpd_k1, ([0, 0],), "q[0] = 0"),
         (weight_jsd_off, ([0, 0],), "q[0] = 0"),
         (hpd_weights, ([1, 0], [2, 1]), "p[2] = 0"),  # row 0's sampled, row 1's expert

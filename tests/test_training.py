@@ -450,12 +450,12 @@ OPD_SOURCE = {"name": "random_dirichlet", "seed": 3, "vocab_size": 5, "order": 2
               "concentration": 0.3}
 
 
-def _opd_teacher(name):
+def _opd_teacher(name, order=2):
     if name == "mle":
         src = build_source({"name": "bimodal_gap"})
         corpus = sample_corpus(src, 20, 12, np.random.default_rng(2))
         return ModelTeacher(train_teacher_mle(corpus, 2, 0.1))
-    return OracleTeacher(build_source(OPD_SOURCE))
+    return OracleTeacher(build_source(dict(OPD_SOURCE, order=order)))
 
 
 OPD_CASES = (
@@ -473,14 +473,20 @@ OPD_CASES = (
        ("opd_k1", 2, {"teacher": "mle", "opd_reward_mode": "trajectory", "horizon": 9}),
        ("rkld_on", 1, {"teacher": "mle", "prompts": [[3], [0, 5]], "eval_from": "student"}),
        # rollouts never sample the unsmoothed fit's zero-probability tokens
-       ("opd_k1", 2, {"student": "mle"})]
+       ("opd_k1", 2, {"student": "mle"}),
+       # teachers of order 1 and 3, with prompts shorter and longer than both orders
+       ("opd_k1", 2, {"teacher_order": 1, "prompts": [[], [4], [2, 3, 1, 0], [1, 1]]}),
+       ("rkld_on", 3, {"teacher_order": 1, "opd_baseline": True}),
+       ("opd_k1", 1, {"teacher_order": 3, "prompts": [[], [0], [3, 1, 4, 2, 0]],
+                      "opd_reward_mode": "trajectory"}),
+       ("rkld_on", 2, {"teacher_order": 3, "prompts": [[1, 2, 3, 4]]})]
 )
 
 
 def _opd_outputs(tmp_path, tag, order, extra, draws=draws_batched):
     """Checkpoint bytes and CSV lines of the kernel and of reference_opd with draws."""
     extra = dict(extra)
-    teacher = _opd_teacher(extra.pop("teacher", "oracle"))
+    teacher = _opd_teacher(extra.pop("teacher", "oracle"), extra.pop("teacher_order", 2))
     prompts = extra.pop("prompts", None)
     if extra.pop("student", None) == "mle":
         corpus = sample_corpus(build_source(OPD_SOURCE), 4, 8, np.random.default_rng(7))
