@@ -38,7 +38,7 @@ from .evaluation import (
     make_completion_tasks,
     occupancy_divergences,
 )
-from .model import TabularLM, Vocab, checkpoint_load, checkpoint_save
+from .model import TabularLM, Vocab, checkpoint_load, checkpoint_save, suffix_ids
 from .numerics import entropy
 from .objectives import ALL_TAGS, ObjectiveKind
 from .training import (
@@ -388,7 +388,8 @@ def cmd_eval(cfg: dict) -> int:
     occ = context_occupancy(student, teacher, ev["eval_len"], ev["eval_from"])
     kl_fwd, kl_rev = occupancy_divergences(student, teacher, occ)
     # the student's entropy at every context, weighted by the context's occupancy
-    ent = occ @ entropy(student.predict_batch(np.arange(occ.size) % len(student.table)))
+    ent = occ @ entropy(student.predict_batch(
+        suffix_ids(np.arange(occ.size), student.order, student.vocab.size)))
     acc = completion_accuracy(student, tasks) if tasks else None
     path = os.path.join(out, "audit.csv")
     with open(path, "w", encoding="utf-8") as f:

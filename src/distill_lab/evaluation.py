@@ -7,8 +7,8 @@ import numpy as np
 from .data import MarkovSource
 from .errors import InvalidInputError, InvalidParameterError
 from .model import (MAX_TABLE_ENTRIES, GradAccumulator, TabularLM, accumulate_token_grads,
-                    prefix_id, walk)
-from .numerics import kl_rows, softmax
+                    prefix_id, suffix_ids, walk)
+from .numerics import cdf_draw, kl_rows, softmax, softmax_rows
 
 
 def gradcheck(model: TabularLM, weighted_tokens, eps: float = 1e-5) -> float:
@@ -80,13 +80,13 @@ def context_occupancy(student: TabularLM, teacher, eval_len: int,
     m = max(teacher.order, student.order)
     n = v ** m
     if eval_from == "teacher":
-        drive = teacher.dists().probs
+        drive, k = teacher.dists().probs, teacher.order
     elif eval_from == "student":
-        drive = softmax(student.table).probs
+        # the student's own logits, which every table writer keeps finite
+        drive, k = softmax_rows(student.table)[0], student.order
     else:
         raise InvalidInputError(f"unknown eval_from {eval_from!r}")
-    # an order-m context's last k tokens are its id modulo V**k
-    drive = drive[np.arange(n) % len(drive)]
+    drive = drive[suffix_ids(np.arange(n), k, v)]
     pi = np.zeros(n)
     pi[prefix_id([], m, student.vocab)] = 1.0
     occ = pi.copy()
@@ -108,9 +108,9 @@ def occupancy_divergences(student: TabularLM, teacher, occ: np.ndarray) -> tuple
     if occ.shape != (student.vocab.size ** max(teacher.order, student.order),):
         raise InvalidInputError(f"occupancy of shape {occ.shape} does not fit these models")
     live = np.flatnonzero(occ > 0.0)
-    p = teacher.dists()
-    p = p.rows(live % len(p.probs))
-    q = student.predict_batch(live % len(student.table))
+    v = student.vocab.size
+    p = teacher.dists().rows(suffix_ids(live, teacher.order, v))
+    q = student.predict_batch(suffix_ids(live, student.order, v))
     w = occ[live]
     return float(w @ kl_rows(p, q)), float(w @ kl_rows(q, p))
 
@@ -145,26 +145,29 @@ def make_completion_tasks(
 ) -> list[tuple[list[int], list[int]]]:
     """Tasks from near-deterministic source regions.
 
-    num_tasks * max_attempts_factor candidate prompts are sampled from the
-    source in one call, which always draws all of them from rng. A candidate is
-    kept when the source's greedy continuation of length cont_len has confidence
-    at least min_conf at every step, making the correct continuation unique; the
-    first num_tasks kept candidates are the tasks, in the order they were drawn.
+    num_tasks * max_attempts_factor candidate prompts are drawn from rng at
+    once, all of them, as source.sample_sequences draws them; each candidate is
+    continued greedily by cont_len tokens in the same walk. A candidate is kept
+    when its greedy continuation has confidence at least min_conf at every step,
+    making the correct continuation unique; the first num_tasks kept candidates
+    are the tasks, in the order they were drawn.
     """
     if num_tasks < 1 or cont_len < 1:
         raise InvalidInputError("num_tasks and cont_len must be >= 1")
     prompt_len = prompt_len if prompt_len is not None else source.order + 2
-    prompts = source.sample_sequences(num_tasks * max_attempts_factor, prompt_len, rng)
+    n = num_tasks * max_attempts_factor
+    u = rng.random((n, prompt_len))
     probs = source.table.probs
-    replayed = np.array(prompts, dtype=np.intp).reshape(len(prompts), prompt_len)
 
-    def replay_then_argmax(ids, t):  # every candidate advances one step
-        return replayed[:, t] if t < prompt_len else np.argmax(probs[ids], axis=1)
+    def sample_then_argmax(ids, t):  # every candidate advances one step
+        if t < prompt_len:
+            return cdf_draw(source.cdf[ids], u[:, t])
+        return np.argmax(probs[ids], axis=1)
 
-    start = np.full(len(prompts), prefix_id([], source.order, source.vocab), dtype=np.intp)
+    start = np.full(n, prefix_id([], source.order, source.vocab), dtype=np.intp)
     ids, tokens = walk(start, prompt_len + cont_len, source.order, source.vocab.size,
-                       replay_then_argmax)
-    conts = tokens[:, prompt_len:]
+                       sample_then_argmax)
+    prompts, conts = tokens[:, :prompt_len], tokens[:, prompt_len:]
     ok = (probs[ids[:, prompt_len:], conts] >= min_conf).all(axis=1)
     keep = np.flatnonzero(ok)[:num_tasks]
     if len(keep) < num_tasks:
@@ -172,4 +175,4 @@ def make_completion_tasks(
             f"only found {len(keep)}/{num_tasks} near-deterministic tasks "
             f"(min_conf={min_conf}, cont_len={cont_len})"
         )
-    return [(prompts[i], conts[i].tolist()) for i in keep.tolist()]
+    return [(prompts[i].tolist(), conts[i].tolist()) for i in keep.tolist()]

@@ -5,13 +5,15 @@ begin-of-sequence id. Every order-k table (a model's logits, a source's
 conditionals, an accumulator's directions) is one dense (V**k, V) array whose
 row i holds the context with id i: its tokens read as base-V digits, oldest
 token most significant (prefix_id, context_key). So id order is sorted tuple
-order, BOS padding is part of the id, and a window that emits token t moves to
-id (i * V + t) % V**k. walk is the one loop that moves ids that way.
+order, BOS padding is part of the id, a window that emits token t moves to
+id (i * V + t) % V**k, and an order-m id's last k tokens are its id modulo
+V**k (suffix_ids). walk is the one loop that moves ids that way.
 Unseen contexts predict the uniform distribution (all-zero logit row).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from functools import cache
@@ -24,7 +26,7 @@ from .errors import (
     NumericOverflowError,
     ParseError,
 )
-from .numerics import CategoricalDist, cdf_draw, cdf_rows, softmax
+from .numerics import CategoricalDist, cdf_draw, cdf_rows, frozen_dist, softmax, softmax_rows
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -86,6 +88,40 @@ def prefix_id(prefix, order: int, vocab: Vocab) -> int:
             raise InvalidInputError(f"context {ctx} has out-of-range token ids")
         cid = cid * vocab.size + tok
     return cid
+
+
+def pad_contexts(prompts, order: int, bos_id: int) -> np.ndarray:
+    """Row i is pad_context(prompts[i], order, bos_id), as one (n, order) int64 array."""
+    ctx = np.full((len(prompts), order), bos_id, dtype=np.int64)
+    if order:
+        tails = [p[-order:] for p in prompts]
+        lengths = np.fromiter(map(len, tails), dtype=np.intp, count=len(tails))
+        # row i's tail fills its last lengths[i] columns, in row-major order
+        ctx[np.arange(order) >= order - lengths[:, None]] = np.fromiter(
+            itertools.chain.from_iterable(tails), dtype=np.int64, count=int(lengths.sum()))
+    return ctx
+
+
+def prefix_ids(prompts, order: int, vocab: Vocab) -> np.ndarray:
+    """prefix_id of every prompt, as one intp array.
+
+    A token id outside vocab in some prompt's padded context is an
+    InvalidInputError naming the first such context, as prefix_id names it.
+    """
+    try:
+        ctx = pad_contexts(prompts, order, vocab.bos_id)
+        ok = ((ctx >= 0) & (ctx < vocab.size)).all()
+    except OverflowError:  # a token id too large for int64
+        ok = False
+    if not ok:
+        for p in prompts:
+            prefix_id(p, order, vocab)  # raises at the first bad context
+    return ctx @ vocab.size ** np.arange(order - 1, -1, -1, dtype=np.intp)
+
+
+def suffix_ids(ids, order: int, vocab_size: int) -> np.ndarray:
+    """The id of the last `order` tokens of each context id in ids, of any order >= order."""
+    return np.asarray(ids, dtype=np.intp) % vocab_size ** order
 
 
 def context_key(cid: int, order: int, vocab_size: int) -> ContextKey:
@@ -174,8 +210,14 @@ class TabularLM:
         self.touched[cid] = True
 
     def predict_batch(self, ids) -> CategoricalDist:
-        """The softmax of each context id's logit row: row i is for ids[i]."""
-        return softmax(self.table[ids])
+        """The softmax of each context id's logit row: row i is for ids[i].
+
+        The rows go through the unchecked kernel numerics.softmax_rows, bit for
+        bit softmax's result: every writer of table (set_row, checkpoint_load,
+        train_teacher_mle's LOGIT_FLOOR, sgd_step's NumericOverflowError)
+        rejects non-finite logits, so there is nothing left to check here.
+        """
+        return frozen_dist(*softmax_rows(self.table[ids]))
 
     def rollouts(self, prompts, steps: int, rng: np.random.Generator,
                  temperature: float = 1.0) -> list[list[int]]:
@@ -188,7 +230,7 @@ class TabularLM:
         if steps < 1:
             raise InvalidInputError("steps must be >= 1")
         # the last k prompt tokens are every prompt token a context will ever hold
-        ids = np.array([prefix_id(p, self.order, self.vocab) for p in prompts], dtype=np.intp)
+        ids = prefix_ids(prompts, self.order, self.vocab)
         if temperature <= 0.0:
             raise InvalidInputError("temperature must be > 0 (greedy_rollouts takes the argmax)")
         if not ids.size:
@@ -208,7 +250,7 @@ class TabularLM:
         """
         if steps < 1:
             raise InvalidInputError("steps must be >= 1")
-        ids = np.array([prefix_id(p, self.order, self.vocab) for p in prompts], dtype=np.intp)
+        ids = prefix_ids(prompts, self.order, self.vocab)
         _, out = walk(ids, steps, self.order, self.vocab.size,
                       lambda ids, t: np.argmax(self.table[ids], axis=1))
         return out.tolist()

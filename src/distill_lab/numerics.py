@@ -2,6 +2,15 @@
 
 All quantities are in nats. Probabilities below ZERO_TOL are treated as
 exact zeros for support checks; their log-probability is -inf.
+
+Values are validated where they enter: `softmax`, `CategoricalDist.from_probs`
+and `from_rows` check their input and their result. `softmax_rows` is the
+unchecked softmax kernel (max-shift, exp, divide, zero the entries below
+ZERO_TOL, masked log); `softmax` runs the same two stages with its checks in
+between, so a checked and an unchecked result are bit for bit equal. The
+kernel serves logits the program wrote itself: every writer of a
+TabularLM table rejects non-finite logits, so the predictive table's
+refresh and TabularLM.predict_batch need not check them again.
 """
 
 from __future__ import annotations
@@ -61,7 +70,7 @@ def _checked(p: np.ndarray) -> CategoricalDist:
 
     A non-finite entry is reported first, then a negative one, then the first
     row whose sum is off; p's min and max and the largest sum error decide
-    each check in one pass.
+    each check in one pass. The result's arrays are read-only.
     """
     lo, hi = p.min(), p.max()
     if not (np.isfinite(lo) and np.isfinite(hi)):  # a NaN makes both NaN
@@ -73,25 +82,51 @@ def _checked(p: np.ndarray) -> CategoricalDist:
     if off.max() > PROB_SUM_TOL:
         bad = np.ravel(sums)[np.ravel(off > PROB_SUM_TOL).argmax()]
         raise InvalidInputError(f"probabilities sum to {float(bad)}, not 1")
+    return frozen_dist(*_zeroed_log(p))
+
+
+def frozen_dist(probs: np.ndarray, logprobs: np.ndarray) -> CategoricalDist:
+    """The batch of these arrays, made read-only in place."""
+    probs.setflags(write=False)
+    logprobs.setflags(write=False)
+    return CategoricalDist(probs=probs, logprobs=logprobs)
+
+
+def _normalized(z: np.ndarray) -> np.ndarray:
+    """exp(z - max) / sum along the last axis: the softmax before tiny entries are zeroed."""
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _zeroed_log(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """p with its entries below ZERO_TOL set to 0.0, and its log (-inf at the zeros)."""
     p = np.where(p < ZERO_TOL, 0.0, p)
-    lp = np.log(p, out=np.full(p.shape, -np.inf), where=p > 0.0)
-    p.setflags(write=False)
-    lp.setflags(write=False)
-    return CategoricalDist(probs=p, logprobs=lp)
+    return p, np.log(p, out=np.full(p.shape, -np.inf), where=p > 0.0)
+
+
+def softmax_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(probs, logprobs) of softmax(z), unchecked: z must be a finite float64 1-d or 2-d array.
+
+    The arrays are new and writable. This is softmax's own arithmetic, so both
+    are bit for bit softmax(z).probs and .logprobs; only softmax's checks of z
+    and of the normalised rows are skipped.
+    """
+    return _zeroed_log(_normalized(z))
 
 
 def softmax(logits) -> CategoricalDist:
     """Numerically stabilized softmax of a logit vector, or of each row of an (n, V) array.
 
-    Row i of the batch is bit for bit softmax(logits[i]).
+    Row i of the batch is bit for bit softmax(logits[i]). The logits must be
+    finite, and the normalised rows pass the checks of CategoricalDist.from_rows
+    before softmax_rows' zeroing and log.
     """
     z = np.asarray(logits, dtype=np.float64)
     if z.ndim not in (1, 2) or z.size == 0:
         raise InvalidInputError("logits must be a non-empty 1-d or 2-d array")
     if not np.isfinite(z).all():
         raise InvalidInputError("logits must be finite")
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    return _checked(e / e.sum(axis=-1, keepdims=True))
+    return _checked(_normalized(z))
 
 
 def cdf_rows(probs) -> np.ndarray:

@@ -26,12 +26,12 @@ from .model import (
     accumulate_token_grads,
     context_ids,
     context_key,
-    pad_context,
-    prefix_id,
+    pad_contexts,
+    prefix_ids,
     sgd_step,
     walk,
 )
-from .numerics import CategoricalDist, cdf_draw, cdf_rows, entropy, softmax
+from .numerics import CategoricalDist, cdf_draw, cdf_rows, entropy, softmax, softmax_rows
 from .objectives import (
     HPD_VARIANTS,
     ObjectiveKind,
@@ -198,28 +198,31 @@ def evaluate_divergences(student: TabularLM, teacher, cfg: TrainConfig) -> tuple
 class PredictiveTable:
     """The student's softmax at every context, row i for context id i.
 
-    probs and logprobs are one checked softmax(student.table); cdf holds each
-    row's numerics.cdf_rows when the objective samples from the student, else
-    None. refresh(ids) recomputes rows an SGD step moved, so every row stays
-    bit for bit what predict_batch would give.
+    probs and logprobs are numerics.softmax_rows(student.table), bit for bit
+    softmax(student.table) without its checks; cdf holds each row's
+    numerics.cdf_rows when the objective samples from the student, else None.
+    refresh(ids) recomputes the rows an SGD step moved the same way, so every
+    row stays bit for bit what softmax and predict_batch would give. Neither
+    checks the logits: they are the student's own, and every writer of a
+    TabularLM table rejects a non-finite logit (sgd_step raises
+    NumericOverflowError before it writes one).
     """
 
     def __init__(self, student: TabularLM, with_cdf: bool):
         self.student = student
-        d = softmax(student.table)
-        # writable copies: refresh overwrites rows in place
-        self.probs, self.logprobs = np.array(d.probs), np.array(d.logprobs)
-        self.cdf = cdf_rows(d.probs) if with_cdf else None
+        # the kernel's arrays are new and writable: refresh overwrites rows in place
+        self.probs, self.logprobs = softmax_rows(student.table)
+        self.cdf = cdf_rows(self.probs) if with_cdf else None
 
     def rows(self, ids) -> CategoricalDist:
         """The student's predictive batch at the context ids: row j for ids[j]."""
         return CategoricalDist(probs=self.probs[ids], logprobs=self.logprobs[ids])
 
     def refresh(self, ids) -> None:
-        d = softmax(self.student.table[ids])
-        self.probs[ids], self.logprobs[ids] = d.probs, d.logprobs
+        probs, logprobs = softmax_rows(self.student.table[ids])
+        self.probs[ids], self.logprobs[ids] = probs, logprobs
         if self.cdf is not None:
-            self.cdf[ids] = cdf_rows(d.probs)
+            self.cdf[ids] = cdf_rows(probs)
 
 
 def _train_loop(cfg: TrainConfig, teacher, student: TabularLM, eval_tasks,
@@ -376,11 +379,11 @@ def distill_onpolicy_opd(
             raise InvalidInputError(f"prompt token id {tok} is out of range for the "
                                     f"student's vocabulary of {v}")
     p_table = _teacher_table(teacher, v)
-    s_start = np.array([prefix_id(p, k, student.vocab) for p in prompts], dtype=np.intp)
+    s_start = prefix_ids(prompts, k, student.vocab)
     # each prompt's padded teacher context; a rollout's teacher ids are the
     # context ids of that context followed by its sampled tokens
     m = teacher.order
-    t_start = np.array([pad_context(p, m, teacher.vocab.bos_id) for p in prompts], dtype=np.intp)
+    t_start = pad_contexts(prompts, m, teacher.vocab.bos_id)
     n, h = cfg.batch_size, cfg.horizon
     t_offsets = np.tile(np.arange(m + h), n)
     unit_counts = np.ones(n * h, dtype=np.int64)

@@ -424,6 +424,7 @@ class TestMakeCompletionTasks:
           "concentration": 0.2}, 20, 2, {"min_conf": 0.6, "prompt_len": 6}),
         ({"name": "random_dirichlet", "seed": 3, "vocab_size": 3, "order": 3,
           "concentration": 0.3}, 9, 1, {"min_conf": 0.7, "max_attempts_factor": 3}),
+        ({"name": "bimodal_gap"}, 15, 2, {"prompt_len": 5}),
     ])
     def test_matches_per_candidate_reference(self, spec, num_tasks, cont_len, kw):
         src = build_source(spec)

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -20,8 +21,11 @@ from distill_lab.model import (
     checkpoint_save,
     context_key,
     pad_context,
+    pad_contexts,
     prefix_id,
+    prefix_ids,
     sgd_step,
+    suffix_ids,
     walk,
 )
 from distill_lab.numerics import softmax
@@ -95,6 +99,41 @@ class TestContextIds:
         for t in range(4):
             assert ids[:, t].tolist() == [prefix_id(p + emitted[i, :t].tolist(), order, vocab)
                                           for i, p in enumerate(prefixes)]
+
+    @pytest.mark.parametrize("bos_id", [0, 2])
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    def test_prefix_ids_are_the_prefix_id_of_each_prompt(self, order, bos_id):
+        # ragged prompts shorter than, as long as and longer than k, as lists,
+        # tuples and array rows
+        vocab = Vocab(names=("a", "b", "c"), bos_id=bos_id)
+        prompts = [list(p) for n in range(order + 3)
+                   for p in itertools.product(range(3), repeat=n)]
+        prompts += [tuple(prompts[-1]), np.array(prompts[-2])]
+        ids = prefix_ids(prompts, order, vocab)
+        assert ids.dtype == np.intp
+        assert ids.tolist() == [prefix_id(p, order, vocab) for p in prompts]
+        assert pad_contexts(prompts, order, bos_id).tolist() == [
+            list(pad_context(p, order, bos_id)) for p in prompts]
+        assert prefix_ids([], order, vocab).shape == (0,)
+
+    @pytest.mark.parametrize("bad", [3, -1, 2**70])
+    def test_prefix_ids_name_the_first_bad_context_as_prefix_id_does(self, bad):
+        # only the padded context is read: a bad id before it is ignored
+        vocab = Vocab.default(3)
+        prompts = [[bad, 1, 2], [0], [1, bad], [bad, 0]]
+        with pytest.raises(InvalidInputError) as info:
+            prefix_id(prompts[2], 2, vocab)
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(str(info.value))}$"):
+            prefix_ids(prompts, 2, vocab)
+        assert prefix_ids(prompts[:2], 2, vocab).tolist() == [5, 0]
+
+    @pytest.mark.parametrize("m, k", [(1, 1), (2, 1), (3, 1), (3, 2), (2, 0)])
+    def test_suffix_id_is_the_id_of_the_last_k_tokens(self, m, k):
+        vocab = Vocab.default(3)
+        for ctx in itertools.product(range(3), repeat=m):
+            tail = ctx[len(ctx) - k:]
+            assert suffix_ids([prefix_id(ctx, m, vocab)], k, 3).tolist() == [
+                prefix_id(tail, k, vocab)]
 
     def test_walk_edge_cases(self):
         def threes(ids, t):

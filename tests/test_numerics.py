@@ -1,5 +1,7 @@
 """Oracle and property tests for exact categorical-distribution math."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,10 @@ from distill_lab.numerics import (
     kl_exact,
     kl_rows,
     softmax,
+    softmax_rows,
+    ZERO_TOL,
 )
+from distill_lab.training import LOGIT_FLOOR
 
 
 def dist(*probs):
@@ -142,6 +147,51 @@ class TestSoftmax:
         assert d.probs.sum() == pytest.approx(1.0)
         shifted = softmax(np.array(z) + 7.5)
         assert np.allclose(d.probs, shifted.probs)
+
+
+# a logit this far below a row's 0.0 gives a probability of about ZERO_TOL
+NEAR_TOL = st.floats(-1e-3, 1e-3).map(lambda d: math.log(ZERO_TOL) + d)
+
+
+@st.composite
+def finite_logits(draw):
+    """A finite 1-d or 2-d logit array; every row holds a 0.0, and its other
+    entries may be LOGIT_FLOOR (exp underflows to 0) or land near ZERO_TOL."""
+    n_rows, v = draw(st.integers(0, 4)), draw(st.integers(1, 7))
+    # |z - max| stays below the float range: a wider spread overflows in softmax too
+    cell = st.one_of(st.floats(-60, 60), st.floats(-60, 0), st.just(LOGIT_FLOOR), NEAR_TOL,
+                     st.floats(-1e300, 1e300))
+    rows = [[0.0] + draw(st.lists(cell, min_size=v - 1, max_size=v - 1))
+            for _ in range(max(n_rows, 1))]
+    return np.array(rows[0] if n_rows == 0 else rows)
+
+
+def same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestSoftmaxRows:
+    @settings(max_examples=300, deadline=None)
+    @given(finite_logits())
+    def test_is_softmax_byte_for_byte(self, z):
+        probs, logprobs = softmax_rows(z)
+        d = softmax(z)
+        assert same_bytes(probs, d.probs) and same_bytes(logprobs, d.logprobs)
+
+    @pytest.mark.parametrize("offset, zeroed", [(-1e-3, True), (1e-3, False)])
+    def test_either_side_of_zero_tol(self, offset, zeroed):
+        z = np.array([[0.0, math.log(ZERO_TOL) + offset, LOGIT_FLOOR]])
+        probs, logprobs = softmax_rows(z)
+        assert (probs[0, 1] == 0.0) == zeroed and probs[0, 2] == 0.0
+        assert logprobs[0, 2] == -np.inf
+        assert same_bytes(probs, softmax(z).probs)
+        assert same_bytes(logprobs, softmax(z).logprobs)
+
+    def test_arrays_are_new_and_writable(self):
+        z = np.zeros((2, 3))
+        probs, logprobs = softmax_rows(z)
+        assert probs.flags.writeable and logprobs.flags.writeable
+        assert not np.shares_memory(probs, z) and not np.shares_memory(logprobs, z)
 
 
 class TestInverseCdf:

@@ -12,9 +12,10 @@ from distill_lab.errors import (
     DivergenceInfiniteError,
     InvalidInputError,
     LogOfZeroError,
+    NumericOverflowError,
 )
 from distill_lab.model import TabularLM, Vocab, checkpoint_save, pad_context
-from distill_lab.numerics import CategoricalDist, entropy, kl_exact, softmax
+from distill_lab.numerics import CategoricalDist, cdf_rows, entropy, kl_exact, softmax
 from distill_lab.objectives import OFF_POLICY_TAGS, ObjectiveKind, hpd_weights
 from distill_lab.training import (
     METRICS_HEADER,
@@ -593,6 +594,48 @@ class TestTrainLoop:
         assert [(r.step, r.train_entropy, r.mean_reward) for r in rows] == [
             (2, seen[1], None), (4, seen[3], None)]
         assert len(set(seen)) == 4  # every step moved the rows
+
+    @pytest.mark.parametrize("tag", ["hpd", "opd_k1"])
+    def test_refreshed_table_is_the_checked_softmax_byte_for_byte(self, tag, monkeypatch):
+        # after every step's refresh, the whole cached table equals a fresh
+        # checked softmax of the student's table, and its CDF rows cdf_rows of it
+        seen = []
+
+        class Compared(training.PredictiveTable):
+            def refresh(self, ids):
+                super().refresh(ids)
+                d = softmax(self.student.table)
+                seen.append((self.probs.tobytes() == d.probs.tobytes(),
+                             self.logprobs.tobytes() == d.logprobs.tobytes(),
+                             self.cdf.tobytes() == cdf_rows(d.probs).tobytes()))
+
+        monkeypatch.setattr(training, "PredictiveTable", Compared)
+        source = build_source({"name": "bimodal_gap"})
+        cfg = small_cfg(tag, steps=8, batch_size=16, horizon=6, eval_every=4)
+        student = TabularLM(order=2, vocab=Vocab.default(6))
+        student.set_row((3, 1), [-25.0, 0.0, 1.0, 0.0, -2.0, 0.5])
+        if tag == "hpd":
+            corpus = sample_corpus(source, 20, 16, np.random.default_rng(1))
+            distill_offpolicy(cfg, OracleTeacher(source), corpus, student)
+        else:
+            distill_onpolicy_opd(cfg, OracleTeacher(source), student)
+        assert seen == [(True, True, True)] * cfg.steps
+
+    def test_overflowing_step_raises_before_any_refresh(self, monkeypatch):
+        teacher = OracleTeacher(build_source({"name": "uniform", "vocab_size": 2}))
+        student = TabularLM(order=1, vocab=Vocab.default(2))
+        refreshed = []
+        monkeypatch.setattr(training.PredictiveTable, "refresh",
+                            lambda self, ids: refreshed.append(ids))
+
+        def minibatch(student, pred, acc, rng):
+            acc.add_rows([1], [[1e308, -1e308]], count=1)
+            return np.array([1]), None
+
+        with pytest.raises(NumericOverflowError, match=r"context \(1,\)"), \
+                np.errstate(over="ignore"):
+            training._train_loop(small_cfg("sft", lr=10.0), teacher, student, None, minibatch)
+        assert refreshed == [] and not student.touched.any()
 
 
 class TestRunExperiment:
