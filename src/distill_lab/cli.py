@@ -14,7 +14,7 @@ import hashlib
 import json
 import os
 import sys
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -460,7 +460,9 @@ _COMMANDS = {
 }
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="distill-lab",
         description="Desk-scale distillation laboratory with exactly known teachers.",

@@ -29,7 +29,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, InvalidInputError, ParseError, config_field
-from .model import ContextKey, TabularLM, Vocab, context_key, prefix_id, table_rows, walk
+from .model import (ContextKey, TabularLM, Vocab, context_key, load_rows, prefix_id,
+                    table_rows, walk)
 from .numerics import CategoricalDist, cdf_draw, cdf_rows
 
 CORPUS_FORMAT_VERSION = 1
@@ -207,15 +208,18 @@ def source_load(path) -> MarkovSource:
         order, v = int(doc["order"]), vocab.size
         probs = np.zeros((table_rows(v, order), v))
         present = np.zeros(len(probs), dtype=bool)
-        for i, entry in enumerate(doc["rows"]):
+
+        def parse(i, entry):
             ctx = tuple(int(t) for t in entry["context"])
             if len(ctx) != order:
                 raise ParseError(f"{path}: rows[{i}]: context length != order")
             row = np.asarray(entry["probs"], dtype=np.float64)
             if row.shape != (v,):
                 raise ParseError(f"{path}: rows[{i}]: probs must list {v} numbers")
-            cid = prefix_id(ctx, order, vocab)
-            probs[cid], present[cid] = row, True
+            return ctx, row
+
+        ids, rows = load_rows(doc["rows"], order, vocab, parse)
+        probs[ids], present[ids] = rows, True
         if not present.all():
             ctx = context_key(int(np.argmin(present)), order, v)
             raise ParseError(f"{path}: no row for context {ctx}")

@@ -286,8 +286,12 @@ class GradAccumulator:
         self._columns = np.arange(self.vocab_size)
 
     def clear(self) -> None:
-        self.directions[self.touched] = -0.0
-        self.touched[:] = False
+        self._clear_rows(np.flatnonzero(self.touched))
+
+    def _clear_rows(self, ids: np.ndarray) -> None:
+        """clear, given ids: every row touched since the last clear."""
+        self.directions[ids] = -0.0
+        self.touched[ids] = False
         self.n_samples = 0
 
     def add_rows(self, ids, directions: np.ndarray, count: int) -> None:
@@ -314,7 +318,8 @@ def accumulate_token_grads(acc: GradAccumulator, ids, tokens, weights, counts,
     the weight is a constant (no derivative flows through it). ids holds
     context ids; q is an (n, V) array of probabilities, row j the predictive
     distribution at ids[j]; counts[j] adds to acc.n_samples. A zero weight
-    touches no row and counts nothing.
+    touches no row and counts nothing. The weights must be finite, the tokens
+    in range and every q[j][tokens[j]] > 0; then add_token_grads does the work.
     """
     ids = np.asarray(ids, dtype=np.intp)
     weights = np.asarray(weights, dtype=np.float64)
@@ -324,14 +329,36 @@ def accumulate_token_grads(acc: GradAccumulator, ids, tokens, weights, counts,
     outside = (tokens < 0) | (tokens >= q.shape[-1])
     if outside.any():
         raise InvalidInputError(f"token id {tokens[np.argmax(outside)]} out of range")
-    rows = np.arange(tokens.size)
-    zero = q[rows, tokens] <= 0.0
+    check_token_support(q[np.arange(tokens.size), tokens], ids, tokens, acc.order,
+                        acc.vocab_size)
+    return add_token_grads(acc, ids, tokens, weights, counts, q)
+
+
+def check_token_support(q_at: np.ndarray, ids, tokens, order: int, vocab_size: int) -> None:
+    """LogOfZeroError at the first j with q_at[j] <= 0, naming tokens[j] and context ids[j].
+
+    q_at[j] is the student's probability of tokens[j] at the order-k context
+    id ids[j]: ln q_at[j] is the log-likelihood a token gradient descends.
+    """
+    zero = q_at <= 0.0
     if zero.any():
         j = int(np.argmax(zero))
-        ctx = context_key(ids[j], acc.order, acc.vocab_size)
+        ctx = context_key(ids[j], order, vocab_size)
         raise LogOfZeroError(f"q[{tokens[j]}] = 0 at context {ctx}")
+
+
+def add_token_grads(acc: GradAccumulator, ids: np.ndarray, tokens: np.ndarray,
+                    weights: np.ndarray, counts, q: np.ndarray) -> GradAccumulator:
+    """accumulate_token_grads without its checks: the unchecked gradient kernel.
+
+    ids must be an intp and weights a float64 array. The caller guarantees
+    what the public entry would check: every weight finite, every token in
+    range and q[j][tokens[j]] > 0. The arithmetic is the public entry's own,
+    so both leave acc bit for bit the same; a zero weight still touches no
+    row and counts nothing.
+    """
     direction = -weights[:, None] * q
-    direction[rows, tokens] += weights
+    direction[np.arange(tokens.size), tokens] += weights
     keep = weights != 0.0
     if not keep.all():
         ids, direction, counts = ids[keep], direction[keep], np.asarray(counts)[keep]
@@ -351,8 +378,9 @@ def sgd_step(model: TabularLM, acc: GradAccumulator, lr: float) -> np.ndarray:
         raise InvalidInputError("learning rate must be > 0")
     if acc.directions.shape != model.table.shape:
         raise InvalidInputError("accumulator and model tables differ in shape")
-    if acc.n_samples > 0:
-        ids = np.flatnonzero(acc.touched)
+    touched = np.flatnonzero(acc.touched)
+    ids = touched if acc.n_samples > 0 else touched[:0]
+    if ids.size:
         rows = model.table[ids] + lr / acc.n_samples * acc.directions[ids]
         if not np.isfinite(rows).all():
             first = np.argmin(np.isfinite(rows).all(axis=1))
@@ -360,9 +388,7 @@ def sgd_step(model: TabularLM, acc: GradAccumulator, lr: float) -> np.ndarray:
             raise NumericOverflowError(f"non-finite logits at context {ctx}")
         model.table[ids] = rows
         model.touched[ids] = True
-    else:
-        ids = np.empty(0, dtype=np.intp)
-    acc.clear()
+    acc._clear_rows(touched)
     return ids
 
 
@@ -385,6 +411,28 @@ def checkpoint_save(model: TabularLM, path, header_extra: dict | None = None) ->
         f.write("\n")
 
 
+def load_rows(entries, order: int, vocab: Vocab, parse) -> tuple[np.ndarray, np.ndarray]:
+    """(ids, rows) of a file's context rows; a context listed twice keeps its last row.
+
+    parse(i, entry) gives entry i's (context, row of vocab.size floats) or
+    raises. The ids are one prefix_ids call over every context, and the first
+    bad entry raises, as parsing and prefix_id entry by entry would: an
+    earlier entry's out-of-range token id comes before a later entry's error.
+    """
+    ctxs, rows = [], []
+    for i, entry in enumerate(entries):
+        try:
+            ctx, row = parse(i, entry)
+        except (KeyError, TypeError, ValueError):
+            prefix_ids(ctxs, order, vocab)
+            raise
+        ctxs.append(ctx)
+        rows.append(row)
+    ids = prefix_ids(ctxs, order, vocab)
+    last = ids.size - 1 - np.unique(ids[::-1], return_index=True)[1]
+    return ids[last], np.reshape(rows, (len(rows), vocab.size))[last]
+
+
 def checkpoint_load(path) -> TabularLM:
     with open(path, encoding="utf-8") as f:
         text = f.read()
@@ -398,16 +446,19 @@ def checkpoint_load(path) -> TabularLM:
             raise ParseError(f"{path}: unsupported format_version {version}")
         vocab = Vocab(names=tuple(doc["vocab"]["names"]), bos_id=int(doc["vocab"]["bos_id"]))
         model = TabularLM(order=int(doc["order"]), vocab=vocab)
-        for i, entry in enumerate(doc["rows"]):
+
+        def parse(i, entry):
             ctx = tuple(int(t) for t in entry["context"])
             row = np.asarray(entry["logits"], dtype=np.float64)
             if len(ctx) != model.order:
                 raise ParseError(f"{path}: rows[{i}]: context length != order")
             if row.shape != (vocab.size,) or not np.all(np.isfinite(row)):
                 raise ParseError(f"{path}: rows[{i}]: bad logit row")
-            cid = prefix_id(ctx, model.order, vocab)
-            model.table[cid] = row
-            model.touched[cid] = True
+            return ctx, row
+
+        ids, rows = load_rows(doc["rows"], model.order, vocab, parse)
+        model.table[ids] = rows
+        model.touched[ids] = True
     except (KeyError, TypeError, ValueError) as e:
         if isinstance(e, ParseError):
             raise

@@ -126,7 +126,11 @@ def softmax(logits) -> CategoricalDist:
         raise InvalidInputError("logits must be a non-empty 1-d or 2-d array")
     if not np.isfinite(z).all():
         raise InvalidInputError("logits must be finite")
-    return _checked(_normalized(z))
+    # finite logits that span more than the float range make z - max overflow to
+    # -inf, whose exp is the right 0.0; the program's own tables never span that
+    with np.errstate(over="ignore"):
+        p = _normalized(z)
+    return _checked(p)
 
 
 def cdf_rows(probs) -> np.ndarray:

@@ -11,6 +11,8 @@ distribution pair and token ids, giving floats, or a batch (CategoricalDist
 rows) and one token id per row, giving arrays. sft's unit weight and
 fkld_dense's full-vocabulary weights p_v need no rule: the off-policy
 training loop applies them directly (the latter's direction is p - q).
+hpd_point_weights is hpd_weights' rule on entries already gathered at each
+draw's (expert, sampled) pair, which is how the off-policy loop calls it.
 Neither does the on-policy reward ln p[a] - ln q[a]: the OPD kernel reads it
 from the sampled entries of its tables, and tests/oracles.py's reference_opd is
 its oracle.
@@ -64,12 +66,6 @@ def _at(values: np.ndarray, token):
     if values.ndim == 1:
         return values[token]
     return values[np.arange(values.shape[0]), token]
-
-
-def _gather(d: CategoricalDist, token):
-    """d's probs and logprobs at token, through one index (see _at)."""
-    index = token if d.probs.ndim == 1 else (np.arange(d.probs.shape[0]), token)
-    return d.probs[index], d.logprobs[index]
 
 
 def _scalar(x):
@@ -162,16 +158,36 @@ def hpd_weights(
 
     variant "hpd": full rule (doubled forward-KL weight when k1 > 0 and the
     sampled token is simultaneously suppressed); "hpd_no_reinforce" drops
-    the doubling; "hpd_no_sample" ignores the sampled token entirely.
+    the doubling; "hpd_no_sample" ignores the sampled token entirely. The
+    (expert, sampled) entries of p and q are gathered through one point
+    index and handed to hpd_point_weights, which holds the rule.
+    """
+    tokens = np.stack(np.broadcast_arrays(expert, sampled), axis=-1)
+    index = tokens if p.probs.ndim == 1 else (np.arange(p.probs.shape[0])[:, None], tokens)
+    k1, k1p, w_star, w_sampled = hpd_point_weights(
+        p.probs[index], p.logprobs[index], q.probs[index], q.logprobs[index], tokens, variant)
+    return HPDWeights(k1=_scalar(k1), k1_prime=_scalar(k1p), w_star=_scalar(w_star),
+                      sampled_token=int(sampled) if np.ndim(sampled) == 0 else sampled,
+                      w_sampled=_scalar(w_sampled))
+
+
+def hpd_point_weights(p, lp, q, lq, tokens, variant: str = "hpd"):
+    """(k1, k1', w_star, w_sampled) of hpd_weights' rule, from point-gathered entries.
+
+    tokens is an (..., 2) array of (expert, sampled) pairs; p, lp, q and lq
+    hold the teacher's and the student's probabilities and log-probabilities
+    at those tokens, in the same shape. One min over p and q decides that
+    every entry is positive; otherwise the LogOfZeroError names the first
+    pair, tried p then q at the expert, then p then q at the sampled token.
     """
     if variant not in HPD_VARIANTS:
         raise ConfigError(f"unknown hpd variant {variant!r}")
-    (p_star, lp_star), (q_star, lq_star) = _gather(p, expert), _gather(q, expert)
-    (p_samp, lp_samp), (q_samp, lq_samp) = _gather(p, sampled), _gather(q, sampled)
-    _check_positive((p_star, expert, "p[{}] = 0"), (q_star, expert, "q[{}] = 0"),
-                    (p_samp, sampled, "p[{}] = 0"), (q_samp, sampled, "q[{}] = 0"))
-    k1 = _scalar(q_star * (lp_star - lq_star))
-    k1p = _scalar(q_samp * (lp_samp - lq_samp))
+    expert, sampled = tokens[..., 0], tokens[..., 1]
+    if not min(p.min(), q.min()) > 0.0:
+        _check_positive((p[..., 0], expert, "p[{}] = 0"), (q[..., 0], expert, "q[{}] = 0"),
+                        (p[..., 1], sampled, "p[{}] = 0"), (q[..., 1], sampled, "q[{}] = 0"))
+    k = q * (lp - lq)
+    k1, k1p, p_star = k[..., 0], k[..., 1], p[..., 0]
 
     if variant == "hpd_no_sample":
         w_sampled = np.zeros(np.shape(k1))
@@ -180,6 +196,4 @@ def hpd_weights(
         w_sampled = np.where((sampled != expert) & (k1p < 0.0), k1p, 0.0)
         reinforce = (k1 > 0.0) & (k1p < 0.0) & (variant == "hpd")
         w_star = np.where(reinforce, 2.0 * p_star + k1, np.where(k1 < 0.0, k1, p_star + k1))
-    return HPDWeights(k1=k1, k1_prime=k1p, w_star=_scalar(w_star),
-                      sampled_token=int(sampled) if np.ndim(sampled) == 0 else sampled,
-                      w_sampled=_scalar(w_sampled))
+    return k1, k1p, w_star, w_sampled

@@ -23,19 +23,20 @@ from .model import (
     GradAccumulator,
     TabularLM,
     Vocab,
-    accumulate_token_grads,
+    add_token_grads,
+    check_token_support,
     context_ids,
     context_key,
-    pad_contexts,
     prefix_ids,
     sgd_step,
+    suffix_ids,
     walk,
 )
 from .numerics import CategoricalDist, cdf_draw, cdf_rows, entropy, softmax, softmax_rows
 from .objectives import (
     HPD_VARIANTS,
     ObjectiveKind,
-    hpd_weights,
+    hpd_point_weights,
     weight_fkld_token,
     weight_jsd_off,
     weight_rkld_off,
@@ -283,8 +284,9 @@ def distill_offpolicy(
 
     The corpus's context ids are computed once per call; each minibatch is one
     gather of teacher rows and of the student's cached predictive rows, one
-    weight-rule call and one ordered accumulate. HPD samples its tokens from
-    the cached CDF rows.
+    weight-rule call and one ordered accumulate through the unchecked kernel
+    model.add_token_grads. HPD samples its tokens from the cached CDF rows and
+    reads p and q at each draw's (expert, sampled) pair by one point gather.
     """
     kind = cfg.objective
     if kind.on_policy:
@@ -304,9 +306,9 @@ def distill_offpolicy(
     tag = kind.tag
     k = cfg.hpd_samples if tag in HPD_VARIANTS else 0
     unit_weights, unit_counts = np.ones(n), np.ones(n, dtype=np.int64)
-    # draw i of position b is entry b * k + i; each draw updates the expert
-    # token, then the sampled one, and the position counts once
-    draw, pair = np.repeat(np.arange(n), k), np.repeat(np.arange(n * k), 2)
+    # draw i of position b is row b * k + i of an HPD batch; each draw updates
+    # the expert token, then the sampled one, and the position counts once
+    draw = np.repeat(np.arange(n), k)
     counts = np.zeros((n, k, 2), dtype=np.int64)
     counts[:, :1, 0] = 1
     counts = counts.ravel()
@@ -316,35 +318,40 @@ def distill_offpolicy(
         si = rng.integers(n_seqs, size=n)
         pos = starts[si] + rng.integers(0, lengths[si])
         uniforms = rng.random(n * k)
-        ids = s_ids[pos]
-        q = pred.rows(ids)
-        p = p_table.rows(t_ids[pos])
-        expert = tokens[pos]
+        ids, t_at, expert = s_ids[pos], t_ids[pos], tokens[pos]
 
+        # every kernel call below rests on checks made where its values entered:
+        # _flatten range-checks the expert tokens, cdf_draw's tokens are < V with
+        # q > 0, and each weight rule checks q at its tokens
         if tag == "fkld_dense":
             # sum over v of p_v * (onehot(v) - q) collapses to p - q
-            acc.add_rows(ids, p.probs - q.probs, count=n)
+            acc.add_rows(ids, p_table.probs[t_at] - pred.probs[ids], count=n)
         elif tag in HPD_VARIANTS:
             # sampled ~ q by inverse CDF; the position's update is the mean over its draws
-            qd, expert_d = q.rows(draw), expert[draw]
-            hw = hpd_weights(p.rows(draw), qd, expert_d,
-                             cdf_draw(pred.cdf[ids[draw]], uniforms), variant=tag)
-            accumulate_token_grads(
-                acc, np.repeat(ids, 2 * k),
-                np.stack([expert_d, hw.sampled_token], axis=1).ravel(),
-                np.stack([hw.w_star / k, hw.w_sampled / k], axis=1).ravel(),
-                counts, qd.probs[pair])
+            s_draw = ids[draw]
+            pair = np.stack([expert[draw], cdf_draw(pred.cdf[s_draw], uniforms)], axis=1)
+            s_rows, t_rows = s_draw[:, None], t_at[draw][:, None]
+            _, _, w_star, w_sampled = hpd_point_weights(
+                p_table.probs[t_rows, pair], p_table.logprobs[t_rows, pair],
+                pred.probs[s_rows, pair], pred.logprobs[s_rows, pair], pair, variant=tag)
+            pair_ids = np.repeat(ids, 2 * k)
+            add_token_grads(acc, pair_ids, pair.ravel(),
+                            (np.stack([w_star, w_sampled], axis=1) / k).ravel(), counts,
+                            pred.probs[pair_ids])
         else:
-            if tag in ("sft", "seqkd"):
-                w = unit_weights
-            elif tag == "fkld_token":
-                w = weight_fkld_token(p, expert)
-            elif tag == "rkld_off":
-                w = weight_rkld_off(p, q, expert, sign_fidelity=kind.sign_fidelity)
+            if tag in ("rkld_off", "jsd_off"):
+                p, q = p_table.rows(t_at), pred.rows(ids)
+                if tag == "rkld_off":
+                    w = weight_rkld_off(p, q, expert, sign_fidelity=kind.sign_fidelity)
+                else:
+                    w = weight_jsd_off(p, q, expert, beta=kind.beta,
+                                       sign_fidelity=kind.sign_fidelity)
             else:
-                w = weight_jsd_off(p, q, expert, beta=kind.beta,
-                                   sign_fidelity=kind.sign_fidelity)
-            accumulate_token_grads(acc, ids, expert, w, unit_counts, q.probs)
+                # no weight rule looks at q here, so the loop checks q[expert] > 0 itself
+                check_token_support(pred.probs[ids, expert], ids, expert, student.order, v)
+                w = (unit_weights if tag in ("sft", "seqkd")
+                     else weight_fkld_token(p_table.rows(t_at), expert))
+            add_token_grads(acc, ids, expert, w, unit_counts, pred.probs[ids])
         return ids, None
 
     return _train_loop(cfg, teacher, student, eval_tasks, minibatch)
@@ -359,12 +366,12 @@ def distill_onpolicy_opd(
 ) -> tuple[TabularLM, list[MetricsRow]]:
     """Score-function on-policy distillation with per-token K1 rewards.
 
-    A minibatch's rollouts are one model.walk: each step is one gather of the
-    student's cached CDF rows at every rollout's context, then one inverse-CDF
-    draw. Only the student's context ids are carried along.
-    The teacher cannot steer the rollouts, so its context ids are computed
-    after them, and only the sampled entries of the teacher and student
-    tables are read for the support check and the rewards.
+    A minibatch's rollouts are one model.walk at order max(k, m) of the
+    student's k and the teacher's m: each step is one gather of the student's
+    cached CDF rows at every rollout's context, then one inverse-CDF draw.
+    Both models' context ids are suffix_ids of the walk's ids, so the teacher
+    and the student must pad with one BOS id. Only the sampled entries of the
+    teacher and student tables are read for the support check and the rewards.
     """
     kind = cfg.objective
     if not kind.on_policy:
@@ -379,13 +386,18 @@ def distill_onpolicy_opd(
             raise InvalidInputError(f"prompt token id {tok} is out of range for the "
                                     f"student's vocabulary of {v}")
     p_table = _teacher_table(teacher, v)
-    s_start = prefix_ids(prompts, k, student.vocab)
-    # each prompt's padded teacher context; a rollout's teacher ids are the
-    # context ids of that context followed by its sampled tokens
+    if teacher.vocab.bos_id != student.vocab.bos_id:
+        raise InvalidInputError("teacher and student pad contexts with different BOS ids")
+    # one walk at the larger order carries both models' contexts: the student's
+    # and the teacher's ids are the last k and m tokens of the walk's ids
     m = teacher.order
-    t_start = pad_contexts(prompts, m, teacher.vocab.bos_id)
+    walk_order = max(k, m)
+
+    def suffix(ids, order):
+        return ids if order == walk_order else suffix_ids(ids, order, v)
+
+    start = prefix_ids(prompts, walk_order, student.vocab)
     n, h = cfg.batch_size, cfg.horizon
-    t_offsets = np.tile(np.arange(m + h), n)
     unit_counts = np.ones(n * h, dtype=np.int64)
 
     def minibatch(student, pred, acc, rng):
@@ -393,12 +405,11 @@ def distill_onpolicy_opd(
         # prompt consumes no state, so u is what rollout-by-rollout draws give
         pick = rng.integers(len(prompts), size=n)
         u = rng.random((n, h))
-        s_ids, tokens = walk(s_start[pick], h, k, v,
-                             lambda ids, t: cdf_draw(pred.cdf[ids], u[:, t]))
-        seqs = np.concatenate([t_start[pick], tokens], axis=1).ravel()
-        t_ids = context_ids(seqs, t_offsets, m, teacher.vocab.bos_id, v).reshape(n, m + h)[:, m:]
+        w_ids, tokens = walk(start[pick], h, walk_order, v,
+                             lambda ids, t: cdf_draw(pred.cdf[suffix(ids, k)], u[:, t]))
         # rollout-major from here on: position t of rollout b is entry b * h + t
-        s_ids, t_ids, tokens = s_ids.ravel(), t_ids.ravel(), tokens.ravel()
+        w_ids, tokens = w_ids.ravel(), tokens.ravel()
+        s_ids, t_ids = suffix(w_ids, k), suffix(w_ids, m)
         # the violation raised is the first in rollout order, as a one-rollout sampler meets it
         outside = p_table.probs[t_ids, tokens] <= 0.0
         if outside.any():
@@ -412,8 +423,9 @@ def distill_onpolicy_opd(
         else:
             coeffs = rewards
         baseline = float(np.mean(rewards)) if cfg.opd_baseline else 0.0
-        accumulate_token_grads(acc, s_ids, tokens, coeffs - baseline, unit_counts,
-                               pred.probs[s_ids])
+        # cdf_draw's tokens are < V with q > 0, and the support check above makes
+        # every reward, so every coefficient, finite
+        add_token_grads(acc, s_ids, tokens, coeffs - baseline, unit_counts, pred.probs[s_ids])
         return s_ids, rewards
 
     return _train_loop(cfg, teacher, student, eval_tasks, minibatch)

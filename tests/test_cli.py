@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import distill_lab
-from distill_lab.cli import apply_overrides, config_hash, main, validate_config
+from distill_lab.cli import apply_overrides, build_parser, config_hash, main, validate_config
 from distill_lab.errors import ConfigError
 from distill_lab.data import build_source, source_save
 from distill_lab.model import TabularLM, Vocab, checkpoint_load, checkpoint_save
@@ -337,6 +337,19 @@ class TestCommands:
         )
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ") and "train.steps" in proc.stderr
+
+    def test_parser_is_built_once_and_keeps_no_overrides(self, tmp_path, monkeypatch, capsys):
+        # every main call parses with one parser: one call's --set must not reach the next
+        monkeypatch.chdir(tmp_path)
+        assert build_parser() is build_parser()
+        assert main(["distill", "--set", "seed=1", "--set", "wat=2"]) == 2
+        assert capsys.readouterr().err == "error: unknown config key 'wat'\n"
+        assert main(["distill", "--set", "seed=1"]) == 2
+        assert capsys.readouterr().err == "error: train config needs an 'objective' tag\n"
+        with pytest.raises(SystemExit) as info:
+            main(["distill", "--bogus"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --bogus" in capsys.readouterr().err
 
     def test_missing_config_file_exits_two(self, capsys):
         assert main(["distill", "--config", "/nonexistent/cfg.json"]) == 2

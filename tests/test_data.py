@@ -337,6 +337,16 @@ class TestSourceIO:
         with pytest.raises(ParseError, match=needle):
             source_load(path)
 
+    # the first bad row is named, whichever check a later row fails
+    @pytest.mark.parametrize("edit, needle", [
+        (lambda rows: (rows[2].update(context=[0, 3]), rows[4].update(probs=[0.5, 0.5])),
+         r"context \(0, 3\) has out-of-range"),
+        (lambda rows: (rows[2].update(probs=[0.5]), rows[4].update(context=[0, 3])),
+         r"rows\[2\]: probs must list 3"),
+    ], ids=["range-then-length", "length-then-range"])
+    def test_first_bad_row_is_named(self, tmp_path, edit, needle):
+        self.test_bad_rows_are_parse_errors(tmp_path, edit, needle)
+
 
 @settings(max_examples=20)
 @given(st.floats(0.01, 0.99))

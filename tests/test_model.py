@@ -10,13 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distill_lab import model
-from distill_lab.errors import InvalidInputError, NumericOverflowError, ParseError
+from distill_lab.errors import InvalidInputError, LogOfZeroError, NumericOverflowError, ParseError
 from distill_lab.model import (
     MAX_TABLE_ENTRIES,
     GradAccumulator,
     TabularLM,
     Vocab,
     accumulate_token_grads,
+    add_token_grads,
     checkpoint_load,
     checkpoint_save,
     context_key,
@@ -387,6 +388,47 @@ class TestAccumulateTokenGrad:
             add_token_grad(acc, 0, 0, np.nan, softmax(m.logits((0,))))
 
 
+    def test_rejects_zero_probability_token(self):
+        # the first row with q[token] = 0 is named, with its context
+        acc = GradAccumulator(2, 3)
+        q = np.array([[0.5, 0.5, 0.0], [0.2, 0.0, 0.8], [0.0, 0.5, 0.5]])
+        with pytest.raises(LogOfZeroError, match=re.escape("q[1] = 0 at context (0, 2)")):
+            accumulate_token_grads(acc, [4, 2, 7], [0, 1, 0], [1.0, 0.0, 1.0], [1, 1, 1], q)
+        assert not acc.touched.any() and acc.n_samples == 0
+
+
+# weights of either sign, with exact zeros; q rows positive at their tokens
+@st.composite
+def token_grad_batches(draw):
+    v, order = draw(st.integers(2, 4)), draw(st.integers(1, 2))
+    n = draw(st.integers(1, 12))
+    ids = draw(st.lists(st.integers(0, v ** order - 1), min_size=n, max_size=n))
+    tokens = draw(st.lists(st.integers(0, v - 1), min_size=n, max_size=n))
+    weights = draw(st.lists(st.one_of(st.just(0.0), st.floats(-5, 5, allow_subnormal=False)),
+                            min_size=n, max_size=n))
+    counts = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    z = np.array(draw(st.lists(st.floats(-30, 30), min_size=n * v, max_size=n * v)))
+    q = softmax(z.reshape(n, v)).probs
+    return v, order, ids, tokens, weights, counts, q
+
+
+class TestUncheckedKernel:
+    @settings(max_examples=80, deadline=None)
+    @given(batches=st.lists(token_grad_batches(), min_size=1, max_size=3))
+    def test_kernel_equals_checked_entry_bit_for_bit(self, batches):
+        v, order = batches[0][:2]
+        checked, kernel = GradAccumulator(order, v), GradAccumulator(order, v)
+        for bv, border, ids, tokens, weights, counts, q in batches:
+            if (bv, border) != (v, order) or (q[np.arange(len(ids)), tokens] <= 0.0).any():
+                continue
+            accumulate_token_grads(checked, ids, tokens, weights, counts, q)
+            add_token_grads(kernel, np.array(ids, dtype=np.intp), np.array(tokens),
+                            np.array(weights, dtype=np.float64), np.array(counts), q)
+        assert checked.directions.tobytes() == kernel.directions.tobytes()
+        assert np.array_equal(checked.touched, kernel.touched)
+        assert checked.n_samples == kernel.n_samples
+
+
 class TestSGDStep:
     def test_empty_accumulator_noop(self):
         m = uniform_model(v=2)
@@ -631,6 +673,49 @@ class TestCheckpoint:
             "rows": [{"context": [7], "logits": [0.0, 1.0, 2.0]}]}))
         with pytest.raises(ParseError, match=r"context \(7,\) has out-of-range"):
             checkpoint_load(path)
+
+    def _write(self, path, rows):
+        path.write_text(json.dumps({
+            "format_version": 1, "order": 2, "vocab": {"names": ["a", "b", "c"], "bos_id": 0},
+            "rows": rows}))
+
+    @pytest.mark.parametrize("bad, needle", [
+        # row 1's token id is out of range, and a later row is malformed too
+        ({1: {"context": [0, 5], "logits": [0.0, 1.0, 2.0]},
+          3: {"context": [0, 1], "logits": [0.0, 1.0]}},
+         r"malformed checkpoint: context \(0, 5\) has out-of-range"),
+        ({1: {"context": [0, 1], "logits": [0.0, np.inf, 2.0]},
+          3: {"context": [3, 1], "logits": [0.0, 1.0, 2.0]}},
+         r"rows\[1\]: bad logit row"),
+        ({2: {"context": [1], "logits": [0.0, 1.0, 2.0]},
+          3: {"context": [-1, 1], "logits": [0.0, 1.0, 2.0]}},
+         r"rows\[2\]: context length != order"),
+        ({2: {"context": [2, 1], "logit": [0.0, 1.0, 2.0]},
+          0: {"context": [1, 9], "logits": [0.0, 1.0, 2.0]}},
+         r"context \(1, 9\) has out-of-range"),
+        ({2: {"context": ["x", 1], "logits": [0.0, 1.0, 2.0]}},
+         r"malformed checkpoint: invalid literal"),
+    ])
+    def test_first_bad_row_is_named(self, tmp_path, bad, needle):
+        rows = [{"context": [i % 3, 2], "logits": [float(i), 0.0, 1.0]} for i in range(5)]
+        for i, row in bad.items():
+            rows[i] = row
+        path = tmp_path / "m.json"
+        self._write(path, rows)
+        with pytest.raises(ParseError, match=needle):
+            checkpoint_load(path)
+
+    def test_a_context_listed_twice_keeps_its_last_row(self, tmp_path):
+        rows = [{"context": [1, 2], "logits": [1.0, 0.0, 0.0]},
+                {"context": [0, 0], "logits": [2.0, 0.0, 0.0]},
+                {"context": [1, 2], "logits": [3.0, 0.0, 0.0]},
+                {"context": [1, 2], "logits": [4.0, 0.0, 0.0]},
+                {"context": [0, 0], "logits": [5.0, 0.0, 0.0]}]
+        path = tmp_path / "m.json"
+        self._write(path, rows)
+        m = checkpoint_load(path)
+        assert m.logits((1, 2))[0] == 4.0 and m.logits((0, 0))[0] == 5.0
+        assert np.flatnonzero(m.touched).tolist() == [0, 5]
 
     def test_bad_version_rejected(self, tmp_path):
         path = tmp_path / "m.json"

@@ -1,6 +1,8 @@
 """Oracle and property tests for exact categorical-distribution math."""
 
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -141,6 +143,13 @@ class TestSoftmax:
         with pytest.raises(InvalidInputError):
             softmax([np.inf, 0.0])
 
+    def test_logits_spanning_more_than_the_float_range(self):
+        # z - max overflows to -inf for the last entry, whose probability is 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = softmax([0.0, sys.float_info.max, -9.97920155e+291])
+        assert d.probs.tolist() == [0.0, 1.0, 0.0]
+
     @given(st.lists(st.floats(-30, 30), min_size=2, max_size=8))
     def test_sums_to_one_and_shift_invariant(self, z):
         d = softmax(z)
@@ -158,7 +167,8 @@ def finite_logits(draw):
     """A finite 1-d or 2-d logit array; every row holds a 0.0, and its other
     entries may be LOGIT_FLOOR (exp underflows to 0) or land near ZERO_TOL."""
     n_rows, v = draw(st.integers(0, 4)), draw(st.integers(1, 7))
-    # |z - max| stays below the float range: a wider spread overflows in softmax too
+    # |z - max| stays below the float range: a wider spread overflows in the
+    # unchecked kernel, which serves only the program's own logits
     cell = st.one_of(st.floats(-60, 60), st.floats(-60, 0), st.just(LOGIT_FLOOR), NEAR_TOL,
                      st.floats(-1e300, 1e300))
     rows = [[0.0] + draw(st.lists(cell, min_size=v - 1, max_size=v - 1))
@@ -247,6 +257,22 @@ class TestInverseCdf:
                 assert np.array_equal(table.logprobs[i], alone.logprobs)
                 assert np.array_equal(cdf[i], cdf_rows(alone.probs))
                 assert cdf_draw(cdf[i], u[i]) == cdf_draw(cdf_rows(alone.probs), u[i])
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), lead=st.integers(0, 3), trail=st.integers(0, 3),
+           inner=st.lists(st.one_of(st.just(0.0), st.floats(1e-300, 1e3)), min_size=1,
+                          max_size=8))
+    def test_draws_a_positive_entry_below_v(self, data, lead, trail, inner):
+        # the training loops skip the range and q > 0 checks for these tokens
+        inner[data.draw(st.integers(0, len(inner) - 1))] = data.draw(st.floats(1e-300, 1e3))
+        p = np.array([0.0] * lead + inner + [0.0] * trail)
+        cdf = cdf_rows(p)
+        # uniforms in [0, 1), the largest below 1 and the CDF's own entries among them
+        u = data.draw(st.lists(st.one_of(
+            st.floats(0.0, 1.0, exclude_max=True), st.just(np.nextafter(1.0, 0.0)),
+            st.sampled_from(cdf[cdf < 1.0].tolist() or [0.0])), min_size=1, max_size=6))
+        tokens = cdf_draw(np.tile(cdf, (len(u), 1)), u)
+        assert (tokens < p.size).all() and (p[tokens] > 0.0).all()
 
     def test_never_draws_a_zero_probability_entry(self):
         p = np.array([0.0, 0.4, 0.0, 0.6, 0.0])

@@ -10,8 +10,10 @@ from distill_lab.errors import ConfigError, InvalidParameterError, LogOfZeroErro
 from distill_lab.model import GradAccumulator, TabularLM, Vocab, sgd_step
 from distill_lab.numerics import CategoricalDist, kl_exact, softmax
 from distill_lab.objectives import (
+    HPD_VARIANTS,
     ObjectiveKind,
     hpd_k1,
+    hpd_point_weights,
     hpd_weights,
     weight_fkld_token,
     weight_jsd_off,
@@ -235,6 +237,33 @@ class TestHPDWeights:
                 assert hw.w_sampled == 0.0
             else:
                 assert hw.w_sampled == hw.k1_prime
+
+
+class TestHpdDraws:
+    """The off-policy loop applies the HPD rule to k draws per position at once."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 5), k=st.integers(1, 4),
+           v=st.integers(2, 5))
+    def test_several_draws_per_position_equal_per_draw_calls(self, seed, n, k, v):
+        rng = np.random.default_rng(seed)
+        p = softmax(rng.normal(scale=2.0, size=(n, v)))
+        q = softmax(rng.normal(scale=2.0, size=(n, v)))
+        expert, sampled = rng.integers(v, size=n), rng.integers(v, size=n * k)
+        draw = np.repeat(np.arange(n), k)
+        # the loop's layout: one (expert, sampled) pair per draw, gathered from the tables
+        pair, rows = np.stack([expert[draw], sampled], axis=1), draw[:, None]
+        for variant in HPD_VARIANTS:
+            hw = hpd_weights(p.rows(draw), q.rows(draw), expert[draw], sampled, variant)
+            batch = np.array([hw.k1, hw.k1_prime, hw.w_star, hw.w_sampled])
+            point = np.array(hpd_point_weights(
+                p.probs[rows, pair], p.logprobs[rows, pair], q.probs[rows, pair],
+                q.logprobs[rows, pair], pair, variant))
+            one = [hpd_weights(p.rows(b), q.rows(b), int(expert[b]), int(sampled[j]), variant)
+                   for j, b in enumerate(draw)]
+            alone = np.array([[w.k1, w.k1_prime, w.w_star, w.w_sampled] for w in one]).T
+            assert batch.tobytes() == alone.tobytes() and point.tobytes() == alone.tobytes()
+            assert hw.sampled_token.tolist() == [w.sampled_token for w in one]
 
 
 class TestOPDRewards:

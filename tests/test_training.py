@@ -396,6 +396,29 @@ class TestOffpolicyKernel:
         assert errors[0] == errors[1]
 
 
+    # the student's q[0] after token 3 underflows to 0, and the corpus holds
+    # "3 then 0" once, so a later minibatch meets it; sft, seqkd and fkld_token
+    # have no weight rule that reads q, so the loop checks q[expert] itself
+    @pytest.mark.parametrize("tag", ["sft", "seqkd", "fkld_token", "rkld_off", "jsd_off",
+                                     "hpd"])
+    def test_zero_student_probability_at_an_expert_token(self, tag, monkeypatch):
+        teacher, corpus = _variable_length_corpus()
+        student = TabularLM(order=1, vocab=Vocab.default(6))
+        student.set_row((3,), [training.LOGIT_FLOOR, 0.0, 0.0, 0.0, 0.0, 0.0])
+        steps = []
+        sgd_step = training.sgd_step
+        monkeypatch.setattr(training, "sgd_step", lambda *a: steps.append(1) or sgd_step(*a))
+        errors = []
+        for run in (distill_offpolicy, reference_offpolicy):
+            steps.clear()
+            with pytest.raises(LogOfZeroError) as info:
+                run(small_cfg(tag, steps=200), teacher, corpus, student)
+            errors.append((str(info.value), len(steps)))
+        assert errors[0] == errors[1] and errors[0][1] > 0
+        context = " at context (3,)" if tag in ("sft", "seqkd", "fkld_token") else ""
+        assert errors[0][0] == "q[0] = 0" + context
+
+
 class TestDistillOnpolicyOPD:
     def test_rejects_off_policy_objective(self):
         src = build_source({"name": "uniform", "vocab_size": 2})
@@ -480,7 +503,9 @@ OPD_CASES = (
        ("rkld_on", 3, {"teacher_order": 1, "opd_baseline": True}),
        ("opd_k1", 1, {"teacher_order": 3, "prompts": [[], [0], [3, 1, 4, 2, 0]],
                       "opd_reward_mode": "trajectory"}),
-       ("rkld_on", 2, {"teacher_order": 3, "prompts": [[1, 2, 3, 4]]})]
+       ("rkld_on", 2, {"teacher_order": 3, "prompts": [[1, 2, 3, 4]]}),
+       ("opd_k1", 1, {"teacher_order": 1, "prompts": [[], [3, 2]]}),
+       ("opd_k1", 3, {"teacher_order": 3, "opd_reward_mode": "trajectory"})]
 )
 
 
@@ -532,6 +557,15 @@ class TestOpdLockstep:
         student = TabularLM(order=2, vocab=Vocab.default(student_v))
         with pytest.raises(InvalidInputError, match=f"teacher vocabulary size 5 != "
                                                     f"student vocabulary size {student_v}"):
+            distill_onpolicy_opd(small_cfg("opd_k1", horizon=3), teacher, student)
+
+    def test_bos_mismatch_rejected_before_any_step(self, monkeypatch):
+        # one walk carries both models' contexts, so both must pad with one BOS id
+        teacher = ModelTeacher(TabularLM(order=2, vocab=Vocab(("a", "b", "c"), bos_id=1)))
+        student = TabularLM(order=1, vocab=Vocab.default(3))
+        monkeypatch.setattr(training, "walk", None)
+        with pytest.raises(InvalidInputError,
+                           match="teacher and student pad contexts with different BOS ids"):
             distill_onpolicy_opd(small_cfg("opd_k1", horizon=3), teacher, student)
 
     def test_out_of_range_prompt_token(self):
