@@ -19,8 +19,8 @@ from .model import (
 from .objectives import (
     HPDWeights,
     ObjectiveKind,
-    hpd_k1,
     hpd_weights,
+    token_weights,
     weight_fkld_token,
     weight_jsd_off,
     weight_rkld_off,

@@ -98,7 +98,7 @@ def validate_config(cfg: dict) -> None:
                 raise ConfigError(f"unknown keys in {key!r}: {sorted(extra)}")
     if "seed" not in cfg:
         raise ConfigError("config must set 'seed'")
-    if not isinstance(cfg["seed"], int):
+    if not isinstance(cfg["seed"], int) or isinstance(cfg["seed"], bool):
         raise ConfigError("'seed' must be an integer")
     if "stages" in cfg:
         if not isinstance(cfg["stages"], list) or not cfg["stages"]:

@@ -43,10 +43,15 @@ def boolean(value) -> bool:
 def config_field(node: dict, path: str, cast, default):
     """The value under path's last key in node (default when absent), as cast.
 
-    A value cast rejects is a ConfigError naming the dotted path.
+    A value cast rejects is a ConfigError naming the dotted path, and so is a
+    boolean for a number or a fraction for an int (5.0 reads as 5).
     """
     value = node.get(path.rpartition(".")[2], default)
     try:
+        if cast in (int, float) and isinstance(value, bool):
+            raise TypeError(value)
+        if cast is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError(value)
         return cast(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{path}: expected {cast.__name__}, got {value!r}") from None

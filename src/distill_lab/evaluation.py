@@ -58,6 +58,17 @@ def gradcheck(model: TabularLM, weighted_tokens, eps: float = 1e-5) -> float:
     return float(err.max(initial=0.0))
 
 
+def check_pair(teacher, student: TabularLM) -> None:
+    """InvalidInputError unless teacher and student share a vocabulary size and a BOS id,
+    as every reader of one context id in both models' tables needs."""
+    v = student.vocab.size
+    if teacher.vocab.size != v:
+        raise InvalidInputError(f"teacher vocabulary size {teacher.vocab.size} != "
+                                f"student vocabulary size {v}")
+    if teacher.vocab.bos_id != student.vocab.bos_id:
+        raise InvalidInputError("teacher and student pad contexts with different BOS ids")
+
+
 def context_occupancy(student: TabularLM, teacher, eval_len: int,
                       eval_from: str) -> np.ndarray:
     """The mean over positions t = 0 .. eval_len - 1 of the distribution of position
@@ -71,12 +82,8 @@ def context_occupancy(student: TabularLM, teacher, eval_len: int,
     """
     if eval_len < 1:
         raise InvalidInputError(f"eval_len must be >= 1, got {eval_len}")
+    check_pair(teacher, student)
     v = student.vocab.size
-    if teacher.vocab.size != v:
-        raise InvalidInputError(f"teacher vocabulary size {teacher.vocab.size} != "
-                                f"student vocabulary size {v}")
-    if teacher.vocab.bos_id != student.vocab.bos_id:
-        raise InvalidInputError("teacher and student pad contexts with different BOS ids")
     m = max(teacher.order, student.order)
     n = v ** m
     if eval_from == "teacher":

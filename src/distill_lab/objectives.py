@@ -6,16 +6,18 @@ descends the corresponding divergence. The textual estimator signs of the
 baseline write-up (q*(ln q - ln p) and the JSD analog) carry the opposite
 orientation; sign_fidelity=True reproduces them verbatim for comparison.
 
-Every rule is elementwise in the token-level quantities: it takes one
-distribution pair and token ids, giving floats, or a batch (CategoricalDist
-rows) and one token id per row, giving arrays. sft's unit weight and
-fkld_dense's full-vocabulary weights p_v need no rule: the off-policy
-training loop applies them directly (the latter's direction is p - q).
-hpd_point_weights is hpd_weights' rule on entries already gathered at each
-draw's (expert, sampled) pair, which is how the off-policy loop calls it.
-Neither does the on-policy reward ln p[a] - ln q[a]: the OPD kernel reads it
-from the sampled entries of its tables, and tests/oracles.py's reference_opd is
-its oracle.
+token_weights is the one place the weights live: a rule over p*, ln p*, q*
+and ln q*, the teacher's and the student's entries at the token, for any
+leading shape. At the expert (off-policy) or sampled (on-policy) token:
+  sft, seqkd             1
+  fkld_token, fkld_dense p*   (fkld_dense weighs every token v by p_v)
+  rkld_off               k1 = q* (ln p* - ln q*)
+  jsd_off                (1 - beta) q* (ln M* - ln q*), M* = beta p* + (1 - beta) q*
+  hpd variants           from p*, k1 and k1', k1 at the token sampled from q
+  rkld_on, opd_k1        the reward ln p* - ln q*
+Both training loops call it; weight_fkld_token, weight_rkld_off,
+weight_jsd_off and hpd_weights apply it to one distribution pair (giving
+floats) or a batch of CategoricalDist rows (giving arrays).
 """
 
 from __future__ import annotations
@@ -61,61 +63,107 @@ class ObjectiveKind:
         return self.tag in ON_POLICY_TAGS
 
 
-def _at(values: np.ndarray, token):
-    """values at token: a scalar for one distribution, row j at token[j] for a batch."""
-    if values.ndim == 1:
-        return values[token]
-    return values[np.arange(values.shape[0]), token]
+def token_weights(kind: ObjectiveKind, p, lp, q, lq, tokens):
+    """kind's weight on every token, elementwise in p, ln p, q and ln q gathered at them.
+
+    The four arrays have tokens' shape, whatever it is: a minibatch, or every
+    (context, token) pair of whole tables; so do the weights. HPD pairs the
+    expert tokens[..., 0] with the q-sampled tokens[..., 1] and gives
+    (w_star, w_sampled). On-policy, the caller checks the teacher's support.
+    A rule that takes a log raises LogOfZeroError at the first token, in C
+    order, where its argument is 0, trying its checks there in order.
+    """
+    tag = kind.tag
+    if tag in ("sft", "seqkd"):
+        return np.ones(np.shape(tokens))
+    if tag in ("fkld_token", "fkld_dense"):
+        # fkld_dense puts p_v on every token v; the training loop sums them to p - q
+        return p
+    if kind.on_policy:
+        return lp - lq
+    if tag == "jsd_off":
+        m = kind.beta * p + (1.0 - kind.beta) * q
+        _check_positive(tokens, (m, "midpoint mixture is 0 at token {}"), (q, "q[{}] = 0"))
+        w = (1.0 - kind.beta) * q * (np.log(m) - lq)
+        return -w if kind.sign_fidelity else w
+    _check_positive(tokens, (p, "p[{}] = 0"), (q, "q[{}] = 0"))
+    # the negative reverse k1 gap; positive iff q underestimates p
+    k1 = q * (lp - lq)
+    if tag == "rkld_off":
+        return -k1 if kind.sign_fidelity else k1
+    return _hpd(tag, p, k1, tokens)
+
+
+def _hpd(variant: str, p, k1, tokens):
+    """HPD's (w_star, w_sampled) from p and rkld_off's k1 at (expert, sampled) pairs.
+
+    The forward weight p* + k1 is masked to k1 when k1 < 0 (k1 <= 0 for
+    "hpd_no_sample", which ignores the sampled token), and doubled to 2p* + k1
+    when k1 > 0 and the sampled token, not the expert, is suppressed (k1' < 0);
+    the suppressed token takes weight k1'. "hpd_no_reinforce" drops the doubling.
+    """
+    k1_star, k1_sampled, p_star = k1[..., 0], k1[..., 1], p[..., 0]
+    suppressed = ((tokens[..., 1] != tokens[..., 0]) & (k1_sampled < 0.0)
+                  & (variant != "hpd_no_sample"))
+    masked = k1_star <= 0.0 if variant == "hpd_no_sample" else k1_star < 0.0
+    w = np.empty_like(k1)
+    w[..., 0] = np.where(suppressed & (k1_star > 0.0) & (variant == "hpd"),
+                         2.0 * p_star + k1_star, np.where(masked, k1_star, p_star + k1_star))
+    w[..., 1] = np.where(suppressed, k1_sampled, 0.0)
+    return w
+
+
+def _check_positive(tokens, *checks) -> None:
+    """LogOfZeroError at the first token, in C order, where a check's value is <= 0.
+
+    Each check is (values, message template), values in tokens' shape, tried at
+    one token in the given order; when all are positive, one min each decides.
+    """
+    if all(values.min() > 0.0 for values, _ in checks):
+        return
+    zero = np.stack([values <= 0.0 for values, _ in checks], axis=-1).ravel()
+    if zero.any():
+        i = int(np.argmax(zero))
+        message = checks[i % len(checks)][1]
+        raise LogOfZeroError(message.format(np.ravel(tokens)[i // len(checks)]))
+
+
+def _gather(p: CategoricalDist, q: CategoricalDist, *columns):
+    """(tokens, (p, ln p, q, ln q) at tokens) for one distribution pair or a batch.
+
+    tokens stacks the columns on a last axis, each broadcast to the batch's
+    rows, so one token id serves every row; row j is read at tokens[j].
+    """
+    rows = p.probs.shape[:-1]
+    tokens = np.empty(np.broadcast(np.empty(rows), *columns).shape + (len(columns),),
+                      dtype=np.result_type(*columns))
+    for j, column in enumerate(columns):
+        tokens[..., j] = column
+    index = (np.arange(rows[0])[:, None], tokens) if rows else tokens
+    return tokens, [a[index] for a in (p.probs, p.logprobs, q.probs, q.logprobs)]
 
 
 def _scalar(x):
-    """A Python float for one distribution's weight; a batch's array as is."""
-    return float(x) if np.ndim(x) == 0 else x
+    """A Python number for one distribution's value; a batch's array as is."""
+    return x.item() if np.ndim(x) == 0 else x
 
 
-def _check_positive(*checks) -> None:
-    """LogOfZeroError at the first row, in row order, where a check's value is <= 0.
-
-    Each check is (values, token, message template); within a row they are
-    tried in the given order, as a rule applied to that row alone tries them.
-    When every value is positive, one min over them all decides.
-    """
-    if np.concatenate([np.ravel(values) for values, _, _ in checks]).min() > 0.0:
-        return
-    zero = np.array([np.ravel(values <= 0.0) for values, _, _ in checks])
-    hit = zero.any(axis=0)
-    if hit.any():
-        row = int(np.argmax(hit))
-        _, token, message = checks[int(np.argmax(zero[:, row]))]
-        raise LogOfZeroError(message.format(np.ravel(token)[row]))
-
-
-def _support(d: CategoricalDist, token, name: str):
-    """The check that d puts mass on token, for _check_positive."""
-    return _at(d.probs, token), token, name + "[{}] = 0"
-
-
-def _k1(p: CategoricalDist, q: CategoricalDist, token):
-    return _at(q.probs, token) * (_at(p.logprobs, token) - _at(q.logprobs, token))
+def _weight(kind: ObjectiveKind, p: CategoricalDist, q: CategoricalDist, expert):
+    """token_weights' weight on expert: a float for one distribution, an array for a batch."""
+    tokens, values = _gather(p, q, expert)
+    return _scalar(token_weights(kind, *values, tokens)[..., 0])
 
 
 def weight_fkld_token(p: CategoricalDist, expert):
     """Teacher probability of the expert token."""
-    return _scalar(_at(p.probs, expert))
-
-
-def hpd_k1(p: CategoricalDist, q: CategoricalDist, token):
-    """Negative reverse k1 gap q * (ln p - ln q); positive iff q underestimates."""
-    _check_positive(_support(p, token, "p"), _support(q, token, "q"))
-    return _scalar(_k1(p, q, token))
+    return _weight(ObjectiveKind("fkld_token"), p, p, expert)  # the rule reads p alone
 
 
 def weight_rkld_off(
     p: CategoricalDist, q: CategoricalDist, expert, sign_fidelity: bool = False
 ):
-    """Off-policy reverse-KL weight at the expert token."""
-    w = hpd_k1(p, q, expert)
-    return -w if sign_fidelity else w
+    """Off-policy reverse-KL weight at the expert token: the gap q * (ln p - ln q)."""
+    return _weight(ObjectiveKind("rkld_off", sign_fidelity=sign_fidelity), p, q, expert)
 
 
 def weight_jsd_off(
@@ -126,14 +174,8 @@ def weight_jsd_off(
     sign_fidelity: bool = False,
 ):
     """Off-policy generalized-JSD weight at the expert token."""
-    if not (0.0 < beta < 1.0):
-        raise InvalidParameterError(f"beta must lie in (0, 1), got {beta!r}")
-    q_star = _at(q.probs, expert)
-    m = beta * _at(p.probs, expert) + (1.0 - beta) * q_star
-    _check_positive((m, expert, "midpoint mixture is 0 at token {}"),
-                    _support(q, expert, "q"))
-    w = _scalar((1.0 - beta) * q_star * (np.log(m) - _at(q.logprobs, expert)))
-    return -w if sign_fidelity else w
+    return _weight(ObjectiveKind("jsd_off", beta=beta, sign_fidelity=sign_fidelity),
+                   p, q, expert)
 
 
 @dataclass(frozen=True)
@@ -154,46 +196,13 @@ def hpd_weights(
     sampled,
     variant: str = "hpd",
 ) -> HPDWeights:
-    """Expert and sampled-token weights per the masking/reinforcement rules.
-
-    variant "hpd": full rule (doubled forward-KL weight when k1 > 0 and the
-    sampled token is simultaneously suppressed); "hpd_no_reinforce" drops
-    the doubling; "hpd_no_sample" ignores the sampled token entirely. The
-    (expert, sampled) entries of p and q are gathered through one point
-    index and handed to hpd_point_weights, which holds the rule.
-    """
-    tokens = np.stack(np.broadcast_arrays(expert, sampled), axis=-1)
-    index = tokens if p.probs.ndim == 1 else (np.arange(p.probs.shape[0])[:, None], tokens)
-    k1, k1p, w_star, w_sampled = hpd_point_weights(
-        p.probs[index], p.logprobs[index], q.probs[index], q.logprobs[index], tokens, variant)
-    return HPDWeights(k1=_scalar(k1), k1_prime=_scalar(k1p), w_star=_scalar(w_star),
-                      sampled_token=int(sampled) if np.ndim(sampled) == 0 else sampled,
-                      w_sampled=_scalar(w_sampled))
-
-
-def hpd_point_weights(p, lp, q, lq, tokens, variant: str = "hpd"):
-    """(k1, k1', w_star, w_sampled) of hpd_weights' rule, from point-gathered entries.
-
-    tokens is an (..., 2) array of (expert, sampled) pairs; p, lp, q and lq
-    hold the teacher's and the student's probabilities and log-probabilities
-    at those tokens, in the same shape. One min over p and q decides that
-    every entry is positive; otherwise the LogOfZeroError names the first
-    pair, tried p then q at the expert, then p then q at the sampled token.
-    """
+    """variant's expert and sampled-token weights (see _hpd), with k1 and k1':
+    rkld_off's weights at the expert and the sampled token."""
     if variant not in HPD_VARIANTS:
         raise ConfigError(f"unknown hpd variant {variant!r}")
-    expert, sampled = tokens[..., 0], tokens[..., 1]
-    if not min(p.min(), q.min()) > 0.0:
-        _check_positive((p[..., 0], expert, "p[{}] = 0"), (q[..., 0], expert, "q[{}] = 0"),
-                        (p[..., 1], sampled, "p[{}] = 0"), (q[..., 1], sampled, "q[{}] = 0"))
-    k = q * (lp - lq)
-    k1, k1p, p_star = k[..., 0], k[..., 1], p[..., 0]
-
-    if variant == "hpd_no_sample":
-        w_sampled = np.zeros(np.shape(k1))
-        w_star = np.where(k1 > 0.0, p_star + k1, k1)
-    else:
-        w_sampled = np.where((sampled != expert) & (k1p < 0.0), k1p, 0.0)
-        reinforce = (k1 > 0.0) & (k1p < 0.0) & (variant == "hpd")
-        w_star = np.where(reinforce, 2.0 * p_star + k1, np.where(k1 < 0.0, k1, p_star + k1))
-    return k1, k1p, w_star, w_sampled
+    tokens, values = _gather(p, q, expert, sampled)
+    k1 = token_weights(ObjectiveKind("rkld_off"), *values, tokens)
+    w = _hpd(variant, values[0], k1, tokens)
+    return HPDWeights(k1=_scalar(k1[..., 0]), k1_prime=_scalar(k1[..., 1]),
+                      w_star=_scalar(w[..., 0]), sampled_token=_scalar(tokens[..., 1]),
+                      w_sampled=_scalar(w[..., 1]))

@@ -18,7 +18,8 @@ import numpy as np
 
 from .data import Corpus, MarkovSource
 from .errors import ConfigError, DivergenceInfiniteError, InvalidInputError, PipelineError
-from .evaluation import completion_accuracy, context_occupancy, occupancy_divergences
+from .evaluation import (check_pair, completion_accuracy, context_occupancy,
+                         occupancy_divergences)
 from .model import (
     GradAccumulator,
     TabularLM,
@@ -33,14 +34,7 @@ from .model import (
     walk,
 )
 from .numerics import CategoricalDist, cdf_draw, cdf_rows, entropy, softmax, softmax_rows
-from .objectives import (
-    HPD_VARIANTS,
-    ObjectiveKind,
-    hpd_point_weights,
-    weight_fkld_token,
-    weight_jsd_off,
-    weight_rkld_off,
-)
+from .objectives import HPD_VARIANTS, ObjectiveKind, token_weights
 
 METRICS_HEADER = (
     "step,objective,seed,train_entropy,kl_fwd,kl_rev,accuracy,mean_reward,wallclock_ms"
@@ -282,11 +276,13 @@ def distill_offpolicy(
 ) -> tuple[TabularLM, list[MetricsRow]]:
     """Minibatch reweighted-likelihood distillation on a fixed corpus.
 
-    The corpus's context ids are computed once per call; each minibatch is one
-    gather of teacher rows and of the student's cached predictive rows, one
-    weight-rule call and one ordered accumulate through the unchecked kernel
-    model.add_token_grads. HPD samples its tokens from the cached CDF rows and
-    reads p and q at each draw's (expert, sampled) pair by one point gather.
+    The corpus's context ids are computed once per call. A minibatch lays its
+    tokens out as an (n * k, cols) array: row b * k + i is draw i of position
+    b, column 0 the expert token and, for HPD, column 1 a token sampled from
+    the cached CDF rows (k = hpd_samples and cols = 2 for HPD, else 1 and 1).
+    Then come one point gather of p, ln p, q and ln q at those tokens, one
+    token_weights call and one ordered accumulate through the unchecked kernel
+    model.add_token_grads. fkld_dense adds its summed direction p - q instead.
     """
     kind = cfg.objective
     if kind.on_policy:
@@ -299,17 +295,18 @@ def distill_offpolicy(
     tokens, offsets, lengths, starts = _flatten(corpus, v)
     if not lengths.all():
         raise InvalidInputError(f"corpus sequence {int(np.argmin(lengths))} is empty")
-    p_table = _teacher_table(teacher, v)
+    check_pair(teacher, student)
+    p_table = teacher.dists()
     s_ids = context_ids(tokens, offsets, student.order, student.vocab.bos_id, v)
     t_ids = context_ids(tokens, offsets, teacher.order, teacher.vocab.bos_id, v)
     n_seqs, n = len(lengths), cfg.batch_size
     tag = kind.tag
-    k = cfg.hpd_samples if tag in HPD_VARIANTS else 0
-    unit_weights, unit_counts = np.ones(n), np.ones(n, dtype=np.int64)
-    # draw i of position b is row b * k + i of an HPD batch; each draw updates
-    # the expert token, then the sampled one, and the position counts once
+    hpd = tag in HPD_VARIANTS
+    k, cols = (cfg.hpd_samples, 2) if hpd else (1, 1)
+    # each draw updates the expert token, then the sampled one, and the position
+    # counts once, at its first draw's expert token
     draw = np.repeat(np.arange(n), k)
-    counts = np.zeros((n, k, 2), dtype=np.int64)
+    counts = np.zeros((n, k, cols), dtype=np.int64)
     counts[:, :1, 0] = 1
     counts = counts.ravel()
 
@@ -317,41 +314,28 @@ def distill_offpolicy(
         # one array draw per quantity: the sequences, their offsets, the HPD uniforms
         si = rng.integers(n_seqs, size=n)
         pos = starts[si] + rng.integers(0, lengths[si])
-        uniforms = rng.random(n * k)
-        ids, t_at, expert = s_ids[pos], t_ids[pos], tokens[pos]
-
-        # every kernel call below rests on checks made where its values entered:
-        # _flatten range-checks the expert tokens, cdf_draw's tokens are < V with
-        # q > 0, and each weight rule checks q at its tokens
+        uniforms = rng.random(n * k) if hpd else None
+        ids, t_at = s_ids[pos], t_ids[pos]
         if tag == "fkld_dense":
             # sum over v of p_v * (onehot(v) - q) collapses to p - q
             acc.add_rows(ids, p_table.probs[t_at] - pred.probs[ids], count=n)
-        elif tag in HPD_VARIANTS:
-            # sampled ~ q by inverse CDF; the position's update is the mean over its draws
-            s_draw = ids[draw]
-            pair = np.stack([expert[draw], cdf_draw(pred.cdf[s_draw], uniforms)], axis=1)
-            s_rows, t_rows = s_draw[:, None], t_at[draw][:, None]
-            _, _, w_star, w_sampled = hpd_point_weights(
-                p_table.probs[t_rows, pair], p_table.logprobs[t_rows, pair],
-                pred.probs[s_rows, pair], pred.logprobs[s_rows, pair], pair, variant=tag)
-            pair_ids = np.repeat(ids, 2 * k)
-            add_token_grads(acc, pair_ids, pair.ravel(),
-                            (np.stack([w_star, w_sampled], axis=1) / k).ravel(), counts,
-                            pred.probs[pair_ids])
-        else:
-            if tag in ("rkld_off", "jsd_off"):
-                p, q = p_table.rows(t_at), pred.rows(ids)
-                if tag == "rkld_off":
-                    w = weight_rkld_off(p, q, expert, sign_fidelity=kind.sign_fidelity)
-                else:
-                    w = weight_jsd_off(p, q, expert, beta=kind.beta,
-                                       sign_fidelity=kind.sign_fidelity)
-            else:
-                # no weight rule looks at q here, so the loop checks q[expert] > 0 itself
-                check_token_support(pred.probs[ids, expert], ids, expert, student.order, v)
-                w = (unit_weights if tag in ("sft", "seqkd")
-                     else weight_fkld_token(p_table.rows(t_at), expert))
-            add_token_grads(acc, ids, expert, w, unit_counts, pred.probs[ids])
+            return ids, None
+
+        s_rows, t_rows = ids[draw][:, None], t_at[draw][:, None]
+        tok = tokens[pos][draw][:, None]
+        if hpd:
+            tok = np.hstack([tok, cdf_draw(pred.cdf[s_rows[:, 0]], uniforms)[:, None]])
+        q = pred.probs[s_rows, tok]
+        if tag in ("sft", "seqkd", "fkld_token"):
+            # no rule of these reads q, so the loop checks q[expert] > 0 itself
+            check_token_support(q[:, 0], ids, tok[:, 0], student.order, v)
+        w = token_weights(kind, p_table.probs[t_rows, tok], p_table.logprobs[t_rows, tok],
+                          q, pred.logprobs[s_rows, tok], tok)
+        # the kernel rests on checks made where its values entered: _flatten
+        # range-checks the expert tokens, cdf_draw's tokens are < V with q > 0,
+        # and every rule that takes a log checks q at its tokens
+        flat = np.repeat(ids, k * cols)
+        add_token_grads(acc, flat, tok.ravel(), (w / k).ravel(), counts, pred.probs[flat])
         return ids, None
 
     return _train_loop(cfg, teacher, student, eval_tasks, minibatch)
@@ -371,7 +355,8 @@ def distill_onpolicy_opd(
     cached CDF rows at every rollout's context, then one inverse-CDF draw.
     Both models' context ids are suffix_ids of the walk's ids, so the teacher
     and the student must pad with one BOS id. Only the sampled entries of the
-    teacher and student tables are read for the support check and the rewards.
+    teacher and student tables are read: for the support check, and for the
+    rewards, token_weights' on-policy rule ln p - ln q.
     """
     kind = cfg.objective
     if not kind.on_policy:
@@ -385,9 +370,8 @@ def distill_onpolicy_opd(
         if not 0 <= tok < v:
             raise InvalidInputError(f"prompt token id {tok} is out of range for the "
                                     f"student's vocabulary of {v}")
-    p_table = _teacher_table(teacher, v)
-    if teacher.vocab.bos_id != student.vocab.bos_id:
-        raise InvalidInputError("teacher and student pad contexts with different BOS ids")
+    check_pair(teacher, student)
+    p_table = teacher.dists()
     # one walk at the larger order carries both models' contexts: the student's
     # and the teacher's ids are the last k and m tokens of the walk's ids
     m = teacher.order
@@ -411,12 +395,14 @@ def distill_onpolicy_opd(
         w_ids, tokens = w_ids.ravel(), tokens.ravel()
         s_ids, t_ids = suffix(w_ids, k), suffix(w_ids, m)
         # the violation raised is the first in rollout order, as a one-rollout sampler meets it
-        outside = p_table.probs[t_ids, tokens] <= 0.0
+        p = p_table.probs[t_ids, tokens]
+        outside = p <= 0.0
         if outside.any():
             j = int(np.argmax(outside))
             raise DivergenceInfiniteError(f"student sampled token {tokens[j]} outside teacher "
                                           f"support at {context_key(s_ids[j], k, v)}")
-        rewards = p_table.logprobs[t_ids, tokens] - pred.logprobs[s_ids, tokens]
+        rewards = token_weights(kind, p, p_table.logprobs[t_ids, tokens],
+                                pred.probs[s_ids, tokens], pred.logprobs[s_ids, tokens], tokens)
         if reward_mode == "trajectory":
             # the builtin sum adds a rollout's rewards in order, as np.sum need not
             coeffs = np.repeat([sum(r) for r in rewards.reshape(n, h).tolist()], h)
@@ -429,15 +415,6 @@ def distill_onpolicy_opd(
         return s_ids, rewards
 
     return _train_loop(cfg, teacher, student, eval_tasks, minibatch)
-
-
-def _teacher_table(teacher, v: int) -> CategoricalDist:
-    """The teacher's rows for every context, checked against a student vocabulary of v."""
-    p_table = teacher.dists()
-    if p_table.probs.shape[1] != v:
-        raise InvalidInputError(f"teacher vocabulary size {p_table.probs.shape[1]} != "
-                                f"student vocabulary size {v}")
-    return p_table
 
 
 def metrics_write(rows, path, meta: dict | None = None) -> None:

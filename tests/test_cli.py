@@ -12,7 +12,7 @@ import pytest
 
 import distill_lab
 from distill_lab.cli import apply_overrides, build_parser, config_hash, main, validate_config
-from distill_lab.errors import ConfigError
+from distill_lab.errors import ConfigError, config_field
 from distill_lab.data import build_source, source_save
 from distill_lab.model import TabularLM, Vocab, checkpoint_load, checkpoint_save
 from distill_lab.training import METRICS_HEADER
@@ -59,13 +59,21 @@ class TestConfigHandling:
     def test_seed_required_and_integer(self):
         with pytest.raises(ConfigError):
             validate_config({})
-        with pytest.raises(ConfigError):
-            validate_config({"seed": "seven"})
+        for seed in ("seven", True, 7.0):
+            with pytest.raises(ConfigError, match="'seed' must be an integer"):
+                validate_config({"seed": seed})
 
     def test_overrides_parse_json_values(self):
         cfg = apply_overrides({"seed": 1}, ["train.lr=0.25", "train.objective=sft"])
         assert cfg["train"]["lr"] == 0.25
         assert cfg["train"]["objective"] == "sft"
+
+    @pytest.mark.parametrize("cast, value, want", [
+        (int, 5, 5), (int, 5.0, 5), (int, -2.0, -2), (float, 2, 2.0), (float, 0.25, 0.25),
+    ])
+    def test_config_field_accepts_integral_numbers(self, cast, value, want):
+        got = config_field({"x": value}, "train.x", cast, 0)
+        assert got == want and type(got) is cast
 
     def test_override_requires_equals(self):
         with pytest.raises(ConfigError):
@@ -134,6 +142,13 @@ class TestCommands:
         assert main(["distill", "--config", path, "--set", "train.objective=sft"]) == 0
         csv = (tmp_path / "out" / "metrics.csv").read_text().splitlines()
         assert csv[2].split(",")[1] == "sft"
+
+    def test_integral_float_steps_run_that_many_steps(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        path = write_config(tmp_path / "c.json", dict(BASE, out_dir="out"))
+        assert main(["distill", "--config", path, "--set", "train.steps=5.0"]) == 0
+        csv = (tmp_path / "out" / "metrics.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in csv[2:]] == ["5"]
 
     def test_opd_requires_on_policy_objective(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -302,6 +317,13 @@ class TestCommands:
         ("distill", ["train.eval_len=0"], "train.eval_len must be >= 1"),
         ("eval", ["train.eval_len=-1"], "train.eval_len must be >= 1"),
         ("eval", ["train.eval_len=0"], "train.eval_len must be >= 1"),
+        ("distill", ["train.steps=5.7"], "train.steps: expected int, got 5.7"),
+        ("distill", ["train.steps=true"], "train.steps: expected int, got True"),
+        ("distill", ["train.lr=true"], "train.lr: expected float, got True"),
+        ("distill", ["source.vocab_size=false"], "source.vocab_size: expected int, got False"),
+        ("distill", ["corpus.num_seqs=Infinity"], "corpus.num_seqs: expected int, got inf"),
+        ("distill", ["train.batch_size=NaN"], "train.batch_size: expected int, got nan"),
+        ("distill", ["train.beta=false"], "train.beta: expected float, got False"),
     ])
     def test_user_errors_exit_two(self, tmp_path, monkeypatch, capsys, command, sets,
                                   needle):

@@ -10,11 +10,11 @@ from distill_lab.errors import ConfigError, InvalidParameterError, LogOfZeroErro
 from distill_lab.model import GradAccumulator, TabularLM, Vocab, sgd_step
 from distill_lab.numerics import CategoricalDist, kl_exact, softmax
 from distill_lab.objectives import (
+    ALL_TAGS,
     HPD_VARIANTS,
     ObjectiveKind,
-    hpd_k1,
-    hpd_point_weights,
     hpd_weights,
+    token_weights,
     weight_fkld_token,
     weight_jsd_off,
     weight_rkld_off,
@@ -163,16 +163,12 @@ class TestJSDOffWeight:
 
 class TestHPDK1:
     def test_worked_values(self):
-        assert hpd_k1(dist(0.8, 0.2), dist(0.5, 0.5), 0) == pytest.approx(
-            0.235002, abs=1e-6
-        )
-        assert hpd_k1(dist(0.8, 0.2), dist(0.9, 0.1), 0) == pytest.approx(
-            -0.106005, abs=1e-6
-        )
-
-    def test_identity_zero(self):
-        d = dist(0.5, 0.5)
-        assert hpd_k1(d, d, 0) == 0.0
+        # HPD's k1 and k1' are rkld_off's weights at the expert and the sampled token
+        p = dist(0.8, 0.2)
+        for q, k1 in ((dist(0.5, 0.5), 0.235002), (dist(0.9, 0.1), -0.106005)):
+            hw = hpd_weights(p, q, expert=0, sampled=1)
+            assert hw.k1 == weight_rkld_off(p, q, 0) == pytest.approx(k1, abs=1e-6)
+            assert hw.k1_prime == weight_rkld_off(p, q, 1)
 
 
 class TestHPDWeights:
@@ -227,7 +223,7 @@ class TestHPDWeights:
         p, q = pq
         for variant in ("hpd", "hpd_no_sample", "hpd_no_reinforce"):
             hw = hpd_weights(p, q, expert, sampled, variant=variant)
-            assert hw.k1 == pytest.approx(hpd_k1(p, q, expert), abs=1e-12)
+            assert hw.k1 == weight_rkld_off(p, q, expert)
             assert hw.w_sampled <= 0.0
             if hw.k1 < 0.0:
                 assert hw.w_star == hw.k1
@@ -256,9 +252,11 @@ class TestHpdDraws:
         for variant in HPD_VARIANTS:
             hw = hpd_weights(p.rows(draw), q.rows(draw), expert[draw], sampled, variant)
             batch = np.array([hw.k1, hw.k1_prime, hw.w_star, hw.w_sampled])
-            point = np.array(hpd_point_weights(
-                p.probs[rows, pair], p.logprobs[rows, pair], q.probs[rows, pair],
-                q.logprobs[rows, pair], pair, variant))
+            values = (p.probs[rows, pair], p.logprobs[rows, pair], q.probs[rows, pair],
+                      q.logprobs[rows, pair])
+            point = np.concatenate([token_weights(ObjectiveKind("rkld_off"), *values, pair),
+                                    token_weights(ObjectiveKind(variant), *values, pair)],
+                                   axis=1).T
             one = [hpd_weights(p.rows(b), q.rows(b), int(expert[b]), int(sampled[j]), variant)
                    for j, b in enumerate(draw)]
             alone = np.array([[w.k1, w.k1_prime, w.w_star, w.w_sampled] for w in one]).T
@@ -285,7 +283,6 @@ class TestBatchedSupportChecks:
 
     @pytest.mark.parametrize("rule, tokens, message", [
         (weight_rkld_off, ([0, 0],), "q[0] = 0"),
-        (hpd_k1, ([0, 0],), "q[0] = 0"),
         (weight_jsd_off, ([0, 0],), "q[0] = 0"),
         (hpd_weights, ([1, 0], [2, 1]), "p[2] = 0"),  # row 0's sampled, row 1's expert
     ])
@@ -301,3 +298,99 @@ class TestBatchedSupportChecks:
         q = CategoricalDist.from_rows([[0.0, 1.0], [0.0, 1.0]])
         with pytest.raises(LogOfZeroError, match="midpoint mixture is 0 at token 0"):
             weight_jsd_off(p, q, np.array([0, 0]))
+
+    # P's row 1 is 0 at token 0: one scalar token serves every row of the batch
+    @pytest.mark.parametrize("rule, tokens, message", [
+        (weight_rkld_off, (0,), "p[0] = 0"),
+        (hpd_weights, (0, 1), "p[0] = 0"),
+        (weight_jsd_off, (0,), "midpoint mixture is 0 at token 0"),
+    ])
+    def test_scalar_token_broadcasts_to_every_row(self, rule, tokens, message):
+        p = CategoricalDist.from_rows([[0.5, 0.5], [0.0, 1.0]])
+        with pytest.raises(LogOfZeroError) as info:
+            rule(p, p, *tokens)
+        assert str(info.value) == message
+
+
+def _tables(seed, contexts=9, v=4, zeros=0):
+    """Teacher and student tables of full support, or with `zeros` zero entries each."""
+    rng = np.random.default_rng(seed)
+    p, q = (rng.normal(scale=2.0, size=(contexts, v)) for _ in range(2))
+    for z in (p, q):
+        z.flat[rng.choice(z.size, size=zeros, replace=False)] = -2000.0
+    return softmax(p), softmax(q)
+
+
+KINDS = [ObjectiveKind(tag, beta=beta, sign_fidelity=sf)
+         for tag in ALL_TAGS for beta in (0.5, 0.3) for sf in (False, True)]
+
+
+def _table_weights(kind, p, q):
+    """token_weights over whole tables: every (context, token) pair, and for HPD
+    every (context, expert, sampled) triple as an (n, V, V, 2) array."""
+    n, v = p.probs.shape
+    grid = np.arange(v)
+    if kind.tag in HPD_VARIANTS:
+        tokens = np.stack(np.broadcast_arrays(grid[:, None], grid), axis=-1)[None]
+        index = (np.arange(n)[:, None, None, None], tokens)
+    else:
+        tokens, index = np.broadcast_to(grid, (n, v)), (np.arange(n)[:, None], grid)
+    return token_weights(kind, p.probs[index], p.logprobs[index], q.probs[index],
+                         q.logprobs[index], np.broadcast_to(tokens, p.probs[index].shape))
+
+
+def _row_weights(kind, p, q):
+    """The distribution-level rule of kind on one row pair, one token (or one
+    HPD pair) per call, at every token of the row."""
+    v = p.size
+    if kind.tag in HPD_VARIANTS:
+        hws = [hpd_weights(p, q, e, s, variant=kind.tag) for e in range(v) for s in range(v)]
+        return np.array([[hw.w_star, hw.w_sampled] for hw in hws]).reshape(v, v, 2)
+    if kind.tag == "rkld_off":
+        return np.array([weight_rkld_off(p, q, t, sign_fidelity=kind.sign_fidelity)
+                         for t in range(v)])
+    if kind.tag == "jsd_off":
+        return np.array([weight_jsd_off(p, q, t, beta=kind.beta,
+                                        sign_fidelity=kind.sign_fidelity) for t in range(v)])
+    if kind.tag in ("fkld_token", "fkld_dense"):
+        return np.array([weight_fkld_token(p, t) for t in range(v)])
+    if kind.on_policy:
+        return p.logprobs - q.logprobs  # the OPD reward at each sampled token
+    return np.ones(v)  # sft, seqkd
+
+
+class TestTokenWeightsOverTables:
+    """token_weights is one rule for any leading shape: over whole (contexts, V)
+    tables it equals the distribution-level rules row by row, byte for byte."""
+
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda k: f"{k.tag}-{k.beta}-{k.sign_fidelity}")
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_tables_equal_the_rules_row_by_row(self, kind, seed):
+        p, q = _tables(seed)
+        w = _table_weights(kind, p, q)
+        assert w.shape == ((9, 4, 4, 2) if kind.tag in HPD_VARIANTS else (9, 4))
+        for c in range(9):
+            assert w[c].tobytes() == _row_weights(kind, p.rows(c), q.rows(c)).tobytes()
+
+    def test_fkld_dense_weights_sum_to_its_direction(self):
+        p, q = _tables(2)
+        w = _table_weights(ObjectiveKind("fkld_dense"), p, q)
+        direction = w @ np.eye(4) - w.sum(axis=1, keepdims=True) * q.probs
+        assert np.allclose(direction, p.probs - q.probs, atol=1e-15, rtol=0.0)
+
+    @pytest.mark.parametrize("tag", ["rkld_off", "jsd_off", *HPD_VARIANTS])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_zero_support_names_the_first_failing_row(self, tag, seed):
+        # the table raises the error of the first context, in id order, whose row raises
+        p, q = _tables(seed, zeros=3)
+        kind = ObjectiveKind(tag)
+        with pytest.raises(LogOfZeroError) as info:
+            _table_weights(kind, p, q)
+        for c in range(9):
+            try:
+                _row_weights(kind, p.rows(c), q.rows(c))
+            except LogOfZeroError as e:
+                assert str(info.value) == str(e)
+                break
+        else:
+            pytest.fail("no row raised")

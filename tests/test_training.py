@@ -418,6 +418,18 @@ class TestOffpolicyKernel:
         context = " at context (3,)" if tag in ("sft", "seqkd", "fkld_token") else ""
         assert errors[0][0] == "q[0] = 0" + context
 
+    @pytest.mark.parametrize("tag", ["sft", "hpd"])
+    def test_bos_mismatch_rejected_before_any_step(self, tag, monkeypatch):
+        # evaluation reads one context id in both models, so both must pad with one BOS id
+        teacher = ModelTeacher(TabularLM(order=2, vocab=Vocab(("a", "b", "c"), bos_id=1)))
+        student = TabularLM(order=1, vocab=Vocab.default(3))
+        corpus = Corpus(sequences=[[0, 1, 2]], provenance="teacher_generated", seed=0,
+                        vocab_size=3)
+        monkeypatch.setattr(training, "sgd_step", None)
+        with pytest.raises(InvalidInputError,
+                           match="teacher and student pad contexts with different BOS ids"):
+            distill_offpolicy(small_cfg(tag), teacher, corpus, student)
+
 
 class TestDistillOnpolicyOPD:
     def test_rejects_off_policy_objective(self):
