@@ -103,12 +103,29 @@ def validate_config(cfg: dict) -> None:
     if "stages" in cfg:
         if not isinstance(cfg["stages"], list) or not cfg["stages"]:
             raise ConfigError("'stages' must be a non-empty list")
+        names = set()
         for i, st in enumerate(cfg["stages"]):
             if not isinstance(st, dict):
                 raise ConfigError(f"stages[{i}] must be an object")
             extra = set(st) - ({"name"} | _SCHEMA["train"])
             if extra:
                 raise ConfigError(f"unknown keys in stages[{i}]: {sorted(extra)}")
+            # a stage's name is part of its metrics file name: it must be one
+            # file name, and no other stage's
+            name = _stage_name(i, st)
+            if not isinstance(name, str) or not name:
+                raise ConfigError(f"stages[{i}].name must be a non-empty string, got {name!r}")
+            if "/" in name or "\\" in name:
+                raise ConfigError(f"stages[{i}].name {name!r} contains a path separator")
+            if name in names:
+                raise ConfigError(f"stages[{i}].name {name!r} is already an earlier "
+                                  f"stage's name")
+            names.add(name)
+
+
+def _stage_name(i: int, stage: dict):
+    """The name of stage i: its 'name', or stage{i} when it sets none."""
+    return stage.get("name", f"stage{i}")
 
 
 def apply_overrides(cfg: dict, sets: list[str]) -> dict:
@@ -333,7 +350,7 @@ def _run_single(cfg: dict, on_policy: bool, csv_name="metrics.csv",
     out = _outdir(cfg)
     # a stage names or inherits its objective, so a staged run needs no train.objective
     stages = [
-        Stage(name=st.get("name", f"stage{i}"),
+        Stage(name=_stage_name(i, st),
               cfg=_train_config(cfg, {k: v for k, v in st.items() if k != "name"}))
         for i, st in enumerate(cfg["stages"])
     ] if "stages" in cfg else None

@@ -268,9 +268,12 @@ class GradAccumulator:
 
     touched marks the rows added to since the last clear. Rows start at -0.0,
     and -0.0 + x == x for every x, so a row's first direction is kept exactly.
-    `n_samples` counts token positions (one per accumulated token with
-    count 1); sgd_step averages by it so the learning-rate scale is
-    independent of batch size.
+    `n_samples` sums the counts passed in, and sgd_step divides the summed
+    directions by it. add_token_grads drops the count of every token whose
+    weight is exactly 0, so a step's divisor is the number of counted
+    positions with a nonzero weight, not the batch size (fkld_dense's
+    add_rows always counts the whole batch). That makes the step size depend
+    on exact zeros; ROADMAP item 14 weighs counting every drawn position.
     """
 
     order: int
@@ -323,7 +326,7 @@ def accumulate_token_grads(acc: GradAccumulator, ids, tokens, weights, counts,
     """
     ids = np.asarray(ids, dtype=np.intp)
     weights = np.asarray(weights, dtype=np.float64)
-    tokens = np.asarray(tokens)
+    tokens, counts = np.asarray(tokens), np.asarray(counts)
     if not np.isfinite(weights).all():
         raise InvalidInputError("weight must be finite")
     outside = (tokens < 0) | (tokens >= q.shape[-1])
@@ -351,18 +354,20 @@ def add_token_grads(acc: GradAccumulator, ids: np.ndarray, tokens: np.ndarray,
                     weights: np.ndarray, counts, q: np.ndarray) -> GradAccumulator:
     """accumulate_token_grads without its checks: the unchecked gradient kernel.
 
-    ids must be an intp and weights a float64 array. The caller guarantees
-    what the public entry would check: every weight finite, every token in
-    range and q[j][tokens[j]] > 0. The arithmetic is the public entry's own,
-    so both leave acc bit for bit the same; a zero weight still touches no
-    row and counts nothing.
+    ids must be an intp, weights a float64 and counts an integer array. The
+    caller guarantees what the public entry would check: every weight finite,
+    every token in range and q[j][tokens[j]] > 0. The arithmetic is the public
+    entry's own, so both leave acc bit for bit the same; a zero weight still
+    touches no row and counts nothing.
     """
+    m, v = q.shape
     direction = -weights[:, None] * q
-    direction[np.arange(tokens.size), tokens] += weights
+    # the one-hot term: entry (j, tokens[j]) is element j * V + tokens[j] of the flat rows
+    direction.reshape(-1)[np.arange(0, m * v, v) + tokens] += weights
     keep = weights != 0.0
     if not keep.all():
-        ids, direction, counts = ids[keep], direction[keep], np.asarray(counts)[keep]
-    acc.add_rows(ids, direction, int(np.sum(counts)))
+        ids, direction, counts = ids[keep], direction[keep], counts[keep]
+    acc.add_rows(ids, direction, int(counts.sum()))
     return acc
 
 
@@ -378,10 +383,11 @@ def sgd_step(model: TabularLM, acc: GradAccumulator, lr: float) -> np.ndarray:
         raise InvalidInputError("learning rate must be > 0")
     if acc.directions.shape != model.table.shape:
         raise InvalidInputError("accumulator and model tables differ in shape")
-    touched = np.flatnonzero(acc.touched)
+    touched = acc.touched.nonzero()[0]
     ids = touched if acc.n_samples > 0 else touched[:0]
     if ids.size:
-        rows = model.table[ids] + lr / acc.n_samples * acc.directions[ids]
+        rows = (model.table.take(ids, axis=0)
+                + lr / acc.n_samples * acc.directions.take(ids, axis=0))
         if not np.isfinite(rows).all():
             first = np.argmin(np.isfinite(rows).all(axis=1))
             ctx = context_key(ids[first], model.order, model.vocab.size)

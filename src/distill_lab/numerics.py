@@ -6,11 +6,14 @@ exact zeros for support checks; their log-probability is -inf.
 Values are validated where they enter: `softmax`, `CategoricalDist.from_probs`
 and `from_rows` check their input and their result. `softmax_rows` is the
 unchecked softmax kernel (max-shift, exp, divide, zero the entries below
-ZERO_TOL, masked log); `softmax` runs the same two stages with its checks in
-between, so a checked and an unchecked result are bit for bit equal. The
-kernel serves logits the program wrote itself: every writer of a
-TabularLM table rejects non-finite logits, so the predictive table's
-refresh and TabularLM.predict_batch need not check them again.
+ZERO_TOL in place, log with log 0 = -inf); `softmax` runs the same
+normalisation, checks it, then zeroes into a new array and takes a masked
+log that writes -inf at the zeros. np.log(0.0) is -inf and the log of a
+positive entry is the same either way, so a checked and an unchecked result
+are bit for bit equal. The kernel serves logits the program wrote itself:
+every writer of a TabularLM table rejects non-finite logits, so the
+predictive table's refresh and TabularLM.predict_batch need not check them
+again.
 """
 
 from __future__ import annotations
@@ -107,11 +110,16 @@ def _zeroed_log(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def softmax_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(probs, logprobs) of softmax(z), unchecked: z must be a finite float64 1-d or 2-d array.
 
-    The arrays are new and writable. This is softmax's own arithmetic, so both
-    are bit for bit softmax(z).probs and .logprobs; only softmax's checks of z
-    and of the normalised rows are skipped.
+    The arrays are new and writable. The normalisation is softmax's own; the
+    tiny entries are zeroed in place on its new array and the log is taken
+    unmasked, since np.log(0.0) is the -inf that softmax's masked log writes.
+    So both are bit for bit softmax(z).probs and .logprobs; only softmax's
+    checks of z and of the normalised rows are skipped.
     """
-    return _zeroed_log(_normalized(z))
+    p = _normalized(z)
+    p[p < ZERO_TOL] = 0.0
+    with np.errstate(divide="ignore"):
+        return p, np.log(p)
 
 
 def softmax(logits) -> CategoricalDist:
@@ -145,13 +153,15 @@ def cdf_rows(probs) -> np.ndarray:
 def cdf_draw(cdf, u) -> np.ndarray:
     """Row i of a cdf_rows table sampled with the uniform u[i]: its count of entries <= u[i].
 
-    This is Generator.choice's own draw: choice(V, p=row) takes one rng.random()
-    and returns the count of entries of cumsum(row) / cumsum(row)[-1] that are
-    <= it. So cdf_draw(cdf_rows(row), rng.random()) equals it, and a 1-d cdf with
-    a scalar u gives one draw. The count is a sum of the row's booleans, one
-    reduction over the batch.
+    Every u must lie in [0, 1), as Generator.random draws it. This is
+    Generator.choice's own draw: choice(V, p=row) takes one rng.random() and
+    returns the count of entries of cumsum(row) / cumsum(row)[-1] that are <= it.
+    So cdf_draw(cdf_rows(row), rng.random()) equals it, and a 1-d cdf with a
+    scalar u gives one draw. A cdf_rows row never decreases and ends in exactly
+    1.0 > u, so that count is the index of the first entry > u: one argmax of
+    the row's booleans, which stops at the first True.
     """
-    return (cdf <= np.asarray(u)[..., None]).sum(axis=-1)
+    return (cdf > np.asarray(u)[..., None]).argmax(axis=-1)
 
 
 def _support_entropy(p: np.ndarray, lp: np.ndarray) -> float:

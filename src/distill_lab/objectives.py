@@ -103,12 +103,16 @@ def _hpd(variant: str, p, k1, tokens):
     the suppressed token takes weight k1'. "hpd_no_reinforce" drops the doubling.
     """
     k1_star, k1_sampled, p_star = k1[..., 0], k1[..., 1], p[..., 0]
-    suppressed = ((tokens[..., 1] != tokens[..., 0]) & (k1_sampled < 0.0)
-                  & (variant != "hpd_no_sample"))
-    masked = k1_star <= 0.0 if variant == "hpd_no_sample" else k1_star < 0.0
     w = np.empty_like(k1)
-    w[..., 0] = np.where(suppressed & (k1_star > 0.0) & (variant == "hpd"),
-                         2.0 * p_star + k1_star, np.where(masked, k1_star, p_star + k1_star))
+    if variant == "hpd_no_sample":
+        w[..., 0] = np.where(k1_star <= 0.0, k1_star, p_star + k1_star)
+        w[..., 1] = 0.0
+        return w
+    suppressed = (tokens[..., 1] != tokens[..., 0]) & (k1_sampled < 0.0)
+    w0 = np.where(k1_star < 0.0, k1_star, p_star + k1_star)
+    if variant == "hpd":
+        w0 = np.where(suppressed & (k1_star > 0.0), 2.0 * p_star + k1_star, w0)
+    w[..., 0] = w0
     w[..., 1] = np.where(suppressed, k1_sampled, 0.0)
     return w
 

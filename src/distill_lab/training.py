@@ -214,7 +214,7 @@ class PredictiveTable:
         return CategoricalDist(probs=self.probs[ids], logprobs=self.logprobs[ids])
 
     def refresh(self, ids) -> None:
-        probs, logprobs = softmax_rows(self.student.table[ids])
+        probs, logprobs = softmax_rows(self.student.table.take(ids, axis=0))
         self.probs[ids], self.logprobs[ids] = probs, logprobs
         if self.cdf is not None:
             self.cdf[ids] = cdf_rows(probs)
@@ -276,13 +276,15 @@ def distill_offpolicy(
 ) -> tuple[TabularLM, list[MetricsRow]]:
     """Minibatch reweighted-likelihood distillation on a fixed corpus.
 
-    The corpus's context ids are computed once per call. A minibatch lays its
-    tokens out as an (n * k, cols) array: row b * k + i is draw i of position
-    b, column 0 the expert token and, for HPD, column 1 a token sampled from
-    the cached CDF rows (k = hpd_samples and cols = 2 for HPD, else 1 and 1).
-    Then come one point gather of p, ln p, q and ln q at those tokens, one
-    token_weights call and one ordered accumulate through the unchecked kernel
-    model.add_token_grads. fkld_dense adds its summed direction p - q instead.
+    The corpus's context ids are computed once per call, and with them each
+    position's flat student index s_id * V + expert and the frozen teacher's
+    p and ln p at the expert. A minibatch's tokens are its n expert tokens, or
+    for HPD an (n * k, 2) array: row b * k + i is draw i of position b, column
+    0 the expert and column 1 a token sampled from the cached CDF rows
+    (k = hpd_samples). Then come 1-d gathers of p, ln p, q and ln q at those
+    tokens, one token_weights call and one ordered accumulate through the
+    unchecked kernel model.add_token_grads. fkld_dense adds its summed
+    direction p - q instead.
     """
     kind = cfg.objective
     if kind.on_policy:
@@ -299,6 +301,10 @@ def distill_offpolicy(
     p_table = teacher.dists()
     s_ids = context_ids(tokens, offsets, student.order, student.vocab.bos_id, v)
     t_ids = context_ids(tokens, offsets, teacher.order, teacher.vocab.bos_id, v)
+    # every position's expert as a flat index into a student table, and the
+    # frozen teacher's p and ln p there: a minibatch reads them by 1-d gathers
+    s_at = s_ids * v + tokens
+    p_at, lp_at = p_table.probs[t_ids, tokens], p_table.logprobs[t_ids, tokens]
     n_seqs, n = len(lengths), cfg.batch_size
     tag = kind.tag
     hpd = tag in HPD_VARIANTS
@@ -315,27 +321,34 @@ def distill_offpolicy(
         si = rng.integers(n_seqs, size=n)
         pos = starts[si] + rng.integers(0, lengths[si])
         uniforms = rng.random(n * k) if hpd else None
-        ids, t_at = s_ids[pos], t_ids[pos]
+        ids = s_ids[pos]
         if tag == "fkld_dense":
             # sum over v of p_v * (onehot(v) - q) collapses to p - q
-            acc.add_rows(ids, p_table.probs[t_at] - pred.probs[ids], count=n)
+            dense = p_table.probs.take(t_ids[pos], axis=0) - pred.probs.take(ids, axis=0)
+            acc.add_rows(ids, dense, count=n)
             return ids, None
 
-        s_rows, t_rows = ids[draw][:, None], t_at[draw][:, None]
-        tok = tokens[pos][draw][:, None]
         if hpd:
-            tok = np.hstack([tok, cdf_draw(pred.cdf[s_rows[:, 0]], uniforms)[:, None]])
-        q = pred.probs[s_rows, tok]
+            # one row per draw: column 0 the expert, column 1 the token sampled from q
+            at, rows = pos[draw], ids[draw]
+            tok = np.empty((n * k, 2), dtype=np.intp)
+            tok[:, 0], tok[:, 1] = tokens[at], cdf_draw(pred.cdf.take(rows, axis=0), uniforms)
+            s_flat, t_flat = rows[:, None] * v + tok, t_ids[at][:, None] * v + tok
+            p, lp = p_table.probs.take(t_flat), p_table.logprobs.take(t_flat)
+            flat = np.repeat(ids, k * cols)
+        else:
+            tok, s_flat, p, lp, flat = tokens[pos], s_at[pos], p_at[pos], lp_at[pos], ids
+        q = pred.probs.take(s_flat)
         if tag in ("sft", "seqkd", "fkld_token"):
             # no rule of these reads q, so the loop checks q[expert] > 0 itself
-            check_token_support(q[:, 0], ids, tok[:, 0], student.order, v)
-        w = token_weights(kind, p_table.probs[t_rows, tok], p_table.logprobs[t_rows, tok],
-                          q, pred.logprobs[s_rows, tok], tok)
+            check_token_support(q, ids, tok, student.order, v)
+        w = token_weights(kind, p, lp, q, pred.logprobs.take(s_flat), tok)
+        if hpd:
+            tok, w = tok.ravel(), (w / k).ravel()
         # the kernel rests on checks made where its values entered: _flatten
         # range-checks the expert tokens, cdf_draw's tokens are < V with q > 0,
         # and every rule that takes a log checks q at its tokens
-        flat = np.repeat(ids, k * cols)
-        add_token_grads(acc, flat, tok.ravel(), (w / k).ravel(), counts, pred.probs[flat])
+        add_token_grads(acc, flat, tok, w, counts, pred.probs.take(flat, axis=0))
         return ids, None
 
     return _train_loop(cfg, teacher, student, eval_tasks, minibatch)
@@ -390,19 +403,22 @@ def distill_onpolicy_opd(
         pick = rng.integers(len(prompts), size=n)
         u = rng.random((n, h))
         w_ids, tokens = walk(start[pick], h, walk_order, v,
-                             lambda ids, t: cdf_draw(pred.cdf[suffix(ids, k)], u[:, t]))
+                             lambda ids, t: cdf_draw(pred.cdf.take(suffix(ids, k), axis=0),
+                                                    u[:, t]))
         # rollout-major from here on: position t of rollout b is entry b * h + t
         w_ids, tokens = w_ids.ravel(), tokens.ravel()
         s_ids, t_ids = suffix(w_ids, k), suffix(w_ids, m)
+        # each sampled token as a flat index into the student's and the teacher's table
+        s_flat, t_flat = s_ids * v + tokens, t_ids * v + tokens
         # the violation raised is the first in rollout order, as a one-rollout sampler meets it
-        p = p_table.probs[t_ids, tokens]
+        p = p_table.probs.take(t_flat)
         outside = p <= 0.0
         if outside.any():
             j = int(np.argmax(outside))
             raise DivergenceInfiniteError(f"student sampled token {tokens[j]} outside teacher "
                                           f"support at {context_key(s_ids[j], k, v)}")
-        rewards = token_weights(kind, p, p_table.logprobs[t_ids, tokens],
-                                pred.probs[s_ids, tokens], pred.logprobs[s_ids, tokens], tokens)
+        rewards = token_weights(kind, p, p_table.logprobs.take(t_flat), pred.probs.take(s_flat),
+                                pred.logprobs.take(s_flat), tokens)
         if reward_mode == "trajectory":
             # the builtin sum adds a rollout's rewards in order, as np.sum need not
             coeffs = np.repeat([sum(r) for r in rewards.reshape(n, h).tolist()], h)
@@ -411,7 +427,8 @@ def distill_onpolicy_opd(
         baseline = float(np.mean(rewards)) if cfg.opd_baseline else 0.0
         # cdf_draw's tokens are < V with q > 0, and the support check above makes
         # every reward, so every coefficient, finite
-        add_token_grads(acc, s_ids, tokens, coeffs - baseline, unit_counts, pred.probs[s_ids])
+        add_token_grads(acc, s_ids, tokens, coeffs - baseline, unit_counts,
+                        pred.probs.take(s_ids, axis=0))
         return s_ids, rewards
 
     return _train_loop(cfg, teacher, student, eval_tasks, minibatch)

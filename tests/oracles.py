@@ -111,6 +111,32 @@ def reference_offpolicy(cfg, teacher, corpus, student):
     return training._train_loop(cfg, teacher, student, None, minibatch)
 
 
+def hpd_token(variant, p, lp, q, lq, expert, sampled):
+    """HPD's (w_star, w_sampled) for one (expert, sampled) token pair, in plain Python floats.
+
+    p, lp, q and lq are one context's teacher and student probabilities and
+    their logs, indexed by token id; p and q are positive at both tokens. The
+    branches are taken one at a time, as the rule reads: k1 is rkld_off's
+    q (ln p - ln q) at the expert, k1' the same at the sampled token.
+    """
+    def k1_at(t):
+        return float(q[t]) * (float(lp[t]) - float(lq[t]))
+
+    k1, k1_sampled, p_star = k1_at(expert), k1_at(sampled), float(p[expert])
+    if variant == "hpd_no_sample":
+        # the sampled token is ignored, and k1 = 0 is masked too
+        return (k1 if k1 <= 0.0 else p_star + k1), 0.0
+    # a sampled token other than the expert that the student overestimates
+    suppressed = sampled != expert and k1_sampled < 0.0
+    if k1 < 0.0:
+        w_star = k1  # masked: the student overestimates the expert
+    elif variant == "hpd" and suppressed and k1 > 0.0:
+        w_star = 2.0 * p_star + k1  # reinforced
+    else:
+        w_star = p_star + k1  # plain, k1 = 0 included
+    return w_star, (k1_sampled if suppressed else 0.0)
+
+
 def draws_batched(rng, n_prompts, n, h):
     """The kernel's layout: every rollout's prompt, then an (n, h) block of uniforms."""
     return rng.integers(n_prompts, size=n), rng.random((n, h))

@@ -324,6 +324,20 @@ class TestCommands:
         ("distill", ["corpus.num_seqs=Infinity"], "corpus.num_seqs: expected int, got inf"),
         ("distill", ["train.batch_size=NaN"], "train.batch_size: expected int, got nan"),
         ("distill", ["train.beta=false"], "train.beta: expected float, got False"),
+        # a stage's name names its metrics file: one per stage, and a plain file name
+        ("distill", ['stages=[{"name": "a", "objective": "sft"}, '
+                     '{"name": "a", "objective": "rkld_off"}]'],
+         "stages[1].name 'a' is already an earlier stage's name"),
+        ("distill", ['stages=[{"objective": "sft"}, {"name": "stage0", "objective": "sft"}]'],
+         "stages[1].name 'stage0' is already an earlier stage's name"),
+        ("distill", ['stages=[{"name": 7, "objective": "sft"}]'],
+         "stages[0].name must be a non-empty string, got 7"),
+        ("distill", ['stages=[{"name": "", "objective": "sft"}]'],
+         "stages[0].name must be a non-empty string, got ''"),
+        ("distill", ['stages=[{"name": "../up", "objective": "sft"}]'],
+         "stages[0].name '../up' contains a path separator"),
+        ("distill", ['stages=[{"name": "a\\\\b", "objective": "sft"}]'],
+         "contains a path separator"),
     ])
     def test_user_errors_exit_two(self, tmp_path, monkeypatch, capsys, command, sets,
                                   needle):

@@ -274,6 +274,28 @@ class TestInverseCdf:
         tokens = cdf_draw(np.tile(cdf, (len(u), 1)), u)
         assert (tokens < p.size).all() and (p[tokens] > 0.0).all()
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), v=st.integers(1, 8), n=st.integers(1, 4))
+    def test_argmax_draw_is_the_count_of_entries_at_most_u(self, data, v, n):
+        # cdf_draw takes the first entry > u; for a cdf_rows row, which never
+        # decreases and ends in exactly 1.0, that is Generator.choice's count
+        # of entries <= u, for every u in [0, 1)
+        lead, trail = data.draw(st.integers(0, v - 1)), data.draw(st.integers(0, 2))
+        rows = []
+        for _ in range(n):
+            inner = data.draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-300, 1e3)),
+                                       min_size=v - lead, max_size=v - lead))
+            inner[data.draw(st.integers(0, v - lead - 1))] = data.draw(st.floats(1e-300, 1e3))
+            rows.append([0.0] * lead + inner + [0.0] * trail)
+        cdf = cdf_rows(np.array(rows))
+        own = cdf[cdf < 1.0].tolist()
+        u = np.array(data.draw(st.lists(st.one_of(
+            st.floats(0.0, 1.0, exclude_max=True), st.just(np.nextafter(1.0, 0.0)),
+            st.sampled_from(own or [0.0])), min_size=n, max_size=n)))
+        assert cdf_draw(cdf, u).tolist() == (cdf <= u[:, None]).sum(axis=1).tolist()
+        for i in range(n):
+            assert cdf_draw(cdf[i], u[i]) == int((cdf[i] <= u[i]).sum())
+
     def test_never_draws_a_zero_probability_entry(self):
         p = np.array([0.0, 0.4, 0.0, 0.6, 0.0])
         u = np.array([0.0, 0.4 - 1e-17, 0.4, 0.999999999, np.nextafter(1.0, 0.0)])

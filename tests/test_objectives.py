@@ -20,6 +20,7 @@ from distill_lab.objectives import (
     weight_rkld_off,
 )
 from distill_lab.training import ModelTeacher, TrainConfig, distill_offpolicy
+from oracles import hpd_token
 
 
 def dist(*probs):
@@ -262,6 +263,59 @@ class TestHpdDraws:
             alone = np.array([[w.k1, w.k1_prime, w.w_star, w.w_sampled] for w in one]).T
             assert batch.tobytes() == alone.tobytes() and point.tobytes() == alone.tobytes()
             assert hw.sampled_token.tolist() == [w.sampled_token for w in one]
+
+
+class TestHpdOracle:
+    """token_weights' HPD rule equals the per-token plain-Python oracle byte for byte."""
+
+    @staticmethod
+    def _compare(variant, p, q, rows, tokens):
+        values = [a[np.asarray(rows)[:, None], tokens]
+                  for a in (p.probs, p.logprobs, q.probs, q.logprobs)]
+        w = token_weights(ObjectiveKind(variant), *values, tokens)
+        want = [hpd_token(variant, p.probs[r], p.logprobs[r], q.probs[r], q.logprobs[r], e, s)
+                for r, (e, s) in zip(rows, tokens.tolist())]
+        assert w.tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("variant", HPD_VARIANTS)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_tables(self, variant, seed):
+        p, q = _tables(seed, contexts=30, v=5)
+        rng = np.random.default_rng(seed)
+        rows = rng.integers(30, size=300)
+        self._compare(variant, p, q, rows, rng.integers(5, size=(300, 2)))
+
+    # p = (0.5, 0.3, 0.2) and q equal at token 0 (k1 exactly 0), below p at token 2
+    # (k1 > 0) and above it at token 1 (k1 < 0); the second q is above p at 1 and 2
+    P = CategoricalDist.from_rows([[0.5, 0.3, 0.2]] * 2)
+    Q = CategoricalDist.from_rows([[0.5, 0.4, 0.1], [0.1, 0.45, 0.45]])
+
+    @pytest.mark.parametrize("variant", HPD_VARIANTS)
+    @pytest.mark.parametrize("row, expert, sampled, branch", [
+        (0, 2, 1, "reinforced: k1 > 0 and the sampled token suppressed"),
+        (0, 2, 0, "plain: k1 > 0, the sampled token's k1' exactly 0"),
+        (0, 2, 2, "plain: expert == sampled"),
+        (0, 0, 1, "k1 exactly 0: plain, masked without sampling; sampled suppressed"),
+        (0, 0, 0, "k1 exactly 0, expert == sampled"),
+        (0, 1, 2, "masked: k1 < 0, the sampled token not suppressed"),
+        (1, 1, 2, "masked: k1 < 0, the sampled token suppressed"),
+        (1, 1, 1, "masked: expert == sampled, both k1 < 0"),
+        (1, 0, 2, "reinforced, the expert's q below p"),
+    ])
+    def test_edge_rows(self, variant, row, expert, sampled, branch):
+        self._compare(variant, self.P, self.Q, [row], np.array([[expert, sampled]]))
+
+    def test_edge_rows_take_every_branch(self):
+        # the hand-built rows reach each weight the rule can give
+        p, lp, q, lq = (a[0] for a in (self.P.probs, self.P.logprobs, self.Q.probs,
+                                       self.Q.logprobs))
+        k1 = [q[t] * (lp[t] - lq[t]) for t in range(3)]
+        assert k1[0] == 0.0 and k1[1] < 0.0 < k1[2]
+        assert hpd_token("hpd", p, lp, q, lq, 2, 1) == (2.0 * p[2] + k1[2], k1[1])
+        assert hpd_token("hpd_no_reinforce", p, lp, q, lq, 2, 1) == (p[2] + k1[2], k1[1])
+        assert hpd_token("hpd", p, lp, q, lq, 0, 1) == (p[0], k1[1])
+        assert hpd_token("hpd_no_sample", p, lp, q, lq, 0, 1) == (0.0, 0.0)
+        assert hpd_token("hpd", p, lp, q, lq, 1, 1) == (k1[1], 0.0)
 
 
 class TestOPDRewards:
