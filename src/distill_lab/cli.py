@@ -31,15 +31,9 @@ from .errors import (
     boolean,
     config_field,
 )
-from .evaluation import (
-    completion_accuracy,
-    context_occupancy,
-    gradcheck,
-    make_completion_tasks,
-    occupancy_divergences,
-)
-from .model import TabularLM, Vocab, checkpoint_load, checkpoint_save, suffix_ids
-from .numerics import entropy
+from .evaluation import CompletionTasks, EvalPlan, gradcheck, make_completion_tasks
+from .model import TabularLM, Vocab, checkpoint_load, checkpoint_save
+from .numerics import CategoricalDist, entropy, softmax_rows
 from .objectives import ALL_TAGS, ObjectiveKind
 from .training import (
     ModelTeacher,
@@ -55,25 +49,31 @@ from .training import (
 
 CONFIG_FORMAT_VERSION = 1
 
+# every config key: a section's keys, each with its type, or a top-level value's
+# type; None marks a value that is not a number, checked where it is read.
+# validate_config checks every typed value a config sets, whichever command runs
 _SCHEMA = {
     "seed": None,
     "out_dir": None,
-    "source": {"name", "vocab_size", "order", "seed", "concentration", "eps"},
+    "source": {"name": None, "vocab_size": int, "order": int, "seed": int,
+               "concentration": float, "eps": float},
     "source_path": None,
     "corpus_path": None,
-    "corpus": {"num_seqs", "length", "regime", "temperature"},
-    "student_order": None,
-    "teacher": {"mode", "order", "smoothing"},
+    "corpus": {"num_seqs": int, "length": int, "regime": None, "temperature": float},
+    "student_order": int,
+    "teacher": {"mode": None, "order": int, "smoothing": float},
     "init_checkpoint": None,
     "train": {
-        "objective", "beta", "sign_fidelity", "lr", "steps", "batch_size",
-        "eval_every", "opd_reward_mode", "hpd_samples",
-        "opd_baseline", "horizon", "n_eval_seqs", "eval_len", "eval_from",
+        "objective": None, "beta": float, "sign_fidelity": boolean, "lr": float,
+        "steps": int, "batch_size": int, "eval_every": int, "opd_reward_mode": None,
+        "hpd_samples": int, "opd_baseline": boolean, "horizon": int, "n_eval_seqs": int,
+        "eval_len": int, "eval_from": None,
     },
-    "tasks": {"num_tasks", "cont_len", "min_conf"},
+    "tasks": {"num_tasks": int, "cont_len": int, "min_conf": float},
     "stages": None,
-    "sweep": {"objectives", "seeds"},
-    "gradcheck": {"n_tokens", "eps", "vocab_size", "order", "model_seed"},
+    "sweep": {"objectives": None, "seeds": None},
+    "gradcheck": {"n_tokens": int, "eps": float, "vocab_size": int, "order": int,
+                  "model_seed": int},
 }
 
 # errors a command reports as `error: ...` with exit code 2
@@ -90,10 +90,10 @@ def validate_config(cfg: dict) -> None:
         if key not in _SCHEMA:
             raise ConfigError(f"unknown config key {key!r}")
         allowed = _SCHEMA[key]
-        if allowed is not None:
+        if isinstance(allowed, dict):
             if not isinstance(val, dict):
                 raise ConfigError(f"{key!r} must be an object, got {val!r}")
-            extra = set(val) - allowed
+            extra = set(val) - set(allowed)
             if extra:
                 raise ConfigError(f"unknown keys in {key!r}: {sorted(extra)}")
     if "seed" not in cfg:
@@ -107,7 +107,7 @@ def validate_config(cfg: dict) -> None:
         for i, st in enumerate(cfg["stages"]):
             if not isinstance(st, dict):
                 raise ConfigError(f"stages[{i}] must be an object")
-            extra = set(st) - ({"name"} | _SCHEMA["train"])
+            extra = set(st) - {"name"} - set(_SCHEMA["train"])
             if extra:
                 raise ConfigError(f"unknown keys in stages[{i}]: {sorted(extra)}")
             # a stage's name is part of its metrics file name: it must be one
@@ -121,6 +121,21 @@ def validate_config(cfg: dict) -> None:
                 raise ConfigError(f"stages[{i}].name {name!r} is already an earlier "
                                   f"stage's name")
             names.add(name)
+    # every typed value the config sets, whichever command reads it
+    for key, kind in _SCHEMA.items():
+        if isinstance(kind, dict) and key in cfg:
+            _check_types(cfg[key], key, kind)
+        elif kind is not None and key in cfg:
+            config_field(cfg, key, kind, None)
+    for i, st in enumerate(cfg.get("stages", [])):
+        _check_types(st, f"stages[{i}]", _SCHEMA["train"])
+
+
+def _check_types(node: dict, section: str, types: dict) -> None:
+    """ConfigError at the first typed key of node whose value its type rejects."""
+    for key, cast in types.items():
+        if cast is not None and key in node:
+            config_field(node, f"{section}.{key}", cast, None)
 
 
 def _stage_name(i: int, stage: dict):
@@ -402,12 +417,14 @@ def cmd_eval(cfg: dict) -> int:
     teacher = inputs.teacher
     student = _get_student(cfg, inputs.source)
     tasks = _get_tasks(cfg, inputs.source)
-    occ = context_occupancy(student, teacher, ev["eval_len"], ev["eval_from"])
-    kl_fwd, kl_rev = occupancy_divergences(student, teacher, occ)
+    plan = EvalPlan(teacher, student, ev["eval_len"], ev["eval_from"])
+    # the student's predictive table: its own logits, which every table writer keeps finite
+    probs, logprobs = softmax_rows(student.table)
+    kl_fwd, kl_rev = plan.divergences(probs, logprobs)
     # the student's entropy at every context, weighted by the context's occupancy
-    ent = occ @ entropy(student.predict_batch(
-        suffix_ids(np.arange(occ.size), student.order, student.vocab.size)))
-    acc = completion_accuracy(student, tasks) if tasks else None
+    ids = plan.student_ids
+    ent = plan.occupancy(probs) @ entropy(CategoricalDist(probs[ids], logprobs[ids]))
+    acc = CompletionTasks(tasks, student).accuracy(student.table) if tasks else None
     path = os.path.join(out, "audit.csv")
     with open(path, "w", encoding="utf-8") as f:
         f.write("# " + json.dumps(_meta(cfg), sort_keys=True) + "\n")

@@ -22,7 +22,9 @@ exact order-1 marginal at "last token = gap" is the 50/50 mixture of rows
 
 from __future__ import annotations
 
+import itertools
 import json
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -301,6 +303,14 @@ def corpus_write(corpus: Corpus, path, header_extra: dict | None = None) -> None
 
 
 def corpus_read(path) -> Corpus:
+    """The corpus in a corpus file: a JSON header line, then one sequence per line.
+
+    A sequence is its line's whitespace-separated token ids; blank lines are
+    skipped. The token body is parsed by one numpy call (_parse_body); where
+    that cannot prove its result equal to the line-by-line parser's, the
+    line parser (_parse_lines) reads the file, and its ParseError names the
+    first bad line.
+    """
     with open(path, encoding="utf-8") as f:
         lines = f.read().splitlines()
     if not lines:
@@ -315,6 +325,48 @@ def corpus_read(path) -> Corpus:
         raise ParseError(f"{path}: line 1: bad header: {e}") from e
     if version != CORPUS_FORMAT_VERSION:
         raise ParseError(f"{path}: line 1: unsupported format_version {version}")
+    seqs = _parse_body(lines[1:], v)
+    if seqs is None:
+        seqs = _parse_lines(path, lines, v)
+    return Corpus(sequences=seqs, provenance=provenance, seed=seed, vocab_size=v)
+
+
+# the bytes of a body that _parse_body reads: ASCII digits and ASCII whitespace
+_DIGITS_AND_SPACE = b"0123456789 \t\n\r\x0b\x0c"
+
+
+def _parse_body(body: list[str], v: int) -> list[list[int]] | None:
+    """The sequences of the body lines, or None where the one-call parse may differ.
+
+    Each line's length is its count of str.split() tokens. np.fromstring reads
+    the joined body only when it holds nothing but ASCII digits and ASCII
+    whitespace: then every token is an unsigned base-10 literal, which numpy
+    and int() read alike (numpy saturates at the int64 bounds). Signs, other
+    characters, a parse that does not reach the end (an error on numpy 2, a
+    warning on numpy 1.x), a token count that differs from the lines' and an
+    id outside [0, v) all give None.
+    """
+    lengths = [n for n in map(len, map(str.split, body)) if n]
+    text = "\n".join(body)
+    try:
+        if text.encode("ascii").translate(None, _DIGITS_AND_SPACE):
+            return None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tokens = np.fromstring(text, dtype=np.int64, sep=" ")
+    except (UnicodeEncodeError, ValueError, DeprecationWarning):
+        return None
+    # a saturated token reads as the int64 maximum, which no vocabulary here reaches
+    top = min(v, np.iinfo(np.int64).max)
+    if tokens.size != sum(lengths) or tokens.min(initial=0) < 0 or tokens.max(initial=0) >= top:
+        return None
+    flat = tokens.tolist()
+    ends = itertools.accumulate(lengths)
+    return [flat[end - n:end] for n, end in zip(lengths, ends)]
+
+
+def _parse_lines(path, lines: list[str], v: int) -> list[list[int]]:
+    """The sequences of lines[1:], one int() per token: the reference parser."""
     seqs = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -329,4 +381,4 @@ def corpus_read(path) -> Corpus:
                     f"{path}: line {lineno}: token id {t} out of range [0, {v})"
                 )
         seqs.append(seq)
-    return Corpus(sequences=seqs, provenance=provenance, seed=seed, vocab_size=v)
+    return seqs

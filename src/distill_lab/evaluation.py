@@ -7,8 +7,8 @@ import numpy as np
 from .data import MarkovSource
 from .errors import InvalidInputError, InvalidParameterError
 from .model import (MAX_TABLE_ENTRIES, GradAccumulator, TabularLM, accumulate_token_grads,
-                    prefix_id, suffix_ids, walk)
-from .numerics import cdf_draw, kl_rows, softmax, softmax_rows
+                    prefix_id, prefix_ids, suffix_ids, walk)
+from .numerics import CategoricalDist, cdf_draw, kl_rows, softmax, softmax_rows
 
 
 def gradcheck(model: TabularLM, weighted_tokens, eps: float = 1e-5) -> float:
@@ -69,6 +69,83 @@ def check_pair(teacher, student: TabularLM) -> None:
         raise InvalidInputError("teacher and student pad contexts with different BOS ids")
 
 
+class EvalPlan:
+    """Exact occupancy-weighted divergences from one frozen teacher, planned once per run.
+
+    Evaluation sums over the order-m contexts, m = max(teacher.order,
+    student.order). Built once: every such context's teacher row and student
+    context id, and with eval_from="teacher" the occupancy, its live
+    contexts (occupancy > 0), their weights and the teacher's rows there,
+    which depend on the frozen teacher alone. A reading, divergences(probs,
+    logprobs), takes the student's predictive table, row i for its context
+    id i: it gathers the student's rows at the live contexts and runs two
+    kl_rows. With eval_from="student" the reading first propagates the
+    occupancy through that table.
+    """
+
+    def __init__(self, teacher, student: TabularLM, eval_len: int, eval_from: str):
+        if eval_len < 1:
+            raise InvalidInputError(f"eval_len must be >= 1, got {eval_len}")
+        check_pair(teacher, student)
+        if eval_from not in ("teacher", "student"):
+            raise InvalidInputError(f"unknown eval_from {eval_from!r}")
+        self.eval_len = eval_len
+        self.teacher_rows, self.student_ids, self.start = _contexts(teacher, student)
+        self.occ = self.live = None
+        if eval_from == "teacher":
+            self.occ = self._propagate(self.teacher_rows.probs)
+            self.live = _live(self.occ, self.teacher_rows, self.student_ids)
+
+    def _propagate(self, drive: np.ndarray) -> np.ndarray:
+        """The mean over positions 0 .. eval_len - 1 of the context distribution, for
+        sequences that start empty and draw from drive's rows (one per order-m context)."""
+        n, v = drive.shape
+        pi = np.zeros(n)
+        pi[self.start] = 1.0
+        occ = pi.copy()
+        for _ in range(self.eval_len - 1):
+            # context c = (oldest token, rest) emits tok and moves to (rest, tok)
+            pi = (pi[:, None] * drive).reshape(v, n // v, v).sum(axis=0).ravel()
+            occ += pi
+        return occ / self.eval_len
+
+    def occupancy(self, probs) -> np.ndarray:
+        """The occupancy: the teacher's, or with eval_from="student" the one driven by the
+        student's predictive table probs (read only then)."""
+        return self.occ if self.occ is not None else self._propagate(probs[self.student_ids])
+
+    def divergences(self, probs: np.ndarray, logprobs: np.ndarray) -> tuple[float, float]:
+        """Occupancy-weighted KL(p||q) and KL(q||p) of the student whose predictive table
+        is (probs, logprobs)."""
+        if self.live is not None:
+            w, p, ids = self.live
+        else:
+            w, p, ids = _live(self.occupancy(probs), self.teacher_rows, self.student_ids)
+        return _divergences(w, p, CategoricalDist(probs.take(ids, axis=0),
+                                                  logprobs.take(ids, axis=0)))
+
+
+def _contexts(teacher, student: TabularLM):
+    """(teacher rows, student ids, start) over the order-m contexts: row c of the teacher
+    batch and entry c of the ids read context c's last teacher.order and student.order
+    tokens; start is the empty (all-BOS) context's id."""
+    v = student.vocab.size
+    m = max(teacher.order, student.order)
+    ids = np.arange(v ** m)
+    return (teacher.dists().rows(suffix_ids(ids, teacher.order, v)),
+            suffix_ids(ids, student.order, v), prefix_id([], m, student.vocab))
+
+
+def _live(occ: np.ndarray, teacher_rows: CategoricalDist, student_ids: np.ndarray):
+    """(weights, teacher rows, student ids) at the contexts of nonzero occupancy."""
+    live = np.flatnonzero(occ > 0.0)
+    return occ[live], teacher_rows.rows(live), student_ids[live]
+
+
+def _divergences(w: np.ndarray, p: CategoricalDist, q: CategoricalDist) -> tuple[float, float]:
+    return float(w @ kl_rows(p, q)), float(w @ kl_rows(q, p))
+
+
 def context_occupancy(student: TabularLM, teacher, eval_len: int,
                       eval_from: str) -> np.ndarray:
     """The mean over positions t = 0 .. eval_len - 1 of the distribution of position
@@ -79,29 +156,13 @@ def context_occupancy(student: TabularLM, teacher, eval_len: int,
     have id c. Sequences start empty and are drawn from the teacher, or from the
     student with eval_from="student"; each position is one product of the
     context distribution with the driving model's rows, lifted to order m.
+    This is EvalPlan's occupancy.
     """
-    if eval_len < 1:
-        raise InvalidInputError(f"eval_len must be >= 1, got {eval_len}")
-    check_pair(teacher, student)
-    v = student.vocab.size
-    m = max(teacher.order, student.order)
-    n = v ** m
-    if eval_from == "teacher":
-        drive, k = teacher.dists().probs, teacher.order
-    elif eval_from == "student":
-        # the student's own logits, which every table writer keeps finite
-        drive, k = softmax_rows(student.table)[0], student.order
-    else:
-        raise InvalidInputError(f"unknown eval_from {eval_from!r}")
-    drive = drive[suffix_ids(np.arange(n), k, v)]
-    pi = np.zeros(n)
-    pi[prefix_id([], m, student.vocab)] = 1.0
-    occ = pi.copy()
-    for _ in range(eval_len - 1):
-        # context c = (oldest token, rest) emits tok and moves to (rest, tok)
-        pi = (pi[:, None] * drive).reshape(v, n // v, v).sum(axis=0).ravel()
-        occ += pi
-    return occ / eval_len
+    plan = EvalPlan(teacher, student, eval_len, eval_from)
+    if plan.occ is not None:
+        return plan.occ
+    # the student's own logits, which every table writer keeps finite
+    return plan.occupancy(softmax_rows(student.table)[0])
 
 
 def occupancy_divergences(student: TabularLM, teacher, occ: np.ndarray) -> tuple[float, float]:
@@ -110,16 +171,46 @@ def occupancy_divergences(student: TabularLM, teacher, occ: np.ndarray) -> tuple
     occ is context_occupancy's vector. Teacher and student rows are read at each
     context's last teacher.order and student.order tokens. A context with
     occupancy 0 contributes nothing; a support violation at any other context
-    makes that direction math.inf.
+    makes that direction math.inf. This is EvalPlan's reading at occ, with
+    the student's rows from predict_batch.
     """
     if occ.shape != (student.vocab.size ** max(teacher.order, student.order),):
         raise InvalidInputError(f"occupancy of shape {occ.shape} does not fit these models")
-    live = np.flatnonzero(occ > 0.0)
-    v = student.vocab.size
-    p = teacher.dists().rows(suffix_ids(live, teacher.order, v))
-    q = student.predict_batch(suffix_ids(live, student.order, v))
-    w = occ[live]
-    return float(w @ kl_rows(p, q)), float(w @ kl_rows(q, p))
+    w, p, ids = _live(occ, *_contexts(teacher, student)[:2])
+    return _divergences(w, p, student.predict_batch(ids))
+
+
+class CompletionTasks:
+    """(prompt, continuation) tasks, planned once for greedy rollouts of one student order.
+
+    Built once: every prompt's start context id and the continuations, padded
+    to the longest. accuracy(logits) is one greedy walk of every task in
+    lockstep, as TabularLM.greedy_rollouts advances them, and one comparison:
+    a task counts when its first len(continuation) tokens match.
+    """
+
+    def __init__(self, tasks, student: TabularLM):
+        tasks = [(prompt, list(continuation)) for prompt, continuation in tasks]
+        if not tasks:
+            raise InvalidInputError("task list is empty")
+        if not all(cont for _, cont in tasks):
+            raise InvalidInputError("steps must be >= 1")
+        self.order, self.v = student.order, student.vocab.size
+        self.start = prefix_ids([prompt for prompt, _ in tasks], self.order, student.vocab)
+        lengths = np.array([len(cont) for _, cont in tasks])
+        self.steps = int(lengths.max())
+        self.pad = np.arange(self.steps) >= lengths[:, None]
+        # a continuation token equal (==) to no token id can never be matched: -1
+        token = {i: i for i in range(self.v)}
+        self.want = np.full(self.pad.shape, -1, dtype=np.intp)
+        self.want[~self.pad] = [token.get(t, -1) for _, cont in tasks for t in cont]
+
+    def accuracy(self, logits: np.ndarray) -> float:
+        """Fraction of tasks whose greedy rollout under these logit rows reproduces them."""
+        _, out = walk(self.start, self.steps, self.order, self.v,
+                      lambda ids, t: np.argmax(logits.take(ids, axis=0), axis=1))
+        hits = ((out == self.want) | self.pad).all(axis=1)
+        return int(np.count_nonzero(hits)) / len(hits)
 
 
 def completion_accuracy(model: TabularLM, tasks) -> float:
@@ -127,18 +218,9 @@ def completion_accuracy(model: TabularLM, tasks) -> float:
 
     Every task's rollout advances in lockstep (TabularLM.greedy_rollouts), as
     long as the longest continuation; a task compares its first len(continuation)
-    tokens.
+    tokens. This is CompletionTasks' accuracy of the model's logits.
     """
-    tasks = [(prompt, list(continuation)) for prompt, continuation in tasks]
-    if not tasks:
-        raise InvalidInputError("task list is empty")
-    if not all(cont for _, cont in tasks):
-        raise InvalidInputError("steps must be >= 1")
-    prompts = [prompt for prompt, _ in tasks]
-    steps = max(len(cont) for _, cont in tasks)
-    outs = model.greedy_rollouts(prompts, steps)
-    hits = sum(out[:len(cont)] == cont for out, (_, cont) in zip(outs, tasks))
-    return hits / len(tasks)
+    return CompletionTasks(tasks, model).accuracy(model.table)
 
 
 def make_completion_tasks(

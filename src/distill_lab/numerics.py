@@ -170,15 +170,23 @@ def _support_entropy(p: np.ndarray, lp: np.ndarray) -> float:
 
 
 def entropy(d: CategoricalDist) -> float | np.ndarray:
-    """Shannon entropy -sum p ln p, with 0 ln 0 := 0; an array, one per row, of a batch."""
+    """Shannon entropy -sum p ln p, with 0 ln 0 := 0; an array, one per row, of a batch.
+
+    A batch is read in C order, so each row is summed as one contiguous row,
+    as the entropy of that row alone sums it. When every entry is positive,
+    that is one row-wise sum of p * ln p, with no mask.
+    """
     if d.probs.ndim == 1:
         return _support_entropy(d.probs, d.logprobs)
-    full = np.all(d.probs > 0.0, axis=1)
-    h = -np.sum(d.probs * np.where(full[:, None], d.logprobs, 0.0), axis=1)
+    p, lp = np.ascontiguousarray(d.probs), np.ascontiguousarray(d.logprobs)
+    if p.min(initial=1.0) > 0.0:
+        return -np.sum(p * lp, axis=1)
+    full = np.all(p > 0.0, axis=1)
+    h = -np.sum(p * np.where(full[:, None], lp, 0.0), axis=1)
     # dropping a row's zeros shifts numpy's pairwise-summation blocks, so such
     # a row sums its support alone, as the entropy of one distribution does
     for i in np.flatnonzero(~full):
-        h[i] = _support_entropy(d.probs[i], d.logprobs[i])
+        h[i] = _support_entropy(p[i], lp[i])
     return h
 
 
@@ -204,20 +212,28 @@ def kl_exact(p: CategoricalDist, q: CategoricalDist) -> float:
 
 def kl_rows(p: CategoricalDist, q: CategoricalDist) -> np.ndarray:
     """KL(p_i || q_i) for each row i of two (n, V) batches: kl_exact(p_i, q_i), or inf
-    where that raises because p_i puts mass outside q_i's support."""
+    where that raises because p_i puts mass outside q_i's support.
+
+    When every entry of both batches is positive, no row is masked: the rows
+    are summed by one row-wise sum of a C-order product, the same elements in
+    the same order as the masked gathers sum them.
+    """
     if p.probs.ndim != 2 or p.probs.shape != q.probs.shape:
         raise InvalidInputError(f"need two (n, V) batches of one shape, got {p.probs.shape} "
                                 f"and {q.probs.shape}")
-    inside = ~np.any(p.support & ~q.support, axis=1)
-    full = np.all(p.support, axis=1)
-    kl = np.full(len(p.probs), np.inf)
-    rows = full & inside
-    kl[rows] = np.sum(p.probs[rows] * (p.logprobs[rows] - q.logprobs[rows]), axis=1)
-    # a row with zeros sums its support alone, as kl_exact does, so that numpy's
-    # pairwise-summation blocks fall where they fall for the single distribution
-    for i in np.flatnonzero(~full & inside):
-        mask = p.support[i]
-        kl[i] = np.sum(p.probs[i][mask] * (p.logprobs[i][mask] - q.logprobs[i][mask]))
+    if p.probs.min(initial=1.0) > 0.0 and q.probs.min(initial=1.0) > 0.0:
+        kl = np.sum(np.ascontiguousarray(p.probs * (p.logprobs - q.logprobs)), axis=1)
+    else:
+        inside = ~np.any(p.support & ~q.support, axis=1)
+        full = np.all(p.support, axis=1)
+        kl = np.full(len(p.probs), np.inf)
+        rows = full & inside
+        kl[rows] = np.sum(p.probs[rows] * (p.logprobs[rows] - q.logprobs[rows]), axis=1)
+        # a row with zeros sums its support alone, as kl_exact does, so that numpy's
+        # pairwise-summation blocks fall where they fall for the single distribution
+        for i in np.flatnonzero(~full & inside):
+            mask = p.support[i]
+            kl[i] = np.sum(p.probs[i][mask] * (p.logprobs[i][mask] - q.logprobs[i][mask]))
     kl[(-1e-12 < kl) & (kl < 0.0)] = 0.0
     return kl
 

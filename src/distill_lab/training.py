@@ -18,8 +18,7 @@ import numpy as np
 
 from .data import Corpus, MarkovSource
 from .errors import ConfigError, DivergenceInfiniteError, InvalidInputError, PipelineError
-from .evaluation import (check_pair, completion_accuracy, context_occupancy,
-                         occupancy_divergences)
+from .evaluation import CompletionTasks, EvalPlan, check_pair
 from .model import (
     GradAccumulator,
     TabularLM,
@@ -183,11 +182,11 @@ class MetricsRow:
         )
 
 
-def evaluate_divergences(student: TabularLM, teacher, cfg: TrainConfig) -> tuple[float, float]:
-    """Exact KL(p||q) and KL(q||p), weighted by the contexts' occupancy over
-    positions 0 .. cfg.eval_len - 1 of sequences drawn as cfg.eval_from says."""
-    occ = context_occupancy(student, teacher, cfg.eval_len, cfg.eval_from)
-    return occupancy_divergences(student, teacher, occ)
+def evaluate_divergences(plan: EvalPlan, pred: PredictiveTable) -> tuple[float, float]:
+    """One reading: exact KL(p||q) and KL(q||p) of the student whose predictive table
+    is pred, weighted by the contexts' occupancy over positions 0 .. eval_len - 1 of
+    sequences drawn as the plan's eval_from says."""
+    return plan.divergences(pred.probs, pred.logprobs)
 
 
 class PredictiveTable:
@@ -230,8 +229,12 @@ def _train_loop(cfg: TrainConfig, teacher, student: TabularLM, eval_tasks,
     step that moved none refreshes nothing. minibatch returns the batch's
     student context ids and its rewards (None off-policy). The mean entropy
     of the student's rows at those ids is computed only for a metrics row,
-    from pred before the step moves them.
+    from pred before the step moves them. Evaluation is planned before step
+    1 (EvalPlan, CompletionTasks), so invalid tasks raise then; each reading
+    reads pred and the student's logits.
     """
+    plan = EvalPlan(teacher, student, cfg.eval_len, cfg.eval_from)
+    tasks = CompletionTasks(eval_tasks, student) if eval_tasks else None
     rng = np.random.default_rng(cfg.seed)
     student = student.copy()
     acc = GradAccumulator(student.order, student.vocab.size)
@@ -249,8 +252,8 @@ def _train_loop(cfg: TrainConfig, teacher, student: TabularLM, eval_tasks,
             pred.refresh(moved)
 
         if log:
-            kl_fwd, kl_rev = evaluate_divergences(student, teacher, cfg)
-            accuracy = completion_accuracy(student, eval_tasks) if eval_tasks else None
+            kl_fwd, kl_rev = evaluate_divergences(plan, pred)
+            accuracy = tasks.accuracy(student.table) if tasks else None
             rows.append(
                 MetricsRow(
                     step=step,
@@ -301,13 +304,14 @@ def distill_offpolicy(
     p_table = teacher.dists()
     s_ids = context_ids(tokens, offsets, student.order, student.vocab.bos_id, v)
     t_ids = context_ids(tokens, offsets, teacher.order, teacher.vocab.bos_id, v)
-    # every position's expert as a flat index into a student table, and the
-    # frozen teacher's p and ln p there: a minibatch reads them by 1-d gathers
-    s_at = s_ids * v + tokens
-    p_at, lp_at = p_table.probs[t_ids, tokens], p_table.logprobs[t_ids, tokens]
     n_seqs, n = len(lengths), cfg.batch_size
     tag = kind.tag
     hpd = tag in HPD_VARIANTS
+    if not hpd and tag != "fkld_dense":
+        # every position's expert as a flat index into a student table, and the
+        # frozen teacher's p and ln p there: a minibatch reads them by 1-d gathers
+        s_at = s_ids * v + tokens
+        p_at, lp_at = p_table.probs[t_ids, tokens], p_table.logprobs[t_ids, tokens]
     k, cols = (cfg.hpd_samples, 2) if hpd else (1, 1)
     # each draw updates the expert token, then the sampled one, and the position
     # counts once, at its first draw's expert token
@@ -420,8 +424,9 @@ def distill_onpolicy_opd(
         rewards = token_weights(kind, p, p_table.logprobs.take(t_flat), pred.probs.take(s_flat),
                                 pred.logprobs.take(s_flat), tokens)
         if reward_mode == "trajectory":
-            # the builtin sum adds a rollout's rewards in order, as np.sum need not
-            coeffs = np.repeat([sum(r) for r in rewards.reshape(n, h).tolist()], h)
+            # one in-order left fold per rollout: np.sum need not add in order, and the
+            # builtin sum is compensated since Python 3.12
+            coeffs = np.repeat(np.cumsum(rewards.reshape(n, h), axis=1)[:, -1], h)
         else:
             coeffs = rewards
         baseline = float(np.mean(rewards)) if cfg.opd_baseline else 0.0

@@ -275,6 +275,20 @@ class TestCommands:
             assert np.array_equal(a.touched, b.touched)
             assert np.array_equal(a.table, b.table)
 
+    @pytest.mark.parametrize("eval_from", ["teacher", "student"])
+    def test_last_metrics_row_is_eval_of_the_saved_student(self, tmp_path, monkeypatch,
+                                                           eval_from):
+        # a run reads its plan at every eval_every-th step; eval plans once for one reading
+        monkeypatch.chdir(tmp_path)
+        cfg = dict(BASE, out_dir="out", tasks={"num_tasks": 20})
+        cfg["train"] = dict(BASE["train"], eval_from=eval_from)
+        path = write_config(tmp_path / "c.json", cfg)
+        assert main(["distill", "--config", path]) == 0
+        assert main(["eval", "--config", path, "--set", 'init_checkpoint="out/student.json"']) == 0
+        row = (tmp_path / "out" / "metrics.csv").read_text().splitlines()[-1].split(",")
+        audit = (tmp_path / "out" / "audit.csv").read_text().splitlines()[-1].split(",")
+        assert row[4:7] == audit[:2] + audit[3:] and row[6] != ""
+
     def test_eval_support_violation_writes_inf(self, tmp_path, monkeypatch):
         # a uniform student covers the cycle's one-hot rows, not the reverse
         monkeypatch.chdir(tmp_path)
@@ -338,6 +352,21 @@ class TestCommands:
          "stages[0].name '../up' contains a path separator"),
         ("distill", ['stages=[{"name": "a\\\\b", "objective": "sft"}]'],
          "contains a path separator"),
+        # every typed key is checked, whether or not the command reads it
+        ("opd", ["train.objective=opd_k1", "corpus.temperature=abc"],
+         "corpus.temperature: expected float, got 'abc'"),
+        ("opd", ["train.objective=opd_k1", "teacher.smoothing=abc"],
+         "teacher.smoothing: expected float, got 'abc'"),
+        ("opd", ["train.objective=opd_k1", "teacher.order=abc"],
+         "teacher.order: expected int, got 'abc'"),
+        ("opd", ["train.objective=opd_k1", "gradcheck.eps=abc"],
+         "gradcheck.eps: expected float, got 'abc'"),
+        ("opd", ["train.objective=opd_k1", "tasks.min_conf=abc"],
+         "tasks.min_conf: expected float, got 'abc'"),
+        ("gradcheck", ["corpus.num_seqs=2.5"], "corpus.num_seqs: expected int, got 2.5"),
+        ("gen-source", ["train.n_eval_seqs=many"], "train.n_eval_seqs: expected int, got 'many'"),
+        ("gen-source", ['stages=[{"objective": "sft", "lr": "fast"}]'],
+         "stages[0].lr: expected float, got 'fast'"),
     ])
     def test_user_errors_exit_two(self, tmp_path, monkeypatch, capsys, command, sets,
                                   needle):

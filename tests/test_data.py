@@ -2,12 +2,14 @@
 
 import itertools
 import json
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from distill_lab import data
 from distill_lab.data import (
     BIMODAL_EPS,
     BIMODAL_VOCAB,
@@ -303,6 +305,139 @@ class TestCorpusIO:
     def test_bad_provenance_rejected(self):
         with pytest.raises(InvalidInputError):
             Corpus(sequences=[], provenance="mystery", seed=0, vocab_size=2)
+
+
+HEADER = '{"format_version": 1, "V": %d, "provenance": "ground_truth", "seed": 0}\n'
+
+
+def reference_corpus_read(path):
+    """Sequences (or the ParseError message) of a corpus file, one int() per token."""
+    lines = open(path, encoding="utf-8").read().splitlines()
+    v = json.loads(lines[0])["V"]
+    seqs = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        try:
+            seq = [int(t) for t in line.split()]
+        except ValueError as e:
+            return f"{path}: line {lineno}: non-integer token: {e}"
+        for t in seq:
+            if not 0 <= t < v:
+                return f"{path}: line {lineno}: token id {t} out of range [0, {v})"
+        seqs.append(seq)
+    return seqs
+
+
+def read_or_message(path):
+    try:
+        return corpus_read(path).sequences
+    except ParseError as e:
+        return str(e)
+
+
+def _reformat(text, style):
+    """A corpus file's text with its body's separators and blank lines restyled."""
+    head, _, body = text.partition("\n")
+    lines = body.splitlines()
+    if style == "tabs":
+        lines = [line.replace(" ", "\t") for line in lines]
+    elif style == "blank lines":
+        lines = [x for line in lines for x in ("", line, "   ")]
+    elif style == "trailing spaces":
+        lines = ["  " + line + " \t " for line in lines]
+    elif style == "crlf":
+        return head + "\r\n" + "\r\n".join(lines) + "\r\n"
+    return head + "\n" + "\n".join(lines) + "\n"
+
+
+class TestCorpusParse:
+    """corpus_read's one-call parse reads what the line parser reads, error for error."""
+
+    @pytest.mark.parametrize("spec, shape", [
+        ({"name": "bimodal_gap"}, (200, 64)),
+        ({"name": "random_dirichlet", "seed": 1, "vocab_size": 130, "order": 1}, (30, 17)),
+        ({"name": "uniform", "vocab_size": 11}, (1, 1)),
+    ])
+    @pytest.mark.parametrize("style", ["as written", "tabs", "blank lines", "trailing spaces",
+                                       "crlf"])
+    def test_one_call_parse_equals_the_line_parser(self, tmp_path, monkeypatch, spec, shape,
+                                                   style):
+        src = build_source(spec)
+        corpus = sample_corpus(src, *shape, np.random.default_rng(3))
+        path = tmp_path / "c.txt"
+        corpus_write(corpus, path)
+        path.write_bytes(_reformat(path.read_text(), style).encode())
+        # the line parser is not called: the one-call parse proved its result
+        monkeypatch.setattr(data, "_parse_lines", None)
+        assert corpus_read(path).sequences == corpus.sequences
+        monkeypatch.undo()
+        assert reference_corpus_read(path) == corpus.sequences
+
+    @pytest.mark.parametrize("body, want", [
+        ("+3 -0 007\n", [[3, 0, 7]]),
+        ("1_0 2\n", [[10, 2]]),
+        ("\u0663 1\n", [[3, 1]]),
+        ("1\xa02\u20033\n", [[1, 2, 3]]),
+        ("1\x1f2\x1c3\n", [[1, 2], [3]]),
+    ])
+    def test_inputs_left_to_the_line_parser(self, tmp_path, body, want):
+        # int() reads these, np.fromstring would not or not alike: the line parser does
+        path = tmp_path / "c.txt"
+        path.write_text(HEADER % 11 + body, encoding="utf-8")
+        assert corpus_read(path).sequences == want == reference_corpus_read(path)
+
+    @pytest.mark.parametrize("body, message", [
+        ("0 x\n", "line 2: non-integer token: invalid literal for int() with base 10: 'x'"),
+        ("0 1\n1.5 0\n",
+         "line 3: non-integer token: invalid literal for int() with base 10: '1.5'"),
+        ("0 1\n\n2 -\n", "line 4: non-integer token: invalid literal for int() with base 10: '-'"),
+        ("1e3\n", "line 2: non-integer token: invalid literal for int() with base 10: '1e3'"),
+        ("0 -1\n", "line 2: token id -1 out of range [0, 4)"),
+        ("0 1 2\n0 9 1\n", "line 3: token id 9 out of range [0, 4)"),
+        ("0 4\n", "line 2: token id 4 out of range [0, 4)"),
+        ("1 99999999999999999999\n",
+         "line 2: token id 99999999999999999999 out of range [0, 4)"),
+        ("9223372036854775807\n", "line 2: token id 9223372036854775807 out of range [0, 4)"),
+    ])
+    def test_error_messages_are_the_line_parsers(self, tmp_path, body, message):
+        path = tmp_path / "c.txt"
+        path.write_text(HEADER % 4 + body)
+        with pytest.raises(ParseError) as info:
+            corpus_read(path)
+        assert str(info.value) == f"{path}: {message}" == reference_corpus_read(path)
+
+    @pytest.mark.parametrize("text", ["", "\n"])
+    def test_missing_header_message(self, tmp_path, text):
+        path = tmp_path / "c.txt"
+        path.write_text(text)
+        with pytest.raises(ParseError) as info:
+            corpus_read(path)
+        assert str(info.value) == (f"{path}: empty file, missing header" if not text else
+                                   f"{path}: line 1: bad header: Expecting value: line 1 "
+                                   f"column 1 (char 0)")
+
+    @pytest.mark.parametrize("body", ["", "\n", "  \n\t\n", "\n\n\n"])
+    def test_empty_body_is_an_empty_corpus(self, tmp_path, body):
+        path = tmp_path / "c.txt"
+        path.write_text(HEADER % 4 + body)
+        assert corpus_read(path).sequences == [] == reference_corpus_read(path)
+
+    def test_random_bodies_match_the_line_parser(self, tmp_path):
+        pieces = ["0", "1", "5", "6", "12", "007", "+3", "-0", "-1", "-", "+", "1_0", "\u0663",
+                  "1.5", "1e2", "x", " ", "  ", "\t", "\x0b", "\x0c", "\x1f", "\xa0", "\n",
+                  "\r\n", "\x1c", "99999999999999999999", "9223372036854775807", "3 4", ""]
+        rng = random.Random(0)
+        path = tmp_path / "c.txt"
+        fast = 0
+        for _ in range(1500):
+            v = rng.choice([6, 13, 1, 0, -2, 10**30])
+            body = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 12)))
+            path.write_text(HEADER % v + body, encoding="utf-8", newline="")
+            assert read_or_message(path) == reference_corpus_read(path), (body, v)
+            lines = path.read_text(encoding="utf-8").splitlines()
+            fast += data._parse_body(lines[1:], v) is not None
+        assert fast > 100  # the one-call parse took a good share of them
 
 
 class TestSourceIO:

@@ -380,6 +380,57 @@ class TestKLRows:
             kl_rows(dist(0.5, 0.5), dist(0.5, 0.5))
 
 
+def _in_layout(a, layout):
+    """a in C order, in Fortran order, or as a strided view into a larger array."""
+    if layout == "F":
+        return np.asfortranarray(a)
+    if layout == "strided":
+        big = np.full((2 * a.shape[0], 3 * a.shape[1]), np.nan)
+        big[::2, ::3] = a
+        return big[::2, ::3]
+    return np.ascontiguousarray(a)
+
+
+def _batch(d, layout, extra=None):
+    """The batch d in a layout, with the rows of extra appended first when given."""
+    probs, logprobs = d.probs, d.logprobs
+    if extra is not None:
+        probs, logprobs = np.vstack([probs, extra.probs]), np.vstack([logprobs, extra.logprobs])
+    return CategoricalDist(probs=_in_layout(probs, layout), logprobs=_in_layout(logprobs, layout))
+
+
+class TestPositiveFastPath:
+    """With every entry positive, kl_rows and entropy skip their masks, bit for bit."""
+
+    @pytest.mark.parametrize("v", [2, 3, 8, 9, 17, 130])
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_fast_path_is_the_masked_path(self, v, layout):
+        rng = np.random.default_rng(v)
+        z = rng.normal(scale=2.0, size=(40, v))
+        p = softmax(z)
+        # rows equal to p's, perturbed by 1e-9 (sums in (-1e-12, 0) clamp to 0), and others
+        row = np.arange(40)[:, None] % 3
+        q = softmax(np.where(row == 0, z, np.where(
+            row == 1, z + rng.normal(scale=1e-9, size=z.shape), z[rng.permutation(40)])))
+        assert p.probs.min() > 0.0 and q.probs.min() > 0.0
+        # one more row with a zero sends the whole batch through the masked gathers
+        zero = softmax(np.where(np.arange(v) == 0, -2000.0, np.zeros((1, v))))
+        fast_kl = kl_rows(_batch(p, layout), _batch(q, layout))
+        masked_kl = kl_rows(_batch(p, layout, zero), _batch(q, layout, zero))
+        assert fast_kl.tobytes() == masked_kl[:40].tobytes()
+        assert fast_kl.tobytes() == kl_rows(p, q).tobytes()
+        assert [float(x) for x in fast_kl] == [kl_exact(p.rows(i), q.rows(i)) for i in range(40)]
+        assert (fast_kl == 0.0).any() and (fast_kl > 0.0).any()
+        fast_h = entropy(_batch(q, layout))
+        masked_h = entropy(_batch(q, layout, zero))
+        assert fast_h.tobytes() == masked_h[:40].tobytes()
+        assert [float(x) for x in fast_h] == [entropy(q.rows(i)) for i in range(40)]
+
+    def test_empty_batches(self):
+        empty = CategoricalDist(probs=np.zeros((0, 3)), logprobs=np.zeros((0, 3)))
+        assert kl_rows(empty, empty).shape == (0,) and entropy(empty).shape == (0,)
+
+
 class TestJSDBeta:
     def test_identity(self):
         d = dist(0.4, 0.6)

@@ -7,6 +7,7 @@ import pytest
 
 from distill_lab import training
 from distill_lab.data import Corpus, build_source, sample_corpus, generate_seqkd_corpus
+from distill_lab.evaluation import completion_accuracy, context_occupancy, occupancy_divergences
 from distill_lab.errors import (
     ConfigError,
     DivergenceInfiniteError,
@@ -682,6 +683,106 @@ class TestTrainLoop:
                 np.errstate(over="ignore"):
             training._train_loop(small_cfg("sft", lr=10.0), teacher, student, None, minibatch)
         assert refreshed == [] and not student.touched.any()
+
+
+READING_SOURCE = {"name": "random_dirichlet", "seed": 4, "vocab_size": 4,
+                  "concentration": 0.5}
+
+
+def _reading_setup(teacher_kind, teacher_order):
+    """A teacher of that kind and order, a corpus and ragged tasks over 4 tokens."""
+    src = build_source(dict(READING_SOURCE, order=teacher_order))
+    corpus = sample_corpus(src, 12, 10, np.random.default_rng(teacher_order))
+    teacher = (OracleTeacher(src) if teacher_kind == "oracle"
+               else ModelTeacher(train_teacher_mle(corpus, teacher_order, 0.1)))
+    rng = np.random.default_rng(9)
+    tasks = [(rng.integers(4, size=i % 5).tolist(), rng.integers(4, size=1 + i % 3).tolist())
+             for i in range(24)]
+    # greedy continuations of the uniform start hit; the rest mostly miss
+    tasks += [([], [0]), ([1, 2], [0, 0])]
+    return teacher, corpus, tasks
+
+
+class TestPlannedReadings:
+    """Each metrics row equals the public stateless evaluation of that step's student."""
+
+    @pytest.mark.parametrize("tag", ["hpd", "opd_k1"])
+    @pytest.mark.parametrize("teacher_kind", ["oracle", "mle"])
+    @pytest.mark.parametrize("student_order, teacher_order",
+                             [(1, 1), (1, 3), (2, 1), (2, 2), (3, 2), (3, 3)])
+    @pytest.mark.parametrize("eval_from", ["teacher", "student"])
+    def test_rows_equal_the_stateless_functions(self, monkeypatch, tag, teacher_kind,
+                                                student_order, teacher_order, eval_from):
+        teacher, corpus, tasks = _reading_setup(teacher_kind, teacher_order)
+        students = []
+        reading = training.evaluate_divergences
+
+        def spy(plan, pred):
+            students.append(pred.student.copy())
+            return reading(plan, pred)
+
+        monkeypatch.setattr(training, "evaluate_divergences", spy)
+        cfg = small_cfg(tag, steps=7, eval_every=2, batch_size=6, horizon=4, eval_len=6,
+                        eval_from=eval_from, seed=student_order)
+        student = TabularLM(order=student_order, vocab=Vocab.default(4))
+        if tag == "hpd":
+            _, rows = distill_offpolicy(cfg, teacher, corpus, student, eval_tasks=tasks)
+        else:
+            _, rows = distill_onpolicy_opd(cfg, teacher, student, eval_tasks=tasks)
+        assert [r.step for r in rows] == [2, 4, 6, 7] and len(students) == len(rows)
+        for row, s in zip(rows, students):
+            occ = context_occupancy(s, teacher, cfg.eval_len, eval_from)
+            assert (row.kl_fwd, row.kl_rev) == occupancy_divergences(s, teacher, occ)
+            assert row.accuracy == completion_accuracy(s, tasks)
+        assert len({(r.kl_fwd, r.kl_rev) for r in rows}) == len(rows)  # the student moved
+
+    @pytest.mark.parametrize("tasks, match", [
+        ([([0], [1]), ([1], [])], "steps must be >= 1"),
+        ([([0, 7], [1])], r"context \(0, 7\) has out-of-range token ids"),
+    ])
+    @pytest.mark.parametrize("tag", ["sft", "opd_k1"])
+    def test_invalid_tasks_raise_before_step_one(self, monkeypatch, tasks, match, tag):
+        teacher, corpus, _ = _reading_setup("oracle", 2)
+        steps = []
+        monkeypatch.setattr(training, "sgd_step", lambda *a: steps.append(a))
+        cfg = small_cfg(tag, steps=50, eval_every=50, horizon=3)
+        student = TabularLM(order=2, vocab=Vocab.default(4))
+        with pytest.raises(InvalidInputError, match=match):
+            if tag == "sft":
+                distill_offpolicy(cfg, teacher, corpus, student, eval_tasks=tasks)
+            else:
+                distill_onpolicy_opd(cfg, teacher, student, eval_tasks=tasks)
+        assert steps == []
+
+
+class TestTrajectoryFold:
+    def test_coefficients_are_the_in_order_left_fold(self, monkeypatch):
+        # rewards that cancel: an in-order fold gives 0.0 where a compensated sum
+        # (the builtin sum since Python 3.12) gives 2.0
+        cancelling = [0.1] * 10 + [1e16, 1.0, -1e16]
+        h, n = len(cancelling), 3
+        rewards = np.array([cancelling, cancelling[::-1], np.linspace(-3.0, 2.0, h)]).ravel()
+        monkeypatch.setattr(training, "token_weights", lambda *a: rewards.copy())
+        coeffs = []
+        kernel = training.add_token_grads
+
+        def spy(acc, ids, tokens, weights, counts, q):
+            coeffs.append(weights.copy())
+            return kernel(acc, ids, tokens, np.zeros_like(weights), counts, q)
+
+        monkeypatch.setattr(training, "add_token_grads", spy)
+        teacher = OracleTeacher(build_source({"name": "uniform", "vocab_size": 3}))
+        cfg = small_cfg("opd_k1", steps=1, batch_size=n, horizon=h,
+                        opd_reward_mode="trajectory")
+        distill_onpolicy_opd(cfg, teacher, TabularLM(order=1, vocab=Vocab.default(3)))
+        folds = []
+        for r in rewards.reshape(n, h).tolist():
+            acc = 0.0
+            for x in r:
+                acc += x
+            folds.append(acc)
+        assert folds[0] == 0.0
+        assert coeffs[0].tobytes() == np.repeat(folds, h).tobytes()
 
 
 class TestRunExperiment:
