@@ -3,8 +3,7 @@
 from .numerics import (
     CategoricalDist,
     entropy,
-    jsd_beta,
-    kl_exact,
+    kl_rows,
     softmax,
 )
 from .model import (
@@ -17,13 +16,8 @@ from .model import (
     sgd_step,
 )
 from .objectives import (
-    HPDWeights,
     ObjectiveKind,
-    hpd_weights,
     token_weights,
-    weight_fkld_token,
-    weight_jsd_off,
-    weight_rkld_off,
 )
 from .data import (
     Corpus,

@@ -14,6 +14,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
@@ -49,9 +50,19 @@ from .training import (
 
 CONFIG_FORMAT_VERSION = 1
 
-# every config key: a section's keys, each with its type, or a top-level value's
-# type; None marks a value that is not a number, checked where it is read.
-# validate_config checks every typed value a config sets, whichever command runs
+
+@dataclass(frozen=True)
+class _OneOf:
+    """The allowed values of an enumerated key; `what` names it in the error."""
+
+    what: str
+    values: tuple
+
+
+# every config key: a section's keys, each with its type or its allowed values,
+# or a top-level value's type; None marks a value that is not a number, checked
+# where it is read. validate_config checks every typed or enumerated value a
+# config sets, whichever command runs
 _SCHEMA = {
     "seed": None,
     "out_dir": None,
@@ -59,15 +70,20 @@ _SCHEMA = {
                "concentration": float, "eps": float},
     "source_path": None,
     "corpus_path": None,
-    "corpus": {"num_seqs": int, "length": int, "regime": None, "temperature": float},
+    "corpus": {"num_seqs": int, "length": int,
+               "regime": _OneOf("corpus regime", ("ground_truth", "teacher_generated")),
+               "temperature": float},
     "student_order": int,
-    "teacher": {"mode": None, "order": int, "smoothing": float},
+    "teacher": {"mode": _OneOf("teacher.mode", ("oracle_source", "mle_fit")), "order": int,
+                "smoothing": float},
     "init_checkpoint": None,
     "train": {
-        "objective": None, "beta": float, "sign_fidelity": boolean, "lr": float,
-        "steps": int, "batch_size": int, "eval_every": int, "opd_reward_mode": None,
+        "objective": _OneOf("objective tag", ALL_TAGS), "beta": float,
+        "sign_fidelity": boolean, "lr": float, "steps": int, "batch_size": int,
+        "eval_every": int,
+        "opd_reward_mode": _OneOf("opd_reward_mode", ("per_token", "trajectory")),
         "hpd_samples": int, "opd_baseline": boolean, "horizon": int, "n_eval_seqs": int,
-        "eval_len": int, "eval_from": None,
+        "eval_len": int, "eval_from": _OneOf("eval_from", ("teacher", "student")),
     },
     "tasks": {"num_tasks": int, "cont_len": int, "min_conf": float},
     "stages": None,
@@ -132,10 +148,14 @@ def validate_config(cfg: dict) -> None:
 
 
 def _check_types(node: dict, section: str, types: dict) -> None:
-    """ConfigError at the first typed key of node whose value its type rejects."""
+    """ConfigError at the first typed or enumerated key of node whose value it rejects."""
     for key, cast in types.items():
-        if cast is not None and key in node:
+        if key not in node or cast is None:
+            continue
+        if not isinstance(cast, _OneOf):
             config_field(node, f"{section}.{key}", cast, None)
+        elif node[key] not in cast.values:
+            raise ConfigError(f"unknown {cast.what} {node[key]!r}")
 
 
 def _stage_name(i: int, stage: dict):
@@ -249,26 +269,20 @@ class _Inputs:
     @cached_property
     def corpus(self) -> data_mod.Corpus:
         c = self.cfg.get("corpus", {})
-        regime = c.get("regime", "ground_truth")
-        if "corpus_path" in self.cfg or regime == "ground_truth":
+        if "corpus_path" in self.cfg or c.get("regime", "ground_truth") == "ground_truth":
             return self.ground_truth
-        if regime == "teacher_generated":
-            prompts = [[] for _ in range(self.num_seqs)]
-            return data_mod.generate_seqkd_corpus(
-                self.teacher_model, prompts, self.length, self._rng,
-                temperature=config_field(c, "corpus.temperature", float, 1.0),
-                seed=self.cfg["seed"],
-            )
-        raise ConfigError(f"unknown corpus regime {regime!r}")
+        prompts = [[] for _ in range(self.num_seqs)]  # the teacher_generated regime
+        return data_mod.generate_seqkd_corpus(
+            self.teacher_model, prompts, self.length, self._rng,
+            temperature=config_field(c, "corpus.temperature", float, 1.0),
+            seed=self.cfg["seed"],
+        )
 
     @cached_property
     def teacher(self):
-        mode = self.cfg.get("teacher", {}).get("mode", "oracle_source")
-        if mode == "oracle_source":
-            return OracleTeacher(self.source)
-        if mode == "mle_fit":
+        if self.cfg.get("teacher", {}).get("mode", "oracle_source") == "mle_fit":
             return ModelTeacher(self.teacher_model)
-        raise ConfigError(f"unknown teacher.mode {mode!r}")
+        return OracleTeacher(self.source)
 
 
 def _get_student(cfg: dict, source) -> TabularLM:

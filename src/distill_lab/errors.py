@@ -1,5 +1,7 @@
 """Exception types shared across the package, and config-value coercion."""
 
+import math
+
 
 class InvalidInputError(ValueError):
     """Malformed argument: non-finite logits, bad context shape, etc."""
@@ -44,7 +46,8 @@ def config_field(node: dict, path: str, cast, default):
     """The value under path's last key in node (default when absent), as cast.
 
     A value cast rejects is a ConfigError naming the dotted path, and so is a
-    boolean for a number or a fraction for an int (5.0 reads as 5).
+    boolean for a number, a fraction for an int (5.0 reads as 5) or a NaN or
+    infinity for a float.
     """
     value = node.get(path.rpartition(".")[2], default)
     try:
@@ -52,6 +55,9 @@ def config_field(node: dict, path: str, cast, default):
             raise TypeError(value)
         if cast is int and isinstance(value, float) and not value.is_integer():
             raise ValueError(value)
-        return cast(value)
+        result = cast(value)
+        if cast is float and not math.isfinite(result):
+            raise ValueError(value)
+        return result
     except (TypeError, ValueError):
         raise ConfigError(f"{path}: expected {cast.__name__}, got {value!r}") from None

@@ -1,7 +1,9 @@
 """Exact categorical-distribution math.
 
 All quantities are in nats. Probabilities below ZERO_TOL are treated as
-exact zeros for support checks; their log-probability is -inf.
+exact zeros for support checks; their log-probability is -inf. `kl_rows` is
+the one divergence rule: exact KL row by row over two batches. Evaluation
+reads every divergence from it.
 
 Values are validated where they enter: `softmax`, `CategoricalDist.from_probs`
 and `from_rows` check their input and their result. `softmax_rows` is the
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceInfiniteError, InvalidInputError, InvalidParameterError
+from .errors import InvalidInputError
 
 ZERO_TOL = 1e-12
 PROB_SUM_TOL = 1e-9
@@ -33,8 +35,8 @@ class CategoricalDist:
     """Probability vector over a vocabulary with cached log-probabilities.
 
     probs may also be an (n, V) array: a batch of n distributions, one per
-    row, as `softmax` of an (n, V) logit array or `from_rows` builds it. The
-    weight rules in objectives.py and `entropy` take one or a batch.
+    row, as `softmax` of an (n, V) logit array or `from_rows` builds it.
+    `entropy` takes one or a batch; `kl_rows` takes two batches.
     """
 
     probs: np.ndarray
@@ -190,33 +192,16 @@ def entropy(d: CategoricalDist) -> float | np.ndarray:
     return h
 
 
-def _check_same_size(p: CategoricalDist, q: CategoricalDist) -> None:
-    if p.size != q.size:
-        raise InvalidInputError(f"vocabulary sizes differ: {p.size} vs {q.size}")
-
-
-def kl_exact(p: CategoricalDist, q: CategoricalDist) -> float:
-    """KL(p || q) = sum_v p_v (ln p_v - ln q_v)."""
-    _check_same_size(p, q)
-    mask = p.support
-    if np.any(mask & ~q.support):
-        bad = int(np.argmax(mask & ~q.support))
-        raise DivergenceInfiniteError(
-            f"KL(p||q) is infinite: p[{bad}] > 0 but q[{bad}] = 0"
-        )
-    val = float(np.sum(p.probs[mask] * (p.logprobs[mask] - q.logprobs[mask])))
-    if -1e-12 < val < 0.0:
-        return 0.0
-    return val
-
-
 def kl_rows(p: CategoricalDist, q: CategoricalDist) -> np.ndarray:
-    """KL(p_i || q_i) for each row i of two (n, V) batches: kl_exact(p_i, q_i), or inf
-    where that raises because p_i puts mass outside q_i's support.
+    """KL(p_i || q_i) = sum of p (ln p - ln q) over p_i's support, for each row i of two
+    (n, V) batches: inf where p_i puts mass outside q_i's support, and 0.0 where
+    rounding leaves the sum in (-1e-12, 0).
 
-    When every entry of both batches is positive, no row is masked: the rows
-    are summed by one row-wise sum of a C-order product, the same elements in
-    the same order as the masked gathers sum them.
+    Each row is summed on its own, over its support in token order: a row of
+    full support in one row-wise sum, a row with zeros as its support gathered
+    into one 1-d array. So row i is bit for bit the sum that one distribution
+    pair gives. When every entry of both batches is positive, no row is masked:
+    one row-wise sum of a C-order product sums the same elements in the same order.
     """
     if p.probs.ndim != 2 or p.probs.shape != q.probs.shape:
         raise InvalidInputError(f"need two (n, V) batches of one shape, got {p.probs.shape} "
@@ -229,35 +214,10 @@ def kl_rows(p: CategoricalDist, q: CategoricalDist) -> np.ndarray:
         kl = np.full(len(p.probs), np.inf)
         rows = full & inside
         kl[rows] = np.sum(p.probs[rows] * (p.logprobs[rows] - q.logprobs[rows]), axis=1)
-        # a row with zeros sums its support alone, as kl_exact does, so that numpy's
-        # pairwise-summation blocks fall where they fall for the single distribution
+        # a row with zeros sums its support alone, so that numpy's pairwise-summation
+        # blocks fall where they fall for the single distribution
         for i in np.flatnonzero(~full & inside):
             mask = p.support[i]
             kl[i] = np.sum(p.probs[i][mask] * (p.logprobs[i][mask] - q.logprobs[i][mask]))
     kl[(-1e-12 < kl) & (kl < 0.0)] = 0.0
     return kl
-
-
-def jsd_beta(p: CategoricalDist, q: CategoricalDist, beta: float) -> float:
-    """Generalized Jensen-Shannon divergence against M = beta*p + (1-beta)*q."""
-    _check_same_size(p, q)
-    if not (0.0 < beta < 1.0):
-        raise InvalidParameterError(f"beta must lie in (0, 1), got {beta!r}")
-    m = CategoricalDist.from_probs(beta * p.probs + (1.0 - beta) * q.probs)
-    return beta * kl_exact(p, m) + (1.0 - beta) * kl_exact(q, m)
-
-
-def k1_samples(
-    p: CategoricalDist, q: CategoricalDist, n: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Per-sample log-ratios ln(q[a]/p[a]) with a drawn from q."""
-    _check_same_size(p, q)
-    if n < 1:
-        raise InvalidParameterError("sample count must be >= 1")
-    draws = rng.choice(p.size, size=n, p=q.probs)
-    if np.any(~p.support[draws]):
-        bad = int(draws[np.argmax(~p.support[draws])])
-        raise DivergenceInfiniteError(
-            f"sampled token {bad} has zero probability under p"
-        )
-    return q.logprobs[draws] - p.logprobs[draws]

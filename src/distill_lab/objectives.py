@@ -15,9 +15,8 @@ leading shape. At the expert (off-policy) or sampled (on-policy) token:
   jsd_off                (1 - beta) q* (ln M* - ln q*), M* = beta p* + (1 - beta) q*
   hpd variants           from p*, k1 and k1', k1 at the token sampled from q
   rkld_on, opd_k1        the reward ln p* - ln q*
-Both training loops call it; weight_fkld_token, weight_rkld_off,
-weight_jsd_off and hpd_weights apply it to one distribution pair (giving
-floats) or a batch of CategoricalDist rows (giving arrays).
+Both training loops call it, on the values they gather at their tokens;
+tests/oracles.py holds a plain-Python twin of each rule, one token at a time.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InvalidParameterError, LogOfZeroError
-from .numerics import CategoricalDist
 
 OFF_POLICY_TAGS = (
     "sft",
@@ -130,83 +128,3 @@ def _check_positive(tokens, *checks) -> None:
         i = int(np.argmax(zero))
         message = checks[i % len(checks)][1]
         raise LogOfZeroError(message.format(np.ravel(tokens)[i // len(checks)]))
-
-
-def _gather(p: CategoricalDist, q: CategoricalDist, *columns):
-    """(tokens, (p, ln p, q, ln q) at tokens) for one distribution pair or a batch.
-
-    tokens stacks the columns on a last axis, each broadcast to the batch's
-    rows, so one token id serves every row; row j is read at tokens[j].
-    """
-    rows = p.probs.shape[:-1]
-    tokens = np.empty(np.broadcast(np.empty(rows), *columns).shape + (len(columns),),
-                      dtype=np.result_type(*columns))
-    for j, column in enumerate(columns):
-        tokens[..., j] = column
-    index = (np.arange(rows[0])[:, None], tokens) if rows else tokens
-    return tokens, [a[index] for a in (p.probs, p.logprobs, q.probs, q.logprobs)]
-
-
-def _scalar(x):
-    """A Python number for one distribution's value; a batch's array as is."""
-    return x.item() if np.ndim(x) == 0 else x
-
-
-def _weight(kind: ObjectiveKind, p: CategoricalDist, q: CategoricalDist, expert):
-    """token_weights' weight on expert: a float for one distribution, an array for a batch."""
-    tokens, values = _gather(p, q, expert)
-    return _scalar(token_weights(kind, *values, tokens)[..., 0])
-
-
-def weight_fkld_token(p: CategoricalDist, expert):
-    """Teacher probability of the expert token."""
-    return _weight(ObjectiveKind("fkld_token"), p, p, expert)  # the rule reads p alone
-
-
-def weight_rkld_off(
-    p: CategoricalDist, q: CategoricalDist, expert, sign_fidelity: bool = False
-):
-    """Off-policy reverse-KL weight at the expert token: the gap q * (ln p - ln q)."""
-    return _weight(ObjectiveKind("rkld_off", sign_fidelity=sign_fidelity), p, q, expert)
-
-
-def weight_jsd_off(
-    p: CategoricalDist,
-    q: CategoricalDist,
-    expert,
-    beta: float = 0.5,
-    sign_fidelity: bool = False,
-):
-    """Off-policy generalized-JSD weight at the expert token."""
-    return _weight(ObjectiveKind("jsd_off", beta=beta, sign_fidelity=sign_fidelity),
-                   p, q, expert)
-
-
-@dataclass(frozen=True)
-class HPDWeights:
-    """Per-step record of the hybrid-policy weight rules; arrays for a batch."""
-
-    k1: float
-    k1_prime: float
-    w_star: float
-    sampled_token: int
-    w_sampled: float
-
-
-def hpd_weights(
-    p: CategoricalDist,
-    q: CategoricalDist,
-    expert,
-    sampled,
-    variant: str = "hpd",
-) -> HPDWeights:
-    """variant's expert and sampled-token weights (see _hpd), with k1 and k1':
-    rkld_off's weights at the expert and the sampled token."""
-    if variant not in HPD_VARIANTS:
-        raise ConfigError(f"unknown hpd variant {variant!r}")
-    tokens, values = _gather(p, q, expert, sampled)
-    k1 = token_weights(ObjectiveKind("rkld_off"), *values, tokens)
-    w = _hpd(variant, values[0], k1, tokens)
-    return HPDWeights(k1=_scalar(k1[..., 0]), k1_prime=_scalar(k1[..., 1]),
-                      w_star=_scalar(w[..., 0]), sampled_token=_scalar(tokens[..., 1]),
-                      w_sampled=_scalar(w[..., 1]))

@@ -100,6 +100,8 @@ def train_teacher_mle(corpus: Corpus, order: int, lam: float) -> TabularLM:
     """
     if order < 1:
         raise InvalidInputError("order must be >= 1")
+    if not np.isfinite(lam):
+        raise InvalidInputError(f"smoothing must be finite, got {lam!r}")
     if lam < 0.0:
         raise InvalidInputError("smoothing must be >= 0")
     v = corpus.vocab_size
@@ -137,6 +139,8 @@ class TrainConfig:
             raise ConfigError("steps must be >= 1")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
+        if not np.isfinite(self.lr):
+            raise ConfigError(f"lr must be finite, got {self.lr!r}")
         if self.lr <= 0.0:
             raise ConfigError("lr must be > 0")
         if self.eval_every < 1:

@@ -4,21 +4,23 @@ Each oracle handles one context, one token or one prompt at a time: it pads
 the prefix itself, reads one row of a dense table and takes a 1-d softmax.
 A row of a 2-d softmax or cumsum is bit for bit the 1-d result, so where the
 library promises byte-identical outputs these references give the same bytes.
+The weight rules (fkld_token, rkld_off, jsd_off, hpd_token) read one token's
+values as plain Python floats. kl_exact, jsd_beta and k1_samples are the
+distribution-level references for numerics.kl_rows and the k1 estimator.
 """
 
 import numpy as np
 
 from distill_lab import training
-from distill_lab.errors import DivergenceInfiniteError
-from distill_lab.model import accumulate_token_grads, pad_context, prefix_id
-from distill_lab.numerics import cdf_draw, cdf_rows, softmax
-from distill_lab.objectives import (
-    HPD_VARIANTS,
-    hpd_weights,
-    weight_fkld_token,
-    weight_jsd_off,
-    weight_rkld_off,
+from distill_lab.errors import (
+    DivergenceInfiniteError,
+    InvalidInputError,
+    InvalidParameterError,
+    LogOfZeroError,
 )
+from distill_lab.model import accumulate_token_grads, pad_context, prefix_id
+from distill_lab.numerics import CategoricalDist, cdf_draw, cdf_rows, softmax
+from distill_lab.objectives import HPD_VARIANTS, token_weights
 
 
 def source_row(source, prefix):
@@ -83,46 +85,94 @@ def reference_offpolicy(cfg, teacher, corpus, student):
             p = teacher_row(teacher, prefix)
             q = model_row(student, prefix)
             cids.append(cid)
-            tag = kind.tag
-            if tag in ("sft", "seqkd"):
-                add_token_grad(acc, cid, expert, 1.0, q)
-            elif tag == "fkld_token":
-                add_token_grad(acc, cid, expert, weight_fkld_token(p, expert), q)
-            elif tag == "fkld_dense":
+            if kind.tag == "fkld_dense":
                 acc.add_rows([cid], (p.probs - q.probs)[None], count=1)
-            elif tag == "rkld_off":
-                w = weight_rkld_off(p, q, expert, sign_fidelity=kind.sign_fidelity)
-                add_token_grad(acc, cid, expert, w, q)
-            elif tag == "jsd_off":
-                w = weight_jsd_off(p, q, expert, beta=kind.beta,
-                                   sign_fidelity=kind.sign_fidelity)
+            elif kind.tag not in HPD_VARIANTS:
+                w = offpolicy_token(kind, *row_values(p, q), expert)
                 add_token_grad(acc, cid, expert, w, q)
             else:
                 for i in range(k):
                     sampled = int(cdf_draw(cdf_rows(q.probs), uniforms[b * k + i]))
-                    hw = hpd_weights(p, q, expert, sampled, variant=tag)
-                    add_token_grad(acc, cid, expert, hw.w_star / k, q,
-                                   count=1 if i == 0 else 0)
-                    if hw.w_sampled != 0.0:
-                        add_token_grad(acc, cid, hw.sampled_token, hw.w_sampled / k, q,
-                                       count=0)
+                    w_star, w_sampled = offpolicy_token(kind, *row_values(p, q), expert,
+                                                        sampled)
+                    add_token_grad(acc, cid, expert, w_star / k, q, count=1 if i == 0 else 0)
+                    if w_sampled != 0.0:
+                        add_token_grad(acc, cid, sampled, w_sampled / k, q, count=0)
         return cids, None
 
     return training._train_loop(cfg, teacher, student, None, minibatch)
+
+
+def row_values(p, q):
+    """(p, ln p, q, ln q) of one context's teacher and student distributions."""
+    return p.probs, p.logprobs, q.probs, q.logprobs
+
+
+def weights_at(kind, p, q, tokens, rows=None):
+    """token_weights of kind gathered at tokens: of one distribution pair, or of
+    row rows[j] of two batches at tokens[j]. HPD reads an (expert, sampled) pair
+    on the last axis of tokens."""
+    tokens = np.asarray(tokens)
+    index = tokens if rows is None else (
+        np.reshape(rows, np.shape(rows) + (1,) * (tokens.ndim - 1)), tokens)
+    return token_weights(kind, *(a[index] for a in row_values(p, q)), tokens)
+
+
+def offpolicy_token(kind, p, lp, q, lq, expert, sampled=None):
+    """kind's weight at one expert token, in plain Python floats; for HPD, the
+    (w_star, w_sampled) pair with the token sampled from q."""
+    if kind.tag in ("sft", "seqkd"):
+        return 1.0
+    if kind.tag in ("fkld_token", "fkld_dense"):
+        return fkld_token(p, expert)
+    if kind.tag == "rkld_off":
+        return rkld_off(p, lp, q, lq, expert, kind.sign_fidelity)
+    if kind.tag == "jsd_off":
+        return jsd_off(p, q, lq, expert, kind.beta, kind.sign_fidelity)
+    return hpd_token(kind.tag, p, lp, q, lq, expert, sampled)
+
+
+def fkld_token(p, expert):
+    """Forward KL's token weight: the teacher's probability of the expert token."""
+    return float(p[expert])
+
+
+def rkld_off(p, lp, q, lq, token, sign_fidelity=False):
+    """Off-policy reverse KL's weight k1 = q (ln p - ln q) at token; p, then q, must be
+    positive there."""
+    for values, name in ((p, "p"), (q, "q")):
+        if values[token] <= 0.0:
+            raise LogOfZeroError(f"{name}[{token}] = 0")
+    k1 = float(q[token]) * (float(lp[token]) - float(lq[token]))
+    return -k1 if sign_fidelity else k1
+
+
+def jsd_off(p, q, lq, token, beta=0.5, sign_fidelity=False):
+    """Off-policy generalised JSD's weight (1 - beta) q (ln M - ln q) at token, where
+    M = beta p + (1 - beta) q.
+
+    The one log, ln M, is numpy's, as the rule takes it; the midpoint is
+    checked before q.
+    """
+    m = beta * float(p[token]) + (1.0 - beta) * float(q[token])
+    if m <= 0.0:
+        raise LogOfZeroError(f"midpoint mixture is 0 at token {token}")
+    if q[token] <= 0.0:
+        raise LogOfZeroError(f"q[{token}] = 0")
+    w = (1.0 - beta) * float(q[token]) * (float(np.log(m)) - float(lq[token]))
+    return -w if sign_fidelity else w
 
 
 def hpd_token(variant, p, lp, q, lq, expert, sampled):
     """HPD's (w_star, w_sampled) for one (expert, sampled) token pair, in plain Python floats.
 
     p, lp, q and lq are one context's teacher and student probabilities and
-    their logs, indexed by token id; p and q are positive at both tokens. The
-    branches are taken one at a time, as the rule reads: k1 is rkld_off's
-    q (ln p - ln q) at the expert, k1' the same at the sampled token.
+    their logs, indexed by token id; p and q must be positive at both tokens,
+    checked at the expert first. The branches are taken one at a time, as the
+    rule reads: k1 is rkld_off's weight at the expert, k1' at the sampled token.
     """
-    def k1_at(t):
-        return float(q[t]) * (float(lp[t]) - float(lq[t]))
-
-    k1, k1_sampled, p_star = k1_at(expert), k1_at(sampled), float(p[expert])
+    k1, k1_sampled = (rkld_off(p, lp, q, lq, t) for t in (expert, sampled))
+    p_star = float(p[expert])
     if variant == "hpd_no_sample":
         # the sampled token is ignored, and k1 = 0 is masked too
         return (k1 if k1 <= 0.0 else p_star + k1), 0.0
@@ -135,6 +185,49 @@ def hpd_token(variant, p, lp, q, lq, expert, sampled):
     else:
         w_star = p_star + k1  # plain, k1 = 0 included
     return w_star, (k1_sampled if suppressed else 0.0)
+
+
+def _check_same_size(p, q):
+    if p.size != q.size:
+        raise InvalidInputError(f"vocabulary sizes differ: {p.size} vs {q.size}")
+
+
+def kl_exact(p, q):
+    """KL(p || q) = sum_v p_v (ln p_v - ln q_v) of one distribution pair, as a float."""
+    _check_same_size(p, q)
+    mask = p.support
+    if np.any(mask & ~q.support):
+        bad = int(np.argmax(mask & ~q.support))
+        raise DivergenceInfiniteError(
+            f"KL(p||q) is infinite: p[{bad}] > 0 but q[{bad}] = 0"
+        )
+    val = float(np.sum(p.probs[mask] * (p.logprobs[mask] - q.logprobs[mask])))
+    if -1e-12 < val < 0.0:
+        return 0.0
+    return val
+
+
+def jsd_beta(p, q, beta):
+    """Generalized Jensen-Shannon divergence against M = beta*p + (1-beta)*q."""
+    _check_same_size(p, q)
+    if not (0.0 < beta < 1.0):
+        raise InvalidParameterError(f"beta must lie in (0, 1), got {beta!r}")
+    m = CategoricalDist.from_probs(beta * p.probs + (1.0 - beta) * q.probs)
+    return beta * kl_exact(p, m) + (1.0 - beta) * kl_exact(q, m)
+
+
+def k1_samples(p, q, n, rng):
+    """Per-sample log-ratios ln(q[a]/p[a]) with a drawn from q."""
+    _check_same_size(p, q)
+    if n < 1:
+        raise InvalidParameterError("sample count must be >= 1")
+    draws = rng.choice(p.size, size=n, p=q.probs)
+    if np.any(~p.support[draws]):
+        bad = int(draws[np.argmax(~p.support[draws])])
+        raise DivergenceInfiniteError(
+            f"sampled token {bad} has zero probability under p"
+        )
+    return q.logprobs[draws] - p.logprobs[draws]
 
 
 def draws_batched(rng, n_prompts, n, h):

@@ -19,14 +19,15 @@ from distill_lab.data import (
 )
 from distill_lab.evaluation import gradcheck, make_completion_tasks
 from distill_lab.model import TabularLM, Vocab, prefix_id
-from distill_lab.numerics import CategoricalDist, entropy, k1_samples, kl_exact, softmax
-from distill_lab.objectives import ObjectiveKind, hpd_weights
+from distill_lab.numerics import CategoricalDist, entropy, softmax
+from distill_lab.objectives import ObjectiveKind, token_weights
 from distill_lab.training import (
     OracleTeacher,
     TrainConfig,
     distill_offpolicy,
     distill_onpolicy_opd,
 )
+from oracles import k1_samples, kl_exact, weights_at
 
 
 def report(capsys, number, passed, detail):
@@ -83,45 +84,49 @@ def test_criterion_02_hpd_weight_unit_suite(capsys):
     def dist(*p):
         return CategoricalDist.from_probs(np.array(p))
 
-    hw1 = hpd_weights(dist(0.8, 0.2), dist(0.5, 0.5), 0, 1)
-    hw2 = hpd_weights(dist(0.8, 0.2), dist(0.9, 0.1), 0, 1)
+    def hpd(p, q, variant="hpd"):
+        """(w_star, w_sampled) of variant at the pair (0, 1)."""
+        return weights_at(ObjectiveKind(variant), p, q, [0, 1])
+
     d = dist(0.6, 0.4)
-    hw3 = hpd_weights(d, d, 0, 1)
     worked = (
-        abs(hw1.w_star - 1.835002) <= 1e-6
-        and abs(hw2.w_star - (-0.106005)) <= 1e-6
-        and abs(hw3.w_star - 0.6) <= 1e-6
+        abs(hpd(dist(0.8, 0.2), dist(0.5, 0.5))[0] - 1.835002) <= 1e-6
+        and abs(hpd(dist(0.8, 0.2), dist(0.9, 0.1))[0] - (-0.106005)) <= 1e-6
+        and abs(hpd(d, d)[0] - 0.6) <= 1e-6
     )
 
+    # p, ln p, q and ln q of each draw at its (expert, sampled) pair
     rng = np.random.default_rng(2)
-    invariants = True
+    gathered, pairs = [], []
     for _ in range(10_000):
         v = int(rng.choice([2, 4, 8]))
         p = dist(*(rng.dirichlet(np.ones(v)) * 0.9 + 0.1 / v))
         q = dist(*(rng.dirichlet(np.ones(v)) * 0.9 + 0.1 / v))
-        expert, sampled = int(rng.integers(v)), int(rng.integers(v))
-        hw = hpd_weights(p, q, expert, sampled)
-        p_star = float(p.probs[expert])
-        if hw.k1 < 0.0:
-            invariants &= hw.w_star == hw.k1
-        elif hw.k1 > 0.0 and hw.k1_prime < 0.0:
-            invariants &= abs(hw.w_star - (2.0 * p_star + hw.k1)) <= 1e-12
-        else:
-            invariants &= abs(hw.w_star - (p_star + hw.k1)) <= 1e-12
-        if sampled != expert and hw.k1_prime < 0.0:
-            invariants &= hw.w_sampled == hw.k1_prime
-        else:
-            invariants &= hw.w_sampled == 0.0
-        ns = hpd_weights(p, q, expert, sampled, variant="hpd_no_sample")
-        invariants &= ns.w_sampled == 0.0
-        nr = hpd_weights(p, q, expert, sampled, variant="hpd_no_reinforce")
-        invariants &= nr.w_star <= hw.w_star + 1e-12
-        if not invariants:
-            break
+        pair = [int(rng.integers(v)), int(rng.integers(v))]
+        gathered.append([a[pair] for a in (p.probs, p.logprobs, q.probs, q.logprobs)])
+        pairs.append(pair)
+    values, tokens = np.moveaxis(np.array(gathered), 1, 0), np.array(pairs)
+
+    def weights(tag):
+        w = token_weights(ObjectiveKind(tag), *values, tokens)
+        return w[:, 0], w[:, 1]
+
+    k1, k1_prime = weights("rkld_off")
+    w_star, w_sampled = weights("hpd")
+    p_star, masked = values[0][:, 0], k1 < 0.0
+    want_star = np.where((k1 > 0.0) & (k1_prime < 0.0), 2.0 * p_star + k1, p_star + k1)
+    suppressed = (tokens[:, 1] != tokens[:, 0]) & (k1_prime < 0.0)
+    invariants = bool(
+        np.all(w_star[masked] == k1[masked])
+        and np.all(np.abs(w_star - want_star)[~masked] <= 1e-12)
+        and np.all(w_sampled == np.where(suppressed, k1_prime, 0.0))
+        and np.all(weights("hpd_no_sample")[1] == 0.0)
+        and np.all(weights("hpd_no_reinforce")[0] <= w_star + 1e-12)
+    )
     elapsed = time.perf_counter() - t0
     ok = worked and invariants and elapsed < 5.0
     report(capsys, 2, ok,
-           f"hpd_weights worked cases to 1e-6 and invariants over 10^4 draws, "
+           f"token_weights' HPD worked cases to 1e-6 and invariants over 10^4 draws, "
            f"{elapsed:.1f}s (< 5s)")
 
 

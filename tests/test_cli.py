@@ -13,7 +13,7 @@ import pytest
 import distill_lab
 from distill_lab.cli import apply_overrides, build_parser, config_hash, main, validate_config
 from distill_lab.errors import ConfigError, config_field
-from distill_lab.data import build_source, source_save
+from distill_lab.data import build_source, corpus_write, sample_corpus, source_save
 from distill_lab.model import TabularLM, Vocab, checkpoint_load, checkpoint_save
 from distill_lab.training import METRICS_HEADER
 
@@ -45,6 +45,8 @@ def _write_bad_inputs(tmp_path):
     doc = json.loads((tmp_path / "short_row.json").read_text())
     doc["rows"][1]["probs"] = [0.5, 0.5]
     (tmp_path / "short_row.json").write_text(json.dumps(doc))
+    corpus_write(sample_corpus(build_source({"name": "bimodal_gap"}), 4, 8,
+                               np.random.default_rng(0)), tmp_path / "corpus.txt")
 
 
 class TestConfigHandling:
@@ -74,6 +76,11 @@ class TestConfigHandling:
     def test_config_field_accepts_integral_numbers(self, cast, value, want):
         got = config_field({"x": value}, "train.x", cast, 0)
         assert got == want and type(got) is cast
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "NaN", "-inf"])
+    def test_config_field_rejects_non_finite_floats(self, value):
+        with pytest.raises(ConfigError, match=r"^train\.lr: expected float, got "):
+            config_field({"lr": value}, "train.lr", float, 0.1)
 
     def test_override_requires_equals(self):
         with pytest.raises(ConfigError):
@@ -367,6 +374,27 @@ class TestCommands:
         ("gen-source", ["train.n_eval_seqs=many"], "train.n_eval_seqs: expected int, got 'many'"),
         ("gen-source", ['stages=[{"objective": "sft", "lr": "fast"}]'],
          "stages[0].lr: expected float, got 'fast'"),
+        # every enumerated value is checked, whether or not the command reads it
+        ("gen-source", ["train.objective=bogus"], "unknown objective tag 'bogus'"),
+        ("eval", ["train.objective=bogus"], "unknown objective tag 'bogus'"),
+        ("gen-corpus", ["teacher.mode=bogus"], "unknown teacher.mode 'bogus'"),
+        ("opd", ["train.objective=opd_k1", "corpus.regime=bogus"],
+         "unknown corpus regime 'bogus'"),
+        # a corpus file is read whatever the regime says, but the regime is still checked
+        ("distill", ["corpus.regime=bogus", 'corpus_path="corpus.txt"'],
+         "unknown corpus regime 'bogus'"),
+        ("gen-source", ["train.opd_reward_mode=sideways"], "unknown opd_reward_mode 'sideways'"),
+        ("gen-source", ["train.eval_from=elsewhere"], "unknown eval_from 'elsewhere'"),
+        ("gen-source", ['stages=[{"objective": "bogus"}]'], "unknown objective tag 'bogus'"),
+        ("gen-source", ['stages=[{"objective": "sft", "eval_from": "x"}]'],
+         "unknown eval_from 'x'"),
+        # NaN and infinities are not floats a run can use
+        ("train-teacher", ["teacher.smoothing=NaN"], "teacher.smoothing: expected float, got nan"),
+        ("train-teacher", ["teacher.smoothing=Infinity"],
+         "teacher.smoothing: expected float, got inf"),
+        ("distill", ["train.lr=NaN"], "train.lr: expected float, got nan"),
+        ("distill", ["train.lr=-Infinity"], "train.lr: expected float, got -inf"),
+        ("gen-source", ["tasks.min_conf=NaN"], "tasks.min_conf: expected float, got nan"),
     ])
     def test_user_errors_exit_two(self, tmp_path, monkeypatch, capsys, command, sets,
                                   needle):

@@ -26,9 +26,9 @@ from distill_lab.evaluation import (
     occupancy_divergences,
 )
 from distill_lab.model import TabularLM, Vocab
-from distill_lab.numerics import CategoricalDist, entropy, k1_samples, kl_exact
+from distill_lab.numerics import CategoricalDist, entropy
 from distill_lab.training import ModelTeacher, OracleTeacher, train_teacher_mle
-from oracles import greedy_rollout, model_row, source_row, teacher_row
+from oracles import greedy_rollout, k1_samples, kl_exact, model_row, source_row, teacher_row
 
 
 def dist(*probs):

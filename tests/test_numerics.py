@@ -19,15 +19,13 @@ from distill_lab.numerics import (
     cdf_draw,
     cdf_rows,
     entropy,
-    jsd_beta,
-    k1_samples,
-    kl_exact,
     kl_rows,
     softmax,
     softmax_rows,
     ZERO_TOL,
 )
 from distill_lab.training import LOGIT_FLOOR
+from oracles import jsd_beta, k1_samples, kl_exact
 
 
 def dist(*probs):

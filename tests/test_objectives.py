@@ -8,23 +8,28 @@ from hypothesis import strategies as st
 from distill_lab.data import Corpus
 from distill_lab.errors import ConfigError, InvalidParameterError, LogOfZeroError
 from distill_lab.model import GradAccumulator, TabularLM, Vocab, sgd_step
-from distill_lab.numerics import CategoricalDist, kl_exact, softmax
+from distill_lab.numerics import CategoricalDist, softmax
 from distill_lab.objectives import (
     ALL_TAGS,
     HPD_VARIANTS,
+    OFF_POLICY_TAGS,
     ObjectiveKind,
-    hpd_weights,
     token_weights,
-    weight_fkld_token,
-    weight_jsd_off,
-    weight_rkld_off,
 )
 from distill_lab.training import ModelTeacher, TrainConfig, distill_offpolicy
-from oracles import hpd_token
+from oracles import hpd_token, kl_exact, offpolicy_token, row_values, weights_at
 
 
 def dist(*probs):
     return CategoricalDist.from_probs(np.array(probs))
+
+
+RKLD = ObjectiveKind("rkld_off")
+
+
+def weight(tag, p, q, token, **kind):
+    """ObjectiveKind(tag, **kind)'s weight at one token of one distribution pair."""
+    return weights_at(ObjectiveKind(tag, **kind), p, q, [token])[0]
 
 
 @st.composite
@@ -83,15 +88,18 @@ class TestSFTWeight:
 
 
 class TestFKLDTokenWeight:
+    # the rule reads p alone
     def test_worked_value(self):
-        assert weight_fkld_token(dist(0.8, 0.2), 0) == pytest.approx(0.8)
+        p = dist(0.8, 0.2)
+        assert weight("fkld_token", p, p, 0) == pytest.approx(0.8)
 
     def test_uniform(self):
         u = dist(*[0.25] * 4)
-        assert all(weight_fkld_token(u, e) == 0.25 for e in range(4))
+        assert all(weight("fkld_token", u, u, e) == 0.25 for e in range(4))
 
     def test_one_hot(self):
-        assert weight_fkld_token(dist(1.0, 0.0), 0) == 1.0
+        p = dist(1.0, 0.0)
+        assert weight("fkld_token", p, p, 0) == 1.0
 
 
 class TestFKLDDenseWeights:
@@ -121,119 +129,123 @@ class TestFKLDDenseWeights:
 
 class TestRKLDOffWeight:
     def test_underestimation_positive(self):
-        w = weight_rkld_off(dist(0.8, 0.2), dist(0.5, 0.5), 0)
+        w = weight("rkld_off", dist(0.8, 0.2), dist(0.5, 0.5), 0)
         assert w == pytest.approx(0.235002, abs=1e-6)
 
     def test_overestimation_negative(self):
-        w = weight_rkld_off(dist(0.8, 0.2), dist(0.9, 0.1), 0)
+        w = weight("rkld_off", dist(0.8, 0.2), dist(0.9, 0.1), 0)
         assert w == pytest.approx(-0.106005, abs=1e-6)
 
     def test_identity_zero(self):
         d = dist(0.6, 0.4)
-        assert weight_rkld_off(d, d, 1) == 0.0
+        assert weight("rkld_off", d, d, 1) == 0.0
 
     def test_sign_fidelity_flips(self):
         p, q = dist(0.8, 0.2), dist(0.5, 0.5)
-        assert weight_rkld_off(p, q, 0, sign_fidelity=True) == pytest.approx(
-            -weight_rkld_off(p, q, 0)
+        assert weight("rkld_off", p, q, 0, sign_fidelity=True) == pytest.approx(
+            -weight("rkld_off", p, q, 0)
         )
 
     def test_zero_prob_raises(self):
         with pytest.raises(LogOfZeroError):
-            weight_rkld_off(dist(1.0, 0.0), dist(0.5, 0.5), 1)
+            weight("rkld_off", dist(1.0, 0.0), dist(0.5, 0.5), 1)
 
 
 class TestJSDOffWeight:
     def test_worked_value(self):
-        w = weight_jsd_off(dist(0.8, 0.2), dist(0.5, 0.5), 0, beta=0.5)
+        w = weight("jsd_off", dist(0.8, 0.2), dist(0.5, 0.5), 0, beta=0.5)
         assert w == pytest.approx(0.065591, abs=1e-6)
 
     def test_identity_zero(self):
         d = dist(0.7, 0.3)
-        assert weight_jsd_off(d, d, 0) == pytest.approx(0.0, abs=1e-12)
+        assert weight("jsd_off", d, d, 0) == pytest.approx(0.0, abs=1e-12)
 
     def test_sign_tracks_q_vs_midpoint(self):
         p = dist(0.8, 0.2)
-        assert weight_jsd_off(p, dist(0.5, 0.5), 0) > 0.0  # q below M
-        assert weight_jsd_off(p, dist(0.95, 0.05), 0) < 0.0  # q above M
+        assert weight("jsd_off", p, dist(0.5, 0.5), 0) > 0.0  # q below M
+        assert weight("jsd_off", p, dist(0.95, 0.05), 0) < 0.0  # q above M
 
     def test_bad_beta(self):
         with pytest.raises(InvalidParameterError):
-            weight_jsd_off(dist(0.5, 0.5), dist(0.5, 0.5), 0, beta=0.0)
+            weight("jsd_off", dist(0.5, 0.5), dist(0.5, 0.5), 0, beta=0.0)
+
+
+def hpd(p, q, expert, sampled, variant="hpd"):
+    """(k1, k1', w_star, w_sampled): rkld_off's weights and variant's at (expert, sampled)."""
+    k1 = weights_at(RKLD, p, q, [expert, sampled])
+    return (*k1, *weights_at(ObjectiveKind(variant), p, q, [expert, sampled]))
 
 
 class TestHPDK1:
     def test_worked_values(self):
         # HPD's k1 and k1' are rkld_off's weights at the expert and the sampled token
         p = dist(0.8, 0.2)
-        for q, k1 in ((dist(0.5, 0.5), 0.235002), (dist(0.9, 0.1), -0.106005)):
-            hw = hpd_weights(p, q, expert=0, sampled=1)
-            assert hw.k1 == weight_rkld_off(p, q, 0) == pytest.approx(k1, abs=1e-6)
-            assert hw.k1_prime == weight_rkld_off(p, q, 1)
+        for q, want in ((dist(0.5, 0.5), 0.235002), (dist(0.9, 0.1), -0.106005)):
+            k1, k1_prime, _, _ = hpd(p, q, expert=0, sampled=1)
+            assert k1 == weight("rkld_off", p, q, 0) == pytest.approx(want, abs=1e-6)
+            assert k1_prime == weight("rkld_off", p, q, 1)
 
 
 class TestHPDWeights:
     def test_reinforce_case(self):
-        hw = hpd_weights(dist(0.8, 0.2), dist(0.5, 0.5), expert=0, sampled=1)
-        assert hw.k1 == pytest.approx(0.235002, abs=1e-6)
-        assert hw.k1_prime == pytest.approx(-0.458146, abs=1e-6)
-        assert hw.w_star == pytest.approx(1.835002, abs=1e-6)
-        assert hw.w_sampled == pytest.approx(-0.458146, abs=1e-6)
-        assert hw.sampled_token == 1
+        k1, k1_prime, w_star, w_sampled = hpd(dist(0.8, 0.2), dist(0.5, 0.5), 0, 1)
+        assert k1 == pytest.approx(0.235002, abs=1e-6)
+        assert k1_prime == pytest.approx(-0.458146, abs=1e-6)
+        assert w_star == pytest.approx(1.835002, abs=1e-6)
+        assert w_sampled == pytest.approx(-0.458146, abs=1e-6)
 
     def test_masked_case(self):
-        hw = hpd_weights(dist(0.8, 0.2), dist(0.9, 0.1), expert=0, sampled=1)
-        assert hw.k1 == pytest.approx(-0.106005, abs=1e-6)
-        assert hw.k1_prime == pytest.approx(0.069315, abs=1e-6)
-        assert hw.w_star == pytest.approx(-0.106005, abs=1e-6)
-        assert hw.w_sampled == 0.0
+        k1, k1_prime, w_star, w_sampled = hpd(dist(0.8, 0.2), dist(0.9, 0.1), 0, 1)
+        assert k1 == pytest.approx(-0.106005, abs=1e-6)
+        assert k1_prime == pytest.approx(0.069315, abs=1e-6)
+        assert w_star == pytest.approx(-0.106005, abs=1e-6)
+        assert w_sampled == 0.0
 
     def test_identity_case(self):
         d = dist(0.6, 0.4)
-        hw = hpd_weights(d, d, expert=0, sampled=1)
-        assert hw.k1 == 0.0 and hw.k1_prime == 0.0
-        assert hw.w_star == pytest.approx(0.6)
-        assert hw.w_sampled == 0.0
+        k1, k1_prime, w_star, w_sampled = hpd(d, d, 0, 1)
+        assert k1 == 0.0 and k1_prime == 0.0
+        assert w_star == pytest.approx(0.6)
+        assert w_sampled == 0.0
 
     def test_no_reinforce_drops_doubling(self):
         p, q = dist(0.8, 0.2), dist(0.5, 0.5)
-        hw = hpd_weights(p, q, 0, 1, variant="hpd_no_reinforce")
-        assert hw.w_star == pytest.approx(0.8 + 0.235002, abs=1e-6)
-        assert hw.w_sampled == pytest.approx(-0.458146, abs=1e-6)
+        _, _, w_star, w_sampled = hpd(p, q, 0, 1, variant="hpd_no_reinforce")
+        assert w_star == pytest.approx(0.8 + 0.235002, abs=1e-6)
+        assert w_sampled == pytest.approx(-0.458146, abs=1e-6)
 
     def test_no_sample_ignores_sampled_token(self):
         p, q = dist(0.8, 0.2), dist(0.5, 0.5)
-        hw = hpd_weights(p, q, 0, 1, variant="hpd_no_sample")
-        assert hw.w_sampled == 0.0
-        assert hw.w_star == pytest.approx(0.8 + 0.235002, abs=1e-6)
-        hw2 = hpd_weights(dist(0.8, 0.2), dist(0.9, 0.1), 0, 1, variant="hpd_no_sample")
-        assert hw2.w_star == pytest.approx(-0.106005, abs=1e-6)
+        _, _, w_star, w_sampled = hpd(p, q, 0, 1, variant="hpd_no_sample")
+        assert w_sampled == 0.0
+        assert w_star == pytest.approx(0.8 + 0.235002, abs=1e-6)
+        _, _, w_star2, _ = hpd(dist(0.8, 0.2), dist(0.9, 0.1), 0, 1, variant="hpd_no_sample")
+        assert w_star2 == pytest.approx(-0.106005, abs=1e-6)
 
     def test_sampled_equals_expert_never_suppressed(self):
-        hw = hpd_weights(dist(0.8, 0.2), dist(0.9, 0.1), expert=0, sampled=0)
-        assert hw.w_sampled == 0.0
+        _, _, _, w_sampled = hpd(dist(0.8, 0.2), dist(0.9, 0.1), expert=0, sampled=0)
+        assert w_sampled == 0.0
 
     def test_unknown_variant(self):
-        d = dist(0.5, 0.5)
         with pytest.raises(ConfigError):
-            hpd_weights(d, d, 0, 1, variant="bogus")
+            ObjectiveKind("hpd_bogus")
 
     @settings(max_examples=100)
     @given(pq_pairs(), st.integers(0, 3), st.integers(0, 3))
     def test_invariants(self, pq, expert, sampled):
         p, q = pq
         for variant in ("hpd", "hpd_no_sample", "hpd_no_reinforce"):
-            hw = hpd_weights(p, q, expert, sampled, variant=variant)
-            assert hw.k1 == weight_rkld_off(p, q, expert)
-            assert hw.w_sampled <= 0.0
-            if hw.k1 < 0.0:
-                assert hw.w_star == hw.k1
+            k1, k1_prime, w_star, w_sampled = hpd(p, q, expert, sampled, variant=variant)
+            assert k1 == weight("rkld_off", p, q, expert)
+            assert w_sampled <= 0.0
+            if k1 < 0.0:
+                assert w_star == k1
             else:
-                assert hw.w_star >= hw.k1  # forward-KL term only adds mass
-            if variant == "hpd_no_sample" or sampled == expert or hw.k1_prime >= 0.0:
-                assert hw.w_sampled == 0.0
+                assert w_star >= k1  # forward-KL term only adds mass
+            if variant == "hpd_no_sample" or sampled == expert or k1_prime >= 0.0:
+                assert w_sampled == 0.0
             else:
-                assert hw.w_sampled == hw.k1_prime
+                assert w_sampled == k1_prime
 
 
 class TestHpdDraws:
@@ -249,48 +261,52 @@ class TestHpdDraws:
         expert, sampled = rng.integers(v, size=n), rng.integers(v, size=n * k)
         draw = np.repeat(np.arange(n), k)
         # the loop's layout: one (expert, sampled) pair per draw, gathered from the tables
-        pair, rows = np.stack([expert[draw], sampled], axis=1), draw[:, None]
+        pair = np.stack([expert[draw], sampled], axis=1)
         for variant in HPD_VARIANTS:
-            hw = hpd_weights(p.rows(draw), q.rows(draw), expert[draw], sampled, variant)
-            batch = np.array([hw.k1, hw.k1_prime, hw.w_star, hw.w_sampled])
-            values = (p.probs[rows, pair], p.logprobs[rows, pair], q.probs[rows, pair],
-                      q.logprobs[rows, pair])
-            point = np.concatenate([token_weights(ObjectiveKind("rkld_off"), *values, pair),
-                                    token_weights(ObjectiveKind(variant), *values, pair)],
-                                   axis=1).T
-            one = [hpd_weights(p.rows(b), q.rows(b), int(expert[b]), int(sampled[j]), variant)
-                   for j, b in enumerate(draw)]
-            alone = np.array([[w.k1, w.k1_prime, w.w_star, w.w_sampled] for w in one]).T
-            assert batch.tobytes() == alone.tobytes() and point.tobytes() == alone.tobytes()
-            assert hw.sampled_token.tolist() == [w.sampled_token for w in one]
+            batch = np.concatenate([weights_at(RKLD, p, q, pair, draw),
+                                    weights_at(ObjectiveKind(variant), p, q, pair, draw)],
+                                   axis=1)
+            alone = np.array([hpd(p.rows(b), q.rows(b), int(expert[b]), int(sampled[j]),
+                                  variant) for j, b in enumerate(draw)])
+            assert batch.tobytes() == alone.tobytes()
+
+
+OFF_POLICY_KINDS = [ObjectiveKind(tag) for tag in OFF_POLICY_TAGS] + [
+    ObjectiveKind("rkld_off", sign_fidelity=True), ObjectiveKind("jsd_off", sign_fidelity=True),
+    ObjectiveKind("jsd_off", beta=0.3)]
+
+
+def kind_id(kind):
+    return f"{kind.tag}-{kind.beta}-{kind.sign_fidelity}"
 
 
 class TestHpdOracle:
-    """token_weights' HPD rule equals the per-token plain-Python oracle byte for byte."""
+    """token_weights' rule for every off-policy objective equals the per-token
+    plain-Python oracle byte for byte."""
 
     @staticmethod
-    def _compare(variant, p, q, rows, tokens):
-        values = [a[np.asarray(rows)[:, None], tokens]
-                  for a in (p.probs, p.logprobs, q.probs, q.logprobs)]
-        w = token_weights(ObjectiveKind(variant), *values, tokens)
-        want = [hpd_token(variant, p.probs[r], p.logprobs[r], q.probs[r], q.logprobs[r], e, s)
+    def _compare(kind, p, q, rows, tokens):
+        # an (expert, sampled) pair per row for HPD, the expert alone otherwise
+        hpd_pairs = kind.tag in HPD_VARIANTS
+        w = weights_at(kind, p, q, tokens if hpd_pairs else tokens[:, 0], rows)
+        want = [offpolicy_token(kind, *row_values(p.rows(r), q.rows(r)), e, s)
                 for r, (e, s) in zip(rows, tokens.tolist())]
         assert w.tobytes() == np.array(want).tobytes()
 
-    @pytest.mark.parametrize("variant", HPD_VARIANTS)
+    @pytest.mark.parametrize("kind", OFF_POLICY_KINDS, ids=kind_id)
     @pytest.mark.parametrize("seed", range(4))
-    def test_random_tables(self, variant, seed):
+    def test_random_tables(self, kind, seed):
         p, q = _tables(seed, contexts=30, v=5)
         rng = np.random.default_rng(seed)
         rows = rng.integers(30, size=300)
-        self._compare(variant, p, q, rows, rng.integers(5, size=(300, 2)))
+        self._compare(kind, p, q, rows, rng.integers(5, size=(300, 2)))
 
     # p = (0.5, 0.3, 0.2) and q equal at token 0 (k1 exactly 0), below p at token 2
     # (k1 > 0) and above it at token 1 (k1 < 0); the second q is above p at 1 and 2
     P = CategoricalDist.from_rows([[0.5, 0.3, 0.2]] * 2)
     Q = CategoricalDist.from_rows([[0.5, 0.4, 0.1], [0.1, 0.45, 0.45]])
 
-    @pytest.mark.parametrize("variant", HPD_VARIANTS)
+    @pytest.mark.parametrize("kind", OFF_POLICY_KINDS, ids=kind_id)
     @pytest.mark.parametrize("row, expert, sampled, branch", [
         (0, 2, 1, "reinforced: k1 > 0 and the sampled token suppressed"),
         (0, 2, 0, "plain: k1 > 0, the sampled token's k1' exactly 0"),
@@ -302,8 +318,8 @@ class TestHpdOracle:
         (1, 1, 1, "masked: expert == sampled, both k1 < 0"),
         (1, 0, 2, "reinforced, the expert's q below p"),
     ])
-    def test_edge_rows(self, variant, row, expert, sampled, branch):
-        self._compare(variant, self.P, self.Q, [row], np.array([[expert, sampled]]))
+    def test_edge_rows(self, kind, row, expert, sampled, branch):
+        self._compare(kind, self.P, self.Q, [row], np.array([[expert, sampled]]))
 
     def test_edge_rows_take_every_branch(self):
         # the hand-built rows reach each weight the rule can give
@@ -335,34 +351,34 @@ class TestBatchedSupportChecks:
     P = CategoricalDist.from_rows([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]])
     Q = CategoricalDist.from_rows([[0.0, 0.5, 0.5], [0.0, 0.5, 0.5]])
 
-    @pytest.mark.parametrize("rule, tokens, message", [
-        (weight_rkld_off, ([0, 0],), "q[0] = 0"),
-        (weight_jsd_off, ([0, 0],), "q[0] = 0"),
-        (hpd_weights, ([1, 0], [2, 1]), "p[2] = 0"),  # row 0's sampled, row 1's expert
+    @pytest.mark.parametrize("tag, tokens, message", [
+        ("rkld_off", [0, 0], "q[0] = 0"),
+        ("jsd_off", [0, 0], "q[0] = 0"),
+        ("hpd", [[1, 2], [0, 1]], "p[2] = 0"),  # row 0's sampled, row 1's expert
     ])
-    def test_first_row_in_order_is_named(self, rule, tokens, message):
-        tokens = [np.array(t) for t in tokens]
+    def test_first_row_in_order_is_named(self, tag, tokens, message):
+        tokens = np.array(tokens)
         for rows in ([0, 1], [0]):
             with pytest.raises(LogOfZeroError) as info:
-                rule(self.P.rows(rows), self.Q.rows(rows), *(t[rows] for t in tokens))
+                weights_at(ObjectiveKind(tag), self.P, self.Q, tokens[rows], rows)
             assert str(info.value) == message
 
     def test_jsd_midpoint_checked_before_q(self):
         p = CategoricalDist.from_rows([[0.0, 1.0], [1.0, 0.0]])
         q = CategoricalDist.from_rows([[0.0, 1.0], [0.0, 1.0]])
         with pytest.raises(LogOfZeroError, match="midpoint mixture is 0 at token 0"):
-            weight_jsd_off(p, q, np.array([0, 0]))
+            weights_at(ObjectiveKind("jsd_off"), p, q, [0, 0], [0, 1])
 
-    # P's row 1 is 0 at token 0: one scalar token serves every row of the batch
-    @pytest.mark.parametrize("rule, tokens, message", [
-        (weight_rkld_off, (0,), "p[0] = 0"),
-        (hpd_weights, (0, 1), "p[0] = 0"),
-        (weight_jsd_off, (0,), "midpoint mixture is 0 at token 0"),
+    # p's row 1 is 0 at token 0, which every row reads: row 0 passes, row 1 is named
+    @pytest.mark.parametrize("tag, tokens, message", [
+        ("rkld_off", [0, 0], "p[0] = 0"),
+        ("hpd", [[0, 1], [0, 1]], "p[0] = 0"),
+        ("jsd_off", [0, 0], "midpoint mixture is 0 at token 0"),
     ])
-    def test_scalar_token_broadcasts_to_every_row(self, rule, tokens, message):
+    def test_one_token_at_every_row(self, tag, tokens, message):
         p = CategoricalDist.from_rows([[0.5, 0.5], [0.0, 1.0]])
         with pytest.raises(LogOfZeroError) as info:
-            rule(p, p, *tokens)
+            weights_at(ObjectiveKind(tag), p, p, tokens, [0, 1])
         assert str(info.value) == message
 
 
@@ -394,30 +410,23 @@ def _table_weights(kind, p, q):
 
 
 def _row_weights(kind, p, q):
-    """The distribution-level rule of kind on one row pair, one token (or one
+    """kind's per-token plain-Python rule on one row pair, one token (or one
     HPD pair) per call, at every token of the row."""
     v = p.size
-    if kind.tag in HPD_VARIANTS:
-        hws = [hpd_weights(p, q, e, s, variant=kind.tag) for e in range(v) for s in range(v)]
-        return np.array([[hw.w_star, hw.w_sampled] for hw in hws]).reshape(v, v, 2)
-    if kind.tag == "rkld_off":
-        return np.array([weight_rkld_off(p, q, t, sign_fidelity=kind.sign_fidelity)
-                         for t in range(v)])
-    if kind.tag == "jsd_off":
-        return np.array([weight_jsd_off(p, q, t, beta=kind.beta,
-                                        sign_fidelity=kind.sign_fidelity) for t in range(v)])
-    if kind.tag in ("fkld_token", "fkld_dense"):
-        return np.array([weight_fkld_token(p, t) for t in range(v)])
     if kind.on_policy:
         return p.logprobs - q.logprobs  # the OPD reward at each sampled token
-    return np.ones(v)  # sft, seqkd
+    values = row_values(p, q)
+    if kind.tag in HPD_VARIANTS:
+        return np.array([offpolicy_token(kind, *values, e, s)
+                         for e in range(v) for s in range(v)]).reshape(v, v, 2)
+    return np.array([offpolicy_token(kind, *values, t) for t in range(v)])
 
 
 class TestTokenWeightsOverTables:
     """token_weights is one rule for any leading shape: over whole (contexts, V)
-    tables it equals the distribution-level rules row by row, byte for byte."""
+    tables it equals the per-token rules row by row, byte for byte."""
 
-    @pytest.mark.parametrize("kind", KINDS, ids=lambda k: f"{k.tag}-{k.beta}-{k.sign_fidelity}")
+    @pytest.mark.parametrize("kind", KINDS, ids=kind_id)
     @pytest.mark.parametrize("seed", [0, 1])
     def test_tables_equal_the_rules_row_by_row(self, kind, seed):
         p, q = _tables(seed)

@@ -16,8 +16,8 @@ from distill_lab.errors import (
     NumericOverflowError,
 )
 from distill_lab.model import TabularLM, Vocab, checkpoint_save, pad_context
-from distill_lab.numerics import CategoricalDist, cdf_rows, entropy, kl_exact, softmax
-from distill_lab.objectives import OFF_POLICY_TAGS, ObjectiveKind, hpd_weights
+from distill_lab.numerics import CategoricalDist, cdf_rows, entropy, softmax
+from distill_lab.objectives import OFF_POLICY_TAGS, ObjectiveKind
 from distill_lab.training import (
     METRICS_HEADER,
     MetricsRow,
@@ -34,10 +34,12 @@ from distill_lab.training import (
 from oracles import (
     draws_batched,
     draws_per_rollout,
+    kl_exact,
     reference_offpolicy,
     reference_opd,
     source_row,
     teacher_row,
+    weights_at,
 )
 
 
@@ -77,6 +79,13 @@ class TestTrainTeacherMLE:
                         seed=0, vocab_size=3)
         model = train_teacher_mle(corpus, order=1, lam=1.0)
         assert np.all(softmax(model.logits((1,))).probs > 0.0)
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf])
+    def test_non_finite_smoothing_rejected(self, lam):
+        # a NaN passes lam < 0.0 and would give every row the same logits
+        corpus = Corpus(sequences=[[1, 1]], provenance="ground_truth", seed=0, vocab_size=3)
+        with pytest.raises(InvalidInputError, match="smoothing must be finite, got "):
+            train_teacher_mle(corpus, order=1, lam=lam)
 
 
 def reference_train_teacher_mle(corpus, order, lam):
@@ -149,6 +158,9 @@ class TestTrainConfig:
             TrainConfig(objective=kind, steps=0, seed=0)
         with pytest.raises(ConfigError):
             TrainConfig(objective=kind, steps=1, seed=0, lr=0.0)
+        for lr in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ConfigError, match="lr must be finite, got "):
+                TrainConfig(objective=kind, steps=1, seed=0, lr=lr)
         with pytest.raises(ConfigError):
             TrainConfig(objective=kind, steps=1, seed=0, opd_reward_mode="nope")
         with pytest.raises(ConfigError):
@@ -279,9 +291,9 @@ class TestDistillOffpolicy:
 
         expected = np.zeros(4)
         for s in range(4):
-            hw = hpd_weights(p, q, 0, s, variant=variant)
-            expected += q.probs[s] * (hw.w_star * (np.eye(4)[0] - q.probs)
-                                      + hw.w_sampled * (np.eye(4)[s] - q.probs))
+            w_star, w_sampled = weights_at(ObjectiveKind(variant), p, q, [0, s])
+            expected += q.probs[s] * (w_star * (np.eye(4)[0] - q.probs)
+                                      + w_sampled * (np.eye(4)[s] - q.probs))
         lr = 0.5
         cfg = small_cfg(variant, steps=1, lr=lr, batch_size=8, hpd_samples=2000,
                         eval_len=1)
