@@ -61,8 +61,8 @@ class _OneOf:
 
 # every config key: a section's keys, each with its type or its allowed values,
 # or a top-level value's type; None marks a value that is not a number, checked
-# where it is read. validate_config checks every typed or enumerated value a
-# config sets, whichever command runs
+# where it is read (the sweep lists by validate_config itself). validate_config
+# checks every typed or enumerated value a config sets, whichever command runs
 _SCHEMA = {
     "seed": None,
     "out_dir": None,
@@ -145,6 +145,16 @@ def validate_config(cfg: dict) -> None:
             config_field(cfg, key, kind, None)
     for i, st in enumerate(cfg.get("stages", [])):
         _check_types(st, f"stages[{i}]", _SCHEMA["train"])
+    objectives = cfg.get("sweep", {}).get("objectives", [])
+    seeds = cfg.get("sweep", {}).get("seeds", [])
+    if not isinstance(objectives, list):
+        raise ConfigError(f"sweep.objectives: expected a list, got {objectives!r}")
+    if not (isinstance(seeds, list)
+            and all(isinstance(s, int) and not isinstance(s, bool) for s in seeds)):
+        raise ConfigError(f"sweep.seeds: expected a list of integers, got {seeds!r}")
+    for tag in objectives:
+        if tag not in ALL_TAGS:
+            raise ConfigError(f"unknown objective tag {tag!r} in sweep")
 
 
 def _check_types(node: dict, section: str, types: dict) -> None:
@@ -434,10 +444,11 @@ def cmd_eval(cfg: dict) -> int:
     plan = EvalPlan(teacher, student, ev["eval_len"], ev["eval_from"])
     # the student's predictive table: its own logits, which every table writer keeps finite
     probs, logprobs = softmax_rows(student.table)
-    kl_fwd, kl_rev = plan.divergences(probs, logprobs)
+    occ = plan.occupancy(probs)
+    kl_fwd, kl_rev = plan.divergences(probs, logprobs, occ)
     # the student's entropy at every context, weighted by the context's occupancy
     ids = plan.student_ids
-    ent = plan.occupancy(probs) @ entropy(CategoricalDist(probs[ids], logprobs[ids]))
+    ent = occ @ entropy(CategoricalDist(probs[ids], logprobs[ids]))
     acc = CompletionTasks(tasks, student).accuracy(student.table) if tasks else None
     path = os.path.join(out, "audit.csv")
     with open(path, "w", encoding="utf-8") as f:
@@ -475,16 +486,7 @@ def cmd_sweep(cfg: dict) -> int:
     sw = cfg.get("sweep")
     if not sw or "objectives" not in sw or "seeds" not in sw:
         raise ConfigError("sweep needs 'sweep.objectives' and 'sweep.seeds'")
-    objectives = sw["objectives"]
-    if not isinstance(objectives, list):
-        raise ConfigError(f"sweep.objectives: expected a list, got {objectives!r}")
-    seeds = sw["seeds"]
-    if not (isinstance(seeds, list)
-            and all(isinstance(s, int) and not isinstance(s, bool) for s in seeds)):
-        raise ConfigError(f"sweep.seeds: expected a list of integers, got {seeds!r}")
-    for tag in objectives:
-        if tag not in ALL_TAGS:
-            raise ConfigError(f"unknown objective tag {tag!r} in sweep")
+    objectives, seeds = sw["objectives"], sw["seeds"]
     for tag in objectives:
         for seed in seeds:
             cell = {k: v for k, v in cfg.items() if k not in ("sweep", "stages")}

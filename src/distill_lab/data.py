@@ -31,8 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, InvalidInputError, ParseError, config_field
-from .model import (ContextKey, TabularLM, Vocab, context_key, load_rows, prefix_id,
-                    table_rows, walk)
+from .model import TabularLM, Vocab, context_key, load_rows, prefix_id, table_rows, walk
 from .numerics import CategoricalDist, cdf_draw, cdf_rows
 
 CORPUS_FORMAT_VERSION = 1
@@ -84,30 +83,26 @@ def _smoothed(base: np.ndarray, eps: float) -> np.ndarray:
     return (1.0 - eps) * base + eps / base.shape[-1]
 
 
-def _bimodal_base_row(ctx: ContextKey) -> np.ndarray:
-    prev2, prev1 = ctx
-    row = np.zeros(BIMODAL_VOCAB)
-    if prev1 == CHOOSER_TOKEN:
-        row[COIN_A] = row[COIN_B] = 0.5
-    elif prev1 in (COIN_A, COIN_B):
-        row[GAP_TOKEN] = 1.0
-    elif prev1 == GAP_TOKEN:
-        if prev2 == COIN_A:
-            row[MODE_X] = 1.0
-        elif prev2 == COIN_B:
-            row[MODE_Y] = 1.0
-        else:
-            row[MODE_X] = row[MODE_Y] = 0.5
-    else:
-        row[CHOOSER_TOKEN] = 1.0
-    return row
+def _bimodal_table(eps: float) -> np.ndarray:
+    """The smoothed bimodal_gap conditionals, row i for context id i."""
+    prev2, prev1 = np.unravel_index(np.arange(BIMODAL_VOCAB ** 2), (BIMODAL_VOCAB,) * 2)
+    # the row after each last token; after the gap, a coin two steps back picks the mode
+    after = np.zeros((BIMODAL_VOCAB, BIMODAL_VOCAB))
+    after[CHOOSER_TOKEN, [COIN_A, COIN_B]] = 0.5
+    after[[COIN_A, COIN_B], GAP_TOKEN] = 1.0
+    after[GAP_TOKEN, [MODE_X, MODE_Y]] = 0.5
+    after[[MODE_X, MODE_Y], CHOOSER_TOKEN] = 1.0
+    base = after[prev1]
+    for coin, mode in ((COIN_A, MODE_X), (COIN_B, MODE_Y)):
+        base[(prev1 == GAP_TOKEN) & (prev2 == coin)] = np.eye(BIMODAL_VOCAB)[mode]
+    return _smoothed(base, eps)
 
 
 def bimodal_ambiguous_mixture(eps: float = BIMODAL_EPS) -> CategoricalDist:
     """Exact best order-1 conditional at the "last token = gap" state."""
-    a, b = CategoricalDist.from_rows(
-        _smoothed(np.array([_bimodal_base_row((c, GAP_TOKEN)) for c in (COIN_A, COIN_B)]), eps)
-    ).probs
+    vocab = Vocab.default(BIMODAL_VOCAB)
+    a, b = CategoricalDist.from_rows(_bimodal_table(eps)[
+        [prefix_id([coin, GAP_TOKEN], 2, vocab) for coin in (COIN_A, COIN_B)]]).probs
     return CategoricalDist.from_probs(0.5 * (a + b))
 
 
@@ -150,11 +145,8 @@ def build_source(spec: dict) -> MarkovSource:
         eps = config_field(spec, "source.eps", float, BIMODAL_EPS)
         if not (0.0 < eps < 1.0):
             raise ConfigError("bimodal_gap eps must lie in (0, 1)")
-        vocab = Vocab.default(BIMODAL_VOCAB)
-        base = np.array([_bimodal_base_row(context_key(cid, 2, BIMODAL_VOCAB))
-                         for cid in range(BIMODAL_VOCAB ** 2)])
-        return MarkovSource(name=name, order=2, vocab=vocab,
-                            table=CategoricalDist.from_rows(_smoothed(base, eps)))
+        return MarkovSource(name=name, order=2, vocab=Vocab.default(BIMODAL_VOCAB),
+                            table=CategoricalDist.from_rows(_bimodal_table(eps)))
 
     if name == "random_dirichlet":
         v = config_field(spec, "source.vocab_size", int, 8)
@@ -167,7 +159,8 @@ def build_source(spec: dict) -> MarkovSource:
         n = table_rows(v, m)
         rng = np.random.default_rng(config_field(spec, "source.seed", int, None))
         vocab = Vocab.default(v)
-        probs = np.array([rng.dirichlet(np.full(v, conc)) for _ in range(n)])
+        # one call draws the same gammas in the same order as one call per row
+        probs = rng.dirichlet(np.full(v, conc), size=n)
         return MarkovSource(name=name, order=m, vocab=vocab,
                             table=CategoricalDist.from_rows(probs))
 
@@ -296,10 +289,16 @@ def corpus_write(corpus: Corpus, path, header_extra: dict | None = None) -> None
     }
     if header_extra:
         header.update(header_extra)
+    # names[t] is token t's text; an id outside [0, V) would read as no id or the wrong one
+    names = [str(t) for t in range(corpus.vocab_size)]
+    seqs = [seq for seq in corpus.sequences if len(seq)]
+    for t in (min(map(min, seqs)), max(map(max, seqs))) if seqs else ():
+        if not 0 <= t < len(names):
+            raise InvalidInputError(f"token id {t} out of range [0, {len(names)})")
     with open(path, "w", encoding="utf-8") as f:
         f.write(json.dumps(header) + "\n")
         for seq in corpus.sequences:
-            f.write(" ".join(str(t) for t in seq) + "\n")
+            f.write(" ".join(map(names.__getitem__, seq)) + "\n")
 
 
 def corpus_read(path) -> Corpus:

@@ -114,13 +114,15 @@ class EvalPlan:
         student's predictive table probs (read only then)."""
         return self.occ if self.occ is not None else self._propagate(probs[self.student_ids])
 
-    def divergences(self, probs: np.ndarray, logprobs: np.ndarray) -> tuple[float, float]:
+    def divergences(self, probs: np.ndarray, logprobs: np.ndarray,
+                    occ: np.ndarray | None = None) -> tuple[float, float]:
         """Occupancy-weighted KL(p||q) and KL(q||p) of the student whose predictive table
-        is (probs, logprobs)."""
+        is (probs, logprobs); occ, when the caller holds it, is occupancy(probs)."""
         if self.live is not None:
             w, p, ids = self.live
         else:
-            w, p, ids = _live(self.occupancy(probs), self.teacher_rows, self.student_ids)
+            occ = self.occupancy(probs) if occ is None else occ
+            w, p, ids = _live(occ, self.teacher_rows, self.student_ids)
         return _divergences(w, p, CategoricalDist(probs.take(ids, axis=0),
                                                   logprobs.take(ids, axis=0)))
 

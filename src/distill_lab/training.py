@@ -107,8 +107,8 @@ def train_teacher_mle(corpus: Corpus, order: int, lam: float) -> TabularLM:
     v = corpus.vocab_size
     model = TabularLM(order=order, vocab=Vocab.default(v))
     tokens, offsets, _, _ = _flatten(corpus, v)
-    counts = np.zeros(model.table.shape, dtype=np.int64)
-    np.add.at(counts, (context_ids(tokens, offsets, order, model.vocab.bos_id, v), tokens), 1)
+    ids = context_ids(tokens, offsets, order, model.vocab.bos_id, v)
+    counts = np.bincount(ids * v + tokens, minlength=model.table.size).reshape(model.table.shape)
     seen = counts.any(axis=1)
     row = counts[seen].astype(np.float64)
     probs = (row + lam) / (row.sum(axis=1, keepdims=True) + lam * v)

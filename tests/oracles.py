@@ -7,18 +7,24 @@ library promises byte-identical outputs these references give the same bytes.
 The weight rules (fkld_token, rkld_off, jsd_off, hpd_token) read one token's
 values as plain Python floats. kl_exact, jsd_beta and k1_samples are the
 distribution-level references for numerics.kl_rows and the k1 estimator.
+The set-up references build a source table one row per context
+(bimodal_table, dirichlet_rows) and fit an MLE teacher with np.add.at counts
+(mle_add_at); the library builds each in one array pass, to the same bytes.
 """
 
 import numpy as np
 
 from distill_lab import training
+from distill_lab.data import (BIMODAL_VOCAB, CHOOSER_TOKEN, COIN_A, COIN_B, GAP_TOKEN,
+                              MODE_X, MODE_Y)
 from distill_lab.errors import (
     DivergenceInfiniteError,
     InvalidInputError,
     InvalidParameterError,
     LogOfZeroError,
 )
-from distill_lab.model import accumulate_token_grads, pad_context, prefix_id
+from distill_lab.model import (TabularLM, Vocab, accumulate_token_grads, context_ids, context_key,
+                              pad_context, prefix_id)
 from distill_lab.numerics import CategoricalDist, cdf_draw, cdf_rows, softmax
 from distill_lab.objectives import HPD_VARIANTS, token_weights
 
@@ -60,6 +66,64 @@ def greedy_rollout(model, prompt, steps):
         seq.append(int(np.argmax(model.logits(pad_context(seq, model.order,
                                                           model.vocab.bos_id)))))
     return seq[len(prompt):]
+
+
+def bimodal_base_row(ctx):
+    """bimodal_gap's unsmoothed conditional at one context (prev2, prev1)."""
+    prev2, prev1 = ctx
+    row = np.zeros(BIMODAL_VOCAB)
+    if prev1 == CHOOSER_TOKEN:
+        row[COIN_A] = row[COIN_B] = 0.5
+    elif prev1 in (COIN_A, COIN_B):
+        row[GAP_TOKEN] = 1.0
+    elif prev1 == GAP_TOKEN:
+        if prev2 == COIN_A:
+            row[MODE_X] = 1.0
+        elif prev2 == COIN_B:
+            row[MODE_Y] = 1.0
+        else:
+            row[MODE_X] = row[MODE_Y] = 0.5
+    else:
+        row[CHOOSER_TOKEN] = 1.0
+    return row
+
+
+def bimodal_table(eps):
+    """bimodal_gap's smoothed table, one bimodal_base_row per context id."""
+    base = np.array([bimodal_base_row(context_key(cid, 2, BIMODAL_VOCAB))
+                     for cid in range(BIMODAL_VOCAB ** 2)])
+    return (1.0 - eps) * base + eps / BIMODAL_VOCAB
+
+
+def bimodal_mixture(eps):
+    """The 50/50 mixture of the smoothed rows at (coin A, gap) and (coin B, gap)."""
+    a, b = CategoricalDist.from_rows(np.array(
+        [(1.0 - eps) * bimodal_base_row((c, GAP_TOKEN)) + eps / BIMODAL_VOCAB
+         for c in (COIN_A, COIN_B)])).probs
+    return CategoricalDist.from_probs(0.5 * (a + b))
+
+
+def dirichlet_rows(rng, v, concentration, n):
+    """n symmetric Dirichlet rows, one rng.dirichlet call per row."""
+    return np.array([rng.dirichlet(np.full(v, concentration)) for _ in range(n)])
+
+
+def mle_add_at(corpus, order, lam):
+    """train_teacher_mle with its counts added one position at a time by np.add.at."""
+    v = corpus.vocab_size
+    model = TabularLM(order=order, vocab=Vocab.default(v))
+    tokens, offsets, _, _ = training._flatten(corpus, v)
+    counts = np.zeros(model.table.shape, dtype=np.int64)
+    np.add.at(counts, (context_ids(tokens, offsets, order, model.vocab.bos_id, v), tokens), 1)
+    seen = counts.any(axis=1)
+    row = counts[seen].astype(np.float64)
+    probs = (row + lam) / (row.sum(axis=1, keepdims=True) + lam * v)
+    with np.errstate(divide="ignore"):
+        logits = np.where(probs > 0.0, np.log(np.where(probs > 0.0, probs, 1.0)),
+                          training.LOGIT_FLOOR)
+    model.table[seen] = logits
+    model.touched[seen] = True
+    return model
 
 
 def reference_offpolicy(cfg, teacher, corpus, student):

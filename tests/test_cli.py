@@ -14,6 +14,7 @@ import distill_lab
 from distill_lab.cli import apply_overrides, build_parser, config_hash, main, validate_config
 from distill_lab.errors import ConfigError, config_field
 from distill_lab.data import build_source, corpus_write, sample_corpus, source_save
+from distill_lab.evaluation import EvalPlan
 from distill_lab.model import TabularLM, Vocab, checkpoint_load, checkpoint_save
 from distill_lab.training import METRICS_HEADER
 
@@ -296,6 +297,19 @@ class TestCommands:
         audit = (tmp_path / "out" / "audit.csv").read_text().splitlines()[-1].split(",")
         assert row[4:7] == audit[:2] + audit[3:] and row[6] != ""
 
+    @pytest.mark.parametrize("eval_from", ["teacher", "student"])
+    def test_eval_propagates_the_occupancy_once(self, tmp_path, monkeypatch, eval_from):
+        # mean_entropy and both divergences read one occupancy
+        monkeypatch.chdir(tmp_path)
+        calls = []
+        propagate = EvalPlan._propagate
+        monkeypatch.setattr(EvalPlan, "_propagate",
+                            lambda plan, drive: calls.append(1) or propagate(plan, drive))
+        cfg = dict(BASE, out_dir="out")
+        cfg["train"] = dict(BASE["train"], eval_from=eval_from)
+        assert main(["eval", "--config", write_config(tmp_path / "c.json", cfg)]) == 0
+        assert len(calls) == 1
+
     def test_eval_support_violation_writes_inf(self, tmp_path, monkeypatch):
         # a uniform student covers the cycle's one-hot rows, not the reverse
         monkeypatch.chdir(tmp_path)
@@ -395,6 +409,12 @@ class TestCommands:
         ("distill", ["train.lr=NaN"], "train.lr: expected float, got nan"),
         ("distill", ["train.lr=-Infinity"], "train.lr: expected float, got -inf"),
         ("gen-source", ["tasks.min_conf=NaN"], "tasks.min_conf: expected float, got nan"),
+        # the sweep lists are checked whichever command runs
+        ("gen-source", ['sweep.objectives=["bogus"]', 'sweep.seeds="x"'],
+         "sweep.seeds: expected a list of integers, got 'x'"),
+        ("gen-source", ['sweep.objectives=["bogus"]'], "unknown objective tag 'bogus' in sweep"),
+        ("eval", ['sweep.objectives="hpd"'], "sweep.objectives: expected a list, got 'hpd'"),
+        ("distill", ["sweep.seeds=[0, true]"], "sweep.seeds: expected a list of integers"),
     ])
     def test_user_errors_exit_two(self, tmp_path, monkeypatch, capsys, command, sets,
                                   needle):

@@ -31,9 +31,10 @@ from distill_lab.data import (
 )
 from distill_lab.errors import ConfigError, InvalidInputError, ParseError
 from distill_lab.model import TabularLM, Vocab
-from distill_lab.numerics import entropy
+from distill_lab.numerics import CategoricalDist, entropy
 from distill_lab.training import train_teacher_mle
-from oracles import greedy_rollout, model_row, source_row
+from oracles import (bimodal_mixture, bimodal_table, dirichlet_rows, greedy_rollout, model_row,
+                     source_row)
 
 
 class TestBuildSource:
@@ -57,6 +58,19 @@ class TestBuildSource:
         a = build_source({"name": "random_dirichlet", "seed": 3, "vocab_size": 4})
         b = build_source({"name": "random_dirichlet", "seed": 3, "vocab_size": 4})
         assert np.array_equal(a.table.probs, b.table.probs)
+
+    # concentrations below 0.1 take numpy's small-alpha (beta-variate) path
+    @pytest.mark.parametrize("v, order, conc", [(16, 2, 1.0), (8, 1, 3.0), (5, 3, 0.05),
+                                                (4, 1, 0.5), (6, 2, 0.09), (2, 1, 0.01)])
+    def test_random_dirichlet_is_one_row_per_call(self, v, order, conc):
+        # one rng.dirichlet(size=n) draws the gammas of n per-row calls, in their order
+        src = build_source({"name": "random_dirichlet", "seed": 11, "vocab_size": v,
+                            "order": order, "concentration": conc})
+        want = CategoricalDist.from_rows(
+            dirichlet_rows(np.random.default_rng(11), v, conc, v ** order))
+        assert src.table.probs.tobytes() == want.probs.tobytes()
+        one = np.random.default_rng(5).dirichlet(np.full(v, conc), size=7)
+        assert one.tobytes() == dirichlet_rows(np.random.default_rng(5), v, conc, 7).tobytes()
 
     def test_unknown_name_and_keys(self):
         with pytest.raises(ConfigError):
@@ -99,6 +113,16 @@ class TestBimodalGap:
         b = source_row(src, (COIN_B, GAP_TOKEN)).probs
         assert np.allclose(mix.probs, 0.5 * (a + b))
         assert mix.probs[MODE_X] == pytest.approx(mix.probs[MODE_Y])
+
+    @pytest.mark.parametrize("eps", [0.1, 0.3, 0.5])
+    def test_table_and_mixture_equal_per_context_reference(self, eps):
+        src = build_source({"name": "bimodal_gap", "eps": eps})
+        want = CategoricalDist.from_rows(bimodal_table(eps))
+        assert src.table.probs.tobytes() == want.probs.tobytes()
+        assert src.table.logprobs.tobytes() == want.logprobs.tobytes()
+        mix, ref = bimodal_ambiguous_mixture(eps), bimodal_mixture(eps)
+        assert mix.probs.tobytes() == ref.probs.tobytes()
+        assert mix.logprobs.tobytes() == ref.logprobs.tobytes()
 
     def test_non_coin_history_rows_equal_mixture(self):
         # contexts (x, gap) with x not a coin carry the exact 50/50 mixture,
@@ -276,6 +300,16 @@ class TestCorpusIO:
         path = tmp_path / "c.txt"
         corpus_write(corpus, path)
         assert corpus_read(path).sequences == []
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_write_rejects_out_of_range_id(self, tmp_path, bad):
+        # every id is written by its name in [0, V); no file is opened for one outside
+        corpus = Corpus(sequences=[[0, 1], [2, bad, 1]], provenance="ground_truth", seed=0,
+                        vocab_size=3)
+        path = tmp_path / "c.txt"
+        with pytest.raises(InvalidInputError, match=f"token id {bad} out of range"):
+            corpus_write(corpus, path)
+        assert not path.exists()
 
     def test_out_of_range_token_names_line(self, tmp_path):
         path = tmp_path / "c.txt"

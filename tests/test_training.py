@@ -35,6 +35,7 @@ from oracles import (
     draws_batched,
     draws_per_rollout,
     kl_exact,
+    mle_add_at,
     reference_offpolicy,
     reference_opd,
     source_row,
@@ -115,6 +116,15 @@ class TestMLEMatchesDictReference:
         for name, fit in (("dense", train_teacher_mle), ("dict", reference_train_teacher_mle)):
             checkpoint_save(fit(corpus, order, lam), tmp_path / f"{name}.json")
         assert (tmp_path / "dense.json").read_bytes() == (tmp_path / "dict.json").read_bytes()
+
+    @pytest.mark.parametrize("lam", [0.0, 0.1])
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_counts_equal_add_at_reference(self, order, lam):
+        # one bincount of flat (context, token) indices counts what np.add.at counts
+        _, corpus = _variable_length_corpus("dirichlet")
+        fit, ref = train_teacher_mle(corpus, order, lam), mle_add_at(corpus, order, lam)
+        assert np.array_equal(fit.touched, ref.touched)
+        assert fit.table.tobytes() == ref.table.tobytes()
 
     def test_out_of_range_token(self):
         corpus = Corpus(sequences=[[0, 1], [2, 5]], provenance="ground_truth", seed=0,
