@@ -370,7 +370,7 @@ def cmd_gen_corpus(cfg: dict) -> int:
     data_mod.corpus_write(corpus, os.path.join(out, "corpus.txt"),
                           header_extra=_meta(cfg))
     print(f"wrote {os.path.join(out, 'corpus.txt')} "
-          f"({len(corpus.sequences)} sequences, {corpus.num_tokens()} tokens)")
+          f"({corpus.lengths.size} sequences, {corpus.num_tokens()} tokens)")
     return 0
 
 

@@ -1,5 +1,10 @@
 """Ground-truth stochastic sources and corpus generation/IO.
 
+A Corpus is one read-only int64 token array of its sequences laid end to end
+and one read-only array of their lengths, from the sampler (sample_corpus
+keeps the lockstep walk's array) and the file reader (corpus_read keeps its
+one-call parse's array) to the trainers, which read both arrays directly.
+
 Builtin sources:
   uniform             every conditional is uniform over the vocabulary
   deterministic_cycle order-1 cycle i -> (i+1) mod V, one-hot rows
@@ -31,7 +36,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, InvalidInputError, ParseError, config_field
-from .model import TabularLM, Vocab, context_key, load_rows, prefix_id, table_rows, walk
+from .model import (TabularLM, Vocab, context_key, load_rows, prefix_id, save_rows, table_rows,
+                    walk)
 from .numerics import CategoricalDist, cdf_draw, cdf_rows
 
 CORPUS_FORMAT_VERSION = 1
@@ -59,18 +65,17 @@ class MarkovSource:
     vocab: Vocab
     table: CategoricalDist
 
-    def sample_sequences(self, n: int, length: int,
-                         rng: np.random.Generator) -> list[list[int]]:
-        """n sequences of `length` tokens, sampled in lockstep one position at a time.
+    def sample_sequences(self, n: int, length: int, rng: np.random.Generator) -> np.ndarray:
+        """n sequences of `length` tokens as one (n, length) array, row i sequence i,
+        sampled in lockstep one position at a time.
 
         Sequence i is drawn with row i of rng.random((n, length)), so the result
         equals n sequences sampled in turn with one Generator.choice per token.
         """
         u = rng.random((n, length))
         start = np.full(n, prefix_id([], self.order, self.vocab), dtype=np.intp)
-        _, seqs = walk(start, length, self.order, self.vocab.size,
-                       lambda ids, t: cdf_draw(self.cdf[ids], u[:, t]))
-        return seqs.tolist()
+        return walk(start, length, self.order, self.vocab.size,
+                    lambda ids, t: cdf_draw(self.cdf.take(ids, axis=0), u[:, t]))[1]
 
     @cached_property
     def cdf(self) -> np.ndarray:
@@ -171,22 +176,14 @@ SOURCE_FORMAT_VERSION = 1
 
 
 def source_save(source: MarkovSource, path, header_extra: dict | None = None) -> None:
-    doc = {
+    head = {
         "format_version": SOURCE_FORMAT_VERSION,
         "name": source.name,
         "order": source.order,
         "vocab": {"names": list(source.vocab.names), "bos_id": source.vocab.bos_id},
-        "rows": [
-            {"context": list(context_key(cid, source.order, source.vocab.size)),
-             "probs": [float(x) for x in row]}
-            for cid, row in enumerate(source.table.probs)
-        ],
     }
-    if header_extra:
-        doc.update(header_extra)
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f)
-        f.write("\n")
+    probs = source.table.probs
+    save_rows(path, head, np.arange(len(probs)), probs, "probs", source.order, header_extra)
 
 
 def source_load(path) -> MarkovSource:
@@ -226,9 +223,16 @@ def source_load(path) -> MarkovSource:
         raise ParseError(f"{path}: malformed source file: {e}") from e
 
 
-@dataclass
+@dataclass(eq=False)
 class Corpus:
-    sequences: list[list[int]]
+    """Sequences laid end to end: sequence i is lengths[i] tokens, after those before it.
+
+    tokens (int64) and lengths (intp) are read-only views of the arrays given;
+    an id beyond int64 (from a V no table can hold) keeps its Python int.
+    """
+
+    tokens: np.ndarray
+    lengths: np.ndarray
     provenance: str
     seed: int
     vocab_size: int
@@ -238,9 +242,39 @@ class Corpus:
     def __post_init__(self):
         if self.provenance not in self.PROVENANCES:
             raise InvalidInputError(f"unknown provenance {self.provenance!r}")
+        tokens = np.asarray(self.tokens)
+        dtype = object if tokens.dtype == object else np.int64
+        self.tokens = np.asarray(tokens, dtype=dtype).view()
+        self.lengths = np.asarray(self.lengths, dtype=np.intp).view()
+        if (self.tokens.ndim != 1 or self.lengths.ndim != 1 or (self.lengths < 0).any()
+                or self.lengths.sum() != self.tokens.size):
+            raise InvalidInputError("corpus lengths must be >= 0 and sum to its token count")
+        self.tokens.flags.writeable = self.lengths.flags.writeable = False
+
+    @classmethod
+    def from_sequences(cls, sequences, provenance: str, seed: int, vocab_size: int) -> "Corpus":
+        """The corpus of a list of token-id sequences."""
+        lengths = np.fromiter(map(len, sequences), dtype=np.intp, count=len(sequences))
+        try:
+            tokens = np.fromiter(itertools.chain.from_iterable(sequences), dtype=np.int64,
+                                 count=int(lengths.sum()))
+        except OverflowError:
+            tokens = np.array(list(itertools.chain.from_iterable(sequences)), dtype=object)
+        return cls(tokens, lengths, provenance, seed, vocab_size)
+
+    @property
+    def sequences(self) -> list[list[int]]:
+        """Every sequence as a list of ints, derived anew from tokens at each read."""
+        return _split(self.tokens.tolist(), self.lengths)
 
     def num_tokens(self) -> int:
-        return sum(len(s) for s in self.sequences)
+        return self.tokens.size
+
+
+def _split(flat: list, lengths: np.ndarray) -> list[list]:
+    """flat cut into consecutive pieces of the given lengths."""
+    ends = np.cumsum(lengths).tolist()
+    return [flat[end - n:end] for n, end in zip(lengths.tolist(), ends)]
 
 
 def sample_corpus(
@@ -248,7 +282,8 @@ def sample_corpus(
 ) -> Corpus:
     if num_seqs < 1 or length < 1:
         raise InvalidInputError("num_seqs and length must be >= 1")
-    return Corpus(sequences=source.sample_sequences(num_seqs, length, rng),
+    return Corpus(source.sample_sequences(num_seqs, length, rng).ravel(),
+                  np.full(num_seqs, length, dtype=np.intp),
                   provenance="ground_truth", seed=seed, vocab_size=source.vocab.size)
 
 
@@ -272,12 +307,8 @@ def generate_seqkd_corpus(
         # prompt i takes row i of the draws: each prompt draws its `length` uniforms in turn
         conts = teacher.rollouts(prompts, length, rng, temperature=temperature)
     seqs = [[int(t) for t in prompt] + cont for prompt, cont in zip(prompts, conts)]
-    return Corpus(
-        sequences=seqs,
-        provenance="teacher_generated",
-        seed=seed,
-        vocab_size=teacher.vocab.size,
-    )
+    return Corpus.from_sequences(seqs, provenance="teacher_generated", seed=seed,
+                                 vocab_size=teacher.vocab.size)
 
 
 def corpus_write(corpus: Corpus, path, header_extra: dict | None = None) -> None:
@@ -291,14 +322,14 @@ def corpus_write(corpus: Corpus, path, header_extra: dict | None = None) -> None
         header.update(header_extra)
     # names[t] is token t's text; an id outside [0, V) would read as no id or the wrong one
     names = [str(t) for t in range(corpus.vocab_size)]
-    seqs = [seq for seq in corpus.sequences if len(seq)]
-    for t in (min(map(min, seqs)), max(map(max, seqs))) if seqs else ():
+    tokens = corpus.tokens
+    for t in (tokens.min(), tokens.max()) if tokens.size else ():
         if not 0 <= t < len(names):
             raise InvalidInputError(f"token id {t} out of range [0, {len(names)})")
+    lines = _split(list(map(names.__getitem__, tokens.tolist())), corpus.lengths)
     with open(path, "w", encoding="utf-8") as f:
         f.write(json.dumps(header) + "\n")
-        for seq in corpus.sequences:
-            f.write(" ".join(map(names.__getitem__, seq)) + "\n")
+        f.writelines(" ".join(line) + "\n" for line in lines)
 
 
 def corpus_read(path) -> Corpus:
@@ -324,28 +355,30 @@ def corpus_read(path) -> Corpus:
         raise ParseError(f"{path}: line 1: bad header: {e}") from e
     if version != CORPUS_FORMAT_VERSION:
         raise ParseError(f"{path}: line 1: unsupported format_version {version}")
-    seqs = _parse_body(lines[1:], v)
-    if seqs is None:
-        seqs = _parse_lines(path, lines, v)
-    return Corpus(sequences=seqs, provenance=provenance, seed=seed, vocab_size=v)
+    parsed = _parse_body(lines[1:], v)
+    if parsed is None:
+        return Corpus.from_sequences(_parse_lines(path, lines, v), provenance=provenance,
+                                     seed=seed, vocab_size=v)
+    return Corpus(*parsed, provenance=provenance, seed=seed, vocab_size=v)
 
 
 # the bytes of a body that _parse_body reads: ASCII digits and ASCII whitespace
 _DIGITS_AND_SPACE = b"0123456789 \t\n\r\x0b\x0c"
 
 
-def _parse_body(body: list[str], v: int) -> list[list[int]] | None:
-    """The sequences of the body lines, or None where the one-call parse may differ.
+def _parse_body(body: list[str], v: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """(tokens, lengths) of the body lines, or None where the one-call parse may differ.
 
-    Each line's length is its count of str.split() tokens. np.fromstring reads
-    the joined body only when it holds nothing but ASCII digits and ASCII
-    whitespace: then every token is an unsigned base-10 literal, which numpy
-    and int() read alike (numpy saturates at the int64 bounds). Signs, other
-    characters, a parse that does not reach the end (an error on numpy 2, a
-    warning on numpy 1.x), a token count that differs from the lines' and an
-    id outside [0, v) all give None.
+    Each line's length is its count of str.split() tokens; a line of none is
+    no sequence. np.fromstring reads the joined body only when it holds
+    nothing but ASCII digits and ASCII whitespace: then every token is an
+    unsigned base-10 literal, which numpy and int() read alike (numpy
+    saturates at the int64 bounds). Signs, other characters, a parse that
+    does not reach the end (an error on numpy 2, a warning on numpy 1.x), a
+    token count that differs from the lines' and an id outside [0, v) all
+    give None.
     """
-    lengths = [n for n in map(len, map(str.split, body)) if n]
+    lengths = np.array([n for n in map(len, map(str.split, body)) if n], dtype=np.intp)
     text = "\n".join(body)
     try:
         if text.encode("ascii").translate(None, _DIGITS_AND_SPACE):
@@ -357,11 +390,9 @@ def _parse_body(body: list[str], v: int) -> list[list[int]] | None:
         return None
     # a saturated token reads as the int64 maximum, which no vocabulary here reaches
     top = min(v, np.iinfo(np.int64).max)
-    if tokens.size != sum(lengths) or tokens.min(initial=0) < 0 or tokens.max(initial=0) >= top:
+    if tokens.size != lengths.sum() or tokens.min(initial=0) < 0 or tokens.max(initial=0) >= top:
         return None
-    flat = tokens.tolist()
-    ends = itertools.accumulate(lengths)
-    return [flat[end - n:end] for n, end in zip(lengths, ends)]
+    return tokens, lengths
 
 
 def _parse_lines(path, lines: list[str], v: int) -> list[list[int]]:

@@ -236,34 +236,43 @@ def make_completion_tasks(
 ) -> list[tuple[list[int], list[int]]]:
     """Tasks from near-deterministic source regions.
 
-    num_tasks * max_attempts_factor candidate prompts are drawn from rng at
-    once, all of them, as source.sample_sequences draws them; each candidate is
-    continued greedily by cont_len tokens in the same walk. A candidate is kept
-    when its greedy continuation has confidence at least min_conf at every step,
-    making the correct continuation unique; the first num_tasks kept candidates
-    are the tasks, in the order they were drawn.
+    Up to num_tasks * max_attempts_factor candidate prompts are drawn from rng,
+    as source.sample_sequences draws them, in chunks that double from
+    2 * num_tasks; each candidate is continued greedily by cont_len tokens in
+    its chunk's walk. A candidate is kept when its greedy continuation has
+    confidence at least min_conf at every step, making the correct
+    continuation unique; the first num_tasks kept candidates are the tasks,
+    in the order they were drawn. Drawing stops after the chunk that holds
+    the last task. The chunks' rows are the rows one draw of every candidate
+    would give, so the tasks do not depend on the chunking; rng is left
+    further on the fewer candidates drawn.
     """
     if num_tasks < 1 or cont_len < 1:
         raise InvalidInputError("num_tasks and cont_len must be >= 1")
     prompt_len = prompt_len if prompt_len is not None else source.order + 2
-    n = num_tasks * max_attempts_factor
-    u = rng.random((n, prompt_len))
     probs = source.table.probs
+    start = prefix_id([], source.order, source.vocab)
+    tasks: list[tuple[list[int], list[int]]] = []
 
-    def sample_then_argmax(ids, t):  # every candidate advances one step
+    def sample_then_argmax(ids, t):  # every candidate of the chunk advances one step
         if t < prompt_len:
-            return cdf_draw(source.cdf[ids], u[:, t])
-        return np.argmax(probs[ids], axis=1)
+            return cdf_draw(source.cdf.take(ids, axis=0), u[:, t])
+        return np.argmax(probs.take(ids, axis=0), axis=1)
 
-    start = np.full(n, prefix_id([], source.order, source.vocab), dtype=np.intp)
-    ids, tokens = walk(start, prompt_len + cont_len, source.order, source.vocab.size,
-                       sample_then_argmax)
-    prompts, conts = tokens[:, :prompt_len], tokens[:, prompt_len:]
-    ok = (probs[ids[:, prompt_len:], conts] >= min_conf).all(axis=1)
-    keep = np.flatnonzero(ok)[:num_tasks]
-    if len(keep) < num_tasks:
+    left, n = num_tasks * max_attempts_factor, 2 * num_tasks
+    while left > 0 and len(tasks) < num_tasks:
+        n = min(n, left)
+        u = rng.random((n, prompt_len))
+        ids, tokens = walk(np.full(n, start, dtype=np.intp), prompt_len + cont_len,
+                           source.order, source.vocab.size, sample_then_argmax)
+        prompts, conts = tokens[:, :prompt_len], tokens[:, prompt_len:]
+        ok = (probs[ids[:, prompt_len:], conts] >= min_conf).all(axis=1)
+        keep = np.flatnonzero(ok)[:num_tasks - len(tasks)].tolist()
+        tasks += zip(prompts[keep].tolist(), conts[keep].tolist())
+        left, n = left - n, 2 * n
+    if len(tasks) < num_tasks:
         raise InvalidInputError(
-            f"only found {len(keep)}/{num_tasks} near-deterministic tasks "
+            f"only found {len(tasks)}/{num_tasks} near-deterministic tasks "
             f"(min_conf={min_conf}, cont_len={cont_len})"
         )
-    return [(prompts[i].tolist(), conts[i].tolist()) for i in keep.tolist()]
+    return tasks

@@ -33,6 +33,9 @@ CHECKPOINT_FORMAT_VERSION = 1
 # the most floats (V**(k + 1)) one dense order-k table may hold: 32 MiB
 MAX_TABLE_ENTRIES = 2**22
 
+# the most floats one chunk of a file's rows holds as it is encoded (save_rows)
+JSON_CHUNK_FLOATS = 1024
+
 ContextKey = tuple[int, ...]
 
 
@@ -139,7 +142,9 @@ def context_ids(tokens: np.ndarray, offsets: np.ndarray, order: int, bos_id: int
     ids = np.zeros(tokens.size, dtype=np.intp)
     back = np.arange(tokens.size)
     for lag in range(order, 0, -1):  # the oldest token is the most significant digit
-        ids = ids * vocab_size + np.where(offsets >= lag, tokens[back - lag], bos_id)
+        # a position fewer than lag tokens in reads BOS; its wrapped gather is discarded
+        ids = ids * vocab_size + np.where(offsets >= lag, tokens.take(back - lag, mode="wrap"),
+                                          bos_id)
     return ids
 
 
@@ -217,7 +222,7 @@ class TabularLM:
         train_teacher_mle's LOGIT_FLOOR, sgd_step's NumericOverflowError)
         rejects non-finite logits, so there is nothing left to check here.
         """
-        return frozen_dist(*softmax_rows(self.table[ids]))
+        return frozen_dist(*softmax_rows(self.table.take(ids, axis=0)))
 
     def rollouts(self, prompts, steps: int, rng: np.random.Generator,
                  temperature: float = 1.0) -> list[list[int]]:
@@ -238,7 +243,8 @@ class TabularLM:
         u = rng.random((ids.size, steps))
 
         def draw(ids, t):  # z / 1.0 is z exactly, so temperature 1 samples the model as is
-            return cdf_draw(cdf_rows(softmax(self.table[ids] / temperature).probs), u[:, t])
+            return cdf_draw(cdf_rows(softmax(self.table.take(ids, axis=0) / temperature).probs),
+                            u[:, t])
 
         return walk(ids, steps, self.order, self.vocab.size, draw)[1].tolist()
 
@@ -252,7 +258,7 @@ class TabularLM:
             raise InvalidInputError("steps must be >= 1")
         ids = prefix_ids(prompts, self.order, self.vocab)
         _, out = walk(ids, steps, self.order, self.vocab.size,
-                      lambda ids, t: np.argmax(self.table[ids], axis=1))
+                      lambda ids, t: np.argmax(self.table.take(ids, axis=0), axis=1))
         return out.tolist()
 
     def copy(self) -> "TabularLM":
@@ -400,21 +406,47 @@ def sgd_step(model: TabularLM, acc: GradAccumulator, lr: float) -> np.ndarray:
 
 def checkpoint_save(model: TabularLM, path, header_extra: dict | None = None) -> None:
     """Write the model as JSON; float repr keeps 17 significant digits."""
-    doc = {
+    head = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "order": model.order,
         "vocab": {"names": list(model.vocab.names), "bos_id": model.vocab.bos_id},
-        "rows": [
-            {"context": list(context_key(cid, model.order, model.vocab.size)),
-             "logits": [float(x) for x in model.table[cid]]}
-            for cid in np.flatnonzero(model.touched).tolist()
-        ],
     }
-    if header_extra:
-        doc.update(header_extra)
+    save_rows(path, head, np.flatnonzero(model.touched), model.table, "logits", model.order,
+              header_extra)
+
+
+def save_rows(path, head: dict, ids: np.ndarray, table: np.ndarray, name: str, order: int,
+              header_extra: dict | None) -> None:
+    """Write json.dump's text of head, a "rows" list and header_extra, then a newline.
+
+    Row j of the list is {"context": context_key(ids[j]), name: table[ids[j]]}.
+    header_extra's keys update the document as dict.update does: a key of head
+    (or "rows") keeps its place and takes the new value, any other comes last.
+    The rows are encoded by json.dumps, chunk by chunk of at most
+    JSON_CHUNK_FLOATS floats (or one row): the file is the one-shot text, and
+    no more than one chunk's text is held at once.
+    """
+    rows = object()  # stands for the row list until it is written
+    doc = {**head, "rows": rows, **(header_extra or {})}
+    v = table.shape[1]
+    per = max(1, JSON_CHUNK_FLOATS // v)
+    place = v ** np.arange(order - 1, -1, -1)  # the base-V digits of a context id
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f)
-        f.write("\n")
+        f.write("{")
+        for i, (key, value) in enumerate(doc.items()):
+            f.write(", " if i else "")
+            if value is not rows:
+                f.write(json.dumps({key: value})[1:-1])
+                continue
+            f.write('"rows": [')
+            for lo in range(0, ids.size, per):
+                chunk = ids[lo:lo + per]
+                contexts = (chunk[:, None] // place % v).tolist()
+                f.write((", " if lo else "") + json.dumps(
+                    [{"context": c, name: r}
+                     for c, r in zip(contexts, table.take(chunk, axis=0).tolist())])[1:-1])
+            f.write("]")
+        f.write("}\n")
 
 
 def load_rows(entries, order: int, vocab: Vocab, parse) -> tuple[np.ndarray, np.ndarray]:

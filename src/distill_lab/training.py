@@ -74,23 +74,14 @@ class ModelTeacher:
         return self._table
 
 
-def _flatten(corpus: Corpus, v: int):
-    """(tokens, offsets, lengths, starts) of the corpus's sequences laid end to end.
-
-    offsets[j] is token j's index within its sequence; lengths and starts are
-    intp arrays. A token id outside a vocabulary of v is an InvalidInputError.
-    """
-    lengths = np.fromiter(map(len, corpus.sequences), dtype=np.intp,
-                          count=len(corpus.sequences))
-    starts = np.cumsum(lengths) - lengths
-    tokens = np.fromiter(itertools.chain.from_iterable(corpus.sequences), dtype=np.int64,
-                         count=int(lengths.sum()))
-    outside = (tokens < 0) | (tokens >= v)
-    if outside.any():
-        raise InvalidInputError(f"corpus token id {tokens[np.argmax(outside)]} is out of "
-                                f"range for the vocabulary of {v}")
-    offsets = np.arange(tokens.size) - np.repeat(starts, lengths)
-    return tokens, offsets, lengths, starts
+def _offsets(corpus: Corpus, v: int) -> np.ndarray:
+    """Each corpus position's index within its sequence, once every token id is
+    checked: one outside a vocabulary of v is an InvalidInputError."""
+    tokens, lengths = corpus.tokens, corpus.lengths
+    if tokens.size and (tokens.min() < 0 or tokens.max() >= v):
+        t = tokens[np.argmax((tokens < 0) | (tokens >= v))]
+        raise InvalidInputError(f"corpus token id {t} is out of range for the vocabulary of {v}")
+    return np.arange(tokens.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
 
 
 def train_teacher_mle(corpus: Corpus, order: int, lam: float) -> TabularLM:
@@ -106,8 +97,8 @@ def train_teacher_mle(corpus: Corpus, order: int, lam: float) -> TabularLM:
         raise InvalidInputError("smoothing must be >= 0")
     v = corpus.vocab_size
     model = TabularLM(order=order, vocab=Vocab.default(v))
-    tokens, offsets, _, _ = _flatten(corpus, v)
-    ids = context_ids(tokens, offsets, order, model.vocab.bos_id, v)
+    tokens = corpus.tokens
+    ids = context_ids(tokens, _offsets(corpus, v), order, model.vocab.bos_id, v)
     counts = np.bincount(ids * v + tokens, minlength=model.table.size).reshape(model.table.shape)
     seen = counts.any(axis=1)
     row = counts[seen].astype(np.float64)
@@ -298,17 +289,18 @@ def distill_offpolicy(
         raise ConfigError(f"objective {kind.tag!r} is on-policy; use distill_onpolicy_opd")
     if kind.tag == "seqkd" and corpus.provenance != "teacher_generated":
         raise ConfigError("seqkd expects a teacher_generated corpus")
-    if not corpus.sequences:
+    tokens, lengths = corpus.tokens, corpus.lengths
+    if not lengths.size:
         raise InvalidInputError("corpus is empty")
     v = student.vocab.size
-    tokens, offsets, lengths, starts = _flatten(corpus, v)
+    offsets = _offsets(corpus, v)
     if not lengths.all():
         raise InvalidInputError(f"corpus sequence {int(np.argmin(lengths))} is empty")
     check_pair(teacher, student)
     p_table = teacher.dists()
     s_ids = context_ids(tokens, offsets, student.order, student.vocab.bos_id, v)
     t_ids = context_ids(tokens, offsets, teacher.order, teacher.vocab.bos_id, v)
-    n_seqs, n = len(lengths), cfg.batch_size
+    starts, n_seqs, n = np.cumsum(lengths) - lengths, len(lengths), cfg.batch_size
     tag = kind.tag
     hpd = tag in HPD_VARIANTS
     if not hpd and tag != "fkld_dense":
@@ -353,7 +345,7 @@ def distill_offpolicy(
         w = token_weights(kind, p, lp, q, pred.logprobs.take(s_flat), tok)
         if hpd:
             tok, w = tok.ravel(), (w / k).ravel()
-        # the kernel rests on checks made where its values entered: _flatten
+        # the kernel rests on checks made where its values entered: _offsets
         # range-checks the expert tokens, cdf_draw's tokens are < V with q > 0,
         # and every rule that takes a log checks q at its tokens
         add_token_grads(acc, flat, tok, w, counts, pred.probs.take(flat, axis=0))

@@ -112,7 +112,8 @@ def mle_add_at(corpus, order, lam):
     """train_teacher_mle with its counts added one position at a time by np.add.at."""
     v = corpus.vocab_size
     model = TabularLM(order=order, vocab=Vocab.default(v))
-    tokens, offsets, _, _ = training._flatten(corpus, v)
+    tokens = corpus.tokens
+    offsets = np.array([j for n in corpus.lengths for j in range(n)], dtype=np.intp)
     counts = np.zeros(model.table.shape, dtype=np.int64)
     np.add.at(counts, (context_ids(tokens, offsets, order, model.vocab.bos_id, v), tokens), 1)
     seen = counts.any(axis=1)
@@ -133,16 +134,17 @@ def reference_offpolicy(cfg, teacher, corpus, student):
     order, so its checkpoints and metrics must match these byte for byte.
     """
     kind = cfg.objective
+    sequences = corpus.sequences
+    lengths = np.array([len(seq) for seq in sequences])
 
     def minibatch(student, pred, acc, rng):
         cids = []
         k = cfg.hpd_samples if kind.tag in HPD_VARIANTS else 0
-        lengths = np.array([len(seq) for seq in corpus.sequences])
-        si = rng.integers(len(corpus.sequences), size=cfg.batch_size)
+        si = rng.integers(len(sequences), size=cfg.batch_size)
         offsets = rng.integers(0, lengths[si])
         uniforms = rng.random(cfg.batch_size * k)
         for b in range(cfg.batch_size):
-            seq = corpus.sequences[int(si[b])]
+            seq = sequences[int(si[b])]
             t = int(offsets[b])
             prefix, expert = seq[:t], seq[t]
             cid = prefix_id(prefix, student.order, student.vocab)

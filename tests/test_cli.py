@@ -182,6 +182,23 @@ class TestCommands:
         assert doc["order"] == 2  # defaults to the source order
         assert doc["rows"]
 
+    @pytest.mark.parametrize("command, sets", [
+        ("train-teacher", []),
+        ("distill", ["student_order=2", "train.objective=sft", "train.steps=3"]),
+    ])
+    def test_corpus_shorter_than_the_order(self, tmp_path, monkeypatch, capsys, command, sets):
+        # one sequence of one token: its one position's order-2 context is (BOS, BOS)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.txt").write_text(
+            '{"format_version": 1, "V": 6, "provenance": "ground_truth", "seed": 0}\n3\n')
+        args = ["seed=0", "source.name=bimodal_gap", 'corpus_path="c.txt"', 'out_dir="out"',
+                *sets]
+        assert main([command, *(x for a in args for x in ("--set", a))]) == 0
+        assert capsys.readouterr().err == ""
+        name = "teacher.json" if command == "train-teacher" else "student.json"
+        doc = json.loads((tmp_path / "out" / name).read_text())
+        assert doc["order"] == 2 and [row["context"] for row in doc["rows"]] == [[0, 0]]
+
     def test_eval_mle_teacher_against_its_checkpoint_reads_zero(self, tmp_path,
                                                                 monkeypatch):
         # teacher.json is the very model that teacher.mode=mle_fit fits

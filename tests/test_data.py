@@ -147,12 +147,12 @@ class TestSampleSequences:
     def test_cycle_sequences_follow_cycle(self):
         src = build_source({"name": "deterministic_cycle", "vocab_size": 3})
         seqs = src.sample_sequences(2, 9, np.random.default_rng(0))
-        assert seqs == [[1, 2, 0, 1, 2, 0, 1, 2, 0]] * 2
+        assert seqs.tolist() == [[1, 2, 0, 1, 2, 0, 1, 2, 0]] * 2
 
     def test_uniform_frequencies_three_sigma(self):
         src = build_source({"name": "uniform", "vocab_size": 2, "order": 1})
         rng = np.random.default_rng(5)
-        [toks] = src.sample_sequences(1, 100_000, rng)
+        [toks] = src.sample_sequences(1, 100_000, rng).tolist()
         freq = toks.count(0) / len(toks)
         sigma = np.sqrt(0.25 / 100_000)
         assert abs(freq - 0.5) <= 3 * sigma
@@ -204,14 +204,15 @@ class TestLockstepSampling:
         src = build_source(spec)
         a, b = np.random.default_rng(2), np.random.default_rng(2)
         for length in (0, 1, 7, 30):
-            assert src.sample_sequences(1, length, a) == [per_token_sequence(src, length, b)]
-            assert src.sample_sequences(3, length, a) == [
+            assert src.sample_sequences(1, length, a).tolist() == [
+                per_token_sequence(src, length, b)]
+            assert src.sample_sequences(3, length, a).tolist() == [
                 per_token_sequence(src, length, b) for _ in range(3)]
         assert a.random() == b.random()
 
     def test_no_sequences(self):
         src = build_source({"name": "bimodal_gap"})
-        assert src.sample_sequences(0, 5, np.random.default_rng(0)) == []
+        assert src.sample_sequences(0, 5, np.random.default_rng(0)).shape == (0, 5)
 
 
 class TestSeqKDCorpus:
@@ -283,6 +284,86 @@ class TestSeqKDCorpus:
                                   temperature=-1.0)
 
 
+class TestCorpusLayout:
+    """A corpus is one read-only int64 token array and one read-only intp length array."""
+
+    SEQS = [[0, 1, 2], [3], [], [5, 4, 3, 2, 1], [2, 2]]
+
+    def _corpus(self, seqs=SEQS):
+        return Corpus.from_sequences(seqs, provenance="ground_truth", seed=3, vocab_size=6)
+
+    def test_layout(self):
+        corpus = self._corpus()
+        assert corpus.tokens.dtype == np.int64 and corpus.lengths.dtype == np.intp
+        assert corpus.tokens.tolist() == [t for seq in self.SEQS for t in seq]
+        assert corpus.lengths.tolist() == [3, 1, 0, 5, 2]
+        assert corpus.num_tokens() == 11
+
+    def test_arrays_are_read_only(self):
+        corpus = self._corpus()
+        for array in (corpus.tokens, corpus.lengths):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+
+    def test_read_only_views_leave_the_callers_arrays_writable(self):
+        tokens, lengths = np.arange(4), np.array([1, 3])
+        corpus = Corpus(tokens, lengths, provenance="ground_truth", seed=0, vocab_size=4)
+        tokens[0] = lengths[0] = 2
+        assert not corpus.tokens.flags.writeable and corpus.tokens.base is tokens
+
+    @pytest.mark.parametrize("seqs", [SEQS, [], [[]], [[1]], [[0, 1], [1, 0]]])
+    def test_list_view_equals_the_lists_built_from(self, seqs):
+        assert self._corpus(seqs).sequences == seqs
+
+    def test_lists_and_arrays_build_the_same_corpus(self):
+        a = self._corpus()
+        b = Corpus(np.array([t for seq in self.SEQS for t in seq]),
+                   np.array([len(seq) for seq in self.SEQS]), provenance="ground_truth",
+                   seed=3, vocab_size=6)
+        c = self._corpus([np.array(seq, dtype=np.int32) for seq in self.SEQS])
+        for other in (b, c):
+            assert other.tokens.tobytes() == a.tokens.tobytes()
+            assert other.lengths.tobytes() == a.lengths.tobytes()
+            assert other.tokens.dtype == a.tokens.dtype and other.lengths.dtype == a.lengths.dtype
+
+    @pytest.mark.parametrize("tokens, lengths", [
+        ([0, 1, 2], [2]), ([0, 1], [3, -1]), ([[0, 1]], [2]), ([0, 1], [[2]]),
+    ])
+    def test_lengths_must_cover_the_tokens(self, tokens, lengths):
+        with pytest.raises(InvalidInputError, match="lengths"):
+            Corpus(tokens, lengths, provenance="ground_truth", seed=0, vocab_size=4)
+
+    @pytest.mark.parametrize("spec", LOCKSTEP_SOURCES)
+    def test_sample_corpus_is_the_per_sequence_reference_byte_for_byte(self, spec):
+        src = build_source(spec)
+        a, b = np.random.default_rng(8), np.random.default_rng(8)
+        corpus = sample_corpus(src, 9, 17, a, seed=8)
+        want = np.array([per_token_sequence(src, 17, b) for _ in range(9)], dtype=np.int64)
+        assert corpus.tokens.tobytes() == want.tobytes()
+        assert corpus.lengths.tobytes() == np.full(9, 17, dtype=np.intp).tobytes()
+        assert a.random() == b.random()
+
+    @pytest.mark.parametrize("line_parser", [False, True], ids=["one call", "line parser"])
+    @pytest.mark.parametrize("seqs", [[], SEQS, [[5] * 40, [0], [1, 2] * 7]],
+                             ids=["empty", "zero-length", "variable"])
+    def test_round_trip_keeps_tokens_and_lengths(self, tmp_path, monkeypatch, seqs,
+                                                 line_parser):
+        # a zero-length sequence is written as a blank line, which reads as no sequence
+        corpus = self._corpus(seqs)
+        path = tmp_path / "c.txt"
+        corpus_write(corpus, path)
+        if line_parser:
+            monkeypatch.setattr(data, "_parse_body", lambda body, v: None)
+        else:
+            monkeypatch.setattr(data, "_parse_lines", None)
+        loaded = corpus_read(path)
+        assert loaded.tokens.tobytes() == corpus.tokens.tobytes()
+        kept = corpus.lengths[corpus.lengths > 0]
+        assert loaded.lengths.tobytes() == kept.tobytes()
+        assert loaded.tokens.dtype == np.int64 and loaded.lengths.dtype == np.intp
+        assert not loaded.tokens.flags.writeable and not loaded.lengths.flags.writeable
+
+
 class TestCorpusIO:
     def test_round_trip(self, tmp_path):
         src = build_source({"name": "bimodal_gap"})
@@ -296,7 +377,7 @@ class TestCorpusIO:
         assert loaded.vocab_size == corpus.vocab_size
 
     def test_empty_corpus_round_trips(self, tmp_path):
-        corpus = Corpus(sequences=[], provenance="ground_truth", seed=1, vocab_size=4)
+        corpus = Corpus.from_sequences([], provenance="ground_truth", seed=1, vocab_size=4)
         path = tmp_path / "c.txt"
         corpus_write(corpus, path)
         assert corpus_read(path).sequences == []
@@ -304,7 +385,7 @@ class TestCorpusIO:
     @pytest.mark.parametrize("bad", [-1, 3])
     def test_write_rejects_out_of_range_id(self, tmp_path, bad):
         # every id is written by its name in [0, V); no file is opened for one outside
-        corpus = Corpus(sequences=[[0, 1], [2, bad, 1]], provenance="ground_truth", seed=0,
+        corpus = Corpus.from_sequences([[0, 1], [2, bad, 1]], provenance="ground_truth", seed=0,
                         vocab_size=3)
         path = tmp_path / "c.txt"
         with pytest.raises(InvalidInputError, match=f"token id {bad} out of range"):
@@ -338,7 +419,7 @@ class TestCorpusIO:
 
     def test_bad_provenance_rejected(self):
         with pytest.raises(InvalidInputError):
-            Corpus(sequences=[], provenance="mystery", seed=0, vocab_size=2)
+            Corpus.from_sequences([], provenance="mystery", seed=0, vocab_size=2)
 
 
 HEADER = '{"format_version": 1, "V": %d, "provenance": "ground_truth", "seed": 0}\n'
@@ -484,6 +565,24 @@ class TestSourceIO:
         assert loaded.name == src.name and loaded.order == src.order
         for ctx in itertools.product(range(3), repeat=2):
             assert np.array_equal(source_row(loaded, ctx).probs, source_row(src, ctx).probs)
+
+    @pytest.mark.parametrize("spec", [
+        {"name": "random_dirichlet", "seed": 2, "vocab_size": 64, "order": 1},
+        {"name": "bimodal_gap"},
+        {"name": "uniform", "vocab_size": 3, "order": 0},
+    ])
+    @pytest.mark.parametrize("extra", [None, {"format_version": 4, "name": "y", "seed": 1}])
+    def test_streamed_file_is_the_one_shot_json(self, tmp_path, spec, extra):
+        src = build_source(spec)
+        v = src.vocab.size
+        doc = {"format_version": 1, "name": src.name, "order": src.order,
+               "vocab": {"names": list(src.vocab.names), "bos_id": 0},
+               "rows": [{"context": list(np.unravel_index(cid, (v,) * src.order)),
+                         "probs": [float(x) for x in row]}
+                        for cid, row in enumerate(src.table.probs)]}
+        doc.update(extra or {})
+        source_save(src, tmp_path / "s.json", header_extra=extra)
+        assert (tmp_path / "s.json").read_text() == json.dumps(doc, default=int) + "\n"
 
     def test_corrupt_file(self, tmp_path):
         path = tmp_path / "s.json"

@@ -243,7 +243,7 @@ class TestPairCachedAudit:
                 if eval_from == "student":
                     seqs = student.rollouts([[]] * n_seqs, eval_len, rng)
                 elif teacher_kind == "oracle":
-                    seqs = src.sample_sequences(n_seqs, eval_len, rng)
+                    seqs = src.sample_sequences(n_seqs, eval_len, rng).tolist()
                 else:
                     seqs = teacher.model.rollouts([[]] * n_seqs, eval_len, rng)
                 # each sequence's mean over its prefixes is one i.i.d. draw
@@ -377,7 +377,7 @@ def reference_tasks(source, num_tasks, cont_len, rng, min_conf=0.9, prompt_len=N
     for _ in range(num_tasks * max_attempts_factor):
         if len(tasks) >= num_tasks:
             break
-        [prompt] = source.sample_sequences(1, prompt_len, rng)
+        [prompt] = source.sample_sequences(1, prompt_len, rng).tolist()
         seq, cont = list(prompt), []
         for _t in range(cont_len):
             d = source_row(source, seq)
@@ -430,6 +430,57 @@ class TestMakeCompletionTasks:
         src = build_source(spec)
         got = make_completion_tasks(src, num_tasks, cont_len, np.random.default_rng(5), **kw)
         assert got == reference_tasks(src, num_tasks, cont_len, np.random.default_rng(5), **kw)
+
+    def _candidates_used(self, src, num_tasks, cont_len, seed, **kw):
+        """How many candidates the per-candidate reference draws to find its tasks."""
+        rng = np.random.default_rng(seed)
+        reference_tasks(src, num_tasks, cont_len, rng, **kw)
+        prompt_len = kw.get("prompt_len", src.order + 2)
+        fresh, used = np.random.default_rng(seed), 0
+        while fresh.bit_generator.state != rng.bit_generator.state:
+            fresh.random(prompt_len)
+            used += 1
+        return used
+
+    def test_tasks_past_the_first_chunk(self):
+        # about one candidate in eleven is kept: 2 * 30 candidates cannot hold 30 tasks
+        src = build_source({"name": "bimodal_gap"})
+        used = self._candidates_used(src, 30, 3, 4)
+        assert used > 2 * 30
+        rng = np.random.default_rng(4)
+        got = make_completion_tasks(src, 30, 3, rng)
+        assert got == reference_tasks(src, 30, 3, np.random.default_rng(4))
+        # the chunks double from 60 and stop at the one that holds the last task
+        drawn = 60
+        while drawn < used:
+            drawn = 2 * drawn + 60
+        want = np.random.default_rng(4)
+        want.random((drawn, src.order + 2))
+        assert rng.random() == want.random()
+
+    def test_one_attempt_per_task(self):
+        # max_attempts_factor=1 draws one chunk of num_tasks candidates, not 2 * num_tasks
+        src = build_source({"name": "deterministic_cycle", "vocab_size": 4})
+        rng = np.random.default_rng(2)
+        got = make_completion_tasks(src, 6, 2, rng, min_conf=1.0, max_attempts_factor=1)
+        assert got == reference_tasks(src, 6, 2, np.random.default_rng(2), min_conf=1.0,
+                                      max_attempts_factor=1)
+        want = np.random.default_rng(2)
+        want.random((6, src.order + 2))
+        assert rng.random() == want.random()
+
+    @pytest.mark.parametrize("spec, num_tasks, cont_len, kw", [
+        ({"name": "uniform", "vocab_size": 4}, 5, 2, {"min_conf": 0.5}),
+        ({"name": "bimodal_gap"}, 10, 3, {"min_conf": 0.9, "max_attempts_factor": 1}),
+    ])
+    def test_shortfall_message(self, spec, num_tasks, cont_len, kw):
+        src = build_source(spec)
+        with pytest.raises(InvalidInputError) as want:
+            reference_tasks(src, num_tasks, cont_len, np.random.default_rng(0), **kw)
+        with pytest.raises(InvalidInputError) as got:
+            make_completion_tasks(src, num_tasks, cont_len, np.random.default_rng(0), **kw)
+        assert str(got.value) == (f"{want.value} near-deterministic tasks "
+                                  f"(min_conf={kw['min_conf']}, cont_len={cont_len})")
 
     def test_shortfall_counts_every_candidate(self):
         # 10 candidates, of which the reference keeps the same count

@@ -666,6 +666,27 @@ class TestCheckpoint:
         checkpoint_save(m, b)
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("v, order", [(6, 1), (16, 1), (64, 1), (4, 3)])
+    @pytest.mark.parametrize("chunk", [1, 7, 1024])
+    @pytest.mark.parametrize("extra", [None, {"format_version": 9, "rows": [], "seed": 3},
+                                       {"config_hash": "x", "format_version": 2}])
+    def test_streamed_file_is_the_one_shot_json(self, tmp_path, monkeypatch, v, order, chunk,
+                                                extra):
+        # chunks of at most `chunk` floats, or one row; header_extra updates the document
+        monkeypatch.setattr(model, "JSON_CHUNK_FLOATS", chunk)
+        rng = np.random.default_rng(v)
+        m = TabularLM(order=order, vocab=Vocab.default(v))
+        m.table[:] = rng.normal(size=m.table.shape)
+        m.touched[:] = rng.random(len(m.touched)) < 0.6
+        doc = {"format_version": 1, "order": order,
+               "vocab": {"names": list(m.vocab.names), "bos_id": 0},
+               "rows": [{"context": list(model.context_key(cid, order, v)),
+                         "logits": [float(x) for x in m.table[cid]]}
+                        for cid in np.flatnonzero(m.touched).tolist()]}
+        doc.update(extra or {})
+        checkpoint_save(m, tmp_path / "m.json", header_extra=extra)
+        assert (tmp_path / "m.json").read_text() == json.dumps(doc) + "\n"
+
     def test_out_of_vocabulary_context_is_parse_error(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text(json.dumps({

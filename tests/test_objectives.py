@@ -65,7 +65,7 @@ def read_off_weights(tag, p, q, expert):
     teacher, student = (TabularLM(order=1, vocab=Vocab.default(p.size)) for _ in range(2))
     teacher.set_row((0,), p.logprobs)
     student.set_row((0,), q.logprobs)
-    corpus = Corpus(sequences=[[expert]], provenance="ground_truth", seed=0, vocab_size=p.size)
+    corpus = Corpus.from_sequences([[expert]], provenance="ground_truth", seed=0, vocab_size=p.size)
     cfg = TrainConfig(objective=ObjectiveKind(tag), steps=1, seed=0, lr=1.0, batch_size=1,
                       eval_len=1)
     out, _ = distill_offpolicy(cfg, ModelTeacher(teacher), corpus, student)

@@ -53,7 +53,7 @@ def small_cfg(tag, **kw):
 class TestTrainTeacherMLE:
     def test_symmetric_counts(self):
         # sequence [1, 1, 2]: after token 1 the continuations are 1 and 2
-        corpus = Corpus(sequences=[[1, 1, 2]], provenance="ground_truth",
+        corpus = Corpus.from_sequences([[1, 1, 2]], provenance="ground_truth",
                         seed=0, vocab_size=3)
         model = train_teacher_mle(corpus, order=1, lam=0.0)
         probs = softmax(model.logits((1,))).probs
@@ -76,7 +76,7 @@ class TestTrainTeacherMLE:
             assert kl_exact(source_row(src, [i]), softmax(model.logits((i,)))) < 1e-3
 
     def test_smoothing_gives_full_support(self):
-        corpus = Corpus(sequences=[[1, 1]], provenance="ground_truth",
+        corpus = Corpus.from_sequences([[1, 1]], provenance="ground_truth",
                         seed=0, vocab_size=3)
         model = train_teacher_mle(corpus, order=1, lam=1.0)
         assert np.all(softmax(model.logits((1,))).probs > 0.0)
@@ -84,7 +84,7 @@ class TestTrainTeacherMLE:
     @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf])
     def test_non_finite_smoothing_rejected(self, lam):
         # a NaN passes lam < 0.0 and would give every row the same logits
-        corpus = Corpus(sequences=[[1, 1]], provenance="ground_truth", seed=0, vocab_size=3)
+        corpus = Corpus.from_sequences([[1, 1]], provenance="ground_truth", seed=0, vocab_size=3)
         with pytest.raises(InvalidInputError, match="smoothing must be finite, got "):
             train_teacher_mle(corpus, order=1, lam=lam)
 
@@ -127,7 +127,7 @@ class TestMLEMatchesDictReference:
         assert fit.table.tobytes() == ref.table.tobytes()
 
     def test_out_of_range_token(self):
-        corpus = Corpus(sequences=[[0, 1], [2, 5]], provenance="ground_truth", seed=0,
+        corpus = Corpus.from_sequences([[0, 1], [2, 5]], provenance="ground_truth", seed=0,
                         vocab_size=3)
         with pytest.raises(InvalidInputError, match="corpus token id 5"):
             train_teacher_mle(corpus, 1, 0.1)
@@ -297,7 +297,7 @@ class TestDistillOffpolicy:
         ctx = pad_context([], student.order, student.vocab.bos_id)
         teacher_model.set_row(ctx, p.logprobs)
         student.set_row(ctx, q.logprobs)
-        corpus = Corpus(sequences=[[0]], provenance="ground_truth", seed=0, vocab_size=4)
+        corpus = Corpus.from_sequences([[0]], provenance="ground_truth", seed=0, vocab_size=4)
 
         expected = np.zeros(4)
         for s in range(4):
@@ -329,9 +329,10 @@ def _variable_length_corpus(teacher="bimodal_gap"):
     teacher_spec, corpus_spec = TEACHERS[teacher]
     src = build_source(corpus_spec)
     rng = np.random.default_rng(5)
-    seqs = [src.sample_sequences(1, int(rng.integers(1, 20)), rng)[0] for _ in range(15)]
-    return OracleTeacher(build_source(teacher_spec)), Corpus(
-        sequences=seqs, provenance="teacher_generated", seed=5, vocab_size=src.vocab.size)
+    seqs = [src.sample_sequences(1, int(rng.integers(1, 20)), rng)[0].tolist()
+            for _ in range(15)]
+    return OracleTeacher(build_source(teacher_spec)), Corpus.from_sequences(
+        seqs, provenance="teacher_generated", seed=5, vocab_size=src.vocab.size)
 
 
 KERNEL_CASES = (
@@ -385,7 +386,7 @@ class TestOffpolicyKernel:
     def test_empty_sequence_rejected_at_every_seed(self):
         # a draw landing on the empty sequence would fail in the generator
         teacher, _ = _variable_length_corpus()
-        corpus = Corpus(sequences=[[1, 2, 3], []], provenance="ground_truth", seed=0,
+        corpus = Corpus.from_sequences([[1, 2, 3], []], provenance="ground_truth", seed=0,
                         vocab_size=6)
         student = TabularLM(order=1, vocab=Vocab.default(6))
         errors = set()
@@ -397,7 +398,7 @@ class TestOffpolicyKernel:
 
     def test_out_of_range_corpus_token(self):
         teacher, _ = _variable_length_corpus()
-        corpus = Corpus(sequences=[[3, 1, 7]], provenance="ground_truth", seed=0,
+        corpus = Corpus.from_sequences([[3, 1, 7]], provenance="ground_truth", seed=0,
                         vocab_size=8)
         student = TabularLM(order=1, vocab=Vocab.default(6))
         with pytest.raises(InvalidInputError, match="corpus token id 7"):
@@ -409,7 +410,7 @@ class TestOffpolicyKernel:
     ])
     def test_zero_support_teacher_raises_log_of_zero(self, tag, seqs):
         teacher = OracleTeacher(build_source({"name": "deterministic_cycle"}))
-        corpus = Corpus(sequences=seqs, provenance="ground_truth", seed=0, vocab_size=3)
+        corpus = Corpus.from_sequences(seqs, provenance="ground_truth", seed=0, vocab_size=3)
         student = TabularLM(order=1, vocab=Vocab.default(3))
         errors = []
         for run in (distill_offpolicy, reference_offpolicy):
@@ -446,7 +447,7 @@ class TestOffpolicyKernel:
         # evaluation reads one context id in both models, so both must pad with one BOS id
         teacher = ModelTeacher(TabularLM(order=2, vocab=Vocab(("a", "b", "c"), bos_id=1)))
         student = TabularLM(order=1, vocab=Vocab.default(3))
-        corpus = Corpus(sequences=[[0, 1, 2]], provenance="teacher_generated", seed=0,
+        corpus = Corpus.from_sequences([[0, 1, 2]], provenance="teacher_generated", seed=0,
                         vocab_size=3)
         monkeypatch.setattr(training, "sgd_step", None)
         with pytest.raises(InvalidInputError,
