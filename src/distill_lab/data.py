@@ -320,12 +320,12 @@ def corpus_write(corpus: Corpus, path, header_extra: dict | None = None) -> None
     }
     if header_extra:
         header.update(header_extra)
-    # names[t] is token t's text; an id outside [0, V) would read as no id or the wrong one
-    names = [str(t) for t in range(corpus.vocab_size)]
-    tokens = corpus.tokens
+    v, tokens = corpus.vocab_size, corpus.tokens
     for t in (tokens.min(), tokens.max()) if tokens.size else ():
-        if not 0 <= t < len(names):
-            raise InvalidInputError(f"token id {t} out of range [0, {len(names)})")
+        if not 0 <= t < v:
+            raise InvalidInputError(f"token id {t} out of range [0, {v})")
+    # names[t] is token t's text, for every id up to the largest the corpus holds
+    names = [str(t) for t in range(int(tokens.max()) + 1 if tokens.size else 0)]
     lines = _split(list(map(names.__getitem__, tokens.tolist())), corpus.lengths)
     with open(path, "w", encoding="utf-8") as f:
         f.write(json.dumps(header) + "\n")

@@ -303,17 +303,24 @@ class GradAccumulator:
         self.touched[ids] = False
         self.n_samples = 0
 
-    def add_rows(self, ids, directions: np.ndarray, count: int) -> None:
+    def scatter_index(self, ids) -> np.ndarray:
+        """add_rows' flat scatter index of ids, of any shape: entry [..., v] is
+        element ids[...] * V + v of the flattened table."""
+        return np.asarray(ids, dtype=np.intp)[..., None] * self.vocab_size + self._columns
+
+    def add_rows(self, ids, directions: np.ndarray, count: int, index=None) -> None:
         """Add directions[j] to row ids[j] for j = 0, 1, ... in turn; count to n_samples.
 
         One flat scatter: entry (j, v) goes to element ids[j] * V + v of the
         flattened table. np.add.at applies 1-d indices unbuffered and in order,
         so every element sums its contributions in batch order, bit for bit as
-        a row-by-row loop would.
+        a row-by-row loop would. index, when given, is scatter_index(ids),
+        computed ahead by the caller.
         """
         ids = np.asarray(ids, dtype=np.intp)
-        flat = (ids[:, None] * self.vocab_size + self._columns).ravel()
-        np.add.at(self.directions.reshape(-1), flat,
+        if index is None:
+            index = self.scatter_index(ids)
+        np.add.at(self.directions.reshape(-1), index.reshape(-1),
                   np.asarray(directions, dtype=np.float64).reshape(-1))
         self.touched[ids] = True
         self.n_samples += count
@@ -357,23 +364,29 @@ def check_token_support(q_at: np.ndarray, ids, tokens, order: int, vocab_size: i
 
 
 def add_token_grads(acc: GradAccumulator, ids: np.ndarray, tokens: np.ndarray,
-                    weights: np.ndarray, counts, q: np.ndarray) -> GradAccumulator:
+                    weights: np.ndarray, counts, q: np.ndarray, onehot=None,
+                    index=None) -> GradAccumulator:
     """accumulate_token_grads without its checks: the unchecked gradient kernel.
 
     ids must be an intp, weights a float64 and counts an integer array. The
     caller guarantees what the public entry would check: every weight finite,
     every token in range and q[j][tokens[j]] > 0. The arithmetic is the public
     entry's own, so both leave acc bit for bit the same; a zero weight still
-    touches no row and counts nothing.
+    touches no row and counts nothing. A caller that knows the ids and tokens
+    ahead may pass onehot, j * V + tokens[j] for every j, and index,
+    acc.scatter_index(ids).
     """
     m, v = q.shape
     direction = -weights[:, None] * q
     # the one-hot term: entry (j, tokens[j]) is element j * V + tokens[j] of the flat rows
-    direction.reshape(-1)[np.arange(0, m * v, v) + tokens] += weights
-    keep = weights != 0.0
-    if not keep.all():
+    if onehot is None:
+        onehot = np.arange(0, m * v, v) + tokens
+    direction.reshape(-1)[onehot] += weights
+    if np.count_nonzero(weights) < m:
+        keep = weights != 0.0
         ids, direction, counts = ids[keep], direction[keep], counts[keep]
-    acc.add_rows(ids, direction, int(counts.sum()))
+        index = None if index is None else index[keep]
+    acc.add_rows(ids, direction, int(counts.sum()), index)
     return acc
 
 

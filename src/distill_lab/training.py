@@ -30,6 +30,7 @@ from .model import (
     prefix_ids,
     sgd_step,
     suffix_ids,
+    table_rows,
     walk,
 )
 from .numerics import CategoricalDist, cdf_draw, cdf_rows, entropy, softmax, softmax_rows
@@ -41,6 +42,11 @@ METRICS_HEADER = (
 
 # ln of a zero count underflows to prob 0 through softmax at this floor
 LOGIT_FLOOR = -1000.0
+
+# the most entries one block of planned off-policy steps holds in its largest
+# array, the accumulator's scatter index (V entries per token): 128 KiB of intp;
+# a step larger than that is a block of its own
+PLAN_ENTRIES = 2**14
 
 
 class OracleTeacher:
@@ -96,6 +102,7 @@ def train_teacher_mle(corpus: Corpus, order: int, lam: float) -> TabularLM:
     if lam < 0.0:
         raise InvalidInputError("smoothing must be >= 0")
     v = corpus.vocab_size
+    table_rows(v, order)  # before anything that grows with V: a huge V fails here
     model = TabularLM(order=order, vocab=Vocab.default(v))
     tokens = corpus.tokens
     ids = context_ids(tokens, _offsets(corpus, v), order, model.vocab.bos_id, v)
@@ -265,6 +272,37 @@ def _train_loop(cfg: TrainConfig, teacher, student: TabularLM, eval_tasks,
     return student, rows
 
 
+def draw_positions(rng, steps: int, n: int, starts: np.ndarray, lengths: np.ndarray,
+                   equal: bool, k: int = 0) -> tuple[np.ndarray, np.ndarray | None]:
+    """steps off-policy steps' (steps, n) corpus positions and, for k > 0, (steps, n * k)
+    uniforms, drawn from rng as step after step draws them.
+
+    A step draws its n sequences si with integers(n_seqs, size=n), their offsets
+    with integers(0, lengths[si]), then HPD's n * k uniforms with random(n * k);
+    a position is starts[si] + offset. Generator.integers with an array of bounds
+    draws what consecutive calls with those bounds draw, and leaves the generator
+    where they leave it. So on a corpus of equal lengths (equal) a step's two
+    integer calls are one, and with no uniforms between them, so are all steps'.
+    """
+    if equal:
+        bounds = np.repeat([lengths.size, lengths[0]], n)
+        if not k:
+            si, off = rng.integers(0, np.tile(bounds, steps)).reshape(steps, 2, n).swapaxes(0, 1)
+            return starts[si] + off, None
+    pos = np.empty((steps, n), dtype=np.intp)
+    uniforms = np.empty((steps, n * k)) if k else None
+    for s in range(steps):
+        if equal:
+            si, off = rng.integers(0, bounds).reshape(2, n)
+        else:
+            si = rng.integers(lengths.size, size=n)
+            off = rng.integers(0, lengths[si])
+        pos[s] = starts[si] + off
+        if k:
+            uniforms[s] = rng.random(n * k)
+    return pos, uniforms
+
+
 def distill_offpolicy(
     cfg: TrainConfig,
     teacher,
@@ -276,13 +314,18 @@ def distill_offpolicy(
 
     The corpus's context ids are computed once per call, and with them each
     position's flat student index s_id * V + expert and the frozen teacher's
-    p and ln p at the expert. A minibatch's tokens are its n expert tokens, or
-    for HPD an (n * k, 2) array: row b * k + i is draw i of position b, column
-    0 the expert and column 1 a token sampled from the cached CDF rows
-    (k = hpd_samples). Then come 1-d gathers of p, ln p, q and ln q at those
-    tokens, one token_weights call and one ordered accumulate through the
-    unchecked kernel model.add_token_grads. fkld_dense adds its summed
-    direction p - q instead.
+    p and ln p at the expert. Steps are planned a block at a time (at most
+    PLAN_ENTRIES entries): the block's corpus positions and HPD uniforms are
+    drawn from the run's generator as step after step would draw them, and
+    everything that does not depend on the student is gathered for the whole
+    block at once. A step's tokens are its n expert tokens, or for HPD an
+    (n * k, 2) array: row b * k + i is draw i of position b, column 0 the
+    expert and column 1 a token sampled from the cached CDF rows
+    (k = hpd_samples). Then come 1-d gathers of q (and ln q, for the rules
+    that read it) at those tokens, one token_weights call and one ordered
+    accumulate through the unchecked kernel model.add_token_grads, with the
+    block's scatter index (and, but for HPD, one-hot positions). fkld_dense
+    adds its summed direction p - q instead.
     """
     kind = cfg.objective
     if kind.on_policy:
@@ -300,12 +343,12 @@ def distill_offpolicy(
     p_table = teacher.dists()
     s_ids = context_ids(tokens, offsets, student.order, student.vocab.bos_id, v)
     t_ids = context_ids(tokens, offsets, teacher.order, teacher.vocab.bos_id, v)
-    starts, n_seqs, n = np.cumsum(lengths) - lengths, len(lengths), cfg.batch_size
+    starts, n = np.cumsum(lengths) - lengths, cfg.batch_size
     tag = kind.tag
     hpd = tag in HPD_VARIANTS
     if not hpd and tag != "fkld_dense":
         # every position's expert as a flat index into a student table, and the
-        # frozen teacher's p and ln p there: a minibatch reads them by 1-d gathers
+        # frozen teacher's p and ln p there: a block reads them by 1-d gathers
         s_at = s_ids * v + tokens
         p_at, lp_at = p_table.probs[t_ids, tokens], p_table.logprobs[t_ids, tokens]
     k, cols = (cfg.hpd_samples, 2) if hpd else (1, 1)
@@ -315,40 +358,68 @@ def distill_offpolicy(
     counts = np.zeros((n, k, cols), dtype=np.int64)
     counts[:, :1, 0] = 1
     counts = counts.ravel()
+    equal = bool((lengths == lengths[0]).all())
+    per_block = max(1, PLAN_ENTRIES // (n * k * cols * v))
 
-    def minibatch(student, pred, acc, rng):
-        # one array draw per quantity: the sequences, their offsets, the HPD uniforms
-        si = rng.integers(n_seqs, size=n)
-        pos = starts[si] + rng.integers(0, lengths[si])
-        uniforms = rng.random(n * k) if hpd else None
-        ids = s_ids[pos]
-        if tag == "fkld_dense":
-            # sum over v of p_v * (onehot(v) - q) collapses to p - q
-            dense = p_table.probs.take(t_ids[pos], axis=0) - pred.probs.take(ids, axis=0)
-            acc.add_rows(ids, dense, count=n)
-            return ids, None
+    def plan(rng, acc):
+        """Every step's student-independent arrays, in step order, a block at a time."""
+        for first in range(0, cfg.steps, per_block):
+            pos, uniforms = draw_positions(rng, min(per_block, cfg.steps - first), n, starts,
+                                           lengths, equal, k if hpd else 0)
+            ids = s_ids[pos]
+            if tag == "fkld_dense":
+                yield from zip(ids, t_ids[pos], acc.scatter_index(ids))
+            elif hpd:
+                # one row per draw; at k = 1 a draw is its position
+                at, rows = (pos, ids) if k == 1 else (pos[:, draw], ids[:, draw])
+                tok = np.zeros(rows.shape + (2,), dtype=np.intp)
+                tok[..., 0] = tokens[at]
+                flat = np.repeat(ids, k * cols, axis=1)
+                yield from zip(ids, rows, uniforms, tok, rows * v, t_ids[at] * v, flat,
+                               acc.scatter_index(flat))
+            else:
+                tok = tokens[pos]
+                yield from zip(ids, tok, s_at[pos], p_at[pos], lp_at[pos],
+                               np.arange(0, n * v, v) + tok, acc.scatter_index(ids))
 
-        if hpd:
-            # one row per draw: column 0 the expert, column 1 the token sampled from q
-            at, rows = pos[draw], ids[draw]
-            tok = np.empty((n * k, 2), dtype=np.intp)
-            tok[:, 0], tok[:, 1] = tokens[at], cdf_draw(pred.cdf.take(rows, axis=0), uniforms)
-            s_flat, t_flat = rows[:, None] * v + tok, t_ids[at][:, None] * v + tok
-            p, lp = p_table.probs.take(t_flat), p_table.logprobs.take(t_flat)
-            flat = np.repeat(ids, k * cols)
-        else:
-            tok, s_flat, p, lp, flat = tokens[pos], s_at[pos], p_at[pos], lp_at[pos], ids
+    def dense_step(pred, acc, ids, t_rows, index):
+        # sum over v of p_v * (onehot(v) - q) collapses to p - q
+        dense = p_table.probs.take(t_rows, axis=0) - pred.probs.take(ids, axis=0)
+        acc.add_rows(ids, dense, count=n, index=index)
+
+    def hpd_step(pred, acc, ids, rows, uniforms, tok, s_base, t_base, flat, index):
+        # column 0 of tok holds the expert; column 1 takes the token sampled from q
+        tok[:, 1] = cdf_draw(pred.cdf.take(rows, axis=0), uniforms)
+        s_flat, t_flat = s_base[:, None] + tok, t_base[:, None] + tok
+        p, lp = p_table.probs.take(t_flat), p_table.logprobs.take(t_flat)
+        w = token_weights(kind, p, lp, pred.probs.take(s_flat), pred.logprobs.take(s_flat),
+                          tok)
+        add_token_grads(acc, flat, tok.ravel(), (w if k == 1 else w / k).ravel(), counts,
+                        pred.probs.take(flat, axis=0), index=index)
+
+    def token_step(pred, acc, ids, tok, s_flat, p, lp, onehot, index):
         q = pred.probs.take(s_flat)
         if tag in ("sft", "seqkd", "fkld_token"):
-            # no rule of these reads q, so the loop checks q[expert] > 0 itself
+            # no rule of these reads q or ln q, so the loop checks q[expert] > 0 itself
             check_token_support(q, ids, tok, student.order, v)
-        w = token_weights(kind, p, lp, q, pred.logprobs.take(s_flat), tok)
-        if hpd:
-            tok, w = tok.ravel(), (w / k).ravel()
+            lq = None
+        else:
+            lq = pred.logprobs.take(s_flat)
+        w = token_weights(kind, p, lp, q, lq, tok)
+        add_token_grads(acc, ids, tok, w, counts, pred.probs.take(ids, axis=0), onehot, index)
+
+    step = dense_step if tag == "fkld_dense" else hpd_step if hpd else token_step
+    planned = None
+
+    def minibatch(student, pred, acc, rng):
         # the kernel rests on checks made where its values entered: _offsets
         # range-checks the expert tokens, cdf_draw's tokens are < V with q > 0,
         # and every rule that takes a log checks q at its tokens
-        add_token_grads(acc, flat, tok, w, counts, pred.probs.take(flat, axis=0))
+        nonlocal planned
+        if planned is None:
+            planned = plan(rng, acc)
+        ids, *arrays = next(planned)
+        step(pred, acc, ids, *arrays)
         return ids, None
 
     return _train_loop(cfg, teacher, student, eval_tasks, minibatch)

@@ -199,6 +199,33 @@ class TestCommands:
         doc = json.loads((tmp_path / "out" / name).read_text())
         assert doc["order"] == 2 and [row["context"] for row in doc["rows"]] == [[0, 0]]
 
+    def test_huge_declared_vocabulary_exits_before_it_allocates(self, tmp_path):
+        # the table size is checked before anything that grows with V, such as
+        # V token names (about 15 GB at V = 10**8); a fresh interpreter runs the
+        # command as its one child, under a 2 GiB address-space cap, so
+        # RUSAGE_CHILDREN's peak is the command's own
+        (tmp_path / "c.txt").write_text('{"format_version": 1, "V": 100000000, '
+                                        '"provenance": "ground_truth", "seed": 0}\n1 2 3\n')
+        script = (
+            "import resource, subprocess, sys\n"
+            "cap = lambda: resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+            "proc = subprocess.run(sys.argv[1:], capture_output=True, text=True,"
+            " preexec_fn=cap)\n"
+            "sys.stderr.write(proc.stderr)\n"
+            "print(proc.returncode, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
+        sets = ["seed=0", "source.name=bimodal_gap", 'corpus_path="c.txt"', 'out_dir="out"']
+        src = Path(distill_lab.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", script, sys.executable, "-m", "distill_lab.cli",
+             "train-teacher", *(x for a in sets for x in ("--set", a))],
+            cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+            text=True, timeout=120,
+        )
+        code, peak_kib = map(int, proc.stdout.split())
+        assert code == 2
+        assert proc.stderr.startswith("error: a dense table for vocabulary size V=100000000")
+        assert peak_kib < 100 * 1024  # an interpreter with numpy loaded is about 40 MiB
+
     def test_eval_mle_teacher_against_its_checkpoint_reads_zero(self, tmp_path,
                                                                 monkeypatch):
         # teacher.json is the very model that teacher.mode=mle_fit fits

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distill_lab.data import Corpus
+from distill_lab.data import Corpus, build_source
 from distill_lab.errors import ConfigError, InvalidParameterError, LogOfZeroError
 from distill_lab.model import GradAccumulator, TabularLM, Vocab, sgd_step
 from distill_lab.numerics import CategoricalDist, softmax
@@ -100,6 +100,20 @@ class TestFKLDTokenWeight:
     def test_one_hot(self):
         p = dist(1.0, 0.0)
         assert weight("fkld_token", p, p, 0) == 1.0
+
+    def test_expected_update_settles_at_p_squared(self):
+        # the corpus draws the expert x from p and the rule weighs it p(x), so the
+        # expected update of a context's logits is sum_x p(x)^2 (e_x - q): zero at
+        # q = p^2 / sum p^2, not at q = p
+        p = build_source({"name": "bimodal_gap"}).table.rows(0)
+        kind, tokens, z = ObjectiveKind("fkld_token"), np.arange(p.size), np.zeros(p.size)
+        for _ in range(20_000):
+            q = softmax(z)
+            w = token_weights(kind, p.probs, p.logprobs, q.probs, q.logprobs, tokens)
+            z = z + 0.5 * (p.probs * w - np.dot(p.probs, w) * q.probs)
+        q = softmax(z)
+        assert kl_exact(dist(*p.probs**2 / np.sum(p.probs**2)), q) < 1e-8
+        assert kl_exact(p, q) > 0.1
 
 
 class TestFKLDDenseWeights:

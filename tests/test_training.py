@@ -455,6 +455,94 @@ class TestOffpolicyKernel:
             distill_offpolicy(small_cfg(tag), teacher, corpus, student)
 
 
+def _equal_length_corpus():
+    """An oracle teacher and 9 bimodal_gap sequences of 11 tokens each."""
+    source = build_source({"name": "bimodal_gap"})
+    sample = sample_corpus(source, 9, 11, np.random.default_rng(3))
+    return OracleTeacher(source), Corpus(sample.tokens, sample.lengths,
+                                         provenance="teacher_generated", seed=3, vocab_size=6)
+
+
+def _per_step_draws(seed, steps, n, lengths, k):
+    """Step after step's own draws from a new generator: every step's positions and
+    n * k uniforms, and the generator after the last step."""
+    rng = np.random.default_rng(seed)
+    starts = np.cumsum(lengths) - lengths
+    pos, uniforms = [], []
+    for _ in range(steps):
+        si = rng.integers(lengths.size, size=n)
+        pos.append(starts[si] + rng.integers(0, lengths[si]))
+        uniforms.append(rng.random(n * k))
+    return np.array(pos), np.array(uniforms), rng.bit_generator.state
+
+
+def _five_steps_a_block(monkeypatch, tag, n, k, v=6):
+    """Set the plan budget so a block holds five steps of tag at batch size n."""
+    cols = 2 if tag in ("hpd", "hpd_no_sample", "hpd_no_reinforce") else 1
+    monkeypatch.setattr(training, "PLAN_ENTRIES", 5 * n * k * cols * v + 1)
+
+
+class TestPlannedDraws:
+    """A run's steps are planned a block at a time, and draw what step-by-step draws draw."""
+
+    @pytest.mark.parametrize("bounds", [(200, 64), (1, 1), (7, 13), (2**32 - 1, 5),
+                                        (3 * 10**9, 2**31 + 1)])
+    @pytest.mark.parametrize("n", [1, 7, 32])
+    def test_one_integers_call_draws_what_consecutive_calls_draw(self, bounds, n):
+        # 3e9 is no power of two below 2**32, so its draws meet rejections
+        n_seqs, length = bounds
+        for seed in range(3):
+            each, merged = np.random.default_rng(seed), np.random.default_rng(seed)
+            drawn = [np.concatenate([each.integers(n_seqs, size=n),
+                                     each.integers(0, np.full(n, length))]) for _ in range(5)]
+            together = merged.integers(0, np.tile(np.repeat([n_seqs, length], n), 5))
+            assert np.array_equal(np.concatenate(drawn), together)
+            assert each.bit_generator.state == merged.bit_generator.state
+
+    @pytest.mark.parametrize("tag, k", [("sft", 1), ("fkld_dense", 1), ("hpd", 1),
+                                        ("hpd_no_sample", 3)])
+    @pytest.mark.parametrize("equal", [True, False])
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_blocks_draw_what_steps_draw(self, monkeypatch, tag, k, equal, n):
+        teacher, corpus = _equal_length_corpus() if equal else _variable_length_corpus()
+        _five_steps_a_block(monkeypatch, tag, n, k)
+        drawn = []
+        draw_positions = training.draw_positions
+
+        def spy(rng, steps, *args):
+            pos, uniforms = draw_positions(rng, steps, *args)
+            drawn.append((rng, steps, pos, uniforms))
+            return pos, uniforms
+
+        monkeypatch.setattr(training, "draw_positions", spy)
+        cfg = small_cfg(tag, steps=23, seed=4, batch_size=n, hpd_samples=k)
+        distill_offpolicy(cfg, teacher, corpus, TabularLM(order=1, vocab=Vocab.default(6)))
+        # four full blocks and a partial one
+        assert [steps for _, steps, _, _ in drawn] == [5, 5, 5, 5, 3]
+        hpd = tag.startswith("hpd")
+        pos, uniforms, state = _per_step_draws(4, 23, n, corpus.lengths, k if hpd else 0)
+        assert np.array_equal(np.concatenate([d[2] for d in drawn]), pos)
+        if hpd:
+            assert np.array_equal(np.concatenate([d[3] for d in drawn]), uniforms)
+        else:
+            assert all(d[3] is None for d in drawn)
+        assert drawn[-1][0].bit_generator.state == state
+
+    @pytest.mark.parametrize("tag, k", [(tag, 1) for tag in OFF_POLICY_TAGS]
+                             + [("hpd", 3), ("hpd_no_reinforce", 3)])
+    def test_blocks_match_per_position_reference(self, tmp_path, monkeypatch, tag, k):
+        teacher, corpus = _equal_length_corpus()
+        _five_steps_a_block(monkeypatch, tag, 7, k)
+        cfg = small_cfg(tag, steps=23, seed=2, batch_size=7, hpd_samples=k, eval_every=4)
+        outputs = []
+        for run in (distill_offpolicy, reference_offpolicy):
+            model, rows = run(cfg, teacher, corpus, TabularLM(order=2, vocab=Vocab.default(6)))
+            checkpoint_save(model, tmp_path / "model.json")
+            outputs.append(((tmp_path / "model.json").read_bytes(),
+                            [r.to_csv_line() for r in rows]))
+        assert outputs[0] == outputs[1]
+
+
 class TestDistillOnpolicyOPD:
     def test_rejects_off_policy_objective(self):
         src = build_source({"name": "uniform", "vocab_size": 2})
