@@ -30,7 +30,6 @@ from .data import (
 )
 from .training import (
     MetricsRow,
-    ModelTeacher,
     OracleTeacher,
     Stage,
     TrainConfig,
@@ -40,11 +39,10 @@ from .training import (
     train_teacher_mle,
 )
 from .evaluation import (
-    completion_accuracy,
-    context_occupancy,
+    CompletionTasks,
+    EvalPlan,
     gradcheck,
     make_completion_tasks,
-    occupancy_divergences,
 )
 
 __version__ = "0.1.0"

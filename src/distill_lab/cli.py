@@ -34,11 +34,9 @@ from .errors import (
 )
 from .evaluation import CompletionTasks, EvalPlan, gradcheck, make_completion_tasks
 from .model import TabularLM, Vocab, checkpoint_load, checkpoint_save
-from .numerics import CategoricalDist, entropy, softmax_rows
+from .numerics import CategoricalDist, entropy, softmax, softmax_rows
 from .objectives import ALL_TAGS, ObjectiveKind
 from .training import (
-    ModelTeacher,
-    OracleTeacher,
     Stage,
     TrainConfig,
     distill_offpolicy,
@@ -155,6 +153,11 @@ def validate_config(cfg: dict) -> None:
     for tag in objectives:
         if tag not in ALL_TAGS:
             raise ConfigError(f"unknown objective tag {tag!r} in sweep")
+    # a cell's objective and seed name its output files: a repeat would overwrite one
+    for key, values in (("objectives", objectives), ("seeds", seeds)):
+        for i, x in enumerate(values):
+            if x in values[:i]:
+                raise ConfigError(f"sweep.{key}[{i}] {x!r} is already an earlier entry")
 
 
 def _check_types(node: dict, section: str, types: dict) -> None:
@@ -289,10 +292,12 @@ class _Inputs:
         )
 
     @cached_property
-    def teacher(self):
+    def teacher(self) -> data_mod.MarkovSource:
+        """The source, or in mle_fit mode the MLE model's softmax table as a source."""
         if self.cfg.get("teacher", {}).get("mode", "oracle_source") == "mle_fit":
-            return ModelTeacher(self.teacher_model)
-        return OracleTeacher(self.source)
+            m = self.teacher_model
+            return data_mod.MarkovSource("mle_fit", m.order, m.vocab, softmax(m.table))
+        return self.source
 
 
 def _get_student(cfg: dict, source) -> TabularLM:
@@ -467,6 +472,8 @@ def cmd_gradcheck(cfg: dict) -> int:
     v = config_field(g, "gradcheck.vocab_size", int, 8)
     order = config_field(g, "gradcheck.order", int, 1)
     n_tokens = config_field(g, "gradcheck.n_tokens", int, 64)
+    if n_tokens < 1:
+        raise ConfigError(f"gradcheck.n_tokens must be >= 1, got {n_tokens}")
     eps = config_field(g, "gradcheck.eps", float, 1e-5)
     rng = np.random.default_rng(config_field(g, "gradcheck.model_seed", int, cfg["seed"]))
     model = TabularLM(order=order, vocab=Vocab.default(v))

@@ -57,7 +57,8 @@ class MarkovSource:
     """Stochastic source with exactly known conditional distributions.
 
     table is one batch with a row for every context: row i is the conditional
-    at context id i (see model.py).
+    at context id i (see model.py). Every teacher is a MarkovSource: the
+    ground truth itself, or a fitted TabularLM's softmax table.
     """
 
     name: str
@@ -101,14 +102,6 @@ def _bimodal_table(eps: float) -> np.ndarray:
     for coin, mode in ((COIN_A, MODE_X), (COIN_B, MODE_Y)):
         base[(prev1 == GAP_TOKEN) & (prev2 == coin)] = np.eye(BIMODAL_VOCAB)[mode]
     return _smoothed(base, eps)
-
-
-def bimodal_ambiguous_mixture(eps: float = BIMODAL_EPS) -> CategoricalDist:
-    """Exact best order-1 conditional at the "last token = gap" state."""
-    vocab = Vocab.default(BIMODAL_VOCAB)
-    a, b = CategoricalDist.from_rows(_bimodal_table(eps)[
-        [prefix_id([coin, GAP_TOKEN], 2, vocab) for coin in (COIN_A, COIN_B)]]).probs
-    return CategoricalDist.from_probs(0.5 * (a + b))
 
 
 def build_source(spec: dict) -> MarkovSource:

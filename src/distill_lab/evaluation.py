@@ -8,7 +8,7 @@ from .data import MarkovSource
 from .errors import InvalidInputError, InvalidParameterError
 from .model import (MAX_TABLE_ENTRIES, GradAccumulator, TabularLM, accumulate_token_grads,
                     prefix_id, prefix_ids, suffix_ids, walk)
-from .numerics import CategoricalDist, cdf_draw, kl_rows, softmax, softmax_rows
+from .numerics import CategoricalDist, cdf_draw, kl_rows, softmax
 
 
 def gradcheck(model: TabularLM, weighted_tokens, eps: float = 1e-5) -> float:
@@ -58,7 +58,7 @@ def gradcheck(model: TabularLM, weighted_tokens, eps: float = 1e-5) -> float:
     return float(err.max(initial=0.0))
 
 
-def check_pair(teacher, student: TabularLM) -> None:
+def check_pair(teacher: MarkovSource, student: TabularLM) -> None:
     """InvalidInputError unless teacher and student share a vocabulary size and a BOS id,
     as every reader of one context id in both models' tables needs."""
     v = student.vocab.size
@@ -80,21 +80,34 @@ class EvalPlan:
     logprobs), takes the student's predictive table, row i for its context
     id i: it gathers the student's rows at the live contexts and runs two
     kl_rows. With eval_from="student" the reading first propagates the
-    occupancy through that table.
+    occupancy through that table. A context of occupancy 0 adds nothing; a
+    support violation at any other makes that direction math.inf.
     """
 
-    def __init__(self, teacher, student: TabularLM, eval_len: int, eval_from: str):
+    def __init__(self, teacher: MarkovSource, student: TabularLM, eval_len: int,
+                 eval_from: str):
         if eval_len < 1:
             raise InvalidInputError(f"eval_len must be >= 1, got {eval_len}")
         check_pair(teacher, student)
         if eval_from not in ("teacher", "student"):
             raise InvalidInputError(f"unknown eval_from {eval_from!r}")
         self.eval_len = eval_len
-        self.teacher_rows, self.student_ids, self.start = _contexts(teacher, student)
+        # row c of the teacher rows and entry c of the student ids read order-m context
+        # c's last teacher.order and student.order tokens; start is the all-BOS context
+        v, m = student.vocab.size, max(teacher.order, student.order)
+        ids = np.arange(v ** m)
+        self.teacher_rows = teacher.table.rows(suffix_ids(ids, teacher.order, v))
+        self.student_ids = suffix_ids(ids, student.order, v)
+        self.start = prefix_id([], m, student.vocab)
         self.occ = self.live = None
         if eval_from == "teacher":
             self.occ = self._propagate(self.teacher_rows.probs)
-            self.live = _live(self.occ, self.teacher_rows, self.student_ids)
+            self.live = self._live(self.occ)
+
+    def _live(self, occ: np.ndarray):
+        """(weights, teacher rows, student ids) at the contexts of nonzero occupancy."""
+        live = np.flatnonzero(occ > 0.0)
+        return occ[live], self.teacher_rows.rows(live), self.student_ids[live]
 
     def _propagate(self, drive: np.ndarray) -> np.ndarray:
         """The mean over positions 0 .. eval_len - 1 of the context distribution, for
@@ -121,65 +134,9 @@ class EvalPlan:
         if self.live is not None:
             w, p, ids = self.live
         else:
-            occ = self.occupancy(probs) if occ is None else occ
-            w, p, ids = _live(occ, self.teacher_rows, self.student_ids)
-        return _divergences(w, p, CategoricalDist(probs.take(ids, axis=0),
-                                                  logprobs.take(ids, axis=0)))
-
-
-def _contexts(teacher, student: TabularLM):
-    """(teacher rows, student ids, start) over the order-m contexts: row c of the teacher
-    batch and entry c of the ids read context c's last teacher.order and student.order
-    tokens; start is the empty (all-BOS) context's id."""
-    v = student.vocab.size
-    m = max(teacher.order, student.order)
-    ids = np.arange(v ** m)
-    return (teacher.dists().rows(suffix_ids(ids, teacher.order, v)),
-            suffix_ids(ids, student.order, v), prefix_id([], m, student.vocab))
-
-
-def _live(occ: np.ndarray, teacher_rows: CategoricalDist, student_ids: np.ndarray):
-    """(weights, teacher rows, student ids) at the contexts of nonzero occupancy."""
-    live = np.flatnonzero(occ > 0.0)
-    return occ[live], teacher_rows.rows(live), student_ids[live]
-
-
-def _divergences(w: np.ndarray, p: CategoricalDist, q: CategoricalDist) -> tuple[float, float]:
-    return float(w @ kl_rows(p, q)), float(w @ kl_rows(q, p))
-
-
-def context_occupancy(student: TabularLM, teacher, eval_len: int,
-                      eval_from: str) -> np.ndarray:
-    """The mean over positions t = 0 .. eval_len - 1 of the distribution of position
-    t's context, exactly.
-
-    Contexts have order m = max(teacher.order, student.order): entry c is the
-    probability, averaged over t, that the m tokens before position t (BOS-padded)
-    have id c. Sequences start empty and are drawn from the teacher, or from the
-    student with eval_from="student"; each position is one product of the
-    context distribution with the driving model's rows, lifted to order m.
-    This is EvalPlan's occupancy.
-    """
-    plan = EvalPlan(teacher, student, eval_len, eval_from)
-    if plan.occ is not None:
-        return plan.occ
-    # the student's own logits, which every table writer keeps finite
-    return plan.occupancy(softmax_rows(student.table)[0])
-
-
-def occupancy_divergences(student: TabularLM, teacher, occ: np.ndarray) -> tuple[float, float]:
-    """Occupancy-weighted exact KL(p||q) and KL(q||p) over order-m contexts.
-
-    occ is context_occupancy's vector. Teacher and student rows are read at each
-    context's last teacher.order and student.order tokens. A context with
-    occupancy 0 contributes nothing; a support violation at any other context
-    makes that direction math.inf. This is EvalPlan's reading at occ, with
-    the student's rows from predict_batch.
-    """
-    if occ.shape != (student.vocab.size ** max(teacher.order, student.order),):
-        raise InvalidInputError(f"occupancy of shape {occ.shape} does not fit these models")
-    w, p, ids = _live(occ, *_contexts(teacher, student)[:2])
-    return _divergences(w, p, student.predict_batch(ids))
+            w, p, ids = self._live(self.occupancy(probs) if occ is None else occ)
+        q = CategoricalDist(probs.take(ids, axis=0), logprobs.take(ids, axis=0))
+        return float(w @ kl_rows(p, q)), float(w @ kl_rows(q, p))
 
 
 class CompletionTasks:
@@ -213,16 +170,6 @@ class CompletionTasks:
                       lambda ids, t: np.argmax(logits.take(ids, axis=0), axis=1))
         hits = ((out == self.want) | self.pad).all(axis=1)
         return int(np.count_nonzero(hits)) / len(hits)
-
-
-def completion_accuracy(model: TabularLM, tasks) -> float:
-    """Fraction of (prompt, continuation) tasks reproduced by greedy rollout.
-
-    Every task's rollout advances in lockstep (TabularLM.greedy_rollouts), as
-    long as the longest continuation; a task compares its first len(continuation)
-    tokens. This is CompletionTasks' accuracy of the model's logits.
-    """
-    return CompletionTasks(tasks, model).accuracy(model.table)
 
 
 def make_completion_tasks(

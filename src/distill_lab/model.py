@@ -26,7 +26,7 @@ from .errors import (
     NumericOverflowError,
     ParseError,
 )
-from .numerics import CategoricalDist, cdf_draw, cdf_rows, frozen_dist, softmax, softmax_rows
+from .numerics import cdf_draw, cdf_rows, softmax
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -213,16 +213,6 @@ class TabularLM:
             raise InvalidInputError("logit row must be finite and of vocab size")
         self.table[cid] = row
         self.touched[cid] = True
-
-    def predict_batch(self, ids) -> CategoricalDist:
-        """The softmax of each context id's logit row: row i is for ids[i].
-
-        The rows go through the unchecked kernel numerics.softmax_rows, bit for
-        bit softmax's result: every writer of table (set_row, checkpoint_load,
-        train_teacher_mle's LOGIT_FLOOR, sgd_step's NumericOverflowError)
-        rejects non-finite logits, so there is nothing left to check here.
-        """
-        return frozen_dist(*softmax_rows(self.table.take(ids, axis=0)))
 
     def rollouts(self, prompts, steps: int, rng: np.random.Generator,
                  temperature: float = 1.0) -> list[list[int]]:

@@ -14,8 +14,8 @@ log that writes -inf at the zeros. np.log(0.0) is -inf and the log of a
 positive entry is the same either way, so a checked and an unchecked result
 are bit for bit equal. The kernel serves logits the program wrote itself:
 every writer of a TabularLM table rejects non-finite logits, so the
-predictive table's refresh and TabularLM.predict_batch need not check them
-again.
+training loop's predictive table (training.PredictiveTable) and the eval
+command need not check them again.
 """
 
 from __future__ import annotations
@@ -87,11 +87,7 @@ def _checked(p: np.ndarray) -> CategoricalDist:
     if off.max() > PROB_SUM_TOL:
         bad = np.ravel(sums)[np.ravel(off > PROB_SUM_TOL).argmax()]
         raise InvalidInputError(f"probabilities sum to {float(bad)}, not 1")
-    return frozen_dist(*_zeroed_log(p))
-
-
-def frozen_dist(probs: np.ndarray, logprobs: np.ndarray) -> CategoricalDist:
-    """The batch of these arrays, made read-only in place."""
+    probs, logprobs = _zeroed_log(p)
     probs.setflags(write=False)
     logprobs.setflags(write=False)
     return CategoricalDist(probs=probs, logprobs=logprobs)

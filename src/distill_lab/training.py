@@ -1,8 +1,8 @@
 """Teacher fitting, off-policy distillation, and on-policy distillation.
 
-A teacher provider exposes its exact conditionals at every context at once
-(dists()): either the ground-truth MarkovSource (oracle mode) or a fitted
-TabularLM.
+A teacher is a MarkovSource: a frozen table of exact conditionals, row i for
+context id i (teacher.table), with an order and a vocabulary. It is the
+ground-truth source (oracle mode) or the softmax of a fitted TabularLM.
 All loops are deterministic given the config seed.
 """
 
@@ -33,7 +33,7 @@ from .model import (
     table_rows,
     walk,
 )
-from .numerics import CategoricalDist, cdf_draw, cdf_rows, entropy, softmax, softmax_rows
+from .numerics import CategoricalDist, cdf_draw, cdf_rows, entropy, softmax_rows
 from .objectives import HPD_VARIANTS, ObjectiveKind, token_weights
 
 METRICS_HEADER = (
@@ -49,35 +49,10 @@ LOGIT_FLOOR = -1000.0
 PLAN_ENTRIES = 2**14
 
 
-class OracleTeacher:
-    """Exact conditionals straight from a MarkovSource."""
-
-    def __init__(self, source: MarkovSource):
-        self.source = source
-        self.order = source.order
-        self.vocab = source.vocab
-
-    def dists(self) -> CategoricalDist:
-        """Every context's conditional: row i is context id i's."""
-        return self.source.table
-
-
-class ModelTeacher:
-    """Conditionals from a fitted TabularLM.
-
-    The teacher reads its model as it was at construction: one softmax of the
-    whole table, which dists returns.
-    """
-
-    def __init__(self, model: TabularLM):
-        self.model = model
-        self.order = model.order
-        self.vocab = model.vocab
-        self._table = softmax(model.table)
-
-    def dists(self) -> CategoricalDist:
-        """Every context's conditional: row i is context id i's."""
-        return self._table
+def OracleTeacher(source: MarkovSource) -> MarkovSource:
+    """The teacher of a source: the source itself. The benchmark's workloads still
+    build their teachers through this name."""
+    return source
 
 
 def _offsets(corpus: Corpus, v: int) -> np.ndarray:
@@ -198,10 +173,10 @@ class PredictiveTable:
     softmax(student.table) without its checks; cdf holds each row's
     numerics.cdf_rows when the objective samples from the student, else None.
     refresh(ids) recomputes the rows an SGD step moved the same way, so every
-    row stays bit for bit what softmax and predict_batch would give. Neither
-    checks the logits: they are the student's own, and every writer of a
-    TabularLM table rejects a non-finite logit (sgd_step raises
-    NumericOverflowError before it writes one).
+    row stays bit for bit the softmax of its logit row. Neither checks the
+    logits: they are the student's own, and every writer of a TabularLM table
+    rejects a non-finite logit (sgd_step raises NumericOverflowError before it
+    writes one).
     """
 
     def __init__(self, student: TabularLM, with_cdf: bool):
@@ -221,7 +196,7 @@ class PredictiveTable:
             self.cdf[ids] = cdf_rows(probs)
 
 
-def _train_loop(cfg: TrainConfig, teacher, student: TabularLM, eval_tasks,
+def _train_loop(cfg: TrainConfig, teacher: MarkovSource, student: TabularLM, eval_tasks,
                 minibatch) -> tuple[TabularLM, list[MetricsRow]]:
     """SGD on a copy of student; minibatch(student, pred, acc, rng) accumulates one batch.
 
@@ -305,7 +280,7 @@ def draw_positions(rng, steps: int, n: int, starts: np.ndarray, lengths: np.ndar
 
 def distill_offpolicy(
     cfg: TrainConfig,
-    teacher,
+    teacher: MarkovSource,
     corpus: Corpus,
     student: TabularLM,
     eval_tasks=None,
@@ -340,7 +315,7 @@ def distill_offpolicy(
     if not lengths.all():
         raise InvalidInputError(f"corpus sequence {int(np.argmin(lengths))} is empty")
     check_pair(teacher, student)
-    p_table = teacher.dists()
+    p_table = teacher.table
     s_ids = context_ids(tokens, offsets, student.order, student.vocab.bos_id, v)
     t_ids = context_ids(tokens, offsets, teacher.order, teacher.vocab.bos_id, v)
     starts, n = np.cumsum(lengths) - lengths, cfg.batch_size
@@ -427,7 +402,7 @@ def distill_offpolicy(
 
 def distill_onpolicy_opd(
     cfg: TrainConfig,
-    teacher,
+    teacher: MarkovSource,
     student: TabularLM,
     prompts=None,
     eval_tasks=None,
@@ -455,7 +430,7 @@ def distill_onpolicy_opd(
             raise InvalidInputError(f"prompt token id {tok} is out of range for the "
                                     f"student's vocabulary of {v}")
     check_pair(teacher, student)
-    p_table = teacher.dists()
+    p_table = teacher.table
     # one walk at the larger order carries both models' contexts: the student's
     # and the teacher's ids are the last k and m tokens of the walk's ids
     m = teacher.order
@@ -524,7 +499,7 @@ class Stage:
 
 def run_experiment(
     stages: list[Stage],
-    teacher,
+    teacher: MarkovSource,
     student: TabularLM,
     corpus: Corpus | None = None,
     prompts=None,

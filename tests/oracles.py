@@ -10,13 +10,16 @@ distribution-level references for numerics.kl_rows and the k1 estimator.
 The set-up references build a source table one row per context
 (bimodal_table, dirichlet_rows) and fit an MLE teacher with np.add.at counts
 (mle_add_at); the library builds each in one array pass, to the same bytes.
+model_source and plan_divergences are shared shorthands over the library
+itself: a fitted model as a teacher, and EvalPlan's reading of a student's
+own logits.
 """
 
 import numpy as np
 
 from distill_lab import training
 from distill_lab.data import (BIMODAL_VOCAB, CHOOSER_TOKEN, COIN_A, COIN_B, GAP_TOKEN,
-                              MODE_X, MODE_Y)
+                              MODE_X, MODE_Y, MarkovSource)
 from distill_lab.errors import (
     DivergenceInfiniteError,
     InvalidInputError,
@@ -25,7 +28,8 @@ from distill_lab.errors import (
 )
 from distill_lab.model import (TabularLM, Vocab, accumulate_token_grads, context_ids, context_key,
                               pad_context, prefix_id)
-from distill_lab.numerics import CategoricalDist, cdf_draw, cdf_rows, softmax
+from distill_lab.evaluation import EvalPlan
+from distill_lab.numerics import CategoricalDist, cdf_draw, cdf_rows, softmax, softmax_rows
 from distill_lab.objectives import HPD_VARIANTS, token_weights
 
 
@@ -34,9 +38,16 @@ def source_row(source, prefix):
     return source.table.rows(prefix_id(prefix, source.order, source.vocab))
 
 
-def teacher_row(teacher, prefix):
-    """The teacher's conditional after prefix, read from its dists() table."""
-    return teacher.dists().rows(prefix_id(prefix, teacher.order, teacher.vocab))
+def model_source(model):
+    """The teacher of a fitted model: its softmax table as a MarkovSource, as the CLI's
+    mle_fit mode builds it."""
+    return MarkovSource("mle_fit", model.order, model.vocab, softmax(model.table))
+
+
+def plan_divergences(student, teacher, eval_len=16, eval_from="teacher"):
+    """EvalPlan's exact occupancy-weighted (KL(p||q), KL(q||p)) of the student's logits."""
+    return EvalPlan(teacher, student, eval_len, eval_from).divergences(
+        *softmax_rows(student.table))
 
 
 def model_row(model, prefix, temperature=1.0):
@@ -66,6 +77,12 @@ def greedy_rollout(model, prompt, steps):
         seq.append(int(np.argmax(model.logits(pad_context(seq, model.order,
                                                           model.vocab.bos_id)))))
     return seq[len(prompt):]
+
+
+def reference_completion_accuracy(model, tasks):
+    """Greedy accuracy one task at a time."""
+    hits = sum(greedy_rollout(model, p, len(c)) == list(c) for p, c in tasks)
+    return hits / len(tasks)
 
 
 def bimodal_base_row(ctx):
@@ -148,7 +165,7 @@ def reference_offpolicy(cfg, teacher, corpus, student):
             t = int(offsets[b])
             prefix, expert = seq[:t], seq[t]
             cid = prefix_id(prefix, student.order, student.vocab)
-            p = teacher_row(teacher, prefix)
+            p = source_row(teacher, prefix)
             q = model_row(student, prefix)
             cids.append(cid)
             if kind.tag == "fkld_dense":
@@ -330,7 +347,7 @@ def reference_opd(cfg, teacher, student, prompts=None, draws=draws_batched):
             for t in range(cfg.horizon):
                 q = model_row(student, seq)
                 a = int(cdf_draw(cdf_rows(q.probs), u[b, t]))
-                p = teacher_row(teacher, seq)
+                p = source_row(teacher, seq)
                 if p.probs[a] <= 0.0:
                     ctx = pad_context(seq, student.order, student.vocab.bos_id)
                     raise DivergenceInfiniteError(

@@ -21,12 +21,7 @@ from distill_lab.evaluation import gradcheck, make_completion_tasks
 from distill_lab.model import TabularLM, Vocab, prefix_id
 from distill_lab.numerics import CategoricalDist, entropy, softmax
 from distill_lab.objectives import ObjectiveKind, token_weights
-from distill_lab.training import (
-    OracleTeacher,
-    TrainConfig,
-    distill_offpolicy,
-    distill_onpolicy_opd,
-)
+from distill_lab.training import TrainConfig, distill_offpolicy, distill_onpolicy_opd
 from oracles import k1_samples, kl_exact, weights_at
 
 
@@ -40,7 +35,6 @@ def report(capsys, number, passed, detail):
 def train(tag, source, seed, *, steps, lr, batch_size, eval_every=None,
           corpus_seed=None, corpus_size=(200, 64), student=None, tasks=None,
           eval_len=16):
-    teacher = OracleTeacher(source)
     corpus_seed = seed if corpus_seed is None else corpus_seed
     corpus = sample_corpus(source, corpus_size[0], corpus_size[1],
                            np.random.default_rng(corpus_seed), seed=corpus_seed)
@@ -51,7 +45,7 @@ def train(tag, source, seed, *, steps, lr, batch_size, eval_every=None,
         batch_size=batch_size, eval_every=eval_every or steps,
         eval_len=eval_len,
     )
-    return distill_offpolicy(cfg, teacher, corpus, student, eval_tasks=tasks)
+    return distill_offpolicy(cfg, source, corpus, student, eval_tasks=tasks)
 
 
 def tail_mean(rows, attr, k=10):
@@ -162,9 +156,8 @@ def test_criterion_04_opd_gradient_validity(capsys):
     t0 = time.perf_counter()
     source = build_source({"name": "random_dirichlet", "seed": 0, "vocab_size": 4,
                            "order": 1})
-    teacher = OracleTeacher(source)
     z0 = np.array([0.5, -0.5, 0.25, -0.25])
-    p = teacher.dists().rows(prefix_id([], teacher.order, teacher.vocab))
+    p = source.table.rows(prefix_id([], source.order, source.vocab))
     q = softmax(z0)
     kl = float(np.sum(q.probs * (q.logprobs - p.logprobs)))
     exact_descent = -(q.probs * ((q.logprobs - p.logprobs) - kl))
@@ -188,7 +181,7 @@ def test_criterion_04_opd_gradient_validity(capsys):
     cfg = TrainConfig(objective=ObjectiveKind("opd_k1"), steps=1, seed=0, lr=1.0,
                       batch_size=n, horizon=1, eval_every=1,
                       opd_reward_mode="trajectory", eval_len=1)
-    out, _ = distill_onpolicy_opd(cfg, teacher, student)
+    out, _ = distill_onpolicy_opd(cfg, source, student)
     # one step at lr 1 with batch-mean averaging applies the mean direction
     empirical = out.logits((0,)) - z0
     rel = np.abs(empirical - exact_descent) / np.abs(exact_descent)
@@ -284,7 +277,6 @@ def test_criterion_08_ablation_ordering(capsys):
 def test_criterion_09_initialization_effect(capsys):
     t0 = time.perf_counter()
     source = build_source({"name": "bimodal_gap", "eps": 0.2})
-    teacher = OracleTeacher(source)
     wins = 0
     finals = []
     for seed in range(5):
@@ -298,7 +290,7 @@ def test_criterion_09_initialization_effect(capsys):
             cfg = TrainConfig(objective=ObjectiveKind("opd_k1"), steps=500,
                               seed=seed, lr=0.02, batch_size=4, horizon=8,
                               eval_every=100)
-            _, rows = distill_onpolicy_opd(cfg, teacher, annealed)
+            _, rows = distill_onpolicy_opd(cfg, source, annealed)
             per_init[tag] = rows[-1].kl_rev
         finals.append((round(per_init["hpd"], 3), round(per_init["sft"], 3)))
         wins += per_init["hpd"] <= per_init["sft"]

@@ -17,6 +17,7 @@ from distill_lab.data import build_source, corpus_write, sample_corpus, source_s
 from distill_lab.evaluation import EvalPlan
 from distill_lab.model import TabularLM, Vocab, checkpoint_load, checkpoint_save
 from distill_lab.training import METRICS_HEADER
+from oracles import plan_divergences
 
 
 def write_config(path, cfg):
@@ -248,11 +249,8 @@ class TestCommands:
         assert float(vals[0]) >= 0.0 and float(vals[1]) >= 0.0
 
     def test_eval_reads_evaluation_keys_without_objective(self, tmp_path, monkeypatch):
-        from distill_lab.evaluation import context_occupancy, occupancy_divergences
-        from distill_lab.training import OracleTeacher
-
         monkeypatch.chdir(tmp_path)
-        teacher = OracleTeacher(build_source({"name": "bimodal_gap"}))
+        teacher = build_source({"name": "bimodal_gap"})
         student = TabularLM(order=1, vocab=Vocab.default(6))
         audits = {}
         # train.n_eval_seqs is accepted and changes nothing; train.eval_len is read
@@ -265,8 +263,7 @@ class TestCommands:
         assert audits["none"] == audits["seqs4"] != audits["len8"]
         for name, eval_len in (("none", 16), ("len8", 8)):
             vals = audits[name][1].split(",")
-            want = occupancy_divergences(student, teacher, context_occupancy(
-                student, teacher, eval_len, "teacher"))
+            want = plan_divergences(student, teacher, eval_len, "teacher")
             assert (float(vals[0]), float(vals[1])) == want
             # an untrained student is uniform at every context
             assert float(vals[2]) == pytest.approx(np.log(6.0), rel=1e-12)
@@ -306,6 +303,13 @@ class TestCommands:
         assert len(csvs) == 25
         for f in csvs:
             assert f.read_text().splitlines()[1] == METRICS_HEADER
+
+    def test_sweep_with_a_repeated_cell_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        cfg = dict(BASE, out_dir="out", sweep={"objectives": ["sft", "sft"], "seeds": [0, 0]})
+        assert main(["sweep", "--config", write_config(tmp_path / "c.json", cfg)]) == 2
+        assert "already an earlier entry" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_sweep_cells_match_single_runs(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -459,6 +463,15 @@ class TestCommands:
         ("gen-source", ['sweep.objectives=["bogus"]'], "unknown objective tag 'bogus' in sweep"),
         ("eval", ['sweep.objectives="hpd"'], "sweep.objectives: expected a list, got 'hpd'"),
         ("distill", ["sweep.seeds=[0, true]"], "sweep.seeds: expected a list of integers"),
+        # a sweep cell's objective and seed name its files: a repeat would overwrite one
+        ("sweep", ['sweep.objectives=["sft", "sft"]', "sweep.seeds=[0, 0]"],
+         "sweep.objectives[1] 'sft' is already an earlier entry"),
+        ("sweep", ['sweep.objectives=["sft", "hpd"]', "sweep.seeds=[0, 1, 0]"],
+         "sweep.seeds[2] 0 is already an earlier entry"),
+        ("gen-source", ["sweep.seeds=[3, 3]"], "sweep.seeds[1] 3 is already an earlier entry"),
+        # a gradient check of no tokens checks nothing
+        ("gradcheck", ["gradcheck.n_tokens=-3"], "gradcheck.n_tokens must be >= 1, got -3"),
+        ("gradcheck", ["gradcheck.n_tokens=0"], "gradcheck.n_tokens must be >= 1, got 0"),
     ])
     def test_user_errors_exit_two(self, tmp_path, monkeypatch, capsys, command, sets,
                                   needle):

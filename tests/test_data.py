@@ -20,7 +20,6 @@ from distill_lab.data import (
     MODE_X,
     MODE_Y,
     Corpus,
-    bimodal_ambiguous_mixture,
     build_source,
     corpus_read,
     corpus_write,
@@ -108,7 +107,7 @@ class TestBimodalGap:
 
     def test_ambiguous_mixture_is_exact_average(self):
         src = build_source({"name": "bimodal_gap"})
-        mix = bimodal_ambiguous_mixture(BIMODAL_EPS)
+        mix = bimodal_mixture(BIMODAL_EPS)
         a = source_row(src, (COIN_A, GAP_TOKEN)).probs
         b = source_row(src, (COIN_B, GAP_TOKEN)).probs
         assert np.allclose(mix.probs, 0.5 * (a + b))
@@ -120,7 +119,9 @@ class TestBimodalGap:
         want = CategoricalDist.from_rows(bimodal_table(eps))
         assert src.table.probs.tobytes() == want.probs.tobytes()
         assert src.table.logprobs.tobytes() == want.logprobs.tobytes()
-        mix, ref = bimodal_ambiguous_mixture(eps), bimodal_mixture(eps)
+        # the table's two (coin, gap) rows mix to the reference's mixture
+        a, b = (source_row(src, (coin, GAP_TOKEN)).probs for coin in (COIN_A, COIN_B))
+        mix, ref = CategoricalDist.from_probs(0.5 * (a + b)), bimodal_mixture(eps)
         assert mix.probs.tobytes() == ref.probs.tobytes()
         assert mix.logprobs.tobytes() == ref.logprobs.tobytes()
 
@@ -128,7 +129,7 @@ class TestBimodalGap:
         # contexts (x, gap) with x not a coin carry the exact 50/50 mixture,
         # which is what makes the order-1 marginal at the gap state exact
         src = build_source({"name": "bimodal_gap"})
-        mix = bimodal_ambiguous_mixture(BIMODAL_EPS).probs
+        mix = bimodal_mixture(BIMODAL_EPS).probs
         for x in (GAP_TOKEN, CHOOSER_TOKEN, MODE_X, MODE_Y):
             assert np.allclose(source_row(src, (x, GAP_TOKEN)).probs, mix)
 

@@ -12,23 +12,18 @@ from distill_lab.data import (
     COIN_A,
     COIN_B,
     GAP_TOKEN,
-    bimodal_ambiguous_mixture,
     build_source,
     sample_corpus,
 )
 from distill_lab import evaluation
 from distill_lab.errors import DivergenceInfiniteError, InvalidInputError, InvalidParameterError
-from distill_lab.evaluation import (
-    completion_accuracy,
-    context_occupancy,
-    gradcheck,
-    make_completion_tasks,
-    occupancy_divergences,
-)
+from distill_lab.evaluation import CompletionTasks, EvalPlan, gradcheck, make_completion_tasks
 from distill_lab.model import TabularLM, Vocab
-from distill_lab.numerics import CategoricalDist, entropy
-from distill_lab.training import ModelTeacher, OracleTeacher, train_teacher_mle
-from oracles import greedy_rollout, k1_samples, kl_exact, model_row, source_row, teacher_row
+from distill_lab.numerics import CategoricalDist, entropy, softmax_rows
+from distill_lab.training import train_teacher_mle
+from oracles import (bimodal_mixture, greedy_rollout, k1_samples, kl_exact, model_row,
+                     model_source, plan_divergences, reference_completion_accuracy,
+                     source_row)
 
 
 def dist(*probs):
@@ -100,12 +95,6 @@ def random_gradcheck_batch(order, v, n, seed):
     return m, items
 
 
-def exact(student, teacher, eval_len=16, eval_from="teacher"):
-    """The exact occupancy-weighted (KL(p||q), KL(q||p))."""
-    return occupancy_divergences(
-        student, teacher, context_occupancy(student, teacher, eval_len, eval_from))
-
-
 def _kl_or_inf(p, q):
     try:
         return kl_exact(p, q)
@@ -117,7 +106,7 @@ def reference_divergence_audit(student, teacher, states):
     """Mean KL(p||q) and KL(q||p) over explicit prefix states, one state at a time."""
     fwd, rev = 0.0, 0.0
     for prefix in states:
-        p = teacher_row(teacher, prefix)
+        p = source_row(teacher, prefix)
         q = model_row(student, prefix)
         fwd += _kl_or_inf(p, q)
         rev += _kl_or_inf(q, p)
@@ -129,14 +118,14 @@ def reference_enumeration(student, teacher, eval_len, eval_from):
     probability under the driving model; prefixes of probability 0 are skipped."""
     def drive(prefix):
         if eval_from == "teacher":
-            return teacher_row(teacher, prefix)
+            return source_row(teacher, prefix)
         return model_row(student, prefix)
 
     fwd = rev = 0.0
     level = [([], 1.0)]
     for _ in range(eval_len):
         for prefix, w in level:
-            p = teacher_row(teacher, prefix)
+            p = source_row(teacher, prefix)
             q = model_row(student, prefix)
             fwd += w * _kl_or_inf(p, q)
             rev += w * _kl_or_inf(q, p)
@@ -160,7 +149,7 @@ class TestDivergenceAudit:
         for i in range(4):
             student.set_row((i,), np.log(source_row(src, [i]).probs))
         for eval_from in ("teacher", "student"):
-            fwd, rev = exact(student, OracleTeacher(src), eval_from=eval_from)
+            fwd, rev = plan_divergences(student, src, eval_from=eval_from)
             assert fwd == pytest.approx(0.0, abs=1e-12)
             assert rev == pytest.approx(0.0, abs=1e-12)
 
@@ -169,17 +158,16 @@ class TestDivergenceAudit:
         # and the 50/50 mode mixture at the gap: only (coin, gap) contexts cost KL,
         # each KL(mix || mode row) by direct summation, weighted by their occupancy
         src = build_source({"name": "bimodal_gap"})
-        teacher = OracleTeacher(src)
-        mix = bimodal_ambiguous_mixture(BIMODAL_EPS)
+        mix = bimodal_mixture(BIMODAL_EPS)
         student = TabularLM(order=1, vocab=Vocab.default(6))
         for tok in range(6):
             row = mix.probs if tok == GAP_TOKEN else source_row(src, (CHOOSER_TOKEN, tok)).probs
             student.set_row((tok,), np.log(row))
         mode_row = source_row(src, (COIN_A, GAP_TOKEN))
         expected = float(np.sum(mix.probs * (np.log(mix.probs) - mode_row.logprobs)))
-        occ = context_occupancy(student, teacher, 12, "teacher")
+        occ = EvalPlan(src, student, 12, "teacher").occ
         coin_gap = occ[COIN_A * 6 + GAP_TOKEN] + occ[COIN_B * 6 + GAP_TOKEN]
-        _, rev = occupancy_divergences(student, teacher, occ)
+        _, rev = plan_divergences(student, src, 12, "teacher")
         assert coin_gap > 0.1
         assert rev == pytest.approx(coin_gap * expected, rel=1e-12)
 
@@ -188,7 +176,7 @@ class TestDivergenceAudit:
         student = TabularLM(order=1, vocab=Vocab.default(2))
         # a 2000-nat logit gap underflows to an exact zero probability
         student.set_row((0,), [0.0, -2000.0])
-        fwd, rev = exact(student, OracleTeacher(src), eval_len=2)
+        fwd, rev = plan_divergences(student, src, eval_len=2)
         assert fwd == math.inf
         # context (0,) has occupancy (1 + 1/2) / 2, and KL([1, 0] || uniform) = ln 2
         assert rev == pytest.approx(0.75 * np.log(2.0), abs=1e-12)
@@ -198,26 +186,24 @@ class TestDivergenceAudit:
         student = TabularLM(order=1, vocab=Vocab.default(2))
         for eval_len in (0, -1):
             with pytest.raises(InvalidInputError):
-                context_occupancy(student, OracleTeacher(src), eval_len, "teacher")
+                EvalPlan(src, student, eval_len, "teacher")
 
     def test_mismatched_inputs_rejected(self):
-        teacher = OracleTeacher(build_source({"name": "uniform", "vocab_size": 3}))
+        teacher = build_source({"name": "uniform", "vocab_size": 3})
         student = TabularLM(order=1, vocab=Vocab.default(3))
         for other, needle in ((TabularLM(order=1, vocab=Vocab.default(4)), "vocabulary size"),
                               (TabularLM(order=1, vocab=Vocab(("a", "b", "c"), bos_id=1)),
                                "BOS")):
             with pytest.raises(InvalidInputError, match=needle):
-                context_occupancy(other, teacher, 4, "teacher")
+                EvalPlan(teacher, other, 4, "teacher")
         with pytest.raises(InvalidInputError, match="eval_from"):
-            context_occupancy(student, teacher, 4, "elsewhere")
-        with pytest.raises(InvalidInputError, match="shape"):
-            occupancy_divergences(student, teacher, np.ones(9))
+            EvalPlan(teacher, student, 4, "elsewhere")
 
 
 def _teacher(kind, src, rng):
     if kind == "oracle":
-        return OracleTeacher(src)
-    return ModelTeacher(train_teacher_mle(sample_corpus(src, 10, 12, rng), 3, 0.1))
+        return src
+    return model_source(train_teacher_mle(sample_corpus(src, 10, 12, rng), 3, 0.1))
 
 
 class TestPairCachedAudit:
@@ -237,15 +223,13 @@ class TestPairCachedAudit:
             teacher = _teacher(teacher_kind, src, rng)
             student = _random_student(order, v, rng)
             for eval_from in ("teacher", "student"):
-                assert exact(student, teacher, 4, eval_from) == pytest.approx(
+                assert plan_divergences(student, teacher, 4, eval_from) == pytest.approx(
                     reference_enumeration(student, teacher, 4, eval_from), rel=1e-12)
-                want = exact(student, teacher, eval_len, eval_from)
+                want = plan_divergences(student, teacher, eval_len, eval_from)
                 if eval_from == "student":
                     seqs = student.rollouts([[]] * n_seqs, eval_len, rng)
-                elif teacher_kind == "oracle":
-                    seqs = src.sample_sequences(n_seqs, eval_len, rng).tolist()
                 else:
-                    seqs = teacher.model.rollouts([[]] * n_seqs, eval_len, rng)
+                    seqs = teacher.sample_sequences(n_seqs, eval_len, rng).tolist()
                 # each sequence's mean over its prefixes is one i.i.d. draw
                 per_seq = np.array([reference_divergence_audit(
                     student, teacher, [seq[:t] for t in range(eval_len)]) for seq in seqs])
@@ -258,7 +242,7 @@ class TestPairCachedAudit:
     def test_support_violations_on_cycle(self, order):
         # from BOS (token 0) the cycle emits 1, 2, 3, ...: with eval_len 3 the
         # contexts after [], [1] and [1, 2] are reached, the all-3 context is not
-        teacher = OracleTeacher(build_source({"name": "deterministic_cycle", "vocab_size": 4}))
+        teacher = build_source({"name": "deterministic_cycle", "vocab_size": 4})
         reached = [((0,) * order + tuple(h))[-order:] for h in ([], [1], [1, 2])]
 
         def student_with(rows):
@@ -277,7 +261,7 @@ class TestPairCachedAudit:
         for rows, want in cases:
             student = student_with(rows)
             for eval_from in ("teacher", "student"):
-                got = exact(student, teacher, 3, eval_from)
+                got = plan_divergences(student, teacher, 3, eval_from)
                 assert got == pytest.approx(reference_enumeration(student, teacher, 3, eval_from),
                                             rel=1e-12)
                 assert (got[0] == math.inf, got[1] == math.inf) == want, (rows, eval_from)
@@ -287,8 +271,9 @@ class TestPairCachedAudit:
 
 def occupancy_entropy(model, teacher, eval_len, eval_from):
     """The model's entropy at each context weighted by its occupancy: eval's mean_entropy."""
-    occ = context_occupancy(model, teacher, eval_len, eval_from)
-    return occ @ entropy(model.predict_batch(np.arange(occ.size) % len(model.table)))
+    plan = EvalPlan(teacher, model, eval_len, eval_from)
+    probs, logprobs = softmax_rows(model.table)
+    return plan.occupancy(probs) @ entropy(CategoricalDist(probs, logprobs))[plan.student_ids]
 
 
 class TestPositionalEntropy:
@@ -301,15 +286,15 @@ class TestPositionalEntropy:
             row = np.full(3, -60.0)
             row[(i + 1) % 3] = 60.0
             m.set_row((i,), row)
-        teacher = OracleTeacher(build_source({"name": "uniform", "vocab_size": 3}))
+        teacher = build_source({"name": "uniform", "vocab_size": 3})
         for eval_len in (1, 8):
             assert occupancy_entropy(m, teacher, eval_len, "student") == pytest.approx(
                 0.0, abs=1e-12)
 
     def test_untrained_model_constant_ln_v(self):
         m = TabularLM(order=1, vocab=Vocab.default(4))
-        teacher = OracleTeacher(build_source({"name": "random_dirichlet", "seed": 1,
-                                              "vocab_size": 4, "order": 2}))
+        teacher = build_source({"name": "random_dirichlet", "seed": 1, "vocab_size": 4,
+                                "order": 2})
         for eval_from in ("teacher", "student"):
             assert occupancy_entropy(m, teacher, 5, eval_from) == pytest.approx(np.log(4.0))
 
@@ -320,9 +305,8 @@ class TestPositionalEntropy:
         m = TabularLM(order=1, vocab=Vocab.default(4))
         for i in range(4):
             m.set_row((i,), np.log(source_row(src, [i]).probs))
-        teacher = OracleTeacher(src)
-        free = occupancy_entropy(m, teacher, 6, "student")
-        forced = occupancy_entropy(m, teacher, 6, "teacher")
+        free = occupancy_entropy(m, src, 6, "student")
+        forced = occupancy_entropy(m, src, 6, "teacher")
         assert free == pytest.approx(forced, rel=1e-12)
         assert 0.1 < free < np.log(4.0)
 
@@ -335,12 +319,12 @@ class TestCompletionAccuracy:
             row[(i + 1) % 3] = 60.0
             m.set_row((i,), row)
         tasks = [([i], [(i + 1) % 3, (i + 2) % 3]) for i in range(3)]
-        assert completion_accuracy(m, tasks) == 1.0
+        assert CompletionTasks(tasks, m).accuracy(m.table) == 1.0
 
     def test_empty_task_list(self):
         m = TabularLM(order=1, vocab=Vocab.default(2))
         with pytest.raises(InvalidInputError):
-            completion_accuracy(m, [])
+            CompletionTasks([], m)
 
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_greedy_matches_per_task_rollouts(self, order):
@@ -353,20 +337,14 @@ class TestCompletionAccuracy:
                                 40, 4, rng, min_conf=0.0)
         tasks = [(p[:i % 5], c[:1 + i % 4]) for i, (p, c) in enumerate(truth)]
         tasks += [(p, greedy_rollout(m, p, 1)) for p, _ in tasks]
-        acc = completion_accuracy(m, tasks)
+        acc = CompletionTasks(tasks, m).accuracy(m.table)
         assert acc == reference_completion_accuracy(m, tasks)
         assert 0.5 <= acc < 1.0
 
     def test_empty_continuation_rejected(self):
         m = TabularLM(order=1, vocab=Vocab.default(2))
         with pytest.raises(InvalidInputError, match="steps"):
-            completion_accuracy(m, [([0], [1]), ([1], [])])
-
-
-def reference_completion_accuracy(model, tasks):
-    """Greedy accuracy one task at a time."""
-    hits = sum(greedy_rollout(model, p, len(c)) == list(c) for p, c in tasks)
-    return hits / len(tasks)
+            CompletionTasks([([0], [1]), ([1], [])], m)
 
 
 def reference_tasks(source, num_tasks, cont_len, rng, min_conf=0.9, prompt_len=None,

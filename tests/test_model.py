@@ -30,6 +30,7 @@ from distill_lab.model import (
     walk,
 )
 from distill_lab.numerics import softmax
+from distill_lab.training import PredictiveTable
 from oracles import add_token_grad, greedy_rollout, per_token_rollout
 
 
@@ -158,20 +159,25 @@ class TestContextIds:
                 make()
 
 
+def predictive_rows(m, ids):
+    """The model's predictive rows at the context ids, as the training loop reads them."""
+    return PredictiveTable(m, with_cdf=False).rows(ids)
+
+
 class TestPredict:
     def test_unseen_context_uniform(self):
         m = uniform_model(v=4)
-        assert np.allclose(m.predict_batch([0]).probs, [[0.25] * 4])
+        assert np.allclose(predictive_rows(m, [0]).probs, [[0.25] * 4])
 
     def test_row_ln3_zero(self):
         m = uniform_model(v=2)
         m.set_row((1,), [np.log(3.0), 0.0])
-        assert np.allclose(m.predict_batch([1]).probs, [[0.75, 0.25]])
+        assert np.allclose(predictive_rows(m, [1]).probs, [[0.75, 0.25]])
 
     def test_saturated_row(self):
         m = uniform_model(v=2)
         m.set_row((0,), [10.0, -10.0])
-        assert m.predict_batch([0]).probs[0, 0] > 0.999
+        assert predictive_rows(m, [0]).probs[0, 0] > 0.999
 
     def test_temperature_sharpens(self):
         # the frequency of the larger logit's token: softmax([1, 0] / T)[0] is

@@ -16,8 +16,8 @@ from distill_lab.objectives import (
     ObjectiveKind,
     token_weights,
 )
-from distill_lab.training import ModelTeacher, TrainConfig, distill_offpolicy
-from oracles import hpd_token, kl_exact, offpolicy_token, row_values, weights_at
+from distill_lab.training import TrainConfig, distill_offpolicy
+from oracles import hpd_token, kl_exact, model_source, offpolicy_token, row_values, weights_at
 
 
 def dist(*probs):
@@ -68,7 +68,7 @@ def read_off_weights(tag, p, q, expert):
     corpus = Corpus.from_sequences([[expert]], provenance="ground_truth", seed=0, vocab_size=p.size)
     cfg = TrainConfig(objective=ObjectiveKind(tag), steps=1, seed=0, lr=1.0, batch_size=1,
                       eval_len=1)
-    out, _ = distill_offpolicy(cfg, ModelTeacher(teacher), corpus, student)
+    out, _ = distill_offpolicy(cfg, model_source(teacher), corpus, student)
     return out.logits((0,)) - student.logits((0,)) + softmax(student.logits((0,))).probs
 
 

@@ -7,7 +7,8 @@ import pytest
 
 from distill_lab import training
 from distill_lab.data import Corpus, build_source, sample_corpus, generate_seqkd_corpus
-from distill_lab.evaluation import completion_accuracy, context_occupancy, occupancy_divergences
+from distill_lab.cli import _Inputs
+from distill_lab.evaluation import CompletionTasks
 from distill_lab.errors import (
     ConfigError,
     DivergenceInfiniteError,
@@ -21,8 +22,6 @@ from distill_lab.objectives import OFF_POLICY_TAGS, ObjectiveKind
 from distill_lab.training import (
     METRICS_HEADER,
     MetricsRow,
-    ModelTeacher,
-    OracleTeacher,
     Stage,
     TrainConfig,
     distill_offpolicy,
@@ -36,10 +35,12 @@ from oracles import (
     draws_per_rollout,
     kl_exact,
     mle_add_at,
+    model_source,
+    plan_divergences,
+    reference_completion_accuracy,
     reference_offpolicy,
     reference_opd,
     source_row,
-    teacher_row,
     weights_at,
 )
 
@@ -134,31 +135,27 @@ class TestMLEMatchesDictReference:
 
 
 class TestTeacherProviders:
+    """A teacher is a MarkovSource: the source itself, or the softmax of an MLE fit."""
+
     def test_oracle_matches_source(self):
-        src = build_source({"name": "bimodal_gap"})
-        teacher = OracleTeacher(src)
-        assert teacher.dists() is src.table
-        assert teacher.order == src.order and teacher.vocab == src.vocab
+        inputs = _Inputs({"seed": 0, "source": {"name": "bimodal_gap"}})
+        assert inputs.teacher is inputs.source
 
     @pytest.mark.parametrize("order", [1, 2])
-    def test_dists_rows_are_dist_at_each_context(self, order):
-        src = build_source({"name": "random_dirichlet", "seed": 1, "vocab_size": 3,
-                            "order": order})
-        fit = train_teacher_mle(sample_corpus(src, 5, 7, np.random.default_rng(0)), order, 0.0)
-        # row i is the context with id i: the source's row, or one softmax of the fit's row
-        for teacher in (OracleTeacher(src), ModelTeacher(fit)):
-            table = teacher.dists()
-            for i, ctx in enumerate(itertools.product(range(3), repeat=order)):
-                want = (source_row(src, ctx) if isinstance(teacher, OracleTeacher)
-                        else softmax(fit.logits(ctx)))
-                assert np.array_equal(table.probs[i], want.probs)
-                assert np.array_equal(table.logprobs[i], want.logprobs)
-
-    def test_model_teacher_uses_fitted_rows(self):
-        m = TabularLM(order=1, vocab=Vocab.default(2))
-        m.set_row((0,), [np.log(3.0), 0.0])
-        teacher = ModelTeacher(m)
-        assert np.allclose(teacher_row(teacher, []).probs, [0.75, 0.25])
+    def test_mle_fit_table_is_the_fit_softmax(self, order):
+        inputs = _Inputs({"seed": 0, "source": {"name": "random_dirichlet", "seed": 1,
+                                                "vocab_size": 3, "order": order},
+                          "corpus": {"num_seqs": 5, "length": 7},
+                          "teacher": {"mode": "mle_fit", "smoothing": 0.0}})
+        teacher = inputs.teacher
+        fit = train_teacher_mle(inputs.ground_truth, order, 0.0)
+        assert (teacher.name, teacher.order, teacher.vocab) == ("mle_fit", order, fit.vocab)
+        want = softmax(fit.table)
+        assert teacher.table.probs.tobytes() == want.probs.tobytes()
+        assert teacher.table.logprobs.tobytes() == want.logprobs.tobytes()
+        # row i is the context with id i: one softmax of the fit's row there
+        for i, ctx in enumerate(itertools.product(range(3), repeat=order)):
+            assert np.array_equal(teacher.table.probs[i], softmax(fit.logits(ctx)).probs)
 
 
 class TestTrainConfig:
@@ -201,7 +198,7 @@ class TestMetricsRow:
 class TestDistillOffpolicy:
     def _setup(self, seed=0, eps=0.1):
         src = build_source({"name": "bimodal_gap", "eps": eps})
-        teacher = OracleTeacher(src)
+        teacher = src
         corpus = sample_corpus(src, 50, 32, np.random.default_rng(seed), seed=seed)
         student = TabularLM(order=1, vocab=Vocab.default(6))
         return teacher, corpus, student
@@ -223,7 +220,7 @@ class TestDistillOffpolicy:
         )
         kd = generate_seqkd_corpus(fit, [[] for _ in range(10)], 16,
                                    np.random.default_rng(1))
-        teacher = ModelTeacher(fit)
+        teacher = model_source(fit)
         student = TabularLM(order=1, vocab=Vocab.default(3))
         _, rows = distill_offpolicy(small_cfg("seqkd"), teacher, kd, student)
         assert rows[-1].objective == "seqkd"
@@ -249,15 +246,13 @@ class TestDistillOffpolicy:
 
     def test_sft_on_deterministic_corpus_collapses_entropy(self):
         src = build_source({"name": "deterministic_cycle", "vocab_size": 3})
-        teacher = OracleTeacher(src)
+        teacher = src
         corpus = sample_corpus(src, 10, 30, np.random.default_rng(0))
         student = TabularLM(order=1, vocab=Vocab.default(3))
-        from distill_lab.evaluation import completion_accuracy
-
         cfg = small_cfg("sft", steps=800, lr=1.0, batch_size=16)
         out, rows = distill_offpolicy(cfg, teacher, corpus, student)
         tasks = [([i], [(i + 1) % 3, (i + 2) % 3]) for i in range(3)]
-        assert completion_accuracy(out, tasks) == 1.0
+        assert CompletionTasks(tasks, out).accuracy(out.table) == 1.0
         assert rows[-1].train_entropy < 0.05
         for i in range(3):
             assert entropy(softmax(out.logits((i,)))) < 0.05
@@ -275,7 +270,7 @@ class TestDistillOffpolicy:
         # equals the first fkld_token step given identical sampling streams
         src = build_source({"name": "random_dirichlet", "seed": 6, "vocab_size": 4,
                             "order": 1})
-        teacher = OracleTeacher(src)
+        teacher = src
         student = TabularLM(order=1, vocab=Vocab.default(4))
         for i in range(4):
             student.set_row((i,), np.log(source_row(src, [i]).probs))
@@ -307,7 +302,7 @@ class TestDistillOffpolicy:
         lr = 0.5
         cfg = small_cfg(variant, steps=1, lr=lr, batch_size=8, hpd_samples=2000,
                         eval_len=1)
-        out, _ = distill_offpolicy(cfg, ModelTeacher(teacher_model), corpus, student)
+        out, _ = distill_offpolicy(cfg, model_source(teacher_model), corpus, student)
         step = out.logits(ctx) - student.logits(ctx)
         # 16000 draws keep the Monte Carlo error near 1e-3; adding instead of
         # averaging over the 2000 samples would scale the step 2000-fold
@@ -331,7 +326,7 @@ def _variable_length_corpus(teacher="bimodal_gap"):
     rng = np.random.default_rng(5)
     seqs = [src.sample_sequences(1, int(rng.integers(1, 20)), rng)[0].tolist()
             for _ in range(15)]
-    return OracleTeacher(build_source(teacher_spec)), Corpus.from_sequences(
+    return build_source(teacher_spec), Corpus.from_sequences(
         seqs, provenance="teacher_generated", seed=5, vocab_size=src.vocab.size)
 
 
@@ -409,7 +404,7 @@ class TestOffpolicyKernel:
         ("hpd", [[0, 1, 2]]),  # a uniform student samples off the cycle's support
     ])
     def test_zero_support_teacher_raises_log_of_zero(self, tag, seqs):
-        teacher = OracleTeacher(build_source({"name": "deterministic_cycle"}))
+        teacher = build_source({"name": "deterministic_cycle"})
         corpus = Corpus.from_sequences(seqs, provenance="ground_truth", seed=0, vocab_size=3)
         student = TabularLM(order=1, vocab=Vocab.default(3))
         errors = []
@@ -445,7 +440,7 @@ class TestOffpolicyKernel:
     @pytest.mark.parametrize("tag", ["sft", "hpd"])
     def test_bos_mismatch_rejected_before_any_step(self, tag, monkeypatch):
         # evaluation reads one context id in both models, so both must pad with one BOS id
-        teacher = ModelTeacher(TabularLM(order=2, vocab=Vocab(("a", "b", "c"), bos_id=1)))
+        teacher = model_source(TabularLM(order=2, vocab=Vocab(("a", "b", "c"), bos_id=1)))
         student = TabularLM(order=1, vocab=Vocab.default(3))
         corpus = Corpus.from_sequences([[0, 1, 2]], provenance="teacher_generated", seed=0,
                         vocab_size=3)
@@ -459,8 +454,8 @@ def _equal_length_corpus():
     """An oracle teacher and 9 bimodal_gap sequences of 11 tokens each."""
     source = build_source({"name": "bimodal_gap"})
     sample = sample_corpus(source, 9, 11, np.random.default_rng(3))
-    return OracleTeacher(source), Corpus(sample.tokens, sample.lengths,
-                                         provenance="teacher_generated", seed=3, vocab_size=6)
+    return source, Corpus(sample.tokens, sample.lengths, provenance="teacher_generated",
+                          seed=3, vocab_size=6)
 
 
 def _per_step_draws(seed, steps, n, lengths, k):
@@ -548,7 +543,7 @@ class TestDistillOnpolicyOPD:
         src = build_source({"name": "uniform", "vocab_size": 2})
         student = TabularLM(order=1, vocab=Vocab.default(2))
         with pytest.raises(ConfigError):
-            distill_onpolicy_opd(small_cfg("sft"), OracleTeacher(src), student)
+            distill_onpolicy_opd(small_cfg("sft"), src, student)
 
     def test_teacher_equals_student_is_fixed_point(self):
         student = TabularLM(order=1, vocab=Vocab.default(3))
@@ -556,7 +551,7 @@ class TestDistillOnpolicyOPD:
         for i in range(3):
             student.set_row((i,), rng.normal(size=3))
         student.set_row((0,), rng.normal(size=3))
-        teacher = ModelTeacher(student.copy())
+        teacher = model_source(student.copy())
         cfg = small_cfg("opd_k1", steps=3, eval_every=3, horizon=4)
         out, rows = distill_onpolicy_opd(cfg, teacher, student)
         assert rows[-1].mean_reward == 0.0
@@ -565,7 +560,7 @@ class TestDistillOnpolicyOPD:
     def test_per_token_and_trajectory_coincide_at_horizon_one(self):
         src = build_source({"name": "random_dirichlet", "seed": 3, "vocab_size": 4,
                             "order": 1})
-        teacher = OracleTeacher(src)
+        teacher = src
         student = TabularLM(order=1, vocab=Vocab.default(4))
         outs = {}
         for mode in ("per_token", "trajectory"):
@@ -576,7 +571,7 @@ class TestDistillOnpolicyOPD:
     def test_baseline_changes_updates_not_direction_mean(self):
         src = build_source({"name": "random_dirichlet", "seed": 3, "vocab_size": 4,
                             "order": 1})
-        teacher = OracleTeacher(src)
+        teacher = src
         student = TabularLM(order=1, vocab=Vocab.default(4))
         cfg = small_cfg("opd_k1", steps=50, horizon=4, opd_baseline=True)
         out, rows = distill_onpolicy_opd(cfg, teacher, student)
@@ -585,7 +580,7 @@ class TestDistillOnpolicyOPD:
     def test_opd_reduces_reverse_kl(self):
         src = build_source({"name": "random_dirichlet", "seed": 12, "vocab_size": 4,
                             "order": 1})
-        teacher = OracleTeacher(src)
+        teacher = src
         student = TabularLM(order=1, vocab=Vocab.default(4))
         cfg = small_cfg("opd_k1", steps=300, lr=0.2, batch_size=16, horizon=8,
                         eval_every=100)
@@ -602,8 +597,8 @@ def _opd_teacher(name, order=2):
     if name == "mle":
         src = build_source({"name": "bimodal_gap"})
         corpus = sample_corpus(src, 20, 12, np.random.default_rng(2))
-        return ModelTeacher(train_teacher_mle(corpus, 2, 0.1))
-    return OracleTeacher(build_source(dict(OPD_SOURCE, order=order)))
+        return model_source(train_teacher_mle(corpus, 2, 0.1))
+    return build_source(dict(OPD_SOURCE, order=order))
 
 
 OPD_CASES = (
@@ -685,7 +680,7 @@ class TestOpdLockstep:
 
     def test_bos_mismatch_rejected_before_any_step(self, monkeypatch):
         # one walk carries both models' contexts, so both must pad with one BOS id
-        teacher = ModelTeacher(TabularLM(order=2, vocab=Vocab(("a", "b", "c"), bos_id=1)))
+        teacher = model_source(TabularLM(order=2, vocab=Vocab(("a", "b", "c"), bos_id=1)))
         student = TabularLM(order=1, vocab=Vocab.default(3))
         monkeypatch.setattr(training, "walk", None)
         with pytest.raises(InvalidInputError,
@@ -702,8 +697,8 @@ class TestOpdLockstep:
     @pytest.mark.parametrize("prompts", [None, [[0], [2, 1]]])
     def test_support_violation_names_the_reference_token(self, prompts):
         # a uniform student samples off the cycle's one-hot rows at once
-        teacher = OracleTeacher(build_source({"name": "deterministic_cycle",
-                                              "vocab_size": 4}))
+        teacher = build_source({"name": "deterministic_cycle",
+                                              "vocab_size": 4})
         student = TabularLM(order=3, vocab=Vocab.default(4))
         cfg = small_cfg("opd_k1", horizon=6, batch_size=4)
         errors = []
@@ -726,7 +721,7 @@ class TestOpdLockstep:
         errors = []
         for run in (distill_onpolicy_opd, reference_opd):
             with pytest.raises(DivergenceInfiniteError) as info:
-                run(cfg, ModelTeacher(model), student)
+                run(cfg, model_source(model), student)
             errors.append(str(info.value))
         assert errors[0] == errors[1]
 
@@ -735,7 +730,7 @@ class TestTrainLoop:
     def test_train_entropy_is_the_mean_over_the_batch_rows(self):
         # the student's rows at the batch's context ids as the minibatch saw them,
         # before the step moves them; a floor logit makes an exact zero
-        teacher = OracleTeacher(build_source({"name": "uniform", "vocab_size": 2}))
+        teacher = build_source({"name": "uniform", "vocab_size": 2})
         student = TabularLM(order=2, vocab=Vocab.default(2))
         student.set_row((0, 1), [0.0, training.LOGIT_FLOOR])
         student.set_row((1, 0), np.log([0.25, 0.75]))
@@ -774,13 +769,13 @@ class TestTrainLoop:
         student.set_row((3, 1), [-25.0, 0.0, 1.0, 0.0, -2.0, 0.5])
         if tag == "hpd":
             corpus = sample_corpus(source, 20, 16, np.random.default_rng(1))
-            distill_offpolicy(cfg, OracleTeacher(source), corpus, student)
+            distill_offpolicy(cfg, source, corpus, student)
         else:
-            distill_onpolicy_opd(cfg, OracleTeacher(source), student)
+            distill_onpolicy_opd(cfg, source, student)
         assert seen == [(True, True, True)] * cfg.steps
 
     def test_overflowing_step_raises_before_any_refresh(self, monkeypatch):
-        teacher = OracleTeacher(build_source({"name": "uniform", "vocab_size": 2}))
+        teacher = build_source({"name": "uniform", "vocab_size": 2})
         student = TabularLM(order=1, vocab=Vocab.default(2))
         refreshed = []
         monkeypatch.setattr(training.PredictiveTable, "refresh",
@@ -804,8 +799,8 @@ def _reading_setup(teacher_kind, teacher_order):
     """A teacher of that kind and order, a corpus and ragged tasks over 4 tokens."""
     src = build_source(dict(READING_SOURCE, order=teacher_order))
     corpus = sample_corpus(src, 12, 10, np.random.default_rng(teacher_order))
-    teacher = (OracleTeacher(src) if teacher_kind == "oracle"
-               else ModelTeacher(train_teacher_mle(corpus, teacher_order, 0.1)))
+    teacher = (src if teacher_kind == "oracle"
+               else model_source(train_teacher_mle(corpus, teacher_order, 0.1)))
     rng = np.random.default_rng(9)
     tasks = [(rng.integers(4, size=i % 5).tolist(), rng.integers(4, size=1 + i % 3).tolist())
              for i in range(24)]
@@ -815,7 +810,8 @@ def _reading_setup(teacher_kind, teacher_order):
 
 
 class TestPlannedReadings:
-    """Each metrics row equals the public stateless evaluation of that step's student."""
+    """Each metrics row equals a fresh EvalPlan's reading of that step's student, and the
+    per-task greedy accuracy."""
 
     @pytest.mark.parametrize("tag", ["hpd", "opd_k1"])
     @pytest.mark.parametrize("teacher_kind", ["oracle", "mle"])
@@ -842,9 +838,9 @@ class TestPlannedReadings:
             _, rows = distill_onpolicy_opd(cfg, teacher, student, eval_tasks=tasks)
         assert [r.step for r in rows] == [2, 4, 6, 7] and len(students) == len(rows)
         for row, s in zip(rows, students):
-            occ = context_occupancy(s, teacher, cfg.eval_len, eval_from)
-            assert (row.kl_fwd, row.kl_rev) == occupancy_divergences(s, teacher, occ)
-            assert row.accuracy == completion_accuracy(s, tasks)
+            assert (row.kl_fwd, row.kl_rev) == plan_divergences(s, teacher, cfg.eval_len,
+                                                                eval_from)
+            assert row.accuracy == reference_completion_accuracy(s, tasks)
         assert len({(r.kl_fwd, r.kl_rev) for r in rows}) == len(rows)  # the student moved
 
     @pytest.mark.parametrize("tasks, match", [
@@ -882,7 +878,7 @@ class TestTrajectoryFold:
             return kernel(acc, ids, tokens, np.zeros_like(weights), counts, q)
 
         monkeypatch.setattr(training, "add_token_grads", spy)
-        teacher = OracleTeacher(build_source({"name": "uniform", "vocab_size": 3}))
+        teacher = build_source({"name": "uniform", "vocab_size": 3})
         cfg = small_cfg("opd_k1", steps=1, batch_size=n, horizon=h,
                         opd_reward_mode="trajectory")
         distill_onpolicy_opd(cfg, teacher, TabularLM(order=1, vocab=Vocab.default(3)))
@@ -899,7 +895,7 @@ class TestTrajectoryFold:
 class TestRunExperiment:
     def _setup(self):
         src = build_source({"name": "bimodal_gap"})
-        teacher = OracleTeacher(src)
+        teacher = src
         corpus = sample_corpus(src, 30, 32, np.random.default_rng(0), seed=0)
         student = TabularLM(order=1, vocab=Vocab.default(6))
         return teacher, corpus, student
