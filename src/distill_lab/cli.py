@@ -33,7 +33,7 @@ from .errors import (
     config_field,
 )
 from .evaluation import CompletionTasks, EvalPlan, gradcheck, make_completion_tasks
-from .model import TabularLM, Vocab, checkpoint_load, checkpoint_save
+from .model import MAX_TABLE_ENTRIES, TabularLM, Vocab, checkpoint_load, checkpoint_save
 from .numerics import CategoricalDist, entropy, softmax, softmax_rows
 from .objectives import ALL_TAGS, ObjectiveKind
 from .training import (
@@ -474,6 +474,8 @@ def cmd_gradcheck(cfg: dict) -> int:
     n_tokens = config_field(g, "gradcheck.n_tokens", int, 64)
     if n_tokens < 1:
         raise ConfigError(f"gradcheck.n_tokens must be >= 1, got {n_tokens}")
+    if n_tokens > MAX_TABLE_ENTRIES:  # each token costs a set_row: bound the run's time
+        raise ConfigError(f"gradcheck.n_tokens must be <= {MAX_TABLE_ENTRIES}, got {n_tokens}")
     eps = config_field(g, "gradcheck.eps", float, 1e-5)
     rng = np.random.default_rng(config_field(g, "gradcheck.model_seed", int, cfg["seed"]))
     model = TabularLM(order=order, vocab=Vocab.default(v))

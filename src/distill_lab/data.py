@@ -317,9 +317,11 @@ def corpus_write(corpus: Corpus, path, header_extra: dict | None = None) -> None
     for t in (tokens.min(), tokens.max()) if tokens.size else ():
         if not 0 <= t < v:
             raise InvalidInputError(f"token id {t} out of range [0, {v})")
-    # names[t] is token t's text, for every id up to the largest the corpus holds
-    names = [str(t) for t in range(int(tokens.max()) + 1 if tokens.size else 0)]
-    lines = _split(list(map(names.__getitem__, tokens.tolist())), corpus.lengths)
+    # names[t] is token t's text, for the ids the corpus holds only: a table up to
+    # the largest id would grow with the id itself
+    flat = tokens.tolist()
+    names = {t: str(t) for t in set(flat)}
+    lines = _split(list(map(names.__getitem__, flat)), corpus.lengths)
     with open(path, "w", encoding="utf-8") as f:
         f.write(json.dumps(header) + "\n")
         f.writelines(" ".join(line) + "\n" for line in lines)

@@ -30,8 +30,7 @@ def gradcheck(model: TabularLM, weighted_tokens, eps: float = 1e-5) -> float:
         return 0.0
     ids, tokens, weights = (np.array(col) for col in zip(*items))
     acc = GradAccumulator(model.order, model.vocab.size)
-    accumulate_token_grads(acc, ids, tokens, weights, np.ones(len(items), dtype=np.int64),
-                           softmax(model.table[ids]).probs)
+    accumulate_token_grads(acc, ids, tokens, weights, softmax(model.table[ids]).probs)
     # rows[slot[i]] is item i's row; pert[r, v, s] is row r with coordinate v moved by +-eps
     rows, slot = np.unique(ids, return_inverse=True)
     v, coord = model.vocab.size, np.arange(model.vocab.size)

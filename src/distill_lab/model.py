@@ -264,19 +264,14 @@ class GradAccumulator:
 
     touched marks the rows added to since the last clear. Rows start at -0.0,
     and -0.0 + x == x for every x, so a row's first direction is kept exactly.
-    `n_samples` sums the counts passed in, and sgd_step divides the summed
-    directions by it. add_token_grads drops the count of every token whose
-    weight is exactly 0, so a step's divisor is the number of counted
-    positions with a nonzero weight, not the batch size (fkld_dense's
-    add_rows always counts the whole batch). That makes the step size depend
-    on exact zeros; ROADMAP item 14 weighs counting every drawn position.
+    The accumulator holds sums only: sgd_step divides them by the positions
+    the batch drew, which its caller passes.
     """
 
     order: int
     vocab_size: int
     directions: np.ndarray = field(init=False, repr=False)
     touched: np.ndarray = field(init=False, repr=False)
-    n_samples: int = field(default=0, init=False)
 
     def __post_init__(self):
         n = table_rows(self.vocab_size, self.order)
@@ -291,15 +286,14 @@ class GradAccumulator:
         """clear, given ids: every row touched since the last clear."""
         self.directions[ids] = -0.0
         self.touched[ids] = False
-        self.n_samples = 0
 
     def scatter_index(self, ids) -> np.ndarray:
         """add_rows' flat scatter index of ids, of any shape: entry [..., v] is
         element ids[...] * V + v of the flattened table."""
         return np.asarray(ids, dtype=np.intp)[..., None] * self.vocab_size + self._columns
 
-    def add_rows(self, ids, directions: np.ndarray, count: int, index=None) -> None:
-        """Add directions[j] to row ids[j] for j = 0, 1, ... in turn; count to n_samples.
+    def add_rows(self, ids, directions: np.ndarray, index=None) -> None:
+        """Add directions[j] to row ids[j] for j = 0, 1, ... in turn.
 
         One flat scatter: entry (j, v) goes to element ids[j] * V + v of the
         flattened table. np.add.at applies 1-d indices unbuffered and in order,
@@ -313,23 +307,22 @@ class GradAccumulator:
         np.add.at(self.directions.reshape(-1), index.reshape(-1),
                   np.asarray(directions, dtype=np.float64).reshape(-1))
         self.touched[ids] = True
-        self.n_samples += count
 
 
-def accumulate_token_grads(acc: GradAccumulator, ids, tokens, weights, counts,
+def accumulate_token_grads(acc: GradAccumulator, ids, tokens, weights,
                            q: np.ndarray) -> GradAccumulator:
     """For j in order, add weights[j] * (onehot(tokens[j]) - q[j]) to row ids[j].
 
     That is the exact descent direction of -weights[j] * ln q[j][tokens[j]];
     the weight is a constant (no derivative flows through it). ids holds
     context ids; q is an (n, V) array of probabilities, row j the predictive
-    distribution at ids[j]; counts[j] adds to acc.n_samples. A zero weight
-    touches no row and counts nothing. The weights must be finite, the tokens
-    in range and every q[j][tokens[j]] > 0; then add_token_grads does the work.
+    distribution at ids[j]. A zero weight adds nothing and touches no row.
+    The weights must be finite, the tokens in range and every
+    q[j][tokens[j]] > 0; then add_token_grads does the work.
     """
     ids = np.asarray(ids, dtype=np.intp)
     weights = np.asarray(weights, dtype=np.float64)
-    tokens, counts = np.asarray(tokens), np.asarray(counts)
+    tokens = np.asarray(tokens)
     if not np.isfinite(weights).all():
         raise InvalidInputError("weight must be finite")
     outside = (tokens < 0) | (tokens >= q.shape[-1])
@@ -337,7 +330,7 @@ def accumulate_token_grads(acc: GradAccumulator, ids, tokens, weights, counts,
         raise InvalidInputError(f"token id {tokens[np.argmax(outside)]} out of range")
     check_token_support(q[np.arange(tokens.size), tokens], ids, tokens, acc.order,
                         acc.vocab_size)
-    return add_token_grads(acc, ids, tokens, weights, counts, q)
+    return add_token_grads(acc, ids, tokens, weights, q)
 
 
 def check_token_support(q_at: np.ndarray, ids, tokens, order: int, vocab_size: int) -> None:
@@ -354,17 +347,17 @@ def check_token_support(q_at: np.ndarray, ids, tokens, order: int, vocab_size: i
 
 
 def add_token_grads(acc: GradAccumulator, ids: np.ndarray, tokens: np.ndarray,
-                    weights: np.ndarray, counts, q: np.ndarray, onehot=None,
+                    weights: np.ndarray, q: np.ndarray, onehot=None,
                     index=None) -> GradAccumulator:
     """accumulate_token_grads without its checks: the unchecked gradient kernel.
 
-    ids must be an intp, weights a float64 and counts an integer array. The
-    caller guarantees what the public entry would check: every weight finite,
-    every token in range and q[j][tokens[j]] > 0. The arithmetic is the public
-    entry's own, so both leave acc bit for bit the same; a zero weight still
-    touches no row and counts nothing. A caller that knows the ids and tokens
-    ahead may pass onehot, j * V + tokens[j] for every j, and index,
-    acc.scatter_index(ids).
+    ids must be an intp and weights a float64 array. The caller guarantees
+    what the public entry would check: every weight finite, every token in
+    range and q[j][tokens[j]] > 0. The arithmetic is the public entry's own,
+    so both leave acc bit for bit the same; a zero weight is left out of the
+    scatter, so it adds nothing and touches no row. A caller that knows the
+    ids and tokens ahead may pass onehot, j * V + tokens[j] for every j, and
+    index, acc.scatter_index(ids).
     """
     m, v = q.shape
     direction = -weights[:, None] * q
@@ -374,36 +367,37 @@ def add_token_grads(acc: GradAccumulator, ids: np.ndarray, tokens: np.ndarray,
     direction.reshape(-1)[onehot] += weights
     if np.count_nonzero(weights) < m:
         keep = weights != 0.0
-        ids, direction, counts = ids[keep], direction[keep], counts[keep]
+        ids, direction = ids[keep], direction[keep]
         index = None if index is None else index[keep]
-    acc.add_rows(ids, direction, int(counts.sum()), index)
+    acc.add_rows(ids, direction, index)
     return acc
 
 
-def sgd_step(model: TabularLM, acc: GradAccumulator, lr: float) -> np.ndarray:
-    """Move every touched logit row by lr * mean descent direction; clears acc.
+def sgd_step(model: TabularLM, acc: GradAccumulator, lr: float, n: int) -> np.ndarray:
+    """Move every touched logit row by lr / n * its summed descent direction; clears acc.
 
-    Returns the ids of the rows it moved, in ascending order: acc's touched
-    rows, or none when acc.n_samples is 0, which leaves the model as it was.
-    A non-finite result raises NumericOverflowError, naming the first such
-    context in id order, and leaves the model as it was.
+    n is the number of positions the batch drew, so the step is lr times the
+    batch mean; n < 1 is an InvalidInputError. Returns the ids of the rows it
+    moved, in ascending order: acc's touched rows. A non-finite result raises
+    NumericOverflowError, naming the first such context in id order, and
+    leaves the model as it was.
     """
     if lr <= 0.0:
         raise InvalidInputError("learning rate must be > 0")
+    if n < 1:
+        raise InvalidInputError(f"a step needs at least one drawn position, got n={n}")
     if acc.directions.shape != model.table.shape:
         raise InvalidInputError("accumulator and model tables differ in shape")
-    touched = acc.touched.nonzero()[0]
-    ids = touched if acc.n_samples > 0 else touched[:0]
+    ids = acc.touched.nonzero()[0]
     if ids.size:
-        rows = (model.table.take(ids, axis=0)
-                + lr / acc.n_samples * acc.directions.take(ids, axis=0))
+        rows = model.table.take(ids, axis=0) + lr / n * acc.directions.take(ids, axis=0)
         if not np.isfinite(rows).all():
             first = np.argmin(np.isfinite(rows).all(axis=1))
             ctx = context_key(ids[first], model.order, model.vocab.size)
             raise NumericOverflowError(f"non-finite logits at context {ctx}")
         model.table[ids] = rows
         model.touched[ids] = True
-    acc._clear_rows(touched)
+    acc._clear_rows(ids)
     return ids
 
 

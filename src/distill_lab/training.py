@@ -204,7 +204,9 @@ def _train_loop(cfg: TrainConfig, teacher: MarkovSource, student: TabularLM, eva
     sample from the student (OPD and HPD). It is built once per run; after
     each step exactly the rows sgd_step reports moved are refreshed, and a
     step that moved none refreshes nothing. minibatch returns the batch's
-    student context ids and its rewards (None off-policy). The mean entropy
+    student context ids, one per position it drew, and its rewards (None
+    off-policy). Each step is lr times the batch mean: sgd_step divides the
+    accumulated directions by len(ids), whatever the weights. The mean entropy
     of the student's rows at those ids is computed only for a metrics row,
     from pred before the step moves them. Evaluation is planned before step
     1 (EvalPlan, CompletionTasks), so invalid tasks raise then; each reading
@@ -224,7 +226,7 @@ def _train_loop(cfg: TrainConfig, teacher: MarkovSource, student: TabularLM, eva
         log = step % cfg.eval_every == 0 or step == cfg.steps
         if log:
             train_entropy = float(np.mean(entropy(pred.rows(ids))))
-        moved = sgd_step(student, acc, cfg.lr)
+        moved = sgd_step(student, acc, cfg.lr, len(ids))
         if moved.size:
             pred.refresh(moved)
 
@@ -327,12 +329,8 @@ def distill_offpolicy(
         s_at = s_ids * v + tokens
         p_at, lp_at = p_table.probs[t_ids, tokens], p_table.logprobs[t_ids, tokens]
     k, cols = (cfg.hpd_samples, 2) if hpd else (1, 1)
-    # each draw updates the expert token, then the sampled one, and the position
-    # counts once, at its first draw's expert token
+    # each draw updates the expert token, then the sampled one
     draw = np.repeat(np.arange(n), k)
-    counts = np.zeros((n, k, cols), dtype=np.int64)
-    counts[:, :1, 0] = 1
-    counts = counts.ravel()
     equal = bool((lengths == lengths[0]).all())
     per_block = max(1, PLAN_ENTRIES // (n * k * cols * v))
 
@@ -360,7 +358,7 @@ def distill_offpolicy(
     def dense_step(pred, acc, ids, t_rows, index):
         # sum over v of p_v * (onehot(v) - q) collapses to p - q
         dense = p_table.probs.take(t_rows, axis=0) - pred.probs.take(ids, axis=0)
-        acc.add_rows(ids, dense, count=n, index=index)
+        acc.add_rows(ids, dense, index)
 
     def hpd_step(pred, acc, ids, rows, uniforms, tok, s_base, t_base, flat, index):
         # column 0 of tok holds the expert; column 1 takes the token sampled from q
@@ -369,7 +367,7 @@ def distill_offpolicy(
         p, lp = p_table.probs.take(t_flat), p_table.logprobs.take(t_flat)
         w = token_weights(kind, p, lp, pred.probs.take(s_flat), pred.logprobs.take(s_flat),
                           tok)
-        add_token_grads(acc, flat, tok.ravel(), (w if k == 1 else w / k).ravel(), counts,
+        add_token_grads(acc, flat, tok.ravel(), (w if k == 1 else w / k).ravel(),
                         pred.probs.take(flat, axis=0), index=index)
 
     def token_step(pred, acc, ids, tok, s_flat, p, lp, onehot, index):
@@ -381,7 +379,7 @@ def distill_offpolicy(
         else:
             lq = pred.logprobs.take(s_flat)
         w = token_weights(kind, p, lp, q, lq, tok)
-        add_token_grads(acc, ids, tok, w, counts, pred.probs.take(ids, axis=0), onehot, index)
+        add_token_grads(acc, ids, tok, w, pred.probs.take(ids, axis=0), onehot, index)
 
     step = dense_step if tag == "fkld_dense" else hpd_step if hpd else token_step
     planned = None
@@ -441,7 +439,6 @@ def distill_onpolicy_opd(
 
     start = prefix_ids(prompts, walk_order, student.vocab)
     n, h = cfg.batch_size, cfg.horizon
-    unit_counts = np.ones(n * h, dtype=np.int64)
 
     def minibatch(student, pred, acc, rng):
         # every rollout's prompt, then its uniforms, row b for rollout b; one
@@ -474,8 +471,7 @@ def distill_onpolicy_opd(
         baseline = float(np.mean(rewards)) if cfg.opd_baseline else 0.0
         # cdf_draw's tokens are < V with q > 0, and the support check above makes
         # every reward, so every coefficient, finite
-        add_token_grads(acc, s_ids, tokens, coeffs - baseline, unit_counts,
-                        pred.probs.take(s_ids, axis=0))
+        add_token_grads(acc, s_ids, tokens, coeffs - baseline, pred.probs.take(s_ids, axis=0))
         return s_ids, rewards
 
     return _train_loop(cfg, teacher, student, eval_tasks, minibatch)

@@ -56,9 +56,9 @@ def model_row(model, prefix, temperature=1.0):
     return softmax(z if temperature == 1.0 else z / temperature)
 
 
-def add_token_grad(acc, cid, token, weight, q, count=1):
+def add_token_grad(acc, cid, token, weight, q):
     """accumulate_token_grads for one token at context id cid; q is one distribution."""
-    accumulate_token_grads(acc, [cid], [token], [weight], [count], q.probs[None])
+    accumulate_token_grads(acc, [cid], [token], [weight], q.probs[None])
 
 
 def per_token_rollout(model, prompt, steps, rng, temperature=1.0):
@@ -148,7 +148,9 @@ def reference_offpolicy(cfg, teacher, corpus, student):
     """distill_offpolicy one position at a time.
 
     Positions, HPD draws and accumulation follow the batched kernel's stated
-    order, so its checkpoints and metrics must match these byte for byte.
+    order, so its checkpoints and metrics must match these byte for byte. The
+    minibatch returns one context id per position drawn, and each step divides
+    by their count.
     """
     kind = cfg.objective
     sequences = corpus.sequences
@@ -169,7 +171,7 @@ def reference_offpolicy(cfg, teacher, corpus, student):
             q = model_row(student, prefix)
             cids.append(cid)
             if kind.tag == "fkld_dense":
-                acc.add_rows([cid], (p.probs - q.probs)[None], count=1)
+                acc.add_rows([cid], (p.probs - q.probs)[None])
             elif kind.tag not in HPD_VARIANTS:
                 w = offpolicy_token(kind, *row_values(p, q), expert)
                 add_token_grad(acc, cid, expert, w, q)
@@ -178,9 +180,9 @@ def reference_offpolicy(cfg, teacher, corpus, student):
                     sampled = int(cdf_draw(cdf_rows(q.probs), uniforms[b * k + i]))
                     w_star, w_sampled = offpolicy_token(kind, *row_values(p, q), expert,
                                                         sampled)
-                    add_token_grad(acc, cid, expert, w_star / k, q, count=1 if i == 0 else 0)
+                    add_token_grad(acc, cid, expert, w_star / k, q)
                     if w_sampled != 0.0:
-                        add_token_grad(acc, cid, sampled, w_sampled / k, q, count=0)
+                        add_token_grad(acc, cid, sampled, w_sampled / k, q)
         return cids, None
 
     return training._train_loop(cfg, teacher, student, None, minibatch)
@@ -331,7 +333,9 @@ def reference_opd(cfg, teacher, student, prompts=None, draws=draws_batched):
     """distill_onpolicy_opd one rollout and one token at a time, one inverse-CDF draw each.
 
     Draws, rewards and accumulation follow the lockstep kernel's stated
-    order, so its checkpoints and metrics must match these byte for byte.
+    order, so its checkpoints and metrics must match these byte for byte. The
+    minibatch returns one context id per sampled token, and each step divides
+    by their count.
     """
     reward_mode = "per_token" if cfg.objective.tag == "rkld_on" else cfg.opd_reward_mode
     prompts = [list(p) for p in prompts] if prompts else [[]]
@@ -366,8 +370,7 @@ def reference_opd(cfg, teacher, student, prompts=None, draws=draws_batched):
             batch_rewards.extend(rewards)
 
         baseline = float(np.mean(batch_rewards)) if cfg.opd_baseline else 0.0
-        accumulate_token_grads(acc, cids, tokens, np.array(coeffs) - baseline,
-                               np.ones(len(tokens), dtype=np.int64), np.array(qs))
+        accumulate_token_grads(acc, cids, tokens, np.array(coeffs) - baseline, np.array(qs))
         return cids, batch_rewards
 
     return training._train_loop(cfg, teacher, student, None, minibatch)

@@ -227,6 +227,33 @@ class TestCommands:
         assert proc.stderr.startswith("error: a dense table for vocabulary size V=100000000")
         assert peak_kib < 100 * 1024  # an interpreter with numpy loaded is about 40 MiB
 
+    def test_huge_token_id_is_written_without_a_name_per_smaller_id(self, tmp_path):
+        # gen-corpus names only the ids its corpus holds; a table up to the largest
+        # id would hold 10**12 strings. The command runs as the one child of a
+        # fresh interpreter, under a 2 GiB address-space cap, as above
+        body = "3 1000000000000 5\n7 0\n"
+        (tmp_path / "c.txt").write_text('{"format_version": 1, "V": 10000000000000, '
+                                        '"provenance": "ground_truth", "seed": 0}\n' + body)
+        script = (
+            "import resource, subprocess, sys\n"
+            "cap = lambda: resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+            "proc = subprocess.run(sys.argv[1:], capture_output=True, text=True,"
+            " preexec_fn=cap)\n"
+            "sys.stderr.write(proc.stderr)\n"
+            "print(proc.returncode, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
+        sets = ["seed=0", "source.name=bimodal_gap", 'corpus_path="c.txt"', 'out_dir="out"']
+        src = Path(distill_lab.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", script, sys.executable, "-m", "distill_lab.cli",
+             "gen-corpus", *(x for a in sets for x in ("--set", a))],
+            cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+            text=True, timeout=120,
+        )
+        code, peak_kib = map(int, proc.stdout.split())
+        assert (code, proc.stderr) == (0, "")
+        assert (tmp_path / "out" / "corpus.txt").read_text().split("\n", 1)[1] == body
+        assert peak_kib < 100 * 1024  # an interpreter with numpy loaded is about 40 MiB
+
     def test_eval_mle_teacher_against_its_checkpoint_reads_zero(self, tmp_path,
                                                                 monkeypatch):
         # teacher.json is the very model that teacher.mode=mle_fit fits
@@ -472,6 +499,9 @@ class TestCommands:
         # a gradient check of no tokens checks nothing
         ("gradcheck", ["gradcheck.n_tokens=-3"], "gradcheck.n_tokens must be >= 1, got -3"),
         ("gradcheck", ["gradcheck.n_tokens=0"], "gradcheck.n_tokens must be >= 1, got 0"),
+        # each token is one set_row: 10**8 of them would run for most of an hour
+        ("gradcheck", ["gradcheck.n_tokens=100000000"],
+         "gradcheck.n_tokens must be <= 4194304, got 100000000"),
     ])
     def test_user_errors_exit_two(self, tmp_path, monkeypatch, capsys, command, sets,
                                   needle):

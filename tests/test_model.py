@@ -337,7 +337,7 @@ class TestAccumulateTokenGrad:
         acc = GradAccumulator(1, 2)
         add_token_grad(acc, 0, 0, 1.0, softmax(m.logits((0,))))
         assert np.allclose(acc.directions[0], [0.5, -0.5])
-        assert acc.n_samples == 1
+        assert acc.touched.tolist() == [True, False]
 
     def test_negative_weight_redistributes(self):
         m = uniform_model(v=2)
@@ -368,22 +368,21 @@ class TestAccumulateTokenGrad:
         m = uniform_model()
         acc = GradAccumulator(1, 2)
         add_token_grad(acc, 0, 0, 0.0, softmax(m.logits((0,))))
-        assert not acc.touched.any() and acc.n_samples == 0
+        assert not acc.touched.any()
 
     def test_zero_weights_in_a_batch_are_dropped(self):
         # a batch with zero weights adds exactly what its nonzero entries add alone
         rng = np.random.default_rng(6)
         m = uniform_model(v=3)
         ids, tokens = np.array([0, 2, 1, 2]), np.array([1, 0, 2, 2])
-        weights, counts = np.array([0.7, 0.0, -1.3, 0.0]), np.array([1, 5, 2, 7])
+        weights = np.array([0.7, 0.0, -1.3, 0.0])
         q = softmax(rng.normal(size=(4, 3))).probs
         acc, alone = GradAccumulator(1, 3), GradAccumulator(1, 3)
-        accumulate_token_grads(acc, ids, tokens, weights, counts, q)
+        accumulate_token_grads(acc, ids, tokens, weights, q)
         keep = weights != 0.0
-        accumulate_token_grads(alone, ids[keep], tokens[keep], weights[keep], counts[keep],
-                               q[keep])
+        accumulate_token_grads(alone, ids[keep], tokens[keep], weights[keep], q[keep])
         assert acc.directions.tobytes() == alone.directions.tobytes()
-        assert acc.touched.tolist() == [True, True, False] and acc.n_samples == 3
+        assert acc.touched.tolist() == [True, True, False]
 
     def test_rejects_bad_token_and_weight(self):
         m = uniform_model(v=2)
@@ -399,8 +398,8 @@ class TestAccumulateTokenGrad:
         acc = GradAccumulator(2, 3)
         q = np.array([[0.5, 0.5, 0.0], [0.2, 0.0, 0.8], [0.0, 0.5, 0.5]])
         with pytest.raises(LogOfZeroError, match=re.escape("q[1] = 0 at context (0, 2)")):
-            accumulate_token_grads(acc, [4, 2, 7], [0, 1, 0], [1.0, 0.0, 1.0], [1, 1, 1], q)
-        assert not acc.touched.any() and acc.n_samples == 0
+            accumulate_token_grads(acc, [4, 2, 7], [0, 1, 0], [1.0, 0.0, 1.0], q)
+        assert not acc.touched.any()
 
 
 # weights of either sign, with exact zeros; q rows positive at their tokens
@@ -412,10 +411,9 @@ def token_grad_batches(draw):
     tokens = draw(st.lists(st.integers(0, v - 1), min_size=n, max_size=n))
     weights = draw(st.lists(st.one_of(st.just(0.0), st.floats(-5, 5, allow_subnormal=False)),
                             min_size=n, max_size=n))
-    counts = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
     z = np.array(draw(st.lists(st.floats(-30, 30), min_size=n * v, max_size=n * v)))
     q = softmax(z.reshape(n, v)).probs
-    return v, order, ids, tokens, weights, counts, q
+    return v, order, ids, tokens, weights, q
 
 
 class TestUncheckedKernel:
@@ -424,32 +422,31 @@ class TestUncheckedKernel:
     def test_kernel_equals_checked_entry_bit_for_bit(self, batches):
         v, order = batches[0][:2]
         checked, kernel = GradAccumulator(order, v), GradAccumulator(order, v)
-        for bv, border, ids, tokens, weights, counts, q in batches:
+        for bv, border, ids, tokens, weights, q in batches:
             if (bv, border) != (v, order) or (q[np.arange(len(ids)), tokens] <= 0.0).any():
                 continue
-            accumulate_token_grads(checked, ids, tokens, weights, counts, q)
+            accumulate_token_grads(checked, ids, tokens, weights, q)
             add_token_grads(kernel, np.array(ids, dtype=np.intp), np.array(tokens),
-                            np.array(weights, dtype=np.float64), np.array(counts), q)
+                            np.array(weights, dtype=np.float64), q)
         assert checked.directions.tobytes() == kernel.directions.tobytes()
         assert np.array_equal(checked.touched, kernel.touched)
-        assert checked.n_samples == kernel.n_samples
 
 
 class TestSGDStep:
     def test_empty_accumulator_noop(self):
         m = uniform_model(v=2)
         m.set_row((1,), [0.3, -0.3])
-        sgd_step(m, GradAccumulator(1, 2), 0.5)
+        sgd_step(m, GradAccumulator(1, 2), 0.5, 1)
         assert np.allclose(m.logits((1,)), [0.3, -0.3])
 
     def test_worked_example_logistic(self):
         m = uniform_model(v=2)
         acc = GradAccumulator(1, 2)
         add_token_grad(acc, 0, 0, 1.0, softmax(m.logits((0,))))
-        sgd_step(m, acc, 1.0)
+        sgd_step(m, acc, 1.0, 1)
         assert np.allclose(m.logits((0,)), [0.5, -0.5])
         assert softmax(m.logits((0,))).probs[0] == pytest.approx(0.731059, abs=1e-6)
-        assert acc.n_samples == 0  # cleared
+        assert not acc.touched.any() and not acc.directions.any()  # cleared
 
     def test_repeated_steps_monotone(self):
         m = uniform_model(v=2)
@@ -457,7 +454,7 @@ class TestSGDStep:
         for _ in range(100):
             acc = GradAccumulator(1, 2)
             add_token_grad(acc, 0, 0, 1.0, softmax(m.logits((0,))))
-            sgd_step(m, acc, 0.5)
+            sgd_step(m, acc, 0.5, 1)
             cur = softmax(m.logits((0,))).probs[0]
             assert cur > prev
             prev = cur
@@ -469,35 +466,62 @@ class TestSGDStep:
         acc = GradAccumulator(1, 2)
         add_token_grad(acc, 0, 0, 1.0, softmax(m1.logits((0,))))
         add_token_grad(acc, 0, 0, 1.0, softmax(m1.logits((0,))))
-        sgd_step(m1, acc, 0.4)
+        sgd_step(m1, acc, 0.4, 2)
         acc2 = GradAccumulator(1, 2)
         add_token_grad(acc2, 0, 0, 1.0, softmax(m2.logits((0,))))
-        sgd_step(m2, acc2, 0.4)
+        sgd_step(m2, acc2, 0.4, 1)
         assert np.allclose(m1.logits((0,)), m2.logits((0,)))
 
     def test_bad_lr(self):
         with pytest.raises(InvalidInputError):
-            sgd_step(uniform_model(), GradAccumulator(1, 2), 0.0)
+            sgd_step(uniform_model(), GradAccumulator(1, 2), 0.0, 1)
 
     def test_returns_moved_ids_ascending(self):
         m = uniform_model(v=3, order=2)
         acc = GradAccumulator(2, 3)
-        acc.add_rows([5, 1, 3, 1], np.ones((4, 3)), count=4)
-        moved = sgd_step(m, acc, 0.5)
+        acc.add_rows([5, 1, 3, 1], np.ones((4, 3)))
+        moved = sgd_step(m, acc, 0.5, 4)
         assert moved.tolist() == [1, 3, 5] and moved.dtype == np.intp
         assert np.flatnonzero(m.touched).tolist() == [1, 3, 5]
 
-    def test_zero_samples_move_nothing_and_clear(self):
+    def test_no_touched_row_moves_nothing(self):
         m = uniform_model(v=3, order=2)
         m.set_row((1, 2), [0.3, -0.3, 0.1])
         before = m.table.tobytes(), m.touched.tobytes()
         acc = GradAccumulator(2, 3)
-        acc.add_rows([2, 0], np.full((2, 3), 0.7), count=0)
-        moved = sgd_step(m, acc, 0.5)
+        accumulate_token_grads(acc, [2, 0], [1, 1], [0.0, 0.0], np.full((2, 3), 1 / 3))
+        moved = sgd_step(m, acc, 0.5, 2)
         assert moved.size == 0 and moved.dtype == np.intp
         assert (m.table.tobytes(), m.touched.tobytes()) == before
-        assert not acc.touched.any() and acc.n_samples == 0
         assert np.signbit(acc.directions).all() and not acc.directions.any()
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_no_drawn_position_rejected(self, n):
+        m = uniform_model(v=3, order=2)
+        acc = GradAccumulator(2, 3)
+        acc.add_rows([2], np.full((1, 3), 0.7))
+        with pytest.raises(InvalidInputError, match=f"got n={n}"):
+            sgd_step(m, acc, 0.5, n)
+        assert not m.touched.any() and acc.touched.tolist() == [False, False, True] + [False] * 6
+
+    def test_step_is_the_sum_over_the_positions_drawn(self):
+        # a batch of 5 positions whose weights are 0 at three of them: the step
+        # divides the summed directions by 5, not by the 2 nonzero weights
+        rng = np.random.default_rng(3)
+        m = uniform_model(v=3, order=1)
+        m.set_row((1,), rng.normal(size=3))
+        before = m.table.copy()
+        ids, tokens = np.array([0, 1, 2, 1, 0]), np.array([2, 0, 1, 2, 0])
+        weights = np.array([0.0, 0.8, 0.0, -0.4, 0.0])
+        q = softmax(m.table[ids]).probs
+        acc = GradAccumulator(1, 3)
+        accumulate_token_grads(acc, ids, tokens, weights, q)
+        summed = np.zeros((3, 3))
+        for j in range(5):
+            summed[ids[j]] += weights[j] * (np.eye(3)[tokens[j]] - q[j])
+        assert sgd_step(m, acc, 0.3, 5).tolist() == [1]
+        assert np.allclose(m.table, before + 0.3 / 5 * summed, rtol=0, atol=1e-15)
+        assert not np.allclose(m.table, before + 0.3 / 2 * summed, atol=1e-3)
 
 
 # finite directions from +-0.0 up to magnitudes 1e8 and down to 1e-8
@@ -522,12 +546,11 @@ class TestAddRowsScatter:
             d = np.array(data.draw(st.lists(
                 st.lists(direction_entries, min_size=v, max_size=v),
                 min_size=len(ids), max_size=len(ids))), dtype=np.float64).reshape(len(ids), v)
-            acc.add_rows(ids, d, count=len(ids))
+            acc.add_rows(ids, d)
             for j, i in enumerate(ids):
                 ref[i] = ref[i] + d[j]
             assert acc.directions.tobytes() == ref.tobytes()
         assert acc.touched.tolist() == [i in ids for i in range(v)]
-        assert acc.n_samples == len(ids)
 
 
 class DictAccumulator:
@@ -535,9 +558,8 @@ class DictAccumulator:
 
     def __init__(self):
         self.directions = {}
-        self.n_samples = 0
 
-    def add_rows(self, ctxs, directions, count):
+    def add_rows(self, ctxs, directions):
         slot = {ctx: i for i, ctx in enumerate(dict.fromkeys(ctxs))}
         sums = np.full((len(slot), directions.shape[-1]), -0.0)
         for ctx, i in slot.items():
@@ -546,19 +568,18 @@ class DictAccumulator:
         np.add.at(sums, np.array([slot[ctx] for ctx in ctxs], dtype=np.intp), directions)
         for ctx, i in slot.items():
             self.directions[ctx] = sums[i]
-        self.n_samples += count
 
 
-def reference_sgd_step(rows, acc, lr):
-    """sgd_step on a dict of logit rows keyed by context tuple, row by row."""
-    if acc.n_samples > 0:
-        scale = lr / acc.n_samples
-        for ctx, direction in acc.directions.items():
-            row = rows.get(ctx, np.zeros(direction.size)) + scale * direction
-            if not np.all(np.isfinite(row)):
-                raise NumericOverflowError(f"non-finite logits at context {ctx}")
-            rows[ctx] = row
-    acc.directions, acc.n_samples = {}, 0
+def reference_sgd_step(rows, acc, lr, n):
+    """sgd_step on a dict of logit rows keyed by context tuple, row by row: each
+    row moves by lr over the n positions drawn times its summed direction."""
+    scale = lr / n
+    for ctx, direction in acc.directions.items():
+        row = rows.get(ctx, np.zeros(direction.size)) + scale * direction
+        if not np.all(np.isfinite(row)):
+            raise NumericOverflowError(f"non-finite logits at context {ctx}")
+        rows[ctx] = row
+    acc.directions = {}
 
 
 def model_from_rows(order, v, rows):
@@ -586,12 +607,12 @@ class TestDenseStepMatchesDictReference:
             pick = [ctxs[i] for i in rng.integers(len(ctxs), size=9)]
             d = rng.normal(size=(9, v)) * (rng.random((9, v)) < 0.8)
             d[0] = -0.0
-            acc.add_rows([prefix_id(c, order, model.vocab) for c in pick], d, count=9)
-            ref_acc.add_rows(pick, d, count=9)
-            if step % 3 == 2:
+            acc.add_rows([prefix_id(c, order, model.vocab) for c in pick], d)
+            ref_acc.add_rows(pick, d)
+            if step % 3 == 2:  # three batches of 9 positions each
                 lr = float(rng.uniform(0.1, 5.0))
-                sgd_step(model, acc, lr)
-                reference_sgd_step(ref_rows, ref_acc, lr)
+                sgd_step(model, acc, lr, 27)
+                reference_sgd_step(ref_rows, ref_acc, lr, 27)
         checkpoint_save(model, tmp_path / "dense.json")
         checkpoint_save(model_from_rows(order, v, ref_rows), tmp_path / "dict.json")
         assert (tmp_path / "dense.json").read_bytes() == (tmp_path / "dict.json").read_bytes()
@@ -604,10 +625,10 @@ class TestDenseStepMatchesDictReference:
         ref_rows = {(1,): np.array([-0.0, -0.0])}
         acc, ref_acc = GradAccumulator(1, 2), DictAccumulator()
         for _ in range(2):
-            acc.add_rows([1], [[-0.0, -0.0]], count=1)
-            ref_acc.add_rows([(1,)], np.array([[-0.0, -0.0]]), 1)
-            sgd_step(model, acc, 0.5)
-            reference_sgd_step(ref_rows, ref_acc, 0.5)
+            acc.add_rows([1], [[-0.0, -0.0]])
+            ref_acc.add_rows([(1,)], np.array([[-0.0, -0.0]]))
+            sgd_step(model, acc, 0.5, 1)
+            reference_sgd_step(ref_rows, ref_acc, 0.5, 1)
         checkpoint_save(model, tmp_path / "dense.json")
         checkpoint_save(model_from_rows(1, 2, ref_rows), tmp_path / "dict.json")
         assert (tmp_path / "dense.json").read_bytes() == (tmp_path / "dict.json").read_bytes()
@@ -616,17 +637,17 @@ class TestDenseStepMatchesDictReference:
     def test_overflow_names_first_context_in_id_order(self):
         m = TabularLM(order=1, vocab=Vocab.default(3))
         acc = GradAccumulator(1, 3)
-        acc.add_rows([2], [[1e308, 0.0, 0.0]], count=1)
-        acc.add_rows([1], [[1e308, 0.0, 0.0]], count=1)
+        acc.add_rows([2], [[1e308, 0.0, 0.0]])
+        acc.add_rows([1], [[1e308, 0.0, 0.0]])
         before = m.table.copy()
         with pytest.raises(NumericOverflowError, match=r"context \(1,\)"), \
                 np.errstate(over="ignore"):
-            sgd_step(m, acc, 1e10)
+            sgd_step(m, acc, 1e10, 2)
         assert np.array_equal(m.table, before) and not m.touched.any()
 
     def test_mismatched_accumulator_rejected(self):
         with pytest.raises(InvalidInputError):
-            sgd_step(uniform_model(v=2), GradAccumulator(2, 2), 0.5)
+            sgd_step(uniform_model(v=2), GradAccumulator(2, 2), 0.5, 1)
 
 
 class TestCheckpoint:

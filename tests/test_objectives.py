@@ -134,8 +134,8 @@ class TestFKLDDenseWeights:
         for _ in range(500):
             q = softmax(m.logits((0,)))
             acc = GradAccumulator(1, 2)
-            acc.add_rows([0], (p.probs - q.probs)[None], count=1)
-            sgd_step(m, acc, 0.5)
+            acc.add_rows([0], (p.probs - q.probs)[None])
+            sgd_step(m, acc, 0.5, 1)
         q = softmax(m.logits((0,)))
         assert np.allclose(q.probs, p.probs, atol=1e-3)
         assert kl_exact(p, q) < 1e-6

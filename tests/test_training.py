@@ -16,8 +16,8 @@ from distill_lab.errors import (
     LogOfZeroError,
     NumericOverflowError,
 )
-from distill_lab.model import TabularLM, Vocab, checkpoint_save, pad_context
-from distill_lab.numerics import CategoricalDist, cdf_rows, entropy, softmax
+from distill_lab.model import TabularLM, Vocab, checkpoint_save, pad_context, prefix_id
+from distill_lab.numerics import CategoricalDist, cdf_draw, cdf_rows, entropy, softmax
 from distill_lab.objectives import OFF_POLICY_TAGS, ObjectiveKind
 from distill_lab.training import (
     METRICS_HEADER,
@@ -35,11 +35,14 @@ from oracles import (
     draws_per_rollout,
     kl_exact,
     mle_add_at,
+    model_row,
     model_source,
+    offpolicy_token,
     plan_divergences,
     reference_completion_accuracy,
     reference_offpolicy,
     reference_opd,
+    row_values,
     source_row,
     weights_at,
 )
@@ -316,6 +319,7 @@ TEACHERS = {
               {"name": "uniform", "vocab_size": 6}),
     "dirichlet": ({"name": "random_dirichlet", "seed": 2, "vocab_size": 9, "order": 1,
                    "concentration": 0.2},) * 2,
+    "uniform": ({"name": "uniform", "vocab_size": 6},) * 2,
 }
 
 
@@ -341,13 +345,26 @@ KERNEL_CASES = (
        # rows this peaked hold exact zeros, and their entropy sums the support only
        ("fkld_dense", 1, {"lr": 300.0}),
        ("fkld_dense", 1, {"lr": 300.0, "teacher": "dirichlet"}),
-       # off-cycle positions weigh p[expert] = 0: they touch no row and do not count
+       # off-cycle positions weigh p[expert] = 0: they touch no row but still count
        ("fkld_token", 1, {"teacher": "cycle"}),
        ("fkld_token", 2, {"teacher": "cycle"}),
        ("fkld_dense", 2, {"teacher": "cycle"}),
        # an unsmoothed fit's LOGIT_FLOOR entries are exact zeros in q and in its CDF
        ("hpd", 2, {"hpd_samples": 3, "student": "mle"})]
+    # a student equal to the uniform teacher at all contexts but one: elsewhere each
+    # expert weighs exactly 0, and still counts toward the batch mean
+    + [("rkld_off", 1, {"teacher": "uniform", "student": "one_context"}),
+       ("jsd_off", 2, {"teacher": "uniform", "student": "one_context"}),
+       ("hpd_no_sample", 1, {"teacher": "uniform", "student": "one_context",
+                             "hpd_samples": 3})]
 )
+
+
+def _one_context_student(order, v):
+    """A uniform student but at the context after a first token 1."""
+    student = TabularLM(order=order, vocab=Vocab.default(v))
+    student.set_row(pad_context([1], order, 0), np.linspace(-1.0, 0.7, v))
+    return student
 
 
 def _mle_student(corpus, order):
@@ -368,6 +385,8 @@ class TestOffpolicyKernel:
                           eval_len=6)
         if extra.get("student") == "mle":
             student = _mle_student(corpus, order)
+        elif extra.get("student") == "one_context":
+            student = _one_context_student(order, corpus.vocab_size)
         else:
             student = TabularLM(order=order, vocab=Vocab.default(corpus.vocab_size))
         outputs = []
@@ -593,12 +612,25 @@ OPD_SOURCE = {"name": "random_dirichlet", "seed": 3, "vocab_size": 5, "order": 2
               "concentration": 0.3}
 
 
+def _opd_mle_fit():
+    """A smoothed order-2 MLE fit to a bimodal_gap corpus."""
+    corpus = sample_corpus(build_source({"name": "bimodal_gap"}), 20, 12,
+                           np.random.default_rng(2))
+    return train_teacher_mle(corpus, 2, 0.1)
+
+
 def _opd_teacher(name, order=2):
     if name == "mle":
-        src = build_source({"name": "bimodal_gap"})
-        corpus = sample_corpus(src, 20, 12, np.random.default_rng(2))
-        return model_source(train_teacher_mle(corpus, 2, 0.1))
+        return model_source(_opd_mle_fit())
     return build_source(dict(OPD_SOURCE, order=order))
+
+
+def _teacher_but_one_student():
+    """The MLE teacher's own fit, with its start context (BOS, BOS) moved: every
+    reward at another context is exactly 0."""
+    student = _opd_mle_fit()
+    student.set_row((0, 0), np.linspace(-1.0, 1.5, student.vocab.size))
+    return student
 
 
 OPD_CASES = (
@@ -624,7 +656,10 @@ OPD_CASES = (
                       "opd_reward_mode": "trajectory"}),
        ("rkld_on", 2, {"teacher_order": 3, "prompts": [[1, 2, 3, 4]]}),
        ("opd_k1", 1, {"teacher_order": 1, "prompts": [[], [3, 2]]}),
-       ("opd_k1", 3, {"teacher_order": 3, "opd_reward_mode": "trajectory"})]
+       ("opd_k1", 3, {"teacher_order": 3, "opd_reward_mode": "trajectory"}),
+       # zero rewards wherever the student is the teacher; they count toward the mean
+       ("opd_k1", 2, {"teacher": "mle", "student": "teacher_but_one"}),
+       ("rkld_on", 2, {"teacher": "mle", "student": "teacher_but_one", "opd_baseline": True})]
 )
 
 
@@ -633,9 +668,12 @@ def _opd_outputs(tmp_path, tag, order, extra, draws=draws_batched):
     extra = dict(extra)
     teacher = _opd_teacher(extra.pop("teacher", "oracle"), extra.pop("teacher_order", 2))
     prompts = extra.pop("prompts", None)
-    if extra.pop("student", None) == "mle":
+    student_kind = extra.pop("student", None)
+    if student_kind == "mle":
         corpus = sample_corpus(build_source(OPD_SOURCE), 4, 8, np.random.default_rng(7))
         student = _mle_student(corpus, order)
+    elif student_kind == "teacher_but_one":
+        student = _teacher_but_one_student()
     else:
         student = TabularLM(order=order, vocab=Vocab.default(teacher.vocab.size))
     cfg = TrainConfig(**dict(dict(
@@ -726,6 +764,73 @@ class TestOpdLockstep:
         assert errors[0] == errors[1]
 
 
+def _summed_step(student, lr, n, items):
+    """student's table after one step of lr over n drawn positions, row by row: items
+    holds (prefix, token, weight, q) for every accumulated token."""
+    table = student.table.copy()
+    summed = {}
+    for prefix, token, w, q in items:
+        cid = prefix_id(prefix, student.order, student.vocab)
+        summed[cid] = summed.get(cid, 0.0) + w * (np.eye(q.size)[token] - q)
+    for cid, direction in summed.items():
+        table[cid] += lr / n * direction
+    return table
+
+
+class TestBatchMean:
+    """A step moves the student by lr times the summed directions over the positions its
+    batch drew, zero-weight positions included."""
+
+    @pytest.mark.parametrize("tag", ["rkld_off", "jsd_off", "hpd_no_sample"])
+    def test_offpolicy_step_divides_by_the_batch(self, tag):
+        # the student is the uniform source at every context but (1,): elsewhere
+        # these rules weigh the expert exactly 0
+        teacher = build_source({"name": "uniform", "vocab_size": 3})
+        corpus = sample_corpus(teacher, 6, 10, np.random.default_rng(0))
+        student = _one_context_student(1, 3)
+        cfg = small_cfg(tag, steps=1, batch_size=12, seed=1)
+        out, _ = distill_offpolicy(cfg, teacher, corpus, student)
+        # the step's draws, as reference_offpolicy makes them
+        rng = np.random.default_rng(cfg.seed)
+        seqs = corpus.sequences
+        si = rng.integers(len(seqs), size=cfg.batch_size)
+        items = []
+        for s, t in zip(si.tolist(), rng.integers(0, corpus.lengths[si]).tolist()):
+            prefix, expert = seqs[s][:t], seqs[s][t]
+            p, q = source_row(teacher, prefix), model_row(student, prefix)
+            w = offpolicy_token(cfg.objective, *row_values(p, q), expert, expert)
+            items.append((prefix, expert, w[0] if tag == "hpd_no_sample" else w, q.probs))
+        n, zeros = cfg.batch_size, sum(w == 0.0 for _, _, w, _ in items)
+        assert 0 < zeros < n
+        assert np.allclose(out.table, _summed_step(student, cfg.lr, n, items), rtol=0,
+                           atol=1e-15)
+        # dividing by the positions of nonzero weight would step farther
+        assert not np.allclose(out.table, _summed_step(student, cfg.lr, n - zeros, items),
+                               atol=1e-3)
+
+    def test_opd_step_divides_by_every_sampled_token(self):
+        teacher, student = model_source(_opd_mle_fit()), _teacher_but_one_student()
+        cfg = small_cfg("opd_k1", steps=1, batch_size=4, horizon=5, seed=2)
+        out, _ = distill_onpolicy_opd(cfg, teacher, student)
+        # the step's draws, as reference_opd makes them: one prompt, then the uniforms
+        pick, u = draws_batched(np.random.default_rng(cfg.seed), 1, cfg.batch_size,
+                                cfg.horizon)
+        items = []
+        for b in range(cfg.batch_size):
+            seq = []
+            for t in range(cfg.horizon):
+                p, q = source_row(teacher, seq), model_row(student, seq)
+                a = int(cdf_draw(cdf_rows(q.probs), u[b, t]))
+                items.append((list(seq), a, float(p.logprobs[a] - q.logprobs[a]), q.probs))
+                seq.append(a)
+        n, zeros = cfg.batch_size * cfg.horizon, sum(w == 0.0 for _, _, w, _ in items)
+        assert 0 < zeros < n
+        assert np.allclose(out.table, _summed_step(student, cfg.lr, n, items), rtol=0,
+                           atol=1e-15)
+        assert not np.allclose(out.table, _summed_step(student, cfg.lr, n - zeros, items),
+                               atol=1e-3)
+
+
 class TestTrainLoop:
     def test_train_entropy_is_the_mean_over_the_batch_rows(self):
         # the student's rows at the batch's context ids as the minibatch saw them,
@@ -739,7 +844,7 @@ class TestTrainLoop:
         def minibatch(student, pred, acc, rng):
             q = pred.rows(ids)
             seen.append(float(np.mean([entropy(q.rows(j)) for j in range(ids.size)])))
-            acc.add_rows(ids, np.tile([1.0, -1.0], (ids.size, 1)), count=ids.size)
+            acc.add_rows(ids, np.tile([1.0, -1.0], (ids.size, 1)))
             return ids, None
 
         cfg = small_cfg("sft", steps=4, eval_every=2)
@@ -782,7 +887,7 @@ class TestTrainLoop:
                             lambda self, ids: refreshed.append(ids))
 
         def minibatch(student, pred, acc, rng):
-            acc.add_rows([1], [[1e308, -1e308]], count=1)
+            acc.add_rows([1], [[1e308, -1e308]])
             return np.array([1]), None
 
         with pytest.raises(NumericOverflowError, match=r"context \(1,\)"), \
@@ -873,9 +978,9 @@ class TestTrajectoryFold:
         coeffs = []
         kernel = training.add_token_grads
 
-        def spy(acc, ids, tokens, weights, counts, q):
+        def spy(acc, ids, tokens, weights, q):
             coeffs.append(weights.copy())
-            return kernel(acc, ids, tokens, np.zeros_like(weights), counts, q)
+            return kernel(acc, ids, tokens, np.zeros_like(weights), q)
 
         monkeypatch.setattr(training, "add_token_grads", spy)
         teacher = build_source({"name": "uniform", "vocab_size": 3})
