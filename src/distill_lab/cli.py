@@ -90,10 +90,11 @@ _SCHEMA = {
                   "model_seed": int},
 }
 
-# errors a command reports as `error: ...` with exit code 2
+# errors a command reports as `error: ...` with exit code 2; a MemoryError is a
+# size the configuration asked for that cannot be allocated
 _USER_ERRORS = (
     ConfigError, ParseError, PipelineError, InvalidInputError, InvalidParameterError,
-    DivergenceInfiniteError, LogOfZeroError, NumericOverflowError, OSError,
+    DivergenceInfiniteError, LogOfZeroError, NumericOverflowError, OSError, MemoryError,
 )
 
 
@@ -541,7 +542,8 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, args.sets)
         return _COMMANDS[args.command](cfg)
     except _USER_ERRORS as e:
-        print(f"error: {e}", file=sys.stderr)
+        # a MemoryError that Python itself raises carries no message
+        print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)
         return 2
 
 

@@ -36,9 +36,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, InvalidInputError, ParseError, config_field
-from .model import (TabularLM, Vocab, context_key, load_rows, prefix_id, save_rows, table_rows,
+from .model import (TabularLM, Vocab, context_key, load_rows, prefix_ids, save_rows, table_rows,
                     walk)
-from .numerics import CategoricalDist, cdf_draw, cdf_rows
+from .numerics import CategoricalDist, cdf_draw, cdf_rows, softmax
 
 CORPUS_FORMAT_VERSION = 1
 
@@ -58,7 +58,8 @@ class MarkovSource:
 
     table is one batch with a row for every context: row i is the conditional
     at context id i (see model.py). Every teacher is a MarkovSource: the
-    ground truth itself, or a fitted TabularLM's softmax table.
+    ground truth itself, or a fitted TabularLM's softmax table. rollouts is the
+    one sampler of chains: corpora, and SeqKD corpora from a tempered table.
     """
 
     name: str
@@ -66,16 +67,19 @@ class MarkovSource:
     vocab: Vocab
     table: CategoricalDist
 
-    def sample_sequences(self, n: int, length: int, rng: np.random.Generator) -> np.ndarray:
-        """n sequences of `length` tokens as one (n, length) array, row i sequence i,
-        sampled in lockstep one position at a time.
+    def rollouts(self, prompts, steps: int, rng: np.random.Generator) -> np.ndarray:
+        """`steps` sampled tokens after each prompt, as one (len(prompts), steps) array.
 
-        Sequence i is drawn with row i of rng.random((n, length)), so the result
-        equals n sequences sampled in turn with one Generator.choice per token.
+        Every rollout advances one position per step. Rollout i is drawn with row
+        i of rng.random((len(prompts), steps)), so the result equals sampling the
+        prompts in turn with one Generator.choice per token; no prompts draw nothing.
         """
-        u = rng.random((n, length))
-        start = np.full(n, prefix_id([], self.order, self.vocab), dtype=np.intp)
-        return walk(start, length, self.order, self.vocab.size,
+        if steps < 1:
+            raise InvalidInputError("steps must be >= 1")
+        # the last k prompt tokens are every prompt token a context will ever hold
+        start = prefix_ids(prompts, self.order, self.vocab)
+        u = rng.random((start.size, steps))
+        return walk(start, steps, self.order, self.vocab.size,
                     lambda ids, t: cdf_draw(self.cdf.take(ids, axis=0), u[:, t]))[1]
 
     @cached_property
@@ -275,7 +279,7 @@ def sample_corpus(
 ) -> Corpus:
     if num_seqs < 1 or length < 1:
         raise InvalidInputError("num_seqs and length must be >= 1")
-    return Corpus(source.sample_sequences(num_seqs, length, rng).ravel(),
+    return Corpus(source.rollouts([[]] * num_seqs, length, rng).ravel(),
                   np.full(num_seqs, length, dtype=np.intp),
                   provenance="ground_truth", seed=seed, vocab_size=source.vocab.size)
 
@@ -288,7 +292,12 @@ def generate_seqkd_corpus(
     temperature: float = 1.0,
     seed: int = -1,
 ) -> Corpus:
-    """Teacher rollouts at the given temperature; temperature=0 means greedy_rollouts."""
+    """Teacher rollouts at the given temperature; temperature=0 means greedy_rollouts.
+
+    A positive temperature samples the source softmax(teacher.table / temperature)
+    with MarkovSource.rollouts. Greedy decoding stays on the logits: a softmax can
+    round two near-equal logits to one probability and change the tie-break.
+    """
     if temperature < 0.0:
         raise InvalidInputError("temperature must be >= 0")
     if length < 1:
@@ -297,8 +306,14 @@ def generate_seqkd_corpus(
     if temperature == 0.0:
         conts = teacher.greedy_rollouts(prompts, length)
     else:
-        # prompt i takes row i of the draws: each prompt draws its `length` uniforms in turn
-        conts = teacher.rollouts(prompts, length, rng, temperature=temperature)
+        # z / 1.0 is z exactly, so temperature 1 samples the model as is
+        with np.errstate(over="ignore"):
+            scaled = teacher.table / temperature
+        if not np.isfinite(scaled).all():
+            raise InvalidInputError(
+                f"temperature {temperature} scales a teacher logit beyond the float range")
+        tempered = MarkovSource("seqkd", teacher.order, teacher.vocab, softmax(scaled))
+        conts = tempered.rollouts(prompts, length, rng).tolist()
     seqs = [[int(t) for t in prompt] + cont for prompt, cont in zip(prompts, conts)]
     return Corpus.from_sequences(seqs, provenance="teacher_generated", seed=seed,
                                  vocab_size=teacher.vocab.size)

@@ -183,11 +183,11 @@ def make_completion_tasks(
     """Tasks from near-deterministic source regions.
 
     Up to num_tasks * max_attempts_factor candidate prompts are drawn from rng,
-    as source.sample_sequences draws them, in chunks that double from
-    2 * num_tasks; each candidate is continued greedily by cont_len tokens in
-    its chunk's walk. A candidate is kept when its greedy continuation has
-    confidence at least min_conf at every step, making the correct
-    continuation unique; the first num_tasks kept candidates are the tasks,
+    as source.rollouts draws prompt_len tokens after empty prompts, in chunks
+    that double from 2 * num_tasks; each candidate is continued greedily by
+    cont_len tokens in its chunk's walk. A candidate is kept when its greedy
+    continuation has confidence at least min_conf at every step, making the
+    correct continuation unique; the first num_tasks kept candidates are the tasks,
     in the order they were drawn. Drawing stops after the chunk that holds
     the last task. The chunks' rows are the rows one draw of every candidate
     would give, so the tasks do not depend on the chunking; rng is left

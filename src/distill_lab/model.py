@@ -9,6 +9,7 @@ order, BOS padding is part of the id, a window that emits token t moves to
 id (i * V + t) % V**k, and an order-m id's last k tokens are its id modulo
 V**k (suffix_ids). walk is the one loop that moves ids that way.
 Unseen contexts predict the uniform distribution (all-zero logit row).
+A model decodes greedily here; sampling is data.MarkovSource.rollouts.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .errors import (
     NumericOverflowError,
     ParseError,
 )
-from .numerics import cdf_draw, cdf_rows, softmax
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -213,30 +213,6 @@ class TabularLM:
             raise InvalidInputError("logit row must be finite and of vocab size")
         self.table[cid] = row
         self.touched[cid] = True
-
-    def rollouts(self, prompts, steps: int, rng: np.random.Generator,
-                 temperature: float = 1.0) -> list[list[int]]:
-        """`steps` sampled tokens after each prompt, every rollout one position per step.
-
-        Rollout i is drawn with row i of rng.random((len(prompts), steps)), so the
-        result equals sampling the prompts in turn with one Generator.choice per
-        token from softmax(logits / temperature).
-        """
-        if steps < 1:
-            raise InvalidInputError("steps must be >= 1")
-        # the last k prompt tokens are every prompt token a context will ever hold
-        ids = prefix_ids(prompts, self.order, self.vocab)
-        if temperature <= 0.0:
-            raise InvalidInputError("temperature must be > 0 (greedy_rollouts takes the argmax)")
-        if not ids.size:
-            return []
-        u = rng.random((ids.size, steps))
-
-        def draw(ids, t):  # z / 1.0 is z exactly, so temperature 1 samples the model as is
-            return cdf_draw(cdf_rows(softmax(self.table.take(ids, axis=0) / temperature).probs),
-                            u[:, t])
-
-        return walk(ids, steps, self.order, self.vocab.size, draw)[1].tolist()
 
     def greedy_rollouts(self, prompts, steps: int) -> list[list[int]]:
         """`steps` greedy tokens after each prompt, every rollout one position per step.

@@ -12,7 +12,7 @@ The set-up references build a source table one row per context
 (mle_add_at); the library builds each in one array pass, to the same bytes.
 model_source and plan_divergences are shared shorthands over the library
 itself: a fitted model as a teacher, and EvalPlan's reading of a student's
-own logits.
+own logits. peaked_model and RAGGED_PROMPTS are shared sampling fixtures.
 """
 
 import numpy as np
@@ -68,6 +68,20 @@ def per_token_rollout(model, prompt, steps, rng, temperature=1.0):
         d = model_row(model, seq, temperature)
         seq.append(int(rng.choice(model.vocab.size, p=d.probs)))
     return seq[len(prompt):]
+
+
+def peaked_model(v=5, order=2, seed=0):
+    """Random logit rows, a third of them so peaked that softmax leaves exact zeros."""
+    m = TabularLM(order=order, vocab=Vocab.default(v))
+    rng = np.random.default_rng(seed)
+    for i, ctx in enumerate(np.ndindex(*(v,) * order)):
+        scale = 40.0 if i % 3 == 0 else 1.5
+        m.set_row(ctx, scale * rng.normal(size=v))
+    return m
+
+
+# prompts of different lengths, shorter and longer than the model order (tokens < 5)
+RAGGED_PROMPTS = [[], [3], [1, 4, 2], [0, 0, 0, 2, 1], [4, 4]]
 
 
 def greedy_rollout(model, prompt, steps):

@@ -51,6 +51,31 @@ def _write_bad_inputs(tmp_path):
                                np.random.default_rng(0)), tmp_path / "corpus.txt")
 
 
+def _run_capped(tmp_path, command, sets):
+    """(exit code, peak RSS in KiB, stderr) of a command run in tmp_path under a 2 GiB
+    address-space cap.
+
+    A fresh interpreter runs the command as its one child, so RUSAGE_CHILDREN's
+    peak is the command's own.
+    """
+    script = (
+        "import resource, subprocess, sys\n"
+        "cap = lambda: resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        "proc = subprocess.run(sys.argv[1:], capture_output=True, text=True,"
+        " preexec_fn=cap)\n"
+        "sys.stderr.write(proc.stderr)\n"
+        "print(proc.returncode, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
+    src = Path(distill_lab.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", script, sys.executable, "-m", "distill_lab.cli", command,
+         *(x for a in sets for x in ("--set", a))],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True, timeout=120,
+    )
+    code, peak_kib = map(int, proc.stdout.split())
+    return code, peak_kib, proc.stderr
+
+
 class TestConfigHandling:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -202,57 +227,37 @@ class TestCommands:
 
     def test_huge_declared_vocabulary_exits_before_it_allocates(self, tmp_path):
         # the table size is checked before anything that grows with V, such as
-        # V token names (about 15 GB at V = 10**8); a fresh interpreter runs the
-        # command as its one child, under a 2 GiB address-space cap, so
-        # RUSAGE_CHILDREN's peak is the command's own
+        # V token names (about 15 GB at V = 10**8)
         (tmp_path / "c.txt").write_text('{"format_version": 1, "V": 100000000, '
                                         '"provenance": "ground_truth", "seed": 0}\n1 2 3\n')
-        script = (
-            "import resource, subprocess, sys\n"
-            "cap = lambda: resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
-            "proc = subprocess.run(sys.argv[1:], capture_output=True, text=True,"
-            " preexec_fn=cap)\n"
-            "sys.stderr.write(proc.stderr)\n"
-            "print(proc.returncode, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
         sets = ["seed=0", "source.name=bimodal_gap", 'corpus_path="c.txt"', 'out_dir="out"']
-        src = Path(distill_lab.__file__).resolve().parents[1]
-        proc = subprocess.run(
-            [sys.executable, "-c", script, sys.executable, "-m", "distill_lab.cli",
-             "train-teacher", *(x for a in sets for x in ("--set", a))],
-            cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
-            text=True, timeout=120,
-        )
-        code, peak_kib = map(int, proc.stdout.split())
+        code, peak_kib, err = _run_capped(tmp_path, "train-teacher", sets)
         assert code == 2
-        assert proc.stderr.startswith("error: a dense table for vocabulary size V=100000000")
+        assert err.startswith("error: a dense table for vocabulary size V=100000000")
         assert peak_kib < 100 * 1024  # an interpreter with numpy loaded is about 40 MiB
 
     def test_huge_token_id_is_written_without_a_name_per_smaller_id(self, tmp_path):
         # gen-corpus names only the ids its corpus holds; a table up to the largest
-        # id would hold 10**12 strings. The command runs as the one child of a
-        # fresh interpreter, under a 2 GiB address-space cap, as above
+        # id would hold 10**12 strings
         body = "3 1000000000000 5\n7 0\n"
         (tmp_path / "c.txt").write_text('{"format_version": 1, "V": 10000000000000, '
                                         '"provenance": "ground_truth", "seed": 0}\n' + body)
-        script = (
-            "import resource, subprocess, sys\n"
-            "cap = lambda: resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
-            "proc = subprocess.run(sys.argv[1:], capture_output=True, text=True,"
-            " preexec_fn=cap)\n"
-            "sys.stderr.write(proc.stderr)\n"
-            "print(proc.returncode, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
         sets = ["seed=0", "source.name=bimodal_gap", 'corpus_path="c.txt"', 'out_dir="out"']
-        src = Path(distill_lab.__file__).resolve().parents[1]
-        proc = subprocess.run(
-            [sys.executable, "-c", script, sys.executable, "-m", "distill_lab.cli",
-             "gen-corpus", *(x for a in sets for x in ("--set", a))],
-            cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
-            text=True, timeout=120,
-        )
-        code, peak_kib = map(int, proc.stdout.split())
-        assert (code, proc.stderr) == (0, "")
+        code, peak_kib, err = _run_capped(tmp_path, "gen-corpus", sets)
+        assert (code, err) == (0, "")
         assert (tmp_path / "out" / "corpus.txt").read_text().split("\n", 1)[1] == body
         assert peak_kib < 100 * 1024  # an interpreter with numpy loaded is about 40 MiB
+
+    @pytest.mark.parametrize("size", ["train.batch_size=1000000000",
+                                      "corpus.num_seqs=1000000000",
+                                      "tasks.num_tasks=1000000000"])
+    def test_unallocatable_size_is_a_user_error(self, tmp_path, size):
+        # each size needs from 7 GiB to hundreds of GiB at once, which the cap refuses
+        sets = ["seed=0", "source.name=bimodal_gap", "train.objective=hpd", 'out_dir="out"',
+                size]
+        code, _, err = _run_capped(tmp_path, "distill", sets)
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
     def test_eval_mle_teacher_against_its_checkpoint_reads_zero(self, tmp_path,
                                                                 monkeypatch):
@@ -502,6 +507,10 @@ class TestCommands:
         # each token is one set_row: 10**8 of them would run for most of an hour
         ("gradcheck", ["gradcheck.n_tokens=100000000"],
          "gradcheck.n_tokens must be <= 4194304, got 100000000"),
+        # the MLE teacher's logits divided by the temperature leave the float range; a
+        # numpy overflow warning before the error would fail the suite (filterwarnings)
+        ("gen-corpus", ["corpus.regime=teacher_generated", "corpus.temperature=1e-308"],
+         "temperature 1e-308 scales a teacher logit beyond the float range"),
     ])
     def test_user_errors_exit_two(self, tmp_path, monkeypatch, capsys, command, sets,
                                   needle):

@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from distill_lab.data import (
     MODE_X,
     MODE_Y,
     Corpus,
+    MarkovSource,
     build_source,
     corpus_read,
     corpus_write,
@@ -30,9 +32,10 @@ from distill_lab.data import (
 )
 from distill_lab.errors import ConfigError, InvalidInputError, ParseError
 from distill_lab.model import TabularLM, Vocab
-from distill_lab.numerics import CategoricalDist, entropy
-from distill_lab.training import train_teacher_mle
-from oracles import (bimodal_mixture, bimodal_table, dirichlet_rows, greedy_rollout, model_row,
+from distill_lab.numerics import CategoricalDist, entropy, softmax
+from distill_lab.training import LOGIT_FLOOR, train_teacher_mle
+from oracles import (RAGGED_PROMPTS, bimodal_mixture, bimodal_table, dirichlet_rows,
+                     greedy_rollout, model_row, model_source, peaked_model, per_token_rollout,
                      source_row)
 
 
@@ -144,16 +147,16 @@ class TestBimodalGap:
                                source_row(src, ctx).probs)
 
 
-class TestSampleSequences:
+class TestSourceRollouts:
     def test_cycle_sequences_follow_cycle(self):
         src = build_source({"name": "deterministic_cycle", "vocab_size": 3})
-        seqs = src.sample_sequences(2, 9, np.random.default_rng(0))
+        seqs = src.rollouts([[]] * 2, 9, np.random.default_rng(0))
         assert seqs.tolist() == [[1, 2, 0, 1, 2, 0, 1, 2, 0]] * 2
 
     def test_uniform_frequencies_three_sigma(self):
         src = build_source({"name": "uniform", "vocab_size": 2, "order": 1})
         rng = np.random.default_rng(5)
-        [toks] = src.sample_sequences(1, 100_000, rng).tolist()
+        [toks] = src.rollouts([[]], 100_000, rng).tolist()
         freq = toks.count(0) / len(toks)
         sigma = np.sqrt(0.25 / 100_000)
         assert abs(freq - 0.5) <= 3 * sigma
@@ -169,15 +172,35 @@ class TestSampleSequences:
         src = build_source({"name": "uniform"})
         with pytest.raises(InvalidInputError):
             sample_corpus(src, 0, 5, np.random.default_rng(0))
+        with pytest.raises(InvalidInputError, match="steps must be >= 1"):
+            src.rollouts([[]], 0, np.random.default_rng(0))
+
+    def test_no_prompts_draw_nothing(self):
+        src = build_source({"name": "bimodal_gap"})
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        assert src.rollouts([], 5, rng).shape == (0, 5)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("prompts, ctx", [([[1], [2, 7]], "(2, 7)"), ([[-1]], "(0, -1)")])
+    def test_out_of_range_prompt_raises(self, prompts, ctx):
+        # bimodal_gap has 6 tokens; the bad prompt is named before anything is drawn
+        src = build_source({"name": "bimodal_gap"})
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(InvalidInputError, match=re.escape(f"context {ctx} has out-of-range")):
+            src.rollouts(prompts, 3, rng)
+        assert rng.bit_generator.state == state
 
 
-def per_token_sequence(source, length, rng):
-    """One sequence, one Generator.choice per token: the sampler before lockstep."""
-    seq = []
+def per_token_sequence(source, length, rng, prompt=()):
+    """`length` tokens after one prompt, one Generator.choice per token: the sampler
+    before lockstep."""
+    seq = list(prompt)
     for _ in range(length):
         d = source_row(source, seq)
         seq.append(int(rng.choice(source.vocab.size, p=d.probs)))
-    return seq
+    return seq[len(prompt):]
 
 
 LOCKSTEP_SOURCES = [
@@ -204,16 +227,84 @@ class TestLockstepSampling:
     def test_one_sequence_is_the_one_rollout_case(self, spec):
         src = build_source(spec)
         a, b = np.random.default_rng(2), np.random.default_rng(2)
-        for length in (0, 1, 7, 30):
-            assert src.sample_sequences(1, length, a).tolist() == [
+        for length in (1, 7, 30):
+            assert src.rollouts([[]], length, a).tolist() == [
                 per_token_sequence(src, length, b)]
-            assert src.sample_sequences(3, length, a).tolist() == [
+            assert src.rollouts([[]] * 3, length, a).tolist() == [
                 per_token_sequence(src, length, b) for _ in range(3)]
         assert a.random() == b.random()
 
-    def test_no_sequences(self):
-        src = build_source({"name": "bimodal_gap"})
-        assert src.sample_sequences(0, 5, np.random.default_rng(0)).shape == (0, 5)
+    @pytest.mark.parametrize("spec", LOCKSTEP_SOURCES)
+    def test_ragged_prompts_match_per_token_reference(self, spec):
+        src = build_source(spec)
+        prompts = [[t % src.vocab.size for t in p] for p in RAGGED_PROMPTS] * 3
+        a, b = np.random.default_rng(7), np.random.default_rng(7)
+        assert src.rollouts(prompts, 12, a).tolist() == [
+            per_token_sequence(src, 12, b, prompt) for prompt in prompts]
+        assert a.random() == b.random()
+
+
+def tempered(model, temperature):
+    """The source a SeqKD corpus samples: softmax(logits / temperature) at every context."""
+    return MarkovSource("tempered", model.order, model.vocab, softmax(model.table / temperature))
+
+
+TEMPERATURES = [1.0, 0.5, 2.0, 0.3]
+
+
+class TestModelRollouts:
+    """A model is sampled as the source of its (tempered) softmax table."""
+
+    @pytest.mark.parametrize("temperature", TEMPERATURES)
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_matches_per_token_sampling(self, temperature, order):
+        m = peaked_model(order=order)
+        a, b = np.random.default_rng(5), np.random.default_rng(5)
+        got = tempered(m, temperature).rollouts(RAGGED_PROMPTS * 3, 12, a)
+        want = [per_token_rollout(m, p, 12, b, temperature) for p in RAGGED_PROMPTS * 3]
+        assert got.tolist() == want
+        assert a.random() == b.random()
+
+    @pytest.mark.parametrize("temperature", TEMPERATURES)
+    def test_single_rollout_is_the_one_rollout_case(self, temperature):
+        m = peaked_model()
+        src = tempered(m, temperature)
+        a, b = np.random.default_rng(8), np.random.default_rng(8)
+        for prompt in RAGGED_PROMPTS:
+            assert (src.rollouts([prompt], 5, a).tolist()
+                    == [per_token_rollout(m, prompt, 5, b, temperature)])
+        assert a.random() == b.random()
+
+    def test_single_step_is_one_choice(self):
+        m = TabularLM(order=1, vocab=Vocab.default(4))
+        out = model_source(m).rollouts([[1]], 1, np.random.default_rng(3))
+        assert out.tolist() == [per_token_rollout(m, [1], 1, np.random.default_rng(3))]
+
+    def test_saturated_row_always_dominant(self):
+        m = TabularLM(order=1, vocab=Vocab.default(3))
+        m.set_row((0,), [50.0, 0.0, 0.0])
+        draws = model_source(m).rollouts([[0]] * 1000, 1, np.random.default_rng(0))
+        assert draws.tolist() == [[0]] * 1000
+
+    def test_uniform_frequency_three_sigma(self):
+        m = TabularLM(order=1, vocab=Vocab.default(2))
+        draws = model_source(m).rollouts([[0]] * 100_000, 1, np.random.default_rng(7))
+        assert 0.494 <= np.mean(draws == 0) <= 0.506
+
+    def test_same_seed_same_rollouts(self):
+        src = model_source(TabularLM(order=1, vocab=Vocab.default(4)))
+        for prompts, steps in (([[0]] * 100, 1), ([[2]], 16)):
+            r1, r2 = np.random.default_rng(9), np.random.default_rng(9)
+            assert (src.rollouts(prompts, steps, r1) == src.rollouts(prompts, steps, r2)).all()
+
+    def test_deterministic_model_matches_greedy_path(self):
+        m = TabularLM(order=1, vocab=Vocab.default(3))
+        for i in range(3):
+            row = np.full(3, -50.0)
+            row[(i + 1) % 3] = 50.0
+            m.set_row((i,), row)
+        sampled = model_source(m).rollouts([[0]], 6, np.random.default_rng(0)).tolist()
+        assert sampled == m.greedy_rollouts([[0]], 6) == [[1, 2, 0, 1, 2, 0]]
 
 
 class TestSeqKDCorpus:
@@ -246,7 +337,7 @@ class TestSeqKDCorpus:
             # both are unigram frequencies of the same chain; 3 sigma each way
             assert abs(f1 - f2) <= 6 * np.sqrt(0.25 / n)
 
-    @pytest.mark.parametrize("temperature", [1.0, 0.5])
+    @pytest.mark.parametrize("temperature", TEMPERATURES)
     def test_prompts_match_per_token_reference(self, temperature):
         # each prompt draws its `length` uniforms in turn, one per token
         teacher = TabularLM(order=2, vocab=Vocab.default(4))
@@ -280,9 +371,37 @@ class TestSeqKDCorpus:
 
     def test_negative_temperature_rejected(self):
         teacher = TabularLM(order=1, vocab=Vocab.default(2))
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="temperature must be >= 0"):
             generate_seqkd_corpus(teacher, [[]], 4, np.random.default_rng(0),
                                   temperature=-1.0)
+
+    def test_temperature_sharpens(self):
+        # the frequency of the larger logit's token: softmax([1, 0] / T)[0] is
+        # 0.62, 0.73 and 0.88 at T = 2, 1 and 0.5
+        m = TabularLM(order=1, vocab=Vocab.default(2))
+        m.set_row((0,), [1.0, 0.0])
+        freq = {}
+        for t in (2.0, 1.0, 0.5):
+            kd = generate_seqkd_corpus(m, [[0]] * 20_000, 1, np.random.default_rng(3),
+                                       temperature=t)
+            freq[t] = np.mean(kd.tokens[1::2] == 0)  # every sequence is [prompt, draw]
+        assert freq[0.5] > freq[1.0] + 0.1 and freq[1.0] > freq[2.0] + 0.07
+
+    def test_overflowing_temperature_fails_whatever_the_seed(self):
+        # LOGIT_FLOOR / 1e-306 is beyond the float range: row (1,) overflows. A
+        # rollout of 2 tokens reaches that row only if its first draw, from the
+        # all-zero row (0,), is 1. Seed 2 draws 0 there, seed 0 draws 1: the whole
+        # tempered table is checked, so both fail, not just the one that visits it
+        m = TabularLM(order=1, vocab=Vocab.default(2))
+        m.set_row((1,), [0.0, LOGIT_FLOOR])
+        first = [generate_seqkd_corpus(m, [[]], 1, np.random.default_rng(seed)).tokens[0]
+                 for seed in (2, 0)]
+        assert first == [0, 1]
+        for seed in (2, 0):
+            with pytest.raises(InvalidInputError, match=re.escape(
+                    "temperature 1e-306 scales a teacher logit beyond the float range")):
+                generate_seqkd_corpus(m, [[]], 2, np.random.default_rng(seed),
+                                      temperature=1e-306)
 
 
 class TestCorpusLayout:

@@ -227,9 +227,9 @@ class TestPairCachedAudit:
                     reference_enumeration(student, teacher, 4, eval_from), rel=1e-12)
                 want = plan_divergences(student, teacher, eval_len, eval_from)
                 if eval_from == "student":
-                    seqs = student.rollouts([[]] * n_seqs, eval_len, rng)
+                    seqs = model_source(student).rollouts([[]] * n_seqs, eval_len, rng).tolist()
                 else:
-                    seqs = teacher.sample_sequences(n_seqs, eval_len, rng).tolist()
+                    seqs = teacher.rollouts([[]] * n_seqs, eval_len, rng).tolist()
                 # each sequence's mean over its prefixes is one i.i.d. draw
                 per_seq = np.array([reference_divergence_audit(
                     student, teacher, [seq[:t] for t in range(eval_len)]) for seq in seqs])
@@ -355,7 +355,8 @@ def reference_tasks(source, num_tasks, cont_len, rng, min_conf=0.9, prompt_len=N
     for _ in range(num_tasks * max_attempts_factor):
         if len(tasks) >= num_tasks:
             break
-        [prompt] = source.sample_sequences(1, prompt_len, rng).tolist()
+        # a prompt of no tokens draws nothing
+        [prompt] = source.rollouts([[]], prompt_len, rng).tolist() if prompt_len else [[]]
         seq, cont = list(prompt), []
         for _t in range(cont_len):
             d = source_row(source, seq)

@@ -31,7 +31,7 @@ from distill_lab.model import (
 )
 from distill_lab.numerics import softmax
 from distill_lab.training import PredictiveTable
-from oracles import add_token_grad, greedy_rollout, per_token_rollout
+from oracles import RAGGED_PROMPTS, add_token_grad, greedy_rollout, peaked_model
 
 
 def uniform_model(v=2, order=1):
@@ -179,20 +179,6 @@ class TestPredict:
         m.set_row((0,), [10.0, -10.0])
         assert predictive_rows(m, [0]).probs[0, 0] > 0.999
 
-    def test_temperature_sharpens(self):
-        # the frequency of the larger logit's token: softmax([1, 0] / T)[0] is
-        # 0.62, 0.73 and 0.88 at T = 2, 1 and 0.5
-        m = uniform_model(v=2)
-        m.set_row((0,), [1.0, 0.0])
-        freq = {t: m.rollouts([[0]] * 20_000, 1, np.random.default_rng(3),
-                              temperature=t).count([0]) / 20_000 for t in (2.0, 1.0, 0.5)}
-        assert freq[0.5] > freq[1.0] + 0.1 and freq[1.0] > freq[2.0] + 0.07
-
-    def test_bad_temperature(self):
-        m = uniform_model()
-        with pytest.raises(InvalidInputError, match="temperature must be > 0"):
-            m.rollouts([[0]], 1, np.random.default_rng(0), temperature=-1.0)
-
     def test_context_validation(self):
         m = uniform_model(v=2, order=2)
         with pytest.raises(InvalidInputError):
@@ -208,99 +194,15 @@ class TestPredict:
             m.set_row((0,), [np.inf, 0.0])
 
 
-class TestSampling:
-    def test_saturated_row_always_dominant(self):
-        m = uniform_model(v=3)
-        m.set_row((0,), [50.0, 0.0, 0.0])
-        rng = np.random.default_rng(0)
-        assert m.rollouts([[0]] * 1000, 1, rng) == [[0]] * 1000
-
-    def test_uniform_frequency_three_sigma(self):
-        m = uniform_model(v=2)
-        rng = np.random.default_rng(7)
-        draws = m.rollouts([[0]] * 100_000, 1, rng)
-        freq = draws.count([0]) / len(draws)
-        assert 0.494 <= freq <= 0.506
-
-    def test_fixed_seed_identical_draws(self):
-        m = uniform_model(v=4)
-        r1, r2 = np.random.default_rng(9), np.random.default_rng(9)
-        assert m.rollouts([[0]] * 100, 1, r1) == m.rollouts([[0]] * 100, 1, r2)
-
-
-class TestRollout:
-    def test_steps_must_be_positive(self):
-        m = uniform_model()
-        with pytest.raises(InvalidInputError, match="steps must be >= 1"):
-            m.rollouts([[]], 0, np.random.default_rng(0))
-        with pytest.raises(InvalidInputError, match="steps must be >= 1"):
-            m.greedy_rollouts([[]], 0)
-
-    def test_single_step_equals_sample_next(self):
-        # one prompt and one step: a single Generator.choice from the prompt's row
-        m = uniform_model(v=4)
-        out = m.rollouts([[1]], 1, np.random.default_rng(3))
-        assert out == [per_token_rollout(m, [1], 1, np.random.default_rng(3))]
-
-    def test_deterministic_model_matches_greedy_path(self):
-        m = uniform_model(v=3)
-        for i in range(3):
-            row = np.full(3, -50.0)
-            row[(i + 1) % 3] = 50.0
-            m.set_row((i,), row)
-        sampled = m.rollouts([[0]], 6, np.random.default_rng(0))
-        greedy = m.greedy_rollouts([[0]], 6)
-        assert sampled == greedy == [[1, 2, 0, 1, 2, 0]]
-
-    def test_same_seed_same_rollout(self):
-        m = uniform_model(v=4)
-        a = m.rollouts([[2]], 16, np.random.default_rng(11))
-        b = m.rollouts([[2]], 16, np.random.default_rng(11))
-        assert a == b
-
-
-def peaked_model(v=5, order=2, seed=0):
-    """Random rows, a third of them so peaked that softmax leaves exact zeros."""
-    m = uniform_model(v=v, order=order)
-    rng = np.random.default_rng(seed)
-    for i, ctx in enumerate(np.ndindex(*(v,) * order)):
-        scale = 40.0 if i % 3 == 0 else 1.5
-        m.set_row(ctx, scale * rng.normal(size=v))
-    return m
-
-
-# prompts of different lengths, shorter and longer than the model order
-PROMPTS = [[], [3], [1, 4, 2], [0, 0, 0, 2, 1], [4, 4]]
-
-
-class TestLockstepRollouts:
-    @pytest.mark.parametrize("temperature", [1.0, 0.5])
-    @pytest.mark.parametrize("order", [1, 2])
-    def test_matches_per_token_sampling(self, temperature, order):
-        m = peaked_model(order=order)
-        a, b = np.random.default_rng(5), np.random.default_rng(5)
-        got = m.rollouts(PROMPTS * 3, 12, a, temperature=temperature)
-        want = [per_token_rollout(m, p, 12, b, temperature) for p in PROMPTS * 3]
-        assert got == want
-        assert a.random() == b.random()
-
-    @pytest.mark.parametrize("temperature", [1.0, 0.5])
-    def test_single_rollout_is_the_one_rollout_case(self, temperature):
-        m = peaked_model()
-        a, b = np.random.default_rng(8), np.random.default_rng(8)
-        for prompt in PROMPTS:
-            assert (m.rollouts([prompt], 5, a, temperature=temperature)
-                    == [per_token_rollout(m, prompt, 5, b, temperature)])
-        assert a.random() == b.random()
-
+class TestLockstepGreedy:
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_greedy_matches_per_token_argmax(self, order):
         # every row ties its first two tokens for the max in a third of the contexts
         m = peaked_model(order=order)
         for cid in range(0, len(m.table), 3):
             m.table[cid, 1:3] = m.table[cid].max() + 1.0
-        got = m.greedy_rollouts(PROMPTS * 2, 9)
-        assert got == [greedy_rollout(m, prompt, 9) for prompt in PROMPTS * 2]
+        got = m.greedy_rollouts(RAGGED_PROMPTS * 2, 9)
+        assert got == [greedy_rollout(m, prompt, 9) for prompt in RAGGED_PROMPTS * 2]
         assert any(row[0] == 1 for row in got)  # some rollout met a tie
 
     def test_greedy_ties_go_to_the_first_index(self):
@@ -317,18 +219,6 @@ class TestLockstepRollouts:
         with pytest.raises(InvalidInputError, match="steps must be >= 1"):
             m.greedy_rollouts([[1]], 0)
         assert m.greedy_rollouts([], 3) == []
-
-    def test_out_of_range_prompt_raises(self):
-        m = peaked_model()
-        with pytest.raises(InvalidInputError, match="out-of-range"):
-            m.rollouts([[1], [2, 7]], 3, np.random.default_rng(0))
-
-    def test_temperature_must_be_positive(self):
-        with pytest.raises(InvalidInputError):
-            peaked_model().rollouts([[1]], 3, np.random.default_rng(0), temperature=0.0)
-
-    def test_no_prompts(self):
-        assert peaked_model().rollouts([], 3, np.random.default_rng(0)) == []
 
 
 class TestAccumulateTokenGrad:

@@ -328,7 +328,7 @@ def _variable_length_corpus(teacher="bimodal_gap"):
     teacher_spec, corpus_spec = TEACHERS[teacher]
     src = build_source(corpus_spec)
     rng = np.random.default_rng(5)
-    seqs = [src.sample_sequences(1, int(rng.integers(1, 20)), rng)[0].tolist()
+    seqs = [src.rollouts([[]], int(rng.integers(1, 20)), rng)[0].tolist()
             for _ in range(15)]
     return build_source(teacher_spec), Corpus.from_sequences(
         seqs, provenance="teacher_generated", seed=5, vocab_size=src.vocab.size)
