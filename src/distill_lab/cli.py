@@ -159,6 +159,13 @@ def validate_config(cfg: dict) -> None:
         for i, x in enumerate(values):
             if x in values[:i]:
                 raise ConfigError(f"sweep.{key}[{i}] {x!r} is already an earlier entry")
+    # numpy seeds a generator with a non-negative integer only
+    seeded = [("seed", cfg["seed"])] + [(f"sweep.seeds[{i}]", s) for i, s in enumerate(seeds)]
+    seeded += [(path, config_field(cfg.get(path.partition(".")[0], {}), path, int, 0))
+               for path in ("source.seed", "gradcheck.model_seed")]
+    for path, seed in seeded:
+        if seed < 0:
+            raise ConfigError(f"{path} must be >= 0, got {seed}")
 
 
 def _check_types(node: dict, section: str, types: dict) -> None:

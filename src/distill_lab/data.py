@@ -70,6 +70,8 @@ class MarkovSource:
     def rollouts(self, prompts, steps: int, rng: np.random.Generator) -> np.ndarray:
         """`steps` sampled tokens after each prompt, as one (len(prompts), steps) array.
 
+        prompts is a list of token-id sequences or an (n, length) int array (pad_contexts).
+
         Every rollout advances one position per step. Rollout i is drawn with row
         i of rng.random((len(prompts), steps)), so the result equals sampling the
         prompts in turn with one Generator.choice per token; no prompts draw nothing.
@@ -159,7 +161,10 @@ def build_source(spec: dict) -> MarkovSource:
         if conc <= 0.0:
             raise ConfigError("concentration must be > 0")
         n = table_rows(v, m)
-        rng = np.random.default_rng(config_field(spec, "source.seed", int, None))
+        seed = config_field(spec, "source.seed", int, None)
+        if seed < 0:
+            raise ConfigError(f"source.seed must be >= 0, got {seed}")
+        rng = np.random.default_rng(seed)
         vocab = Vocab.default(v)
         # one call draws the same gammas in the same order as one call per row
         probs = rng.dirichlet(np.full(v, conc), size=n)
@@ -279,7 +284,8 @@ def sample_corpus(
 ) -> Corpus:
     if num_seqs < 1 or length < 1:
         raise InvalidInputError("num_seqs and length must be >= 1")
-    return Corpus(source.rollouts([[]] * num_seqs, length, rng).ravel(),
+    # num_seqs empty prompts as one (n, 0) array, with no Python object per sequence
+    return Corpus(source.rollouts(np.zeros((num_seqs, 0), dtype=np.int64), length, rng).ravel(),
                   np.full(num_seqs, length, dtype=np.intp),
                   provenance="ground_truth", seed=seed, vocab_size=source.vocab.size)
 

@@ -94,9 +94,16 @@ def prefix_id(prefix, order: int, vocab: Vocab) -> int:
 
 
 def pad_contexts(prompts, order: int, bos_id: int) -> np.ndarray:
-    """Row i is pad_context(prompts[i], order, bos_id), as one (n, order) int64 array."""
+    """Row i is pad_context(prompts[i], order, bos_id), as one (n, order) int64 array.
+
+    prompts is a list of token-id sequences, or an (n, length) int array of n
+    prompts of one length, which builds no Python object per prompt.
+    """
     ctx = np.full((len(prompts), order), bos_id, dtype=np.int64)
-    if order:
+    if isinstance(prompts, np.ndarray):
+        tails = prompts[:, max(prompts.shape[1] - order, 0):]
+        ctx[:, order - tails.shape[1]:] = tails
+    elif order:
         tails = [p[-order:] for p in prompts]
         lengths = np.fromiter(map(len, tails), dtype=np.intp, count=len(tails))
         # row i's tail fills its last lengths[i] columns, in row-major order
@@ -323,8 +330,7 @@ def check_token_support(q_at: np.ndarray, ids, tokens, order: int, vocab_size: i
 
 
 def add_token_grads(acc: GradAccumulator, ids: np.ndarray, tokens: np.ndarray,
-                    weights: np.ndarray, q: np.ndarray, onehot=None,
-                    index=None) -> GradAccumulator:
+                    weights: np.ndarray, q: np.ndarray, index=None) -> GradAccumulator:
     """accumulate_token_grads without its checks: the unchecked gradient kernel.
 
     ids must be an intp and weights a float64 array. The caller guarantees
@@ -332,15 +338,12 @@ def add_token_grads(acc: GradAccumulator, ids: np.ndarray, tokens: np.ndarray,
     range and q[j][tokens[j]] > 0. The arithmetic is the public entry's own,
     so both leave acc bit for bit the same; a zero weight is left out of the
     scatter, so it adds nothing and touches no row. A caller that knows the
-    ids and tokens ahead may pass onehot, j * V + tokens[j] for every j, and
-    index, acc.scatter_index(ids).
+    ids ahead may pass index, acc.scatter_index(ids).
     """
     m, v = q.shape
     direction = -weights[:, None] * q
     # the one-hot term: entry (j, tokens[j]) is element j * V + tokens[j] of the flat rows
-    if onehot is None:
-        onehot = np.arange(0, m * v, v) + tokens
-    direction.reshape(-1)[onehot] += weights
+    direction.reshape(-1)[np.arange(0, m * v, v) + tokens] += weights
     if np.count_nonzero(weights) < m:
         keep = weights != 0.0
         ids, direction = ids[keep], direction[keep]

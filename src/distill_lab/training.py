@@ -126,6 +126,8 @@ class TrainConfig:
             raise ConfigError(f"unknown eval_from {self.eval_from!r}")
         if self.hpd_samples < 1:
             raise ConfigError("hpd_samples must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -197,20 +199,21 @@ class PredictiveTable:
 
 
 def _train_loop(cfg: TrainConfig, teacher: MarkovSource, student: TabularLM, eval_tasks,
-                minibatch) -> tuple[TabularLM, list[MetricsRow]]:
-    """SGD on a copy of student; minibatch(student, pred, acc, rng) accumulates one batch.
+                batches) -> tuple[TabularLM, list[MetricsRow]]:
+    """SGD on a copy of student, one step per batch of batches(student, pred, acc, rng).
 
-    pred is the copy's PredictiveTable, with CDF rows for the objectives that
-    sample from the student (OPD and HPD). It is built once per run; after
-    each step exactly the rows sgd_step reports moved are refreshed, and a
-    step that moved none refreshes nothing. minibatch returns the batch's
+    batches is called once; the loop pulls exactly cfg.steps batches from the
+    generator it gives, so one that ends early raises StopIteration. Each
+    batch accumulates one step into acc and yields (ids, rewards): its
     student context ids, one per position it drew, and its rewards (None
-    off-policy). Each step is lr times the batch mean: sgd_step divides the
-    accumulated directions by len(ids), whatever the weights. The mean entropy
-    of the student's rows at those ids is computed only for a metrics row,
-    from pred before the step moves them. Evaluation is planned before step
-    1 (EvalPlan, CompletionTasks), so invalid tasks raise then; each reading
-    reads pred and the student's logits.
+    off-policy). pred is the copy's PredictiveTable, with CDF rows for the
+    objectives that sample from the student (OPD and HPD), built once; after
+    each step exactly the rows sgd_step reports moved are refreshed. Each
+    step is lr times the batch mean: sgd_step divides the accumulated
+    directions by len(ids), whatever the weights. The mean entropy of pred's
+    rows at those ids is computed, before the step, only for a metrics row.
+    Evaluation is planned before step 1 (EvalPlan, CompletionTasks), so
+    invalid tasks raise then; each reading reads pred and the student's logits.
     """
     plan = EvalPlan(teacher, student, cfg.eval_len, cfg.eval_from)
     tasks = CompletionTasks(eval_tasks, student) if eval_tasks else None
@@ -219,10 +222,11 @@ def _train_loop(cfg: TrainConfig, teacher: MarkovSource, student: TabularLM, eva
     acc = GradAccumulator(student.order, student.vocab.size)
     kind = cfg.objective
     pred = PredictiveTable(student, with_cdf=kind.on_policy or kind.tag in HPD_VARIANTS)
+    batch = batches(student, pred, acc, rng)
     rows: list[MetricsRow] = []
 
     for step in range(1, cfg.steps + 1):
-        ids, batch_rewards = minibatch(student, pred, acc, rng)
+        ids, batch_rewards = next(batch)
         log = step % cfg.eval_every == 0 or step == cfg.steps
         if log:
             train_entropy = float(np.mean(entropy(pred.rows(ids))))
@@ -289,20 +293,18 @@ def distill_offpolicy(
 ) -> tuple[TabularLM, list[MetricsRow]]:
     """Minibatch reweighted-likelihood distillation on a fixed corpus.
 
-    The corpus's context ids are computed once per call, and with them each
-    position's flat student index s_id * V + expert and the frozen teacher's
-    p and ln p at the expert. Steps are planned a block at a time (at most
-    PLAN_ENTRIES entries): the block's corpus positions and HPD uniforms are
-    drawn from the run's generator as step after step would draw them, and
-    everything that does not depend on the student is gathered for the whole
-    block at once. A step's tokens are its n expert tokens, or for HPD an
-    (n * k, 2) array: row b * k + i is draw i of position b, column 0 the
-    expert and column 1 a token sampled from the cached CDF rows
-    (k = hpd_samples). Then come 1-d gathers of q (and ln q, for the rules
-    that read it) at those tokens, one token_weights call and one ordered
-    accumulate through the unchecked kernel model.add_token_grads, with the
-    block's scatter index (and, but for HPD, one-hot positions). fkld_dense
-    adds its summed direction p - q instead.
+    The corpus's context ids are computed once per call. Steps are planned a
+    block at a time (at most PLAN_ENTRIES entries): the block's positions and
+    HPD uniforms are drawn as step after step would draw them, and its
+    student ids, tokens, the tokens' flat indices into the student's and the
+    teacher's table and the scatter index are gathered at once. A step's
+    tokens are an (n * k, cols) array, row b * k + i for draw i of position b
+    (k = hpd_samples for HPD, else 1): column 0 is the expert and, for HPD
+    (cols = 2), column 1 a token drawn from q's cached CDF rows, which the
+    step adds to its flat indices. The step gathers p, ln p, q (and ln q, for
+    the rules that read it) at those tokens, makes one token_weights call and
+    one ordered accumulate through the unchecked kernel add_token_grads.
+    fkld_dense adds its summed direction p - q instead.
     """
     kind = cfg.objective
     if kind.on_policy:
@@ -322,80 +324,57 @@ def distill_offpolicy(
     t_ids = context_ids(tokens, offsets, teacher.order, teacher.vocab.bos_id, v)
     starts, n = np.cumsum(lengths) - lengths, cfg.batch_size
     tag = kind.tag
-    hpd = tag in HPD_VARIANTS
-    if not hpd and tag != "fkld_dense":
-        # every position's expert as a flat index into a student table, and the
-        # frozen teacher's p and ln p there: a block reads them by 1-d gathers
-        s_at = s_ids * v + tokens
-        p_at, lp_at = p_table.probs[t_ids, tokens], p_table.logprobs[t_ids, tokens]
+    dense, hpd = tag == "fkld_dense", tag in HPD_VARIANTS
+    # no rule of these reads q or ln q, so the loop checks q[expert] > 0 itself
+    unchecked = tag in ("sft", "seqkd", "fkld_token")
     k, cols = (cfg.hpd_samples, 2) if hpd else (1, 1)
     # each draw updates the expert token, then the sampled one
     draw = np.repeat(np.arange(n), k)
     equal = bool((lengths == lengths[0]).all())
     per_block = max(1, PLAN_ENTRIES // (n * k * cols * v))
 
-    def plan(rng, acc):
-        """Every step's student-independent arrays, in step order, a block at a time."""
-        for first in range(0, cfg.steps, per_block):
-            pos, uniforms = draw_positions(rng, min(per_block, cfg.steps - first), n, starts,
-                                           lengths, equal, k if hpd else 0)
-            ids = s_ids[pos]
-            if tag == "fkld_dense":
-                yield from zip(ids, t_ids[pos], acc.scatter_index(ids))
-            elif hpd:
-                # one row per draw; at k = 1 a draw is its position
-                at, rows = (pos, ids) if k == 1 else (pos[:, draw], ids[:, draw])
-                tok = np.zeros(rows.shape + (2,), dtype=np.intp)
-                tok[..., 0] = tokens[at]
-                flat = np.repeat(ids, k * cols, axis=1)
-                yield from zip(ids, rows, uniforms, tok, rows * v, t_ids[at] * v, flat,
-                               acc.scatter_index(flat))
-            else:
-                tok = tokens[pos]
-                yield from zip(ids, tok, s_at[pos], p_at[pos], lp_at[pos],
-                               np.arange(0, n * v, v) + tok, acc.scatter_index(ids))
-
-    def dense_step(pred, acc, ids, t_rows, index):
-        # sum over v of p_v * (onehot(v) - q) collapses to p - q
-        dense = p_table.probs.take(t_rows, axis=0) - pred.probs.take(ids, axis=0)
-        acc.add_rows(ids, dense, index)
-
-    def hpd_step(pred, acc, ids, rows, uniforms, tok, s_base, t_base, flat, index):
-        # column 0 of tok holds the expert; column 1 takes the token sampled from q
-        tok[:, 1] = cdf_draw(pred.cdf.take(rows, axis=0), uniforms)
-        s_flat, t_flat = s_base[:, None] + tok, t_base[:, None] + tok
-        p, lp = p_table.probs.take(t_flat), p_table.logprobs.take(t_flat)
-        w = token_weights(kind, p, lp, pred.probs.take(s_flat), pred.logprobs.take(s_flat),
-                          tok)
-        add_token_grads(acc, flat, tok.ravel(), (w if k == 1 else w / k).ravel(),
-                        pred.probs.take(flat, axis=0), index=index)
-
-    def token_step(pred, acc, ids, tok, s_flat, p, lp, onehot, index):
-        q = pred.probs.take(s_flat)
-        if tag in ("sft", "seqkd", "fkld_token"):
-            # no rule of these reads q or ln q, so the loop checks q[expert] > 0 itself
-            check_token_support(q, ids, tok, student.order, v)
-            lq = None
-        else:
-            lq = pred.logprobs.take(s_flat)
-        w = token_weights(kind, p, lp, q, lq, tok)
-        add_token_grads(acc, ids, tok, w, pred.probs.take(ids, axis=0), onehot, index)
-
-    step = dense_step if tag == "fkld_dense" else hpd_step if hpd else token_step
-    planned = None
-
-    def minibatch(student, pred, acc, rng):
+    def batches(student, pred, acc, rng):
         # the kernel rests on checks made where its values entered: _offsets
         # range-checks the expert tokens, cdf_draw's tokens are < V with q > 0,
         # and every rule that takes a log checks q at its tokens
-        nonlocal planned
-        if planned is None:
-            planned = plan(rng, acc)
-        ids, *arrays = next(planned)
-        step(pred, acc, ids, *arrays)
-        return ids, None
+        for first in range(0, cfg.steps, per_block):
+            pos, uniforms = draw_positions(rng, min(per_block, cfg.steps - first), n, starts,
+                                           lengths, equal, k if hpd else 0)
+            # one row per draw; at k = 1 a draw is its position
+            at = pos[:, draw]
+            ids, rows, t_rows = s_ids[pos], s_ids[at], t_ids[at]
+            tok = np.zeros(at.shape + (cols,), dtype=np.intp)
+            tok[..., 0] = tokens[at]
+            # each token's context id, in tok's row-major order
+            flat = np.repeat(ids, k * cols, axis=1)
+            index = acc.scatter_index(flat)
+            # every token as a flat index into the student's and the teacher's table;
+            # HPD's sampled column holds the row base until its token is drawn
+            s_at, t_at = rows[..., None] * v + tok, t_rows[..., None] * v + tok
+            for s in range(len(pos)):
+                batch = ids[s]
+                if dense:
+                    # sum over v of p_v * (onehot(v) - q) collapses to p - q
+                    acc.add_rows(batch, p_table.probs.take(t_rows[s], axis=0)
+                                 - pred.probs.take(batch, axis=0), index[s])
+                    yield batch, None
+                    continue
+                step_tok, step_flat, s_flat, t_flat = tok[s], flat[s], s_at[s], t_at[s]
+                if hpd:
+                    drawn = cdf_draw(pred.cdf.take(rows[s], axis=0), uniforms[s])
+                    step_tok[:, 1] = drawn
+                    s_flat[:, 1] += drawn
+                    t_flat[:, 1] += drawn
+                q = pred.probs.take(s_flat)
+                if unchecked:
+                    check_token_support(q.ravel(), step_flat, step_tok.ravel(), student.order, v)
+                w = token_weights(kind, p_table.probs.take(t_flat), p_table.logprobs.take(t_flat),
+                                  q, None if unchecked else pred.logprobs.take(s_flat), step_tok)
+                add_token_grads(acc, step_flat, step_tok.ravel(), (w if k == 1 else w / k).ravel(),
+                                pred.probs.take(step_flat, axis=0), index[s])
+                yield batch, None
 
-    return _train_loop(cfg, teacher, student, eval_tasks, minibatch)
+    return _train_loop(cfg, teacher, student, eval_tasks, batches)
 
 
 def distill_onpolicy_opd(
@@ -440,41 +419,43 @@ def distill_onpolicy_opd(
     start = prefix_ids(prompts, walk_order, student.vocab)
     n, h = cfg.batch_size, cfg.horizon
 
-    def minibatch(student, pred, acc, rng):
-        # every rollout's prompt, then its uniforms, row b for rollout b; one
-        # prompt consumes no state, so u is what rollout-by-rollout draws give
-        pick = rng.integers(len(prompts), size=n)
-        u = rng.random((n, h))
-        w_ids, tokens = walk(start[pick], h, walk_order, v,
-                             lambda ids, t: cdf_draw(pred.cdf.take(suffix(ids, k), axis=0),
-                                                    u[:, t]))
-        # rollout-major from here on: position t of rollout b is entry b * h + t
-        w_ids, tokens = w_ids.ravel(), tokens.ravel()
-        s_ids, t_ids = suffix(w_ids, k), suffix(w_ids, m)
-        # each sampled token as a flat index into the student's and the teacher's table
-        s_flat, t_flat = s_ids * v + tokens, t_ids * v + tokens
-        # the violation raised is the first in rollout order, as a one-rollout sampler meets it
-        p = p_table.probs.take(t_flat)
-        outside = p <= 0.0
-        if outside.any():
-            j = int(np.argmax(outside))
-            raise DivergenceInfiniteError(f"student sampled token {tokens[j]} outside teacher "
-                                          f"support at {context_key(s_ids[j], k, v)}")
-        rewards = token_weights(kind, p, p_table.logprobs.take(t_flat), pred.probs.take(s_flat),
-                                pred.logprobs.take(s_flat), tokens)
-        if reward_mode == "trajectory":
-            # one in-order left fold per rollout: np.sum need not add in order, and the
-            # builtin sum is compensated since Python 3.12
-            coeffs = np.repeat(np.cumsum(rewards.reshape(n, h), axis=1)[:, -1], h)
-        else:
-            coeffs = rewards
-        baseline = float(np.mean(rewards)) if cfg.opd_baseline else 0.0
-        # cdf_draw's tokens are < V with q > 0, and the support check above makes
-        # every reward, so every coefficient, finite
-        add_token_grads(acc, s_ids, tokens, coeffs - baseline, pred.probs.take(s_ids, axis=0))
-        return s_ids, rewards
+    def batches(student, pred, acc, rng):
+        while True:
+            # every rollout's prompt, then its uniforms, row b for rollout b; one
+            # prompt consumes no state, so u is what rollout-by-rollout draws give
+            pick = rng.integers(len(prompts), size=n)
+            u = rng.random((n, h))
+            w_ids, tokens = walk(start[pick], h, walk_order, v,
+                                 lambda ids, t: cdf_draw(pred.cdf.take(suffix(ids, k), axis=0),
+                                                        u[:, t]))
+            # rollout-major from here on: position t of rollout b is entry b * h + t
+            w_ids, tokens = w_ids.ravel(), tokens.ravel()
+            s_ids, t_ids = suffix(w_ids, k), suffix(w_ids, m)
+            # each sampled token's flat index into the student's and the teacher's table
+            s_flat, t_flat = s_ids * v + tokens, t_ids * v + tokens
+            # the violation raised is the first in rollout order, as a one-rollout sampler meets it
+            p = p_table.probs.take(t_flat)
+            outside = p <= 0.0
+            if outside.any():
+                j = int(np.argmax(outside))
+                raise DivergenceInfiniteError(
+                    f"student sampled token {tokens[j]} outside teacher support at "
+                    f"{context_key(s_ids[j], k, v)}")
+            rewards = token_weights(kind, p, p_table.logprobs.take(t_flat),
+                                    pred.probs.take(s_flat), pred.logprobs.take(s_flat), tokens)
+            if reward_mode == "trajectory":
+                # one in-order left fold per rollout: np.sum need not add in order, and the
+                # builtin sum is compensated since Python 3.12
+                coeffs = np.repeat(np.cumsum(rewards.reshape(n, h), axis=1)[:, -1], h)
+            else:
+                coeffs = rewards
+            baseline = float(np.mean(rewards)) if cfg.opd_baseline else 0.0
+            # cdf_draw's tokens are < V with q > 0, and the support check above makes
+            # every reward, so every coefficient, finite
+            add_token_grads(acc, s_ids, tokens, coeffs - baseline, pred.probs.take(s_ids, axis=0))
+            yield s_ids, rewards
 
-    return _train_loop(cfg, teacher, student, eval_tasks, minibatch)
+    return _train_loop(cfg, teacher, student, eval_tasks, batches)
 
 
 def metrics_write(rows, path, meta: dict | None = None) -> None:

@@ -162,44 +162,46 @@ def reference_offpolicy(cfg, teacher, corpus, student):
     """distill_offpolicy one position at a time.
 
     Positions, HPD draws and accumulation follow the batched kernel's stated
-    order, so its checkpoints and metrics must match these byte for byte. The
-    minibatch returns one context id per position drawn, and each step divides
-    by their count.
+    order, so its checkpoints and metrics must match these byte for byte. Each
+    batch yields one context id per position drawn, and each step divides by
+    their count.
     """
     kind = cfg.objective
     sequences = corpus.sequences
     lengths = np.array([len(seq) for seq in sequences])
 
-    def minibatch(student, pred, acc, rng):
-        cids = []
-        k = cfg.hpd_samples if kind.tag in HPD_VARIANTS else 0
-        si = rng.integers(len(sequences), size=cfg.batch_size)
-        offsets = rng.integers(0, lengths[si])
-        uniforms = rng.random(cfg.batch_size * k)
-        for b in range(cfg.batch_size):
-            seq = sequences[int(si[b])]
-            t = int(offsets[b])
-            prefix, expert = seq[:t], seq[t]
-            cid = prefix_id(prefix, student.order, student.vocab)
-            p = source_row(teacher, prefix)
-            q = model_row(student, prefix)
-            cids.append(cid)
-            if kind.tag == "fkld_dense":
-                acc.add_rows([cid], (p.probs - q.probs)[None])
-            elif kind.tag not in HPD_VARIANTS:
-                w = offpolicy_token(kind, *row_values(p, q), expert)
-                add_token_grad(acc, cid, expert, w, q)
-            else:
-                for i in range(k):
-                    sampled = int(cdf_draw(cdf_rows(q.probs), uniforms[b * k + i]))
-                    w_star, w_sampled = offpolicy_token(kind, *row_values(p, q), expert,
-                                                        sampled)
-                    add_token_grad(acc, cid, expert, w_star / k, q)
-                    if w_sampled != 0.0:
-                        add_token_grad(acc, cid, sampled, w_sampled / k, q)
-        return cids, None
+    k = cfg.hpd_samples if kind.tag in HPD_VARIANTS else 0
 
-    return training._train_loop(cfg, teacher, student, None, minibatch)
+    def batches(student, pred, acc, rng):
+        while True:
+            cids = []
+            si = rng.integers(len(sequences), size=cfg.batch_size)
+            offsets = rng.integers(0, lengths[si])
+            uniforms = rng.random(cfg.batch_size * k)
+            for b in range(cfg.batch_size):
+                seq = sequences[int(si[b])]
+                t = int(offsets[b])
+                prefix, expert = seq[:t], seq[t]
+                cid = prefix_id(prefix, student.order, student.vocab)
+                p = source_row(teacher, prefix)
+                q = model_row(student, prefix)
+                cids.append(cid)
+                if kind.tag == "fkld_dense":
+                    acc.add_rows([cid], (p.probs - q.probs)[None])
+                elif kind.tag not in HPD_VARIANTS:
+                    w = offpolicy_token(kind, *row_values(p, q), expert)
+                    add_token_grad(acc, cid, expert, w, q)
+                else:
+                    for i in range(k):
+                        sampled = int(cdf_draw(cdf_rows(q.probs), uniforms[b * k + i]))
+                        w_star, w_sampled = offpolicy_token(kind, *row_values(p, q), expert,
+                                                            sampled)
+                        add_token_grad(acc, cid, expert, w_star / k, q)
+                        if w_sampled != 0.0:
+                            add_token_grad(acc, cid, sampled, w_sampled / k, q)
+            yield cids, None
+
+    return training._train_loop(cfg, teacher, student, None, batches)
 
 
 def row_values(p, q):
@@ -347,44 +349,45 @@ def reference_opd(cfg, teacher, student, prompts=None, draws=draws_batched):
     """distill_onpolicy_opd one rollout and one token at a time, one inverse-CDF draw each.
 
     Draws, rewards and accumulation follow the lockstep kernel's stated
-    order, so its checkpoints and metrics must match these byte for byte. The
-    minibatch returns one context id per sampled token, and each step divides
-    by their count.
+    order, so its checkpoints and metrics must match these byte for byte. Each
+    batch yields one context id per sampled token, and each step divides by
+    their count.
     """
     reward_mode = "per_token" if cfg.objective.tag == "rkld_on" else cfg.opd_reward_mode
     prompts = [list(p) for p in prompts] if prompts else [[]]
 
-    def minibatch(student, pred, acc, rng):
-        batch_rewards = []
-        cids, tokens, qs, coeffs = [], [], [], []  # one entry per sampled token
-        pick, u = draws(rng, len(prompts), cfg.batch_size, cfg.horizon)
-        for b in range(cfg.batch_size):
-            prompt = prompts[int(pick[b])]
-            seq = list(prompt)
-            rewards = []
-            for t in range(cfg.horizon):
-                q = model_row(student, seq)
-                a = int(cdf_draw(cdf_rows(q.probs), u[b, t]))
-                p = source_row(teacher, seq)
-                if p.probs[a] <= 0.0:
-                    ctx = pad_context(seq, student.order, student.vocab.bos_id)
-                    raise DivergenceInfiniteError(
-                        f"student sampled token {a} outside teacher support at {ctx}"
-                    )
-                r = float(p.logprobs[a] - q.logprobs[a])
-                cids.append(prefix_id(seq, student.order, student.vocab))
-                tokens.append(a)
-                qs.append(q.probs)
-                rewards.append(r)
-                seq.append(a)
-            if reward_mode == "trajectory":
-                coeffs.extend([sum(rewards)] * len(rewards))
-            else:
-                coeffs.extend(rewards)
-            batch_rewards.extend(rewards)
+    def batches(student, pred, acc, rng):
+        while True:
+            batch_rewards = []
+            cids, tokens, qs, coeffs = [], [], [], []  # one entry per sampled token
+            pick, u = draws(rng, len(prompts), cfg.batch_size, cfg.horizon)
+            for b in range(cfg.batch_size):
+                prompt = prompts[int(pick[b])]
+                seq = list(prompt)
+                rewards = []
+                for t in range(cfg.horizon):
+                    q = model_row(student, seq)
+                    a = int(cdf_draw(cdf_rows(q.probs), u[b, t]))
+                    p = source_row(teacher, seq)
+                    if p.probs[a] <= 0.0:
+                        ctx = pad_context(seq, student.order, student.vocab.bos_id)
+                        raise DivergenceInfiniteError(
+                            f"student sampled token {a} outside teacher support at {ctx}"
+                        )
+                    r = float(p.logprobs[a] - q.logprobs[a])
+                    cids.append(prefix_id(seq, student.order, student.vocab))
+                    tokens.append(a)
+                    qs.append(q.probs)
+                    rewards.append(r)
+                    seq.append(a)
+                if reward_mode == "trajectory":
+                    coeffs.extend([sum(rewards)] * len(rewards))
+                else:
+                    coeffs.extend(rewards)
+                batch_rewards.extend(rewards)
 
-        baseline = float(np.mean(batch_rewards)) if cfg.opd_baseline else 0.0
-        accumulate_token_grads(acc, cids, tokens, np.array(coeffs) - baseline, np.array(qs))
-        return cids, batch_rewards
+            baseline = float(np.mean(batch_rewards)) if cfg.opd_baseline else 0.0
+            accumulate_token_grads(acc, cids, tokens, np.array(coeffs) - baseline, np.array(qs))
+            yield cids, batch_rewards
 
-    return training._train_loop(cfg, teacher, student, None, minibatch)
+    return training._train_loop(cfg, teacher, student, None, batches)

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -258,6 +259,9 @@ class TestCommands:
         code, _, err = _run_capped(tmp_path, "distill", sets)
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1, err
+        if size.startswith("corpus.num_seqs"):
+            # the corpus's start contexts are one array, whose allocation names its size
+            assert re.search(r"\d [KMGTPE]?i?B\b", err), err
 
     def test_eval_mle_teacher_against_its_checkpoint_reads_zero(self, tmp_path,
                                                                 monkeypatch):
@@ -501,6 +505,18 @@ class TestCommands:
         ("sweep", ['sweep.objectives=["sft", "hpd"]', "sweep.seeds=[0, 1, 0]"],
          "sweep.seeds[2] 0 is already an earlier entry"),
         ("gen-source", ["sweep.seeds=[3, 3]"], "sweep.seeds[1] 3 is already an earlier entry"),
+        # numpy seeds a generator with a non-negative integer only
+        ("gen-corpus", ["seed=-5"], "seed must be >= 0, got -5"),
+        ("distill", ["seed=-5"], "seed must be >= 0, got -5"),
+        ("sweep", ['sweep.objectives=["sft"]', "sweep.seeds=[0]", "seed=-5"],
+         "seed must be >= 0, got -5"),
+        ("gen-source", ["source.name=random_dirichlet", "source.seed=-1"],
+         "source.seed must be >= 0, got -1"),
+        ("distill", ["source.seed=-1"], "source.seed must be >= 0, got -1"),
+        ("gradcheck", ["gradcheck.model_seed=-3"], "gradcheck.model_seed must be >= 0, got -3"),
+        ("sweep", ['sweep.objectives=["sft"]', "sweep.seeds=[0, -1]"],
+         "sweep.seeds[1] must be >= 0, got -1"),
+        ("eval", ["sweep.seeds=[-1]"], "sweep.seeds[0] must be >= 0, got -1"),
         # a gradient check of no tokens checks nothing
         ("gradcheck", ["gradcheck.n_tokens=-3"], "gradcheck.n_tokens must be >= 1, got -3"),
         ("gradcheck", ["gradcheck.n_tokens=0"], "gradcheck.n_tokens must be >= 1, got 0"),

@@ -56,6 +56,12 @@ class TestBuildSource:
         with pytest.raises(ConfigError):
             build_source({"name": "random_dirichlet"})
 
+    @pytest.mark.parametrize("seed", [-1, -7.0])
+    def test_random_dirichlet_negative_seed_is_a_config_error(self, seed):
+        # numpy seeds a generator with a non-negative integer only
+        with pytest.raises(ConfigError, match=r"^source\.seed must be >= 0, got -\d+$"):
+            build_source({"name": "random_dirichlet", "seed": seed})
+
     def test_random_dirichlet_deterministic(self):
         a = build_source({"name": "random_dirichlet", "seed": 3, "vocab_size": 4})
         b = build_source({"name": "random_dirichlet", "seed": 3, "vocab_size": 4})

@@ -118,6 +118,22 @@ class TestContextIds:
             list(pad_context(p, order, bos_id)) for p in prompts]
         assert prefix_ids([], order, vocab).shape == (0,)
 
+    @pytest.mark.parametrize("bos_id", [0, 2])
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    @pytest.mark.parametrize("length", [0, 1, 2, 4])
+    def test_an_array_of_prompts_is_its_list_of_rows(self, order, bos_id, length):
+        # every prompt one length, as an (n, length) array: (n, 0) holds n empty prompts
+        vocab = Vocab(names=("a", "b", "c"), bos_id=bos_id)
+        prompts = np.array(list(itertools.product(range(3), repeat=length)),
+                           dtype=np.int64).reshape(3**length, length)
+        rows = prompts.tolist()
+        assert pad_contexts(prompts, order, bos_id).tolist() == pad_contexts(
+            rows, order, bos_id).tolist()
+        assert prefix_ids(prompts, order, vocab).tolist() == prefix_ids(rows, order,
+                                                                        vocab).tolist()
+        assert prefix_ids(np.zeros((5, 0), dtype=np.int64), order, vocab).tolist() == [
+            prefix_id([], order, vocab)] * 5
+
     @pytest.mark.parametrize("bad", [3, -1, 2**70])
     def test_prefix_ids_name_the_first_bad_context_as_prefix_id_does(self, bad):
         # only the padded context is read: a bad id before it is ignored

@@ -178,6 +178,10 @@ class TestTrainConfig:
         for eval_len in (0, -1):
             with pytest.raises(ConfigError):
                 TrainConfig(objective=kind, steps=1, seed=0, eval_len=eval_len)
+        # numpy seeds a generator with a non-negative integer only
+        for seed in (-1, -5, -2**63):
+            with pytest.raises(ConfigError, match=f"^seed must be >= 0, got {seed}$"):
+                TrainConfig(objective=kind, steps=1, seed=seed)
 
 
 class TestMetricsRow:
@@ -833,7 +837,7 @@ class TestBatchMean:
 
 class TestTrainLoop:
     def test_train_entropy_is_the_mean_over_the_batch_rows(self):
-        # the student's rows at the batch's context ids as the minibatch saw them,
+        # the student's rows at the batch's context ids as the batch saw them,
         # before the step moves them; a floor logit makes an exact zero
         teacher = build_source({"name": "uniform", "vocab_size": 2})
         student = TabularLM(order=2, vocab=Vocab.default(2))
@@ -841,14 +845,15 @@ class TestTrainLoop:
         student.set_row((1, 0), np.log([0.25, 0.75]))
         ids, seen = np.array([2, 0, 1, 2]), []
 
-        def minibatch(student, pred, acc, rng):
-            q = pred.rows(ids)
-            seen.append(float(np.mean([entropy(q.rows(j)) for j in range(ids.size)])))
-            acc.add_rows(ids, np.tile([1.0, -1.0], (ids.size, 1)))
-            return ids, None
+        def batches(student, pred, acc, rng):
+            while True:
+                q = pred.rows(ids)
+                seen.append(float(np.mean([entropy(q.rows(j)) for j in range(ids.size)])))
+                acc.add_rows(ids, np.tile([1.0, -1.0], (ids.size, 1)))
+                yield ids, None
 
         cfg = small_cfg("sft", steps=4, eval_every=2)
-        _, rows = training._train_loop(cfg, teacher, student, None, minibatch)
+        _, rows = training._train_loop(cfg, teacher, student, None, batches)
         assert [(r.step, r.train_entropy, r.mean_reward) for r in rows] == [
             (2, seen[1], None), (4, seen[3], None)]
         assert len(set(seen)) == 4  # every step moved the rows
@@ -886,14 +891,27 @@ class TestTrainLoop:
         monkeypatch.setattr(training.PredictiveTable, "refresh",
                             lambda self, ids: refreshed.append(ids))
 
-        def minibatch(student, pred, acc, rng):
+        def batches(student, pred, acc, rng):
             acc.add_rows([1], [[1e308, -1e308]])
-            return np.array([1]), None
+            yield np.array([1]), None
 
         with pytest.raises(NumericOverflowError, match=r"context \(1,\)"), \
                 np.errstate(over="ignore"):
-            training._train_loop(small_cfg("sft", lr=10.0), teacher, student, None, minibatch)
+            training._train_loop(small_cfg("sft", lr=10.0), teacher, student, None, batches)
         assert refreshed == [] and not student.touched.any()
+
+    def test_batches_that_end_early_raise(self):
+        # the loop pulls exactly cfg.steps batches: two for a run of three raise
+        teacher = build_source({"name": "uniform", "vocab_size": 2})
+        student = TabularLM(order=1, vocab=Vocab.default(2))
+
+        def batches(student, pred, acc, rng):
+            for _ in range(2):
+                acc.add_rows([1], [[1.0, -1.0]])
+                yield np.array([1]), None
+
+        with pytest.raises(StopIteration):
+            training._train_loop(small_cfg("sft", steps=3), teacher, student, None, batches)
 
 
 READING_SOURCE = {"name": "random_dirichlet", "seed": 4, "vocab_size": 4,
