@@ -36,15 +36,7 @@ from .evaluation import CompletionTasks, EvalPlan, gradcheck, make_completion_ta
 from .model import MAX_TABLE_ENTRIES, TabularLM, Vocab, checkpoint_load, checkpoint_save
 from .numerics import CategoricalDist, entropy, softmax, softmax_rows
 from .objectives import ALL_TAGS, ObjectiveKind
-from .training import (
-    Stage,
-    TrainConfig,
-    distill_offpolicy,
-    distill_onpolicy_opd,
-    metrics_write,
-    run_experiment,
-    train_teacher_mle,
-)
+from .training import Stage, TrainConfig, metrics_write, run_experiment, train_teacher_mle
 
 CONFIG_FORMAT_VERSION = 1
 
@@ -292,9 +284,12 @@ class _Inputs:
         c = self.cfg.get("corpus", {})
         if "corpus_path" in self.cfg or c.get("regime", "ground_truth") == "ground_truth":
             return self.ground_truth
-        prompts = [[] for _ in range(self.num_seqs)]  # the teacher_generated regime
+        # the teacher_generated regime. The teacher's fit samples the num_seqs-sequence
+        # ground truth, about length times the memory of the empty prompts, so an
+        # unallocatable num_seqs fails there first, with numpy's sized error
+        teacher = self.teacher_model
         return data_mod.generate_seqkd_corpus(
-            self.teacher_model, prompts, self.length, self._rng,
+            teacher, [[]] * self.num_seqs, self.length, self._rng,
             temperature=config_field(c, "corpus.temperature", float, 1.0),
             seed=self.cfg["seed"],
         )
@@ -399,40 +394,32 @@ def cmd_train_teacher(cfg: dict) -> int:
 
 def _run_single(cfg: dict, on_policy: bool, csv_name="metrics.csv",
                 ckpt_name="student.json") -> int:
+    """One run_experiment call, then every file of the run: a run without stages is one
+    unnamed stage, whose metrics go to csv_name; a named stage's go to metrics_<name>.csv."""
     out = _outdir(cfg)
     # a stage names or inherits its objective, so a staged run needs no train.objective
+    staged = "stages" in cfg
     stages = [
         Stage(name=_stage_name(i, st),
               cfg=_train_config(cfg, {k: v for k, v in st.items() if k != "name"}))
         for i, st in enumerate(cfg["stages"])
-    ] if "stages" in cfg else None
-    tc = None if stages else _train_config(cfg)
+    ] if staged else [Stage(name=None, cfg=_train_config(cfg))]
     inputs = _Inputs(cfg)
     teacher = inputs.teacher
     student = _get_student(cfg, inputs.source)
     tasks = _get_tasks(cfg, inputs.source)
-
-    if stages:
-        corpus = inputs.corpus if any(
-            not s.cfg.objective.on_policy for s in stages) else None
-        student, _rows = run_experiment(stages, teacher, student, corpus=corpus,
-                                        eval_tasks=tasks, out_dir=out, meta=_meta(cfg))
-        checkpoint_save(student, os.path.join(out, ckpt_name), header_extra=_meta(cfg))
-        print(f"ran {len(stages)} stages -> {out}")
-        return 0
-
-    if on_policy or tc.objective.on_policy:
-        if not tc.objective.on_policy:
-            raise ConfigError(
-                f"'opd' needs an on-policy objective, got {tc.objective.tag!r}")
-        student, rows = distill_onpolicy_opd(tc, teacher, student, eval_tasks=tasks)
-    else:
-        student, rows = distill_offpolicy(tc, teacher, inputs.corpus, student,
-                                          eval_tasks=tasks)
+    kind = stages[0].cfg.objective
+    if on_policy and not staged and not kind.on_policy:
+        raise ConfigError(f"'opd' needs an on-policy objective, got {kind.tag!r}")
+    corpus = inputs.corpus if any(not s.cfg.objective.on_policy for s in stages) else None
+    student, rows = run_experiment(stages, teacher, student, corpus=corpus, eval_tasks=tasks)
     meta = _meta(cfg)
-    metrics_write(rows, os.path.join(out, csv_name), meta=meta)
+    for name, stage_rows in rows.items():
+        path = os.path.join(out, csv_name if name is None else f"metrics_{name}.csv")
+        metrics_write(stage_rows, path, meta=meta if name is None else dict(meta, stage=name))
     checkpoint_save(student, os.path.join(out, ckpt_name), header_extra=meta)
-    print(f"wrote {os.path.join(out, csv_name)}")
+    print(f"ran {len(stages)} stages -> {out}" if staged
+          else f"wrote {os.path.join(out, csv_name)}")
     return 0
 
 

@@ -11,14 +11,13 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Corpus, MarkovSource
 from .errors import ConfigError, DivergenceInfiniteError, InvalidInputError, PipelineError
-from .evaluation import CompletionTasks, EvalPlan, check_pair
+from .evaluation import CompletionTasks, EvalPlan
 from .model import (
     GradAccumulator,
     TabularLM,
@@ -126,6 +125,8 @@ class TrainConfig:
             raise ConfigError(f"unknown eval_from {self.eval_from!r}")
         if self.hpd_samples < 1:
             raise ConfigError("hpd_samples must be >= 1")
+        if self.horizon < 1:
+            raise ConfigError("horizon must be >= 1")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
@@ -212,8 +213,9 @@ def _train_loop(cfg: TrainConfig, teacher: MarkovSource, student: TabularLM, eva
     step is lr times the batch mean: sgd_step divides the accumulated
     directions by len(ids), whatever the weights. The mean entropy of pred's
     rows at those ids is computed, before the step, only for a metrics row.
-    Evaluation is planned before step 1 (EvalPlan, CompletionTasks), so
-    invalid tasks raise then; each reading reads pred and the student's logits.
+    Evaluation is planned before step 1 (EvalPlan, CompletionTasks), so a
+    teacher and student that differ in vocabulary size or BOS id, and invalid
+    tasks, raise then; each reading reads pred and the student's logits.
     """
     plan = EvalPlan(teacher, student, cfg.eval_len, cfg.eval_from)
     tasks = CompletionTasks(eval_tasks, student) if eval_tasks else None
@@ -318,7 +320,6 @@ def distill_offpolicy(
     offsets = _offsets(corpus, v)
     if not lengths.all():
         raise InvalidInputError(f"corpus sequence {int(np.argmin(lengths))} is empty")
-    check_pair(teacher, student)
     p_table = teacher.table
     s_ids = context_ids(tokens, offsets, student.order, student.vocab.bos_id, v)
     t_ids = context_ids(tokens, offsets, teacher.order, teacher.vocab.bos_id, v)
@@ -398,15 +399,12 @@ def distill_onpolicy_opd(
     if not kind.on_policy:
         raise ConfigError(f"objective {kind.tag!r} is off-policy; use distill_offpolicy")
     reward_mode = "per_token" if kind.tag == "rkld_on" else cfg.opd_reward_mode
-    if cfg.horizon < 1:
-        raise ConfigError("horizon must be >= 1")
     prompts = [list(p) for p in prompts] if prompts else [[]]
     v, k = student.vocab.size, student.order
     for tok in itertools.chain.from_iterable(prompts):
         if not 0 <= tok < v:
             raise InvalidInputError(f"prompt token id {tok} is out of range for the "
                                     f"student's vocabulary of {v}")
-    check_pair(teacher, student)
     p_table = teacher.table
     # one walk at the larger order carries both models' contexts: the student's
     # and the teacher's ids are the last k and m tokens of the walk's ids
@@ -470,7 +468,9 @@ def metrics_write(rows, path, meta: dict | None = None) -> None:
 
 @dataclass(frozen=True)
 class Stage:
-    name: str
+    """One stage of a run: its name (None for a run of one stage) and its config."""
+
+    name: str | None
     cfg: TrainConfig
 
 
@@ -479,36 +479,30 @@ def run_experiment(
     teacher: MarkovSource,
     student: TabularLM,
     corpus: Corpus | None = None,
-    prompts=None,
     eval_tasks=None,
-    out_dir=None,
-    meta: dict | None = None,
-) -> tuple[TabularLM, dict[str, list[MetricsRow]]]:
-    """Run stages sequentially, threading the student; one CSV per stage.
+) -> tuple[TabularLM, dict[str | None, list[MetricsRow]]]:
+    """Run stages in turn, each training the student the one before left; writes no file.
 
-    Step numbering is continuous across stages.
+    Each stage runs the loop its objective picks: distill_onpolicy_opd for an
+    on-policy objective, else distill_offpolicy on corpus. Every stage is
+    checked before the first one runs: an off-policy stage with no corpus is a
+    PipelineError. Step numbering is continuous across stages. Returns the
+    student and each stage's metrics rows under its name.
     """
     if not stages:
         raise PipelineError("experiment needs at least one stage")
-    all_rows: dict[str, list[MetricsRow]] = {}
+    for stage in stages:
+        if corpus is None and not stage.cfg.objective.on_policy:
+            raise PipelineError(f"stage {stage.name!r} needs a corpus")
+    all_rows: dict[str | None, list[MetricsRow]] = {}
     offset = 0
     for stage in stages:
         cfg = stage.cfg
         if cfg.objective.on_policy:
-            student, rows = distill_onpolicy_opd(cfg, teacher, student,
-                                                 prompts=prompts, eval_tasks=eval_tasks)
+            student, rows = distill_onpolicy_opd(cfg, teacher, student, eval_tasks=eval_tasks)
         else:
-            if corpus is None:
-                raise PipelineError(f"stage {stage.name!r} needs a corpus")
             student, rows = distill_offpolicy(cfg, teacher, corpus, student,
                                               eval_tasks=eval_tasks)
-        rows = [dataclasses.replace(r, step=r.step + offset) for r in rows]
+        all_rows[stage.name] = [dataclasses.replace(r, step=r.step + offset) for r in rows]
         offset += cfg.steps
-        all_rows[stage.name] = rows
-        if out_dir is not None:
-            os.makedirs(out_dir, exist_ok=True)
-            stage_meta = dict(meta or {})
-            stage_meta["stage"] = stage.name
-            metrics_write(rows, os.path.join(out_dir, f"metrics_{stage.name}.csv"),
-                          meta=stage_meta)
     return student, all_rows

@@ -251,16 +251,19 @@ class TestCommands:
 
     @pytest.mark.parametrize("size", ["train.batch_size=1000000000",
                                       "corpus.num_seqs=1000000000",
+                                      "corpus.num_seqs=1000000000 corpus.regime=teacher_generated",
                                       "tasks.num_tasks=1000000000"])
     def test_unallocatable_size_is_a_user_error(self, tmp_path, size):
         # each size needs from 7 GiB to hundreds of GiB at once, which the cap refuses
         sets = ["seed=0", "source.name=bimodal_gap", "train.objective=hpd", 'out_dir="out"',
-                size]
+                *size.split()]
         code, _, err = _run_capped(tmp_path, "distill", sets)
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1, err
         if size.startswith("corpus.num_seqs"):
-            # the corpus's start contexts are one array, whose allocation names its size
+            # the corpus's start contexts are one array, whose allocation names its size;
+            # in the teacher_generated regime the teacher's fit samples that ground
+            # truth before any prompt exists, so the same allocation fails first
             assert re.search(r"\d [KMGTPE]?i?B\b", err), err
 
     def test_eval_mle_teacher_against_its_checkpoint_reads_zero(self, tmp_path,
@@ -550,6 +553,28 @@ class TestCommands:
         assert main(["distill", "--config", write_config(tmp_path / "c.json", cfg)]) == 0
         for name in ("metrics_warm.csv", "metrics_polish.csv", "student.json"):
             assert (tmp_path / "out" / name).exists()
+
+    def test_failed_stage_writes_no_metrics(self, tmp_path, monkeypatch, capsys):
+        # the polish stage samples off the cycle's one-hot rows; every metrics file is
+        # written once the last stage completes, so the warmup's is not written either
+        monkeypatch.chdir(tmp_path)
+        cfg = dict(BASE, out_dir="out", source={"name": "deterministic_cycle"})
+        cfg["stages"] = [{"name": "warm", "objective": "sft", "steps": 10},
+                         {"name": "polish", "objective": "opd_k1", "steps": 5, "horizon": 4}]
+        assert main(["distill", "--config", write_config(tmp_path / "c.json", cfg)]) == 2
+        assert "outside teacher support" in capsys.readouterr().err
+        assert not list((tmp_path / "out").glob("metrics_*.csv"))
+
+    def test_bad_later_stage_fails_before_the_first_runs(self, tmp_path, monkeypatch, capsys):
+        # every stage's config is checked before any stage trains
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(distill_lab.training, "_train_loop", None)
+        cfg = dict(BASE, out_dir="out")
+        cfg["stages"] = [{"name": "warm", "objective": "sft", "steps": 10},
+                         {"name": "polish", "objective": "opd_k1", "steps": 5, "horizon": 0}]
+        assert main(["distill", "--config", write_config(tmp_path / "c.json", cfg)]) == 2
+        assert capsys.readouterr().err == "error: horizon must be >= 1\n"
+        assert not list((tmp_path / "out").glob("metrics_*.csv"))
 
     def test_user_error_exits_two_as_a_process(self, tmp_path):
         src = Path(distill_lab.__file__).resolve().parents[1]

@@ -178,6 +178,11 @@ class TestTrainConfig:
         for eval_len in (0, -1):
             with pytest.raises(ConfigError):
                 TrainConfig(objective=kind, steps=1, seed=0, eval_len=eval_len)
+        # an off-policy config's horizon is checked too, so every stage's config is
+        # whole before the first stage runs
+        for horizon in (0, -1):
+            with pytest.raises(ConfigError, match="^horizon must be >= 1$"):
+                TrainConfig(objective=kind, steps=1, seed=0, horizon=horizon)
         # numpy seeds a generator with a non-negative integer only
         for seed in (-1, -5, -2**63):
             with pytest.raises(ConfigError, match=f"^seed must be >= 0, got {seed}$"):
@@ -1033,18 +1038,16 @@ class TestRunExperiment:
         assert ([r.to_csv_line() for r in all_rows["only"]]
                 == [r.to_csv_line() for r in direct_rows])
 
-    def test_two_stage_continuous_step_numbering(self, tmp_path):
+    def test_two_stage_continuous_step_numbering(self):
         teacher, corpus, student = self._setup()
         stages = [
             Stage("warm", small_cfg("sft", steps=20, eval_every=10)),
             Stage("polish", small_cfg("opd_k1", steps=20, eval_every=10, horizon=4)),
         ]
-        _, all_rows = run_experiment(stages, teacher, student, corpus=corpus,
-                                     out_dir=tmp_path, meta={"seed": 0})
+        _, all_rows = run_experiment(stages, teacher, student, corpus=corpus)
+        assert list(all_rows) == ["warm", "polish"]
         assert [r.step for r in all_rows["warm"]] == [10, 20]
         assert [r.step for r in all_rows["polish"]] == [30, 40]
-        assert (tmp_path / "metrics_warm.csv").exists()
-        assert (tmp_path / "metrics_polish.csv").exists()
 
     def test_same_seed_identical_outputs(self):
         teacher, corpus, student = self._setup()
@@ -1055,9 +1058,14 @@ class TestRunExperiment:
         assert ([r.to_csv_line() for r in r1["a"]]
                 == [r.to_csv_line() for r in r2["a"]])
 
-    def test_missing_corpus_for_offpolicy_stage(self):
+    def test_missing_corpus_for_offpolicy_stage(self, monkeypatch):
         teacher, _, student = self._setup()
         from distill_lab.errors import PipelineError
 
         with pytest.raises(PipelineError):
             run_experiment([Stage("x", small_cfg("sft"))], teacher, student)
+        # every stage is checked before any runs: the on-policy first stage never trains
+        monkeypatch.setattr(training, "_train_loop", None)
+        stages = [Stage("polish", small_cfg("opd_k1", horizon=4)), Stage("x", small_cfg("sft"))]
+        with pytest.raises(PipelineError, match="stage 'x' needs a corpus"):
+            run_experiment(stages, teacher, student)
