@@ -329,6 +329,14 @@ def check_token_support(q_at: np.ndarray, ids, tokens, order: int, vocab_size: i
         raise LogOfZeroError(f"q[{tokens[j]}] = 0 at context {ctx}")
 
 
+@cache
+def _row_starts(m: int, vocab_size: int) -> np.ndarray:
+    """j * V for j < m, read-only: where row j of m flattened V-wide rows starts."""
+    starts = np.arange(0, m * vocab_size, vocab_size)
+    starts.setflags(write=False)
+    return starts
+
+
 def add_token_grads(acc: GradAccumulator, ids: np.ndarray, tokens: np.ndarray,
                     weights: np.ndarray, q: np.ndarray, index=None) -> GradAccumulator:
     """accumulate_token_grads without its checks: the unchecked gradient kernel.
@@ -343,7 +351,7 @@ def add_token_grads(acc: GradAccumulator, ids: np.ndarray, tokens: np.ndarray,
     m, v = q.shape
     direction = -weights[:, None] * q
     # the one-hot term: entry (j, tokens[j]) is element j * V + tokens[j] of the flat rows
-    direction.reshape(-1)[np.arange(0, m * v, v) + tokens] += weights
+    direction.reshape(-1)[_row_starts(m, v) + tokens] += weights
     if np.count_nonzero(weights) < m:
         keep = weights != 0.0
         ids, direction = ids[keep], direction[keep]

@@ -8,8 +8,8 @@ reads every divergence from it.
 Values are validated where they enter: `softmax`, `CategoricalDist.from_probs`
 and `from_rows` check their input and their result. `softmax_rows` is the
 unchecked softmax kernel (max-shift, exp, divide, zero the entries below
-ZERO_TOL in place, log with log 0 = -inf); `softmax` runs the same
-normalisation, checks it, then zeroes into a new array and takes a masked
+ZERO_TOL in place if a row has any, log with log 0 = -inf); `softmax` runs
+the same normalisation, checks it, then zeroes into a new array and takes a masked
 log that writes -inf at the zeros. np.log(0.0) is -inf and the log of a
 positive entry is the same either way, so a checked and an unchecked result
 are bit for bit equal. The kernel serves logits the program wrote itself:
@@ -108,16 +108,19 @@ def _zeroed_log(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def softmax_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(probs, logprobs) of softmax(z), unchecked: z must be a finite float64 1-d or 2-d array.
 
-    The arrays are new and writable. The normalisation is softmax's own; the
-    tiny entries are zeroed in place on its new array and the log is taken
-    unmasked, since np.log(0.0) is the -inf that softmax's masked log writes.
-    So both are bit for bit softmax(z).probs and .logprobs; only softmax's
-    checks of z and of the normalised rows are skipped.
+    The arrays are new and writable. The normalisation is softmax's own. When
+    an entry is below ZERO_TOL, the tiny entries are zeroed in place on its new
+    array and the log is taken unmasked, since np.log(0.0) is the -inf that
+    softmax's masked log writes; otherwise there is nothing to zero and no
+    log of 0. So both are bit for bit softmax(z).probs and .logprobs; only
+    softmax's checks of z and of the normalised rows are skipped.
     """
     p = _normalized(z)
-    p[p < ZERO_TOL] = 0.0
-    with np.errstate(divide="ignore"):
-        return p, np.log(p)
+    if p.min() < ZERO_TOL:
+        p[p < ZERO_TOL] = 0.0
+        with np.errstate(divide="ignore"):
+            return p, np.log(p)
+    return p, np.log(p)
 
 
 def softmax(logits) -> CategoricalDist:

@@ -95,23 +95,25 @@ def token_weights(kind: ObjectiveKind, p, lp, q, lq, tokens):
 def _hpd(variant: str, p, k1, tokens):
     """HPD's (w_star, w_sampled) from p and rkld_off's k1 at (expert, sampled) pairs.
 
-    The forward weight p* + k1 is masked to k1 when k1 < 0 (k1 <= 0 for
-    "hpd_no_sample", which ignores the sampled token), and doubled to 2p* + k1
-    when k1 > 0 and the sampled token, not the expert, is suppressed (k1' < 0);
-    the suppressed token takes weight k1'. "hpd_no_reinforce" drops the doubling.
+    The forward weight is k1* + r p*. r is 1, or 0 when k1 < 0 (k1 <= 0 for
+    "hpd_no_sample", which ignores the sampled token), or 2 when k1 > 0 and
+    the sampled token, not the expert, is suppressed (k1' < 0); the
+    suppressed token takes weight k1'. "hpd_no_reinforce" drops the doubling.
     """
-    k1_star, k1_sampled, p_star = k1[..., 0], k1[..., 1], p[..., 0]
+    k1_star, k1_sampled = k1[..., 0], k1[..., 1]
     w = np.empty_like(k1)
     if variant == "hpd_no_sample":
-        w[..., 0] = np.where(k1_star <= 0.0, k1_star, p_star + k1_star)
+        r = (k1_star > 0.0).view(np.int8)
         w[..., 1] = 0.0
-        return w
-    suppressed = (tokens[..., 1] != tokens[..., 0]) & (k1_sampled < 0.0)
-    w0 = np.where(k1_star < 0.0, k1_star, p_star + k1_star)
-    if variant == "hpd":
-        w0 = np.where(suppressed & (k1_star > 0.0), 2.0 * p_star + k1_star, w0)
-    w[..., 0] = w0
-    w[..., 1] = np.where(suppressed, k1_sampled, 0.0)
+    else:
+        suppressed = (tokens[..., 1] != tokens[..., 0]) & (k1_sampled < 0.0)
+        r = (k1_star >= 0.0).view(np.int8)
+        if variant == "hpd":
+            r += suppressed & (k1_star > 0.0)
+        w[..., 1] = np.where(suppressed, k1_sampled, 0.0)
+    # k1* - (-r) p* is k1* + r p* bit for bit; at r = 0 it subtracts +0.0, which
+    # keeps a k1* of -0.0 where adding +0.0 would not
+    w[..., 0] = k1_star - p[..., 0] * -r
     return w
 
 
@@ -121,7 +123,10 @@ def _check_positive(tokens, *checks) -> None:
     Each check is (values, message template), values in tokens' shape, tried at
     one token in the given order; when all are positive, one min each decides.
     """
-    if all(values.min() > 0.0 for values, _ in checks):
+    for values, _ in checks:
+        if not values.min() > 0.0:
+            break
+    else:
         return
     zero = np.stack([values <= 0.0 for values, _ in checks], axis=-1).ravel()
     if zero.any():

@@ -328,6 +328,9 @@ def distill_offpolicy(
     dense, hpd = tag == "fkld_dense", tag in HPD_VARIANTS
     # no rule of these reads q or ln q, so the loop checks q[expert] > 0 itself
     unchecked = tag in ("sft", "seqkd", "fkld_token")
+    # the rules that read p, and of those the ones that read ln p
+    reads_p = tag not in ("sft", "seqkd")
+    reads_lp = reads_p and tag not in ("fkld_token", "jsd_off")
     k, cols = (cfg.hpd_samples, 2) if hpd else (1, 1)
     # each draw updates the expert token, then the sampled one
     draw = np.repeat(np.arange(n), k)
@@ -344,35 +347,37 @@ def distill_offpolicy(
             # one row per draw; at k = 1 a draw is its position
             at = pos[:, draw]
             ids, rows, t_rows = s_ids[pos], s_ids[at], t_ids[at]
-            tok = np.zeros(at.shape + (cols,), dtype=np.intp)
-            tok[..., 0] = tokens[at]
-            # each token's context id, in tok's row-major order
+            # each token's context id, in the row-major order of a step's tokens
             flat = np.repeat(ids, k * cols, axis=1)
             index = acc.scatter_index(flat)
+            if dense:
+                # sum over v of p_v * (onehot(v) - q) collapses to p - q
+                for batch, step_rows, step_index in zip(ids, t_rows, index):
+                    acc.add_rows(batch, p_table.probs.take(step_rows, axis=0)
+                                 - pred.probs.take(batch, axis=0), step_index)
+                    yield batch, None
+                continue
+            tok = np.zeros(at.shape + (cols,), dtype=np.intp)
+            tok[..., 0] = tokens[at]
             # every token as a flat index into the student's and the teacher's table;
             # HPD's sampled column holds the row base until its token is drawn
             s_at, t_at = rows[..., None] * v + tok, t_rows[..., None] * v + tok
-            for s in range(len(pos)):
-                batch = ids[s]
-                if dense:
-                    # sum over v of p_v * (onehot(v) - q) collapses to p - q
-                    acc.add_rows(batch, p_table.probs.take(t_rows[s], axis=0)
-                                 - pred.probs.take(batch, axis=0), index[s])
-                    yield batch, None
-                    continue
-                step_tok, step_flat, s_flat, t_flat = tok[s], flat[s], s_at[s], t_at[s]
+            for batch, step_rows, step_tok, step_flat, s_flat, t_flat, step_index, u in zip(
+                    ids, rows, tok, flat, s_at, t_at, index,
+                    uniforms if hpd else itertools.repeat(None)):
                 if hpd:
-                    drawn = cdf_draw(pred.cdf.take(rows[s], axis=0), uniforms[s])
+                    drawn = cdf_draw(pred.cdf.take(step_rows, axis=0), u)
                     step_tok[:, 1] = drawn
                     s_flat[:, 1] += drawn
                     t_flat[:, 1] += drawn
                 q = pred.probs.take(s_flat)
                 if unchecked:
                     check_token_support(q.ravel(), step_flat, step_tok.ravel(), student.order, v)
-                w = token_weights(kind, p_table.probs.take(t_flat), p_table.logprobs.take(t_flat),
+                w = token_weights(kind, p_table.probs.take(t_flat) if reads_p else None,
+                                  p_table.logprobs.take(t_flat) if reads_lp else None,
                                   q, None if unchecked else pred.logprobs.take(s_flat), step_tok)
                 add_token_grads(acc, step_flat, step_tok.ravel(), (w if k == 1 else w / k).ravel(),
-                                pred.probs.take(step_flat, axis=0), index[s])
+                                pred.probs.take(step_flat, axis=0), step_index)
                 yield batch, None
 
     return _train_loop(cfg, teacher, student, eval_tasks, batches)

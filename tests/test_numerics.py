@@ -195,6 +195,23 @@ class TestSoftmaxRows:
         assert same_bytes(probs, softmax(z).probs)
         assert same_bytes(logprobs, softmax(z).logprobs)
 
+    @pytest.mark.parametrize("tiny", [False, True])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_either_path_is_softmax_without_a_warning(self, tiny, seed):
+        # rows with no entry below ZERO_TOL skip the zeroing and the errstate;
+        # a row with one zeroes it and logs 0 to -inf, in 1-d and 2-d batches
+        rng = np.random.default_rng(seed)
+        z = rng.normal(scale=3.0, size=(int(rng.integers(1, 6)), 5))
+        if tiny:
+            z[rng.integers(len(z)), rng.integers(5)] = LOGIT_FLOOR
+        for batch in (z, z[0]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                probs, logprobs = softmax_rows(batch)
+            d = softmax(batch)
+            assert same_bytes(probs, d.probs) and same_bytes(logprobs, d.logprobs)
+            assert (probs.min() == 0.0) == (batch == LOGIT_FLOOR).any()
+
     def test_arrays_are_new_and_writable(self):
         z = np.zeros((2, 3))
         probs, logprobs = softmax_rows(z)

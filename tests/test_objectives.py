@@ -14,6 +14,7 @@ from distill_lab.objectives import (
     HPD_VARIANTS,
     OFF_POLICY_TAGS,
     ObjectiveKind,
+    _hpd,
     token_weights,
 )
 from distill_lab.training import TrainConfig, distill_offpolicy
@@ -283,6 +284,63 @@ class TestHpdDraws:
             alone = np.array([hpd(p.rows(b), q.rows(b), int(expert[b]), int(sampled[j]),
                                   variant) for j, b in enumerate(draw)])
             assert batch.tobytes() == alone.tobytes()
+
+
+def hpd_where(variant, p, k1, tokens):
+    """HPD's rule as three np.wheres: the masked forward weight, its doubling and the
+    suppressed token's weight."""
+    k1_star, k1_sampled, p_star = k1[..., 0], k1[..., 1], p[..., 0]
+    w = np.empty_like(k1)
+    if variant == "hpd_no_sample":
+        w[..., 0] = np.where(k1_star <= 0.0, k1_star, p_star + k1_star)
+        w[..., 1] = 0.0
+        return w
+    suppressed = (tokens[..., 1] != tokens[..., 0]) & (k1_sampled < 0.0)
+    w0 = np.where(k1_star < 0.0, k1_star, p_star + k1_star)
+    if variant == "hpd":
+        w0 = np.where(suppressed & (k1_star > 0.0), 2.0 * p_star + k1_star, w0)
+    w[..., 0] = w0
+    w[..., 1] = np.where(suppressed, k1_sampled, 0.0)
+    return w
+
+
+class TestHpdRule:
+    """The weight k1* + r p*, r in {0, 1, 2}, is the np.where rule bit for bit."""
+
+    @pytest.mark.parametrize("variant", HPD_VARIANTS)
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_pairs(self, variant, seed):
+        rng = np.random.default_rng(seed)
+        shape = (int(rng.integers(1, 40)), 2)
+        p = rng.random(shape) + 1e-3
+        k1 = rng.normal(size=shape)
+        # k1 = 0 and k1 = -0.0 in either column, and tokens that often coincide
+        k1[rng.random(shape) < 0.15] = 0.0
+        k1[rng.random(shape) < 0.15] = -0.0
+        tokens = rng.integers(0, 3, size=shape)
+        got = _hpd(variant, p, k1, tokens)
+        assert got.tobytes() == hpd_where(variant, p, k1, tokens).tobytes()
+
+    # expert and sampled k1 at each sign and zero, for a sampled token that is or
+    # is not the expert: every branch of the rule and its boundaries
+    K1 = [-0.3, -0.0, 0.0, 0.2]
+
+    @pytest.mark.parametrize("variant", HPD_VARIANTS)
+    def test_boundaries(self, variant):
+        pairs = [(a, b, y) for a in self.K1 for b in self.K1 for y in (0, 1)]
+        k1 = np.array([[a, b] for a, b, _ in pairs])
+        tokens = np.array([[0, y] for _, _, y in pairs])
+        p = np.full(k1.shape, 0.25)
+        got = _hpd(variant, p, k1, tokens)
+        assert got.tobytes() == hpd_where(variant, p, k1, tokens).tobytes()
+        # a k1* of -0.0 below the threshold keeps its sign
+        below = (k1[:, 0] == 0.0) & np.signbit(k1[:, 0])
+        if variant == "hpd_no_sample":
+            assert np.signbit(got[below, 0]).all()
+        # suppressed tokens, and only those, take k1'
+        suppressed = (tokens[:, 1] != 0) & (k1[:, 1] < 0.0)
+        assert np.array_equal(got[:, 1] != 0.0, suppressed if variant != "hpd_no_sample"
+                              else np.zeros_like(suppressed))
 
 
 OFF_POLICY_KINDS = [ObjectiveKind(tag) for tag in OFF_POLICY_TAGS] + [
