@@ -242,11 +242,13 @@ def _echo_effective(cfg: dict, out: str, command: str) -> None:
 
 
 class _Inputs:
-    """A command's source, corpora and teacher; each is built at most once, on first use.
+    """A command's source, corpora, teacher and completion tasks; each is built at most
+    once, on first use.
 
     The ground truth is the corpus_path file, or else the corpus that gen-corpus
     samples in the ground_truth regime. The MLE teacher is fitted on it, and the
-    teacher_generated regime samples from that teacher.
+    teacher_generated regime samples from that teacher. None of them reads the
+    train section, so the cells of one sweep seed share one _Inputs.
     """
 
     def __init__(self, cfg: dict):
@@ -302,26 +304,27 @@ class _Inputs:
             return data_mod.MarkovSource("mle_fit", m.order, m.vocab, softmax(m.table))
         return self.source
 
+    @cached_property
+    def tasks(self):
+        """The source's completion tasks, drawn from a generator of seed + 2; None
+        without a tasks section."""
+        t = self.cfg.get("tasks")
+        if t is None:
+            return None
+        return make_completion_tasks(
+            self.source,
+            num_tasks=config_field(t, "tasks.num_tasks", int, 200),
+            cont_len=config_field(t, "tasks.cont_len", int, 2),
+            rng=np.random.default_rng(self.cfg["seed"] + 2),
+            min_conf=config_field(t, "tasks.min_conf", float, 0.9),
+        )
+
 
 def _get_student(cfg: dict, source) -> TabularLM:
     if "init_checkpoint" in cfg:
         return checkpoint_load(cfg["init_checkpoint"])
     order = config_field(cfg, "student_order", int, 1)
     return TabularLM(order=order, vocab=Vocab.default(source.vocab.size))
-
-
-def _get_tasks(cfg: dict, source):
-    t = cfg.get("tasks")
-    if t is None:
-        return None
-    rng = np.random.default_rng(cfg["seed"] + 2)
-    return make_completion_tasks(
-        source,
-        num_tasks=config_field(t, "tasks.num_tasks", int, 200),
-        cont_len=config_field(t, "tasks.cont_len", int, 2),
-        rng=rng,
-        min_conf=config_field(t, "tasks.min_conf", float, 0.9),
-    )
 
 
 def _train_config(cfg: dict, overrides: dict | None = None) -> TrainConfig:
@@ -393,9 +396,13 @@ def cmd_train_teacher(cfg: dict) -> int:
 
 
 def _run_single(cfg: dict, on_policy: bool, csv_name="metrics.csv",
-                ckpt_name="student.json") -> int:
+                ckpt_name="student.json", inputs: _Inputs | None = None) -> int:
     """One run_experiment call, then every file of the run: a run without stages is one
-    unnamed stage, whose metrics go to csv_name; a named stage's go to metrics_<name>.csv."""
+    unnamed stage, whose metrics go to csv_name; a named stage's go to metrics_<name>.csv.
+
+    With on_policy ('opd'), every stage's objective must be on-policy. inputs,
+    when given, are cfg's own, built by the caller.
+    """
     out = _outdir(cfg)
     # a stage names or inherits its objective, so a staged run needs no train.objective
     staged = "stages" in cfg
@@ -404,13 +411,17 @@ def _run_single(cfg: dict, on_policy: bool, csv_name="metrics.csv",
               cfg=_train_config(cfg, {k: v for k, v in st.items() if k != "name"}))
         for i, st in enumerate(cfg["stages"])
     ] if staged else [Stage(name=None, cfg=_train_config(cfg))]
-    inputs = _Inputs(cfg)
+    if on_policy:
+        for stage in stages:
+            kind = stage.cfg.objective
+            if not kind.on_policy:
+                where = "" if stage.name is None else f" in stage {stage.name!r}"
+                raise ConfigError(f"'opd' needs an on-policy objective, got {kind.tag!r}{where}")
+    if inputs is None:
+        inputs = _Inputs(cfg)
     teacher = inputs.teacher
     student = _get_student(cfg, inputs.source)
-    tasks = _get_tasks(cfg, inputs.source)
-    kind = stages[0].cfg.objective
-    if on_policy and not staged and not kind.on_policy:
-        raise ConfigError(f"'opd' needs an on-policy objective, got {kind.tag!r}")
+    tasks = inputs.tasks
     corpus = inputs.corpus if any(not s.cfg.objective.on_policy for s in stages) else None
     student, rows = run_experiment(stages, teacher, student, corpus=corpus, eval_tasks=tasks)
     meta = _meta(cfg)
@@ -440,7 +451,7 @@ def cmd_eval(cfg: dict) -> int:
     inputs = _Inputs(cfg)
     teacher = inputs.teacher
     student = _get_student(cfg, inputs.source)
-    tasks = _get_tasks(cfg, inputs.source)
+    tasks = inputs.tasks
     plan = EvalPlan(teacher, student, ev["eval_len"], ev["eval_from"])
     # the student's predictive table: its own logits, which every table writer keeps finite
     probs, logprobs = softmax_rows(student.table)
@@ -491,13 +502,15 @@ def cmd_sweep(cfg: dict) -> int:
     if not sw or "objectives" not in sw or "seeds" not in sw:
         raise ConfigError("sweep needs 'sweep.objectives' and 'sweep.seeds'")
     objectives, seeds = sw["objectives"], sw["seeds"]
-    for tag in objectives:
-        for seed in seeds:
-            cell = {k: v for k, v in cfg.items() if k not in ("sweep", "stages")}
-            cell["seed"] = seed
-            cell["train"] = dict(cfg.get("train", {}), objective=tag)
+    # seed by seed: a seed's cells share its source, corpus, teacher and tasks
+    for seed in seeds:
+        cfg_seed = {k: v for k, v in cfg.items() if k not in ("sweep", "stages")}
+        cfg_seed["seed"] = seed
+        inputs = _Inputs(cfg_seed)
+        for tag in objectives:
+            cell = dict(cfg_seed, train=dict(cfg.get("train", {}), objective=tag))
             _run_single(cell, on_policy=False, csv_name=f"metrics_{tag}_seed{seed}.csv",
-                        ckpt_name=f"student_{tag}_seed{seed}.json")
+                        ckpt_name=f"student_{tag}_seed{seed}.json", inputs=inputs)
     print(f"wrote {len(objectives) * len(seeds)} metrics files under {out}")
     return 0
 

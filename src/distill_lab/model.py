@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -329,7 +329,7 @@ def check_token_support(q_at: np.ndarray, ids, tokens, order: int, vocab_size: i
         raise LogOfZeroError(f"q[{tokens[j]}] = 0 at context {ctx}")
 
 
-@cache
+@lru_cache(maxsize=16)  # a run steps with one batch shape; bounded, as m comes from callers
 def _row_starts(m: int, vocab_size: int) -> np.ndarray:
     """j * V for j < m, read-only: where row j of m flattened V-wide rows starts."""
     starts = np.arange(0, m * vocab_size, vocab_size)

@@ -255,35 +255,26 @@ def _train_loop(cfg: TrainConfig, teacher: MarkovSource, student: TabularLM, eva
     return student, rows
 
 
-def draw_positions(rng, steps: int, n: int, starts: np.ndarray, lengths: np.ndarray,
-                   equal: bool, k: int = 0) -> tuple[np.ndarray, np.ndarray | None]:
-    """steps off-policy steps' (steps, n) corpus positions and, for k > 0, (steps, n * k)
-    uniforms, drawn from rng as step after step draws them.
+def draw_positions(rng, steps: int, n: int, starts: np.ndarray,
+                   lengths: np.ndarray, equal: bool) -> np.ndarray:
+    """steps off-policy steps' (steps, n) corpus positions, drawn from rng as step
+    after step draws them.
 
-    A step draws its n sequences si with integers(n_seqs, size=n), their offsets
-    with integers(0, lengths[si]), then HPD's n * k uniforms with random(n * k);
-    a position is starts[si] + offset. Generator.integers with an array of bounds
-    draws what consecutive calls with those bounds draw, and leaves the generator
-    where they leave it. So on a corpus of equal lengths (equal) a step's two
-    integer calls are one, and with no uniforms between them, so are all steps'.
+    A step draws its n sequences si with integers(n_seqs, size=n), then their
+    offsets with integers(0, lengths[si]); a position is starts[si] + offset.
+    Generator.integers with an array of bounds draws what consecutive calls
+    with those bounds draw, and leaves the generator where they leave it. So
+    on a corpus of equal lengths (equal) all steps' integers are one call.
     """
     if equal:
-        bounds = np.repeat([lengths.size, lengths[0]], n)
-        if not k:
-            si, off = rng.integers(0, np.tile(bounds, steps)).reshape(steps, 2, n).swapaxes(0, 1)
-            return starts[si] + off, None
+        bounds = np.tile(np.repeat([lengths.size, lengths[0]], n), steps)
+        si, off = rng.integers(0, bounds).reshape(steps, 2, n).swapaxes(0, 1)
+        return starts[si] + off
     pos = np.empty((steps, n), dtype=np.intp)
-    uniforms = np.empty((steps, n * k)) if k else None
     for s in range(steps):
-        if equal:
-            si, off = rng.integers(0, bounds).reshape(2, n)
-        else:
-            si = rng.integers(lengths.size, size=n)
-            off = rng.integers(0, lengths[si])
-        pos[s] = starts[si] + off
-        if k:
-            uniforms[s] = rng.random(n * k)
-    return pos, uniforms
+        si = rng.integers(lengths.size, size=n)
+        pos[s] = starts[si] + rng.integers(0, lengths[si])
+    return pos
 
 
 def distill_offpolicy(
@@ -296,17 +287,21 @@ def distill_offpolicy(
     """Minibatch reweighted-likelihood distillation on a fixed corpus.
 
     The corpus's context ids are computed once per call. Steps are planned a
-    block at a time (at most PLAN_ENTRIES entries): the block's positions and
-    HPD uniforms are drawn as step after step would draw them, and its
-    student ids, tokens, the tokens' flat indices into the student's and the
-    teacher's table and the scatter index are gathered at once. A step's
-    tokens are an (n * k, cols) array, row b * k + i for draw i of position b
-    (k = hpd_samples for HPD, else 1): column 0 is the expert and, for HPD
-    (cols = 2), column 1 a token drawn from q's cached CDF rows, which the
-    step adds to its flat indices. The step gathers p, ln p, q (and ln q, for
-    the rules that read it) at those tokens, makes one token_weights call and
-    one ordered accumulate through the unchecked kernel add_token_grads.
-    fkld_dense adds its summed direction p - q instead.
+    block at a time (at most PLAN_ENTRIES entries): the block's positions are
+    drawn from the run's generator as step after step would draw them, and
+    its student ids, tokens, the tokens' flat indices into the student's and
+    the teacher's table and the scatter index are gathered at once. HPD's
+    n * k uniforms a step come from a second generator, seeded with
+    SeedSequence(seed).spawn(1)[0], one random((steps, n * k)) call a block;
+    so every tag draws the same positions from the same seed, and no output
+    depends on the block size. A step's tokens are an (n * k, cols) array,
+    row b * k + i for draw i of position b (k = hpd_samples for HPD, else 1):
+    column 0 is the expert and, for HPD (cols = 2), column 1 a token drawn
+    from q's cached CDF rows, which the step adds to its flat indices. The
+    step gathers q, and p, ln p and ln q for the rules that read them, at
+    those tokens, makes one token_weights call and one ordered accumulate
+    through the unchecked kernel add_token_grads. fkld_dense adds its summed
+    direction p - q instead.
     """
     kind = cfg.objective
     if kind.on_policy:
@@ -341,9 +336,11 @@ def distill_offpolicy(
         # the kernel rests on checks made where its values entered: _offsets
         # range-checks the expert tokens, cdf_draw's tokens are < V with q > 0,
         # and every rule that takes a log checks q at its tokens
+        if hpd:
+            u_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
         for first in range(0, cfg.steps, per_block):
-            pos, uniforms = draw_positions(rng, min(per_block, cfg.steps - first), n, starts,
-                                           lengths, equal, k if hpd else 0)
+            steps = min(per_block, cfg.steps - first)
+            pos = draw_positions(rng, steps, n, starts, lengths, equal)
             # one row per draw; at k = 1 a draw is its position
             at = pos[:, draw]
             ids, rows, t_rows = s_ids[pos], s_ids[at], t_ids[at]
@@ -362,9 +359,10 @@ def distill_offpolicy(
             # every token as a flat index into the student's and the teacher's table;
             # HPD's sampled column holds the row base until its token is drawn
             s_at, t_at = rows[..., None] * v + tok, t_rows[..., None] * v + tok
+            # row s holds step s's n * k uniforms, entry b * k + i for draw i of position b
+            uniforms = u_rng.random((steps, n * k)) if hpd else itertools.repeat(None)
             for batch, step_rows, step_tok, step_flat, s_flat, t_flat, step_index, u in zip(
-                    ids, rows, tok, flat, s_at, t_at, index,
-                    uniforms if hpd else itertools.repeat(None)):
+                    ids, rows, tok, flat, s_at, t_at, index, uniforms):
                 if hpd:
                     drawn = cdf_draw(pred.cdf.take(step_rows, axis=0), u)
                     step_tok[:, 1] = drawn

@@ -164,7 +164,8 @@ def reference_offpolicy(cfg, teacher, corpus, student):
     Positions, HPD draws and accumulation follow the batched kernel's stated
     order, so its checkpoints and metrics must match these byte for byte. Each
     batch yields one context id per position drawn, and each step divides by
-    their count.
+    their count. The run's generator draws the positions; HPD's uniforms come
+    from a second generator, spawned from the seed, batch_size * k a step.
     """
     kind = cfg.objective
     sequences = corpus.sequences
@@ -173,11 +174,12 @@ def reference_offpolicy(cfg, teacher, corpus, student):
     k = cfg.hpd_samples if kind.tag in HPD_VARIANTS else 0
 
     def batches(student, pred, acc, rng):
+        u_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
         while True:
             cids = []
             si = rng.integers(len(sequences), size=cfg.batch_size)
             offsets = rng.integers(0, lengths[si])
-            uniforms = rng.random(cfg.batch_size * k)
+            uniforms = u_rng.random(cfg.batch_size * k)
             for b in range(cfg.batch_size):
                 seq = sequences[int(si[b])]
                 t = int(offsets[b])

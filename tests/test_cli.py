@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import distill_lab
+from distill_lab import cli as cli_mod
 from distill_lab.cli import apply_overrides, build_parser, config_hash, main, validate_config
 from distill_lab.errors import ConfigError, config_field
 from distill_lab.data import build_source, corpus_write, sample_corpus, source_save
@@ -191,6 +192,20 @@ class TestCommands:
         assert main(["opd", "--config", path]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("order", [("warm", "polish"), ("polish", "warm")])
+    def test_opd_checks_every_stage_before_the_first_runs(self, tmp_path, monkeypatch, capsys,
+                                                          order):
+        # an off-policy stage, first or last, is refused before any stage trains
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli_mod, "run_experiment", None)
+        stages = {"warm": {"name": "warm", "objective": "hpd", "steps": 20},
+                  "polish": {"name": "polish", "objective": "opd_k1", "steps": 20, "horizon": 4}}
+        cfg = dict(BASE, out_dir="out", stages=[stages[name] for name in order])
+        assert main(["opd", "--config", write_config(tmp_path / "c.json", cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "error: 'opd' needs an on-policy objective, got 'hpd' in stage 'warm'\n")
+        assert not list((tmp_path / "out").glob("metrics*"))
+
     def test_opd_runs(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         cfg = dict(BASE, out_dir="out")
@@ -342,6 +357,25 @@ class TestCommands:
         assert len(csvs) == 25
         for f in csvs:
             assert f.read_text().splitlines()[1] == METRICS_HEADER
+
+    @pytest.mark.parametrize("mode", ["oracle_source", "mle_fit"])
+    def test_sweep_samples_one_corpus_per_seed(self, tmp_path, monkeypatch, mode):
+        # the cells of a seed share its ground truth, MLE teacher and tasks
+        monkeypatch.chdir(tmp_path)
+        calls = []
+        for module, name in ((cli_mod.data_mod, "sample_corpus"), (cli_mod, "train_teacher_mle"),
+                             (cli_mod, "make_completion_tasks")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, real=real, name=name, **kw:
+                                calls.append(name) or real(*a, **kw))
+        cfg = dict(BASE, out_dir="out", teacher={"mode": mode}, tasks={"num_tasks": 5})
+        cfg["train"] = dict(BASE["train"], steps=5, eval_every=5)
+        cfg["sweep"] = {"objectives": ["sft", "rkld_off", "hpd"], "seeds": [0, 1]}
+        assert main(["sweep", "--config", write_config(tmp_path / "c.json", cfg)]) == 0
+        assert len(list((tmp_path / "out").glob("metrics_*_seed*.csv"))) == 6
+        once = ["sample_corpus", "make_completion_tasks"]
+        once += ["train_teacher_mle"] if mode == "mle_fit" else []
+        assert sorted(calls) == sorted(once * 2)
 
     def test_sweep_with_a_repeated_cell_writes_nothing(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

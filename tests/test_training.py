@@ -486,17 +486,16 @@ def _equal_length_corpus():
                           seed=3, vocab_size=6)
 
 
-def _per_step_draws(seed, steps, n, lengths, k):
-    """Step after step's own draws from a new generator: every step's positions and
-    n * k uniforms, and the generator after the last step."""
+def _per_step_draws(seed, steps, n, lengths):
+    """Step after step's own positions from a new generator, and the generator after
+    the last step."""
     rng = np.random.default_rng(seed)
     starts = np.cumsum(lengths) - lengths
-    pos, uniforms = [], []
+    pos = []
     for _ in range(steps):
         si = rng.integers(lengths.size, size=n)
         pos.append(starts[si] + rng.integers(0, lengths[si]))
-        uniforms.append(rng.random(n * k))
-    return np.array(pos), np.array(uniforms), rng.bit_generator.state
+    return np.array(pos), rng.bit_generator.state
 
 
 def _five_steps_a_block(monkeypatch, tag, n, k, v=6):
@@ -533,22 +532,18 @@ class TestPlannedDraws:
         draw_positions = training.draw_positions
 
         def spy(rng, steps, *args):
-            pos, uniforms = draw_positions(rng, steps, *args)
-            drawn.append((rng, steps, pos, uniforms))
-            return pos, uniforms
+            pos = draw_positions(rng, steps, *args)
+            drawn.append((rng, steps, pos))
+            return pos
 
         monkeypatch.setattr(training, "draw_positions", spy)
         cfg = small_cfg(tag, steps=23, seed=4, batch_size=n, hpd_samples=k)
         distill_offpolicy(cfg, teacher, corpus, TabularLM(order=1, vocab=Vocab.default(6)))
         # four full blocks and a partial one
-        assert [steps for _, steps, _, _ in drawn] == [5, 5, 5, 5, 3]
-        hpd = tag.startswith("hpd")
-        pos, uniforms, state = _per_step_draws(4, 23, n, corpus.lengths, k if hpd else 0)
+        assert [steps for _, steps, _ in drawn] == [5, 5, 5, 5, 3]
+        # every tag, HPD's included, draws only positions from the run's generator
+        pos, state = _per_step_draws(4, 23, n, corpus.lengths)
         assert np.array_equal(np.concatenate([d[2] for d in drawn]), pos)
-        if hpd:
-            assert np.array_equal(np.concatenate([d[3] for d in drawn]), uniforms)
-        else:
-            assert all(d[3] is None for d in drawn)
         assert drawn[-1][0].bit_generator.state == state
 
     @pytest.mark.parametrize("tag, k", [(tag, 1) for tag in OFF_POLICY_TAGS]
@@ -564,6 +559,49 @@ class TestPlannedDraws:
             outputs.append(((tmp_path / "model.json").read_bytes(),
                             [r.to_csv_line() for r in rows]))
         assert outputs[0] == outputs[1]
+
+
+def _run_bytes(tmp_path, cfg, teacher, corpus, order=1):
+    """The checkpoint bytes and metrics lines of one distill_offpolicy run."""
+    model, rows = distill_offpolicy(cfg, teacher, corpus,
+                                    TabularLM(order=order, vocab=Vocab.default(6)))
+    checkpoint_save(model, tmp_path / "model.json")
+    return (tmp_path / "model.json").read_bytes(), [r.to_csv_line() for r in rows]
+
+
+class TestHpdStream:
+    """HPD's positions are every tag's; its uniforms come from a generator of their own."""
+
+    @pytest.mark.parametrize("variant", ["hpd", "hpd_no_sample", "hpd_no_reinforce"])
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("equal", [True, False])
+    def test_bytes_do_not_depend_on_the_block_size(self, tmp_path, monkeypatch, variant, k,
+                                                   equal):
+        teacher, corpus = _equal_length_corpus() if equal else _variable_length_corpus()
+        cfg = small_cfg(variant, steps=23, seed=6, batch_size=7, hpd_samples=k, eval_every=5)
+        default = _run_bytes(tmp_path, cfg, teacher, corpus, order=2)
+        # 97 entries hold less than one step: every step is a block of its own
+        monkeypatch.setattr(training, "PLAN_ENTRIES", 97)
+        assert _run_bytes(tmp_path, cfg, teacher, corpus, order=2) == default
+
+    @pytest.mark.parametrize("equal", [True, False])
+    def test_hpd_and_sft_draw_the_same_positions(self, monkeypatch, equal):
+        teacher, corpus = _equal_length_corpus() if equal else _variable_length_corpus()
+        drawn = {}
+        draw_positions = training.draw_positions
+        for tag, k in (("sft", 1), ("hpd", 3)):
+            blocks = drawn[tag] = []
+
+            def spy(rng, steps, *args, blocks=blocks):
+                blocks.append(pos := draw_positions(rng, steps, *args))
+                return pos
+
+            monkeypatch.setattr(training, "draw_positions", spy)
+            distill_offpolicy(small_cfg(tag, steps=40, seed=9, hpd_samples=k), teacher, corpus,
+                              TabularLM(order=1, vocab=Vocab.default(6)))
+        pos = {tag: np.concatenate(blocks) for tag, blocks in drawn.items()}
+        assert pos["sft"].shape == (40, 8)
+        assert np.array_equal(pos["sft"], pos["hpd"])
 
 
 class TestDistillOnpolicyOPD:
