@@ -395,15 +395,17 @@ def cmd_train_teacher(cfg: dict) -> int:
     return 0
 
 
-def _run_single(cfg: dict, on_policy: bool, csv_name="metrics.csv",
+def _run_single(cfg: dict, command: str | None = None, csv_name="metrics.csv",
                 ckpt_name="student.json", inputs: _Inputs | None = None) -> int:
     """One run_experiment call, then every file of the run: a run without stages is one
     unnamed stage, whose metrics go to csv_name; a named stage's go to metrics_<name>.csv.
 
-    With on_policy ('opd'), every stage's objective must be on-policy. inputs,
-    when given, are cfg's own, built by the caller.
+    command ('distill' or 'opd') names the effective config the run echoes; with
+    'opd', every stage's objective must be on-policy. A sweep's cell passes no
+    command. inputs, when given, are cfg's own, built by the caller. The out
+    dir is made only once the stages and the inputs are built, so a config
+    error they raise leaves no file.
     """
-    out = _outdir(cfg)
     # a stage names or inherits its objective, so a staged run needs no train.objective
     staged = "stages" in cfg
     stages = [
@@ -411,7 +413,7 @@ def _run_single(cfg: dict, on_policy: bool, csv_name="metrics.csv",
               cfg=_train_config(cfg, {k: v for k, v in st.items() if k != "name"}))
         for i, st in enumerate(cfg["stages"])
     ] if staged else [Stage(name=None, cfg=_train_config(cfg))]
-    if on_policy:
+    if command == "opd":
         for stage in stages:
             kind = stage.cfg.objective
             if not kind.on_policy:
@@ -419,6 +421,9 @@ def _run_single(cfg: dict, on_policy: bool, csv_name="metrics.csv",
                 raise ConfigError(f"'opd' needs an on-policy objective, got {kind.tag!r}{where}")
     if inputs is None:
         inputs = _Inputs(cfg)
+    out = _outdir(cfg)
+    if command is not None:
+        _echo_effective(cfg, out, command)
     teacher = inputs.teacher
     student = _get_student(cfg, inputs.source)
     tasks = inputs.tasks
@@ -435,13 +440,11 @@ def _run_single(cfg: dict, on_policy: bool, csv_name="metrics.csv",
 
 
 def cmd_distill(cfg: dict) -> int:
-    _echo_effective(cfg, _outdir(cfg), "distill")
-    return _run_single(cfg, on_policy=False)
+    return _run_single(cfg, "distill")
 
 
 def cmd_opd(cfg: dict) -> int:
-    _echo_effective(cfg, _outdir(cfg), "opd")
-    return _run_single(cfg, on_policy=True)
+    return _run_single(cfg, "opd")
 
 
 def cmd_eval(cfg: dict) -> int:
@@ -509,7 +512,7 @@ def cmd_sweep(cfg: dict) -> int:
         inputs = _Inputs(cfg_seed)
         for tag in objectives:
             cell = dict(cfg_seed, train=dict(cfg.get("train", {}), objective=tag))
-            _run_single(cell, on_policy=False, csv_name=f"metrics_{tag}_seed{seed}.csv",
+            _run_single(cell, csv_name=f"metrics_{tag}_seed{seed}.csv",
                         ckpt_name=f"student_{tag}_seed{seed}.json", inputs=inputs)
     print(f"wrote {len(objectives) * len(seeds)} metrics files under {out}")
     return 0

@@ -265,8 +265,9 @@ class GradAccumulator:
     def clear(self) -> None:
         self._clear_rows(np.flatnonzero(self.touched))
 
-    def _clear_rows(self, ids: np.ndarray) -> None:
-        """clear, given ids: every row touched since the last clear."""
+    def _clear_rows(self, ids) -> None:
+        """clear, given ids (or rows_at's slice of them): every row touched since the last
+        clear."""
         self.directions[ids] = -0.0
         self.touched[ids] = False
 
@@ -360,6 +361,18 @@ def add_token_grads(acc: GradAccumulator, ids: np.ndarray, tokens: np.ndarray,
     return acc
 
 
+def rows_at(ids: np.ndarray, n: int) -> np.ndarray | slice:
+    """How to index the rows ids of an n-row table: slice(None) when they are every
+    row, else ids itself.
+
+    ids must be distinct row ids, so ids.size == n only when they are all n
+    rows. A slice then reads and writes the same rows with the same arithmetic
+    as the row gather and scatter of ids, only without integer-array indexing,
+    so every value it leaves is bit for bit the same.
+    """
+    return slice(None) if ids.size == n else ids
+
+
 def sgd_step(model: TabularLM, acc: GradAccumulator, lr: float, n: int) -> np.ndarray:
     """Move every touched logit row by lr / n * its summed descent direction; clears acc.
 
@@ -376,15 +389,19 @@ def sgd_step(model: TabularLM, acc: GradAccumulator, lr: float, n: int) -> np.nd
     if acc.directions.shape != model.table.shape:
         raise InvalidInputError("accumulator and model tables differ in shape")
     ids = acc.touched.nonzero()[0]
+    at = rows_at(ids, len(model.table))
     if ids.size:
-        rows = model.table.take(ids, axis=0) + lr / n * acc.directions.take(ids, axis=0)
+        if at is ids:
+            rows = model.table.take(ids, axis=0) + lr / n * acc.directions.take(ids, axis=0)
+        else:
+            rows = model.table + lr / n * acc.directions
         if not np.isfinite(rows).all():
             first = np.argmin(np.isfinite(rows).all(axis=1))
             ctx = context_key(ids[first], model.order, model.vocab.size)
             raise NumericOverflowError(f"non-finite logits at context {ctx}")
-        model.table[ids] = rows
-        model.touched[ids] = True
-    acc._clear_rows(ids)
+        model.table[at] = rows
+        model.touched[at] = True
+    acc._clear_rows(at)
     return ids
 
 

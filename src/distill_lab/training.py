@@ -27,6 +27,7 @@ from .model import (
     context_ids,
     context_key,
     prefix_ids,
+    rows_at,
     sgd_step,
     suffix_ids,
     table_rows,
@@ -175,11 +176,11 @@ class PredictiveTable:
     probs and logprobs are numerics.softmax_rows(student.table), bit for bit
     softmax(student.table) without its checks; cdf holds each row's
     numerics.cdf_rows when the objective samples from the student, else None.
-    refresh(ids) recomputes the rows an SGD step moved the same way, so every
-    row stays bit for bit the softmax of its logit row. Neither checks the
-    logits: they are the student's own, and every writer of a TabularLM table
-    rejects a non-finite logit (sgd_step raises NumericOverflowError before it
-    writes one).
+    refresh(ids) recomputes the rows an SGD step moved (distinct ids; every row
+    by rows_at's slice) the same way, so every row stays bit for bit the
+    softmax of its logit row. Neither checks the logits: they are the
+    student's own, and every writer of a TabularLM table rejects a non-finite
+    logit (sgd_step raises NumericOverflowError before it writes one).
     """
 
     def __init__(self, student: TabularLM, with_cdf: bool):
@@ -192,11 +193,13 @@ class PredictiveTable:
         """The student's predictive batch at the context ids: row j for ids[j]."""
         return CategoricalDist(probs=self.probs[ids], logprobs=self.logprobs[ids])
 
-    def refresh(self, ids) -> None:
-        probs, logprobs = softmax_rows(self.student.table.take(ids, axis=0))
-        self.probs[ids], self.logprobs[ids] = probs, logprobs
+    def refresh(self, ids: np.ndarray) -> None:
+        at = rows_at(ids, len(self.probs))
+        table = self.student.table
+        probs, logprobs = softmax_rows(table.take(ids, axis=0) if at is ids else table)
+        self.probs[at], self.logprobs[at] = probs, logprobs
         if self.cdf is not None:
-            self.cdf[ids] = cdf_rows(probs)
+            self.cdf[at] = cdf_rows(probs)
 
 
 def _train_loop(cfg: TrainConfig, teacher: MarkovSource, student: TabularLM, eval_tasks,

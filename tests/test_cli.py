@@ -206,6 +206,22 @@ class TestCommands:
             "error: 'opd' needs an on-policy objective, got 'hpd' in stage 'warm'\n")
         assert not list((tmp_path / "out").glob("metrics*"))
 
+    @pytest.mark.parametrize("command, sets, needle", [
+        ("opd", ['stages=[{"name": "warm", "objective": "hpd", "steps": 20}, '
+                 '{"name": "polish", "objective": "opd_k1", "steps": 20, "horizon": 4}]'],
+         "'opd' needs an on-policy objective, got 'hpd' in stage 'warm'"),
+        ("distill", ["train.steps=0"], "steps must be >= 1"),
+        ("distill", ["source.name=nope"], "nope"),
+    ])
+    def test_refused_run_writes_no_file(self, tmp_path, monkeypatch, capsys, command, sets,
+                                        needle):
+        # the stages, their configs and the inputs are built before the out dir is made
+        monkeypatch.chdir(tmp_path)
+        path = write_config(tmp_path / "c.json", dict(BASE, out_dir="out"))
+        assert main([command, "--config", path, *(x for s in sets for x in ("--set", s))]) == 2
+        assert needle in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_opd_runs(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         cfg = dict(BASE, out_dir="out")

@@ -556,6 +556,60 @@ class TestDenseStepMatchesDictReference:
             sgd_step(uniform_model(v=2), GradAccumulator(2, 2), 0.5, 1)
 
 
+def _every_row_touched(order, v, seed):
+    """A model with random rows at some contexts, and an accumulator with a direction
+    (the first one all -0.0) added to every row, some rows twice."""
+    rng = np.random.default_rng(seed)
+    m = TabularLM(order=order, vocab=Vocab.default(v))
+    n = len(m.table)
+    for cid in rng.permutation(n)[: n // 2]:
+        m.set_row(context_key(cid, order, v), rng.normal(size=v))
+    ids = np.concatenate([rng.permutation(n), rng.integers(n, size=n)])
+    d = rng.normal(size=(ids.size, v)) * (rng.random((ids.size, v)) < 0.8)
+    d[0] = -0.0
+    acc = GradAccumulator(order, v)
+    acc.add_rows(ids, d)
+    return m, acc, ids, d
+
+
+class TestWholeTableStep:
+    # a step whose accumulator touched every row indexes the tables by slice
+    # (rows_at); the row-gather path is the reference for what it leaves
+
+    @pytest.mark.parametrize("order, v", [(1, 4), (2, 3)])
+    def test_matches_reference_and_gather_path(self, monkeypatch, order, v):
+        m, acc, ids, d = _every_row_touched(order, v, seed=order)
+        ref_rows = {context_key(cid, order, v): m.table[cid].copy()
+                    for cid in np.flatnonzero(m.touched)}
+        ref_acc = DictAccumulator()
+        ref_acc.add_rows([context_key(cid, order, v) for cid in ids], d)
+        m2, acc2 = m.copy(), GradAccumulator(order, v)
+        acc2.add_rows(ids, d)
+        moved = sgd_step(m, acc, 1.7, 9)
+        reference_sgd_step(ref_rows, ref_acc, 1.7, 9)
+        monkeypatch.setattr(model, "rows_at", lambda ids, n: ids)  # the row-gather path
+        assert sgd_step(m2, acc2, 1.7, 9).tolist() == moved.tolist()
+        assert moved.dtype == np.intp and moved.tolist() == list(range(len(m.table)))
+        assert m.table.tobytes() == model_from_rows(order, v, ref_rows).table.tobytes()
+        assert m.table.tobytes() == m2.table.tobytes()
+        for got, want in ((m.touched, m2.touched), (acc.touched, acc2.touched),
+                          (acc.directions, acc2.directions)):
+            assert got.tobytes() == want.tobytes()
+        assert m.touched.all() and not acc.touched.any()
+
+    def test_overflow_leaves_model_and_accumulator_as_they_were(self):
+        m, acc, _, _ = _every_row_touched(1, 3, seed=5)
+        acc.add_rows([2], [[1e308, 0.0, 0.0]])
+        acc.add_rows([1], [[-1e308, 0.0, 0.0]])
+        before = [a.copy() for a in (m.table, m.touched, acc.directions, acc.touched)]
+        assert acc.touched.all()
+        with pytest.raises(NumericOverflowError, match=r"context \(1,\)"), \
+                np.errstate(over="ignore"):
+            sgd_step(m, acc, 1e10, 2)
+        for got, want in zip((m.table, m.touched, acc.directions, acc.touched), before):
+            assert got.tobytes() == want.tobytes()
+
+
 class TestCheckpoint:
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(2)

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from distill_lab import model as model_mod
 from distill_lab import training
 from distill_lab.data import Corpus, build_source, sample_corpus, generate_seqkd_corpus
 from distill_lab.cli import _Inputs
@@ -16,7 +17,15 @@ from distill_lab.errors import (
     LogOfZeroError,
     NumericOverflowError,
 )
-from distill_lab.model import TabularLM, Vocab, checkpoint_save, pad_context, prefix_id
+from distill_lab.model import (
+    GradAccumulator,
+    TabularLM,
+    Vocab,
+    checkpoint_save,
+    pad_context,
+    prefix_id,
+    sgd_step,
+)
 from distill_lab.numerics import CategoricalDist, cdf_draw, cdf_rows, entropy, softmax
 from distill_lab.objectives import OFF_POLICY_TAGS, ObjectiveKind
 from distill_lab.training import (
@@ -927,6 +936,21 @@ class TestTrainLoop:
             distill_onpolicy_opd(cfg, source, student)
         assert seen == [(True, True, True)] * cfg.steps
 
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_whole_table_refresh_is_a_fresh_table(self, order):
+        # refresh(every id) writes by slice: what it leaves is a new PredictiveTable's
+        # bytes, floor logits' exact zeros and -inf logs included
+        student = TabularLM(order=order, vocab=Vocab.default(3))
+        student.set_row((1,) * order, [0.0, training.LOGIT_FLOOR, 2.0])
+        pred = training.PredictiveTable(student, with_cdf=True)
+        acc = GradAccumulator(order, 3)
+        rng = np.random.default_rng(order)
+        acc.add_rows(np.arange(len(student.table)), rng.normal(size=student.table.shape))
+        pred.refresh(sgd_step(student, acc, 0.9, 4))
+        fresh = training.PredictiveTable(student, with_cdf=True)
+        for name in ("probs", "logprobs", "cdf"):
+            assert getattr(pred, name).tobytes() == getattr(fresh, name).tobytes()
+
     def test_overflowing_step_raises_before_any_refresh(self, monkeypatch):
         teacher = build_source({"name": "uniform", "vocab_size": 2})
         student = TabularLM(order=1, vocab=Vocab.default(2))
@@ -973,6 +997,56 @@ def _reading_setup(teacher_kind, teacher_order):
     # greedy continuations of the uniform start hit; the rest mostly miss
     tasks += [([], [0]), ([1, 2], [0, 0])]
     return teacher, corpus, tasks
+
+
+class TestWholeTableSteps:
+    # a step that moves every row of the student indexes its tables by slice
+    # (model.rows_at); the row-gather path must leave every output byte the same
+
+    @staticmethod
+    def _both_paths(tmp_path, monkeypatch, run):
+        """Checkpoint bytes and CSV lines of run() as is, then on the row-gather path,
+        and how many sgd_step and refresh calls of the first run took the slice."""
+        rows_at, whole = model_mod.rows_at, []
+
+        def spy(ids, n):
+            whole.append(ids.size == n)
+            return rows_at(ids, n)
+
+        outputs = []
+        for patch in (spy, lambda ids, n: ids):
+            for mod in (model_mod, training):
+                monkeypatch.setattr(mod, "rows_at", patch)
+            student, rows = run()
+            path = tmp_path / "student.json"
+            checkpoint_save(student, path)
+            outputs.append((path.read_bytes(), [r.to_csv_line() for r in rows]))
+        return outputs, sum(whole)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("tag", OFF_POLICY_TAGS)
+    def test_offpolicy_matches_the_gather_path(self, tmp_path, monkeypatch, tag, order):
+        # batches of 32 positions touch all 6 rows of an order-1 student in most steps,
+        # and never all 36 of an order-2 one
+        teacher, corpus = _variable_length_corpus()
+        student = TabularLM(order=order, vocab=Vocab.default(corpus.vocab_size))
+        cfg = small_cfg(tag, steps=12, batch_size=32, eval_every=4, eval_len=6)
+        outputs, whole = self._both_paths(
+            tmp_path, monkeypatch, lambda: distill_offpolicy(cfg, teacher, corpus, student))
+        assert outputs[0] == outputs[1]
+        assert (whole > 0) == (order == 1)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("mode", ["per_token", "trajectory"])
+    def test_opd_matches_the_gather_path(self, tmp_path, monkeypatch, mode, order):
+        teacher = _opd_teacher("oracle")
+        student = TabularLM(order=order, vocab=Vocab.default(teacher.vocab.size))
+        cfg = small_cfg("opd_k1", steps=8, batch_size=6, horizon=5, eval_every=3,
+                        eval_len=5, opd_reward_mode=mode)
+        outputs, whole = self._both_paths(
+            tmp_path, monkeypatch, lambda: distill_onpolicy_opd(cfg, teacher, student))
+        assert outputs[0] == outputs[1]
+        assert (whole > 0) == (order == 1)
 
 
 class TestPlannedReadings:
