@@ -2,9 +2,10 @@
 
 Commands: gen-source, gen-corpus, train-teacher, distill, opd, eval,
 gradcheck, sweep. Every command takes a JSON config (--config) plus
-optional dotted-key overrides (--set train.lr=0.5). Overrides win; the
-effective config is echoed to a sidecar file, and every output file
-embeds {format_version, config_hash, seed}.
+optional dotted-key overrides (--set train.lr=0.5). Overrides win, and every
+output file embeds {format_version, config_hash, seed}. A command makes out_dir
+and echoes the effective config to <command>_effective_config.json when it
+writes its first output file, so a command refused before then writes nothing.
 """
 
 from __future__ import annotations
@@ -31,12 +32,14 @@ from .errors import (
     PipelineError,
     boolean,
     config_field,
+    string,
 )
 from .evaluation import CompletionTasks, EvalPlan, gradcheck, make_completion_tasks
 from .model import MAX_TABLE_ENTRIES, TabularLM, Vocab, checkpoint_load, checkpoint_save
 from .numerics import CategoricalDist, entropy, softmax, softmax_rows
-from .objectives import ALL_TAGS, ObjectiveKind
-from .training import Stage, TrainConfig, metrics_write, run_experiment, train_teacher_mle
+from .objectives import ALL_TAGS, OFF_POLICY_TAGS, ObjectiveKind
+from .training import (Stage, TrainConfig, check_regime, metrics_write, run_experiment,
+                       train_teacher_mle)
 
 CONFIG_FORMAT_VERSION = 1
 
@@ -50,23 +53,23 @@ class _OneOf:
 
 
 # every config key: a section's keys, each with its type or its allowed values,
-# or a top-level value's type; None marks a value that is not a number, checked
-# where it is read (the sweep lists by validate_config itself). validate_config
+# or a top-level value's type; None marks a value checked where it is read (the
+# stages and the sweep lists by validate_config itself). validate_config
 # checks every typed or enumerated value a config sets, whichever command runs
 _SCHEMA = {
     "seed": None,
-    "out_dir": None,
+    "out_dir": string,
     "source": {"name": None, "vocab_size": int, "order": int, "seed": int,
                "concentration": float, "eps": float},
-    "source_path": None,
-    "corpus_path": None,
+    "source_path": string,
+    "corpus_path": string,
     "corpus": {"num_seqs": int, "length": int,
                "regime": _OneOf("corpus regime", ("ground_truth", "teacher_generated")),
                "temperature": float},
     "student_order": int,
     "teacher": {"mode": _OneOf("teacher.mode", ("oracle_source", "mle_fit")), "order": int,
                 "smoothing": float},
-    "init_checkpoint": None,
+    "init_checkpoint": string,
     "train": {
         "objective": _OneOf("objective tag", ALL_TAGS), "beta": float,
         "sign_fidelity": boolean, "lr": float, "steps": int, "batch_size": int,
@@ -228,17 +231,25 @@ def _meta(cfg: dict) -> dict:
     }
 
 
-def _outdir(cfg: dict) -> str:
-    out = cfg.get("out_dir", "out")
-    os.makedirs(out, exist_ok=True)
-    return out
+class _Out:
+    """Where a command writes. Its first output path makes out_dir and echoes the
+    effective config to <command>_effective_config.json there."""
 
+    def __init__(self, cfg: dict, command: str):
+        self.cfg, self.command = cfg, command
 
-def _echo_effective(cfg: dict, out: str, command: str) -> None:
-    path = os.path.join(out, f"{command}_effective_config.json")
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(cfg, f, indent=2, sort_keys=True)
-        f.write("\n")
+    @cached_property
+    def dir(self) -> str:
+        out = self.cfg.get("out_dir", "out")
+        os.makedirs(out, exist_ok=True)
+        with open(os.path.join(out, f"{self.command}_effective_config.json"), "w",
+                  encoding="utf-8") as f:
+            json.dump(self.cfg, f, indent=2, sort_keys=True)
+            f.write("\n")
+        return out
+
+    def path(self, name: str) -> str:
+        return os.path.join(self.dir, name)
 
 
 class _Inputs:
@@ -365,47 +376,35 @@ def _eval_keys(t: dict) -> dict:
     return dict(eval_len=eval_len, eval_from=t.get("eval_from", "teacher"))
 
 
-def cmd_gen_source(cfg: dict) -> int:
-    out = _outdir(cfg)
-    _echo_effective(cfg, out, "gen-source")
-    data_mod.source_save(_Inputs(cfg).source, os.path.join(out, "source.json"),
-                         header_extra=_meta(cfg))
-    print(f"wrote {os.path.join(out, 'source.json')}")
+def cmd_gen_source(cfg: dict, out: _Out) -> int:
+    source = _Inputs(cfg).source
+    path = out.path("source.json")
+    data_mod.source_save(source, path, header_extra=_meta(cfg))
+    print(f"wrote {path}")
     return 0
 
 
-def cmd_gen_corpus(cfg: dict) -> int:
-    out = _outdir(cfg)
-    _echo_effective(cfg, out, "gen-corpus")
+def cmd_gen_corpus(cfg: dict, out: _Out) -> int:
     corpus = _Inputs(cfg).corpus
-    data_mod.corpus_write(corpus, os.path.join(out, "corpus.txt"),
-                          header_extra=_meta(cfg))
-    print(f"wrote {os.path.join(out, 'corpus.txt')} "
-          f"({corpus.lengths.size} sequences, {corpus.num_tokens()} tokens)")
+    path = out.path("corpus.txt")
+    data_mod.corpus_write(corpus, path, header_extra=_meta(cfg))
+    print(f"wrote {path} ({corpus.lengths.size} sequences, {corpus.num_tokens()} tokens)")
     return 0
 
 
-def cmd_train_teacher(cfg: dict) -> int:
-    out = _outdir(cfg)
-    _echo_effective(cfg, out, "train-teacher")
+def cmd_train_teacher(cfg: dict, out: _Out) -> int:
     model = _Inputs(cfg).teacher_model
-    path = os.path.join(out, "teacher.json")
+    path = out.path("teacher.json")
     checkpoint_save(model, path, header_extra=_meta(cfg))
     print(f"wrote {path} ({int(model.touched.sum())} contexts)")
     return 0
 
 
-def _run_single(cfg: dict, command: str | None = None, csv_name="metrics.csv",
-                ckpt_name="student.json", inputs: _Inputs | None = None) -> int:
-    """One run_experiment call, then every file of the run: a run without stages is one
-    unnamed stage, whose metrics go to csv_name; a named stage's go to metrics_<name>.csv.
-
-    command ('distill' or 'opd') names the effective config the run echoes; with
-    'opd', every stage's objective must be on-policy. A sweep's cell passes no
-    command. inputs, when given, are cfg's own, built by the caller. The out
-    dir is made only once the stages and the inputs are built, so a config
-    error they raise leaves no file.
-    """
+def _run_single(cfg: dict, out: _Out, csv_name="metrics.csv", ckpt_name="student.json",
+                inputs: _Inputs | None = None) -> int:
+    """distill, opd or a sweep's cell: one run_experiment call, then every file of the
+    run. A run without stages is one unnamed stage, whose metrics go to csv_name; a
+    named stage's go to metrics_<name>.csv. inputs, when given, are cfg's own."""
     # a stage names or inherits its objective, so a staged run needs no train.objective
     staged = "stages" in cfg
     stages = [
@@ -413,17 +412,13 @@ def _run_single(cfg: dict, command: str | None = None, csv_name="metrics.csv",
               cfg=_train_config(cfg, {k: v for k, v in st.items() if k != "name"}))
         for i, st in enumerate(cfg["stages"])
     ] if staged else [Stage(name=None, cfg=_train_config(cfg))]
-    if command == "opd":
+    if out.command == "opd":
         for stage in stages:
             kind = stage.cfg.objective
             if not kind.on_policy:
                 where = "" if stage.name is None else f" in stage {stage.name!r}"
                 raise ConfigError(f"'opd' needs an on-policy objective, got {kind.tag!r}{where}")
-    if inputs is None:
-        inputs = _Inputs(cfg)
-    out = _outdir(cfg)
-    if command is not None:
-        _echo_effective(cfg, out, command)
+    inputs = inputs or _Inputs(cfg)
     teacher = inputs.teacher
     student = _get_student(cfg, inputs.source)
     tasks = inputs.tasks
@@ -431,25 +426,14 @@ def _run_single(cfg: dict, command: str | None = None, csv_name="metrics.csv",
     student, rows = run_experiment(stages, teacher, student, corpus=corpus, eval_tasks=tasks)
     meta = _meta(cfg)
     for name, stage_rows in rows.items():
-        path = os.path.join(out, csv_name if name is None else f"metrics_{name}.csv")
+        path = out.path(csv_name if name is None else f"metrics_{name}.csv")
         metrics_write(stage_rows, path, meta=meta if name is None else dict(meta, stage=name))
-    checkpoint_save(student, os.path.join(out, ckpt_name), header_extra=meta)
-    print(f"ran {len(stages)} stages -> {out}" if staged
-          else f"wrote {os.path.join(out, csv_name)}")
+    checkpoint_save(student, out.path(ckpt_name), header_extra=meta)
+    print(f"ran {len(stages)} stages -> {out.dir}" if staged else f"wrote {out.path(csv_name)}")
     return 0
 
 
-def cmd_distill(cfg: dict) -> int:
-    return _run_single(cfg, "distill")
-
-
-def cmd_opd(cfg: dict) -> int:
-    return _run_single(cfg, "opd")
-
-
-def cmd_eval(cfg: dict) -> int:
-    out = _outdir(cfg)
-    _echo_effective(cfg, out, "eval")
+def cmd_eval(cfg: dict, out: _Out) -> int:
     ev = _eval_keys(cfg.get("train", {}))
     inputs = _Inputs(cfg)
     teacher = inputs.teacher
@@ -464,7 +448,7 @@ def cmd_eval(cfg: dict) -> int:
     ids = plan.student_ids
     ent = occ @ entropy(CategoricalDist(probs[ids], logprobs[ids]))
     acc = CompletionTasks(tasks, student).accuracy(student.table) if tasks else None
-    path = os.path.join(out, "audit.csv")
+    path = out.path("audit.csv")
     with open(path, "w", encoding="utf-8") as f:
         f.write("# " + json.dumps(_meta(cfg), sort_keys=True) + "\n")
         f.write("kl_fwd,kl_rev,mean_entropy,accuracy\n")
@@ -476,7 +460,7 @@ def cmd_eval(cfg: dict) -> int:
     return 0
 
 
-def cmd_gradcheck(cfg: dict) -> int:
+def cmd_gradcheck(cfg: dict, _out: _Out) -> int:
     g = cfg.get("gradcheck", {})
     v = config_field(g, "gradcheck.vocab_size", int, 8)
     order = config_field(g, "gradcheck.order", int, 1)
@@ -498,23 +482,25 @@ def cmd_gradcheck(cfg: dict) -> int:
     return 0 if err < 1e-5 else 1
 
 
-def cmd_sweep(cfg: dict) -> int:
-    out = _outdir(cfg)
-    _echo_effective(cfg, out, "sweep")
-    sw = cfg.get("sweep")
-    if not sw or "objectives" not in sw or "seeds" not in sw:
-        raise ConfigError("sweep needs 'sweep.objectives' and 'sweep.seeds'")
-    objectives, seeds = sw["objectives"], sw["seeds"]
+def cmd_sweep(cfg: dict, out: _Out) -> int:
+    sw = cfg.get("sweep", {})
+    objectives, seeds = sw.get("objectives"), sw.get("seeds")
+    if not (objectives and seeds):
+        raise ConfigError("sweep needs 'sweep.objectives' and 'sweep.seeds', each non-empty")
+    base = {k: v for k, v in cfg.items() if k not in ("sweep", "stages")}
+    first = _Inputs(dict(base, seed=seeds[0]))
+    # every seed's corpus has one provenance: refuse a cell before the first runs
+    for tag in objectives:
+        if tag in OFF_POLICY_TAGS:
+            check_regime(tag, first.corpus)
     # seed by seed: a seed's cells share its source, corpus, teacher and tasks
     for seed in seeds:
-        cfg_seed = {k: v for k, v in cfg.items() if k not in ("sweep", "stages")}
-        cfg_seed["seed"] = seed
-        inputs = _Inputs(cfg_seed)
+        inputs = first if seed == seeds[0] else _Inputs(dict(base, seed=seed))
         for tag in objectives:
-            cell = dict(cfg_seed, train=dict(cfg.get("train", {}), objective=tag))
-            _run_single(cell, csv_name=f"metrics_{tag}_seed{seed}.csv",
+            cell = dict(base, seed=seed, train=dict(cfg.get("train", {}), objective=tag))
+            _run_single(cell, out, csv_name=f"metrics_{tag}_seed{seed}.csv",
                         ckpt_name=f"student_{tag}_seed{seed}.json", inputs=inputs)
-    print(f"wrote {len(objectives) * len(seeds)} metrics files under {out}")
+    print(f"wrote {len(objectives) * len(seeds)} metrics files under {out.dir}")
     return 0
 
 
@@ -522,8 +508,8 @@ _COMMANDS = {
     "gen-source": cmd_gen_source,
     "gen-corpus": cmd_gen_corpus,
     "train-teacher": cmd_train_teacher,
-    "distill": cmd_distill,
-    "opd": cmd_opd,
+    "distill": _run_single,
+    "opd": _run_single,
     "eval": cmd_eval,
     "gradcheck": cmd_gradcheck,
     "sweep": cmd_sweep,
@@ -550,7 +536,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, args.sets)
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command](cfg, _Out(cfg, args.command))
     except _USER_ERRORS as e:
         # a MemoryError that Python itself raises carries no message
         print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)

@@ -42,6 +42,13 @@ def boolean(value) -> bool:
     return value
 
 
+def string(value) -> str:
+    """value if it is a JSON string; any other value is a ValueError."""
+    if not isinstance(value, str):
+        raise ValueError(value)
+    return value
+
+
 def config_field(node: dict, path: str, cast, default):
     """The value under path's last key in node (default when absent), as cast.
 

@@ -280,6 +280,12 @@ def draw_positions(rng, steps: int, n: int, starts: np.ndarray,
     return pos
 
 
+def check_regime(tag: str, corpus: Corpus) -> None:
+    """ConfigError unless tag may train on corpus: seqkd needs a teacher_generated one."""
+    if tag == "seqkd" and corpus.provenance != "teacher_generated":
+        raise ConfigError("seqkd expects a teacher_generated corpus")
+
+
 def distill_offpolicy(
     cfg: TrainConfig,
     teacher: MarkovSource,
@@ -309,8 +315,7 @@ def distill_offpolicy(
     kind = cfg.objective
     if kind.on_policy:
         raise ConfigError(f"objective {kind.tag!r} is on-policy; use distill_onpolicy_opd")
-    if kind.tag == "seqkd" and corpus.provenance != "teacher_generated":
-        raise ConfigError("seqkd expects a teacher_generated corpus")
+    check_regime(kind.tag, corpus)
     tokens, lengths = corpus.tokens, corpus.lengths
     if not lengths.size:
         raise InvalidInputError("corpus is empty")

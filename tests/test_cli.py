@@ -36,6 +36,8 @@ BASE = {
               "batch_size": 8, "n_eval_seqs": 4, "eval_len": 8},
 }
 
+SWEEP = ['sweep.objectives=["sft", "hpd"]', "sweep.seeds=[0, 1]"]
+
 
 def _write_bad_inputs(tmp_path):
     """Students of 4 and 8 tokens, a V = 3 checkpoint row at context (7,) and a
@@ -212,15 +214,79 @@ class TestCommands:
          "'opd' needs an on-policy objective, got 'hpd' in stage 'warm'"),
         ("distill", ["train.steps=0"], "steps must be >= 1"),
         ("distill", ["source.name=nope"], "nope"),
+        # every writing command, refused where it builds its source
+        *((command, ["source.name=nope"], "unknown source name 'nope'")
+          for command in ("gen-source", "gen-corpus", "train-teacher", "eval")),
+        ("sweep", [*SWEEP, "source.name=nope"], "unknown source name 'nope'"),
+        ("sweep", [], "sweep needs 'sweep.objectives' and 'sweep.seeds'"),
+        ("sweep", [*SWEEP, "train.steps=0"], "steps must be >= 1"),
+        ("eval", ["train.eval_len=0"], "train.eval_len must be >= 1, got 0"),
+        ("eval", ['init_checkpoint="s8.json"'],
+         "teacher vocabulary size 6 != student vocabulary size 8"),
+        ("gen-corpus", ["corpus.num_seqs=0"], "num_seqs and length must be >= 1"),
+        # distill's lazily built corpus, student, teacher and tasks, and the library's checks
+        ("distill", ["corpus.num_seqs=0"], "num_seqs and length must be >= 1"),
+        ("distill", ["corpus.length=0"], "num_seqs and length must be >= 1"),
+        ("distill", ["student_order=0"], "model order must be >= 1"),
+        ("distill", ['init_checkpoint="missing.json"'], "No such file or directory"),
+        ("distill", ["tasks.num_tasks=0"], "num_tasks and cont_len must be >= 1"),
+        ("distill", ["teacher.mode=mle_fit", "teacher.smoothing=-1"], "smoothing must be >= 0"),
+        ("distill", ["corpus.regime=teacher_generated", "corpus.temperature=-1"],
+         "temperature must be >= 0"),
+        ("distill", ["train.objective=seqkd"], "seqkd expects a teacher_generated corpus"),
+        # a sweep checks every cell's corpus before its first cell runs
+        ("sweep", ['sweep.objectives=["sft", "seqkd"]', "sweep.seeds=[0, 1]"],
+         "seqkd expects a teacher_generated corpus"),
+        ("sweep", ["sweep.objectives=[]", "sweep.seeds=[0]"], "each non-empty"),
+        ("sweep", ['sweep.objectives=["sft"]', "sweep.seeds=[]"], "each non-empty"),
     ])
     def test_refused_run_writes_no_file(self, tmp_path, monkeypatch, capsys, command, sets,
                                         needle):
-        # the stages, their configs and the inputs are built before the out dir is made
+        # a command makes its out dir, and echoes its config, at its first output file
         monkeypatch.chdir(tmp_path)
+        _write_bad_inputs(tmp_path)
         path = write_config(tmp_path / "c.json", dict(BASE, out_dir="out"))
         assert main([command, "--config", path, *(x for s in sets for x in ("--set", s))]) == 2
-        assert needle in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and needle in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("out_dir", "5"), ("source_path", "7"), ("corpus_path", "[1]"), ("init_checkpoint", "0"),
+    ])
+    def test_path_keys_must_be_strings(self, tmp_path, monkeypatch, capsys, key, value):
+        # a number would name a file descriptor, and init_checkpoint=0 would read stdin
+        monkeypatch.chdir(tmp_path)
+        path = write_config(tmp_path / "c.json", dict(BASE, out_dir="out"))
+        assert main(["distill", "--config", path, "--set", f"{key}={value}"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {key}: expected string, got {json.loads(value)!r}\n")
+        assert os.listdir(tmp_path) == ["c.json"]
+
+    @pytest.mark.parametrize("command", ["gen-source", "gen-corpus", "train-teacher", "distill",
+                                         "opd", "eval", "sweep"])
+    def test_echo_is_the_effective_config(self, tmp_path, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        cfg = dict(BASE, out_dir="out", sweep={"objectives": ["sft"], "seeds": [1]})
+        objective = "opd_k1" if command == "opd" else "hpd"
+        sets = ["train.lr=0.25", f"train.objective={objective}", "train.horizon=4"]
+        path = write_config(tmp_path / "c.json", cfg)
+        assert main([command, "--config", path, *(x for s in sets for x in ("--set", s))]) == 0
+        cfg["train"] = dict(BASE["train"], lr=0.25, objective=objective, horizon=4)
+        echo = tmp_path / "out" / f"{command}_effective_config.json"
+        assert echo.read_text() == json.dumps(cfg, indent=2, sort_keys=True) + "\n"
+
+    def test_sweep_failing_in_a_later_cell_keeps_the_earlier_cells(self, tmp_path, monkeypatch,
+                                                                  capsys):
+        # opd_k1 samples off the cycle's one-hot rows once sft's cell has written its files
+        monkeypatch.chdir(tmp_path)
+        cfg = dict(BASE, out_dir="out", source={"name": "deterministic_cycle"},
+                   sweep={"objectives": ["sft", "opd_k1"], "seeds": [0]})
+        cfg["train"] = dict(BASE["train"], horizon=4)
+        assert main(["sweep", "--config", write_config(tmp_path / "c.json", cfg)]) == 2
+        assert "outside teacher support" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path / "out")) == [
+            "metrics_sft_seed0.csv", "student_sft_seed0.json", "sweep_effective_config.json"]
 
     def test_opd_runs(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
