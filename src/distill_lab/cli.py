@@ -53,8 +53,8 @@ class _OneOf:
 
 
 # every config key: a section's keys, each with its type or its allowed values,
-# or a top-level value's type; None marks a value checked where it is read (the
-# stages and the sweep lists by validate_config itself). validate_config
+# or a top-level value's type; None marks a value checked where it is read (seed,
+# the stages and the sweep lists by validate_config itself). validate_config
 # checks every typed or enumerated value a config sets, whichever command runs
 _SCHEMA = {
     "seed": None,
