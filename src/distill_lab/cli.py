@@ -136,7 +136,9 @@ def validate_config(cfg: dict) -> None:
         if isinstance(kind, dict) and key in cfg:
             _check_types(cfg[key], key, kind)
         elif kind is not None and key in cfg:
-            config_field(cfg, key, kind, None)
+            # a string key names a file or directory, which the empty string does not
+            if not config_field(cfg, key, kind, None) and kind is string:
+                raise ConfigError(f"{key}: expected a non-empty path, got ''")
     for i, st in enumerate(cfg.get("stages", [])):
         _check_types(st, f"stages[{i}]", _SCHEMA["train"])
     objectives = cfg.get("sweep", {}).get("objectives", [])

@@ -30,14 +30,14 @@ from __future__ import annotations
 import itertools
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigError, InvalidInputError, ParseError, config_field
-from .model import (TabularLM, Vocab, context_key, load_rows, prefix_ids, save_rows, table_rows,
-                    walk)
+from .model import (TabularLM, Vocab, context_ids, context_key, load_rows, prefix_ids, read_only,
+                    save_rows, table_rows, walk)
 from .numerics import CategoricalDist, cdf_draw, cdf_rows, softmax
 
 CORPUS_FORMAT_VERSION = 1
@@ -52,7 +52,7 @@ BIMODAL_VOCAB = 6
 BIMODAL_EPS = 0.1
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class MarkovSource:
     """Stochastic source with exactly known conditional distributions.
 
@@ -60,12 +60,18 @@ class MarkovSource:
     at context id i (see model.py). Every teacher is a MarkovSource: the
     ground truth itself, or a fitted TabularLM's softmax table. rollouts is the
     one sampler of chains: corpora, and SeqKD corpora from a tempered table.
+
+    The fields cannot be rebound and the table is read-only, so what depends
+    on the source alone is built at its first use and kept on the source for
+    as long as it lives: cdf, and in plans the teacher-side parts of every
+    evaluation.EvalPlan built against it.
     """
 
     name: str
     order: int
     vocab: Vocab
     table: CategoricalDist
+    plans: dict = field(default_factory=dict, init=False, repr=False)
 
     def rollouts(self, prompts, steps: int, rng: np.random.Generator) -> np.ndarray:
         """`steps` sampled tokens after each prompt, as one (len(prompts), steps) array.
@@ -225,12 +231,16 @@ def source_load(path) -> MarkovSource:
         raise ParseError(f"{path}: malformed source file: {e}") from e
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Corpus:
     """Sequences laid end to end: sequence i is lengths[i] tokens, after those before it.
 
-    tokens (int64) and lengths (intp) are read-only views of the arrays given;
-    an id beyond int64 (from a V no table can hold) keeps its Python int.
+    tokens (int64) and lengths (intp) are read-only views of the arrays given,
+    which must not be written afterwards; an id beyond int64 (from a V no
+    table can hold) keeps its Python int. The fields cannot be rebound, so
+    what depends on the corpus alone is computed at its first use and kept on
+    the corpus for as long as it lives: offsets, and context_ids per
+    (order, BOS id, V), each a read-only array.
     """
 
     tokens: np.ndarray
@@ -238,6 +248,9 @@ class Corpus:
     provenance: str
     seed: int
     vocab_size: int
+    # context_ids' arrays by (order, BOS id, V), and the V every token id was checked against
+    _ids: dict = field(default_factory=dict, init=False, repr=False)
+    _in_range: set = field(default_factory=set, init=False, repr=False)
 
     PROVENANCES = ("ground_truth", "teacher_generated", "student_generated")
 
@@ -246,12 +259,39 @@ class Corpus:
             raise InvalidInputError(f"unknown provenance {self.provenance!r}")
         tokens = np.asarray(self.tokens)
         dtype = object if tokens.dtype == object else np.int64
-        self.tokens = np.asarray(tokens, dtype=dtype).view()
-        self.lengths = np.asarray(self.lengths, dtype=np.intp).view()
-        if (self.tokens.ndim != 1 or self.lengths.ndim != 1 or (self.lengths < 0).any()
-                or self.lengths.sum() != self.tokens.size):
+        tokens = np.asarray(tokens, dtype=dtype).view()
+        lengths = np.asarray(self.lengths, dtype=np.intp).view()
+        if (tokens.ndim != 1 or lengths.ndim != 1 or (lengths < 0).any()
+                or lengths.sum() != tokens.size):
             raise InvalidInputError("corpus lengths must be >= 0 and sum to its token count")
-        self.tokens.flags.writeable = self.lengths.flags.writeable = False
+        tokens.flags.writeable = lengths.flags.writeable = False
+        object.__setattr__(self, "tokens", tokens)
+        object.__setattr__(self, "lengths", lengths)
+
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        """Each position's index within its sequence, read-only."""
+        starts = np.cumsum(self.lengths) - self.lengths
+        return read_only(np.arange(self.tokens.size) - np.repeat(starts, self.lengths))
+
+    def context_ids(self, order: int, bos_id: int, v: int) -> np.ndarray:
+        """model.context_ids of every position at (order, bos_id, V), read-only.
+
+        Each key's array is computed at its first call, and later calls return
+        that array. Before the first call with a V, every token id is checked
+        once against it: one outside [0, V) is an InvalidInputError.
+        """
+        key = (order, bos_id, v)
+        if key not in self._ids:
+            if v not in self._in_range:
+                tokens = self.tokens
+                if tokens.size and (tokens.min() < 0 or tokens.max() >= v):
+                    t = tokens[np.argmax((tokens < 0) | (tokens >= v))]
+                    raise InvalidInputError(
+                        f"corpus token id {t} is out of range for the vocabulary of {v}")
+                self._in_range.add(v)
+            self._ids[key] = read_only(context_ids(self.tokens, self.offsets, order, bos_id, v))
+        return self._ids[key]
 
     @classmethod
     def from_sequences(cls, sequences, provenance: str, seed: int, vocab_size: int) -> "Corpus":

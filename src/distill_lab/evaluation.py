@@ -7,7 +7,7 @@ import numpy as np
 from .data import MarkovSource
 from .errors import InvalidInputError, InvalidParameterError
 from .model import (MAX_TABLE_ENTRIES, GradAccumulator, TabularLM, accumulate_token_grads,
-                    prefix_id, prefix_ids, suffix_ids, walk)
+                    prefix_id, prefix_ids, read_only, suffix_ids, walk)
 from .numerics import CategoricalDist, cdf_draw, kl_rows, softmax
 
 
@@ -68,14 +68,25 @@ def check_pair(teacher: MarkovSource, student: TabularLM) -> None:
         raise InvalidInputError("teacher and student pad contexts with different BOS ids")
 
 
+def _shared(*parts) -> None:
+    """Make the arrays of parts (arrays or CategoricalDists) read-only: every plan on
+    one teacher reads them."""
+    for part in parts:
+        for a in (part.probs, part.logprobs) if isinstance(part, CategoricalDist) else (part,):
+            read_only(a)
+
+
 class EvalPlan:
-    """Exact occupancy-weighted divergences from one frozen teacher, planned once per run.
+    """Exact occupancy-weighted divergences from one frozen teacher.
 
     Evaluation sums over the order-m contexts, m = max(teacher.order,
-    student.order). Built once: every such context's teacher row and student
-    context id, and with eval_from="teacher" the occupancy, its live
-    contexts (occupancy > 0), their weights and the teacher's rows there,
-    which depend on the frozen teacher alone. A reading, divergences(probs,
+    student.order). The plan's teacher-side parts depend on the frozen
+    teacher alone: every such context's teacher row and student context id,
+    and with eval_from="teacher" the occupancy, its live contexts (occupancy
+    > 0), their weights and the teacher's rows there. They are built by the
+    first plan against the teacher at (m, student order, BOS id, eval_len),
+    kept read-only in teacher.plans, and every later plan there reads them;
+    each plan still checks its arguments. A reading, divergences(probs,
     logprobs), takes the student's predictive table, row i for its context
     id i: it gathers the student's rows at the live contexts and runs two
     kl_rows. With eval_from="student" the reading first propagates the
@@ -91,17 +102,25 @@ class EvalPlan:
         if eval_from not in ("teacher", "student"):
             raise InvalidInputError(f"unknown eval_from {eval_from!r}")
         self.eval_len = eval_len
-        # row c of the teacher rows and entry c of the student ids read order-m context
-        # c's last teacher.order and student.order tokens; start is the all-BOS context
         v, m = student.vocab.size, max(teacher.order, student.order)
-        ids = np.arange(v ** m)
-        self.teacher_rows = teacher.table.rows(suffix_ids(ids, teacher.order, v))
-        self.student_ids = suffix_ids(ids, student.order, v)
-        self.start = prefix_id([], m, student.vocab)
+        parts = teacher.plans.setdefault((m, student.order, student.vocab.bos_id, eval_len), {})
+        if not parts:
+            # row c of the teacher rows and entry c of the student ids read order-m context
+            # c's last teacher.order and student.order tokens; start is the all-BOS context
+            ids = np.arange(v ** m)
+            parts.update(teacher_rows=teacher.table.rows(suffix_ids(ids, teacher.order, v)),
+                         student_ids=suffix_ids(ids, student.order, v),
+                         start=prefix_id([], m, student.vocab))
+            _shared(parts["teacher_rows"], parts["student_ids"])
+        self.teacher_rows, self.student_ids = parts["teacher_rows"], parts["student_ids"]
+        self.start = parts["start"]
         self.occ = self.live = None
         if eval_from == "teacher":
-            self.occ = self._propagate(self.teacher_rows.probs)
-            self.live = self._live(self.occ)
+            if "live" not in parts:
+                parts["occ"] = self._propagate(self.teacher_rows.probs)
+                parts["live"] = self._live(parts["occ"])
+                _shared(parts["occ"], *parts["live"])
+            self.occ, self.live = parts["occ"], parts["live"]
 
     def _live(self, occ: np.ndarray):
         """(weights, teacher rows, student ids) at the contexts of nonzero occupancy."""

@@ -155,13 +155,17 @@ def context_ids(tokens: np.ndarray, offsets: np.ndarray, order: int, bos_id: int
     return ids
 
 
+def read_only(a: np.ndarray) -> np.ndarray:
+    """a, made read-only: an array kept to be shared."""
+    a.setflags(write=False)
+    return a
+
+
 @cache
 def _successors(order: int, vocab_size: int) -> np.ndarray:
     """(i * V) % V**k for every order-k context id i, read-only: i's id once it emits 0."""
     n = table_rows(vocab_size, order)
-    succ = np.arange(n) * vocab_size % n
-    succ.setflags(write=False)
-    return succ
+    return read_only(np.arange(n) * vocab_size % n)
 
 
 def walk(start_ids, steps: int, order: int, vocab_size: int, pick):
@@ -333,9 +337,7 @@ def check_token_support(q_at: np.ndarray, ids, tokens, order: int, vocab_size: i
 @lru_cache(maxsize=16)  # a run steps with one batch shape; bounded, as m comes from callers
 def _row_starts(m: int, vocab_size: int) -> np.ndarray:
     """j * V for j < m, read-only: where row j of m flattened V-wide rows starts."""
-    starts = np.arange(0, m * vocab_size, vocab_size)
-    starts.setflags(write=False)
-    return starts
+    return read_only(np.arange(0, m * vocab_size, vocab_size))
 
 
 def add_token_grads(acc: GradAccumulator, ids: np.ndarray, tokens: np.ndarray,

@@ -105,22 +105,41 @@ def _zeroed_log(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return p, np.log(p, out=np.full(p.shape, -np.inf), where=p > 0.0)
 
 
-def softmax_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(probs, logprobs) of softmax(z), unchecked: z must be a finite float64 1-d or 2-d array.
+def softmax_probs(z: np.ndarray) -> np.ndarray:
+    """softmax(z).probs, unchecked: z must be a finite float64 1-d or 2-d array.
 
-    The arrays are new and writable. The normalisation is softmax's own. When
-    an entry is below ZERO_TOL, the tiny entries are zeroed in place on its new
-    array and the log is taken unmasked, since np.log(0.0) is the -inf that
-    softmax's masked log writes; otherwise there is nothing to zero and no
-    log of 0. So both are bit for bit softmax(z).probs and .logprobs; only
-    softmax's checks of z and of the normalised rows are skipped.
+    The array is new and writable. The normalisation is softmax's own, and
+    when an entry is below ZERO_TOL the tiny entries are zeroed in place, so
+    it is bit for bit softmax(z).probs; only softmax's checks of z and of the
+    normalised rows are skipped.
     """
     p = _normalized(z)
     if p.min() < ZERO_TOL:
         p[p < ZERO_TOL] = 0.0
-        with np.errstate(divide="ignore"):
-            return p, np.log(p)
-    return p, np.log(p)
+    return p
+
+
+def log_probs(p: np.ndarray) -> np.ndarray:
+    """np.log(p) of probabilities p, -inf at an exact zero.
+
+    Only a p that holds a zero enters np.errstate(divide="ignore"), which keeps
+    numpy's warning about that log silent. np.log(0.0) is the -inf that
+    softmax's masked log writes, and the log of a positive entry is the same
+    either way, so log_probs(softmax(z).probs) is bit for bit softmax(z).logprobs.
+    """
+    if p.min() > 0.0:
+        return np.log(p)
+    with np.errstate(divide="ignore"):
+        return np.log(p)
+
+
+def softmax_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(probs, logprobs) of softmax(z), unchecked: softmax_probs(z) and its log_probs.
+
+    Both arrays are new and writable, and bit for bit softmax(z).probs and .logprobs.
+    """
+    p = softmax_probs(z)
+    return p, log_probs(p)
 
 
 def softmax(logits) -> CategoricalDist:

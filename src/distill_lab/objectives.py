@@ -14,6 +14,8 @@ leading shape. At the expert (off-policy) or sampled (on-policy) token:
   rkld_off               k1 = q* (ln p* - ln q*)
   jsd_off                (1 - beta) q* (ln M* - ln q*), M* = beta p* + (1 - beta) q*
   hpd variants           from p*, k1 and k1', k1 at the token sampled from q
+                         (hpd_no_sample ignores the sampled token and reads
+                         the expert alone)
   rkld_on, opd_k1        the reward ln p* - ln q*
 Both training loops call it, on the values they gather at their tokens;
 tests/oracles.py holds a plain-Python twin of each rule, one token at a time.
@@ -60,6 +62,11 @@ class ObjectiveKind:
     def on_policy(self) -> bool:
         return self.tag in ON_POLICY_TAGS
 
+    @property
+    def samples(self) -> bool:
+        """The rule reads a token sampled from the student: on-policy, hpd, hpd_no_reinforce."""
+        return self.on_policy or self.tag in ("hpd", "hpd_no_reinforce")
+
 
 def token_weights(kind: ObjectiveKind, p, lp, q, lq, tokens):
     """kind's weight on every token, elementwise in p, ln p, q and ln q gathered at them.
@@ -67,9 +74,13 @@ def token_weights(kind: ObjectiveKind, p, lp, q, lq, tokens):
     The four arrays have tokens' shape, whatever it is: a minibatch, or every
     (context, token) pair of whole tables; so do the weights. HPD pairs the
     expert tokens[..., 0] with the q-sampled tokens[..., 1] and gives
-    (w_star, w_sampled). On-policy, the caller checks the teacher's support.
-    A rule that takes a log raises LogOfZeroError at the first token, in C
-    order, where its argument is 0, trying its checks there in order.
+    (w_star, w_sampled); hpd_no_sample reads the expert column alone, so its
+    tokens may hold that column only, and it weighs any other column 0.
+    On-policy, the caller checks the teacher's support. A rule that takes a
+    log raises LogOfZeroError at the first token, in C order, where its
+    argument is 0, trying its checks there in order. Off-policy, lq may be
+    None: a rule that reads ln q then takes np.log of q once its checks have
+    found q positive.
     """
     tag = kind.tag
     if tag in ("sft", "seqkd"):
@@ -82,35 +93,42 @@ def token_weights(kind: ObjectiveKind, p, lp, q, lq, tokens):
     if tag == "jsd_off":
         m = kind.beta * p + (1.0 - kind.beta) * q
         _check_positive(tokens, (m, "midpoint mixture is 0 at token {}"), (q, "q[{}] = 0"))
-        w = (1.0 - kind.beta) * q * (np.log(m) - lq)
+        w = (1.0 - kind.beta) * q * (np.log(m) - (np.log(q) if lq is None else lq))
         return -w if kind.sign_fidelity else w
+    shape = np.shape(tokens)
+    if tag == "hpd_no_sample":
+        # the sampled token is ignored: the rule reads and checks the expert alone
+        p, lp, q, tokens = p[..., :1], lp[..., :1], q[..., :1], tokens[..., :1]
+        lq = None if lq is None else lq[..., :1]
     _check_positive(tokens, (p, "p[{}] = 0"), (q, "q[{}] = 0"))
     # the negative reverse k1 gap; positive iff q underestimates p
-    k1 = q * (lp - lq)
+    k1 = q * (lp - (np.log(q) if lq is None else lq))
     if tag == "rkld_off":
         return -k1 if kind.sign_fidelity else k1
-    return _hpd(tag, p, k1, tokens)
+    return _hpd(tag, p, k1, tokens, shape)
 
 
-def _hpd(variant: str, p, k1, tokens):
+def _hpd(variant: str, p, k1, tokens, shape=None):
     """HPD's (w_star, w_sampled) from p and rkld_off's k1 at (expert, sampled) pairs.
 
     The forward weight is k1* + r p*. r is 1, or 0 when k1 < 0 (k1 <= 0 for
-    "hpd_no_sample", which ignores the sampled token), or 2 when k1 > 0 and
-    the sampled token, not the expert, is suppressed (k1' < 0); the
-    suppressed token takes weight k1'. "hpd_no_reinforce" drops the doubling.
+    "hpd_no_sample", which ignores the sampled token and reads column 0
+    alone), or 2 when k1 > 0 and the sampled token, not the expert, is
+    suppressed (k1' < 0); the suppressed token takes weight k1'.
+    "hpd_no_reinforce" drops the doubling. The weights have k1's shape, or
+    hpd_no_sample's the given shape, whose columns after the first are 0.
     """
-    k1_star, k1_sampled = k1[..., 0], k1[..., 1]
-    w = np.empty_like(k1)
+    k1_star = k1[..., 0]
     if variant == "hpd_no_sample":
+        w = np.zeros(k1.shape if shape is None else shape)
         r = (k1_star > 0.0).view(np.int8)
-        w[..., 1] = 0.0
     else:
-        suppressed = (tokens[..., 1] != tokens[..., 0]) & (k1_sampled < 0.0)
+        w = np.empty_like(k1)
+        suppressed = (tokens[..., 1] != tokens[..., 0]) & (k1[..., 1] < 0.0)
         r = (k1_star >= 0.0).view(np.int8)
         if variant == "hpd":
             r += suppressed & (k1_star > 0.0)
-        w[..., 1] = np.where(suppressed, k1_sampled, 0.0)
+        w[..., 1] = np.where(suppressed, k1[..., 1], 0.0)
     # k1* - (-r) p* is k1* + r p* bit for bit; at r = 0 it subtracts +0.0, which
     # keeps a k1* of -0.0 where adding +0.0 would not
     w[..., 0] = k1_star - p[..., 0] * -r

@@ -24,7 +24,6 @@ from .model import (
     Vocab,
     add_token_grads,
     check_token_support,
-    context_ids,
     context_key,
     prefix_ids,
     rows_at,
@@ -33,7 +32,7 @@ from .model import (
     table_rows,
     walk,
 )
-from .numerics import CategoricalDist, cdf_draw, cdf_rows, entropy, softmax_rows
+from .numerics import CategoricalDist, cdf_draw, cdf_rows, entropy, log_probs, softmax_probs
 from .objectives import HPD_VARIANTS, ObjectiveKind, token_weights
 
 METRICS_HEADER = (
@@ -55,20 +54,11 @@ def OracleTeacher(source: MarkovSource) -> MarkovSource:
     return source
 
 
-def _offsets(corpus: Corpus, v: int) -> np.ndarray:
-    """Each corpus position's index within its sequence, once every token id is
-    checked: one outside a vocabulary of v is an InvalidInputError."""
-    tokens, lengths = corpus.tokens, corpus.lengths
-    if tokens.size and (tokens.min() < 0 or tokens.max() >= v):
-        t = tokens[np.argmax((tokens < 0) | (tokens >= v))]
-        raise InvalidInputError(f"corpus token id {t} is out of range for the vocabulary of {v}")
-    return np.arange(tokens.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-
-
 def train_teacher_mle(corpus: Corpus, order: int, lam: float) -> TabularLM:
     """Tabular MLE: logits are ln of add-lam-smoothed conditional frequencies.
 
-    Only contexts that occur in the corpus get a row.
+    Only contexts that occur in the corpus get a row. The context ids are the
+    corpus's own (Corpus.context_ids), computed once per corpus and order.
     """
     if order < 1:
         raise InvalidInputError("order must be >= 1")
@@ -79,9 +69,9 @@ def train_teacher_mle(corpus: Corpus, order: int, lam: float) -> TabularLM:
     v = corpus.vocab_size
     table_rows(v, order)  # before anything that grows with V: a huge V fails here
     model = TabularLM(order=order, vocab=Vocab.default(v))
-    tokens = corpus.tokens
-    ids = context_ids(tokens, _offsets(corpus, v), order, model.vocab.bos_id, v)
-    counts = np.bincount(ids * v + tokens, minlength=model.table.size).reshape(model.table.shape)
+    ids = corpus.context_ids(order, model.vocab.bos_id, v)
+    counts = np.bincount(ids * v + corpus.tokens, minlength=model.table.size)
+    counts = counts.reshape(model.table.shape)
     seen = counts.any(axis=1)
     row = counts[seen].astype(np.float64)
     probs = (row + lam) / (row.sum(axis=1, keepdims=True) + lam * v)
@@ -166,38 +156,41 @@ class MetricsRow:
 def evaluate_divergences(plan: EvalPlan, pred: PredictiveTable) -> tuple[float, float]:
     """One reading: exact KL(p||q) and KL(q||p) of the student whose predictive table
     is pred, weighted by the contexts' occupancy over positions 0 .. eval_len - 1 of
-    sequences drawn as the plan's eval_from says."""
-    return plan.divergences(pred.probs, pred.logprobs)
+    sequences drawn as the plan's eval_from says. It takes the log of pred's table once."""
+    return plan.divergences(pred.probs, log_probs(pred.probs))
 
 
 class PredictiveTable:
     """The student's softmax at every context, row i for context id i.
 
-    probs and logprobs are numerics.softmax_rows(student.table), bit for bit
-    softmax(student.table) without its checks; cdf holds each row's
+    probs is numerics.softmax_probs(student.table), bit for bit
+    softmax(student.table).probs without its checks; cdf holds each row's
     numerics.cdf_rows when the objective samples from the student, else None.
-    refresh(ids) recomputes the rows an SGD step moved (distinct ids; every row
-    by rows_at's slice) the same way, so every row stays bit for bit the
-    softmax of its logit row. Neither checks the logits: they are the
-    student's own, and every writer of a TabularLM table rejects a non-finite
-    logit (sgd_step raises NumericOverflowError before it writes one).
+    No log is kept: a reader of ln q takes np.log of the q it gathered
+    (numerics.log_probs where q may hold a zero), which is bit for bit
+    softmax's logprobs there. refresh(ids) recomputes the
+    rows an SGD step moved (distinct ids; every row by rows_at's slice) the
+    same way, so every row stays bit for bit the softmax of its logit row.
+    Neither checks the logits: they are the student's own, and every writer
+    of a TabularLM table rejects a non-finite logit (sgd_step raises
+    NumericOverflowError before it writes one).
     """
 
     def __init__(self, student: TabularLM, with_cdf: bool):
         self.student = student
-        # the kernel's arrays are new and writable: refresh overwrites rows in place
-        self.probs, self.logprobs = softmax_rows(student.table)
+        # the kernel's array is new and writable: refresh overwrites rows in place
+        self.probs = softmax_probs(student.table)
         self.cdf = cdf_rows(self.probs) if with_cdf else None
 
     def rows(self, ids) -> CategoricalDist:
         """The student's predictive batch at the context ids: row j for ids[j]."""
-        return CategoricalDist(probs=self.probs[ids], logprobs=self.logprobs[ids])
+        probs = self.probs[ids]
+        return CategoricalDist(probs=probs, logprobs=log_probs(probs))
 
     def refresh(self, ids: np.ndarray) -> None:
         at = rows_at(ids, len(self.probs))
         table = self.student.table
-        probs, logprobs = softmax_rows(table.take(ids, axis=0) if at is ids else table)
-        self.probs[at], self.logprobs[at] = probs, logprobs
+        self.probs[at] = probs = softmax_probs(table.take(ids, axis=0) if at is ids else table)
         if self.cdf is not None:
             self.cdf[at] = cdf_rows(probs)
 
@@ -211,7 +204,7 @@ def _train_loop(cfg: TrainConfig, teacher: MarkovSource, student: TabularLM, eva
     batch accumulates one step into acc and yields (ids, rewards): its
     student context ids, one per position it drew, and its rewards (None
     off-policy). pred is the copy's PredictiveTable, with CDF rows for the
-    objectives that sample from the student (OPD and HPD), built once; after
+    objectives that sample from the student (ObjectiveKind.samples), built once; after
     each step exactly the rows sgd_step reports moved are refreshed. Each
     step is lr times the batch mean: sgd_step divides the accumulated
     directions by len(ids), whatever the weights. The mean entropy of pred's
@@ -226,7 +219,7 @@ def _train_loop(cfg: TrainConfig, teacher: MarkovSource, student: TabularLM, eva
     student = student.copy()
     acc = GradAccumulator(student.order, student.vocab.size)
     kind = cfg.objective
-    pred = PredictiveTable(student, with_cdf=kind.on_policy or kind.tag in HPD_VARIANTS)
+    pred = PredictiveTable(student, with_cdf=kind.samples)
     batch = batches(student, pred, acc, rng)
     rows: list[MetricsRow] = []
 
@@ -295,22 +288,25 @@ def distill_offpolicy(
 ) -> tuple[TabularLM, list[MetricsRow]]:
     """Minibatch reweighted-likelihood distillation on a fixed corpus.
 
-    The corpus's context ids are computed once per call. Steps are planned a
-    block at a time (at most PLAN_ENTRIES entries): the block's positions are
-    drawn from the run's generator as step after step would draw them, and
-    its student ids, tokens, the tokens' flat indices into the student's and
-    the teacher's table and the scatter index are gathered at once. HPD's
-    n * k uniforms a step come from a second generator, seeded with
-    SeedSequence(seed).spawn(1)[0], one random((steps, n * k)) call a block;
-    so every tag draws the same positions from the same seed, and no output
-    depends on the block size. A step's tokens are an (n * k, cols) array,
-    row b * k + i for draw i of position b (k = hpd_samples for HPD, else 1):
-    column 0 is the expert and, for HPD (cols = 2), column 1 a token drawn
-    from q's cached CDF rows, which the step adds to its flat indices. The
-    step gathers q, and p, ln p and ln q for the rules that read them, at
-    those tokens, makes one token_weights call and one ordered accumulate
-    through the unchecked kernel add_token_grads. fkld_dense adds its summed
-    direction p - q instead.
+    The context ids of both models are the corpus's own (Corpus.context_ids),
+    computed at the first run on that corpus at each order and kept on it.
+    Steps are planned a block at a time (at most PLAN_ENTRIES entries): the
+    block's positions are drawn from the run's generator as step after step
+    would draw them, and its student ids, tokens, the tokens' flat indices
+    into the student's and the teacher's table and the scatter index are
+    gathered at once. The n * k uniforms a step of hpd and hpd_no_reinforce
+    come from a second generator, seeded with SeedSequence(seed).spawn(1)[0],
+    one random((steps, n * k)) call a block; so every tag draws the same
+    positions from the same seed, and no output depends on the block size.
+    A step's tokens are an (n * k, cols) array, row b * k + i for draw i of
+    position b (k = hpd_samples for HPD, else 1): column 0 is the expert and,
+    for the HPD variants that sample (cols = 2), column 1 a token drawn from
+    q's cached CDF rows, which the step adds to its flat indices;
+    hpd_no_sample ignores that token, so it draws none. The step gathers q,
+    and p and ln p for the rules that read them, at those tokens, makes one
+    token_weights call (a rule that reads ln q takes it of that q) and one
+    ordered accumulate through the unchecked kernel add_token_grads.
+    fkld_dense adds its summed direction p - q instead.
     """
     kind = cfg.objective
     if kind.on_policy:
@@ -320,31 +316,31 @@ def distill_offpolicy(
     if not lengths.size:
         raise InvalidInputError("corpus is empty")
     v = student.vocab.size
-    offsets = _offsets(corpus, v)
+    s_ids = corpus.context_ids(student.order, student.vocab.bos_id, v)
     if not lengths.all():
         raise InvalidInputError(f"corpus sequence {int(np.argmin(lengths))} is empty")
     p_table = teacher.table
-    s_ids = context_ids(tokens, offsets, student.order, student.vocab.bos_id, v)
-    t_ids = context_ids(tokens, offsets, teacher.order, teacher.vocab.bos_id, v)
+    t_ids = corpus.context_ids(teacher.order, teacher.vocab.bos_id, v)
     starts, n = np.cumsum(lengths) - lengths, cfg.batch_size
     tag = kind.tag
-    dense, hpd = tag == "fkld_dense", tag in HPD_VARIANTS
+    dense, sampled = tag == "fkld_dense", kind.samples
     # no rule of these reads q or ln q, so the loop checks q[expert] > 0 itself
     unchecked = tag in ("sft", "seqkd", "fkld_token")
     # the rules that read p, and of those the ones that read ln p
     reads_p = tag not in ("sft", "seqkd")
     reads_lp = reads_p and tag not in ("fkld_token", "jsd_off")
-    k, cols = (cfg.hpd_samples, 2) if hpd else (1, 1)
+    k = cfg.hpd_samples if tag in HPD_VARIANTS else 1
+    cols = 2 if sampled else 1
     # each draw updates the expert token, then the sampled one
     draw = np.repeat(np.arange(n), k)
     equal = bool((lengths == lengths[0]).all())
     per_block = max(1, PLAN_ENTRIES // (n * k * cols * v))
 
     def batches(student, pred, acc, rng):
-        # the kernel rests on checks made where its values entered: _offsets
-        # range-checks the expert tokens, cdf_draw's tokens are < V with q > 0,
-        # and every rule that takes a log checks q at its tokens
-        if hpd:
+        # the kernel rests on checks made where its values entered: the corpus's
+        # context_ids range-checks the expert tokens, cdf_draw's tokens are < V
+        # with q > 0, and every rule that takes a log checks q at its tokens
+        if sampled:
             u_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
         for first in range(0, cfg.steps, per_block):
             steps = min(per_block, cfg.steps - first)
@@ -368,10 +364,10 @@ def distill_offpolicy(
             # HPD's sampled column holds the row base until its token is drawn
             s_at, t_at = rows[..., None] * v + tok, t_rows[..., None] * v + tok
             # row s holds step s's n * k uniforms, entry b * k + i for draw i of position b
-            uniforms = u_rng.random((steps, n * k)) if hpd else itertools.repeat(None)
+            uniforms = u_rng.random((steps, n * k)) if sampled else itertools.repeat(None)
             for batch, step_rows, step_tok, step_flat, s_flat, t_flat, step_index, u in zip(
                     ids, rows, tok, flat, s_at, t_at, index, uniforms):
-                if hpd:
+                if sampled:
                     drawn = cdf_draw(pred.cdf.take(step_rows, axis=0), u)
                     step_tok[:, 1] = drawn
                     s_flat[:, 1] += drawn
@@ -381,7 +377,7 @@ def distill_offpolicy(
                     check_token_support(q.ravel(), step_flat, step_tok.ravel(), student.order, v)
                 w = token_weights(kind, p_table.probs.take(t_flat) if reads_p else None,
                                   p_table.logprobs.take(t_flat) if reads_lp else None,
-                                  q, None if unchecked else pred.logprobs.take(s_flat), step_tok)
+                                  q, None, step_tok)
                 add_token_grads(acc, step_flat, step_tok.ravel(), (w if k == 1 else w / k).ravel(),
                                 pred.probs.take(step_flat, axis=0), step_index)
                 yield batch, None
@@ -450,8 +446,9 @@ def distill_onpolicy_opd(
                 raise DivergenceInfiniteError(
                     f"student sampled token {tokens[j]} outside teacher support at "
                     f"{context_key(s_ids[j], k, v)}")
-            rewards = token_weights(kind, p, p_table.logprobs.take(t_flat),
-                                    pred.probs.take(s_flat), pred.logprobs.take(s_flat), tokens)
+            # cdf_draw draws no token of q = 0, so the log of q at them is finite
+            q = pred.probs.take(s_flat)
+            rewards = token_weights(kind, p, p_table.logprobs.take(t_flat), q, np.log(q), tokens)
             if reward_mode == "trajectory":
                 # one in-order left fold per rollout: np.sum need not add in order, and the
                 # builtin sum is compensated since Python 3.12

@@ -164,8 +164,10 @@ def reference_offpolicy(cfg, teacher, corpus, student):
     Positions, HPD draws and accumulation follow the batched kernel's stated
     order, so its checkpoints and metrics must match these byte for byte. Each
     batch yields one context id per position drawn, and each step divides by
-    their count. The run's generator draws the positions; HPD's uniforms come
-    from a second generator, spawned from the seed, batch_size * k a step.
+    their count. The run's generator draws the positions; the uniforms of the
+    HPD variants that sample come from a second generator, spawned from the
+    seed, batch_size * k a step. hpd_no_sample ignores the sampled token, so
+    it draws none.
     """
     kind = cfg.objective
     sequences = corpus.sequences
@@ -179,7 +181,7 @@ def reference_offpolicy(cfg, teacher, corpus, student):
             cids = []
             si = rng.integers(len(sequences), size=cfg.batch_size)
             offsets = rng.integers(0, lengths[si])
-            uniforms = u_rng.random(cfg.batch_size * k)
+            uniforms = u_rng.random(cfg.batch_size * k) if kind.samples else None
             for b in range(cfg.batch_size):
                 seq = sequences[int(si[b])]
                 t = int(offsets[b])
@@ -195,7 +197,8 @@ def reference_offpolicy(cfg, teacher, corpus, student):
                     add_token_grad(acc, cid, expert, w, q)
                 else:
                     for i in range(k):
-                        sampled = int(cdf_draw(cdf_rows(q.probs), uniforms[b * k + i]))
+                        sampled = (int(cdf_draw(cdf_rows(q.probs), uniforms[b * k + i]))
+                                   if kind.samples else None)
                         w_star, w_sampled = offpolicy_token(kind, *row_values(p, q), expert,
                                                             sampled)
                         add_token_grad(acc, cid, expert, w_star / k, q)
@@ -273,12 +276,15 @@ def hpd_token(variant, p, lp, q, lq, expert, sampled):
     their logs, indexed by token id; p and q must be positive at both tokens,
     checked at the expert first. The branches are taken one at a time, as the
     rule reads: k1 is rkld_off's weight at the expert, k1' at the sampled token.
+    hpd_no_sample reads and checks the expert alone: its sampled token, which
+    may be None, is ignored.
     """
-    k1, k1_sampled = (rkld_off(p, lp, q, lq, t) for t in (expert, sampled))
+    k1 = rkld_off(p, lp, q, lq, expert)
     p_star = float(p[expert])
     if variant == "hpd_no_sample":
-        # the sampled token is ignored, and k1 = 0 is masked too
+        # k1 = 0 is masked too
         return (k1 if k1 <= 0.0 else p_star + k1), 0.0
+    k1_sampled = rkld_off(p, lp, q, lq, sampled)
     # a sampled token other than the expert that the student overestimates
     suppressed = sampled != expert and k1_sampled < 0.0
     if k1 < 0.0:

@@ -239,6 +239,9 @@ class TestCommands:
          "seqkd expects a teacher_generated corpus"),
         ("sweep", ["sweep.objectives=[]", "sweep.seeds=[0]"], "each non-empty"),
         ("sweep", ['sweep.objectives=["sft"]', "sweep.seeds=[]"], "each non-empty"),
+        # an empty path names no file: refused before any work
+        *(("distill", [f'{key}=""'], f"{key}: expected a non-empty path, got ''")
+          for key in ("out_dir", "source_path", "corpus_path", "init_checkpoint")),
     ])
     def test_refused_run_writes_no_file(self, tmp_path, monkeypatch, capsys, command, sets,
                                         needle):
@@ -246,10 +249,11 @@ class TestCommands:
         monkeypatch.chdir(tmp_path)
         _write_bad_inputs(tmp_path)
         path = write_config(tmp_path / "c.json", dict(BASE, out_dir="out"))
+        before = sorted(os.listdir(tmp_path))
         assert main([command, "--config", path, *(x for s in sets for x in ("--set", s))]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and needle in err
-        assert not (tmp_path / "out").exists()
+        assert sorted(os.listdir(tmp_path)) == before
 
     @pytest.mark.parametrize("key, value", [
         ("out_dir", "5"), ("source_path", "7"), ("corpus_path", "[1]"), ("init_checkpoint", "0"),

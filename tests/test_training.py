@@ -9,7 +9,7 @@ from distill_lab import model as model_mod
 from distill_lab import training
 from distill_lab.data import Corpus, build_source, sample_corpus, generate_seqkd_corpus
 from distill_lab.cli import _Inputs
-from distill_lab.evaluation import CompletionTasks
+from distill_lab.evaluation import CompletionTasks, EvalPlan
 from distill_lab.errors import (
     ConfigError,
     DivergenceInfiniteError,
@@ -26,7 +26,8 @@ from distill_lab.model import (
     prefix_id,
     sgd_step,
 )
-from distill_lab.numerics import CategoricalDist, cdf_draw, cdf_rows, entropy, softmax
+from distill_lab.numerics import (CategoricalDist, cdf_draw, cdf_rows, entropy, log_probs, softmax,
+                                 softmax_rows)
 from distill_lab.objectives import OFF_POLICY_TAGS, ObjectiveKind
 from distill_lab.training import (
     METRICS_HEADER,
@@ -438,7 +439,10 @@ class TestOffpolicyKernel:
 
     @pytest.mark.parametrize("tag, seqs", [
         ("rkld_off", [[0, 2]]),  # the cycle never follows 0 with 2: p[2] = 0
-        ("hpd", [[0, 1, 2]]),  # a uniform student samples off the cycle's support
+        # the cycle follows the BOS id 0 with 1, so position 0's expert has p[0] = 0
+        ("hpd", [[0, 1, 2]]),
+        # every expert is on the cycle; a uniform student samples off its support
+        ("hpd", [[1, 2, 0]]),
     ])
     def test_zero_support_teacher_raises_log_of_zero(self, tag, seqs):
         teacher = build_source({"name": "deterministic_cycle"})
@@ -450,6 +454,23 @@ class TestOffpolicyKernel:
                 run(small_cfg(tag), teacher, corpus, student)
             errors.append(str(info.value))
         assert errors[0] == errors[1]
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_no_sample_ignores_a_sampled_token_off_the_teacher_support(self, tmp_path, k):
+        # hpd raises at the sampled token of p = 0 on this corpus (above); hpd_no_sample
+        # ignores that token and draws none, so it runs, as the reference does
+        teacher = build_source({"name": "deterministic_cycle"})
+        corpus = Corpus.from_sequences([[1, 2, 0]], provenance="ground_truth", seed=0,
+                                       vocab_size=3)
+        student = TabularLM(order=1, vocab=Vocab.default(3))
+        outputs = []
+        for run in (distill_offpolicy, reference_offpolicy):
+            model, rows = run(small_cfg("hpd_no_sample", hpd_samples=k), teacher, corpus, student)
+            checkpoint_save(model, tmp_path / "model.json")
+            outputs.append(((tmp_path / "model.json").read_bytes(),
+                            [r.to_csv_line() for r in rows]))
+        assert outputs[0] == outputs[1]
+        assert model.touched.any()
 
 
     # the student's q[0] after token 3 underflows to 0, and the corpus holds
@@ -509,7 +530,8 @@ def _per_step_draws(seed, steps, n, lengths):
 
 def _five_steps_a_block(monkeypatch, tag, n, k, v=6):
     """Set the plan budget so a block holds five steps of tag at batch size n."""
-    cols = 2 if tag in ("hpd", "hpd_no_sample", "hpd_no_reinforce") else 1
+    # a step's tokens: the expert, and a sampled token for the rules that read one
+    cols = 2 if ObjectiveKind(tag).samples else 1
     monkeypatch.setattr(training, "PLAN_ENTRIES", 5 * n * k * cols * v + 1)
 
 
@@ -913,7 +935,8 @@ class TestTrainLoop:
     @pytest.mark.parametrize("tag", ["hpd", "opd_k1"])
     def test_refreshed_table_is_the_checked_softmax_byte_for_byte(self, tag, monkeypatch):
         # after every step's refresh, the whole cached table equals a fresh
-        # checked softmax of the student's table, and its CDF rows cdf_rows of it
+        # checked softmax of the student's table, its log_probs the softmax's
+        # logprobs and its CDF rows cdf_rows of it
         seen = []
 
         class Compared(training.PredictiveTable):
@@ -921,7 +944,7 @@ class TestTrainLoop:
                 super().refresh(ids)
                 d = softmax(self.student.table)
                 seen.append((self.probs.tobytes() == d.probs.tobytes(),
-                             self.logprobs.tobytes() == d.logprobs.tobytes(),
+                             log_probs(self.probs).tobytes() == d.logprobs.tobytes(),
                              self.cdf.tobytes() == cdf_rows(d.probs).tobytes()))
 
         monkeypatch.setattr(training, "PredictiveTable", Compared)
@@ -948,8 +971,32 @@ class TestTrainLoop:
         acc.add_rows(np.arange(len(student.table)), rng.normal(size=student.table.shape))
         pred.refresh(sgd_step(student, acc, 0.9, 4))
         fresh = training.PredictiveTable(student, with_cdf=True)
-        for name in ("probs", "logprobs", "cdf"):
+        for name in ("probs", "cdf"):
             assert getattr(pred, name).tobytes() == getattr(fresh, name).tobytes()
+
+    @pytest.mark.parametrize("zeros", [False, True])
+    @pytest.mark.parametrize("eval_from", ["teacher", "student"])
+    def test_reading_is_softmax_rows_byte_for_byte(self, zeros, eval_from):
+        # the table keeps no log: a reading logs it, and the entropy rows log what
+        # they gathered, to softmax_rows' bytes, floor logits' exact zeros included
+        teacher = build_source({"name": "bimodal_gap"})
+        student = TabularLM(order=1, vocab=Vocab.default(6))
+        rng = np.random.default_rng(7)
+        for t in range(6):
+            student.set_row((t,), rng.normal(size=6))
+        if zeros:
+            student.set_row((2,), [0.0, training.LOGIT_FLOOR, 1.0, 0.5, training.LOGIT_FLOOR,
+                                   -1.0])
+        pred = training.PredictiveTable(student, with_cdf=False)
+        probs, logprobs = softmax_rows(student.table)
+        assert (probs == 0.0).any() == zeros
+        plan = EvalPlan(teacher, student, 8, eval_from)
+        got = training.evaluate_divergences(plan, pred)
+        assert repr(got) == repr(plan.divergences(probs, logprobs))
+        ids = np.array([2, 0, 2, 5])
+        rows = pred.rows(ids)
+        assert rows.probs.tobytes() == probs[ids].tobytes()
+        assert rows.logprobs.tobytes() == logprobs[ids].tobytes()
 
     def test_overflowing_step_raises_before_any_refresh(self, monkeypatch):
         teacher = build_source({"name": "uniform", "vocab_size": 2})
