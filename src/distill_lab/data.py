@@ -235,8 +235,8 @@ def source_load(path) -> MarkovSource:
 class Corpus:
     """Sequences laid end to end: sequence i is lengths[i] tokens, after those before it.
 
-    tokens (int64) and lengths (intp) are read-only views of the arrays given,
-    which must not be written afterwards; an id beyond int64 (from a V no
+    tokens (int64) and lengths (intp) are read-only copies of the arrays given,
+    so no writer of those arrays reaches them; an id beyond int64 (from a V no
     table can hold) keeps its Python int. The fields cannot be rebound, so
     what depends on the corpus alone is computed at its first use and kept on
     the corpus for as long as it lives: offsets, and context_ids per
@@ -259,8 +259,10 @@ class Corpus:
             raise InvalidInputError(f"unknown provenance {self.provenance!r}")
         tokens = np.asarray(self.tokens)
         dtype = object if tokens.dtype == object else np.int64
-        tokens = np.asarray(tokens, dtype=dtype).view()
-        lengths = np.asarray(self.lengths, dtype=np.intp).view()
+        # copies: the caller's arrays stay writable, and a write to them would
+        # leave the kept context ids stale and their tokens unchecked
+        tokens = np.array(tokens, dtype=dtype)
+        lengths = np.array(self.lengths, dtype=np.intp)
         if (tokens.ndim != 1 or lengths.ndim != 1 or (lengths < 0).any()
                 or lengths.sum() != tokens.size):
             raise InvalidInputError("corpus lengths must be >= 0 and sum to its token count")

@@ -103,17 +103,17 @@ class EvalPlan:
             raise InvalidInputError(f"unknown eval_from {eval_from!r}")
         self.eval_len = eval_len
         v, m = student.vocab.size, max(teacher.order, student.order)
+        # the all-BOS context
+        self.start = prefix_id([], m, student.vocab)
         parts = teacher.plans.setdefault((m, student.order, student.vocab.bos_id, eval_len), {})
         if not parts:
             # row c of the teacher rows and entry c of the student ids read order-m context
-            # c's last teacher.order and student.order tokens; start is the all-BOS context
+            # c's last teacher.order and student.order tokens
             ids = np.arange(v ** m)
             parts.update(teacher_rows=teacher.table.rows(suffix_ids(ids, teacher.order, v)),
-                         student_ids=suffix_ids(ids, student.order, v),
-                         start=prefix_id([], m, student.vocab))
+                         student_ids=suffix_ids(ids, student.order, v))
             _shared(parts["teacher_rows"], parts["student_ids"])
         self.teacher_rows, self.student_ids = parts["teacher_rows"], parts["student_ids"]
-        self.start = parts["start"]
         self.occ = self.live = None
         if eval_from == "teacher":
             if "live" not in parts:

@@ -132,6 +132,17 @@ class TestNothingGoesStale:
             with pytest.raises(ValueError):
                 a[0] = 0
 
+    def test_a_write_to_the_given_arrays_reaches_no_kept_array(self):
+        # the corpus keeps copies, so its ids cannot go stale and its tokens stay checked
+        tokens, lengths = np.array([1, 2, 0, 2, 1]), np.array([2, 3])
+        corpus = Corpus(tokens, lengths, provenance="ground_truth", seed=0, vocab_size=3)
+        ids = corpus.context_ids(1, 0, 3).tolist()
+        tokens[2], lengths[:] = 7, [1, 4]
+        assert corpus.tokens.tolist() == [1, 2, 0, 2, 1] and corpus.lengths.tolist() == [2, 3]
+        assert corpus.context_ids(1, 0, 3).tolist() == ids == [0, 1, 0, 0, 2]
+        # a key first asked for after the write reads the tokens given, as checked
+        assert corpus.context_ids(2, 2, 3).tolist() == [8, 7, 8, 6, 2]
+
     @pytest.mark.parametrize("name", ["tokens", "lengths", "provenance", "seed", "vocab_size"])
     def test_corpus_fields_cannot_be_rebound(self, name):
         _, corpus = _teacher_and_corpus(True)

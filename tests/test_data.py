@@ -431,11 +431,12 @@ class TestCorpusLayout:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1
 
-    def test_read_only_views_leave_the_callers_arrays_writable(self):
+    def test_read_only_copies_leave_the_callers_arrays_writable(self):
         tokens, lengths = np.arange(4), np.array([1, 3])
         corpus = Corpus(tokens, lengths, provenance="ground_truth", seed=0, vocab_size=4)
         tokens[0] = lengths[0] = 2
-        assert not corpus.tokens.flags.writeable and corpus.tokens.base is tokens
+        assert not corpus.tokens.flags.writeable and not corpus.lengths.flags.writeable
+        assert corpus.tokens.tolist() == [0, 1, 2, 3] and corpus.lengths.tolist() == [1, 3]
 
     @pytest.mark.parametrize("seqs", [SEQS, [], [[]], [[1]], [[0, 1], [1, 0]]])
     def test_list_view_equals_the_lists_built_from(self, seqs):
