@@ -11,11 +11,12 @@ writes its first output file, so a command refused before then writes nothing.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass
+import typing
 from functools import cache, cached_property
 
 import numpy as np
@@ -44,18 +45,10 @@ from .training import (Stage, TrainConfig, check_regime, metrics_write, run_expe
 CONFIG_FORMAT_VERSION = 1
 
 
-@dataclass(frozen=True)
-class _OneOf:
-    """The allowed values of an enumerated key; `what` names it in the error."""
-
-    what: str
-    values: tuple
-
-
-# every config key: a section's keys, each with its type or its allowed values,
-# or a top-level value's type; None marks a value checked where it is read (seed,
-# the stages and the sweep lists by validate_config itself). validate_config
-# checks every typed or enumerated value a config sets, whichever command runs
+# every config key: a section's keys, each with its type (a Literal's values for an
+# enumerated key), or a top-level value's type; None marks a value checked where it
+# is read (seed, the stages and the sweep lists by validate_config itself).
+# validate_config checks every typed value a config sets, whichever command runs
 _SCHEMA = {
     "seed": None,
     "out_dir": string,
@@ -64,20 +57,20 @@ _SCHEMA = {
     "source_path": string,
     "corpus_path": string,
     "corpus": {"num_seqs": int, "length": int,
-               "regime": _OneOf("corpus regime", ("ground_truth", "teacher_generated")),
+               "regime": typing.Literal["ground_truth", "teacher_generated"],
                "temperature": float},
     "student_order": int,
-    "teacher": {"mode": _OneOf("teacher.mode", ("oracle_source", "mle_fit")), "order": int,
+    "teacher": {"mode": typing.Literal["oracle_source", "mle_fit"], "order": int,
                 "smoothing": float},
     "init_checkpoint": string,
-    "train": {
-        "objective": _OneOf("objective tag", ALL_TAGS), "beta": float,
-        "sign_fidelity": boolean, "lr": float, "steps": int, "batch_size": int,
-        "eval_every": int,
-        "opd_reward_mode": _OneOf("opd_reward_mode", ("per_token", "trajectory")),
-        "hpd_samples": int, "opd_baseline": boolean, "horizon": int, "n_eval_seqs": int,
-        "eval_len": int, "eval_from": _OneOf("eval_from", ("teacher", "student")),
-    },
+    # the fields of ObjectiveKind, its tag as 'objective', and of TrainConfig, whose
+    # objective is those keys and whose seed is the config's own; and n_eval_seqs,
+    # accepted without effect since evaluation is exact: configs written for sampled
+    # evaluation set it, the benchmark's cli_pipeline among them
+    "train": {"objective" if key == "tag" else key: boolean if hint is bool else hint
+              for cls in (ObjectiveKind, TrainConfig)
+              for key, hint in typing.get_type_hints(cls).items()
+              if key not in ("objective", "seed")} | {"n_eval_seqs": int},
     "tasks": {"num_tasks": int, "cont_len": int, "min_conf": float},
     "stages": None,
     "sweep": {"objectives": None, "seeds": None},
@@ -120,6 +113,7 @@ def validate_config(cfg: dict) -> None:
             extra = set(st) - {"name"} - set(_SCHEMA["train"])
             if extra:
                 raise ConfigError(f"unknown keys in stages[{i}]: {sorted(extra)}")
+            _typed(st, f"stages[{i}]", _SCHEMA["train"])
             # a stage's name is part of its metrics file name: it must be one
             # file name, and no other stage's
             name = _stage_name(i, st)
@@ -134,13 +128,17 @@ def validate_config(cfg: dict) -> None:
     # every typed value the config sets, whichever command reads it
     for key, kind in _SCHEMA.items():
         if isinstance(kind, dict) and key in cfg:
-            _check_types(cfg[key], key, kind)
+            _typed(cfg[key], key, kind)
         elif kind is not None and key in cfg:
             # a string key names a file or directory, which the empty string does not
             if not config_field(cfg, key, kind, None) and kind is string:
                 raise ConfigError(f"{key}: expected a non-empty path, got ''")
-    for i, st in enumerate(cfg.get("stages", [])):
-        _check_types(st, f"stages[{i}]", _SCHEMA["train"])
+    # out_dir is made at the first output file: refuse now a path no directory can take
+    head = cfg.get("out_dir", "")
+    while head and not os.path.exists(head):
+        head = os.path.dirname(head)
+    if head and not os.path.isdir(head):
+        raise ConfigError(f"out_dir: {head!r} is not a directory")
     objectives = cfg.get("sweep", {}).get("objectives", [])
     seeds = cfg.get("sweep", {}).get("seeds", [])
     if not isinstance(objectives, list):
@@ -165,15 +163,11 @@ def validate_config(cfg: dict) -> None:
             raise ConfigError(f"{path} must be >= 0, got {seed}")
 
 
-def _check_types(node: dict, section: str, types: dict) -> None:
-    """ConfigError at the first typed or enumerated key of node whose value it rejects."""
-    for key, cast in types.items():
-        if key not in node or cast is None:
-            continue
-        if not isinstance(cast, _OneOf):
-            config_field(node, f"{section}.{key}", cast, None)
-        elif node[key] not in cast.values:
-            raise ConfigError(f"unknown {cast.what} {node[key]!r}")
+def _typed(node: dict, section: str, types: dict) -> dict:
+    """node's typed keys, each value cast to its type; a ConfigError at the first value
+    it rejects."""
+    return {key: config_field(node, f"{section}.{key}", cast, None)
+            for key, cast in types.items() if key in node and cast is not None}
 
 
 def _stage_name(i: int, stage: dict):
@@ -340,42 +334,33 @@ def _get_student(cfg: dict, source) -> TabularLM:
     return TabularLM(order=order, vocab=Vocab.default(source.vocab.size))
 
 
-def _train_config(cfg: dict, overrides: dict | None = None) -> TrainConfig:
-    t = dict(cfg.get("train", {}))
-    if overrides:
-        t.update(overrides)
+def _train_config(cfg: dict, i: int | None = None) -> TrainConfig:
+    """The TrainConfig of the train keys, with stage i's merged over them when i is given.
+
+    Its fields not set take their defaults. A refused value names the key the config
+    set: stages[i].<key> where stage i sets it, else train.<key>.
+    """
+    stage = {} if i is None else cfg["stages"][i]
+    t = _typed(cfg.get("train", {}), "train", _SCHEMA["train"])
+    t.update(_typed(stage, f"stages[{i}]", _SCHEMA["train"]))
     if "objective" not in t:
         raise ConfigError("train config needs an 'objective' tag")
-    kind = ObjectiveKind(
-        tag=t["objective"],
-        beta=config_field(t, "train.beta", float, 0.5),
-        sign_fidelity=config_field(t, "train.sign_fidelity", boolean, False),
-    )
-    return TrainConfig(
-        objective=kind,
-        steps=config_field(t, "train.steps", int, 1000),
-        seed=cfg["seed"],
-        lr=config_field(t, "train.lr", float, 0.1),
-        batch_size=config_field(t, "train.batch_size", int, 32),
-        eval_every=config_field(t, "train.eval_every", int, 100),
-        opd_reward_mode=t.get("opd_reward_mode", "per_token"),
-        hpd_samples=config_field(t, "train.hpd_samples", int, 1),
-        opd_baseline=config_field(t, "train.opd_baseline", boolean, False),
-        horizon=config_field(t, "train.horizon", int, 16),
-        **_eval_keys(t),
-    )
+    t["tag"] = t.pop("objective")
+    t.pop("n_eval_seqs", None)
+    kind = {f.name: t.pop(f.name) for f in dataclasses.fields(ObjectiveKind) if f.name in t}
+    try:
+        return TrainConfig(objective=ObjectiveKind(**kind), seed=cfg["seed"], **t)
+    except (ConfigError, InvalidParameterError) as e:
+        raise _named(e, stage, i) from None
 
 
-def _eval_keys(t: dict) -> dict:
-    """The train keys that say how divergences are evaluated; eval reads only these.
-
-    train.n_eval_seqs is still accepted, and has no effect: evaluation is exact.
-    Configs written for sampled evaluation, the benchmark's among them, set it.
-    """
-    eval_len = config_field(t, "train.eval_len", int, 16)
-    if eval_len < 1:
-        raise ConfigError(f"train.eval_len must be >= 1, got {eval_len}")
-    return dict(eval_len=eval_len, eval_from=t.get("eval_from", "teacher"))
+def _named(e: ValueError, stage: dict, i: int | None) -> ValueError:
+    """e, named by the train key it refuses when its message opens with one: the
+    library names a field, the config the key that set it."""
+    key = str(e).partition(" ")[0]
+    if key not in _SCHEMA["train"]:
+        return e
+    return type(e)(f"{f'stages[{i}]' if key in stage else 'train'}.{e}")
 
 
 def cmd_gen_source(cfg: dict, out: _Out) -> int:
@@ -409,11 +394,9 @@ def _run_single(cfg: dict, out: _Out, csv_name="metrics.csv", ckpt_name="student
     named stage's go to metrics_<name>.csv. inputs, when given, are cfg's own."""
     # a stage names or inherits its objective, so a staged run needs no train.objective
     staged = "stages" in cfg
-    stages = [
-        Stage(name=_stage_name(i, st),
-              cfg=_train_config(cfg, {k: v for k, v in st.items() if k != "name"}))
-        for i, st in enumerate(cfg["stages"])
-    ] if staged else [Stage(name=None, cfg=_train_config(cfg))]
+    stages = [Stage(name=_stage_name(i, st), cfg=_train_config(cfg, i))
+              for i, st in enumerate(cfg["stages"])
+              ] if staged else [Stage(name=None, cfg=_train_config(cfg))]
     if out.command == "opd":
         for stage in stages:
             kind = stage.cfg.objective
@@ -436,12 +419,17 @@ def _run_single(cfg: dict, out: _Out, csv_name="metrics.csv", ckpt_name="student
 
 
 def cmd_eval(cfg: dict, out: _Out) -> int:
-    ev = _eval_keys(cfg.get("train", {}))
+    t = _typed(cfg.get("train", {}), "train", _SCHEMA["train"])
     inputs = _Inputs(cfg)
     teacher = inputs.teacher
     student = _get_student(cfg, inputs.source)
     tasks = inputs.tasks
-    plan = EvalPlan(teacher, student, ev["eval_len"], ev["eval_from"])
+    # eval reads only these train keys, at TrainConfig's defaults where unset
+    try:
+        plan = EvalPlan(teacher, student, t.get("eval_len", TrainConfig.eval_len),
+                        t.get("eval_from", TrainConfig.eval_from))
+    except InvalidInputError as e:
+        raise _named(e, {}, None) from None
     # the student's predictive table: its own logits, which every table writer keeps finite
     probs, logprobs = softmax_rows(student.table)
     occ = plan.occupancy(probs)

@@ -1,6 +1,7 @@
 """Exception types shared across the package, and config-value coercion."""
 
 import math
+import typing
 
 
 class InvalidInputError(ValueError):
@@ -53,10 +54,14 @@ def config_field(node: dict, path: str, cast, default):
     """The value under path's last key in node (default when absent), as cast.
 
     A value cast rejects is a ConfigError naming the dotted path, and so is a
-    boolean for a number, a fraction for an int (5.0 reads as 5) or a NaN or
-    infinity for a float.
+    boolean for a number, a fraction for an int (5.0 reads as 5), a NaN or
+    infinity for a float, or for a Literal cast any value but its own.
     """
     value = node.get(path.rpartition(".")[2], default)
+    if typing.get_origin(cast) is typing.Literal:
+        if value not in typing.get_args(cast):
+            raise ConfigError(f"unknown {path} {value!r}")
+        return value
     try:
         if cast in (int, float) and isinstance(value, bool):
             raise TypeError(value)

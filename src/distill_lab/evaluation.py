@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Literal, get_args
+
 import numpy as np
 
 from .data import MarkovSource
@@ -9,6 +11,9 @@ from .errors import InvalidInputError, InvalidParameterError
 from .model import (MAX_TABLE_ENTRIES, GradAccumulator, TabularLM, accumulate_token_grads,
                     prefix_id, prefix_ids, read_only, suffix_ids, walk)
 from .numerics import CategoricalDist, cdf_draw, kl_rows, softmax
+
+# whose sequences weigh the contexts of a divergence reading
+EvalFrom = Literal["teacher", "student"]
 
 
 def gradcheck(model: TabularLM, weighted_tokens, eps: float = 1e-5) -> float:
@@ -95,11 +100,11 @@ class EvalPlan:
     """
 
     def __init__(self, teacher: MarkovSource, student: TabularLM, eval_len: int,
-                 eval_from: str):
+                 eval_from: EvalFrom):
         if eval_len < 1:
             raise InvalidInputError(f"eval_len must be >= 1, got {eval_len}")
         check_pair(teacher, student)
-        if eval_from not in ("teacher", "student"):
+        if eval_from not in get_args(EvalFrom):
             raise InvalidInputError(f"unknown eval_from {eval_from!r}")
         self.eval_len = eval_len
         v, m = student.vocab.size, max(teacher.order, student.order)

@@ -24,6 +24,7 @@ tests/oracles.py holds a plain-Python twin of each rule, one token at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Literal
 
 import numpy as np
 
@@ -48,7 +49,7 @@ HPD_VARIANTS = ("hpd", "hpd_no_sample", "hpd_no_reinforce")
 
 @dataclass(frozen=True)
 class ObjectiveKind:
-    tag: str
+    tag: Literal[ALL_TAGS]
     beta: float = 0.5
     sign_fidelity: bool = False
 

@@ -12,12 +12,13 @@ import dataclasses
 import itertools
 import json
 from dataclasses import dataclass
+from typing import Literal, get_args
 
 import numpy as np
 
 from .data import Corpus, MarkovSource
 from .errors import ConfigError, DivergenceInfiniteError, InvalidInputError, PipelineError
-from .evaluation import CompletionTasks, EvalPlan
+from .evaluation import CompletionTasks, EvalFrom, EvalPlan
 from .model import (
     GradAccumulator,
     TabularLM,
@@ -82,42 +83,40 @@ def train_teacher_mle(corpus: Corpus, order: int, lam: float) -> TabularLM:
     return model
 
 
-@dataclass(frozen=True)
+# how on-policy rewards weigh a trajectory's tokens
+OpdRewardMode = Literal["per_token", "trajectory"]
+
+
+@dataclass(frozen=True, kw_only=True)
 class TrainConfig:
+    """A run's settings. With ObjectiveKind's, its fields but seed are the CLI's train
+    keys, each key's type, default and allowed values stated once, here."""
+
     objective: ObjectiveKind
-    steps: int
+    steps: int = 1000
     seed: int
     lr: float = 0.1
     batch_size: int = 32
     eval_every: int = 100
-    opd_reward_mode: str = "per_token"
+    opd_reward_mode: OpdRewardMode = "per_token"
     hpd_samples: int = 1
     opd_baseline: bool = False
     horizon: int = 16
     eval_len: int = 16
-    eval_from: str = "teacher"
+    eval_from: EvalFrom = "teacher"
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ConfigError("steps must be >= 1")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
+        for name in ("steps", "batch_size", "eval_every", "eval_len", "hpd_samples", "horizon"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
         if not np.isfinite(self.lr):
             raise ConfigError(f"lr must be finite, got {self.lr!r}")
         if self.lr <= 0.0:
             raise ConfigError("lr must be > 0")
-        if self.eval_every < 1:
-            raise ConfigError("eval_every must be >= 1")
-        if self.opd_reward_mode not in ("per_token", "trajectory"):
+        if self.opd_reward_mode not in get_args(OpdRewardMode):
             raise ConfigError(f"unknown opd_reward_mode {self.opd_reward_mode!r}")
-        if self.eval_len < 1:
-            raise ConfigError("eval_len must be >= 1")
-        if self.eval_from not in ("teacher", "student"):
+        if self.eval_from not in get_args(EvalFrom):
             raise ConfigError(f"unknown eval_from {self.eval_from!r}")
-        if self.hpd_samples < 1:
-            raise ConfigError("hpd_samples must be >= 1")
-        if self.horizon < 1:
-            raise ConfigError("horizon must be >= 1")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 

@@ -1,11 +1,13 @@
 """End-to-end tests of the config-driven command-line surface."""
 
+import dataclasses
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -14,11 +16,12 @@ import pytest
 import distill_lab
 from distill_lab import cli as cli_mod
 from distill_lab.cli import apply_overrides, build_parser, config_hash, main, validate_config
-from distill_lab.errors import ConfigError, config_field
+from distill_lab.errors import ConfigError, boolean, config_field
 from distill_lab.data import build_source, corpus_write, sample_corpus, source_save
 from distill_lab.evaluation import EvalPlan
 from distill_lab.model import TabularLM, Vocab, checkpoint_load, checkpoint_save
-from distill_lab.training import METRICS_HEADER
+from distill_lab.objectives import ObjectiveKind
+from distill_lab.training import METRICS_HEADER, TrainConfig
 from oracles import plan_divergences
 
 
@@ -113,9 +116,50 @@ class TestConfigHandling:
         with pytest.raises(ConfigError, match=r"^train\.lr: expected float, got "):
             config_field({"lr": value}, "train.lr", float, 0.1)
 
+    def test_config_field_admits_a_literal_cast_values_only(self):
+        mode = cli_mod._SCHEMA["teacher"]["mode"]
+        assert config_field({"mode": "mle_fit"}, "teacher.mode", mode, None) == "mle_fit"
+        for value in ("bogus", 1, None, ["mle_fit"]):
+            want = f"^unknown teacher\\.mode {re.escape(repr(value))}$"
+            with pytest.raises(ConfigError, match=want):
+                config_field({"mode": value}, "teacher.mode", mode, None)
+
     def test_override_requires_equals(self):
         with pytest.raises(ConfigError):
             apply_overrides({}, ["oops"])
+
+    # every train key's default, as the command line has stated it since sampled evaluation
+    TRAIN_DEFAULTS = {
+        "steps": 1000, "lr": 0.1, "batch_size": 32, "eval_every": 100,
+        "opd_reward_mode": "per_token", "hpd_samples": 1, "opd_baseline": False,
+        "horizon": 16, "eval_len": 16, "eval_from": "teacher", "beta": 0.5,
+        "sign_fidelity": False,
+    }
+
+    @pytest.mark.parametrize("key, value", TRAIN_DEFAULTS.items())
+    def test_an_omitted_train_key_takes_its_default(self, key, value):
+        omitted = {"seed": 3, "train": {"objective": "hpd"}}
+        explicit = {"seed": 3, "train": {"objective": "hpd", key: value}}
+        for cfg in (omitted, explicit):
+            validate_config(cfg)
+        # repr tells an int from a float of equal value
+        assert repr(cli_mod._train_config(omitted)) == repr(cli_mod._train_config(explicit))
+
+    def test_train_keys_are_the_fields(self):
+        fields = {f.name for cls in (TrainConfig, ObjectiveKind) for f in dataclasses.fields(cls)}
+        train = cli_mod._SCHEMA["train"]
+        assert set(train) == fields - {"objective", "seed", "tag"} | {"objective", "n_eval_seqs"}
+        assert set(self.TRAIN_DEFAULTS) == set(train) - {"objective", "n_eval_seqs"}
+        assert train["opd_baseline"] is boolean and train["sign_fidelity"] is boolean
+        assert train["steps"] is int and train["lr"] is float and train["n_eval_seqs"] is int
+
+    def test_train_keys_are_read_off_the_fields_once_per_process(self, monkeypatch):
+        # at import: checking and building a config reads no type hints
+        monkeypatch.setattr(typing, "get_type_hints", None)
+        cfg = {"seed": 3, "train": {"objective": "hpd", "eval_from": "student"},
+               "stages": [{"objective": "sft", "steps": 4.0}]}
+        validate_config(cfg)
+        assert cli_mod._train_config(cfg, 0).steps == 4
 
     def test_config_hash_stable_and_order_independent(self):
         a = config_hash({"seed": 1, "train": {"lr": 0.1}})
@@ -242,6 +286,21 @@ class TestCommands:
         # an empty path names no file: refused before any work
         *(("distill", [f'{key}=""'], f"{key}: expected a non-empty path, got ''")
           for key in ("out_dir", "source_path", "corpus_path", "init_checkpoint")),
+        # an out_dir under a file, or a file itself, takes no directory: refused before any work
+        ("distill", ['out_dir="c.json/sub"'], "out_dir: 'c.json' is not a directory"),
+        ("distill", ['out_dir="c.json/a/b/"'], "out_dir: 'c.json' is not a directory"),
+        ("gen-source", ['out_dir="c.json"'], "out_dir: 'c.json' is not a directory"),
+        # a range refusal names the key the config set
+        ("distill", ["train.horizon=0"], "train.horizon must be >= 1"),
+        ("distill", ['stages=[{"objective": "sft"}, {"objective": "sft", "steps": 0}]'],
+         "stages[1].steps must be >= 1"),
+        ("distill", ["train.eval_every=0", 'stages=[{"objective": "sft", "eval_every": 5}, '
+                     '{"objective": "sft"}]'], "train.eval_every must be >= 1"),
+        ("distill", ["train.beta=1"], "train.beta must lie in (0, 1), got 1.0"),
+        ("distill", ['stages=[{"objective": "jsd_off", "beta": 0}]'],
+         "stages[0].beta must lie in (0, 1), got 0.0"),
+        ("distill", ["train.lr=-0.5"], "train.lr must be > 0"),
+        ("opd", ["train.objective=opd_k1", "train.eval_len=0"], "train.eval_len must be >= 1"),
     ])
     def test_refused_run_writes_no_file(self, tmp_path, monkeypatch, capsys, command, sets,
                                         needle):
@@ -596,19 +655,20 @@ class TestCommands:
         ("gen-source", ['stages=[{"objective": "sft", "lr": "fast"}]'],
          "stages[0].lr: expected float, got 'fast'"),
         # every enumerated value is checked, whether or not the command reads it
-        ("gen-source", ["train.objective=bogus"], "unknown objective tag 'bogus'"),
-        ("eval", ["train.objective=bogus"], "unknown objective tag 'bogus'"),
+        ("gen-source", ["train.objective=bogus"], "unknown train.objective 'bogus'"),
+        ("eval", ["train.objective=bogus"], "unknown train.objective 'bogus'"),
         ("gen-corpus", ["teacher.mode=bogus"], "unknown teacher.mode 'bogus'"),
         ("opd", ["train.objective=opd_k1", "corpus.regime=bogus"],
-         "unknown corpus regime 'bogus'"),
+         "unknown corpus.regime 'bogus'"),
         # a corpus file is read whatever the regime says, but the regime is still checked
         ("distill", ["corpus.regime=bogus", 'corpus_path="corpus.txt"'],
-         "unknown corpus regime 'bogus'"),
-        ("gen-source", ["train.opd_reward_mode=sideways"], "unknown opd_reward_mode 'sideways'"),
-        ("gen-source", ["train.eval_from=elsewhere"], "unknown eval_from 'elsewhere'"),
-        ("gen-source", ['stages=[{"objective": "bogus"}]'], "unknown objective tag 'bogus'"),
+         "unknown corpus.regime 'bogus'"),
+        ("gen-source", ["train.opd_reward_mode=sideways"],
+         "unknown train.opd_reward_mode 'sideways'"),
+        ("gen-source", ["train.eval_from=elsewhere"], "unknown train.eval_from 'elsewhere'"),
+        ("gen-source", ['stages=[{"objective": "bogus"}]'], "unknown stages[0].objective 'bogus'"),
         ("gen-source", ['stages=[{"objective": "sft", "eval_from": "x"}]'],
-         "unknown eval_from 'x'"),
+         "unknown stages[0].eval_from 'x'"),
         # NaN and infinities are not floats a run can use
         ("train-teacher", ["teacher.smoothing=NaN"], "teacher.smoothing: expected float, got nan"),
         ("train-teacher", ["teacher.smoothing=Infinity"],
@@ -693,7 +753,7 @@ class TestCommands:
         cfg["stages"] = [{"name": "warm", "objective": "sft", "steps": 10},
                          {"name": "polish", "objective": "opd_k1", "steps": 5, "horizon": 0}]
         assert main(["distill", "--config", write_config(tmp_path / "c.json", cfg)]) == 2
-        assert capsys.readouterr().err == "error: horizon must be >= 1\n"
+        assert capsys.readouterr().err == "error: stages[1].horizon must be >= 1\n"
         assert not list((tmp_path / "out").glob("metrics_*.csv"))
 
     def test_user_error_exits_two_as_a_process(self, tmp_path):
