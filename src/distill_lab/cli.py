@@ -146,9 +146,9 @@ def validate_config(cfg: dict) -> None:
     if not (isinstance(seeds, list)
             and all(isinstance(s, int) and not isinstance(s, bool) for s in seeds)):
         raise ConfigError(f"sweep.seeds: expected a list of integers, got {seeds!r}")
-    for tag in objectives:
+    for i, tag in enumerate(objectives):
         if tag not in ALL_TAGS:
-            raise ConfigError(f"unknown objective tag {tag!r} in sweep")
+            raise ConfigError(f"unknown sweep.objectives[{i}] {tag!r}")
     # a cell's objective and seed name its output files: a repeat would overwrite one
     for key, values in (("objectives", objectives), ("seeds", seeds)):
         for i, x in enumerate(values):

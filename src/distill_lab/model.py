@@ -341,21 +341,42 @@ def _row_starts(m: int, vocab_size: int) -> np.ndarray:
 
 
 def add_token_grads(acc: GradAccumulator, ids: np.ndarray, tokens: np.ndarray,
-                    weights: np.ndarray, q: np.ndarray, index=None) -> GradAccumulator:
+                    weights: np.ndarray, q: np.ndarray, index=None,
+                    zeros_follow=False) -> GradAccumulator:
     """accumulate_token_grads without its checks: the unchecked gradient kernel.
 
     ids must be an intp and weights a float64 array. The caller guarantees
     what the public entry would check: every weight finite, every token in
     range and q[j][tokens[j]] > 0. The arithmetic is the public entry's own,
-    so both leave acc bit for bit the same; a zero weight is left out of the
-    scatter, so it adds nothing and touches no row. A caller that knows the
-    ids ahead may pass index, acc.scatter_index(ids).
+    so both leave acc bit for bit the same; a zero weight adds nothing and
+    touches no row. A caller that knows the ids ahead may pass index,
+    acc.scatter_index(ids).
+
+    A zero weight is left out of the scatter (a mask, a count and three
+    gathers), unless zeros_follow says it need not be: every row j of weight
+    0 comes right after a row j - 1 of the same context id whose weight is
+    not 0, and whose direction at tokens[j] is not -0.0. That skip is exact.
+    Row j's direction is -0.0 everywhere but +0.0 at tokens[j]; x + -0.0 is
+    x for every x, and x + +0.0 is x unless x is -0.0. Under round to
+    nearest a sum is -0.0 only when both addends are, so entry (ids[j],
+    tokens[j]), which holds its earlier sum plus row j - 1's term there, is
+    not -0.0; and row j - 1 already touches ids[j]. The off-policy HPD steps
+    that sample (training.distill_offpolicy) meet it: each draw's expert row
+    comes right before its sampled row, and the expert weight w* is never 0:
+    w* = k1* + r p* >= p* when k1* >= 0 (r >= 1), else w* = k1* < 0. The
+    expert row's term at the sampled token s is -w* q_s for s other than the
+    expert, and it cannot underflow to -0.0: q_s > 0 (cdf_draw draws no
+    zero), every positive entry of a student's or a teacher's table is at
+    least numerics.ZERO_TOL, and two distinct logs of probabilities differ by
+    at least 2**-105, so |w*| is at least 1e-44 and |w* / k * q_s| far above
+    the smallest double. At s = expert the term is -w* q_s + w*, a sum with
+    a nonzero addend.
     """
     m, v = q.shape
     direction = -weights[:, None] * q
     # the one-hot term: entry (j, tokens[j]) is element j * V + tokens[j] of the flat rows
     direction.reshape(-1)[_row_starts(m, v) + tokens] += weights
-    if np.count_nonzero(weights) < m:
+    if not zeros_follow and np.count_nonzero(weights) < m:
         keep = weights != 0.0
         ids, direction = ids[keep], direction[keep]
         index = None if index is None else index[keep]

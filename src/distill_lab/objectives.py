@@ -118,21 +118,23 @@ def _hpd(variant: str, p, k1, tokens, shape=None):
     suppressed (k1' < 0); the suppressed token takes weight k1'.
     "hpd_no_reinforce" drops the doubling. The weights have k1's shape, or
     hpd_no_sample's the given shape, whose columns after the first are 0.
+    No operation mixes ints and floats: it would cast its operands, which at
+    a step's size costs more than the arithmetic.
     """
-    k1_star = k1[..., 0]
+    k1_star, p_star = k1[..., 0], p[..., 0]
     if variant == "hpd_no_sample":
         w = np.zeros(k1.shape if shape is None else shape)
-        r = (k1_star > 0.0).view(np.int8)
+        kept = k1_star > 0.0
     else:
         w = np.empty_like(k1)
         suppressed = (tokens[..., 1] != tokens[..., 0]) & (k1[..., 1] < 0.0)
-        r = (k1_star >= 0.0).view(np.int8)
+        kept = k1_star >= 0.0
         if variant == "hpd":
-            r += suppressed & (k1_star > 0.0)
+            # 2 p* is p* + p* bit for bit
+            p_star = np.where(suppressed & (k1_star > 0.0), p_star + p_star, p_star)
         w[..., 1] = np.where(suppressed, k1[..., 1], 0.0)
-    # k1* - (-r) p* is k1* + r p* bit for bit; at r = 0 it subtracts +0.0, which
-    # keeps a k1* of -0.0 where adding +0.0 would not
-    w[..., 0] = k1_star - p[..., 0] * -r
+    # r = 0 keeps k1* as it is, a k1* of -0.0 included, where adding 0 p* would not
+    w[..., 0] = np.where(kept, k1_star + p_star, k1_star)
     return w
 
 

@@ -12,7 +12,8 @@ import dataclasses
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Literal, get_args
+from functools import cache
+from typing import Literal, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from .model import (
     walk,
 )
 from .numerics import CategoricalDist, cdf_draw, cdf_rows, entropy, log_probs, softmax_probs
-from .objectives import HPD_VARIANTS, ObjectiveKind, token_weights
+from .objectives import ObjectiveKind, token_weights
 
 METRICS_HEADER = (
     "step,objective,seed,train_entropy,kl_fwd,kl_rev,accuracy,mean_reward,wallclock_ms"
@@ -83,6 +84,12 @@ def train_teacher_mle(corpus: Corpus, order: int, lam: float) -> TabularLM:
     return model
 
 
+@cache
+def _field_types(cls) -> dict:
+    """get_type_hints(cls), evaluated once per class."""
+    return get_type_hints(cls)
+
+
 # how on-policy rewards weigh a trajectory's tokens
 OpdRewardMode = Literal["per_token", "trajectory"]
 
@@ -90,7 +97,12 @@ OpdRewardMode = Literal["per_token", "trajectory"]
 @dataclass(frozen=True, kw_only=True)
 class TrainConfig:
     """A run's settings. With ObjectiveKind's, its fields but seed are the CLI's train
-    keys, each key's type, default and allowed values stated once, here."""
+    keys, each key's type, default and allowed values stated once, here.
+
+    Every field is checked against its annotation before its range: a bool is
+    no int, an int is a float, and a Literal field holds one of its values.
+    A value of the wrong type is a ConfigError that names the field.
+    """
 
     objective: ObjectiveKind
     steps: int = 1000
@@ -106,6 +118,15 @@ class TrainConfig:
     eval_from: EvalFrom = "teacher"
 
     def __post_init__(self):
+        for name, hint in _field_types(TrainConfig).items():
+            value = getattr(self, name)
+            if get_origin(hint) is Literal:
+                if value not in get_args(hint):
+                    raise ConfigError(f"unknown {name} {value!r}")
+            # an int is a float, a bool neither (though it is an int to Python)
+            elif not (isinstance(value, (int, float) if hint is float else hint)
+                      and (hint is bool or not isinstance(value, bool))):
+                raise ConfigError(f"{name} must be {hint.__name__}, got {value!r}")
         for name in ("steps", "batch_size", "eval_every", "eval_len", "hpd_samples", "horizon"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
@@ -113,10 +134,6 @@ class TrainConfig:
             raise ConfigError(f"lr must be finite, got {self.lr!r}")
         if self.lr <= 0.0:
             raise ConfigError("lr must be > 0")
-        if self.opd_reward_mode not in get_args(OpdRewardMode):
-            raise ConfigError(f"unknown opd_reward_mode {self.opd_reward_mode!r}")
-        if self.eval_from not in get_args(EvalFrom):
-            raise ConfigError(f"unknown eval_from {self.eval_from!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
@@ -298,14 +315,20 @@ def distill_offpolicy(
     one random((steps, n * k)) call a block; so every tag draws the same
     positions from the same seed, and no output depends on the block size.
     A step's tokens are an (n * k, cols) array, row b * k + i for draw i of
-    position b (k = hpd_samples for HPD, else 1): column 0 is the expert and,
-    for the HPD variants that sample (cols = 2), column 1 a token drawn from
-    q's cached CDF rows, which the step adds to its flat indices;
-    hpd_no_sample ignores that token, so it draws none. The step gathers q,
-    and p and ln p for the rules that read them, at those tokens, makes one
-    token_weights call (a rule that reads ln q takes it of that q) and one
-    ordered accumulate through the unchecked kernel add_token_grads.
-    fkld_dense adds its summed direction p - q instead.
+    position b (k = hpd_samples for the HPD variants that sample, else 1):
+    column 0 is the expert and, for those variants (cols = 2), column 1 a
+    token drawn from q's cached CDF rows, which the step adds to its flat
+    indices. hpd_no_sample ignores that token, so it draws none, and its k
+    rows of a position would be one row k times: it weighs one row at w, and
+    hpd_samples has no effect on it. The step gathers q, and p and ln p for
+    the rules that read them, at those tokens, makes one token_weights call
+    (a rule that reads ln q takes it of that q) and one ordered accumulate
+    of the weights over k through the unchecked kernel add_token_grads. The
+    sampling variants skip its zero-weight filter (zeros_follow): a sampled
+    row of weight 0 comes right after its draw's expert row, whose weight is
+    never 0, so it adds nothing. Every other tag may weigh a context's only
+    row 0, so it keeps the filter. fkld_dense adds its summed direction
+    p - q instead.
     """
     kind = cfg.objective
     if kind.on_policy:
@@ -328,7 +351,7 @@ def distill_offpolicy(
     # the rules that read p, and of those the ones that read ln p
     reads_p = tag not in ("sft", "seqkd")
     reads_lp = reads_p and tag not in ("fkld_token", "jsd_off")
-    k = cfg.hpd_samples if tag in HPD_VARIANTS else 1
+    k = cfg.hpd_samples if sampled else 1
     cols = 2 if sampled else 1
     # each draw updates the expert token, then the sampled one
     draw = np.repeat(np.arange(n), k)
@@ -378,7 +401,8 @@ def distill_offpolicy(
                                   p_table.logprobs.take(t_flat) if reads_lp else None,
                                   q, None, step_tok)
                 add_token_grads(acc, step_flat, step_tok.ravel(), (w if k == 1 else w / k).ravel(),
-                                pred.probs.take(step_flat, axis=0), step_index)
+                                pred.probs.take(step_flat, axis=0), step_index,
+                                zeros_follow=sampled)
                 yield batch, None
 
     return _train_loop(cfg, teacher, student, eval_tasks, batches)

@@ -167,13 +167,13 @@ def reference_offpolicy(cfg, teacher, corpus, student):
     their count. The run's generator draws the positions; the uniforms of the
     HPD variants that sample come from a second generator, spawned from the
     seed, batch_size * k a step. hpd_no_sample ignores the sampled token, so
-    it draws none.
+    it draws none and weighs one row a position, whatever hpd_samples is.
     """
     kind = cfg.objective
     sequences = corpus.sequences
     lengths = np.array([len(seq) for seq in sequences])
 
-    k = cfg.hpd_samples if kind.tag in HPD_VARIANTS else 0
+    k = cfg.hpd_samples if kind.samples else 1
 
     def batches(student, pred, acc, rng):
         u_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])

@@ -679,7 +679,9 @@ class TestCommands:
         # the sweep lists are checked whichever command runs
         ("gen-source", ['sweep.objectives=["bogus"]', 'sweep.seeds="x"'],
          "sweep.seeds: expected a list of integers, got 'x'"),
-        ("gen-source", ['sweep.objectives=["bogus"]'], "unknown objective tag 'bogus' in sweep"),
+        ("gen-source", ['sweep.objectives=["bogus"]'], "unknown sweep.objectives[0] 'bogus'"),
+        ("sweep", ['sweep.objectives=["sft", "opd", "hpd"]', "sweep.seeds=[0]"],
+         "unknown sweep.objectives[1] 'opd'"),
         ("eval", ['sweep.objectives="hpd"'], "sweep.objectives: expected a list, got 'hpd'"),
         ("distill", ["sweep.seeds=[0, true]"], "sweep.seeds: expected a list of integers"),
         # a sweep cell's objective and seed name its files: a repeat would overwrite one

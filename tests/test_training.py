@@ -1,6 +1,8 @@
 """Oracle tests for teacher fitting and the off-/on-policy training loops."""
 
+import copy
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -197,6 +199,29 @@ class TestTrainConfig:
         for seed in (-1, -5, -2**63):
             with pytest.raises(ConfigError, match=f"^seed must be >= 0, got {seed}$"):
                 TrainConfig(objective=kind, steps=1, seed=seed)
+
+
+    @pytest.mark.parametrize("field, value, kind", [
+        ("objective", "sft", "ObjectiveKind"), ("steps", 2.5, "int"), ("steps", True, "int"),
+        ("seed", 1.0, "int"), ("lr", "0.5", "float"), ("lr", False, "float"),
+        ("batch_size", "32", "int"), ("hpd_samples", None, "int"),
+        ("opd_baseline", 1, "bool"), ("horizon", np.float64(4.0), "int")])
+    def test_field_types(self, field, value, kind):
+        # each field is checked against its annotation before its range is
+        fields = {"objective": ObjectiveKind("sft"), "seed": 0, field: value}
+        with pytest.raises(ConfigError, match=f"^{field} must be {kind}, got "
+                                              f"{re.escape(repr(value))}$"):
+            TrainConfig(**fields)
+
+    @pytest.mark.parametrize("field, value", [("opd_reward_mode", ["per_token"]),
+                                              ("eval_from", 0)])
+    def test_literal_fields_hold_one_of_their_values(self, field, value):
+        with pytest.raises(ConfigError, match=f"^unknown {field} "):
+            TrainConfig(objective=ObjectiveKind("sft"), seed=0, **{field: value})
+
+    def test_an_int_is_a_float(self):
+        cfg = TrainConfig(objective=ObjectiveKind("sft"), seed=0, lr=2, opd_baseline=True)
+        assert cfg.lr == 2 and cfg.opd_baseline is True
 
 
 class TestMetricsRow:
@@ -529,10 +554,13 @@ def _per_step_draws(seed, steps, n, lengths):
 
 
 def _five_steps_a_block(monkeypatch, tag, n, k, v=6):
-    """Set the plan budget so a block holds five steps of tag at batch size n."""
-    # a step's tokens: the expert, and a sampled token for the rules that read one
-    cols = 2 if ObjectiveKind(tag).samples else 1
-    monkeypatch.setattr(training, "PLAN_ENTRIES", 5 * n * k * cols * v + 1)
+    """Set the plan budget so a block holds five steps of tag at batch size n and
+    hpd_samples k."""
+    # a step's tokens: the expert, and k sampled tokens for the rules that read one;
+    # hpd_no_sample draws one row a position at any k
+    samples = ObjectiveKind(tag).samples
+    rows, cols = (k, 2) if samples else (1, 1)
+    monkeypatch.setattr(training, "PLAN_ENTRIES", 5 * n * rows * cols * v + 1)
 
 
 class TestPlannedDraws:
@@ -578,7 +606,7 @@ class TestPlannedDraws:
         assert drawn[-1][0].bit_generator.state == state
 
     @pytest.mark.parametrize("tag, k", [(tag, 1) for tag in OFF_POLICY_TAGS]
-                             + [("hpd", 3), ("hpd_no_reinforce", 3)])
+                             + [("hpd", 3), ("hpd_no_sample", 3), ("hpd_no_reinforce", 3)])
     def test_blocks_match_per_position_reference(self, tmp_path, monkeypatch, tag, k):
         teacher, corpus = _equal_length_corpus()
         _five_steps_a_block(monkeypatch, tag, 7, k)
@@ -633,6 +661,69 @@ class TestHpdStream:
         pos = {tag: np.concatenate(blocks) for tag, blocks in drawn.items()}
         assert pos["sft"].shape == (40, 8)
         assert np.array_equal(pos["sft"], pos["hpd"])
+
+
+class TestZeroWeights:
+    """hpd and hpd_no_reinforce scatter their zero weights; the other callers drop them."""
+
+    @pytest.mark.parametrize("variant", ["hpd", "hpd_no_reinforce"])
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("student", ["uniform", "peaked"])
+    def test_unfiltered_scatter_equals_the_filtered_one(self, monkeypatch, variant, k, student):
+        # the peaked student is an unsmoothed fit, whose rows hold exact zeros in q
+        teacher, corpus = _variable_length_corpus()
+        kernel = training.add_token_grads
+        seen = {"steps": 0, "zero_weight": False, "zero_q": False}
+
+        def both(acc, ids, tokens, weights, q, index, zeros_follow):
+            assert zeros_follow
+            filtered = copy.deepcopy(acc)
+            kernel(filtered, ids, tokens, weights, q, index)
+            kernel(acc, ids, tokens, weights, q, index, zeros_follow=True)
+            assert acc.directions.tobytes() == filtered.directions.tobytes()
+            assert np.array_equal(acc.touched, filtered.touched)
+            seen["steps"] += 1
+            seen["zero_weight"] |= bool((weights == 0.0).any())
+            seen["zero_q"] |= bool((q == 0.0).any())
+            return acc
+
+        monkeypatch.setattr(training, "add_token_grads", both)
+        start = (_mle_student(corpus, 2) if student == "peaked"
+                 else TabularLM(order=2, vocab=Vocab.default(6)))
+        for lr in (0.5, 5.0):
+            distill_offpolicy(small_cfg(variant, steps=30, seed=3, lr=lr, hpd_samples=k),
+                              teacher, corpus, start)
+        assert seen["steps"] == 60 and seen["zero_weight"]
+        assert seen["zero_q"] == (student == "peaked")
+
+    @pytest.mark.parametrize("tag", ["rkld_off", "jsd_off", "hpd_no_sample"])
+    def test_a_row_of_zero_weights_is_left_untouched(self, tag):
+        # the student is the uniform teacher at every context but (1,): every other
+        # row's expert weighs exactly 0, so the checkpoint lists the one row that moved
+        teacher, corpus = _variable_length_corpus("uniform")
+        student = _one_context_student(1, 6)
+        trained, _ = distill_offpolicy(small_cfg(tag, steps=30, hpd_samples=3), teacher,
+                                       corpus, student)
+        one = [prefix_id([1], 1, student.vocab)]
+        assert np.flatnonzero(trained.touched).tolist() == one
+        assert np.flatnonzero((trained.table != student.table).any(axis=1)).tolist() == one
+
+    def test_opd_leaves_rows_of_zero_reward_untouched(self, monkeypatch):
+        # every rollout starts at (BOS, BOS), the one context whose rewards are not 0
+        moved, step = [], training.sgd_step
+        monkeypatch.setattr(training, "sgd_step", lambda *a: moved.append(step(*a)) or moved[-1])
+        distill_onpolicy_opd(small_cfg("opd_k1", steps=10, horizon=4), model_source(_opd_mle_fit()),
+                             _teacher_but_one_student())
+        assert [ids.tolist() for ids in moved] == [[0]] * 10
+
+    @pytest.mark.parametrize("equal", [True, False])
+    def test_hpd_no_sample_weighs_one_row_at_any_k(self, tmp_path, equal):
+        teacher, corpus = _equal_length_corpus() if equal else _variable_length_corpus()
+        runs = [_run_bytes(tmp_path, small_cfg("hpd_no_sample", steps=23, seed=6, batch_size=7,
+                                               hpd_samples=k, eval_every=5, lr=2.0),
+                           teacher, corpus, order=2)
+                for k in (1, 3)]
+        assert runs[0] == runs[1]
 
 
 class TestDistillOnpolicyOPD:
