@@ -200,7 +200,6 @@ class TestTrainConfig:
             with pytest.raises(ConfigError, match=f"^seed must be >= 0, got {seed}$"):
                 TrainConfig(objective=kind, steps=1, seed=seed)
 
-
     @pytest.mark.parametrize("field, value, kind", [
         ("objective", "sft", "ObjectiveKind"), ("steps", 2.5, "int"), ("steps", True, "int"),
         ("seed", 1.0, "int"), ("lr", "0.5", "float"), ("lr", False, "float"),
