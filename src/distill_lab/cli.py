@@ -39,8 +39,8 @@ from .evaluation import CompletionTasks, EvalPlan, gradcheck, make_completion_ta
 from .model import MAX_TABLE_ENTRIES, TabularLM, Vocab, checkpoint_load, checkpoint_save
 from .numerics import CategoricalDist, entropy, softmax, softmax_rows
 from .objectives import ALL_TAGS, OFF_POLICY_TAGS, ObjectiveKind
-from .training import (Stage, TrainConfig, check_regime, metrics_write, run_experiment,
-                       train_teacher_mle)
+from .training import (Stage, TrainConfig, check_regime, csv_write, metrics_write,
+                       run_experiment, train_teacher_mle)
 
 CONFIG_FORMAT_VERSION = 1
 
@@ -351,16 +351,11 @@ def _train_config(cfg: dict, i: int | None = None) -> TrainConfig:
     try:
         return TrainConfig(objective=ObjectiveKind(**kind), seed=cfg["seed"], **t)
     except (ConfigError, InvalidParameterError) as e:
-        raise _named(e, stage, i) from None
-
-
-def _named(e: ValueError, stage: dict, i: int | None) -> ValueError:
-    """e, named by the train key it refuses when its message opens with one: the
-    library names a field, the config the key that set it."""
-    key = str(e).partition(" ")[0]
-    if key not in _SCHEMA["train"]:
-        return e
-    return type(e)(f"{f'stages[{i}]' if key in stage else 'train'}.{e}")
+        # the library names a field, the config the key that set it
+        key = str(e).partition(" ")[0]
+        if key not in _SCHEMA["train"]:
+            raise
+        raise type(e)(f"{f'stages[{i}]' if key in stage else 'train'}.{e}") from None
 
 
 def cmd_gen_source(cfg: dict, out: _Out) -> int:
@@ -418,18 +413,25 @@ def _run_single(cfg: dict, out: _Out, csv_name="metrics.csv", ckpt_name="student
     return 0
 
 
+@dataclasses.dataclass
+class AuditRow:
+    """eval's reading of a student; its fields, in order, are audit.csv's columns."""
+
+    kl_fwd: float
+    kl_rev: float
+    mean_entropy: float
+    accuracy: float | None
+
+
 def cmd_eval(cfg: dict, out: _Out) -> int:
-    t = _typed(cfg.get("train", {}), "train", _SCHEMA["train"])
+    # eval reads train.eval_len and train.eval_from only, but checks the train keys
+    # as a run does, before any input is built; an objective it leaves unset is sft
+    train = _train_config(dict(cfg, train={"objective": "sft", **cfg.get("train", {})}))
     inputs = _Inputs(cfg)
     teacher = inputs.teacher
     student = _get_student(cfg, inputs.source)
     tasks = inputs.tasks
-    # eval reads only these train keys, at TrainConfig's defaults where unset
-    try:
-        plan = EvalPlan(teacher, student, t.get("eval_len", TrainConfig.eval_len),
-                        t.get("eval_from", TrainConfig.eval_from))
-    except InvalidInputError as e:
-        raise _named(e, {}, None) from None
+    plan = EvalPlan(teacher, student, train.eval_len, train.eval_from)
     # the student's predictive table: its own logits, which every table writer keeps finite
     probs, logprobs = softmax_rows(student.table)
     occ = plan.occupancy(probs)
@@ -439,13 +441,7 @@ def cmd_eval(cfg: dict, out: _Out) -> int:
     ent = occ @ entropy(CategoricalDist(probs[ids], logprobs[ids]))
     acc = CompletionTasks(tasks, student).accuracy(student.table) if tasks else None
     path = out.path("audit.csv")
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("# " + json.dumps(_meta(cfg), sort_keys=True) + "\n")
-        f.write("kl_fwd,kl_rev,mean_entropy,accuracy\n")
-        f.write(",".join([
-            repr(kl_fwd), repr(kl_rev), repr(float(ent)),
-            "" if acc is None else repr(acc),
-        ]) + "\n")
+    csv_write(path, AuditRow, [AuditRow(kl_fwd, kl_rev, ent, acc)], _meta(cfg))
     print(f"wrote {path}: kl_fwd={kl_fwd:.6f} kl_rev={kl_rev:.6f}")
     return 0
 

@@ -36,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, InvalidInputError, ParseError, config_field
-from .model import (TabularLM, Vocab, context_ids, context_key, load_rows, prefix_ids, read_only,
+from .model import (TabularLM, Vocab, context_ids, context_key, load_table, prefix_ids, read_only,
                     save_rows, table_rows, walk)
 from .numerics import CategoricalDist, cdf_draw, cdf_rows, softmax
 
@@ -180,55 +180,25 @@ def build_source(spec: dict) -> MarkovSource:
     raise ConfigError(f"unknown source name {name!r}")
 
 
-SOURCE_FORMAT_VERSION = 1
-
-
 def source_save(source: MarkovSource, path, header_extra: dict | None = None) -> None:
-    head = {
-        "format_version": SOURCE_FORMAT_VERSION,
-        "name": source.name,
-        "order": source.order,
-        "vocab": {"names": list(source.vocab.names), "bos_id": source.vocab.bos_id},
-    }
     probs = source.table.probs
-    save_rows(path, head, np.arange(len(probs)), probs, "probs", source.order, header_extra)
+    save_rows(path, {"name": source.name}, source.order, source.vocab, np.arange(len(probs)),
+              probs, "probs", header_extra)
 
 
 def source_load(path) -> MarkovSource:
-    with open(path, encoding="utf-8") as f:
-        text = f.read()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from e
-    try:
-        if doc["format_version"] != SOURCE_FORMAT_VERSION:
-            raise ParseError(f"{path}: unsupported format_version")
-        vocab = Vocab(names=tuple(doc["vocab"]["names"]), bos_id=int(doc["vocab"]["bos_id"]))
-        order, v = int(doc["order"]), vocab.size
-        probs = np.zeros((table_rows(v, order), v))
+    """The source in a table file (model.load_table) that lists every context's row."""
+    def build(doc, order, vocab, ids, rows):
+        probs = np.zeros((table_rows(vocab.size, order), vocab.size))
         present = np.zeros(len(probs), dtype=bool)
-
-        def parse(i, entry):
-            ctx = tuple(int(t) for t in entry["context"])
-            if len(ctx) != order:
-                raise ParseError(f"{path}: rows[{i}]: context length != order")
-            row = np.asarray(entry["probs"], dtype=np.float64)
-            if row.shape != (v,):
-                raise ParseError(f"{path}: rows[{i}]: probs must list {v} numbers")
-            return ctx, row
-
-        ids, rows = load_rows(doc["rows"], order, vocab, parse)
         probs[ids], present[ids] = rows, True
         if not present.all():
-            ctx = context_key(int(np.argmin(present)), order, v)
+            ctx = context_key(int(np.argmin(present)), order, vocab.size)
             raise ParseError(f"{path}: no row for context {ctx}")
         return MarkovSource(name=str(doc["name"]), order=order, vocab=vocab,
                             table=CategoricalDist.from_rows(probs))
-    except (KeyError, TypeError, ValueError) as e:
-        if isinstance(e, ParseError):
-            raise
-        raise ParseError(f"{path}: malformed source file: {e}") from e
+
+    return load_table(path, "source file", "probs", build)
 
 
 @dataclass(frozen=True, eq=False)
@@ -413,6 +383,8 @@ def corpus_read(path) -> Corpus:
         raise ParseError(f"{path}: line 1: bad header: {e}") from e
     if version != CORPUS_FORMAT_VERSION:
         raise ParseError(f"{path}: line 1: unsupported format_version {version}")
+    if provenance not in Corpus.PROVENANCES:
+        raise ParseError(f"{path}: line 1: unknown provenance {provenance!r}")
     parsed = _parse_body(lines[1:], v)
     if parsed is None:
         return Corpus.from_sequences(_parse_lines(path, lines, v), provenance=provenance,

@@ -28,7 +28,8 @@ from .errors import (
     ParseError,
 )
 
-CHECKPOINT_FORMAT_VERSION = 1
+# the version of a table file: a checkpoint's or a source's (save_rows, load_table)
+TABLE_FORMAT_VERSION = 1
 
 # the most floats (V**(k + 1)) one dense order-k table may hold: 32 MiB
 MAX_TABLE_ENTRIES = 2**22
@@ -429,29 +430,28 @@ def sgd_step(model: TabularLM, acc: GradAccumulator, lr: float, n: int) -> np.nd
 
 
 def checkpoint_save(model: TabularLM, path, header_extra: dict | None = None) -> None:
-    """Write the model as JSON; float repr keeps 17 significant digits."""
-    head = {
-        "format_version": CHECKPOINT_FORMAT_VERSION,
-        "order": model.order,
-        "vocab": {"names": list(model.vocab.names), "bos_id": model.vocab.bos_id},
-    }
-    save_rows(path, head, np.flatnonzero(model.touched), model.table, "logits", model.order,
-              header_extra)
+    """Write the model's touched rows as JSON; float repr keeps 17 significant digits."""
+    save_rows(path, {}, model.order, model.vocab, np.flatnonzero(model.touched), model.table,
+              "logits", header_extra)
 
 
-def save_rows(path, head: dict, ids: np.ndarray, table: np.ndarray, name: str, order: int,
-              header_extra: dict | None) -> None:
-    """Write json.dump's text of head, a "rows" list and header_extra, then a newline.
+def save_rows(path, own: dict, order: int, vocab: Vocab, ids: np.ndarray, table: np.ndarray,
+              name: str, header_extra: dict | None) -> None:
+    """Write a table file: json.dump's text of its header, a "rows" list and header_extra,
+    then a newline.
 
-    Row j of the list is {"context": context_key(ids[j]), name: table[ids[j]]}.
-    header_extra's keys update the document as dict.update does: a key of head
-    (or "rows") keeps its place and takes the new value, any other comes last.
-    The rows are encoded by json.dumps, chunk by chunk of at most
-    JSON_CHUNK_FLOATS floats (or one row): the file is the one-shot text, and
-    no more than one chunk's text is held at once.
+    The header is format_version, the kind's own keys (a source's name), order
+    and vocab. Row j of the list is {"context": context_key(ids[j]), name:
+    table[ids[j]]}. header_extra's keys update the document as dict.update
+    does: a key of the header (or "rows") keeps its place and takes the new
+    value, any other comes last. The rows are encoded by json.dumps, chunk by
+    chunk of at most JSON_CHUNK_FLOATS floats (or one row): the file is the
+    one-shot text, and no more than one chunk's text is held at once.
     """
     rows = object()  # stands for the row list until it is written
-    doc = {**head, "rows": rows, **(header_extra or {})}
+    doc = {"format_version": TABLE_FORMAT_VERSION, **own, "order": order,
+           "vocab": {"names": list(vocab.names), "bos_id": vocab.bos_id},
+           "rows": rows, **(header_extra or {})}
     v = table.shape[1]
     per = max(1, JSON_CHUNK_FLOATS // v)
     place = v ** np.arange(order - 1, -1, -1)  # the base-V digits of a context id
@@ -473,56 +473,78 @@ def save_rows(path, head: dict, ids: np.ndarray, table: np.ndarray, name: str, o
         f.write("}\n")
 
 
-def load_rows(entries, order: int, vocab: Vocab, parse) -> tuple[np.ndarray, np.ndarray]:
-    """(ids, rows) of a file's context rows; a context listed twice keeps its last row.
+def load_rows(path, entries, order: int, vocab: Vocab,
+              name: str) -> tuple[np.ndarray, np.ndarray]:
+    """(ids, rows) of a table file's rows; a context listed twice keeps its last row.
 
-    parse(i, entry) gives entry i's (context, row of vocab.size floats) or
-    raises. The ids are one prefix_ids call over every context, and the first
-    bad entry raises, as parsing and prefix_id entry by entry would: an
-    earlier entry's out-of-range token id comes before a later entry's error.
+    Entry i's context must hold order token ids of vocab, and its row, under
+    name, vocab.size finite numbers. The ids are one prefix_ids call over
+    every context and the finiteness one test over every row, and the first
+    bad entry raises, as checking entry by entry would: an earlier entry's
+    out-of-range token id comes before a later entry's error.
     """
+    v = vocab.size
     ctxs, rows = [], []
+
+    def checked():  # the entries so far, as (ids, rows); raises at the first bad one
+        table = np.reshape(rows, (len(rows), v))
+        bad = np.flatnonzero(~np.isfinite(table).all(axis=1))[:1]
+        ids = prefix_ids(ctxs[:bad[0]] if bad.size else ctxs, order, vocab)
+        if bad.size:
+            raise ParseError(f"{path}: rows[{bad[0]}]: {name} must list {v} numbers, each finite")
+        return ids, table
+
     for i, entry in enumerate(entries):
         try:
-            ctx, row = parse(i, entry)
+            ctx = tuple(int(t) for t in entry["context"])
+            if len(ctx) != order:
+                raise ParseError(f"{path}: rows[{i}]: context length != order")
+            row = np.asarray(entry[name], dtype=np.float64)
         except (KeyError, TypeError, ValueError):
-            prefix_ids(ctxs, order, vocab)
+            checked()
             raise
         ctxs.append(ctx)
-        rows.append(row)
-    ids = prefix_ids(ctxs, order, vocab)
+        # a row of another length is refused as a non-finite one is, by checked
+        rows.append(row if row.shape == (v,) else np.full(v, np.nan))
+    ids, table = checked()
     last = ids.size - 1 - np.unique(ids[::-1], return_index=True)[1]
-    return ids[last], np.reshape(rows, (len(rows), vocab.size))[last]
+    return ids[last], table[last]
 
 
-def checkpoint_load(path) -> TabularLM:
-    with open(path, encoding="utf-8") as f:
-        text = f.read()
+def load_table(path, kind: str, name: str, build):
+    """build(doc, order, vocab, ids, rows): the object of the table file at path.
+
+    The file is save_rows' JSON at TABLE_FORMAT_VERSION; order and vocab are
+    its header's, and (ids, rows) its rows under name (load_rows), once
+    table_rows has checked the table's size. Every fault of the file is a
+    ParseError naming path: a value that reading it, or build, refuses is
+    "malformed <kind>".
+    """
     try:
-        doc = json.loads(text)
+        with open(path, encoding="utf-8") as f:
+            doc = json.load(f)
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from e
     try:
         version = doc["format_version"]
-        if version != CHECKPOINT_FORMAT_VERSION:
+        if version != TABLE_FORMAT_VERSION:
             raise ParseError(f"{path}: unsupported format_version {version}")
         vocab = Vocab(names=tuple(doc["vocab"]["names"]), bos_id=int(doc["vocab"]["bos_id"]))
-        model = TabularLM(order=int(doc["order"]), vocab=vocab)
-
-        def parse(i, entry):
-            ctx = tuple(int(t) for t in entry["context"])
-            row = np.asarray(entry["logits"], dtype=np.float64)
-            if len(ctx) != model.order:
-                raise ParseError(f"{path}: rows[{i}]: context length != order")
-            if row.shape != (vocab.size,) or not np.all(np.isfinite(row)):
-                raise ParseError(f"{path}: rows[{i}]: bad logit row")
-            return ctx, row
-
-        ids, rows = load_rows(doc["rows"], model.order, vocab, parse)
-        model.table[ids] = rows
-        model.touched[ids] = True
+        order = int(doc["order"])
+        table_rows(vocab.size, order)  # before load_rows builds an (n, order) array
+        return build(doc, order, vocab, *load_rows(path, doc["rows"], order, vocab, name))
     except (KeyError, TypeError, ValueError) as e:
         if isinstance(e, ParseError):
             raise
-        raise ParseError(f"{path}: malformed checkpoint: {e}") from e
-    return model
+        raise ParseError(f"{path}: malformed {kind}: {e}") from e
+
+
+def checkpoint_load(path) -> TabularLM:
+    """The model in a table file (load_table): the rows it lists, touched."""
+    def build(doc, order, vocab, ids, rows):
+        model = TabularLM(order=order, vocab=vocab)
+        model.table[ids] = rows
+        model.touched[ids] = True
+        return model
+
+    return load_table(path, "checkpoint", "logits", build)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .data import Corpus, MarkovSource
 from .errors import ConfigError, DivergenceInfiniteError, InvalidInputError, PipelineError
-from .evaluation import CompletionTasks, EvalFrom, EvalPlan
+from .evaluation import CompletionTasks, EvalFrom, EvalPlan, check_pair
 from .model import (
     GradAccumulator,
     TabularLM,
@@ -36,10 +36,6 @@ from .model import (
 )
 from .numerics import CategoricalDist, cdf_draw, cdf_rows, entropy, log_probs, softmax_probs
 from .objectives import ObjectiveKind, token_weights
-
-METRICS_HEADER = (
-    "step,objective,seed,train_entropy,kl_fwd,kl_rev,accuracy,mean_reward,wallclock_ms"
-)
 
 # ln of a zero count underflows to prob 0 through softmax at this floor
 LOGIT_FLOOR = -1000.0
@@ -140,6 +136,8 @@ class TrainConfig:
 
 @dataclass
 class MetricsRow:
+    """One metrics reading; its fields, in order, are the metrics CSV's columns."""
+
     step: int
     objective: str
     seed: int
@@ -151,22 +149,36 @@ class MetricsRow:
     wallclock_ms: float | None = None
 
     def to_csv_line(self) -> str:
-        def fmt(x):
-            return "" if x is None else repr(float(x))
+        return csv_line(self)
 
-        return ",".join(
-            [
-                str(self.step),
-                self.objective,
-                str(self.seed),
-                fmt(self.train_entropy),
-                fmt(self.kl_fwd),
-                fmt(self.kl_rev),
-                fmt(self.accuracy),
-                fmt(self.mean_reward),
-                fmt(self.wallclock_ms),
-            ]
-        )
+
+@cache
+def _columns(cls) -> tuple:
+    """(name, whether it holds a float) of each field of a dataclass of rows, in order."""
+    return tuple((name, float in (hint, *get_args(hint)))
+                 for name, hint in _field_types(cls).items())
+
+
+def csv_line(row) -> str:
+    """row's fields in order, comma-separated: None as the empty cell, a float field's
+    value as repr(float(x)), the shortest text that reads back to the same double,
+    and any other as str(x)."""
+    return ",".join(["" if (x := getattr(row, name)) is None
+                     else repr(float(x)) if is_float else str(x)
+                     for name, is_float in _columns(type(row))])
+
+
+def csv_write(path, cls, rows, meta: dict | None = None) -> None:
+    """Write a CSV of rows of the dataclass cls: a '#' JSON meta line (when meta is
+    given), a header of cls's field names, then one csv_line a row."""
+    with open(path, "w", encoding="utf-8") as f:
+        if meta is not None:
+            f.write("# " + json.dumps(meta, sort_keys=True) + "\n")
+        f.write(",".join(_field_types(cls)) + "\n")
+        f.writelines(csv_line(row) + "\n" for row in rows)
+
+
+METRICS_HEADER = ",".join(_field_types(MetricsRow))
 
 
 def evaluate_divergences(plan: EvalPlan, pred: PredictiveTable) -> tuple[float, float]:
@@ -330,6 +342,7 @@ def distill_offpolicy(
     row 0, so it keeps the filter. fkld_dense adds its summed direction
     p - q instead.
     """
+    check_pair(teacher, student)  # before the corpus's ids are read against the student's V
     kind = cfg.objective
     if kind.on_policy:
         raise ConfigError(f"objective {kind.tag!r} is on-policy; use distill_onpolicy_opd")
@@ -488,13 +501,8 @@ def distill_onpolicy_opd(
 
 
 def metrics_write(rows, path, meta: dict | None = None) -> None:
-    """Write rows under the fixed CSV header, with a '#' JSON meta line."""
-    with open(path, "w", encoding="utf-8") as f:
-        if meta is not None:
-            f.write("# " + json.dumps(meta, sort_keys=True) + "\n")
-        f.write(METRICS_HEADER + "\n")
-        for row in rows:
-            f.write(row.to_csv_line() + "\n")
+    """Write MetricsRow rows as a CSV (csv_write), with a '#' JSON meta line."""
+    csv_write(path, MetricsRow, rows, meta)
 
 
 @dataclass(frozen=True)

@@ -264,7 +264,9 @@ class TestCommands:
         ("sweep", [*SWEEP, "source.name=nope"], "unknown source name 'nope'"),
         ("sweep", [], "sweep needs 'sweep.objectives' and 'sweep.seeds'"),
         ("sweep", [*SWEEP, "train.steps=0"], "steps must be >= 1"),
-        ("eval", ["train.eval_len=0"], "train.eval_len must be >= 1, got 0"),
+        ("eval", ["train.eval_len=0"], "train.eval_len must be >= 1"),
+        # eval checks every train key as a run does, those it never reads too
+        ("eval", ["train.lr=-0.5"], "train.lr must be > 0"),
         ("eval", ['init_checkpoint="s8.json"'],
          "teacher vocabulary size 6 != student vocabulary size 8"),
         ("gen-corpus", ["corpus.num_seqs=0"], "num_seqs and length must be >= 1"),
@@ -467,6 +469,16 @@ class TestCommands:
             # an untrained student is uniform at every context
             assert float(vals[2]) == pytest.approx(np.log(6.0), rel=1e-12)
 
+    def test_eval_refuses_train_keys_before_building_its_inputs(self, tmp_path, monkeypatch,
+                                                                capsys):
+        # eval refuses a train key as distill does, before any source or corpus is built
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli_mod, "_Inputs", None)
+        assert main(["eval", "--set", "seed=0", "--set", "source.name=bimodal_gap",
+                     "--set", "train.eval_len=0"]) == 2
+        assert capsys.readouterr().err == "error: train.eval_len must be >= 1\n"
+        assert not os.listdir(tmp_path)
+
     def test_gradcheck_command_exits_zero(self, capsys):
         assert main(["gradcheck", "--set", "seed=0"]) == 0
         out = capsys.readouterr().out
@@ -610,6 +622,8 @@ class TestCommands:
         ("opd", ['init_checkpoint="s8.json"', "train.objective=opd_k1"],
          "teacher vocabulary size 6 != student vocabulary size 8"),
         ("opd", ['init_checkpoint="s4.json"', "train.objective=opd_k1"],
+         "teacher vocabulary size 6 != student vocabulary size 4"),
+        ("distill", ['init_checkpoint="s4.json"', "train.objective=hpd"],
          "teacher vocabulary size 6 != student vocabulary size 4"),
         ("distill", ["student_order=12"], "V=6 and order k=12"),
         ("eval", ['init_checkpoint="ctx7.json"'], "context (7,) has out-of-range token ids"),

@@ -31,7 +31,7 @@ from distill_lab.data import (
     source_save,
 )
 from distill_lab.errors import ConfigError, InvalidInputError, ParseError
-from distill_lab.model import TabularLM, Vocab
+from distill_lab.model import TabularLM, Vocab, checkpoint_load, checkpoint_save
 from distill_lab.numerics import CategoricalDist, entropy, softmax
 from distill_lab.training import LOGIT_FLOOR, train_teacher_mle
 from oracles import (RAGGED_PROMPTS, bimodal_mixture, bimodal_table, dirichlet_rows,
@@ -659,6 +659,13 @@ class TestCorpusParse:
                                    f"{path}: line 1: bad header: Expecting value: line 1 "
                                    f"column 1 (char 0)")
 
+    def test_unknown_provenance_names_the_file(self, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_text('{"format_version": 1, "V": 4, "provenance": "weird", "seed": 0}\n0 1\n')
+        with pytest.raises(ParseError) as info:
+            corpus_read(path)
+        assert str(info.value) == f"{path}: line 1: unknown provenance 'weird'"
+
     @pytest.mark.parametrize("body", ["", "\n", "  \n\t\n", "\n\n\n"])
     def test_empty_body_is_an_empty_corpus(self, tmp_path, body):
         path = tmp_path / "c.txt"
@@ -749,3 +756,62 @@ def test_property_smoothed_rows_are_distributions(eps):
     src = build_source({"name": "bimodal_gap", "eps": eps})
     assert np.allclose(src.table.probs.sum(axis=1), 1.0)
     assert np.all(src.table.probs > 0.0)
+
+
+def _table_files():
+    """Each kind of table file: (save, load, a table of V = 3 and order 2 with every row
+    set, its rows' key)."""
+    rows = dirichlet_rows(np.random.default_rng(0), 3, 1.0, 9)
+    model = TabularLM(order=2, vocab=Vocab.default(3))
+    model.table[:], model.touched[:] = np.log(rows), True
+    source = MarkovSource("s", 2, Vocab.default(3), CategoricalDist.from_rows(rows))
+    return {"source": (source_save, source_load, source, "probs"),
+            "checkpoint": (checkpoint_save, checkpoint_load, model, "logits")}
+
+
+class TestTableFiles:
+    """Sources and checkpoints share one file format, one writer and one loader."""
+
+    @pytest.mark.parametrize("kind", ["source", "checkpoint"])
+    @pytest.mark.parametrize("edit, needle", [
+        (lambda doc, key: "{not json", "invalid JSON at line 1"),
+        (lambda doc, key: doc.update(format_version=2), "unsupported format_version 2"),
+        (lambda doc, key: doc["rows"][1].update(context=[0]), "rows[1]: context length != order"),
+        (lambda doc, key: doc["rows"][1].update({key: [0.5, 0.5]}),
+         "rows[1]: {key} must list 3 numbers, each finite"),
+        (lambda doc, key: doc["rows"][1][key].__setitem__(2, float("inf")),
+         "rows[1]: {key} must list 3 numbers, each finite"),
+        (lambda doc, key: doc["rows"][1][key].__setitem__(0, float("nan")),
+         "rows[1]: {key} must list 3 numbers, each finite"),
+    ], ids=["json", "version", "context", "row-length", "inf", "nan"])
+    def test_a_bad_file_is_a_parse_error_naming_it(self, tmp_path, kind, edit, needle):
+        save, load, table, key = _table_files()[kind]
+        path = tmp_path / "t.json"
+        save(table, path)
+        doc = json.loads(path.read_text())
+        text = edit(doc, key)
+        path.write_text(text if isinstance(text, str) else json.dumps(doc))
+        with pytest.raises(ParseError) as info:
+            load(path)
+        assert str(info.value).startswith(f"{path}: {needle.format(key=key)}")
+
+    @pytest.mark.parametrize("kind", ["source", "checkpoint"])
+    def test_round_trip_keeps_a_bos_id_other_than_0(self, tmp_path, kind):
+        save, load, table, _ = _table_files()[kind]
+        vocab = Vocab(names=("a", "b", "c"), bos_id=2)
+        if kind == "source":
+            table = MarkovSource(table.name, table.order, vocab, table.table)
+        else:
+            model = TabularLM(order=2, vocab=vocab)
+            # every third row, so the file lists touched rows only
+            model.table[::3], model.touched[::3] = table.table[::3], True
+            table = model
+        save(table, tmp_path / "t.json")
+        loaded = load(tmp_path / "t.json")
+        assert (loaded.vocab, loaded.order) == (vocab, 2)
+        if kind == "source":
+            assert loaded.name == "s"
+            assert np.array_equal(loaded.table.probs, table.table.probs)
+        else:
+            assert np.array_equal(loaded.touched, table.touched)
+            assert np.array_equal(loaded.table, table.table)

@@ -694,7 +694,7 @@ class TestCheckpoint:
          r"malformed checkpoint: context \(0, 5\) has out-of-range"),
         ({1: {"context": [0, 1], "logits": [0.0, np.inf, 2.0]},
           3: {"context": [3, 1], "logits": [0.0, 1.0, 2.0]}},
-         r"rows\[1\]: bad logit row"),
+         r"rows\[1\]: logits must list 3 numbers, each finite"),
         ({2: {"context": [1], "logits": [0.0, 1.0, 2.0]},
           3: {"context": [-1, 1], "logits": [0.0, 1.0, 2.0]}},
          r"rows\[2\]: context length != order"),

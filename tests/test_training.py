@@ -230,6 +230,11 @@ class TestMetricsRow:
         line = row.to_csv_line()
         assert line == "5,sft,1,0.5,0.25,0.125,,,"
 
+    def test_header_is_the_fields_names(self):
+        # MetricsRow's fields name the columns: the header every metrics CSV has carried
+        assert METRICS_HEADER == ("step,objective,seed,train_entropy,kl_fwd,kl_rev,accuracy,"
+                                  "mean_reward,wallclock_ms")
+
     def test_metrics_write_header_and_meta(self, tmp_path):
         rows = [MetricsRow(step=1, objective="hpd", seed=0, train_entropy=1.0,
                            kl_fwd=0.0, kl_rev=0.0)]
