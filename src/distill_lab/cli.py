@@ -36,7 +36,8 @@ from .errors import (
     string,
 )
 from .evaluation import CompletionTasks, EvalPlan, gradcheck, make_completion_tasks
-from .model import MAX_TABLE_ENTRIES, TabularLM, Vocab, checkpoint_load, checkpoint_save
+from .model import (MAX_TABLE_ENTRIES, TabularLM, Vocab, checkpoint_load, checkpoint_save,
+                    read_json)
 from .numerics import CategoricalDist, entropy, softmax, softmax_rows
 from .objectives import ALL_TAGS, OFF_POLICY_TAGS, ObjectiveKind
 from .training import (Stage, TrainConfig, check_regime, csv_write, metrics_write,
@@ -206,15 +207,7 @@ def config_hash(cfg: dict) -> str:
 
 
 def load_config(path: str | None, sets: list[str]) -> dict:
-    if path is not None:
-        with open(path, encoding="utf-8") as f:
-            try:
-                cfg = json.load(f)
-            except json.JSONDecodeError as e:
-                raise ParseError(f"{path}: line {e.lineno}: {e.msg}") from e
-    else:
-        cfg = {}
-    cfg = apply_overrides(cfg, sets)
+    cfg = apply_overrides({} if path is None else read_json(path), sets)
     validate_config(cfg)
     return cfg
 

@@ -102,7 +102,7 @@ class EvalPlan:
     def __init__(self, teacher: MarkovSource, student: TabularLM, eval_len: int,
                  eval_from: EvalFrom):
         if eval_len < 1:
-            raise InvalidInputError(f"eval_len must be >= 1, got {eval_len}")
+            raise InvalidInputError("eval_len must be >= 1")
         check_pair(teacher, student)
         if eval_from not in get_args(EvalFrom):
             raise InvalidInputError(f"unknown eval_from {eval_from!r}")

@@ -189,22 +189,27 @@ def walk(start_ids, steps: int, order: int, vocab_size: int, pick):
 
 @dataclass(eq=False)
 class TabularLM:
-    """table[i] is the logit row of context id i; touched marks the rows ever set.
+    """table[i] is the logit row of context id i.
 
-    Only touched rows are written to a checkpoint.
+    touched, computed from the table on each read, marks its rows that hold a
+    nonzero logit; a checkpoint lists those rows only. So a row of zeros of
+    either sign is not listed, and loads back as +0.0.
     """
 
     order: int
     vocab: Vocab
     table: np.ndarray = field(init=False, repr=False)
-    touched: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.order < 1:
             raise InvalidInputError("model order must be >= 1")
         n = table_rows(self.vocab.size, self.order)
         self.table = np.zeros((n, self.vocab.size))
-        self.touched = np.zeros(n, dtype=bool)
+
+    @property
+    def touched(self) -> np.ndarray:
+        """Whether each row holds a nonzero logit; read-only, so a write to it fails."""
+        return read_only(self.table.any(axis=1))
 
     def _check_ctx(self, ctx: ContextKey) -> int:
         """ctx's id, once its length and token ids are checked."""
@@ -224,7 +229,6 @@ class TabularLM:
         if row.shape != (self.vocab.size,) or not np.all(np.isfinite(row)):
             raise InvalidInputError("logit row must be finite and of vocab size")
         self.table[cid] = row
-        self.touched[cid] = True
 
     def greedy_rollouts(self, prompts, steps: int) -> list[list[int]]:
         """`steps` greedy tokens after each prompt, every rollout one position per step.
@@ -242,7 +246,6 @@ class TabularLM:
     def copy(self) -> "TabularLM":
         model = TabularLM(order=self.order, vocab=self.vocab)
         model.table[:] = self.table
-        model.touched[:] = self.touched
         return model
 
 
@@ -305,9 +308,9 @@ def accumulate_token_grads(acc: GradAccumulator, ids, tokens, weights,
     That is the exact descent direction of -weights[j] * ln q[j][tokens[j]];
     the weight is a constant (no derivative flows through it). ids holds
     context ids; q is an (n, V) array of probabilities, row j the predictive
-    distribution at ids[j]. A zero weight adds nothing and touches no row.
-    The weights must be finite, the tokens in range and every
-    q[j][tokens[j]] > 0; then add_token_grads does the work.
+    distribution at ids[j]. A zero weight adds only +-0.0, but its row is
+    touched like any other. The weights must be finite, the tokens in range
+    and every q[j][tokens[j]] > 0; then add_token_grads does the work.
     """
     ids = np.asarray(ids, dtype=np.intp)
     weights = np.asarray(weights, dtype=np.float64)
@@ -342,45 +345,21 @@ def _row_starts(m: int, vocab_size: int) -> np.ndarray:
 
 
 def add_token_grads(acc: GradAccumulator, ids: np.ndarray, tokens: np.ndarray,
-                    weights: np.ndarray, q: np.ndarray, index=None,
-                    zeros_follow=False) -> GradAccumulator:
+                    weights: np.ndarray, q: np.ndarray, index=None) -> GradAccumulator:
     """accumulate_token_grads without its checks: the unchecked gradient kernel.
 
     ids must be an intp and weights a float64 array. The caller guarantees
     what the public entry would check: every weight finite, every token in
     range and q[j][tokens[j]] > 0. The arithmetic is the public entry's own,
-    so both leave acc bit for bit the same; a zero weight adds nothing and
-    touches no row. A caller that knows the ids ahead may pass index,
-    acc.scatter_index(ids).
-
-    A zero weight is left out of the scatter (a mask, a count and three
-    gathers), unless zeros_follow says it need not be: every row j of weight
-    0 comes right after a row j - 1 of the same context id whose weight is
-    not 0, and whose direction at tokens[j] is not -0.0. That skip is exact.
-    Row j's direction is -0.0 everywhere but +0.0 at tokens[j]; x + -0.0 is
-    x for every x, and x + +0.0 is x unless x is -0.0. Under round to
-    nearest a sum is -0.0 only when both addends are, so entry (ids[j],
-    tokens[j]), which holds its earlier sum plus row j - 1's term there, is
-    not -0.0; and row j - 1 already touches ids[j]. The off-policy HPD steps
-    that sample (training.distill_offpolicy) meet it: each draw's expert row
-    comes right before its sampled row, and the expert weight w* is never 0:
-    w* = k1* + r p* >= p* when k1* >= 0 (r >= 1), else w* = k1* < 0. The
-    expert row's term at the sampled token s is -w* q_s for s other than the
-    expert, and it cannot underflow to -0.0: q_s > 0 (cdf_draw draws no
-    zero), every positive entry of a student's or a teacher's table is at
-    least numerics.ZERO_TOL, and two distinct logs of probabilities differ by
-    at least 2**-105, so |w*| is at least 1e-44 and |w* / k * q_s| far above
-    the smallest double. At s = expert the term is -w* q_s + w*, a sum with
-    a nonzero addend.
+    so both leave acc bit for bit the same. Every row is scattered, a zero
+    weight's too: its direction is -0.0 but +0.0 at tokens[j], which leaves
+    every sum as it was unless that sum is -0.0. A caller that knows the ids
+    ahead may pass index, acc.scatter_index(ids).
     """
     m, v = q.shape
     direction = -weights[:, None] * q
     # the one-hot term: entry (j, tokens[j]) is element j * V + tokens[j] of the flat rows
     direction.reshape(-1)[_row_starts(m, v) + tokens] += weights
-    if not zeros_follow and np.count_nonzero(weights) < m:
-        keep = weights != 0.0
-        ids, direction = ids[keep], direction[keep]
-        index = None if index is None else index[keep]
     acc.add_rows(ids, direction, index)
     return acc
 
@@ -398,11 +377,12 @@ def rows_at(ids: np.ndarray, n: int) -> np.ndarray | slice:
 
 
 def sgd_step(model: TabularLM, acc: GradAccumulator, lr: float, n: int) -> np.ndarray:
-    """Move every touched logit row by lr / n * its summed descent direction; clears acc.
+    """Move each of acc's touched rows by lr / n * its summed descent direction; clears acc.
 
     n is the number of positions the batch drew, so the step is lr times the
     batch mean; n < 1 is an InvalidInputError. Returns the ids of the rows it
-    moved, in ascending order: acc's touched rows. A non-finite result raises
+    moved, in ascending order: acc's touched rows, every context the batch
+    drew, a zero-weight one too. A non-finite result raises
     NumericOverflowError, naming the first such context in id order, and
     leaves the model as it was.
     """
@@ -424,13 +404,13 @@ def sgd_step(model: TabularLM, acc: GradAccumulator, lr: float, n: int) -> np.nd
             ctx = context_key(ids[first], model.order, model.vocab.size)
             raise NumericOverflowError(f"non-finite logits at context {ctx}")
         model.table[at] = rows
-        model.touched[at] = True
     acc._clear_rows(at)
     return ids
 
 
 def checkpoint_save(model: TabularLM, path, header_extra: dict | None = None) -> None:
-    """Write the model's touched rows as JSON; float repr keeps 17 significant digits."""
+    """Write the model's touched rows, those holding a nonzero logit, as JSON; float
+    repr keeps 17 significant digits."""
     save_rows(path, {}, model.order, model.vocab, np.flatnonzero(model.touched), model.table,
               "logits", header_extra)
 
@@ -511,6 +491,16 @@ def load_rows(path, entries, order: int, vocab: Vocab,
     return ids[last], table[last]
 
 
+def read_json(path):
+    """The JSON document in the file at path; invalid JSON is a ParseError naming path
+    and the line."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            return json.load(f)
+        except json.JSONDecodeError as e:
+            raise ParseError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from e
+
+
 def load_table(path, kind: str, name: str, build):
     """build(doc, order, vocab, ids, rows): the object of the table file at path.
 
@@ -520,11 +510,7 @@ def load_table(path, kind: str, name: str, build):
     ParseError naming path: a value that reading it, or build, refuses is
     "malformed <kind>".
     """
-    try:
-        with open(path, encoding="utf-8") as f:
-            doc = json.load(f)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from e
+    doc = read_json(path)
     try:
         version = doc["format_version"]
         if version != TABLE_FORMAT_VERSION:
@@ -540,11 +526,10 @@ def load_table(path, kind: str, name: str, build):
 
 
 def checkpoint_load(path) -> TabularLM:
-    """The model in a table file (load_table): the rows it lists, touched."""
+    """The model in a table file (load_table): the rows it lists, every other row 0."""
     def build(doc, order, vocab, ids, rows):
         model = TabularLM(order=order, vocab=vocab)
         model.table[ids] = rows
-        model.touched[ids] = True
         return model
 
     return load_table(path, "checkpoint", "logits", build)

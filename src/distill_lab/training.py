@@ -76,7 +76,6 @@ def train_teacher_mle(corpus: Corpus, order: int, lam: float) -> TabularLM:
     with np.errstate(divide="ignore"):
         logits = np.where(probs > 0.0, np.log(np.where(probs > 0.0, probs, 1.0)), LOGIT_FLOOR)
     model.table[seen] = logits
-    model.touched[seen] = True
     return model
 
 
@@ -335,12 +334,9 @@ def distill_offpolicy(
     hpd_samples has no effect on it. The step gathers q, and p and ln p for
     the rules that read them, at those tokens, makes one token_weights call
     (a rule that reads ln q takes it of that q) and one ordered accumulate
-    of the weights over k through the unchecked kernel add_token_grads. The
-    sampling variants skip its zero-weight filter (zeros_follow): a sampled
-    row of weight 0 comes right after its draw's expert row, whose weight is
-    never 0, so it adds nothing. Every other tag may weigh a context's only
-    row 0, so it keeps the filter. fkld_dense adds its summed direction
-    p - q instead.
+    of the weights over k through the unchecked kernel add_token_grads,
+    which scatters every row, one of weight 0 too. fkld_dense adds its
+    summed direction p - q instead.
     """
     check_pair(teacher, student)  # before the corpus's ids are read against the student's V
     kind = cfg.objective
@@ -414,8 +410,7 @@ def distill_offpolicy(
                                   p_table.logprobs.take(t_flat) if reads_lp else None,
                                   q, None, step_tok)
                 add_token_grads(acc, step_flat, step_tok.ravel(), (w if k == 1 else w / k).ravel(),
-                                pred.probs.take(step_flat, axis=0), step_index,
-                                zeros_follow=sampled)
+                                pred.probs.take(step_flat, axis=0), step_index)
                 yield batch, None
 
     return _train_loop(cfg, teacher, student, eval_tasks, batches)

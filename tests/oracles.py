@@ -154,7 +154,6 @@ def mle_add_at(corpus, order, lam):
         logits = np.where(probs > 0.0, np.log(np.where(probs > 0.0, probs, 1.0)),
                           training.LOGIT_FLOOR)
     model.table[seen] = logits
-    model.touched[seen] = True
     return model
 
 

@@ -196,3 +196,10 @@ class TestTeacherPlans:
             EvalPlan(teacher, TabularLM(order=1, vocab=Vocab.default(4)), 6, "teacher")
         with pytest.raises(InvalidInputError, match="unknown eval_from"):
             EvalPlan(teacher, TabularLM(order=1, vocab=Vocab.default(3)), 6, "elsewhere")
+
+    @pytest.mark.parametrize("eval_len", [0, -3])
+    def test_eval_len_reads_as_train_configs_bound(self, eval_len):
+        # TrainConfig states the same bound in the same words
+        with pytest.raises(InvalidInputError, match="^eval_len must be >= 1$"):
+            EvalPlan(build_source(TEACHER), TabularLM(order=1, vocab=Vocab.default(3)),
+                     eval_len, "teacher")

@@ -479,6 +479,16 @@ class TestCommands:
         assert capsys.readouterr().err == "error: train.eval_len must be >= 1\n"
         assert not os.listdir(tmp_path)
 
+    def test_config_of_invalid_json_is_refused(self, tmp_path, monkeypatch, capsys):
+        # one reader for config and table files: one message, exit 2, no out dir
+        monkeypatch.chdir(tmp_path)
+        Path("c.json").write_text('{"seed": 0,\n "out_dir": "out",\n}\n')
+        assert main(["distill", "--config", "c.json"]) == 2
+        assert capsys.readouterr().err == (
+            "error: c.json: invalid JSON at line 3: Expecting property name enclosed in "
+            "double quotes\n")
+        assert os.listdir(tmp_path) == ["c.json"]
+
     def test_gradcheck_command_exits_zero(self, capsys):
         assert main(["gradcheck", "--set", "seed=0"]) == 0
         out = capsys.readouterr().out

@@ -763,7 +763,7 @@ def _table_files():
     set, its rows' key)."""
     rows = dirichlet_rows(np.random.default_rng(0), 3, 1.0, 9)
     model = TabularLM(order=2, vocab=Vocab.default(3))
-    model.table[:], model.touched[:] = np.log(rows), True
+    model.table[:] = np.log(rows)
     source = MarkovSource("s", 2, Vocab.default(3), CategoricalDist.from_rows(rows))
     return {"source": (source_save, source_load, source, "probs"),
             "checkpoint": (checkpoint_save, checkpoint_load, model, "logits")}
@@ -804,7 +804,7 @@ class TestTableFiles:
         else:
             model = TabularLM(order=2, vocab=vocab)
             # every third row, so the file lists touched rows only
-            model.table[::3], model.touched[::3] = table.table[::3], True
+            model.table[::3] = table.table[::3]
             table = model
         save(table, tmp_path / "t.json")
         loaded = load(tmp_path / "t.json")

@@ -270,14 +270,17 @@ class TestAccumulateTokenGrad:
             numeric[v] = (up - dn) / (2 * eps)
         assert np.allclose(acc.directions[0], -numeric, atol=1e-7)
 
-    def test_zero_weight_is_noop(self):
+    def test_zero_weight_adds_only_zeros(self):
+        # its row is touched: -0.0, but +0.0 at its token
         m = uniform_model()
         acc = GradAccumulator(1, 2)
         add_token_grad(acc, 0, 0, 0.0, softmax(m.logits((0,))))
-        assert not acc.touched.any()
+        assert acc.touched.tolist() == [True, False] and not acc.directions.any()
+        assert np.signbit(acc.directions).tolist() == [[False, True], [True, True]]
 
-    def test_zero_weights_in_a_batch_are_dropped(self):
-        # a batch with zero weights adds exactly what its nonzero entries add alone
+    def test_zero_weights_in_a_batch_add_nothing(self):
+        # a batch with zero weights adds what its nonzero entries add alone, up to the
+        # sign of a zero, and touches every row it names
         rng = np.random.default_rng(6)
         m = uniform_model(v=3)
         ids, tokens = np.array([0, 2, 1, 2]), np.array([1, 0, 2, 2])
@@ -287,8 +290,8 @@ class TestAccumulateTokenGrad:
         accumulate_token_grads(acc, ids, tokens, weights, q)
         keep = weights != 0.0
         accumulate_token_grads(alone, ids[keep], tokens[keep], weights[keep], q[keep])
-        assert acc.directions.tobytes() == alone.directions.tobytes()
-        assert acc.touched.tolist() == [True, True, False]
+        assert np.array_equal(acc.directions, alone.directions)
+        assert acc.touched.tolist() == [True, True, True]
 
     def test_rejects_bad_token_and_weight(self):
         m = uniform_model(v=2)
@@ -390,15 +393,15 @@ class TestSGDStep:
         assert moved.tolist() == [1, 3, 5] and moved.dtype == np.intp
         assert np.flatnonzero(m.touched).tolist() == [1, 3, 5]
 
-    def test_no_touched_row_moves_nothing(self):
+    def test_zero_weights_move_their_rows_by_nothing(self):
         m = uniform_model(v=3, order=2)
         m.set_row((1, 2), [0.3, -0.3, 0.1])
-        before = m.table.tobytes(), m.touched.tobytes()
+        before = m.table.tobytes()
         acc = GradAccumulator(2, 3)
         accumulate_token_grads(acc, [2, 0], [1, 1], [0.0, 0.0], np.full((2, 3), 1 / 3))
         moved = sgd_step(m, acc, 0.5, 2)
-        assert moved.size == 0 and moved.dtype == np.intp
-        assert (m.table.tobytes(), m.touched.tobytes()) == before
+        assert moved.tolist() == [0, 2] and moved.dtype == np.intp
+        assert m.table.tobytes() == before
         assert np.signbit(acc.directions).all() and not acc.directions.any()
 
     @pytest.mark.parametrize("n", [0, -1])
@@ -412,7 +415,8 @@ class TestSGDStep:
 
     def test_step_is_the_sum_over_the_positions_drawn(self):
         # a batch of 5 positions whose weights are 0 at three of them: the step
-        # divides the summed directions by 5, not by the 2 nonzero weights
+        # divides the summed directions by 5, not by the 2 nonzero weights, and
+        # moves every context drawn
         rng = np.random.default_rng(3)
         m = uniform_model(v=3, order=1)
         m.set_row((1,), rng.normal(size=3))
@@ -425,7 +429,7 @@ class TestSGDStep:
         summed = np.zeros((3, 3))
         for j in range(5):
             summed[ids[j]] += weights[j] * (np.eye(3)[tokens[j]] - q[j])
-        assert sgd_step(m, acc, 0.3, 5).tolist() == [1]
+        assert sgd_step(m, acc, 0.3, 5).tolist() == [0, 1, 2]
         assert np.allclose(m.table, before + 0.3 / 5 * summed, rtol=0, atol=1e-15)
         assert not np.allclose(m.table, before + 0.3 / 2 * summed, atol=1e-3)
 
@@ -523,7 +527,7 @@ class TestDenseStepMatchesDictReference:
         checkpoint_save(model_from_rows(order, v, ref_rows), tmp_path / "dict.json")
         assert (tmp_path / "dense.json").read_bytes() == (tmp_path / "dict.json").read_bytes()
 
-    def test_negative_zero_rows_survive_two_steps(self, tmp_path):
+    def test_negative_zero_rows_survive_two_steps(self):
         # a row of -0.0 keeps its sign only if each step's -0.0 direction adds to a
         # -0.0 start: the first step tests the start, the second the clear
         model = TabularLM(order=1, vocab=Vocab.default(2))
@@ -535,9 +539,8 @@ class TestDenseStepMatchesDictReference:
             ref_acc.add_rows([(1,)], np.array([[-0.0, -0.0]]))
             sgd_step(model, acc, 0.5, 1)
             reference_sgd_step(ref_rows, ref_acc, 0.5, 1)
-        checkpoint_save(model, tmp_path / "dense.json")
-        checkpoint_save(model_from_rows(1, 2, ref_rows), tmp_path / "dict.json")
-        assert (tmp_path / "dense.json").read_bytes() == (tmp_path / "dict.json").read_bytes()
+        # a checkpoint lists no row of zeros, so the tables themselves are compared
+        assert model.table.tobytes() == model_from_rows(1, 2, ref_rows).table.tobytes()
         assert np.signbit(model.logits((1,))).all()
 
     def test_overflow_names_first_context_in_id_order(self):
@@ -644,6 +647,20 @@ class TestCheckpoint:
         checkpoint_save(m, path)
         assert not checkpoint_load(path).touched.any()
 
+    def test_a_row_of_zeros_is_not_listed(self, tmp_path):
+        # touched is derived from the table, read-only; a row of -0.0 loads back as +0.0
+        m = TabularLM(order=1, vocab=Vocab.default(3))
+        m.set_row((0,), [0.0, -0.0, -0.0])
+        m.set_row((2,), [-0.0, 0.0, 1.5])
+        assert m.touched.tolist() == [False, False, True]
+        with pytest.raises(ValueError, match="read-only"):
+            m.touched[0] = True
+        path = tmp_path / "m.json"
+        checkpoint_save(m, path)
+        assert [r["context"] for r in json.loads(path.read_text())["rows"]] == [[2]]
+        loaded = checkpoint_load(path)
+        assert np.array_equal(loaded.table, m.table) and not np.signbit(loaded.table[0]).any()
+
     def test_save_is_byte_identical(self, tmp_path):
         m = TabularLM(order=1, vocab=Vocab.default(3))
         m.set_row((2,), [0.1, -0.2, 0.3])
@@ -664,7 +681,7 @@ class TestCheckpoint:
         rng = np.random.default_rng(v)
         m = TabularLM(order=order, vocab=Vocab.default(v))
         m.table[:] = rng.normal(size=m.table.shape)
-        m.touched[:] = rng.random(len(m.touched)) < 0.6
+        m.table[rng.random(len(m.table)) >= 0.6] = 0.0  # the file lists the other rows
         doc = {"format_version": 1, "order": order,
                "vocab": {"names": list(m.vocab.names), "bos_id": 0},
                "rows": [{"context": list(model.context_key(cid, order, v)),

@@ -1,7 +1,7 @@
 """Oracle tests for teacher fitting and the off-/on-policy training loops."""
 
-import copy
 import itertools
+import json
 import re
 
 import numpy as np
@@ -23,6 +23,7 @@ from distill_lab.model import (
     GradAccumulator,
     TabularLM,
     Vocab,
+    checkpoint_load,
     checkpoint_save,
     pad_context,
     prefix_id,
@@ -30,7 +31,7 @@ from distill_lab.model import (
 )
 from distill_lab.numerics import (CategoricalDist, cdf_draw, cdf_rows, entropy, log_probs, softmax,
                                  softmax_rows)
-from distill_lab.objectives import OFF_POLICY_TAGS, ObjectiveKind
+from distill_lab.objectives import ALL_TAGS, OFF_POLICY_TAGS, ObjectiveKind
 from distill_lab.training import (
     METRICS_HEADER,
     MetricsRow,
@@ -199,6 +200,12 @@ class TestTrainConfig:
         for seed in (-1, -5, -2**63):
             with pytest.raises(ConfigError, match=f"^seed must be >= 0, got {seed}$"):
                 TrainConfig(objective=kind, steps=1, seed=seed)
+
+    @pytest.mark.parametrize("eval_len", [0, -3])
+    def test_eval_len_reads_as_eval_plans_bound(self, eval_len):
+        # EvalPlan states the same bound in the same words
+        with pytest.raises(ConfigError, match="^eval_len must be >= 1$"):
+            TrainConfig(objective=ObjectiveKind("sft"), seed=0, eval_len=eval_len)
 
     @pytest.mark.parametrize("field, value, kind", [
         ("objective", "sft", "ObjectiveKind"), ("steps", 2.5, "int"), ("steps", True, "int"),
@@ -668,37 +675,7 @@ class TestHpdStream:
 
 
 class TestZeroWeights:
-    """hpd and hpd_no_reinforce scatter their zero weights; the other callers drop them."""
-
-    @pytest.mark.parametrize("variant", ["hpd", "hpd_no_reinforce"])
-    @pytest.mark.parametrize("k", [1, 3])
-    @pytest.mark.parametrize("student", ["uniform", "peaked"])
-    def test_unfiltered_scatter_equals_the_filtered_one(self, monkeypatch, variant, k, student):
-        # the peaked student is an unsmoothed fit, whose rows hold exact zeros in q
-        teacher, corpus = _variable_length_corpus()
-        kernel = training.add_token_grads
-        seen = {"steps": 0, "zero_weight": False, "zero_q": False}
-
-        def both(acc, ids, tokens, weights, q, index, zeros_follow):
-            assert zeros_follow
-            filtered = copy.deepcopy(acc)
-            kernel(filtered, ids, tokens, weights, q, index)
-            kernel(acc, ids, tokens, weights, q, index, zeros_follow=True)
-            assert acc.directions.tobytes() == filtered.directions.tobytes()
-            assert np.array_equal(acc.touched, filtered.touched)
-            seen["steps"] += 1
-            seen["zero_weight"] |= bool((weights == 0.0).any())
-            seen["zero_q"] |= bool((q == 0.0).any())
-            return acc
-
-        monkeypatch.setattr(training, "add_token_grads", both)
-        start = (_mle_student(corpus, 2) if student == "peaked"
-                 else TabularLM(order=2, vocab=Vocab.default(6)))
-        for lr in (0.5, 5.0):
-            distill_offpolicy(small_cfg(variant, steps=30, seed=3, lr=lr, hpd_samples=k),
-                              teacher, corpus, start)
-        assert seen["steps"] == 60 and seen["zero_weight"]
-        assert seen["zero_q"] == (student == "peaked")
+    """A zero weight is scattered like any other, and moves its row by nothing."""
 
     @pytest.mark.parametrize("tag", ["rkld_off", "jsd_off", "hpd_no_sample"])
     def test_a_row_of_zero_weights_is_left_untouched(self, tag):
@@ -712,13 +689,21 @@ class TestZeroWeights:
         assert np.flatnonzero(trained.touched).tolist() == one
         assert np.flatnonzero((trained.table != student.table).any(axis=1)).tolist() == one
 
-    def test_opd_leaves_rows_of_zero_reward_untouched(self, monkeypatch):
-        # every rollout starts at (BOS, BOS), the one context whose rewards are not 0
-        moved, step = [], training.sgd_step
+    def test_opd_leaves_rows_of_zero_reward_as_they_were(self, monkeypatch):
+        # every rollout starts at (BOS, BOS), the one context whose rewards are not 0;
+        # each step moves every context its rollouts drew, the others by nothing
+        drawn, moved = [], []
+        kernel, step = training.add_token_grads, training.sgd_step
+        monkeypatch.setattr(training, "add_token_grads", lambda acc, ids, *a:
+                            drawn.append(np.unique(ids)) or kernel(acc, ids, *a))
         monkeypatch.setattr(training, "sgd_step", lambda *a: moved.append(step(*a)) or moved[-1])
-        distill_onpolicy_opd(small_cfg("opd_k1", steps=10, horizon=4), model_source(_opd_mle_fit()),
-                             _teacher_but_one_student())
-        assert [ids.tolist() for ids in moved] == [[0]] * 10
+        student = _teacher_but_one_student()
+        out, _ = distill_onpolicy_opd(small_cfg("opd_k1", steps=10, horizon=4),
+                                      model_source(_opd_mle_fit()), student)
+        assert [ids.tolist() for ids in moved] == [ids.tolist() for ids in drawn]
+        assert all(ids[0] == 0 and ids.size > 1 for ids in moved)
+        assert np.flatnonzero((out.table != student.table).any(axis=1)).tolist() == [0]
+        assert out.table[1:].tobytes() == student.table[1:].tobytes()
 
     @pytest.mark.parametrize("equal", [True, False])
     def test_hpd_no_sample_weighs_one_row_at_any_k(self, tmp_path, equal):
@@ -728,6 +713,29 @@ class TestZeroWeights:
                            teacher, corpus, order=2)
                 for k in (1, 3)]
         assert runs[0] == runs[1]
+
+
+class TestCheckpointRows:
+    """A checkpoint lists the rows of the student's table that hold a nonzero logit."""
+
+    @pytest.mark.parametrize("teacher", ["uniform", "bimodal_gap"])
+    @pytest.mark.parametrize("tag", ALL_TAGS)
+    def test_lists_the_nonzero_rows_and_reloads_to_its_bytes(self, tmp_path, teacher, tag):
+        # on uniform, a uniform student's fkld_dense, rkld_off and jsd_off updates are all 0
+        source, corpus = _variable_length_corpus(teacher)
+        cfg = small_cfg(tag, steps=20, hpd_samples=2, horizon=4)
+        student = TabularLM(order=1, vocab=source.vocab)
+        if cfg.objective.on_policy:
+            trained, _ = distill_onpolicy_opd(cfg, source, student)
+        else:
+            trained, _ = distill_offpolicy(cfg, source, corpus, student)
+        path, again = tmp_path / "a.json", tmp_path / "b.json"
+        checkpoint_save(trained, path)
+        listed = [prefix_id(r["context"], 1, source.vocab)
+                  for r in json.loads(path.read_text())["rows"]]
+        assert listed == np.flatnonzero(trained.table.any(axis=1)).tolist()
+        checkpoint_save(checkpoint_load(path), again)
+        assert again.read_bytes() == path.read_bytes()
 
 
 class TestDistillOnpolicyOPD:
