@@ -38,7 +38,7 @@ from .errors import (
 from .evaluation import CompletionTasks, EvalPlan, gradcheck, make_completion_tasks
 from .model import (MAX_TABLE_ENTRIES, TabularLM, Vocab, checkpoint_load, checkpoint_save,
                     read_json)
-from .numerics import CategoricalDist, entropy, softmax, softmax_rows
+from .numerics import entropy, softmax
 from .objectives import ALL_TAGS, OFF_POLICY_TAGS, ObjectiveKind
 from .training import (Stage, TrainConfig, check_regime, csv_write, metrics_write,
                        run_experiment, train_teacher_mle)
@@ -425,13 +425,11 @@ def cmd_eval(cfg: dict, out: _Out) -> int:
     student = _get_student(cfg, inputs.source)
     tasks = inputs.tasks
     plan = EvalPlan(teacher, student, train.eval_len, train.eval_from)
-    # the student's predictive table: its own logits, which every table writer keeps finite
-    probs, logprobs = softmax_rows(student.table)
-    occ = plan.occupancy(probs)
-    kl_fwd, kl_rev = plan.divergences(probs, logprobs, occ)
+    q = softmax(student.table)
+    occ = plan.occupancy(q.probs)
+    kl_fwd, kl_rev = plan.divergences(q.probs, q.logprobs, occ)
     # the student's entropy at every context, weighted by the context's occupancy
-    ids = plan.student_ids
-    ent = occ @ entropy(CategoricalDist(probs[ids], logprobs[ids]))
+    ent = occ @ entropy(q.rows(plan.student_ids))
     acc = CompletionTasks(tasks, student).accuracy(student.table) if tasks else None
     path = out.path("audit.csv")
     csv_write(path, AuditRow, [AuditRow(kl_fwd, kl_rev, ent, acc)], _meta(cfg))

@@ -2,6 +2,7 @@
 
 import math
 import typing
+from functools import cache
 
 
 class InvalidInputError(ValueError):
@@ -73,3 +74,24 @@ def config_field(node: dict, path: str, cast, default):
         return result
     except (TypeError, ValueError):
         raise ConfigError(f"{path}: expected {cast.__name__}, got {value!r}") from None
+
+
+@cache
+def field_types(cls) -> dict:
+    """typing.get_type_hints(cls), evaluated once per class."""
+    return typing.get_type_hints(cls)
+
+
+def check_field_types(obj) -> None:
+    """A ConfigError naming the first field of the dataclass obj whose value does not
+    fit its annotation: a bool is no int, an int is a float, and a Literal field
+    holds one of its values."""
+    for name, hint in field_types(type(obj)).items():
+        value = getattr(obj, name)
+        if typing.get_origin(hint) is typing.Literal:
+            if value not in typing.get_args(hint):
+                raise ConfigError(f"unknown {name} {value!r}")
+        # an int is a float, a bool neither (though it is an int to Python)
+        elif not (isinstance(value, (int, float) if hint is float else hint)
+                  and (hint is bool or not isinstance(value, bool))):
+            raise ConfigError(f"{name} must be {hint.__name__}, got {value!r}")

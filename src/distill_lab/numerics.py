@@ -5,17 +5,14 @@ exact zeros for support checks; their log-probability is -inf. `kl_rows` is
 the one divergence rule: exact KL row by row over two batches. Evaluation
 reads every divergence from it.
 
-Values are validated where they enter: `softmax`, `CategoricalDist.from_probs`
-and `from_rows` check their input and their result. `softmax_rows` is the
-unchecked softmax kernel (max-shift, exp, divide, zero the entries below
-ZERO_TOL in place if a row has any, log with log 0 = -inf); `softmax` runs
-the same normalisation, checks it, then zeroes into a new array and takes a masked
-log that writes -inf at the zeros. np.log(0.0) is -inf and the log of a
-positive entry is the same either way, so a checked and an unchecked result
-are bit for bit equal. The kernel serves logits the program wrote itself:
-every writer of a TabularLM table rejects non-finite logits, so the
-training loop's predictive table (training.PredictiveTable) and the eval
-command need not check them again.
+There is one softmax kernel, `softmax_probs` (max-shift, exp, divide, then
+entries below ZERO_TOL zeroed in place), and one log, `log_probs` (-inf at
+a zero). Values are validated where they enter: `softmax` checks its logits
+and runs the kernel; `CategoricalDist.from_probs` and `from_rows` check their
+probabilities and zero a copy as the kernel does; each logs with log_probs.
+For finite logits every entry lies in [0, 1] and a row sums to 1 within
+about 1e-14, so softmax's rows need no check of their own. training.PredictiveTable calls
+the kernel on the student's own logits, which every table writer keeps finite.
 """
 
 from __future__ import annotations
@@ -44,7 +41,7 @@ class CategoricalDist:
 
     @classmethod
     def from_probs(cls, probs) -> "CategoricalDist":
-        p = np.asarray(probs, dtype=np.float64)
+        p = np.array(probs, dtype=np.float64)
         if p.ndim != 1 or p.size == 0:
             raise InvalidInputError("probability vector must be a non-empty 1-d array")
         return _checked(p)
@@ -52,7 +49,7 @@ class CategoricalDist:
     @classmethod
     def from_rows(cls, probs) -> "CategoricalDist":
         """The batch whose row i is from_probs(probs[i]), for an (n, V) array."""
-        p = np.asarray(probs, dtype=np.float64)
+        p = np.array(probs, dtype=np.float64)
         if p.ndim != 2 or p.size == 0:
             raise InvalidInputError("probability rows must be a non-empty 2-d array")
         return _checked(p)
@@ -71,11 +68,11 @@ class CategoricalDist:
 
 
 def _checked(p: np.ndarray) -> CategoricalDist:
-    """The rows of p (along its last axis) as distributions, tiny entries zeroed.
+    """The rows of p (along its last axis) as distributions, p a copy the caller owns.
 
     A non-finite entry is reported first, then a negative one, then the first
     row whose sum is off; p's min and max and the largest sum error decide
-    each check in one pass. The result's arrays are read-only.
+    each check in one pass.
     """
     lo, hi = p.min(), p.max()
     if not (np.isfinite(lo) and np.isfinite(hi)):  # a NaN makes both NaN
@@ -87,67 +84,51 @@ def _checked(p: np.ndarray) -> CategoricalDist:
     if off.max() > PROB_SUM_TOL:
         bad = np.ravel(sums)[np.ravel(off > PROB_SUM_TOL).argmax()]
         raise InvalidInputError(f"probabilities sum to {float(bad)}, not 1")
-    probs, logprobs = _zeroed_log(p)
-    probs.setflags(write=False)
+    return _frozen(_zero_tiny(p))
+
+
+def _zero_tiny(p: np.ndarray) -> np.ndarray:
+    """p, its entries below ZERO_TOL set to 0.0 in place."""
+    if p.min() < ZERO_TOL:
+        p[p < ZERO_TOL] = 0.0
+    return p
+
+
+def _frozen(p: np.ndarray) -> CategoricalDist:
+    """The distribution of the new array p and its log_probs, both read-only."""
+    logprobs = log_probs(p)
+    p.setflags(write=False)
     logprobs.setflags(write=False)
-    return CategoricalDist(probs=probs, logprobs=logprobs)
-
-
-def _normalized(z: np.ndarray) -> np.ndarray:
-    """exp(z - max) / sum along the last axis: the softmax before tiny entries are zeroed."""
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def _zeroed_log(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """p with its entries below ZERO_TOL set to 0.0, and its log (-inf at the zeros)."""
-    p = np.where(p < ZERO_TOL, 0.0, p)
-    return p, np.log(p, out=np.full(p.shape, -np.inf), where=p > 0.0)
+    return CategoricalDist(probs=p, logprobs=logprobs)
 
 
 def softmax_probs(z: np.ndarray) -> np.ndarray:
     """softmax(z).probs, unchecked: z must be a finite float64 1-d or 2-d array.
 
-    The array is new and writable. The normalisation is softmax's own, and
-    when an entry is below ZERO_TOL the tiny entries are zeroed in place, so
-    it is bit for bit softmax(z).probs; only softmax's checks of z and of the
-    normalised rows are skipped.
+    exp(z - max) / sum along the last axis, its entries below ZERO_TOL
+    zeroed: a new, writable array.
     """
-    p = _normalized(z)
-    if p.min() < ZERO_TOL:
-        p[p < ZERO_TOL] = 0.0
-    return p
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return _zero_tiny(e / e.sum(axis=-1, keepdims=True))
 
 
 def log_probs(p: np.ndarray) -> np.ndarray:
     """np.log(p) of probabilities p, -inf at an exact zero.
 
     Only a p that holds a zero enters np.errstate(divide="ignore"), which keeps
-    numpy's warning about that log silent. np.log(0.0) is the -inf that
-    softmax's masked log writes, and the log of a positive entry is the same
-    either way, so log_probs(softmax(z).probs) is bit for bit softmax(z).logprobs.
+    numpy's warning about that log silent. An empty p has an empty log.
     """
-    if p.min() > 0.0:
+    if p.min(initial=1.0) > 0.0:
         return np.log(p)
     with np.errstate(divide="ignore"):
         return np.log(p)
 
 
-def softmax_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(probs, logprobs) of softmax(z), unchecked: softmax_probs(z) and its log_probs.
-
-    Both arrays are new and writable, and bit for bit softmax(z).probs and .logprobs.
-    """
-    p = softmax_probs(z)
-    return p, log_probs(p)
-
-
 def softmax(logits) -> CategoricalDist:
     """Numerically stabilized softmax of a logit vector, or of each row of an (n, V) array.
 
-    Row i of the batch is bit for bit softmax(logits[i]). The logits must be
-    finite, and the normalised rows pass the checks of CategoricalDist.from_rows
-    before softmax_rows' zeroing and log.
+    The logits must be finite; the result is softmax_probs and its log_probs.
+    Row i of the batch is bit for bit softmax(logits[i]).
     """
     z = np.asarray(logits, dtype=np.float64)
     if z.ndim not in (1, 2) or z.size == 0:
@@ -157,8 +138,7 @@ def softmax(logits) -> CategoricalDist:
     # finite logits that span more than the float range make z - max overflow to
     # -inf, whose exp is the right 0.0; the program's own tables never span that
     with np.errstate(over="ignore"):
-        p = _normalized(z)
-    return _checked(p)
+        return _frozen(softmax_probs(z))
 
 
 def cdf_rows(probs) -> np.ndarray:

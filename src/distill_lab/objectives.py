@@ -28,7 +28,7 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import ConfigError, InvalidParameterError, LogOfZeroError
+from .errors import ConfigError, InvalidParameterError, LogOfZeroError, check_field_types
 
 OFF_POLICY_TAGS = (
     "sft",
@@ -49,6 +49,8 @@ HPD_VARIANTS = ("hpd", "hpd_no_sample", "hpd_no_reinforce")
 
 @dataclass(frozen=True)
 class ObjectiveKind:
+    """An objective's tag and settings, typed as annotated (errors.check_field_types)."""
+
     tag: Literal[ALL_TAGS]
     beta: float = 0.5
     sign_fidelity: bool = False
@@ -56,6 +58,7 @@ class ObjectiveKind:
     def __post_init__(self):
         if self.tag not in ALL_TAGS:
             raise ConfigError(f"unknown objective tag {self.tag!r}")
+        check_field_types(self)
         if not (0.0 < self.beta < 1.0):
             raise InvalidParameterError(f"beta must lie in (0, 1), got {self.beta!r}")
 
@@ -69,7 +72,7 @@ class ObjectiveKind:
         return self.on_policy or self.tag in ("hpd", "hpd_no_reinforce")
 
 
-def token_weights(kind: ObjectiveKind, p, lp, q, lq, tokens):
+def token_weights(kind: ObjectiveKind, p, lp, q, lq, tokens, context=None):
     """kind's weight on every token, elementwise in p, ln p, q and ln q gathered at them.
 
     The four arrays have tokens' shape, whatever it is: a minibatch, or every
@@ -79,9 +82,11 @@ def token_weights(kind: ObjectiveKind, p, lp, q, lq, tokens):
     tokens may hold that column only, and it weighs any other column 0.
     On-policy, the caller checks the teacher's support. A rule that takes a
     log raises LogOfZeroError at the first token, in C order, where its
-    argument is 0, trying its checks there in order. Off-policy, lq may be
-    None: a rule that reads ln q then takes np.log of q once its checks have
-    found q positive.
+    argument is 0, trying its checks there in order. It names the token and,
+    given context, context(index, "p" or "q"): the context at which the token
+    at that index into tokens read its p or q (a zero midpoint names q's).
+    Off-policy, lq may be None: a rule that reads ln q then takes np.log of
+    q once its checks have found q positive.
     """
     tag = kind.tag
     if tag in ("sft", "seqkd"):
@@ -93,7 +98,8 @@ def token_weights(kind: ObjectiveKind, p, lp, q, lq, tokens):
         return lp - lq
     if tag == "jsd_off":
         m = kind.beta * p + (1.0 - kind.beta) * q
-        _check_positive(tokens, (m, "midpoint mixture is 0 at token {}"), (q, "q[{}] = 0"))
+        _check_positive(tokens, context, (m, "q", "midpoint mixture is 0 at token {}"),
+                        (q, "q", "q[{}] = 0"))
         w = (1.0 - kind.beta) * q * (np.log(m) - (np.log(q) if lq is None else lq))
         return -w if kind.sign_fidelity else w
     shape = np.shape(tokens)
@@ -101,7 +107,7 @@ def token_weights(kind: ObjectiveKind, p, lp, q, lq, tokens):
         # the sampled token is ignored: the rule reads and checks the expert alone
         p, lp, q, tokens = p[..., :1], lp[..., :1], q[..., :1], tokens[..., :1]
         lq = None if lq is None else lq[..., :1]
-    _check_positive(tokens, (p, "p[{}] = 0"), (q, "q[{}] = 0"))
+    _check_positive(tokens, context, (p, "p", "p[{}] = 0"), (q, "q", "q[{}] = 0"))
     # the negative reverse k1 gap; positive iff q underestimates p
     k1 = q * (lp - (np.log(q) if lq is None else lq))
     if tag == "rkld_off":
@@ -138,19 +144,23 @@ def _hpd(variant: str, p, k1, tokens, shape=None):
     return w
 
 
-def _check_positive(tokens, *checks) -> None:
+def _check_positive(tokens, context, *checks) -> None:
     """LogOfZeroError at the first token, in C order, where a check's value is <= 0.
 
-    Each check is (values, message template), values in tokens' shape, tried at
-    one token in the given order; when all are positive, one min each decides.
+    Each check is (values, "p" or "q", message template), values in tokens'
+    shape, tried at one token in the given order; when all are positive, one
+    min each decides. Given context, the message ends with the context the
+    failed check's p or q was read at (token_weights).
     """
-    for values, _ in checks:
+    for values, _, _ in checks:
         if not values.min() > 0.0:
             break
     else:
         return
-    zero = np.stack([values <= 0.0 for values, _ in checks], axis=-1).ravel()
+    zero = np.stack([values <= 0.0 for values, _, _ in checks], axis=-1).ravel()
     if zero.any():
         i = int(np.argmax(zero))
-        message = checks[i % len(checks)][1]
-        raise LogOfZeroError(message.format(np.ravel(tokens)[i // len(checks)]))
+        _, read, message = checks[i % len(checks)]
+        at = np.unravel_index(i // len(checks), np.shape(tokens))
+        where = "" if context is None else f" at context {context(at, read)}"
+        raise LogOfZeroError(message.format(np.asarray(tokens)[at]) + where)

@@ -13,12 +13,13 @@ import itertools
 import json
 from dataclasses import dataclass
 from functools import cache
-from typing import Literal, get_args, get_origin, get_type_hints
+from typing import Literal, get_args
 
 import numpy as np
 
 from .data import Corpus, MarkovSource
-from .errors import ConfigError, DivergenceInfiniteError, InvalidInputError, PipelineError
+from .errors import (ConfigError, DivergenceInfiniteError, InvalidInputError, PipelineError,
+                     check_field_types, field_types)
 from .evaluation import CompletionTasks, EvalFrom, EvalPlan, check_pair
 from .model import (
     GradAccumulator,
@@ -73,16 +74,8 @@ def train_teacher_mle(corpus: Corpus, order: int, lam: float) -> TabularLM:
     seen = counts.any(axis=1)
     row = counts[seen].astype(np.float64)
     probs = (row + lam) / (row.sum(axis=1, keepdims=True) + lam * v)
-    with np.errstate(divide="ignore"):
-        logits = np.where(probs > 0.0, np.log(np.where(probs > 0.0, probs, 1.0)), LOGIT_FLOOR)
-    model.table[seen] = logits
+    model.table[seen] = np.where(probs > 0.0, log_probs(probs), LOGIT_FLOOR)
     return model
-
-
-@cache
-def _field_types(cls) -> dict:
-    """get_type_hints(cls), evaluated once per class."""
-    return get_type_hints(cls)
 
 
 # how on-policy rewards weigh a trajectory's tokens
@@ -94,9 +87,8 @@ class TrainConfig:
     """A run's settings. With ObjectiveKind's, its fields but seed are the CLI's train
     keys, each key's type, default and allowed values stated once, here.
 
-    Every field is checked against its annotation before its range: a bool is
-    no int, an int is a float, and a Literal field holds one of its values.
-    A value of the wrong type is a ConfigError that names the field.
+    Every field is checked against its annotation (errors.check_field_types)
+    before its range.
     """
 
     objective: ObjectiveKind
@@ -113,15 +105,7 @@ class TrainConfig:
     eval_from: EvalFrom = "teacher"
 
     def __post_init__(self):
-        for name, hint in _field_types(TrainConfig).items():
-            value = getattr(self, name)
-            if get_origin(hint) is Literal:
-                if value not in get_args(hint):
-                    raise ConfigError(f"unknown {name} {value!r}")
-            # an int is a float, a bool neither (though it is an int to Python)
-            elif not (isinstance(value, (int, float) if hint is float else hint)
-                      and (hint is bool or not isinstance(value, bool))):
-                raise ConfigError(f"{name} must be {hint.__name__}, got {value!r}")
+        check_field_types(self)
         for name in ("steps", "batch_size", "eval_every", "eval_len", "hpd_samples", "horizon"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
@@ -155,7 +139,7 @@ class MetricsRow:
 def _columns(cls) -> tuple:
     """(name, whether it holds a float) of each field of a dataclass of rows, in order."""
     return tuple((name, float in (hint, *get_args(hint)))
-                 for name, hint in _field_types(cls).items())
+                 for name, hint in field_types(cls).items())
 
 
 def csv_line(row) -> str:
@@ -173,11 +157,11 @@ def csv_write(path, cls, rows, meta: dict | None = None) -> None:
     with open(path, "w", encoding="utf-8") as f:
         if meta is not None:
             f.write("# " + json.dumps(meta, sort_keys=True) + "\n")
-        f.write(",".join(_field_types(cls)) + "\n")
+        f.write(",".join(field_types(cls)) + "\n")
         f.writelines(csv_line(row) + "\n" for row in rows)
 
 
-METRICS_HEADER = ",".join(_field_types(MetricsRow))
+METRICS_HEADER = ",".join(field_types(MetricsRow))
 
 
 def evaluate_divergences(plan: EvalPlan, pred: PredictiveTable) -> tuple[float, float]:
@@ -190,17 +174,16 @@ def evaluate_divergences(plan: EvalPlan, pred: PredictiveTable) -> tuple[float, 
 class PredictiveTable:
     """The student's softmax at every context, row i for context id i.
 
-    probs is numerics.softmax_probs(student.table), bit for bit
-    softmax(student.table).probs without its checks; cdf holds each row's
+    probs is the softmax kernel numerics.softmax_probs(student.table), which
+    softmax(student.table) runs after its checks; cdf holds each row's
     numerics.cdf_rows when the objective samples from the student, else None.
     No log is kept: a reader of ln q takes np.log of the q it gathered
-    (numerics.log_probs where q may hold a zero), which is bit for bit
-    softmax's logprobs there. refresh(ids) recomputes the
-    rows an SGD step moved (distinct ids; every row by rows_at's slice) the
-    same way, so every row stays bit for bit the softmax of its logit row.
-    Neither checks the logits: they are the student's own, and every writer
-    of a TabularLM table rejects a non-finite logit (sgd_step raises
-    NumericOverflowError before it writes one).
+    (numerics.log_probs where q may hold a zero), softmax's logprobs there.
+    refresh(ids) recomputes the rows an SGD step moved (distinct ids; every
+    row by rows_at's slice) with the same kernel, so every row stays bit for
+    bit the softmax of its logit row. Neither checks the logits: they are
+    the student's own, and every writer of a TabularLM table rejects a
+    non-finite logit (sgd_step raises NumericOverflowError before it writes one).
     """
 
     def __init__(self, student: TabularLM, with_cdf: bool):
@@ -373,6 +356,11 @@ def distill_offpolicy(
         # with q > 0, and every rule that takes a log checks q at its tokens
         if sampled:
             u_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
+
+        def context(at, read):  # the context at which the step's token at read p or q
+            flat, order = (t_flat, teacher.order) if read == "p" else (s_flat, student.order)
+            return context_key(flat[at] // v, order, v)
+
         for first in range(0, cfg.steps, per_block):
             steps = min(per_block, cfg.steps - first)
             pos = draw_positions(rng, steps, n, starts, lengths, equal)
@@ -408,7 +396,7 @@ def distill_offpolicy(
                     check_token_support(q.ravel(), step_flat, step_tok.ravel(), student.order, v)
                 w = token_weights(kind, p_table.probs.take(t_flat) if reads_p else None,
                                   p_table.logprobs.take(t_flat) if reads_lp else None,
-                                  q, None, step_tok)
+                                  q, None, step_tok, context)
                 add_token_grads(acc, step_flat, step_tok.ravel(), (w if k == 1 else w / k).ravel(),
                                 pred.probs.take(step_flat, axis=0), step_index)
                 yield batch, None

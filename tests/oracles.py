@@ -10,6 +10,10 @@ distribution-level references for numerics.kl_rows and the k1 estimator.
 The set-up references build a source table one row per context
 (bimodal_table, dirichlet_rows) and fit an MLE teacher with np.add.at counts
 (mle_add_at); the library builds each in one array pass, to the same bytes.
+masked_softmax and masked_dist are the checked softmax and probability path
+that numerics.softmax, CategoricalDist.from_probs and from_rows replaced by
+one kernel: a checked normalisation, a new array with the tiny entries
+zeroed, and a masked log that writes -inf at the zeros.
 model_source and plan_divergences are shared shorthands over the library
 itself: a fitted model as a teacher, and EvalPlan's reading of a student's
 own logits. peaked_model and RAGGED_PROMPTS are shared sampling fixtures.
@@ -29,7 +33,8 @@ from distill_lab.errors import (
 from distill_lab.model import (TabularLM, Vocab, accumulate_token_grads, context_ids, context_key,
                               pad_context, prefix_id)
 from distill_lab.evaluation import EvalPlan
-from distill_lab.numerics import CategoricalDist, cdf_draw, cdf_rows, softmax, softmax_rows
+from distill_lab.numerics import (PROB_SUM_TOL, ZERO_TOL, CategoricalDist, cdf_draw, cdf_rows,
+                                  log_probs, softmax, softmax_probs)
 from distill_lab.objectives import HPD_VARIANTS, token_weights
 
 
@@ -46,8 +51,8 @@ def model_source(model):
 
 def plan_divergences(student, teacher, eval_len=16, eval_from="teacher"):
     """EvalPlan's exact occupancy-weighted (KL(p||q), KL(q||p)) of the student's logits."""
-    return EvalPlan(teacher, student, eval_len, eval_from).divergences(
-        *softmax_rows(student.table))
+    probs = softmax_probs(student.table)
+    return EvalPlan(teacher, student, eval_len, eval_from).divergences(probs, log_probs(probs))
 
 
 def model_row(model, prefix, temperature=1.0):
@@ -150,11 +155,48 @@ def mle_add_at(corpus, order, lam):
     seen = counts.any(axis=1)
     row = counts[seen].astype(np.float64)
     probs = (row + lam) / (row.sum(axis=1, keepdims=True) + lam * v)
-    with np.errstate(divide="ignore"):
-        logits = np.where(probs > 0.0, np.log(np.where(probs > 0.0, probs, 1.0)),
-                          training.LOGIT_FLOOR)
-    model.table[seen] = logits
+    model.table[seen] = np.where(probs > 0.0, masked_log(probs), training.LOGIT_FLOOR)
     return model
+
+
+def masked_log(p):
+    """ln p where p > 0 and -inf elsewhere, written through np.log's where mask."""
+    return np.log(p, out=np.full(p.shape, -np.inf), where=p > 0.0)
+
+
+def masked_dist(p):
+    """(probs, logprobs) of probabilities p, checked as CategoricalDist.from_rows checks
+    them: a non-finite entry first, then a negative one, then the first row whose
+    sum is off. The entries below ZERO_TOL become 0.0 in a new array, and the
+    log is masked_log."""
+    p = np.asarray(p, dtype=np.float64)
+    lo, hi = p.min(), p.max()
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise InvalidInputError("probabilities must be finite")
+    if lo < -ZERO_TOL:
+        raise InvalidInputError("probabilities must be non-negative")
+    sums = p.sum(axis=-1)
+    off = abs(sums - 1.0)
+    if off.max() > PROB_SUM_TOL:
+        bad = np.ravel(sums)[np.ravel(off > PROB_SUM_TOL).argmax()]
+        raise InvalidInputError(f"probabilities sum to {float(bad)}, not 1")
+    p = np.where(p < ZERO_TOL, 0.0, p)
+    return p, masked_log(p)
+
+
+def normalized(z):
+    """exp(z - max) / sum along the last axis: a softmax before its tiny entries are zeroed.
+    Logits that span more than the float range overflow z - max to -inf, whose exp is 0."""
+    z = np.asarray(z, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def masked_softmax(z):
+    """(probs, logprobs) of the softmax of finite logits z: the normalised rows, checked
+    and logged by masked_dist."""
+    return masked_dist(normalized(z))
 
 
 def reference_offpolicy(cfg, teacher, corpus, student):
@@ -166,13 +208,24 @@ def reference_offpolicy(cfg, teacher, corpus, student):
     their count. The run's generator draws the positions; the uniforms of the
     HPD variants that sample come from a second generator, spawned from the
     seed, batch_size * k a step. hpd_no_sample ignores the sampled token, so
-    it draws none and weighs one row a position, whatever hpd_samples is.
+    it draws none and weighs one row a position, whatever hpd_samples is. A
+    refused weight names the context it read, as the batched loop's does.
     """
     kind = cfg.objective
     sequences = corpus.sequences
     lengths = np.array([len(seq) for seq in sequences])
 
     k = cfg.hpd_samples if kind.samples else 1
+
+    def weigh(prefix, *args):
+        # offpolicy_token, its refusal naming the context it read: the teacher's for p,
+        # the student's for q and for the midpoint
+        try:
+            return offpolicy_token(*args)
+        except LogOfZeroError as e:
+            model = teacher if str(e).startswith("p[") else student
+            ctx = pad_context(prefix, model.order, model.vocab.bos_id)
+            raise LogOfZeroError(f"{e} at context {ctx}") from None
 
     def batches(student, pred, acc, rng):
         u_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
@@ -192,14 +245,14 @@ def reference_offpolicy(cfg, teacher, corpus, student):
                 if kind.tag == "fkld_dense":
                     acc.add_rows([cid], (p.probs - q.probs)[None])
                 elif kind.tag not in HPD_VARIANTS:
-                    w = offpolicy_token(kind, *row_values(p, q), expert)
+                    w = weigh(prefix, kind, *row_values(p, q), expert)
                     add_token_grad(acc, cid, expert, w, q)
                 else:
                     for i in range(k):
                         sampled = (int(cdf_draw(cdf_rows(q.probs), uniforms[b * k + i]))
                                    if kind.samples else None)
-                        w_star, w_sampled = offpolicy_token(kind, *row_values(p, q), expert,
-                                                            sampled)
+                        w_star, w_sampled = weigh(prefix, kind, *row_values(p, q), expert,
+                                                  sampled)
                         add_token_grad(acc, cid, expert, w_star / k, q)
                         if w_sampled != 0.0:
                             add_token_grad(acc, cid, sampled, w_sampled / k, q)

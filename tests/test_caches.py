@@ -15,7 +15,7 @@ from distill_lab.data import Corpus, MarkovSource, build_source, sample_corpus
 from distill_lab.errors import InvalidInputError
 from distill_lab.evaluation import EvalPlan
 from distill_lab.model import TabularLM, Vocab, checkpoint_save, context_ids
-from distill_lab.numerics import softmax_rows
+from distill_lab.numerics import softmax
 from distill_lab.objectives import OFF_POLICY_TAGS, ObjectiveKind
 from distill_lab.training import TrainConfig, distill_offpolicy, train_teacher_mle
 from oracles import model_source
@@ -169,9 +169,10 @@ class TestTeacherPlans:
         EvalPlan(teacher, student, 7, "teacher")
         EvalPlan(teacher, TabularLM(order=1, vocab=Vocab.default(3)), 6, "student")
         assert list(teacher.plans) == [(3, 2, 0, 6), (3, 2, 0, 7), (3, 1, 0, 6)]
-        table = softmax_rows(student.table)
-        want = EvalPlan(build_source(TEACHER), student, 6, "teacher").divergences(*table)
-        assert repr(again.divergences(*table)) == repr(want)
+        d = softmax(student.table)
+        want = EvalPlan(build_source(TEACHER), student, 6, "teacher").divergences(d.probs,
+                                                                                d.logprobs)
+        assert repr(again.divergences(d.probs, d.logprobs)) == repr(want)
 
     def test_student_occupancy_is_propagated_at_each_reading(self):
         teacher = build_source(TEACHER)
@@ -180,7 +181,8 @@ class TestTeacherPlans:
         assert plans[1].occ is None and plans[1].live is None
         rng = np.random.default_rng(5)
         for _ in range(3):
-            probs, logprobs = softmax_rows(rng.normal(size=(3, 3)))
+            d = softmax(rng.normal(size=(3, 3)))
+            probs, logprobs = d.probs, d.logprobs
             new = EvalPlan(build_source(TEACHER), TabularLM(order=1, vocab=Vocab.default(3)),
                            6, "student")
             assert repr(plans[1].divergences(probs, logprobs)) == repr(

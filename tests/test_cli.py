@@ -20,8 +20,8 @@ from distill_lab.errors import ConfigError, boolean, config_field
 from distill_lab.data import build_source, corpus_write, sample_corpus, source_save
 from distill_lab.evaluation import EvalPlan
 from distill_lab.model import TabularLM, Vocab, checkpoint_load, checkpoint_save
-from distill_lab.objectives import ObjectiveKind
-from distill_lab.training import METRICS_HEADER, TrainConfig
+from distill_lab.objectives import HPD_VARIANTS, ObjectiveKind
+from distill_lab.training import LOGIT_FLOOR, METRICS_HEADER, TrainConfig
 from oracles import plan_divergences
 
 
@@ -43,10 +43,15 @@ SWEEP = ['sweep.objectives=["sft", "hpd"]', "sweep.seeds=[0, 1]"]
 
 
 def _write_bad_inputs(tmp_path):
-    """Students of 4 and 8 tokens, a V = 3 checkpoint row at context (7,) and a
-    V = 3 source with a 2-entry row."""
+    """Students of 4 and 8 tokens, a 6-token student whose every row puts all its
+    mass on token 0, a V = 3 checkpoint row at context (7,) and a V = 3 source with
+    a 2-entry row."""
     for v in (4, 8):
         checkpoint_save(TabularLM(order=1, vocab=Vocab.default(v)), tmp_path / f"s{v}.json")
+    one_token = TabularLM(order=1, vocab=Vocab.default(6))
+    one_token.table[:] = LOGIT_FLOOR
+    one_token.table[:, 0] = 0.0
+    checkpoint_save(one_token, tmp_path / "one_token.json")
     (tmp_path / "ctx7.json").write_text(json.dumps({
         "format_version": 1, "order": 1, "vocab": {"names": ["a", "b", "c"], "bos_id": 0},
         "rows": [{"context": [7], "logits": [0.0, 0.0, 0.0]}]}))
@@ -303,6 +308,12 @@ class TestCommands:
          "stages[0].beta must lie in (0, 1), got 0.0"),
         ("distill", ["train.lr=-0.5"], "train.lr must be > 0"),
         ("opd", ["train.objective=opd_k1", "train.eval_len=0"], "train.eval_len must be >= 1"),
+        # a weight's refusal names the context its p (the teacher's) or q (the student's)
+        # was read at, as the loop's own support check does
+        *(("distill", ["source.name=deterministic_cycle", f"train.objective={tag}"],
+           "p[0] = 0 at context (1,)") for tag in ("hpd", "hpd_no_reinforce")),
+        *(("distill", [f"train.objective={tag}", 'init_checkpoint="one_token.json"'],
+           "q[3] = 0 at context (5,)") for tag in ("sft", "rkld_off", "jsd_off", *HPD_VARIANTS)),
     ])
     def test_refused_run_writes_no_file(self, tmp_path, monkeypatch, capsys, command, sets,
                                         needle):

@@ -19,7 +19,7 @@ from distill_lab import evaluation
 from distill_lab.errors import DivergenceInfiniteError, InvalidInputError, InvalidParameterError
 from distill_lab.evaluation import CompletionTasks, EvalPlan, gradcheck, make_completion_tasks
 from distill_lab.model import TabularLM, Vocab
-from distill_lab.numerics import CategoricalDist, entropy, softmax_rows
+from distill_lab.numerics import CategoricalDist, entropy, softmax
 from distill_lab.training import train_teacher_mle
 from oracles import (bimodal_mixture, greedy_rollout, k1_samples, kl_exact, model_row,
                      model_source, plan_divergences, reference_completion_accuracy,
@@ -272,8 +272,8 @@ class TestPairCachedAudit:
 def occupancy_entropy(model, teacher, eval_len, eval_from):
     """The model's entropy at each context weighted by its occupancy: eval's mean_entropy."""
     plan = EvalPlan(teacher, model, eval_len, eval_from)
-    probs, logprobs = softmax_rows(model.table)
-    return plan.occupancy(probs) @ entropy(CategoricalDist(probs, logprobs))[plan.student_ids]
+    q = softmax(model.table)
+    return plan.occupancy(q.probs) @ entropy(q)[plan.student_ids]
 
 
 class TestPositionalEntropy:

@@ -20,12 +20,16 @@ from distill_lab.numerics import (
     cdf_rows,
     entropy,
     kl_rows,
+    log_probs,
     softmax,
-    softmax_rows,
+    softmax_probs,
+    PROB_SUM_TOL,
     ZERO_TOL,
 )
-from distill_lab.training import LOGIT_FLOOR
-from oracles import jsd_beta, k1_samples, kl_exact
+from distill_lab.data import Corpus
+from distill_lab.training import LOGIT_FLOOR, train_teacher_mle
+from oracles import (jsd_beta, k1_samples, kl_exact, masked_dist, masked_softmax, mle_add_at,
+                     normalized)
 
 
 def dist(*probs):
@@ -158,38 +162,130 @@ class TestSoftmax:
 
 # a logit this far below a row's 0.0 gives a probability of about ZERO_TOL
 NEAR_TOL = st.floats(-1e-3, 1e-3).map(lambda d: math.log(ZERO_TOL) + d)
+# finite logits far enough apart that z - max overflows to -inf
+FAR = st.sampled_from([sys.float_info.max, -sys.float_info.max, 1e308, -9.97920155e+291])
 
 
 @st.composite
-def finite_logits(draw):
-    """A finite 1-d or 2-d logit array; every row holds a 0.0, and its other
-    entries may be LOGIT_FLOOR (exp underflows to 0) or land near ZERO_TOL."""
+def finite_logits(draw, wide=False):
+    """A finite 1-d or 2-d logit array; every row holds a 0.0 (or a -0.0), and its
+    other entries may be LOGIT_FLOOR (exp underflows to 0) or land near ZERO_TOL.
+    A wide array may span more than the float range."""
     n_rows, v = draw(st.integers(0, 4)), draw(st.integers(1, 7))
-    # |z - max| stays below the float range: a wider spread overflows in the
-    # unchecked kernel, which serves only the program's own logits
-    cell = st.one_of(st.floats(-60, 60), st.floats(-60, 0), st.just(LOGIT_FLOOR), NEAR_TOL,
-                     st.floats(-1e300, 1e300))
-    rows = [[0.0] + draw(st.lists(cell, min_size=v - 1, max_size=v - 1))
+    # |z - max| stays below the float range unless wide: a wider spread overflows
+    # in the unchecked kernel, which serves only the program's own logits
+    cells = [st.floats(-60, 60), st.floats(-60, 0), st.just(LOGIT_FLOOR), NEAR_TOL,
+             st.floats(-1e300, 1e300), st.sampled_from([0.0, -0.0])]
+    cell = st.one_of(*cells, FAR) if wide else st.one_of(*cells)
+    rows = [[draw(st.sampled_from([0.0, -0.0]))]
+            + draw(st.lists(cell, min_size=v - 1, max_size=v - 1))
             for _ in range(max(n_rows, 1))]
     return np.array(rows[0] if n_rows == 0 else rows)
+
+
+# entries that a row may hold beside its normalised mass: exact zeros of either
+# sign, and entries either side of ZERO_TOL (the negative one within the
+# non-negativity tolerance); none moves a row's sum by PROB_SUM_TOL
+TINY = st.sampled_from([0.0, -0.0, 0.5 * ZERO_TOL, 0.999 * ZERO_TOL, ZERO_TOL,
+                        1.001 * ZERO_TOL, 2.0 * ZERO_TOL, -0.5 * ZERO_TOL, 5e-324])
+
+
+@st.composite
+def probability_arrays(draw):
+    """A 1-d or 2-d float array: rows that sum to 1 with tiny entries beside their
+    mass, and now and then an entry that a check refuses."""
+    n_rows, v = draw(st.integers(0, 4)), draw(st.integers(1, 6))
+    rows = []
+    for _ in range(max(n_rows, 1)):
+        raw = np.array(draw(st.lists(st.floats(0.0, 10.0), min_size=v, max_size=v)))
+        row = raw / raw.sum() if raw.sum() > 0.0 else np.full(v, 1.0 / v)
+        for j in draw(st.lists(st.integers(0, v - 1), max_size=v)):
+            if row[j] < 1e-3:
+                row[j] = draw(TINY)
+        rows.append(row)
+    p = np.array(rows[0] if n_rows == 0 else rows)
+    if draw(st.integers(0, 5)) == 0:
+        p.flat[draw(st.integers(0, p.size - 1))] = draw(st.sampled_from(
+            [np.nan, np.inf, -1e-11, 1.5, 0.5]))
+    return p
 
 
 def same_bytes(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-class TestSoftmaxRows:
+def outcome(build, x):
+    """The dtype, shape and bytes of the (probs, logprobs) build returns, or the text of
+    its InvalidInputError."""
+    try:
+        probs, logprobs = build(x)
+    except InvalidInputError as e:
+        return str(e)
+    return probs.dtype, probs.shape, probs.tobytes(), logprobs.tobytes()
+
+
+class TestOneKernelIsTheMaskedLogPath:
+    """softmax, from_probs and from_rows run one kernel; the checked path with its
+    masked log (oracles.masked_softmax, masked_dist) gives the same bytes."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(finite_logits(wide=True))
+    def test_softmax(self, z):
+        d = softmax(z)
+        probs, logprobs = masked_softmax(z)
+        assert same_bytes(d.probs, probs) and same_bytes(d.logprobs, logprobs)
+        assert not d.probs.flags.writeable and not d.logprobs.flags.writeable
+
+    @settings(max_examples=400, deadline=None)
+    @given(probability_arrays())
+    def test_from_probs_and_from_rows(self, p):
+        build = CategoricalDist.from_probs if p.ndim == 1 else CategoricalDist.from_rows
+        given_bytes = p.tobytes()
+
+        def checked(p):
+            d = build(p)
+            assert not d.probs.flags.writeable and not d.logprobs.flags.writeable
+            assert not np.shares_memory(d.probs, p)
+            return d.probs, d.logprobs
+
+        assert outcome(checked, p) == outcome(masked_dist, p)
+        assert p.tobytes() == given_bytes  # the input is zeroed on a copy
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.integers(0, 3), max_size=6), max_size=5),
+           st.integers(1, 2), st.sampled_from([0.0, 5e-324, 1e-300, 1e-13, 0.1, 2.0]))
+    def test_mle_logits(self, seqs, order, lam):
+        corpus = Corpus.from_sequences(seqs, provenance="ground_truth", seed=0, vocab_size=4)
+        fit, ref = train_teacher_mle(corpus, order, lam), mle_add_at(corpus, order, lam)
+        assert same_bytes(fit.table, ref.table)
+
+    @settings(max_examples=400, deadline=None)
+    @given(finite_logits(wide=True))
+    def test_softmax_rows_need_no_check(self, z):
+        # before zeroing, every entry of a softmax of finite logits lies in [0, 1]
+        # and every row sums to 1 within PROB_SUM_TOL: the checks from_rows makes
+        # could never refuse them
+        p = normalized(z)
+        assert np.isfinite(p).all() and p.min() >= 0.0 and p.max() <= 1.0
+        assert (abs(p.sum(axis=-1) - 1.0) <= PROB_SUM_TOL).all()
+        build = CategoricalDist.from_probs if p.ndim == 1 else CategoricalDist.from_rows
+        checked, d = build(p), softmax(z)
+        assert same_bytes(checked.probs, d.probs) and same_bytes(checked.logprobs, d.logprobs)
+
+
+class TestSoftmaxProbs:
     @settings(max_examples=300, deadline=None)
     @given(finite_logits())
-    def test_is_softmax_byte_for_byte(self, z):
-        probs, logprobs = softmax_rows(z)
-        d = softmax(z)
-        assert same_bytes(probs, d.probs) and same_bytes(logprobs, d.logprobs)
+    def test_is_the_masked_softmax_byte_for_byte(self, z):
+        probs = softmax_probs(z)
+        want_probs, want_logprobs = masked_softmax(z)
+        assert same_bytes(probs, want_probs) and same_bytes(log_probs(probs), want_logprobs)
 
     @pytest.mark.parametrize("offset, zeroed", [(-1e-3, True), (1e-3, False)])
     def test_either_side_of_zero_tol(self, offset, zeroed):
         z = np.array([[0.0, math.log(ZERO_TOL) + offset, LOGIT_FLOOR]])
-        probs, logprobs = softmax_rows(z)
+        probs = softmax_probs(z)
+        logprobs = log_probs(probs)
         assert (probs[0, 1] == 0.0) == zeroed and probs[0, 2] == 0.0
         assert logprobs[0, 2] == -np.inf
         assert same_bytes(probs, softmax(z).probs)
@@ -197,7 +293,7 @@ class TestSoftmaxRows:
 
     @pytest.mark.parametrize("tiny", [False, True])
     @pytest.mark.parametrize("seed", range(10))
-    def test_either_path_is_softmax_without_a_warning(self, tiny, seed):
+    def test_either_path_is_the_masked_softmax_without_a_warning(self, tiny, seed):
         # rows with no entry below ZERO_TOL skip the zeroing and the errstate;
         # a row with one zeroes it and logs 0 to -inf, in 1-d and 2-d batches
         rng = np.random.default_rng(seed)
@@ -207,16 +303,18 @@ class TestSoftmaxRows:
         for batch in (z, z[0]):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                probs, logprobs = softmax_rows(batch)
-            d = softmax(batch)
-            assert same_bytes(probs, d.probs) and same_bytes(logprobs, d.logprobs)
+                probs = softmax_probs(batch)
+                logprobs = log_probs(probs)
+            want_probs, want_logprobs = masked_softmax(batch)
+            assert same_bytes(probs, want_probs) and same_bytes(logprobs, want_logprobs)
             assert (probs.min() == 0.0) == (batch == LOGIT_FLOOR).any()
 
     def test_arrays_are_new_and_writable(self):
         z = np.zeros((2, 3))
-        probs, logprobs = softmax_rows(z)
+        probs = softmax_probs(z)
+        logprobs = log_probs(probs)
         assert probs.flags.writeable and logprobs.flags.writeable
-        assert not np.shares_memory(probs, z) and not np.shares_memory(logprobs, z)
+        assert not np.shares_memory(probs, z) and not np.shares_memory(logprobs, probs)
 
 
 class TestInverseCdf:

@@ -441,6 +441,24 @@ class TestBatchedSupportChecks:
         with pytest.raises(LogOfZeroError, match="midpoint mixture is 0 at token 0"):
             weights_at(ObjectiveKind("jsd_off"), p, q, [0, 0], [0, 1])
 
+    @pytest.mark.parametrize("tag, tokens, message", [
+        ("rkld_off", [0, 0], "q[0] = 0 at context ((0,), 'q')"),
+        ("jsd_off", [0, 0], "q[0] = 0 at context ((0,), 'q')"),
+        ("hpd", [[1, 2], [0, 1]], "p[2] = 0 at context ((0, 1), 'p')"),
+        # hpd_no_sample reads column 0 alone: its index is into tokens all the same
+        ("hpd_no_sample", [[1, 2], [0, 1]], "p[0] = 0 at context ((1, 0), 'p')"),
+    ])
+    def test_context_names_the_refused_token(self, tag, tokens, message):
+        # context gets the token's index into tokens and which value it read there
+        tokens = np.array(tokens)
+        rows = [0, 1]
+        index = (np.reshape(rows, (2,) + (1,) * (tokens.ndim - 1)), tokens)
+        args = [a[index] for a in row_values(self.P, self.Q)]
+        with pytest.raises(LogOfZeroError) as info:
+            token_weights(ObjectiveKind(tag), *args, tokens,
+                          lambda at, read: (tuple(int(i) for i in at), read))
+        assert str(info.value) == message
+
     # p's row 1 is 0 at token 0, which every row reads: row 0 passes, row 1 is named
     @pytest.mark.parametrize("tag, tokens, message", [
         ("rkld_off", [0, 0], "p[0] = 0"),

@@ -1,5 +1,6 @@
 """Oracle tests for teacher fitting and the off-/on-policy training loops."""
 
+import functools
 import itertools
 import json
 import re
@@ -29,9 +30,8 @@ from distill_lab.model import (
     prefix_id,
     sgd_step,
 )
-from distill_lab.numerics import (CategoricalDist, cdf_draw, cdf_rows, entropy, log_probs, softmax,
-                                 softmax_rows)
-from distill_lab.objectives import ALL_TAGS, OFF_POLICY_TAGS, ObjectiveKind
+from distill_lab.numerics import CategoricalDist, cdf_draw, cdf_rows, entropy, log_probs, softmax
+from distill_lab.objectives import ALL_TAGS, HPD_VARIANTS, OFF_POLICY_TAGS, ObjectiveKind
 from distill_lab.training import (
     METRICS_HEADER,
     MetricsRow,
@@ -47,6 +47,7 @@ from oracles import (
     draws_batched,
     draws_per_rollout,
     kl_exact,
+    masked_softmax,
     mle_add_at,
     model_row,
     model_source,
@@ -211,13 +212,20 @@ class TestTrainConfig:
         ("objective", "sft", "ObjectiveKind"), ("steps", 2.5, "int"), ("steps", True, "int"),
         ("seed", 1.0, "int"), ("lr", "0.5", "float"), ("lr", False, "float"),
         ("batch_size", "32", "int"), ("hpd_samples", None, "int"),
-        ("opd_baseline", 1, "bool"), ("horizon", np.float64(4.0), "int")])
+        ("opd_baseline", 1, "bool"), ("horizon", np.float64(4.0), "int"),
+        # ObjectiveKind's fields: a truthy "yes" would flip rkld_off's sign
+        ("sign_fidelity", "yes", "bool"), ("sign_fidelity", 1, "bool"),
+        ("beta", "0.5", "float"), ("beta", True, "float")])
     def test_field_types(self, field, value, kind):
         # each field is checked against its annotation before its range is
-        fields = {"objective": ObjectiveKind("sft"), "seed": 0, field: value}
+        if field in ("beta", "sign_fidelity"):
+            build = functools.partial(ObjectiveKind, "rkld_off", **{field: value})
+        else:
+            build = functools.partial(TrainConfig, **{"objective": ObjectiveKind("sft"),
+                                                      "seed": 0, field: value})
         with pytest.raises(ConfigError, match=f"^{field} must be {kind}, got "
                                               f"{re.escape(repr(value))}$"):
-            TrainConfig(**fields)
+            build()
 
     @pytest.mark.parametrize("field, value", [("opd_reward_mode", ["per_token"]),
                                               ("eval_from", 0)])
@@ -473,14 +481,16 @@ class TestOffpolicyKernel:
         with pytest.raises(InvalidInputError, match="corpus token id 7"):
             distill_offpolicy(small_cfg("sft"), teacher, corpus, student)
 
-    @pytest.mark.parametrize("tag, seqs", [
-        ("rkld_off", [[0, 2]]),  # the cycle never follows 0 with 2: p[2] = 0
+    @pytest.mark.parametrize("tag, seqs, message", [
+        # the cycle never follows 0 with 2: p[2] = 0
+        ("rkld_off", [[0, 2]], "p[2] = 0 at context (0,)"),
         # the cycle follows the BOS id 0 with 1, so position 0's expert has p[0] = 0
-        ("hpd", [[0, 1, 2]]),
+        ("hpd", [[0, 1, 2]], "p[0] = 0 at context (0,)"),
         # every expert is on the cycle; a uniform student samples off its support
-        ("hpd", [[1, 2, 0]]),
+        ("hpd", [[1, 2, 0]], "p[2] = 0 at context (2,)"),
+        ("hpd_no_reinforce", [[1, 2, 0]], "p[2] = 0 at context (2,)"),
     ])
-    def test_zero_support_teacher_raises_log_of_zero(self, tag, seqs):
+    def test_zero_support_teacher_raises_log_of_zero(self, tag, seqs, message):
         teacher = build_source({"name": "deterministic_cycle"})
         corpus = Corpus.from_sequences(seqs, provenance="ground_truth", seed=0, vocab_size=3)
         student = TabularLM(order=1, vocab=Vocab.default(3))
@@ -489,7 +499,35 @@ class TestOffpolicyKernel:
             with pytest.raises(LogOfZeroError) as info:
                 run(small_cfg(tag), teacher, corpus, student)
             errors.append(str(info.value))
-        assert errors[0] == errors[1]
+        assert errors == [message, message]
+
+    @pytest.mark.parametrize("tag", ["rkld_off", "jsd_off", *HPD_VARIANTS])
+    @pytest.mark.parametrize("p_zero, q_zero", [(True, False), (False, True), (True, True)])
+    def test_a_refused_weight_names_the_context_it_read(self, tag, p_zero, q_zero):
+        # the order-2 teacher's p[0] is 0 at context (1, 2), the order-1 student's
+        # q[0] at context (2,), and the corpus's last position reads token 0 at both
+        teacher = TabularLM(order=2, vocab=Vocab.default(3))
+        student = TabularLM(order=1, vocab=Vocab.default(3))
+        if p_zero:
+            teacher.set_row((1, 2), [training.LOGIT_FLOOR, 0.0, 0.0])
+        if q_zero:
+            student.set_row((2,), [training.LOGIT_FLOOR, 0.0, 0.0])
+        corpus = Corpus.from_sequences([[1, 2, 0]], provenance="ground_truth", seed=0,
+                                       vocab_size=3)
+        if tag != "jsd_off":
+            message = "p[0] = 0 at context (1, 2)" if p_zero else "q[0] = 0 at context (2,)"
+        elif q_zero:  # jsd_off reads no ln p, and its midpoint is 0 only where q is
+            message = (f"{'midpoint mixture is 0 at token 0' if p_zero else 'q[0] = 0'}"
+                       " at context (2,)")
+        else:
+            message = None
+        for run in (distill_offpolicy, reference_offpolicy):
+            if message is None:
+                run(small_cfg(tag), model_source(teacher), corpus, student)
+                continue
+            with pytest.raises(LogOfZeroError) as info:
+                run(small_cfg(tag), model_source(teacher), corpus, student)
+            assert str(info.value) == message
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_no_sample_ignores_a_sampled_token_off_the_teacher_support(self, tmp_path, k):
@@ -528,8 +566,8 @@ class TestOffpolicyKernel:
                 run(small_cfg(tag, steps=200), teacher, corpus, student)
             errors.append((str(info.value), len(steps)))
         assert errors[0] == errors[1] and errors[0][1] > 0
-        context = " at context (3,)" if tag in ("sft", "seqkd", "fkld_token") else ""
-        assert errors[0][0] == "q[0] = 0" + context
+        # the loop's own check and a rule's name the context in the same words
+        assert errors[0][0] == "q[0] = 0 at context (3,)"
 
     @pytest.mark.parametrize("tag", ["sft", "hpd"])
     def test_bos_mismatch_rejected_before_any_step(self, tag, monkeypatch):
@@ -1079,9 +1117,10 @@ class TestTrainLoop:
 
     @pytest.mark.parametrize("zeros", [False, True])
     @pytest.mark.parametrize("eval_from", ["teacher", "student"])
-    def test_reading_is_softmax_rows_byte_for_byte(self, zeros, eval_from):
+    def test_reading_is_the_masked_softmax_byte_for_byte(self, zeros, eval_from):
         # the table keeps no log: a reading logs it, and the entropy rows log what
-        # they gathered, to softmax_rows' bytes, floor logits' exact zeros included
+        # they gathered, to the masked-log softmax's bytes, floor logits' exact zeros
+        # included
         teacher = build_source({"name": "bimodal_gap"})
         student = TabularLM(order=1, vocab=Vocab.default(6))
         rng = np.random.default_rng(7)
@@ -1091,7 +1130,7 @@ class TestTrainLoop:
             student.set_row((2,), [0.0, training.LOGIT_FLOOR, 1.0, 0.5, training.LOGIT_FLOOR,
                                    -1.0])
         pred = training.PredictiveTable(student, with_cdf=False)
-        probs, logprobs = softmax_rows(student.table)
+        probs, logprobs = masked_softmax(student.table)
         assert (probs == 0.0).any() == zeros
         plan = EvalPlan(teacher, student, 8, eval_from)
         got = training.evaluate_divergences(plan, pred)
