@@ -7,7 +7,6 @@ from .numerics import (
     softmax,
 )
 from .model import (
-    GradAccumulator,
     TabularLM,
     Vocab,
     checkpoint_load,

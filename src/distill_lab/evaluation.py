@@ -8,8 +8,8 @@ import numpy as np
 
 from .data import MarkovSource
 from .errors import InvalidInputError, InvalidParameterError
-from .model import (MAX_TABLE_ENTRIES, GradAccumulator, TabularLM, accumulate_token_grads,
-                    prefix_id, prefix_ids, read_only, suffix_ids, walk)
+from .model import (MAX_TABLE_ENTRIES, TabularLM, accumulate_token_grads, prefix_id,
+                    prefix_ids, read_only, suffix_ids, walk)
 from .numerics import CategoricalDist, cdf_draw, kl_rows, softmax
 
 # whose sequences weigh the contexts of a divergence reading
@@ -34,9 +34,9 @@ def gradcheck(model: TabularLM, weighted_tokens, eps: float = 1e-5) -> float:
     if not items:
         return 0.0
     ids, tokens, weights = (np.array(col) for col in zip(*items))
-    acc = GradAccumulator(model.order, model.vocab.size)
-    accumulate_token_grads(acc, ids, tokens, weights, softmax(model.table[ids]).probs)
-    # rows[slot[i]] is item i's row; pert[r, v, s] is row r with coordinate v moved by +-eps
+    step = accumulate_token_grads(ids, tokens, weights, softmax(model.table).probs, model.order)
+    # rows[slot[i]] is item i's row, the step's rows in their order; pert[r, v, s] is row r
+    # with coordinate v moved by +-eps
     rows, slot = np.unique(ids, return_inverse=True)
     v, coord = model.vocab.size, np.arange(model.vocab.size)
     numeric = np.empty((len(rows), v))
@@ -50,12 +50,15 @@ def gradcheck(model: TabularLM, weighted_tokens, eps: float = 1e-5) -> float:
         pert[:, coord, 1, coord] = base - eps
         logprobs = softmax(pert.reshape(-1, v)).logprobs.reshape(pert.shape)
         mine = np.flatnonzero((lo <= slot) & (slot < lo + len(base)))
-        loss = np.zeros(pert.shape[:3])
-        np.add.at(loss, slot[mine] - lo,
-                  -weights[mine, None, None] * logprobs[slot[mine] - lo, :, :, tokens[mine]])
+        at = slot[mine] - lo
+        # each item's 2 * V perturbed losses, summed per row in item order by one bincount
+        cells = 2 * v
+        loss = np.bincount((at[:, None] * cells + np.arange(cells)).ravel(),
+                           (-weights[mine, None, None] * logprobs[at, :, :, tokens[mine]]).ravel(),
+                           minlength=len(base) * cells).reshape(pert.shape[:3])
         numeric[lo:lo + len(base)] = (loss[:, :, 0] - loss[:, :, 1]) / (2.0 * eps)
     # analytic gradient of L (not the descent direction, hence the minus)
-    analytic = -acc.directions[rows]
+    analytic = -step.directions
     scale = np.maximum(np.abs(analytic).max(axis=1), np.abs(numeric).max(axis=1))
     live = scale > 1e-12
     err = np.abs(analytic - numeric).max(axis=1)[live] / scale[live]

@@ -2,14 +2,14 @@
 
 Contexts are tuples of the last k token ids, left-padded with the vocab's
 begin-of-sequence id. Every order-k table (a model's logits, a source's
-conditionals, an accumulator's directions) is one dense (V**k, V) array whose
-row i holds the context with id i: its tokens read as base-V digits, oldest
-token most significant (prefix_id, context_key). So id order is sorted tuple
-order, BOS padding is part of the id, a window that emits token t moves to
-id (i * V + t) % V**k, and an order-m id's last k tokens are its id modulo
-V**k (suffix_ids). walk is the one loop that moves ids that way.
-Unseen contexts predict the uniform distribution (all-zero logit row).
-A model decodes greedily here; sampling is data.MarkovSource.rollouts.
+conditionals) is one dense (V**k, V) array whose row i holds the context
+with id i: its tokens read as base-V digits, oldest token most significant
+(prefix_id, context_key). So id order is sorted tuple order, BOS padding is
+part of the id, a window that emits token t moves to id (i * V + t) % V**k,
+and an order-m id's last k tokens are its id modulo V**k (suffix_ids). walk
+is the one loop that moves ids that way. Unseen contexts predict the uniform
+distribution (all-zero logit row). A model decodes greedily here; sampling
+is data.MarkovSource.rollouts.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from functools import cache, lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -249,80 +249,67 @@ class TabularLM:
         return model
 
 
-@dataclass(eq=False)
-class GradAccumulator:
-    """Accumulated descent directions of an order-k model, one row per context id.
+@dataclass(frozen=True)
+class TokenStep:
+    """One SGD step's update: directions[r] is the summed descent direction of row ids[r].
 
-    touched marks the rows added to since the last clear. Rows start at -0.0,
-    and -0.0 + x == x for every x, so a row's first direction is kept exactly.
-    The accumulator holds sums only: sgd_step divides them by the positions
-    the batch drew, which its caller passes.
+    ids are the rows the step moves, distinct and ascending; directions is
+    their (len(ids), V) array. token_step builds one from a batch's tokens.
     """
 
-    order: int
-    vocab_size: int
-    directions: np.ndarray = field(init=False, repr=False)
-    touched: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        n = table_rows(self.vocab_size, self.order)
-        self.directions = np.full((n, self.vocab_size), -0.0)
-        self.touched = np.zeros(n, dtype=bool)
-        self._columns = np.arange(self.vocab_size)
-
-    def clear(self) -> None:
-        self._clear_rows(np.flatnonzero(self.touched))
-
-    def _clear_rows(self, ids) -> None:
-        """clear, given ids (or rows_at's slice of them): every row touched since the last
-        clear."""
-        self.directions[ids] = -0.0
-        self.touched[ids] = False
-
-    def scatter_index(self, ids) -> np.ndarray:
-        """add_rows' flat scatter index of ids, of any shape: entry [..., v] is
-        element ids[...] * V + v of the flattened table."""
-        return np.asarray(ids, dtype=np.intp)[..., None] * self.vocab_size + self._columns
-
-    def add_rows(self, ids, directions: np.ndarray, index=None) -> None:
-        """Add directions[j] to row ids[j] for j = 0, 1, ... in turn.
-
-        One flat scatter: entry (j, v) goes to element ids[j] * V + v of the
-        flattened table. np.add.at applies 1-d indices unbuffered and in order,
-        so every element sums its contributions in batch order, bit for bit as
-        a row-by-row loop would. index, when given, is scatter_index(ids),
-        computed ahead by the caller.
-        """
-        ids = np.asarray(ids, dtype=np.intp)
-        if index is None:
-            index = self.scatter_index(ids)
-        np.add.at(self.directions.reshape(-1), index.reshape(-1),
-                  np.asarray(directions, dtype=np.float64).reshape(-1))
-        self.touched[ids] = True
+    ids: np.ndarray
+    directions: np.ndarray
 
 
-def accumulate_token_grads(acc: GradAccumulator, ids, tokens, weights,
-                           q: np.ndarray) -> GradAccumulator:
-    """For j in order, add weights[j] * (onehot(tokens[j]) - q[j]) to row ids[j].
+def token_step(ids: np.ndarray, tokens: np.ndarray, weights: np.ndarray,
+               q: np.ndarray) -> TokenStep:
+    """The summed descent direction of sum_j -weights[j] * ln q[ids[j], tokens[j]], as a
+    count table: the unchecked gradient kernel.
 
-    That is the exact descent direction of -weights[j] * ln q[j][tokens[j]];
-    the weight is a constant (no derivative flows through it). ids holds
-    context ids; q is an (n, V) array of probabilities, row j the predictive
-    distribution at ids[j]. A zero weight adds only +-0.0, but its row is
-    touched like any other. The weights must be finite, the tokens in range
-    and every q[j][tokens[j]] > 0; then add_token_grads does the work.
+    q is the (V**k, V) predictive table, row c the student's distribution at
+    context id c; the weights are constants (no derivative flows through
+    them). With W[c, x] the summed weight of the tokens x drawn at c and
+    m[c] = sum_x W[c, x], row c moves by W[c] - m[c] * q[c]. Every context id
+    the batch names moves, one of weight 0 too; an exact zero of an update is
+    -0.0, so a zero update leaves every logit's bytes as they were. The caller
+    guarantees what accumulate_token_grads checks: ids an intp array of rows
+    of q, tokens below V, weights finite (and float64).
+    """
+    n, v = q.shape
+    moved = np.bincount(ids, minlength=n).nonzero()[0]
+    if rows_at(moved, n) is moved:  # not every row: count at each id's slot among moved
+        slot = np.empty(n, dtype=np.intp)
+        slot[moved] = np.arange(moved.size)
+        ids, q = slot[ids], q.take(moved, axis=0)
+    r = moved.size
+    # W and m, each one bincount, which adds its weights in input order
+    counts = np.bincount(ids * v + tokens, weights, minlength=r * v).reshape(r, v)
+    grad = np.bincount(ids, weights, minlength=r)[:, None] * q
+    grad -= counts
+    # -(m q - W) is W - m q bit for bit, but -0.0 where the two are equal
+    return TokenStep(moved, np.negative(grad, out=grad))
+
+
+def accumulate_token_grads(ids, tokens, weights, q: np.ndarray, order: int) -> TokenStep:
+    """token_step, once its arguments are checked: the public gradient entry.
+
+    ids are order-k context ids, rows of the (V**k, V) table q, and tokens and
+    weights hold one entry per id. Each weight must be finite, each id and
+    token in range and every q[ids[j], tokens[j]] > 0, as -ln of it needs.
     """
     ids = np.asarray(ids, dtype=np.intp)
     weights = np.asarray(weights, dtype=np.float64)
-    tokens = np.asarray(tokens)
+    tokens = np.asarray(tokens, dtype=np.intp)
+    if ids.ndim != 1 or ids.shape != tokens.shape or ids.shape != weights.shape:
+        raise InvalidInputError("ids, tokens and weights must be 1-d and of one length")
     if not np.isfinite(weights).all():
         raise InvalidInputError("weight must be finite")
-    outside = (tokens < 0) | (tokens >= q.shape[-1])
-    if outside.any():
-        raise InvalidInputError(f"token id {tokens[np.argmax(outside)]} out of range")
-    check_token_support(q[np.arange(tokens.size), tokens], ids, tokens, acc.order,
-                        acc.vocab_size)
-    return add_token_grads(acc, ids, tokens, weights, q)
+    for values, bound, name in ((ids, len(q), "context id"), (tokens, q.shape[1], "token id")):
+        outside = (values < 0) | (values >= bound)
+        if outside.any():
+            raise InvalidInputError(f"{name} {values[np.argmax(outside)]} out of range")
+    check_token_support(q[ids, tokens], ids, tokens, order, q.shape[1])
+    return token_step(ids, tokens, weights, q)
 
 
 def check_token_support(q_at: np.ndarray, ids, tokens, order: int, vocab_size: int) -> None:
@@ -338,32 +325,6 @@ def check_token_support(q_at: np.ndarray, ids, tokens, order: int, vocab_size: i
         raise LogOfZeroError(f"q[{tokens[j]}] = 0 at context {ctx}")
 
 
-@lru_cache(maxsize=16)  # a run steps with one batch shape; bounded, as m comes from callers
-def _row_starts(m: int, vocab_size: int) -> np.ndarray:
-    """j * V for j < m, read-only: where row j of m flattened V-wide rows starts."""
-    return read_only(np.arange(0, m * vocab_size, vocab_size))
-
-
-def add_token_grads(acc: GradAccumulator, ids: np.ndarray, tokens: np.ndarray,
-                    weights: np.ndarray, q: np.ndarray, index=None) -> GradAccumulator:
-    """accumulate_token_grads without its checks: the unchecked gradient kernel.
-
-    ids must be an intp and weights a float64 array. The caller guarantees
-    what the public entry would check: every weight finite, every token in
-    range and q[j][tokens[j]] > 0. The arithmetic is the public entry's own,
-    so both leave acc bit for bit the same. Every row is scattered, a zero
-    weight's too: its direction is -0.0 but +0.0 at tokens[j], which leaves
-    every sum as it was unless that sum is -0.0. A caller that knows the ids
-    ahead may pass index, acc.scatter_index(ids).
-    """
-    m, v = q.shape
-    direction = -weights[:, None] * q
-    # the one-hot term: entry (j, tokens[j]) is element j * V + tokens[j] of the flat rows
-    direction.reshape(-1)[_row_starts(m, v) + tokens] += weights
-    acc.add_rows(ids, direction, index)
-    return acc
-
-
 def rows_at(ids: np.ndarray, n: int) -> np.ndarray | slice:
     """How to index the rows ids of an n-row table: slice(None) when they are every
     row, else ids itself.
@@ -376,35 +337,31 @@ def rows_at(ids: np.ndarray, n: int) -> np.ndarray | slice:
     return slice(None) if ids.size == n else ids
 
 
-def sgd_step(model: TabularLM, acc: GradAccumulator, lr: float, n: int) -> np.ndarray:
-    """Move each of acc's touched rows by lr / n * its summed descent direction; clears acc.
+def sgd_step(model: TabularLM, step: TokenStep, lr: float, n: int) -> np.ndarray:
+    """Move each of the step's rows by lr / n * its summed descent direction.
 
     n is the number of positions the batch drew, so the step is lr times the
-    batch mean; n < 1 is an InvalidInputError. Returns the ids of the rows it
-    moved, in ascending order: acc's touched rows, every context the batch
-    drew, a zero-weight one too. A non-finite result raises
-    NumericOverflowError, naming the first such context in id order, and
-    leaves the model as it was.
+    batch mean; n < 1 is an InvalidInputError. Returns step.ids, the rows it
+    moved in ascending order: every context the batch drew, a zero-weight one
+    too. A non-finite result raises NumericOverflowError, naming the first
+    such context in id order, and leaves the model as it was.
     """
     if lr <= 0.0:
         raise InvalidInputError("learning rate must be > 0")
     if n < 1:
         raise InvalidInputError(f"a step needs at least one drawn position, got n={n}")
-    if acc.directions.shape != model.table.shape:
-        raise InvalidInputError("accumulator and model tables differ in shape")
-    ids = acc.touched.nonzero()[0]
+    ids = step.ids
+    if step.directions.shape != (ids.size, model.vocab.size):
+        raise InvalidInputError("a step's directions must hold one model-wide row per id")
     at = rows_at(ids, len(model.table))
     if ids.size:
-        if at is ids:
-            rows = model.table.take(ids, axis=0) + lr / n * acc.directions.take(ids, axis=0)
-        else:
-            rows = model.table + lr / n * acc.directions
+        base = model.table.take(ids, axis=0) if at is ids else model.table
+        rows = base + lr / n * step.directions
         if not np.isfinite(rows).all():
             first = np.argmin(np.isfinite(rows).all(axis=1))
             ctx = context_key(ids[first], model.order, model.vocab.size)
             raise NumericOverflowError(f"non-finite logits at context {ctx}")
         model.table[at] = rows
-    acc._clear_rows(at)
     return ids
 
 

@@ -22,10 +22,8 @@ from .errors import (ConfigError, DivergenceInfiniteError, InvalidInputError, Pi
                      check_field_types, field_types)
 from .evaluation import CompletionTasks, EvalFrom, EvalPlan, check_pair
 from .model import (
-    GradAccumulator,
     TabularLM,
     Vocab,
-    add_token_grads,
     check_token_support,
     context_key,
     prefix_ids,
@@ -33,6 +31,7 @@ from .model import (
     sgd_step,
     suffix_ids,
     table_rows,
+    token_step,
     walk,
 )
 from .numerics import CategoricalDist, cdf_draw, cdf_rows, entropy, log_probs, softmax_probs
@@ -41,9 +40,9 @@ from .objectives import ObjectiveKind, token_weights
 # ln of a zero count underflows to prob 0 through softmax at this floor
 LOGIT_FLOOR = -1000.0
 
-# the most entries one block of planned off-policy steps holds in its largest
-# array, the accumulator's scatter index (V entries per token): 128 KiB of intp;
-# a step larger than that is a block of its own
+# the most tokens one block of planned off-policy steps holds, each one entry of
+# its per-token arrays (128 KiB of intp each); a step larger than that is a
+# block of its own
 PLAN_ENTRIES = 2**14
 
 
@@ -207,17 +206,17 @@ class PredictiveTable:
 
 def _train_loop(cfg: TrainConfig, teacher: MarkovSource, student: TabularLM, eval_tasks,
                 batches) -> tuple[TabularLM, list[MetricsRow]]:
-    """SGD on a copy of student, one step per batch of batches(student, pred, acc, rng).
+    """SGD on a copy of student, one step per batch of batches(student, pred, rng).
 
     batches is called once; the loop pulls exactly cfg.steps batches from the
     generator it gives, so one that ends early raises StopIteration. Each
-    batch accumulates one step into acc and yields (ids, rewards): its
-    student context ids, one per position it drew, and its rewards (None
-    off-policy). pred is the copy's PredictiveTable, with CDF rows for the
-    objectives that sample from the student (ObjectiveKind.samples), built once; after
-    each step exactly the rows sgd_step reports moved are refreshed. Each
-    step is lr times the batch mean: sgd_step divides the accumulated
-    directions by len(ids), whatever the weights. The mean entropy of pred's
+    batch yields (ids, step, rewards): its student context ids, one per
+    position it drew, its model.TokenStep and its rewards (None off-policy).
+    pred is the copy's PredictiveTable, with CDF rows for the objectives that
+    sample from the student (ObjectiveKind.samples), built once; after each
+    step exactly the rows sgd_step reports moved are refreshed. Each step is
+    lr times the batch mean: sgd_step divides the summed directions by
+    len(ids), whatever the weights. The mean entropy of pred's
     rows at those ids is computed, before the step, only for a metrics row.
     Evaluation is planned before step 1 (EvalPlan, CompletionTasks), so a
     teacher and student that differ in vocabulary size or BOS id, and invalid
@@ -227,18 +226,17 @@ def _train_loop(cfg: TrainConfig, teacher: MarkovSource, student: TabularLM, eva
     tasks = CompletionTasks(eval_tasks, student) if eval_tasks else None
     rng = np.random.default_rng(cfg.seed)
     student = student.copy()
-    acc = GradAccumulator(student.order, student.vocab.size)
     kind = cfg.objective
     pred = PredictiveTable(student, with_cdf=kind.samples)
-    batch = batches(student, pred, acc, rng)
+    batch = batches(student, pred, rng)
     rows: list[MetricsRow] = []
 
     for step in range(1, cfg.steps + 1):
-        ids, batch_rewards = next(batch)
+        ids, update, batch_rewards = next(batch)
         log = step % cfg.eval_every == 0 or step == cfg.steps
         if log:
             train_entropy = float(np.mean(entropy(pred.rows(ids))))
-        moved = sgd_step(student, acc, cfg.lr, len(ids))
+        moved = sgd_step(student, update, cfg.lr, len(ids))
         if moved.size:
             pred.refresh(moved)
 
@@ -300,13 +298,13 @@ def distill_offpolicy(
 
     The context ids of both models are the corpus's own (Corpus.context_ids),
     computed at the first run on that corpus at each order and kept on it.
-    Steps are planned a block at a time (at most PLAN_ENTRIES entries): the
+    Steps are planned a block at a time (at most PLAN_ENTRIES tokens): the
     block's positions are drawn from the run's generator as step after step
-    would draw them, and its student ids, tokens, the tokens' flat indices
-    into the student's and the teacher's table and the scatter index are
-    gathered at once. The n * k uniforms a step of hpd and hpd_no_reinforce
-    come from a second generator, seeded with SeedSequence(seed).spawn(1)[0],
-    one random((steps, n * k)) call a block; so every tag draws the same
+    would draw them, and its student ids, tokens and the tokens' flat indices
+    into the student's and the teacher's table are gathered at once. The
+    n * k uniforms a step of hpd and hpd_no_reinforce come from a second
+    generator, seeded with SeedSequence(seed).spawn(1)[0], one
+    random((steps, n * k)) call a block; so every tag draws the same
     positions from the same seed, and no output depends on the block size.
     A step's tokens are an (n * k, cols) array, row b * k + i for draw i of
     position b (k = hpd_samples for the HPD variants that sample, else 1):
@@ -316,10 +314,12 @@ def distill_offpolicy(
     rows of a position would be one row k times: it weighs one row at w, and
     hpd_samples has no effect on it. The step gathers q, and p and ln p for
     the rules that read them, at those tokens, makes one token_weights call
-    (a rule that reads ln q takes it of that q) and one ordered accumulate
-    of the weights over k through the unchecked kernel add_token_grads,
-    which scatters every row, one of weight 0 too. fkld_dense adds its
-    summed direction p - q instead.
+    (a rule that reads ln q takes it of that q) and one count-table step of
+    the weights over k through the unchecked kernel token_step, which moves
+    every row drawn, one of weight 0 too. fkld_dense's tokens are every
+    column (cols = V), weighed by the teacher's row at the position, so its
+    step is the summed p - q with each row's summed teacher mass (its count,
+    up to rounding) times q.
     """
     check_pair(teacher, student)  # before the corpus's ids are read against the student's V
     kind = cfg.objective
@@ -344,13 +344,15 @@ def distill_offpolicy(
     reads_p = tag not in ("sft", "seqkd")
     reads_lp = reads_p and tag not in ("fkld_token", "jsd_off")
     k = cfg.hpd_samples if sampled else 1
-    cols = 2 if sampled else 1
+    cols = v if dense else 2 if sampled else 1
     # each draw updates the expert token, then the sampled one
     draw = np.repeat(np.arange(n), k)
+    # fkld_dense's tokens: every column at each position, weighed by the teacher's row
+    every = np.tile(np.arange(v), n)
     equal = bool((lengths == lengths[0]).all())
-    per_block = max(1, PLAN_ENTRIES // (n * k * cols * v))
+    per_block = max(1, PLAN_ENTRIES // (n * k * cols))
 
-    def batches(student, pred, acc, rng):
+    def batches(student, pred, rng):
         # the kernel rests on checks made where its values entered: the corpus's
         # context_ids range-checks the expert tokens, cdf_draw's tokens are < V
         # with q > 0, and every rule that takes a log checks q at its tokens
@@ -369,13 +371,11 @@ def distill_offpolicy(
             ids, rows, t_rows = s_ids[pos], s_ids[at], t_ids[at]
             # each token's context id, in the row-major order of a step's tokens
             flat = np.repeat(ids, k * cols, axis=1)
-            index = acc.scatter_index(flat)
             if dense:
-                # sum over v of p_v * (onehot(v) - q) collapses to p - q
-                for batch, step_rows, step_index in zip(ids, t_rows, index):
-                    acc.add_rows(batch, p_table.probs.take(step_rows, axis=0)
-                                 - pred.probs.take(batch, axis=0), step_index)
-                    yield batch, None
+                for batch, step_rows, step_flat in zip(ids, t_rows, flat):
+                    yield batch, token_step(step_flat, every,
+                                            p_table.probs.take(step_rows, axis=0).ravel(),
+                                            pred.probs), None
                 continue
             tok = np.zeros(at.shape + (cols,), dtype=np.intp)
             tok[..., 0] = tokens[at]
@@ -384,8 +384,8 @@ def distill_offpolicy(
             s_at, t_at = rows[..., None] * v + tok, t_rows[..., None] * v + tok
             # row s holds step s's n * k uniforms, entry b * k + i for draw i of position b
             uniforms = u_rng.random((steps, n * k)) if sampled else itertools.repeat(None)
-            for batch, step_rows, step_tok, step_flat, s_flat, t_flat, step_index, u in zip(
-                    ids, rows, tok, flat, s_at, t_at, index, uniforms):
+            for batch, step_rows, step_tok, step_flat, s_flat, t_flat, u in zip(
+                    ids, rows, tok, flat, s_at, t_at, uniforms):
                 if sampled:
                     drawn = cdf_draw(pred.cdf.take(step_rows, axis=0), u)
                     step_tok[:, 1] = drawn
@@ -397,9 +397,8 @@ def distill_offpolicy(
                 w = token_weights(kind, p_table.probs.take(t_flat) if reads_p else None,
                                   p_table.logprobs.take(t_flat) if reads_lp else None,
                                   q, None, step_tok, context)
-                add_token_grads(acc, step_flat, step_tok.ravel(), (w if k == 1 else w / k).ravel(),
-                                pred.probs.take(step_flat, axis=0), step_index)
-                yield batch, None
+                yield batch, token_step(step_flat, step_tok.ravel(),
+                                        (w if k == 1 else w / k).ravel(), pred.probs), None
 
     return _train_loop(cfg, teacher, student, eval_tasks, batches)
 
@@ -443,7 +442,7 @@ def distill_onpolicy_opd(
     start = prefix_ids(prompts, walk_order, student.vocab)
     n, h = cfg.batch_size, cfg.horizon
 
-    def batches(student, pred, acc, rng):
+    def batches(student, pred, rng):
         while True:
             # every rollout's prompt, then its uniforms, row b for rollout b; one
             # prompt consumes no state, so u is what rollout-by-rollout draws give
@@ -477,8 +476,7 @@ def distill_onpolicy_opd(
             baseline = float(np.mean(rewards)) if cfg.opd_baseline else 0.0
             # cdf_draw's tokens are < V with q > 0, and the support check above makes
             # every reward, so every coefficient, finite
-            add_token_grads(acc, s_ids, tokens, coeffs - baseline, pred.probs.take(s_ids, axis=0))
-            yield s_ids, rewards
+            yield s_ids, token_step(s_ids, tokens, coeffs - baseline, pred.probs), rewards
 
     return _train_loop(cfg, teacher, student, eval_tasks, batches)
 

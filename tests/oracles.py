@@ -14,6 +14,10 @@ masked_softmax and masked_dist are the checked softmax and probability path
 that numerics.softmax, CategoricalDist.from_probs and from_rows replaced by
 one kernel: a checked normalisation, a new array with the tiny entries
 zeroed, and a masked log that writes -inf at the zeros.
+count_step is model.token_step one token at a time, to the same bytes, and
+per_token_direction the per-token descent directions it replaced, which it
+matches up to rounding; reference_offpolicy and reference_opd step through
+count_step.
 model_source and plan_divergences are shared shorthands over the library
 itself: a fitted model as a teacher, and EvalPlan's reading of a student's
 own logits. peaked_model and RAGGED_PROMPTS are shared sampling fixtures.
@@ -30,8 +34,8 @@ from distill_lab.errors import (
     InvalidParameterError,
     LogOfZeroError,
 )
-from distill_lab.model import (TabularLM, Vocab, accumulate_token_grads, context_ids, context_key,
-                              pad_context, prefix_id)
+from distill_lab.model import (TabularLM, TokenStep, Vocab, context_ids, context_key, pad_context,
+                              prefix_id)
 from distill_lab.evaluation import EvalPlan
 from distill_lab.numerics import (PROB_SUM_TOL, ZERO_TOL, CategoricalDist, cdf_draw, cdf_rows,
                                   log_probs, softmax, softmax_probs)
@@ -61,9 +65,42 @@ def model_row(model, prefix, temperature=1.0):
     return softmax(z if temperature == 1.0 else z / temperature)
 
 
-def add_token_grad(acc, cid, token, weight, q):
-    """accumulate_token_grads for one token at context id cid; q is one distribution."""
-    accumulate_token_grads(acc, [cid], [token], [weight], q.probs[None])
+def count_step(ids, tokens, weights, q):
+    """model.token_step one token at a time, in Python floats.
+
+    Each weights[j] is added into W[ids[j]][tokens[j]] and m[ids[j]] in batch
+    order, every sum starting at 0.0, as np.bincount adds its weights; row c's
+    update is then -(m[c] * q[c][x] - W[c][x]) entry by entry, W - m q with
+    -0.0 where the two are equal. q[c] is context c's distribution (a table
+    row or a dict entry). The batch names at least one token; returns the
+    TokenStep of the contexts it names, ascending.
+    """
+    counts, mass = {}, {}
+    for c, x, w in zip(ids, tokens, weights):
+        c = int(c)
+        if c not in counts:
+            counts[c], mass[c] = [0.0] * len(q[c]), 0.0
+        counts[c][int(x)] += float(w)
+        mass[c] += float(w)
+    moved = sorted(counts)
+    return TokenStep(np.array(moved, dtype=np.intp), np.array(
+        [[-(mass[c] * float(qx) - wx) for qx, wx in zip(q[c], counts[c])] for c in moved]))
+
+
+def per_token_direction(ids, tokens, weights, q):
+    """(ids, directions, scale) of sum_j weights[j] * (onehot(tokens[j]) - q[ids[j]]) per
+    context, each token's direction added in turn, the step before count tables; scale[r]
+    sums |weights[j]| over row ids[r]'s tokens, the size of its rounding."""
+    rows, scale = {}, {}
+    for c, x, w in zip(ids, tokens, weights):
+        c = int(c)
+        d = -float(w) * np.asarray(q[c], dtype=np.float64)
+        d[int(x)] += float(w)
+        rows[c] = rows.get(c, 0.0) + d
+        scale[c] = scale.get(c, 0.0) + abs(float(w))
+    moved = sorted(rows)
+    return (np.array(moved, dtype=np.intp), np.array([rows[c] for c in moved]),
+            np.array([scale[c] for c in moved]))
 
 
 def per_token_rollout(model, prompt, steps, rng, temperature=1.0):
@@ -202,10 +239,12 @@ def masked_softmax(z):
 def reference_offpolicy(cfg, teacher, corpus, student):
     """distill_offpolicy one position at a time.
 
-    Positions, HPD draws and accumulation follow the batched kernel's stated
-    order, so its checkpoints and metrics must match these byte for byte. Each
-    batch yields one context id per position drawn, and each step divides by
-    their count. The run's generator draws the positions; the uniforms of the
+    Positions, HPD draws and tokens follow the batched kernel's stated order,
+    and each step is count_step of the batch's (context, token, weight)
+    triples, so its checkpoints and metrics must match these byte for byte.
+    fkld_dense weighs every token of a position by the teacher's row there.
+    Each batch yields one context id per position drawn, and each step
+    divides by their count. The run's generator draws the positions; the uniforms of the
     HPD variants that sample come from a second generator, spawned from the
     seed, batch_size * k a step. hpd_no_sample ignores the sampled token, so
     it draws none and weighs one row a position, whatever hpd_samples is. A
@@ -227,10 +266,10 @@ def reference_offpolicy(cfg, teacher, corpus, student):
             ctx = pad_context(prefix, model.order, model.vocab.bos_id)
             raise LogOfZeroError(f"{e} at context {ctx}") from None
 
-    def batches(student, pred, acc, rng):
+    def batches(student, pred, rng):
         u_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
         while True:
-            cids = []
+            cids, q_rows, triples = [], {}, []  # one triple per token, in batch order
             si = rng.integers(len(sequences), size=cfg.batch_size)
             offsets = rng.integers(0, lengths[si])
             uniforms = u_rng.random(cfg.batch_size * k) if kind.samples else None
@@ -242,21 +281,25 @@ def reference_offpolicy(cfg, teacher, corpus, student):
                 p = source_row(teacher, prefix)
                 q = model_row(student, prefix)
                 cids.append(cid)
+                q_rows[cid] = q.probs
                 if kind.tag == "fkld_dense":
-                    acc.add_rows([cid], (p.probs - q.probs)[None])
+                    triples += [(cid, x, px) for x, px in enumerate(p.probs)]
                 elif kind.tag not in HPD_VARIANTS:
                     w = weigh(prefix, kind, *row_values(p, q), expert)
-                    add_token_grad(acc, cid, expert, w, q)
+                    if q.probs[expert] <= 0.0:  # the -ln q that a rule not reading q leaves
+                        ctx = pad_context(prefix, student.order, student.vocab.bos_id)
+                        raise LogOfZeroError(f"q[{expert}] = 0 at context {ctx}")
+                    triples.append((cid, expert, w))
                 else:
                     for i in range(k):
                         sampled = (int(cdf_draw(cdf_rows(q.probs), uniforms[b * k + i]))
                                    if kind.samples else None)
                         w_star, w_sampled = weigh(prefix, kind, *row_values(p, q), expert,
                                                   sampled)
-                        add_token_grad(acc, cid, expert, w_star / k, q)
-                        if w_sampled != 0.0:
-                            add_token_grad(acc, cid, sampled, w_sampled / k, q)
-            yield cids, None
+                        triples.append((cid, expert, w_star / k))
+                        if kind.samples:
+                            triples.append((cid, sampled, w_sampled / k))
+            yield cids, count_step(*zip(*triples), q_rows), None
 
     return training._train_loop(cfg, teacher, student, None, batches)
 
@@ -408,18 +451,18 @@ def draws_per_rollout(rng, n_prompts, n, h):
 def reference_opd(cfg, teacher, student, prompts=None, draws=draws_batched):
     """distill_onpolicy_opd one rollout and one token at a time, one inverse-CDF draw each.
 
-    Draws, rewards and accumulation follow the lockstep kernel's stated
-    order, so its checkpoints and metrics must match these byte for byte. Each
-    batch yields one context id per sampled token, and each step divides by
-    their count.
+    Draws, rewards and tokens follow the lockstep kernel's stated order, and
+    each step is count_step of the batch's tokens, so its checkpoints and
+    metrics must match these byte for byte. Each batch yields one context id
+    per sampled token, and each step divides by their count.
     """
     reward_mode = "per_token" if cfg.objective.tag == "rkld_on" else cfg.opd_reward_mode
     prompts = [list(p) for p in prompts] if prompts else [[]]
 
-    def batches(student, pred, acc, rng):
+    def batches(student, pred, rng):
         while True:
             batch_rewards = []
-            cids, tokens, qs, coeffs = [], [], [], []  # one entry per sampled token
+            cids, tokens, coeffs, q_rows = [], [], [], {}  # one entry per sampled token
             pick, u = draws(rng, len(prompts), cfg.batch_size, cfg.horizon)
             for b in range(cfg.batch_size):
                 prompt = prompts[int(pick[b])]
@@ -437,7 +480,7 @@ def reference_opd(cfg, teacher, student, prompts=None, draws=draws_batched):
                     r = float(p.logprobs[a] - q.logprobs[a])
                     cids.append(prefix_id(seq, student.order, student.vocab))
                     tokens.append(a)
-                    qs.append(q.probs)
+                    q_rows[cids[-1]] = q.probs
                     rewards.append(r)
                     seq.append(a)
                 if reward_mode == "trajectory":
@@ -447,7 +490,7 @@ def reference_opd(cfg, teacher, student, prompts=None, draws=draws_batched):
                 batch_rewards.extend(rewards)
 
             baseline = float(np.mean(batch_rewards)) if cfg.opd_baseline else 0.0
-            accumulate_token_grads(acc, cids, tokens, np.array(coeffs) - baseline, np.array(qs))
-            yield cids, batch_rewards
+            step = count_step(cids, tokens, np.array(coeffs) - baseline, q_rows)
+            yield cids, step, batch_rewards
 
     return training._train_loop(cfg, teacher, student, None, batches)

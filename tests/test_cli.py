@@ -327,6 +327,17 @@ class TestCommands:
         assert err.startswith("error: ") and needle in err
         assert sorted(os.listdir(tmp_path)) == before
 
+    @pytest.mark.parametrize("tag, listed", [("fkld_dense", 0), ("rkld_off", 0), ("sft", 4)])
+    def test_a_checkpoint_lists_the_rows_that_are_not_zero(self, tmp_path, monkeypatch, tag,
+                                                           listed):
+        # on the uniform source (V = 4) a uniform student's fkld_dense and rkld_off
+        # updates W - m q come out exactly zero, so no row is listed; sft moves all 4
+        monkeypatch.chdir(tmp_path)
+        sets = ["seed=0", "source.name=uniform", f"train.objective={tag}", "train.steps=50",
+                "out_dir=out"]
+        assert main(["distill", *(x for s in sets for x in ("--set", s))]) == 0
+        assert len(json.loads((tmp_path / "out" / "student.json").read_text())["rows"]) == listed
+
     @pytest.mark.parametrize("key, value", [
         ("out_dir", "5"), ("source_path", "7"), ("corpus_path", "[1]"), ("init_checkpoint", "0"),
     ])

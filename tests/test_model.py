@@ -13,11 +13,10 @@ from distill_lab import model
 from distill_lab.errors import InvalidInputError, LogOfZeroError, NumericOverflowError, ParseError
 from distill_lab.model import (
     MAX_TABLE_ENTRIES,
-    GradAccumulator,
     TabularLM,
+    TokenStep,
     Vocab,
     accumulate_token_grads,
-    add_token_grads,
     checkpoint_load,
     checkpoint_save,
     context_key,
@@ -27,11 +26,13 @@ from distill_lab.model import (
     prefix_ids,
     sgd_step,
     suffix_ids,
+    token_step,
     walk,
 )
 from distill_lab.numerics import softmax
 from distill_lab.training import PredictiveTable
-from oracles import RAGGED_PROMPTS, add_token_grad, greedy_rollout, peaked_model
+from oracles import (RAGGED_PROMPTS, count_step, greedy_rollout, peaked_model,
+                     per_token_direction)
 
 
 def uniform_model(v=2, order=1):
@@ -170,7 +171,7 @@ class TestContextIds:
         while v ** (k + 1) <= MAX_TABLE_ENTRIES:
             k += 1
         for make in (lambda: TabularLM(order=k, vocab=Vocab.default(v)),
-                     lambda: GradAccumulator(k, v)):
+                     lambda: model.table_rows(v, k)):
             with pytest.raises(InvalidInputError, match=f"V={v} and order k={k}"):
                 make()
 
@@ -237,29 +238,32 @@ class TestLockstepGreedy:
         assert m.greedy_rollouts([], 3) == []
 
 
+def uniform_table(v=2, order=1):
+    """The predictive table of an all-zero order-k model, every row 1 / V, as writable."""
+    return np.full((v ** order, v), 1 / v)
+
+
+def checked_step(order, ids, tokens, weights, q):
+    """accumulate_token_grads of a batch at order-k context ids of the table q."""
+    return accumulate_token_grads(ids, tokens, weights, q, order)
+
+
 class TestAccumulateTokenGrad:
     def test_descent_direction_uniform_row(self):
-        m = uniform_model(v=2)
-        acc = GradAccumulator(1, 2)
-        add_token_grad(acc, 0, 0, 1.0, softmax(m.logits((0,))))
-        assert np.allclose(acc.directions[0], [0.5, -0.5])
-        assert acc.touched.tolist() == [True, False]
+        step = checked_step(1, [0], [0], [1.0], uniform_table())
+        assert step.ids.tolist() == [0] and step.ids.dtype == np.intp
+        assert np.allclose(step.directions, [[0.5, -0.5]])
 
     def test_negative_weight_redistributes(self):
-        m = uniform_model(v=2)
-        acc = GradAccumulator(1, 2)
-        add_token_grad(acc, 0, 0, -1.0, softmax(m.logits((0,))))
-        assert np.allclose(acc.directions[0], [-0.5, 0.5])
+        step = checked_step(1, [0], [0], [-1.0], uniform_table())
+        assert np.allclose(step.directions, [[-0.5, 0.5]])
 
     def test_direction_matches_finite_differences(self):
         # central differences of -w * ln softmax(z)[token] per logit
         rng = np.random.default_rng(4)
-        m = uniform_model(v=5)
         z = rng.normal(size=5)
-        m.set_row((0,), z)
         token, w, eps = 2, 1.7, 1e-6
-        acc = GradAccumulator(1, 5)
-        add_token_grad(acc, 0, token, w, softmax(z))
+        step = checked_step(1, [0], [token], [w], softmax(z[None]).probs)
         numeric = np.zeros(5)
         for v in range(5):
             zp, zm = z.copy(), z.copy()
@@ -268,102 +272,159 @@ class TestAccumulateTokenGrad:
             up = -w * np.log(np.exp(zp - zp.max())[token] / np.exp(zp - zp.max()).sum())
             dn = -w * np.log(np.exp(zm - zm.max())[token] / np.exp(zm - zm.max()).sum())
             numeric[v] = (up - dn) / (2 * eps)
-        assert np.allclose(acc.directions[0], -numeric, atol=1e-7)
+        assert np.allclose(step.directions[0], -numeric, atol=1e-7)
 
     def test_zero_weight_adds_only_zeros(self):
-        # its row is touched: -0.0, but +0.0 at its token
-        m = uniform_model()
-        acc = GradAccumulator(1, 2)
-        add_token_grad(acc, 0, 0, 0.0, softmax(m.logits((0,))))
-        assert acc.touched.tolist() == [True, False] and not acc.directions.any()
-        assert np.signbit(acc.directions).tolist() == [[False, True], [True, True]]
+        # its row is moved, by -0.0 in every entry, which leaves any logit's bytes
+        step = checked_step(1, [0], [0], [0.0], uniform_table())
+        assert step.ids.tolist() == [0] and not step.directions.any()
+        assert np.signbit(step.directions).all()
 
     def test_zero_weights_in_a_batch_add_nothing(self):
-        # a batch with zero weights adds what its nonzero entries add alone, up to the
-        # sign of a zero, and touches every row it names
+        # a batch with zero weights moves the rows its nonzero entries move by their
+        # bytes, and every other row it names by -0.0
         rng = np.random.default_rng(6)
-        m = uniform_model(v=3)
-        ids, tokens = np.array([0, 2, 1, 2]), np.array([1, 0, 2, 2])
-        weights = np.array([0.7, 0.0, -1.3, 0.0])
+        ids, tokens = np.array([0, 2, 1, 2, 3]), np.array([1, 0, 2, 2, 1])
+        weights = np.array([0.7, 0.0, -1.3, 0.0, 0.0])
         q = softmax(rng.normal(size=(4, 3))).probs
-        acc, alone = GradAccumulator(1, 3), GradAccumulator(1, 3)
-        accumulate_token_grads(acc, ids, tokens, weights, q)
+        step = checked_step(1, ids, tokens, weights, q)
         keep = weights != 0.0
-        accumulate_token_grads(alone, ids[keep], tokens[keep], weights[keep], q[keep])
-        assert np.array_equal(acc.directions, alone.directions)
-        assert acc.touched.tolist() == [True, True, True]
+        alone = checked_step(1, ids[keep], tokens[keep], weights[keep], q)
+        assert step.ids.tolist() == [0, 1, 2, 3] and alone.ids.tolist() == [0, 1]
+        assert step.directions[:2].tobytes() == alone.directions.tobytes()
+        assert np.signbit(step.directions[2:]).all() and not step.directions[2:].any()
 
     def test_rejects_bad_token_and_weight(self):
-        m = uniform_model(v=2)
-        acc = GradAccumulator(1, 2)
-        with pytest.raises(InvalidInputError):
-            add_token_grad(acc, 0, 5, 1.0, softmax(m.logits((0,))))
-        with pytest.raises(InvalidInputError):
-            add_token_grad(acc, 0, 0, np.nan, softmax(m.logits((0,))))
-
+        q = uniform_table()
+        for args, match in ((([0], [5], [1.0]), "token id 5 out of range"),
+                            (([2], [0], [1.0]), "context id 2 out of range"),
+                            (([-1], [0], [1.0]), "context id -1 out of range"),
+                            (([0], [0], [np.nan]), "weight must be finite"),
+                            (([0, 1], [0], [1.0]), "1-d and of one length")):
+            with pytest.raises(InvalidInputError, match=match):
+                checked_step(1, *args, q)
 
     def test_rejects_zero_probability_token(self):
-        # the first row with q[token] = 0 is named, with its context
-        acc = GradAccumulator(2, 3)
-        q = np.array([[0.5, 0.5, 0.0], [0.2, 0.0, 0.8], [0.0, 0.5, 0.5]])
+        # the first token with q[token] = 0 is named, with its context
+        q = uniform_table(3, 2)
+        q[[4, 2, 7]] = [[0.5, 0.5, 0.0], [0.2, 0.0, 0.8], [0.0, 0.5, 0.5]]
         with pytest.raises(LogOfZeroError, match=re.escape("q[1] = 0 at context (0, 2)")):
-            accumulate_token_grads(acc, [4, 2, 7], [0, 1, 0], [1.0, 0.0, 1.0], q)
-        assert not acc.touched.any()
+            checked_step(2, [4, 2, 7], [0, 1, 0], [1.0, 0.0, 1.0], q)
 
 
-# weights of either sign, with exact zeros; q rows positive at their tokens
+# weights of either sign, with exact zeros, at ids that repeat; a predictive table with
+# exact zeros, and some tokens drawn where q is 0
 @st.composite
-def token_grad_batches(draw):
+def token_batches(draw):
     v, order = draw(st.integers(2, 4)), draw(st.integers(1, 2))
-    n = draw(st.integers(1, 12))
-    ids = draw(st.lists(st.integers(0, v ** order - 1), min_size=n, max_size=n))
+    n, rows = draw(st.integers(1, 12)), v ** order
+    ids = draw(st.lists(st.integers(0, rows - 1), min_size=n, max_size=n))
     tokens = draw(st.lists(st.integers(0, v - 1), min_size=n, max_size=n))
-    weights = draw(st.lists(st.one_of(st.just(0.0), st.floats(-5, 5, allow_subnormal=False)),
+    weights = draw(st.lists(st.one_of(st.sampled_from([0.0, -0.0]),
+                                      st.floats(1e-8, 1e8).flatmap(
+                                          lambda x: st.sampled_from([x, -x]))),
                             min_size=n, max_size=n))
-    z = np.array(draw(st.lists(st.floats(-30, 30), min_size=n * v, max_size=n * v)))
-    q = softmax(z.reshape(n, v)).probs
-    return v, order, ids, tokens, weights, q
+    z = np.array(draw(st.lists(st.one_of(st.floats(-30, 30), st.just(-1000.0)),
+                               min_size=rows * v, max_size=rows * v)))
+    q = softmax(z.reshape(rows, v)).probs
+    return (order, np.array(ids, dtype=np.intp), np.array(tokens, dtype=np.intp),
+            np.array(weights, dtype=np.float64), q)
 
 
 class TestUncheckedKernel:
-    @settings(max_examples=80, deadline=None)
-    @given(batches=st.lists(token_grad_batches(), min_size=1, max_size=3))
-    def test_kernel_equals_checked_entry_bit_for_bit(self, batches):
-        v, order = batches[0][:2]
-        checked, kernel = GradAccumulator(order, v), GradAccumulator(order, v)
-        for bv, border, ids, tokens, weights, q in batches:
-            if (bv, border) != (v, order) or (q[np.arange(len(ids)), tokens] <= 0.0).any():
-                continue
-            accumulate_token_grads(checked, ids, tokens, weights, q)
-            add_token_grads(kernel, np.array(ids, dtype=np.intp), np.array(tokens),
-                            np.array(weights, dtype=np.float64), q)
-        assert checked.directions.tobytes() == kernel.directions.tobytes()
-        assert np.array_equal(checked.touched, kernel.touched)
+    @settings(max_examples=120, deadline=None)
+    @given(batch=token_batches())
+    def test_kernel_equals_checked_entry_bit_for_bit(self, batch):
+        order, ids, tokens, weights, q = batch
+        if (q[ids, tokens] <= 0.0).any():
+            with pytest.raises(LogOfZeroError):
+                checked_step(order, ids, tokens, weights, q)
+            return
+        step = checked_step(order, ids.tolist(), tokens.tolist(), weights.tolist(), q)
+        kernel = token_step(ids, tokens, weights, q)
+        assert step.ids.tolist() == kernel.ids.tolist()
+        assert step.directions.tobytes() == kernel.directions.tobytes()
+
+
+class TestCountStep:
+    """token_step is count_step's per-token loop bit for bit, and the per-token
+    directions it replaced up to rounding."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(batch=token_batches())
+    def test_is_the_per_token_loop_bit_for_bit(self, batch):
+        order, ids, tokens, weights, q = batch
+        step, ref = token_step(ids, tokens, weights, q), count_step(ids, tokens, weights, q)
+        assert step.ids.tolist() == ref.ids.tolist() == sorted(set(ids.tolist()))
+        assert step.ids.dtype == np.intp
+        assert step.directions.tobytes() == ref.directions.tobytes()
+
+    @settings(max_examples=120, deadline=None)
+    @given(batch=token_batches())
+    def test_is_the_per_token_direction_up_to_rounding(self, batch):
+        _, ids, tokens, weights, q = batch
+        step = token_step(ids, tokens, weights, q)
+        moved, want, scale = per_token_direction(ids, tokens, weights, q)
+        assert step.ids.tolist() == moved.tolist()
+        assert (np.abs(step.directions - want) <= 1e-13 * scale[:, None]).all()
+
+    @pytest.mark.parametrize("order, v", [(1, 4), (2, 3)])
+    def test_whole_table_path_is_the_drawn_rows_path(self, monkeypatch, order, v):
+        # a batch that names every row indexes q by slice (rows_at); the drawn-rows
+        # path maps the ids to slots and gathers q: both give the same bytes
+        rng = np.random.default_rng(order)
+        rows = v ** order
+        ids = np.concatenate([rng.permutation(rows), rng.integers(rows, size=2 * rows)])
+        tokens = rng.integers(v, size=ids.size)
+        weights = rng.normal(size=ids.size) * (rng.random(ids.size) < 0.8)
+        q = softmax(rng.normal(size=(rows, v))).probs
+        whole = token_step(ids, tokens, weights, q)
+        monkeypatch.setattr(model, "rows_at", lambda ids, n: ids)
+        drawn = token_step(ids, tokens, weights, q)
+        assert whole.ids.tolist() == drawn.ids.tolist() == list(range(rows))
+        assert whole.directions.tobytes() == drawn.directions.tobytes()
+        ref = count_step(ids, tokens, weights, q)
+        assert whole.directions.tobytes() == ref.directions.tobytes()
+
+    def test_a_batch_of_no_token_moves_nothing(self):
+        step = token_step(np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp),
+                          np.empty(0), uniform_table(3, 2))
+        assert step.ids.size == 0 and step.directions.shape == (0, 3)
+
+    def test_uniform_student_on_its_own_rows_moves_by_zero(self):
+        # every column weighed by the uniform row, as fkld_dense weighs them: at
+        # V = 4 every sum is exact, so W == m q and the update is -0.0 throughout
+        q = uniform_table(4, 1)
+        ids = np.repeat([0, 2, 2, 3, 0], 4)
+        step = token_step(ids, np.tile(np.arange(4), 5), np.full(20, 0.25), q)
+        assert step.ids.tolist() == [0, 2, 3]
+        assert not step.directions.any() and np.signbit(step.directions).all()
+
+
+def step_of(ids, directions):
+    """A hand-made TokenStep: directions[r] for row ids[r]."""
+    return TokenStep(np.array(ids, dtype=np.intp), np.array(directions, dtype=np.float64))
 
 
 class TestSGDStep:
-    def test_empty_accumulator_noop(self):
+    def test_empty_step_noop(self):
         m = uniform_model(v=2)
         m.set_row((1,), [0.3, -0.3])
-        sgd_step(m, GradAccumulator(1, 2), 0.5, 1)
-        assert np.allclose(m.logits((1,)), [0.3, -0.3])
+        before = m.table.tobytes()
+        assert sgd_step(m, step_of([], np.empty((0, 2))), 0.5, 1).tolist() == []
+        assert m.table.tobytes() == before
 
     def test_worked_example_logistic(self):
         m = uniform_model(v=2)
-        acc = GradAccumulator(1, 2)
-        add_token_grad(acc, 0, 0, 1.0, softmax(m.logits((0,))))
-        sgd_step(m, acc, 1.0, 1)
+        sgd_step(m, checked_step(1, [0], [0], [1.0], uniform_table()), 1.0, 1)
         assert np.allclose(m.logits((0,)), [0.5, -0.5])
         assert softmax(m.logits((0,))).probs[0] == pytest.approx(0.731059, abs=1e-6)
-        assert not acc.touched.any() and not acc.directions.any()  # cleared
 
     def test_repeated_steps_monotone(self):
         m = uniform_model(v=2)
         prev = softmax(m.logits((0,))).probs[0]
         for _ in range(100):
-            acc = GradAccumulator(1, 2)
-            add_token_grad(acc, 0, 0, 1.0, softmax(m.logits((0,))))
-            sgd_step(m, acc, 0.5, 1)
+            sgd_step(m, checked_step(1, [0], [0], [1.0], softmax(m.table).probs), 0.5, 1)
             cur = softmax(m.logits((0,))).probs[0]
             assert cur > prev
             prev = cur
@@ -372,46 +433,39 @@ class TestSGDStep:
     def test_batch_mean_scaling(self):
         # two identical samples with lr x must equal one sample with lr x
         m1, m2 = uniform_model(v=2), uniform_model(v=2)
-        acc = GradAccumulator(1, 2)
-        add_token_grad(acc, 0, 0, 1.0, softmax(m1.logits((0,))))
-        add_token_grad(acc, 0, 0, 1.0, softmax(m1.logits((0,))))
-        sgd_step(m1, acc, 0.4, 2)
-        acc2 = GradAccumulator(1, 2)
-        add_token_grad(acc2, 0, 0, 1.0, softmax(m2.logits((0,))))
-        sgd_step(m2, acc2, 0.4, 1)
+        sgd_step(m1, checked_step(1, [0, 0], [0, 0], [1.0, 1.0], uniform_table()), 0.4, 2)
+        sgd_step(m2, checked_step(1, [0], [0], [1.0], uniform_table()), 0.4, 1)
         assert np.allclose(m1.logits((0,)), m2.logits((0,)))
 
     def test_bad_lr(self):
         with pytest.raises(InvalidInputError):
-            sgd_step(uniform_model(), GradAccumulator(1, 2), 0.0, 1)
+            sgd_step(uniform_model(), step_of([0], [[1.0, -1.0]]), 0.0, 1)
 
     def test_returns_moved_ids_ascending(self):
         m = uniform_model(v=3, order=2)
-        acc = GradAccumulator(2, 3)
-        acc.add_rows([5, 1, 3, 1], np.ones((4, 3)))
-        moved = sgd_step(m, acc, 0.5, 4)
+        step = token_step(np.array([5, 1, 3, 1]), np.array([0, 2, 1, 1]), np.ones(4),
+                          uniform_table(3, 2))
+        moved = sgd_step(m, step, 0.5, 4)
         assert moved.tolist() == [1, 3, 5] and moved.dtype == np.intp
         assert np.flatnonzero(m.touched).tolist() == [1, 3, 5]
 
     def test_zero_weights_move_their_rows_by_nothing(self):
+        # an all-zero update leaves the table's bytes, its -0.0 logits included
         m = uniform_model(v=3, order=2)
-        m.set_row((1, 2), [0.3, -0.3, 0.1])
+        m.set_row((0, 2), [0.3, -0.3, 0.1])
+        m.set_row((0, 0), [-0.0, 0.2, -0.0])
         before = m.table.tobytes()
-        acc = GradAccumulator(2, 3)
-        accumulate_token_grads(acc, [2, 0], [1, 1], [0.0, 0.0], np.full((2, 3), 1 / 3))
-        moved = sgd_step(m, acc, 0.5, 2)
+        step = checked_step(2, [2, 0], [1, 1], [0.0, 0.0], softmax(m.table).probs)
+        moved = sgd_step(m, step, 0.5, 2)
         assert moved.tolist() == [0, 2] and moved.dtype == np.intp
         assert m.table.tobytes() == before
-        assert np.signbit(acc.directions).all() and not acc.directions.any()
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_no_drawn_position_rejected(self, n):
         m = uniform_model(v=3, order=2)
-        acc = GradAccumulator(2, 3)
-        acc.add_rows([2], np.full((1, 3), 0.7))
         with pytest.raises(InvalidInputError, match=f"got n={n}"):
-            sgd_step(m, acc, 0.5, n)
-        assert not m.touched.any() and acc.touched.tolist() == [False, False, True] + [False] * 6
+            sgd_step(m, step_of([2], np.full((1, 3), 0.7)), 0.5, n)
+        assert not m.touched.any()
 
     def test_step_is_the_sum_over_the_positions_drawn(self):
         # a batch of 5 positions whose weights are 0 at three of them: the step
@@ -423,73 +477,24 @@ class TestSGDStep:
         before = m.table.copy()
         ids, tokens = np.array([0, 1, 2, 1, 0]), np.array([2, 0, 1, 2, 0])
         weights = np.array([0.0, 0.8, 0.0, -0.4, 0.0])
-        q = softmax(m.table[ids]).probs
-        acc = GradAccumulator(1, 3)
-        accumulate_token_grads(acc, ids, tokens, weights, q)
+        q = softmax(m.table).probs
         summed = np.zeros((3, 3))
         for j in range(5):
-            summed[ids[j]] += weights[j] * (np.eye(3)[tokens[j]] - q[j])
-        assert sgd_step(m, acc, 0.3, 5).tolist() == [0, 1, 2]
+            summed[ids[j]] += weights[j] * (np.eye(3)[tokens[j]] - q[ids[j]])
+        assert sgd_step(m, checked_step(1, ids, tokens, weights, q), 0.3, 5).tolist() == [0, 1, 2]
         assert np.allclose(m.table, before + 0.3 / 5 * summed, rtol=0, atol=1e-15)
         assert not np.allclose(m.table, before + 0.3 / 2 * summed, atol=1e-3)
 
 
-# finite directions from +-0.0 up to magnitudes 1e8 and down to 1e-8
-direction_entries = st.one_of(
-    st.sampled_from([0.0, -0.0]),
-    st.floats(1e-8, 1e8).flatmap(lambda x: st.sampled_from([x, -x])),
-)
-
-
-class TestAddRowsScatter:
-    @settings(max_examples=60, deadline=None)
-    @given(v=st.integers(2, 4), data=st.data())
-    def test_matches_row_by_row_loop(self, v, data):
-        # two batches before a clear, then one after; ids repeat within and across them
-        acc = GradAccumulator(1, v)
-        ref = np.full((v, v), -0.0)
-        for batch in range(3):
-            if batch == 2:
-                acc.clear()
-                ref[:] = -0.0
-            ids = data.draw(st.lists(st.integers(0, v - 1), min_size=0, max_size=8))
-            d = np.array(data.draw(st.lists(
-                st.lists(direction_entries, min_size=v, max_size=v),
-                min_size=len(ids), max_size=len(ids))), dtype=np.float64).reshape(len(ids), v)
-            acc.add_rows(ids, d)
-            for j, i in enumerate(ids):
-                ref[i] = ref[i] + d[j]
-            assert acc.directions.tobytes() == ref.tobytes()
-        assert acc.touched.tolist() == [i in ids for i in range(v)]
-
-
-class DictAccumulator:
-    """The accumulator before dense tables: rows keyed by context tuple, first touch first."""
-
-    def __init__(self):
-        self.directions = {}
-
-    def add_rows(self, ctxs, directions):
-        slot = {ctx: i for i, ctx in enumerate(dict.fromkeys(ctxs))}
-        sums = np.full((len(slot), directions.shape[-1]), -0.0)
-        for ctx, i in slot.items():
-            if ctx in self.directions:
-                sums[i] = self.directions[ctx]
-        np.add.at(sums, np.array([slot[ctx] for ctx in ctxs], dtype=np.intp), directions)
-        for ctx, i in slot.items():
-            self.directions[ctx] = sums[i]
-
-
-def reference_sgd_step(rows, acc, lr, n):
+def reference_sgd_step(rows, directions, lr, n):
     """sgd_step on a dict of logit rows keyed by context tuple, row by row: each
     row moves by lr over the n positions drawn times its summed direction."""
     scale = lr / n
-    for ctx, direction in acc.directions.items():
+    for ctx, direction in directions.items():
         row = rows.get(ctx, np.zeros(direction.size)) + scale * direction
         if not np.all(np.isfinite(row)):
             raise NumericOverflowError(f"non-finite logits at context {ctx}")
         rows[ctx] = row
-    acc.directions = {}
 
 
 def model_from_rows(order, v, rows):
@@ -499,118 +504,109 @@ def model_from_rows(order, v, rows):
     return m
 
 
+def dict_step(rows, order, v, ctxs, tokens, weights):
+    """count_step of a batch over a dict of logit rows keyed by context tuple, each
+    row's q its own 1-d softmax: the step's directions keyed by context."""
+    vocab = Vocab.default(v)
+    ids = [prefix_id(c, order, vocab) for c in ctxs]
+    q = {cid: softmax(rows.get(c, np.zeros(v))).probs for cid, c in zip(ids, ctxs)}
+    step = count_step(ids, tokens, weights, q)
+    return {context_key(cid, order, v): d for cid, d in zip(step.ids, step.directions)}
+
+
 class TestDenseStepMatchesDictReference:
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_checkpoint_bytes(self, tmp_path, order):
-        # contexts of a variable-length corpus, repeated and out of id order; -0.0,
-        # zero and mixed-sign directions
+        # contexts of a variable-length corpus, repeated and out of id order; zero and
+        # mixed-sign weights, and rows holding -0.0
         v = 4
         rng = np.random.default_rng(order)
         seqs = [rng.integers(v, size=int(rng.integers(1, 12))).tolist() for _ in range(10)]
         ctxs = [pad_context(s[:t], order, 0) for s in seqs for t in range(len(s))]
-        # rows holding -0.0 keep it only if an all -0.0 direction adds to a -0.0 start
         ref_rows = {ctx: np.where(rng.random(v) < 0.5, -0.0, rng.normal(size=v))
                     for ctx in ctxs[::4]}
         model = model_from_rows(order, v, ref_rows)
-        acc, ref_acc = GradAccumulator(order, v), DictAccumulator()
-        for step in range(15):
-            pick = [ctxs[i] for i in rng.integers(len(ctxs), size=9)]
-            d = rng.normal(size=(9, v)) * (rng.random((9, v)) < 0.8)
-            d[0] = -0.0
-            acc.add_rows([prefix_id(c, order, model.vocab) for c in pick], d)
-            ref_acc.add_rows(pick, d)
-            if step % 3 == 2:  # three batches of 9 positions each
-                lr = float(rng.uniform(0.1, 5.0))
-                sgd_step(model, acc, lr, 27)
-                reference_sgd_step(ref_rows, ref_acc, lr, 27)
+        for _ in range(5):
+            pick = [ctxs[i] for i in rng.integers(len(ctxs), size=27)]
+            tokens = rng.integers(v, size=27)
+            weights = rng.normal(size=27) * (rng.random(27) < 0.8)
+            lr = float(rng.uniform(0.1, 5.0))
+            ids = np.array([prefix_id(c, order, model.vocab) for c in pick], dtype=np.intp)
+            sgd_step(model, token_step(ids, tokens, weights, softmax(model.table).probs), lr, 27)
+            reference_sgd_step(ref_rows, dict_step(ref_rows, order, v, pick, tokens, weights),
+                               lr, 27)
         checkpoint_save(model, tmp_path / "dense.json")
         checkpoint_save(model_from_rows(order, v, ref_rows), tmp_path / "dict.json")
         assert (tmp_path / "dense.json").read_bytes() == (tmp_path / "dict.json").read_bytes()
 
     def test_negative_zero_rows_survive_two_steps(self):
-        # a row of -0.0 keeps its sign only if each step's -0.0 direction adds to a
-        # -0.0 start: the first step tests the start, the second the clear
+        # a row of -0.0 logits keeps its sign through steps of zero weight: each moves
+        # it by -0.0
         model = TabularLM(order=1, vocab=Vocab.default(2))
         model.set_row((1,), [-0.0, -0.0])
         ref_rows = {(1,): np.array([-0.0, -0.0])}
-        acc, ref_acc = GradAccumulator(1, 2), DictAccumulator()
         for _ in range(2):
-            acc.add_rows([1], [[-0.0, -0.0]])
-            ref_acc.add_rows([(1,)], np.array([[-0.0, -0.0]]))
-            sgd_step(model, acc, 0.5, 1)
-            reference_sgd_step(ref_rows, ref_acc, 0.5, 1)
+            step = token_step(np.array([1]), np.array([0]), np.zeros(1),
+                              softmax(model.table).probs)
+            sgd_step(model, step, 0.5, 1)
+            reference_sgd_step(ref_rows, dict_step(ref_rows, 1, 2, [(1,)], [0], [0.0]), 0.5, 1)
         # a checkpoint lists no row of zeros, so the tables themselves are compared
         assert model.table.tobytes() == model_from_rows(1, 2, ref_rows).table.tobytes()
         assert np.signbit(model.logits((1,))).all()
 
     def test_overflow_names_first_context_in_id_order(self):
         m = TabularLM(order=1, vocab=Vocab.default(3))
-        acc = GradAccumulator(1, 3)
-        acc.add_rows([2], [[1e308, 0.0, 0.0]])
-        acc.add_rows([1], [[1e308, 0.0, 0.0]])
         before = m.table.copy()
         with pytest.raises(NumericOverflowError, match=r"context \(1,\)"), \
                 np.errstate(over="ignore"):
-            sgd_step(m, acc, 1e10, 2)
+            sgd_step(m, step_of([1, 2], [[1e308, 0.0, 0.0]] * 2), 1e10, 2)
         assert np.array_equal(m.table, before) and not m.touched.any()
 
-    def test_mismatched_accumulator_rejected(self):
-        with pytest.raises(InvalidInputError):
-            sgd_step(uniform_model(v=2), GradAccumulator(2, 2), 0.5, 1)
+    def test_mismatched_step_rejected(self):
+        with pytest.raises(InvalidInputError, match="one model-wide row per id"):
+            sgd_step(uniform_model(v=2), step_of([0], [[1.0, 0.0, -1.0]]), 0.5, 1)
 
 
-def _every_row_touched(order, v, seed):
-    """A model with random rows at some contexts, and an accumulator with a direction
-    (the first one all -0.0) added to every row, some rows twice."""
+def _every_row_step(order, v, seed):
+    """A model with random rows at some contexts, and a step whose batch names every
+    row, some rows twice."""
     rng = np.random.default_rng(seed)
     m = TabularLM(order=order, vocab=Vocab.default(v))
     n = len(m.table)
     for cid in rng.permutation(n)[: n // 2]:
         m.set_row(context_key(cid, order, v), rng.normal(size=v))
     ids = np.concatenate([rng.permutation(n), rng.integers(n, size=n)])
-    d = rng.normal(size=(ids.size, v)) * (rng.random((ids.size, v)) < 0.8)
-    d[0] = -0.0
-    acc = GradAccumulator(order, v)
-    acc.add_rows(ids, d)
-    return m, acc, ids, d
+    tokens = rng.integers(v, size=ids.size)
+    weights = rng.normal(size=ids.size) * (rng.random(ids.size) < 0.8)
+    return m, token_step(ids, tokens, weights, softmax(m.table).probs)
 
 
 class TestWholeTableStep:
-    # a step whose accumulator touched every row indexes the tables by slice
-    # (rows_at); the row-gather path is the reference for what it leaves
+    # a step that moves every row indexes the table by slice (rows_at); the row-gather
+    # path is the reference for what it leaves
 
     @pytest.mark.parametrize("order, v", [(1, 4), (2, 3)])
     def test_matches_reference_and_gather_path(self, monkeypatch, order, v):
-        m, acc, ids, d = _every_row_touched(order, v, seed=order)
-        ref_rows = {context_key(cid, order, v): m.table[cid].copy()
-                    for cid in np.flatnonzero(m.touched)}
-        ref_acc = DictAccumulator()
-        ref_acc.add_rows([context_key(cid, order, v) for cid in ids], d)
-        m2, acc2 = m.copy(), GradAccumulator(order, v)
-        acc2.add_rows(ids, d)
-        moved = sgd_step(m, acc, 1.7, 9)
-        reference_sgd_step(ref_rows, ref_acc, 1.7, 9)
+        m, step = _every_row_step(order, v, seed=order)
+        ref_rows = {context_key(cid, order, v): m.table[cid].copy() for cid in range(len(m.table))}
+        ref_step = {context_key(cid, order, v): d for cid, d in zip(step.ids, step.directions)}
+        m2 = m.copy()
+        moved = sgd_step(m, step, 1.7, 9)
+        reference_sgd_step(ref_rows, ref_step, 1.7, 9)
         monkeypatch.setattr(model, "rows_at", lambda ids, n: ids)  # the row-gather path
-        assert sgd_step(m2, acc2, 1.7, 9).tolist() == moved.tolist()
+        assert sgd_step(m2, step, 1.7, 9).tolist() == moved.tolist()
         assert moved.dtype == np.intp and moved.tolist() == list(range(len(m.table)))
         assert m.table.tobytes() == model_from_rows(order, v, ref_rows).table.tobytes()
         assert m.table.tobytes() == m2.table.tobytes()
-        for got, want in ((m.touched, m2.touched), (acc.touched, acc2.touched),
-                          (acc.directions, acc2.directions)):
-            assert got.tobytes() == want.tobytes()
-        assert m.touched.all() and not acc.touched.any()
 
-    def test_overflow_leaves_model_and_accumulator_as_they_were(self):
-        m, acc, _, _ = _every_row_touched(1, 3, seed=5)
-        acc.add_rows([2], [[1e308, 0.0, 0.0]])
-        acc.add_rows([1], [[-1e308, 0.0, 0.0]])
-        before = [a.copy() for a in (m.table, m.touched, acc.directions, acc.touched)]
-        assert acc.touched.all()
+    def test_overflow_leaves_model_as_it_was(self):
+        m, step = _every_row_step(1, 3, seed=5)
+        step.directions[1:3, 0] = [-1e308, 1e308]
+        before = m.table.copy()
         with pytest.raises(NumericOverflowError, match=r"context \(1,\)"), \
                 np.errstate(over="ignore"):
-            sgd_step(m, acc, 1e10, 2)
-        for got, want in zip((m.table, m.touched, acc.directions, acc.touched), before):
-            assert got.tobytes() == want.tobytes()
+            sgd_step(m, step, 1e10, 2)
+        assert m.table.tobytes() == before.tobytes()
 
 
 class TestCheckpoint:
@@ -755,9 +751,6 @@ class TestCheckpoint:
 def test_property_grad_rows_sum_to_zero(v, seed):
     # softmax gradients live on the simplex tangent: coordinates sum to 0
     rng = np.random.default_rng(seed)
-    m = TabularLM(order=1, vocab=Vocab.default(v))
-    m.set_row((0,), rng.normal(size=v))
-    acc = GradAccumulator(1, v)
-    add_token_grad(acc, 0, int(rng.integers(v)), float(rng.normal()) or 1.0,
-                   softmax(m.logits((0,))))
-    assert abs(acc.directions[0].sum()) < 1e-12
+    q = softmax(rng.normal(size=(1, v))).probs
+    step = checked_step(1, [0], [int(rng.integers(v))], [float(rng.normal()) or 1.0], q)
+    assert abs(step.directions[0].sum()) < 1e-12

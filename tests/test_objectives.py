@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from distill_lab.data import Corpus, build_source
 from distill_lab.errors import ConfigError, InvalidParameterError, LogOfZeroError
-from distill_lab.model import GradAccumulator, TabularLM, Vocab, sgd_step
+from distill_lab.model import TabularLM, Vocab, sgd_step, token_step
 from distill_lab.numerics import CategoricalDist, softmax
 from distill_lab.objectives import (
     ALL_TAGS,
@@ -129,14 +129,14 @@ class TestFKLDDenseWeights:
         assert np.allclose(w, [0.25] * 4, atol=1e-12)
 
     def test_minimizing_reaches_fixed_point(self):
-        # 500 SGD steps with lr 0.5 drive q -> p within 1e-3 per token
+        # 500 SGD steps with lr 0.5 drive q -> p within 1e-3 per token; a step weighs
+        # every token by the teacher's row, as distill_offpolicy's fkld_dense does
         p = dist(0.8, 0.2)
         m = TabularLM(order=1, vocab=Vocab.default(2))
         for _ in range(500):
-            q = softmax(m.logits((0,)))
-            acc = GradAccumulator(1, 2)
-            acc.add_rows([0], (p.probs - q.probs)[None])
-            sgd_step(m, acc, 0.5, 1)
+            step = token_step(np.zeros(2, dtype=np.intp), np.arange(2), p.probs,
+                              softmax(m.table).probs)
+            sgd_step(m, step, 0.5, 1)
         q = softmax(m.logits((0,)))
         assert np.allclose(q.probs, p.probs, atol=1e-3)
         assert kl_exact(p, q) < 1e-6

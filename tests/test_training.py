@@ -21,8 +21,8 @@ from distill_lab.errors import (
     NumericOverflowError,
 )
 from distill_lab.model import (
-    GradAccumulator,
     TabularLM,
+    TokenStep,
     Vocab,
     checkpoint_load,
     checkpoint_save,
@@ -44,6 +44,7 @@ from distill_lab.training import (
     train_teacher_mle,
 )
 from oracles import (
+    count_step,
     draws_batched,
     draws_per_rollout,
     kl_exact,
@@ -52,6 +53,7 @@ from oracles import (
     model_row,
     model_source,
     offpolicy_token,
+    per_token_direction,
     plan_divergences,
     reference_completion_accuracy,
     reference_offpolicy,
@@ -606,10 +608,10 @@ def _five_steps_a_block(monkeypatch, tag, n, k, v=6):
     """Set the plan budget so a block holds five steps of tag at batch size n and
     hpd_samples k."""
     # a step's tokens: the expert, and k sampled tokens for the rules that read one;
-    # hpd_no_sample draws one row a position at any k
+    # hpd_no_sample draws one row a position at any k; fkld_dense's are every column
     samples = ObjectiveKind(tag).samples
-    rows, cols = (k, 2) if samples else (1, 1)
-    monkeypatch.setattr(training, "PLAN_ENTRIES", 5 * n * rows * cols * v + 1)
+    rows, cols = (k, 2) if samples else (1, v if tag == "fkld_dense" else 1)
+    monkeypatch.setattr(training, "PLAN_ENTRIES", 5 * n * rows * cols + 1)
 
 
 class TestPlannedDraws:
@@ -688,8 +690,8 @@ class TestHpdStream:
         teacher, corpus = _equal_length_corpus() if equal else _variable_length_corpus()
         cfg = small_cfg(variant, steps=23, seed=6, batch_size=7, hpd_samples=k, eval_every=5)
         default = _run_bytes(tmp_path, cfg, teacher, corpus, order=2)
-        # 97 entries hold less than one step: every step is a block of its own
-        monkeypatch.setattr(training, "PLAN_ENTRIES", 97)
+        # 6 tokens are fewer than any step's 7 or more: every step is a block of its own
+        monkeypatch.setattr(training, "PLAN_ENTRIES", 6)
         assert _run_bytes(tmp_path, cfg, teacher, corpus, order=2) == default
 
     @pytest.mark.parametrize("equal", [True, False])
@@ -731,9 +733,9 @@ class TestZeroWeights:
         # every rollout starts at (BOS, BOS), the one context whose rewards are not 0;
         # each step moves every context its rollouts drew, the others by nothing
         drawn, moved = [], []
-        kernel, step = training.add_token_grads, training.sgd_step
-        monkeypatch.setattr(training, "add_token_grads", lambda acc, ids, *a:
-                            drawn.append(np.unique(ids)) or kernel(acc, ids, *a))
+        kernel, step = training.token_step, training.sgd_step
+        monkeypatch.setattr(training, "token_step", lambda ids, *a:
+                            drawn.append(np.unique(ids)) or kernel(ids, *a))
         monkeypatch.setattr(training, "sgd_step", lambda *a: moved.append(step(*a)) or moved[-1])
         student = _teacher_but_one_student()
         out, _ = distill_onpolicy_opd(small_cfg("opd_k1", steps=10, horizon=4),
@@ -751,6 +753,71 @@ class TestZeroWeights:
                            teacher, corpus, order=2)
                 for k in (1, 3)]
         assert runs[0] == runs[1]
+
+
+def _spy_steps(monkeypatch):
+    """Record every token_step call of a run: its arguments, q as it was then, and
+    its step."""
+    calls, kernel = [], training.token_step
+
+    def spy(ids, tokens, weights, q):
+        step = kernel(ids, tokens, weights, q)
+        calls.append((ids.copy(), tokens.copy(), weights.copy(), q.copy(), step))
+        return step
+
+    monkeypatch.setattr(training, "token_step", spy)
+    return calls
+
+
+def _assert_steps_match_oracles(calls):
+    """Each step is count_step's bytes, and the per-token directions it replaced within
+    1e-13 of each row's summed |weight|."""
+    for ids, tokens, weights, q, step in calls:
+        ref = count_step(ids, tokens, weights, q)
+        assert step.ids.tolist() == ref.ids.tolist()
+        assert step.directions.tobytes() == ref.directions.tobytes()
+        moved, want, scale = per_token_direction(ids, tokens, weights, q)
+        assert step.ids.tolist() == moved.tolist()
+        assert (np.abs(step.directions - want) <= 1e-13 * scale[:, None]).all()
+
+
+class TestCountTableStep:
+    """Every step, off-policy or OPD, is the count table W - m q of its tokens."""
+
+    @pytest.mark.parametrize("tag, k", [(tag, 1) for tag in OFF_POLICY_TAGS]
+                             + [(tag, 3) for tag in HPD_VARIANTS])
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("equal", [True, False])
+    def test_offpolicy_steps_match_the_oracles(self, monkeypatch, tag, k, order, equal):
+        teacher, corpus = _equal_length_corpus() if equal else _variable_length_corpus()
+        calls = _spy_steps(monkeypatch)
+        cfg = small_cfg(tag, steps=6, hpd_samples=k, eval_every=6)
+        distill_offpolicy(cfg, teacher, corpus, TabularLM(order=order, vocab=Vocab.default(6)))
+        assert len(calls) == cfg.steps
+        _assert_steps_match_oracles(calls)
+
+    @pytest.mark.parametrize("mode", ["per_token", "trajectory"])
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_opd_steps_match_the_oracles(self, monkeypatch, mode, order):
+        teacher = _opd_teacher("oracle")
+        calls = _spy_steps(monkeypatch)
+        cfg = small_cfg("opd_k1", steps=4, batch_size=6, horizon=5, eval_every=4,
+                        opd_reward_mode=mode, opd_baseline=True)
+        distill_onpolicy_opd(cfg, teacher,
+                             TabularLM(order=order, vocab=Vocab.default(teacher.vocab.size)))
+        assert len(calls) == cfg.steps
+        _assert_steps_match_oracles(calls)
+
+    def test_fkld_dense_weighs_every_column_by_the_teacher_row(self, monkeypatch):
+        # a step's tokens are each position's V columns, weighed by the teacher's row
+        teacher, corpus = _variable_length_corpus()
+        calls = _spy_steps(monkeypatch)
+        distill_offpolicy(small_cfg("fkld_dense", steps=1), teacher, corpus,
+                          TabularLM(order=1, vocab=Vocab.default(6)))
+        (ids, tokens, weights, _, _), = calls
+        assert tokens.tolist() == list(range(6)) * 8
+        assert np.allclose(weights.reshape(8, 6).sum(axis=1), 1.0, rtol=0, atol=1e-15)
+        assert (ids.reshape(8, 6) == ids[::6, None]).all()
 
 
 class TestCheckpointRows:
@@ -1060,12 +1127,11 @@ class TestTrainLoop:
         student.set_row((1, 0), np.log([0.25, 0.75]))
         ids, seen = np.array([2, 0, 1, 2]), []
 
-        def batches(student, pred, acc, rng):
+        def batches(student, pred, rng):
             while True:
                 q = pred.rows(ids)
                 seen.append(float(np.mean([entropy(q.rows(j)) for j in range(ids.size)])))
-                acc.add_rows(ids, np.tile([1.0, -1.0], (ids.size, 1)))
-                yield ids, None
+                yield ids, TokenStep(np.unique(ids), np.tile([1.0, -1.0], (3, 1))), None
 
         cfg = small_cfg("sft", steps=4, eval_every=2)
         _, rows = training._train_loop(cfg, teacher, student, None, batches)
@@ -1107,10 +1173,9 @@ class TestTrainLoop:
         student = TabularLM(order=order, vocab=Vocab.default(3))
         student.set_row((1,) * order, [0.0, training.LOGIT_FLOOR, 2.0])
         pred = training.PredictiveTable(student, with_cdf=True)
-        acc = GradAccumulator(order, 3)
         rng = np.random.default_rng(order)
-        acc.add_rows(np.arange(len(student.table)), rng.normal(size=student.table.shape))
-        pred.refresh(sgd_step(student, acc, 0.9, 4))
+        step = TokenStep(np.arange(len(student.table)), rng.normal(size=student.table.shape))
+        pred.refresh(sgd_step(student, step, 0.9, 4))
         fresh = training.PredictiveTable(student, with_cdf=True)
         for name in ("probs", "cdf"):
             assert getattr(pred, name).tobytes() == getattr(fresh, name).tobytes()
@@ -1147,9 +1212,8 @@ class TestTrainLoop:
         monkeypatch.setattr(training.PredictiveTable, "refresh",
                             lambda self, ids: refreshed.append(ids))
 
-        def batches(student, pred, acc, rng):
-            acc.add_rows([1], [[1e308, -1e308]])
-            yield np.array([1]), None
+        def batches(student, pred, rng):
+            yield np.array([1]), TokenStep(np.array([1]), np.array([[1e308, -1e308]])), None
 
         with pytest.raises(NumericOverflowError, match=r"context \(1,\)"), \
                 np.errstate(over="ignore"):
@@ -1161,10 +1225,9 @@ class TestTrainLoop:
         teacher = build_source({"name": "uniform", "vocab_size": 2})
         student = TabularLM(order=1, vocab=Vocab.default(2))
 
-        def batches(student, pred, acc, rng):
+        def batches(student, pred, rng):
             for _ in range(2):
-                acc.add_rows([1], [[1.0, -1.0]])
-                yield np.array([1]), None
+                yield np.array([1]), TokenStep(np.array([1]), np.array([[1.0, -1.0]])), None
 
         with pytest.raises(StopIteration):
             training._train_loop(small_cfg("sft", steps=3), teacher, student, None, batches)
@@ -1300,13 +1363,13 @@ class TestTrajectoryFold:
         rewards = np.array([cancelling, cancelling[::-1], np.linspace(-3.0, 2.0, h)]).ravel()
         monkeypatch.setattr(training, "token_weights", lambda *a: rewards.copy())
         coeffs = []
-        kernel = training.add_token_grads
+        kernel = training.token_step
 
-        def spy(acc, ids, tokens, weights, q):
+        def spy(ids, tokens, weights, q):
             coeffs.append(weights.copy())
-            return kernel(acc, ids, tokens, np.zeros_like(weights), q)
+            return kernel(ids, tokens, np.zeros_like(weights), q)
 
-        monkeypatch.setattr(training, "add_token_grads", spy)
+        monkeypatch.setattr(training, "token_step", spy)
         teacher = build_source({"name": "uniform", "vocab_size": 3})
         cfg = small_cfg("opd_k1", steps=1, batch_size=n, horizon=h,
                         opd_reward_mode="trajectory")
