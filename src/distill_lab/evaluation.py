@@ -34,10 +34,11 @@ def gradcheck(model: TabularLM, weighted_tokens, eps: float = 1e-5) -> float:
     if not items:
         return 0.0
     ids, tokens, weights = (np.array(col) for col in zip(*items))
-    step = accumulate_token_grads(ids, tokens, weights, softmax(model.table).probs, model.order)
+    step = accumulate_token_grads(ids, tokens, weights, softmax(model.table).probs)
     # rows[slot[i]] is item i's row, the step's rows in their order; pert[r, v, s] is row r
     # with coordinate v moved by +-eps
-    rows, slot = np.unique(ids, return_inverse=True)
+    rows = step.ids
+    slot = np.searchsorted(rows, ids)
     v, coord = model.vocab.size, np.arange(model.vocab.size)
     numeric = np.empty((len(rows), v))
     # a row's 2 * V perturbed copies hold 2 * V * V logits; a chunk of rows holds at

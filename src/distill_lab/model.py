@@ -290,13 +290,20 @@ def token_step(ids: np.ndarray, tokens: np.ndarray, weights: np.ndarray,
     return TokenStep(moved, np.negative(grad, out=grad))
 
 
-def accumulate_token_grads(ids, tokens, weights, q: np.ndarray, order: int) -> TokenStep:
+def accumulate_token_grads(ids, tokens, weights, q: np.ndarray) -> TokenStep:
     """token_step, once its arguments are checked: the public gradient entry.
 
-    ids are order-k context ids, rows of the (V**k, V) table q, and tokens and
-    weights hold one entry per id. Each weight must be finite, each id and
-    token in range and every q[ids[j], tokens[j]] > 0, as -ln of it needs.
+    ids are order-k context ids, rows of the (V**k, V) table q, whose row
+    count fixes k, and tokens and weights hold one entry per id. Each weight
+    must be finite, each id and token in range and every q[ids[j], tokens[j]]
+    > 0, as -ln of it needs.
     """
+    rows, v = q.shape
+    order = 0
+    while v ** order < rows:
+        order += 1
+    if v ** order != rows:
+        raise InvalidInputError(f"q has {rows} rows, not V**k for V={v}")
     ids = np.asarray(ids, dtype=np.intp)
     weights = np.asarray(weights, dtype=np.float64)
     tokens = np.asarray(tokens, dtype=np.intp)
@@ -308,7 +315,7 @@ def accumulate_token_grads(ids, tokens, weights, q: np.ndarray, order: int) -> T
         outside = (values < 0) | (values >= bound)
         if outside.any():
             raise InvalidInputError(f"{name} {values[np.argmax(outside)]} out of range")
-    check_token_support(q[ids, tokens], ids, tokens, order, q.shape[1])
+    check_token_support(q[ids, tokens], ids, tokens, order, v)
     return token_step(ids, tokens, weights, q)
 
 
@@ -343,16 +350,25 @@ def sgd_step(model: TabularLM, step: TokenStep, lr: float, n: int) -> np.ndarray
     n is the number of positions the batch drew, so the step is lr times the
     batch mean; n < 1 is an InvalidInputError. Returns step.ids, the rows it
     moved in ascending order: every context the batch drew, a zero-weight one
-    too. A non-finite result raises NumericOverflowError, naming the first
-    such context in id order, and leaves the model as it was.
+    too. step.ids must be an intp array of the model's rows, strictly
+    ascending, and step.directions one V-wide row per id, else InvalidInputError,
+    so a step naming a row past the table (one of a higher order, say) is
+    never gathered past it nor written by the whole-table slice.
+    A non-finite result raises NumericOverflowError, naming the first such
+    context in id order, and leaves the model as it was.
     """
     if lr <= 0.0:
         raise InvalidInputError("learning rate must be > 0")
     if n < 1:
         raise InvalidInputError(f"a step needs at least one drawn position, got n={n}")
     ids = step.ids
-    if step.directions.shape != (ids.size, model.vocab.size):
+    if not (isinstance(ids, np.ndarray) and ids.dtype == np.intp and ids.ndim == 1
+            and step.directions.shape == (ids.size, model.vocab.size)):
         raise InvalidInputError("a step's directions must hold one model-wide row per id")
+    # rows_at's slice stands for ids only when they are every row, each once
+    if ids.size and not (0 <= ids[0] and ids[-1] < len(model.table)
+                         and (ids[1:] > ids[:-1]).all()):
+        raise InvalidInputError("a step's ids must be ascending rows of the model's table")
     at = rows_at(ids, len(model.table))
     if ids.size:
         base = model.table.take(ids, axis=0) if at is ids else model.table

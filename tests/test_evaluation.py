@@ -71,8 +71,8 @@ class TestGradcheck:
         m, items = random_gradcheck_batch(order=1, v=8, n=64, seed=1)
         accumulate = evaluation.accumulate_token_grads
 
-        def scaled(ids, tokens, weights, q, order):
-            return accumulate(ids, tokens, np.asarray(weights) * (1.0 + 1e-3), q, order)
+        def scaled(ids, tokens, weights, q):
+            return accumulate(ids, tokens, np.asarray(weights) * (1.0 + 1e-3), q)
 
         monkeypatch.setattr(evaluation, "accumulate_token_grads", scaled)
         assert gradcheck(m, items) > 1e-4

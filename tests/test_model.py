@@ -243,19 +243,14 @@ def uniform_table(v=2, order=1):
     return np.full((v ** order, v), 1 / v)
 
 
-def checked_step(order, ids, tokens, weights, q):
-    """accumulate_token_grads of a batch at order-k context ids of the table q."""
-    return accumulate_token_grads(ids, tokens, weights, q, order)
-
-
 class TestAccumulateTokenGrad:
     def test_descent_direction_uniform_row(self):
-        step = checked_step(1, [0], [0], [1.0], uniform_table())
+        step = accumulate_token_grads([0], [0], [1.0], uniform_table())
         assert step.ids.tolist() == [0] and step.ids.dtype == np.intp
         assert np.allclose(step.directions, [[0.5, -0.5]])
 
     def test_negative_weight_redistributes(self):
-        step = checked_step(1, [0], [0], [-1.0], uniform_table())
+        step = accumulate_token_grads([0], [0], [-1.0], uniform_table())
         assert np.allclose(step.directions, [[-0.5, 0.5]])
 
     def test_direction_matches_finite_differences(self):
@@ -263,7 +258,7 @@ class TestAccumulateTokenGrad:
         rng = np.random.default_rng(4)
         z = rng.normal(size=5)
         token, w, eps = 2, 1.7, 1e-6
-        step = checked_step(1, [0], [token], [w], softmax(z[None]).probs)
+        step = accumulate_token_grads([0], [token], [w], softmax(z[None]).probs)
         numeric = np.zeros(5)
         for v in range(5):
             zp, zm = z.copy(), z.copy()
@@ -276,7 +271,7 @@ class TestAccumulateTokenGrad:
 
     def test_zero_weight_adds_only_zeros(self):
         # its row is moved, by -0.0 in every entry, which leaves any logit's bytes
-        step = checked_step(1, [0], [0], [0.0], uniform_table())
+        step = accumulate_token_grads([0], [0], [0.0], uniform_table())
         assert step.ids.tolist() == [0] and not step.directions.any()
         assert np.signbit(step.directions).all()
 
@@ -286,10 +281,10 @@ class TestAccumulateTokenGrad:
         rng = np.random.default_rng(6)
         ids, tokens = np.array([0, 2, 1, 2, 3]), np.array([1, 0, 2, 2, 1])
         weights = np.array([0.7, 0.0, -1.3, 0.0, 0.0])
-        q = softmax(rng.normal(size=(4, 3))).probs
-        step = checked_step(1, ids, tokens, weights, q)
+        q = softmax(rng.normal(size=(9, 3))).probs
+        step = accumulate_token_grads(ids, tokens, weights, q)
         keep = weights != 0.0
-        alone = checked_step(1, ids[keep], tokens[keep], weights[keep], q)
+        alone = accumulate_token_grads(ids[keep], tokens[keep], weights[keep], q)
         assert step.ids.tolist() == [0, 1, 2, 3] and alone.ids.tolist() == [0, 1]
         assert step.directions[:2].tobytes() == alone.directions.tobytes()
         assert np.signbit(step.directions[2:]).all() and not step.directions[2:].any()
@@ -302,14 +297,23 @@ class TestAccumulateTokenGrad:
                             (([0], [0], [np.nan]), "weight must be finite"),
                             (([0, 1], [0], [1.0]), "1-d and of one length")):
             with pytest.raises(InvalidInputError, match=match):
-                checked_step(1, *args, q)
+                accumulate_token_grads(*args, q)
 
     def test_rejects_zero_probability_token(self):
         # the first token with q[token] = 0 is named, with its context
         q = uniform_table(3, 2)
         q[[4, 2, 7]] = [[0.5, 0.5, 0.0], [0.2, 0.0, 0.8], [0.0, 0.5, 0.5]]
         with pytest.raises(LogOfZeroError, match=re.escape("q[1] = 0 at context (0, 2)")):
-            checked_step(2, [4, 2, 7], [0, 1, 0], [1.0, 0.0, 1.0], q)
+            accumulate_token_grads([4, 2, 7], [0, 1, 0], [1.0, 0.0, 1.0], q)
+
+    def test_order_is_read_off_the_table(self):
+        # the table's V**k rows fix the order a refusal names its context at
+        with pytest.raises(LogOfZeroError, match=re.escape("q[1] = 0 at context ()")):
+            accumulate_token_grads([0], [1], [1.0], np.array([[1.0, 0.0]]))
+        with pytest.raises(LogOfZeroError, match=re.escape("q[0] = 0 at context (1, 0, 1)")):
+            accumulate_token_grads([5], [0], [1.0], np.eye(2)[np.arange(8) % 2])
+        with pytest.raises(InvalidInputError, match="q has 3 rows, not V\\*\\*k for V=2"):
+            accumulate_token_grads([0], [0], [1.0], uniform_table()[[0, 1, 1]])
 
 
 # weights of either sign, with exact zeros, at ids that repeat; a predictive table with
@@ -338,9 +342,9 @@ class TestUncheckedKernel:
         order, ids, tokens, weights, q = batch
         if (q[ids, tokens] <= 0.0).any():
             with pytest.raises(LogOfZeroError):
-                checked_step(order, ids, tokens, weights, q)
+                accumulate_token_grads(ids, tokens, weights, q)
             return
-        step = checked_step(order, ids.tolist(), tokens.tolist(), weights.tolist(), q)
+        step = accumulate_token_grads(ids.tolist(), tokens.tolist(), weights.tolist(), q)
         kernel = token_step(ids, tokens, weights, q)
         assert step.ids.tolist() == kernel.ids.tolist()
         assert step.directions.tobytes() == kernel.directions.tobytes()
@@ -416,7 +420,7 @@ class TestSGDStep:
 
     def test_worked_example_logistic(self):
         m = uniform_model(v=2)
-        sgd_step(m, checked_step(1, [0], [0], [1.0], uniform_table()), 1.0, 1)
+        sgd_step(m, accumulate_token_grads([0], [0], [1.0], uniform_table()), 1.0, 1)
         assert np.allclose(m.logits((0,)), [0.5, -0.5])
         assert softmax(m.logits((0,))).probs[0] == pytest.approx(0.731059, abs=1e-6)
 
@@ -424,7 +428,7 @@ class TestSGDStep:
         m = uniform_model(v=2)
         prev = softmax(m.logits((0,))).probs[0]
         for _ in range(100):
-            sgd_step(m, checked_step(1, [0], [0], [1.0], softmax(m.table).probs), 0.5, 1)
+            sgd_step(m, accumulate_token_grads([0], [0], [1.0], softmax(m.table).probs), 0.5, 1)
             cur = softmax(m.logits((0,))).probs[0]
             assert cur > prev
             prev = cur
@@ -433,8 +437,8 @@ class TestSGDStep:
     def test_batch_mean_scaling(self):
         # two identical samples with lr x must equal one sample with lr x
         m1, m2 = uniform_model(v=2), uniform_model(v=2)
-        sgd_step(m1, checked_step(1, [0, 0], [0, 0], [1.0, 1.0], uniform_table()), 0.4, 2)
-        sgd_step(m2, checked_step(1, [0], [0], [1.0], uniform_table()), 0.4, 1)
+        sgd_step(m1, accumulate_token_grads([0, 0], [0, 0], [1.0, 1.0], uniform_table()), 0.4, 2)
+        sgd_step(m2, accumulate_token_grads([0], [0], [1.0], uniform_table()), 0.4, 1)
         assert np.allclose(m1.logits((0,)), m2.logits((0,)))
 
     def test_bad_lr(self):
@@ -455,7 +459,7 @@ class TestSGDStep:
         m.set_row((0, 2), [0.3, -0.3, 0.1])
         m.set_row((0, 0), [-0.0, 0.2, -0.0])
         before = m.table.tobytes()
-        step = checked_step(2, [2, 0], [1, 1], [0.0, 0.0], softmax(m.table).probs)
+        step = accumulate_token_grads([2, 0], [1, 1], [0.0, 0.0], softmax(m.table).probs)
         moved = sgd_step(m, step, 0.5, 2)
         assert moved.tolist() == [0, 2] and moved.dtype == np.intp
         assert m.table.tobytes() == before
@@ -481,7 +485,7 @@ class TestSGDStep:
         summed = np.zeros((3, 3))
         for j in range(5):
             summed[ids[j]] += weights[j] * (np.eye(3)[tokens[j]] - q[ids[j]])
-        assert sgd_step(m, checked_step(1, ids, tokens, weights, q), 0.3, 5).tolist() == [0, 1, 2]
+        assert sgd_step(m, accumulate_token_grads(ids, tokens, weights, q), 0.3, 5).tolist() == [0, 1, 2]
         assert np.allclose(m.table, before + 0.3 / 5 * summed, rtol=0, atol=1e-15)
         assert not np.allclose(m.table, before + 0.3 / 2 * summed, atol=1e-3)
 
@@ -563,8 +567,33 @@ class TestDenseStepMatchesDictReference:
         assert np.array_equal(m.table, before) and not m.touched.any()
 
     def test_mismatched_step_rejected(self):
+        # a step of an order-2 V=2 table on an order-1 model: ids [3] would be gathered
+        # past the table, ids [1, 3] (as many as the model's rows) written by slice
+        # to rows 0 and 1
+        v2 = softmax(np.zeros((4, 2))).probs
+        for ids in ([3], [1, 3]):
+            m = uniform_model(v=2)
+            step = token_step(np.array(ids), np.zeros(len(ids), dtype=np.intp),
+                              np.ones(len(ids)), v2)
+            with pytest.raises(InvalidInputError, match="ascending rows of the model's table"):
+                sgd_step(m, step, 0.5, 1)
+            assert not m.table.any()
         with pytest.raises(InvalidInputError, match="one model-wide row per id"):
             sgd_step(uniform_model(v=2), step_of([0], [[1.0, 0.0, -1.0]]), 0.5, 1)
+
+    def test_ids_must_be_ascending_rows(self):
+        # rows_at's slice and the gather write ids' rows only when they are distinct
+        # rows of the table in ascending order, as token_step builds them
+        for ids in ([1, 0], [0, 0], [-1, 0], [0, 2]):
+            m = uniform_model(v=2)
+            with pytest.raises(InvalidInputError, match="ascending rows"):
+                sgd_step(m, step_of(ids, [[1.0, -1.0]] * 2), 0.5, 1)
+            assert not m.table.any()
+        for ids in ([[0, 1]], np.array([0.0, 1.0])):
+            with pytest.raises(InvalidInputError, match="one model-wide row per id"):
+                sgd_step(uniform_model(v=2), TokenStep(np.array(ids), np.ones((2, 2))), 0.5, 1)
+        with pytest.raises(InvalidInputError, match="one model-wide row per id"):
+            sgd_step(uniform_model(v=2), TokenStep([0, 1], np.ones((2, 2))), 0.5, 1)
 
 
 def _every_row_step(order, v, seed):
@@ -752,5 +781,5 @@ def test_property_grad_rows_sum_to_zero(v, seed):
     # softmax gradients live on the simplex tangent: coordinates sum to 0
     rng = np.random.default_rng(seed)
     q = softmax(rng.normal(size=(1, v))).probs
-    step = checked_step(1, [0], [int(rng.integers(v))], [float(rng.normal()) or 1.0], q)
+    step = accumulate_token_grads([0], [int(rng.integers(v))], [float(rng.normal()) or 1.0], q)
     assert abs(step.directions[0].sum()) < 1e-12
